@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,7 +32,6 @@ from .spaceform import (
     ball_volume,
     bonnet_myers_cap,
     cone_volume,
-    law_of_cosines_side,
     two_cap_complement_measure,
     unit_ball_volume,
 )
@@ -41,7 +41,6 @@ from .weyl import estimate_dimension, estimate_volume
 # counted: a larger rho weakens the bound but never breaks soundness.
 RHO_TOL_SCALE = 1e-9
 ALPHA_MARGIN = 1e-9
-TRIANGLE_MARGIN = 1e-12
 SHRINK = 1.0 - 1e-6
 BISECT_ITERS = 60
 DEFAULT_GRID_POINTS = 64
@@ -115,9 +114,10 @@ def best_diameter_bound(
 ) -> tuple[float, float]:
     """(D*, r*): smallest diameter bound over a radius grid; ties favor small r.
 
-    Grid points whose ball threshold exceeds the spectrum truncation (or
-    that fall outside the curvature domain) are skipped.  Without an
-    explicit grid a default is built from volume_hint.
+    Grid points whose ball threshold exceeds the spectrum truncation, that
+    fall outside the curvature domain, or whose threshold solve does not
+    converge are skipped; dropping a radius can only loosen the bound.
+    Without an explicit grid a default is built from volume_hint.
     """
     if r_grid is None:
         if volume_hint is None:
@@ -131,7 +131,7 @@ def best_diameter_bound(
     for r in radii:
         try:
             d, _ = diameter_bound(spec, kappa, n, float(r))
-        except DomainError as exc:
+        except (DomainError, ConvergenceError) as exc:
             last_reason = str(exc)
             continue
         if best is None or d < best[0]:
@@ -264,69 +264,49 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
     return SHRINK * r0
 
 
-def r_constant(
-    n: int,
-    kappa: float,
-    alpha: float,
-    ell: float,
-    l_max: float,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> float:
-    """Largest certified hinge side below ell that always shortens the triangle.
+def r_constant(kappa: float, alpha: float, ell: float) -> float:
+    """Separation radius: (1 - 1e-6) * min(ell, r*), in closed form.
 
-    Certifies that every hinge with one side at most r, the other in
-    [ell, l_max] and enclosed angle at most pi/2 - alpha closes with a side
-    strictly shorter than the long one.  The closing side grows with the
-    short side in every curvature, so the grid checks the worst case at r,
-    sweeping the long side and the angle; bisection with a final shrink of
-    1e-6 keeps the certificate strict.
+    Every hinge with one side below r*, the other side c3 >= ell and
+    enclosed angle at most pi/2 - alpha closes with a side strictly shorter
+    than c3.  By the law of cosines a hinge with sides r, c3 does so exactly
+    when tan_k(r/2) < cos(angle) tan_k(c3), tan_k the curvature-kappa
+    tangent; that bound falls with the angle and rises with c3, so the
+    binding hinge is (ell, pi/2 - alpha) and
+
+        kappa > 0:  r* = (2/s) atan(sin(alpha) tan(s ell)),   s = sqrt(kappa)
+        kappa = 0:  r* = 2 ell sin(alpha)
+        kappa < 0:  r* = (2/s) atanh(sin(alpha) tanh(s ell)), s = sqrt(-kappa)
+
+    For kappa > 0 with s ell >= pi/2 every such hinge shortens, so r* = ell.
+    The final shrink keeps the certificate strict.
     """
+    if not math.isfinite(kappa):
+        raise DomainError(f"curvature must be finite, got {kappa!r}")
     if not (0.0 < alpha < 0.5 * math.pi):
         raise DomainError(f"angle must lie in (0, pi/2), got {alpha!r}")
-    if not ell > 0:
-        raise DomainError(f"ell must be positive, got {ell!r}")
-    if kappa > 0:
-        cap = bonnet_myers_cap(kappa)
-        if ell >= cap:
-            raise DomainError(f"ell = {ell!r} must stay below the antipodal cap {cap!r}")
-        l_max = min(l_max, cap * (1.0 - 1e-12))
-    if l_max < ell:
-        raise DomainError(f"l_max = {l_max!r} must be at least ell = {ell!r}")
-    if grid_points < 2:
-        raise DomainError(f"grid needs at least 2 points, got {grid_points!r}")
-
-    c3, theta = np.meshgrid(
-        np.linspace(ell, l_max, grid_points),
-        np.linspace(0.0, 0.5 * math.pi - alpha, grid_points),
-    )
-    margin = TRIANGLE_MARGIN * np.maximum(1.0, c3)
-
-    def admissible(r: float) -> bool:
-        c1 = law_of_cosines_side(kappa, r, c3, theta)
-        return bool(np.all(c1 < c3 - margin))
-
-    if admissible(ell * (1.0 - 1e-12)):
-        return ell * SHRINK
-    lo = ell / 2.0
-    while lo > ell * 1e-9 and not admissible(lo):
-        lo /= 2.0
-    if not admissible(lo):
-        raise CertificationError(
-            "r-constant", "no positive separation radius could be certified on the grid"
+    if not (math.isfinite(ell) and ell > 0):
+        raise DomainError(f"ell must be positive and finite, got {ell!r}")
+    if kappa > 0 and ell >= bonnet_myers_cap(kappa):
+        raise DomainError(
+            f"ell = {ell!r} must stay below the antipodal cap {bonnet_myers_cap(kappa)!r}"
         )
-    hi = ell * (1.0 - 1e-12)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
+    sin_a = math.sin(alpha)
+    if kappa > 0:
+        s = math.sqrt(kappa)
+        if s * ell >= 0.5 * math.pi:
+            r_star = ell
         else:
-            hi = mid
-    return lo * SHRINK
+            r_star = 2.0 / s * math.atan(sin_a * math.tan(s * ell))
+    elif kappa == 0:
+        r_star = 2.0 * ell * sin_a
+    else:
+        s = math.sqrt(-kappa)
+        r_star = 2.0 / s * math.atanh(sin_a * math.tanh(s * ell))
+    return SHRINK * min(ell, r_star)
 
 
-def singular_point_cap(
-    n: int, kappa: float, d: float, v: float, grid_points: int = DEFAULT_GRID_POINTS
-) -> tuple[int, dict[str, float]]:
+def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, dict[str, float]]:
     """(C, constants): packing cap on isolated singular points.
 
     Singular points are pairwise at least r apart (the separation radius
@@ -338,7 +318,7 @@ def singular_point_cap(
         d = min(d, bonnet_myers_cap(kappa))
     alpha = alpha_constant(n, kappa, d, v)
     ell = ell_constant(n, kappa, v)
-    r = r_constant(n, kappa, alpha, ell, max(d, ell), grid_points)
+    r = r_constant(kappa, alpha, ell)
     # With consistent inputs r < ell < D; the clamp only guards degenerate
     # volume/diameter combinations and stays sound (smaller r still separates).
     r_used = min(r, d)
@@ -403,40 +383,36 @@ class BoundReport:
         }
 
 
-def _run_stage(trace: list, stage: str, inputs: dict, fn):
+@contextmanager
+def _stage(trace: list, stage: str, inputs: dict):
+    """Run one pipeline stage: the body fills the yielded outputs dict.
+
+    Domain and convergence failures become a CertificationError naming the
+    stage; a stage that completes is appended to the trace.
+    """
+    outputs: dict = {}
     try:
-        out = fn()
-    except CertificationError:
-        raise
+        yield outputs
     except (DomainError, ConvergenceError) as exc:
         raise CertificationError(stage, str(exc)) from exc
-    trace.append({"stage": stage, "inputs": inputs, "outputs": out[1]})
-    return out[0]
+    trace.append({"stage": stage, "inputs": inputs, "outputs": outputs})
 
 
 def _resolve_dimension_volume(spec: Spectrum, n, v, trace: list):
     source = "given" if (n is not None and v is not None) else "weyl-estimated"
     if n is None:
-        n = _run_stage(
-            trace,
-            "weyl-dimension",
-            {"eigenvalue_count": spec.total_count},
-            lambda: (lambda nd: (nd[0], {"n": nd[0], "slope_snap_distance": nd[1]}))(
-                estimate_dimension(spec)
-            ),
-        )
+        with _stage(trace, "weyl-dimension", {"eigenvalue_count": spec.total_count}) as out:
+            n, snap = estimate_dimension(spec)
+            out.update(n=n, slope_snap_distance=snap)
     if spec.dimension is not None and spec.dimension != n:
         raise CertificationError(
             "weyl-dimension",
             f"spectrum declares dimension {spec.dimension} but the pipeline uses {n}",
         )
     if v is None:
-        v = _run_stage(
-            trace,
-            "weyl-volume",
-            {"n": n},
-            lambda: (lambda vol: (vol, {"volume": vol}))(estimate_volume(spec, n)),
-        )
+        with _stage(trace, "weyl-volume", {"n": n}) as out:
+            v = estimate_volume(spec, n)
+            out.update(volume=v)
     if not v > 0:
         raise CertificationError("weyl-volume", f"volume {v!r} is not positive")
     return int(n), float(v), source
@@ -452,23 +428,13 @@ def spectral_isotropy_bound(
     """Diameter bound plus isotropy-order cap from a spectrum and curvature."""
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, n, v, trace)
-    d, r_used = _run_stage(
-        trace,
-        "diameter",
-        {"kappa": kappa, "n": n},
-        lambda: (lambda dr: (dr, {"diameter_bound": dr[0], "r": dr[1]}))(
-            best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
-        ),
-    )
+    with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
+        d, r_used = best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
+        out.update(diameter_bound=d, r=r_used)
     rho = diameter_bound(spec, kappa, n, r_used)[1]
-    cap = _run_stage(
-        trace,
-        "isotropy-cap",
-        {"diameter_bound": d, "volume": v},
-        lambda: (lambda c: (c, {"isotropy_cap": c}))(
-            isotropy_order_cap(spec, kappa, (n, v), d)
-        ),
-    )
+    with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
+        cap = isotropy_order_cap(spec, kappa, (n, v), d)
+        out.update(isotropy_cap=cap)
     notes = {
         "diameter": "smallest 2r(rho+1) over the radius grid"
         + (", clamped at the Bonnet-Myers cap" if kappa > 0 else ""),
@@ -501,7 +467,6 @@ def spectral_singular_point_bound(
     n: int | None = None,
     v: float | None = None,
     r_grid=None,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> BoundReport:
     """Full pipeline: Weyl data, diameter bound, isotropy cap, singular-point cap.
 
@@ -511,33 +476,20 @@ def spectral_singular_point_bound(
     """
     base = spectral_isotropy_bound(spec, kappa, n=n, v=v, r_grid=r_grid)
     trace = list(base.stage_trace)
-    cap, constants = _run_stage(
-        trace,
-        "singular-cap",
-        {"diameter_bound": base.diameter_bound, "volume": base.volume},
-        lambda: (lambda cc: (cc, {"singular_cap": cc[0], **cc[1]}))(
-            singular_point_cap(base.n, kappa, base.diameter_bound, base.volume, grid_points)
-        ),
-    )
-    notes = dict(base.notes)
-    notes.update(
-        {
-            "alpha": f"largest angle with cone volume < v/6, strict margin {ALPHA_MARGIN}",
-            "ell": "(1 - 1e-6) times the exact v/3 ball radius",
-            "r_sep": f"hinge certification on a {grid_points}x{grid_points} grid, shrink 1e-6",
-            "singular_cap": "floor(ball_volume(D) / ball_volume(r/4))",
-        }
-    )
-    return BoundReport(
-        spectrum_id=base.spectrum_id,
-        kappa=base.kappa,
-        n=base.n,
-        volume=base.volume,
-        source=base.source,
-        diameter_bound=base.diameter_bound,
-        r_used=base.r_used,
-        rho=base.rho,
-        isotropy_cap=base.isotropy_cap,
+    with _stage(
+        trace, "singular-cap", {"diameter_bound": base.diameter_bound, "volume": base.volume}
+    ) as out:
+        cap, constants = singular_point_cap(base.n, kappa, base.diameter_bound, base.volume)
+        out.update(singular_cap=cap, **constants)
+    notes = {
+        **base.notes,
+        "alpha": f"largest angle with cone volume < v/6, strict margin {ALPHA_MARGIN}",
+        "ell": "(1 - 1e-6) times the exact v/3 ball radius",
+        "r_sep": "closed form at the binding hinge (long side ell, angle pi/2 - alpha), shrink 1e-6",
+        "singular_cap": "floor(ball_volume(D) / ball_volume(r/4))",
+    }
+    return replace(
+        base,
         alpha=constants["alpha"],
         ell=constants["ell"],
         r_sep=constants["r"],

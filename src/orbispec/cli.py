@@ -25,8 +25,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     BoundReport,
@@ -35,10 +33,8 @@ from .bounds import (
     default_r_grid,
     diameter_bound,
     ell_constant,
-    isotropy_order_cap,
     isotropy_type_enumeration,
     r_constant,
-    singular_point_cap,
     spectral_isotropy_bound,
     spectral_singular_point_bound,
 )
@@ -183,7 +179,6 @@ def _cmd_singular(args: argparse.Namespace) -> dict:
         n=args.n,
         v=args.volume,
         r_grid=_parse_r_grid(args.r_grid),
-        grid_points=args.grid_points,
     )
     return {"report": _report_payload(report)}
 
@@ -191,10 +186,7 @@ def _cmd_singular(args: argparse.Namespace) -> dict:
 def _cmd_constants(args: argparse.Namespace) -> dict:
     alpha = alpha_constant(args.n, args.kappa, args.diameter, args.volume)
     ell = ell_constant(args.n, args.kappa, args.volume)
-    r_sep = r_constant(
-        args.n, args.kappa, alpha, ell, max(args.diameter, ell), grid_points=args.grid_points
-    )
-    return {"alpha": alpha, "ell": ell, "r": r_sep}
+    return {"alpha": alpha, "ell": ell, "r": r_constant(args.kappa, alpha, ell)}
 
 
 def _cmd_net(args: argparse.Namespace) -> dict:
@@ -237,35 +229,33 @@ _VERIFY_TRUNCATIONS = {
 def _verify_row(model, quick: bool) -> dict:
     full, fast = _VERIFY_TRUNCATIONS[(model.kind, model.dimension)]
     spec = model.spectrum(fast if quick else full)
-    kappa = model.curvature_lower_bound
-    grid = default_r_grid(model.dimension, kappa, model.volume, points=16 if quick else 48)
-    d_bound, r_used = best_diameter_bound(
-        spec, kappa, model.dimension, r_grid=grid, volume_hint=model.volume
-    )
-    d_sound = d_bound >= model.diameter - 1e-12
-    cap = isotropy_order_cap(spec, kappa, (model.dimension, model.volume), d_bound)
-    iso_sound = cap >= model.max_isotropy_order
-    singular = None
+    n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
     true_count = model.isolated_singular_count
-    if true_count > 0:
-        s_cap, _consts = singular_point_cap(
-            model.dimension, kappa, d_bound, model.volume
-        )
-        singular = {"true": true_count, "cap": s_cap, "sound": bool(s_cap >= true_count)}
+    pipeline = spectral_singular_point_bound if true_count > 0 else spectral_isotropy_bound
+    report = pipeline(
+        spec, kappa, n=n, v=v, r_grid=default_r_grid(n, kappa, v, points=16 if quick else 48)
+    )
+    singular = None
+    if report.singular_cap is not None:
+        singular = {
+            "true": true_count,
+            "cap": report.singular_cap,
+            "sound": bool(report.singular_cap >= true_count),
+        }
     dim_est, dim_diag = estimate_dimension(spec)
     return {
         "model": model.model_id,
         "truncation": spec.truncation,
         "diameter": {
             "true": model.diameter,
-            "bound": d_bound,
-            "r": r_used,
-            "sound": bool(d_sound),
+            "bound": report.diameter_bound,
+            "r": report.r_used,
+            "sound": bool(report.diameter_bound >= model.diameter - 1e-12),
         },
         "isotropy": {
             "true": model.max_isotropy_order,
-            "cap": cap,
-            "sound": bool(iso_sound),
+            "cap": report.isotropy_cap,
+            "sound": bool(report.isotropy_cap >= model.max_isotropy_order),
         },
         "singular": singular,
         "weyl": {
@@ -357,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("singular", "isotropy pipeline + singular-point cap")
     _add_bound_args(p)
-    p.add_argument("--grid-points", type=int, default=64, help="separation-constant grid")
     p.set_defaults(handler=_cmd_singular)
 
     p = add_parser("constants", "alpha/ell/r separation constants")
@@ -365,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--diameter", type=float, required=True)
     p.add_argument("--volume", type=float, required=True)
-    p.add_argument("--grid-points", type=int, default=64)
     p.set_defaults(handler=_cmd_constants)
 
     p = add_parser("net", "greedy epsilon-net + packing bound")

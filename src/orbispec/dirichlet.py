@@ -128,9 +128,16 @@ def _shoot(sf: SpaceForm, lam: float, r: float, cfg: ShootingConfig) -> tuple[in
     kwargs = {}
     if cfg.ode_step is not None:
         kwargs["first_step"] = min(cfg.ode_step, 0.5 * (r - t0))
-    sol = solve_ivp(
-        rhs, (t0, r), y0, method="RK45", rtol=1e-10, atol=1e-12, events=crossing, **kwargs
-    )
+    try:
+        sol = solve_ivp(
+            rhs, (t0, r), y0, method="RK45", rtol=1e-10, atol=1e-12, events=crossing, **kwargs
+        )
+    except ValueError as exc:
+        # scipy's event location root-finds the crossing inside a step and
+        # raises when the dense output does not change sign there.
+        raise ConvergenceError(
+            f"zero-crossing location failed at lam={lam!r}, r={r!r}: {exc}"
+        ) from exc
     if not sol.success:
         raise ConvergenceError(f"radial ODE integration failed at lam={lam!r}: {sol.message}")
     return len(sol.t_events[0]), float(sol.y[0, -1])

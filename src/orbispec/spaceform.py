@@ -256,30 +256,6 @@ def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:
     return ball_volume(sf, r) * min(direction_measure, omega) / omega
 
 
-@dataclass(frozen=True)
-class DirectionSet:
-    """Symbolic direction subset of a unit sphere with a computable measure.
-
-    kind "cap" carries (theta,); kind "two_vector_complement" carries
-    (alpha, theta) for the set at angle >= theta from both of two directions
-    pi - 2*alpha apart; kind "full" is the whole sphere.
-    """
-
-    kind: str
-    params: tuple = ()
-
-    def measure(self, d: int) -> float:
-        if self.kind == "cap":
-            (theta,) = self.params
-            return cap_measure(d, theta)
-        if self.kind == "two_vector_complement":
-            alpha, theta = self.params
-            return two_cap_complement_measure(d, alpha, theta)
-        if self.kind == "full":
-            return sphere_measure(d)
-        raise DomainError(f"unknown direction-set kind {self.kind!r}")
-
-
 def law_of_cosines_side(kappa: float, a, b, gamma):
     """Side opposite the angle gamma in a geodesic hinge with sides a and b.
 

@@ -192,7 +192,7 @@ def test_criterion_08_constants_and_measures():
     # (a) flat separation radius vs closed form min(ell, 2 ell sin alpha)
     worst = 0.0
     for alpha, ell in ((0.1, 1.0), (0.35, 0.6), (0.8, 2.0), (1.3, 1.5)):
-        got = r_constant(2, 0.0, alpha, ell, 3.0 * ell)
+        got = r_constant(0.0, alpha, ell)
         want = min(ell, 2.0 * ell * math.sin(alpha)) * (1 - 1e-6)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-3

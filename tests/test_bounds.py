@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbispec import (
     BoundReport,
     CertificationError,
+    ConvergenceError,
     DomainError,
     SpaceForm,
     Spectrum,
@@ -32,6 +35,7 @@ from orbispec import (
     spectrum_content_id,
     weyl_fit,
 )
+from orbispec.bounds import SHRINK
 from oracles import flat_separation_radius, hyperbolic_separation_radius
 
 BESSEL_J01_SQ = 5.783185962946785
@@ -106,6 +110,20 @@ def test_best_diameter_bound_certification_failure():
     with pytest.raises(CertificationError) as err:
         best_diameter_bound(short, 0.0, 2, r_grid=[0.5, 1.0])
     assert err.value.stage == "diameter"
+
+
+def test_best_diameter_bound_skips_unconverged_radius():
+    # The first radius hits the event-location failure tested in
+    # test_dirichlet; the search drops it and certifies with the second.
+    kappa, bad_r = 0.7852497754447629, 0.9071244157410668
+    spec = catalog_model("s3").spectrum(899.0)
+    with pytest.raises(ConvergenceError):
+        lambda_threshold(3, kappa, bad_r)
+    d, r = best_diameter_bound(spec, kappa, 3, r_grid=[bad_r, 1.2])
+    assert r == 1.2
+    assert d == diameter_bound(spec, kappa, 3, 1.2)[0]
+    with pytest.raises(CertificationError, match="zero-crossing location failed"):
+        best_diameter_bound(spec, kappa, 3, r_grid=[bad_r])
 
 
 def test_isotropy_order_cap_exact_on_sphere_quotients(s2_spectrum):
@@ -202,7 +220,7 @@ def test_ell_constant_closed_forms():
 def test_r_constant_flat_closed_form():
     # flat geometry: the hinge shortens exactly below 2 ell sin(alpha)
     for alpha, ell in ((0.1, 1.0), (0.4, 2.5), (1.2, 0.3)):
-        got = r_constant(2, 0.0, alpha, ell, 4.0, grid_points=48)
+        got = r_constant(0.0, alpha, ell)
         want = flat_separation_radius(alpha, ell)
         assert got < want
         assert got > 0.999 * want
@@ -210,7 +228,7 @@ def test_r_constant_flat_closed_form():
 
 def test_r_constant_hyperbolic_closed_form():
     for kappa, alpha, ell in ((-1.0, 0.3, 1.0), (-0.5, 0.8, 2.0)):
-        got = r_constant(2, kappa, alpha, ell, 3.0 * ell, grid_points=48)
+        got = r_constant(kappa, alpha, ell)
         want = min(ell, hyperbolic_separation_radius(kappa, alpha, ell))
         assert got < want
         assert got > 0.995 * want
@@ -219,7 +237,7 @@ def test_r_constant_hyperbolic_closed_form():
 def test_r_constant_spherical_certificate_holds():
     rng = np.random.default_rng(3)
     alpha, ell = 0.5, 1.2
-    r = r_constant(2, 1.0, alpha, ell, 2.8, grid_points=48)
+    r = r_constant(1.0, alpha, ell)
     assert 0.0 < r < ell
     c3 = rng.uniform(ell, 2.8, size=300)
     theta = rng.uniform(0.0, 0.5 * math.pi - alpha, size=300)
@@ -227,24 +245,83 @@ def test_r_constant_spherical_certificate_holds():
     assert np.all(closing < c3)
 
 
+# (kappa, alpha, ell) across all curvature signs; (1.0, 0.2, 1.7) and
+# (4.0, 0.9, 0.8) have sqrt(kappa) * ell >= pi/2, where r is ell itself.
+R_CONSTANT_CASES = (
+    (-4.0, 0.05, 1.5),
+    (-1.0, 0.3, 1.0),
+    (-0.5, 1.1, 0.2),
+    (0.0, 0.1, 1.0),
+    (0.0, 1.3, 2.0),
+    (0.25, 0.15, 2.0),
+    (1.0, 0.1, 0.6),
+    (1.0, 0.5, 1.2),
+    (1.0, 0.2, 1.7),
+    (4.0, 0.9, 0.8),
+)
+
+
+def test_r_constant_sound_on_dense_and_random_hinges():
+    rng = np.random.default_rng(7)
+    for kappa, alpha, ell in R_CONSTANT_CASES:
+        r = r_constant(kappa, alpha, ell)
+        assert 0.0 < r < ell
+        c3_max = 3.0 * ell
+        if kappa > 0:
+            c3_max = min(c3_max, bonnet_myers_cap(kappa) * (1.0 - 1e-9))
+        theta_max = 0.5 * math.pi - alpha
+        dense_c3, dense_theta = np.meshgrid(
+            np.linspace(ell, c3_max, 301), np.linspace(0.0, theta_max, 301)
+        )
+        c3 = np.concatenate([dense_c3.ravel(), rng.uniform(ell, c3_max, 20000)])
+        theta = np.concatenate([dense_theta.ravel(), rng.uniform(0.0, theta_max, 20000)])
+        closing = law_of_cosines_side(kappa, r, c3, theta)
+        assert np.all(closing < c3), (kappa, alpha, ell)
+
+
+def test_r_constant_tight_at_binding_hinge():
+    tested = 0
+    for kappa, alpha, ell in R_CONSTANT_CASES:
+        r = r_constant(kappa, alpha, ell)
+        if r >= SHRINK * ell:
+            continue  # r* >= ell: the cap at ell binds, not the hinge
+        tested += 1
+        past = r * (1.0 + 1e-4) / SHRINK
+        assert law_of_cosines_side(kappa, past, ell, 0.5 * math.pi - alpha) >= ell
+    assert tested >= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.floats(-4.0, 4.0),
+    alpha=st.floats(0.01, 0.5 * math.pi - 0.01),
+    ell_fraction=st.floats(0.01, 0.99),
+    c=st.floats(0.1, 10.0),
+)
+def test_r_constant_scales_with_length(kappa, alpha, ell_fraction, c):
+    # Lengths scale by c when curvature scales by 1/c^2.
+    if kappa > 0:
+        ell = ell_fraction * bonnet_myers_cap(kappa)
+    else:
+        ell = 10.0 * ell_fraction
+    scaled = r_constant(kappa / (c * c), alpha, c * ell)
+    assert scaled == pytest.approx(c * r_constant(kappa, alpha, ell), rel=1e-12)
+
+
 def test_r_constant_validation():
     with pytest.raises(DomainError):
-        r_constant(2, 0.0, 0.0, 1.0, 2.0)
+        r_constant(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        r_constant(2, 0.0, 2.0, 1.0, 2.0)  # angle beyond pi/2
+        r_constant(0.0, 2.0, 1.0)  # angle beyond pi/2
     with pytest.raises(DomainError):
-        r_constant(2, 0.0, 0.3, 0.0, 2.0)
+        r_constant(0.0, 0.3, 0.0)
     with pytest.raises(DomainError):
-        r_constant(2, 1.0, 0.3, 3.5, 4.0)  # ell beyond the antipodal cap
-    with pytest.raises(DomainError):
-        r_constant(2, 0.0, 0.3, 1.0, 0.5)  # l_max below ell
-    with pytest.raises(DomainError):
-        r_constant(2, 0.0, 0.3, 1.0, 2.0, grid_points=1)
+        r_constant(1.0, 0.3, 3.5)  # ell beyond the antipodal cap
 
 
 def test_singular_point_cap_structure():
     pc = catalog_model("pillowcase")
-    cap, consts = singular_point_cap(2, 0.0, pc.diameter, pc.volume, grid_points=24)
+    cap, consts = singular_point_cap(2, 0.0, pc.diameter, pc.volume)
     assert set(consts) == {"alpha", "ell", "r"}
     assert 0.0 < consts["r"] < consts["ell"]
     assert 0.0 < consts["alpha"] <= 0.5 * math.pi
@@ -333,7 +410,7 @@ def test_singular_pipeline_full_report():
     model = catalog_model("pillowcase")
     spec = model.spectrum(3000.0)
     rep = spectral_singular_point_bound(
-        spec, 0.0, n=2, v=model.volume, r_grid=[0.05, 0.1, 0.2], grid_points=24
+        spec, 0.0, n=2, v=model.volume, r_grid=[0.05, 0.1, 0.2]
     )
     assert rep.singular_cap is not None
     assert rep.singular_cap >= model.isolated_singular_count

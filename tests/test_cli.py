@@ -6,7 +6,13 @@ import math
 
 import pytest
 
-from orbispec import __version__, catalog_model
+from orbispec import (
+    __version__,
+    catalog_model,
+    default_r_grid,
+    spectral_isotropy_bound,
+    spectral_singular_point_bound,
+)
 from orbispec.cli import main
 
 
@@ -129,8 +135,6 @@ def test_singular_command(capsys, tmp_path):
         str(model.volume),
         "--r-grid",
         "0.05,0.1,0.2",
-        "--grid-points",
-        "24",
     )
     rep = doc["report"]
     assert rep["singular_cap"] >= 4
@@ -149,8 +153,6 @@ def test_constants_command(capsys):
         "1",
         "--volume",
         "2",
-        "--grid-points",
-        "24",
     )
     assert set(doc) >= {"alpha", "ell", "r"}
     assert 0.0 < doc["r"] < doc["ell"]
@@ -228,5 +230,21 @@ def test_verify_quick_subset(capsys):
     assert row["singular"]["sound"] and row["singular"]["true"] == 2
     assert row["weyl"]["dimension_ok"]
     assert rows["t2"]["singular"] is None  # manifold: nothing to cap
+    # Each row is the library pipeline's report, field by field.
+    for model_id, pipeline in (
+        ("s2-mod-3", spectral_singular_point_bound),
+        ("t2", spectral_isotropy_bound),
+    ):
+        model = catalog_model(model_id)
+        n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
+        rep = pipeline(
+            model.spectrum(rows[model_id]["truncation"]), kappa, n=n, v=v,
+            r_grid=default_r_grid(n, kappa, v, points=16),
+        )
+        row = rows[model_id]
+        assert row["diameter"]["bound"] == rep.diameter_bound
+        assert row["diameter"]["r"] == rep.r_used
+        assert row["isotropy"]["cap"] == rep.isotropy_cap
+        assert (row["singular"] or {}).get("cap") == rep.singular_cap
     code, _, err = run_cli(capsys, "verify", "--quick", "--models", "unknown-model")
     assert code == 2 and err.startswith("error[domain]")

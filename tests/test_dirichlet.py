@@ -15,10 +15,14 @@ from orbispec.dirichlet import (
     lowest_dirichlet_eigenvalue,
     rayleigh_quotient_discrete,
 )
-from orbispec.errors import DomainError
+from orbispec.errors import ConvergenceError, DomainError
 from orbispec.spaceform import SpaceForm
 
 from oracles import richardson_fd_eigenvalue
+
+# A (curvature, radius) key at which scipy's event location inside the
+# radial ODE fails to bracket the zero crossing.
+EVENT_FAILURE_KEY = (0.7852497754447629, 0.9071244157410668)
 
 # Richardson-extrapolated finite-difference value at mesh 2048/4096 for the
 # unit flat disk; the exact answer is the squared first Bessel zero
@@ -94,6 +98,12 @@ def test_domain_errors():
         ShootingConfig(root_tol=1e-2)
     with pytest.raises(DomainError):
         ShootingConfig(max_iter=3)
+
+
+def test_event_location_failure_is_a_convergence_error():
+    kappa, r = EVENT_FAILURE_KEY
+    with pytest.raises(ConvergenceError):
+        lowest_dirichlet_eigenvalue(SpaceForm(3, kappa), r)
 
 
 def test_fd_second_order_convergence():

@@ -9,7 +9,6 @@ import pytest
 
 from orbispec.errors import DomainError
 from orbispec.spaceform import (
-    DirectionSet,
     SpaceForm,
     ball_volume,
     ball_volume_quadrature,
@@ -167,15 +166,6 @@ def test_two_cap_complement_vs_sampling():
         est, sig = sobol_two_cap_complement(d, alpha, theta, 1 << 20, seed=seed)
         exact = two_cap_complement_measure(d, alpha, theta)
         assert abs(est - exact) < 3 * sig, (d, alpha, est, exact, sig)
-
-
-def test_direction_set_measures():
-    assert abs(DirectionSet("full").measure(2) - 4 * math.pi) < 1e-13
-    assert abs(DirectionSet("cap", (0.5,)).measure(2) - cap_measure(2, 0.5)) == 0.0
-    ds = DirectionSet("two_vector_complement", (0.3, 1.0))
-    assert ds.measure(2) == two_cap_complement_measure(2, 0.3, 1.0)
-    with pytest.raises(DomainError):
-        DirectionSet("wedge").measure(2)
 
 
 def test_cone_volume_scales_with_direction_measure():
