@@ -26,13 +26,7 @@ from .bounds import (
     spectral_singular_point_bound,
     spectrum_content_id,
 )
-from .dirichlet import (
-    ShootingConfig,
-    finite_difference_eigenvalue,
-    finite_difference_ground_state,
-    lowest_dirichlet_eigenvalue,
-    rayleigh_quotient_discrete,
-)
+from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -97,8 +91,7 @@ __all__ = [
     "ball_volume", "ball_volume_quadrature", "cap_measure", "two_cap_complement_measure",
     "cone_volume", "law_of_cosines_side",
     # dirichlet
-    "ShootingConfig", "lowest_dirichlet_eigenvalue", "finite_difference_eigenvalue",
-    "finite_difference_ground_state", "rayleigh_quotient_discrete",
+    "lowest_dirichlet_eigenvalue",
     # groups
     "OrthogonalAction", "cyclic_generator", "sphere_rotation_action", "antipodal_action",
     "action_from_dict", "orbit", "orbit_sum", "in_open_hemisphere",

@@ -49,7 +49,7 @@ CAP_GRID_FRACTION = 0.999
 
 
 def lambda_threshold(n: int, kappa: float, r: float) -> float:
-    """Lowest Dirichlet eigenvalue of the r-ball in the curvature model."""
+    """Lowest Dirichlet eigenvalue of the r-ball in the curvature model, never below it."""
     return lowest_dirichlet_eigenvalue(SpaceForm(n, kappa), r)
 
 
@@ -111,8 +111,8 @@ def best_diameter_bound(
     n: int,
     r_grid=None,
     volume_hint: float | None = None,
-) -> tuple[float, float]:
-    """(D*, r*): smallest diameter bound over a radius grid; ties favor small r.
+) -> tuple[float, float, int]:
+    """(D*, r*, rho*): smallest diameter bound over a radius grid; ties favor small r.
 
     Grid points whose ball threshold exceeds the spectrum truncation, that
     fall outside the curvature domain, or whose threshold solve does not
@@ -126,16 +126,16 @@ def best_diameter_bound(
     radii = np.sort(np.asarray(r_grid, dtype=float))
     if radii.size == 0:
         raise DomainError("the radius grid is empty")
-    best: tuple[float, float] | None = None
+    best: tuple[float, float, int] | None = None
     last_reason = "empty grid"
     for r in radii:
         try:
-            d, _ = diameter_bound(spec, kappa, n, float(r))
+            d, rho = diameter_bound(spec, kappa, n, float(r))
         except (DomainError, ConvergenceError) as exc:
             last_reason = str(exc)
             continue
         if best is None or d < best[0]:
-            best = (d, float(r))
+            best = (d, float(r), rho)
     if best is None:
         raise CertificationError(
             "diameter", f"no admissible radius in the grid; last failure: {last_reason}"
@@ -429,9 +429,8 @@ def spectral_isotropy_bound(
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
-        d, r_used = best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
+        d, r_used, rho = best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
         out.update(diameter_bound=d, r=r_used)
-    rho = diameter_bound(spec, kappa, n, r_used)[1]
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
         cap = isotropy_order_cap(spec, kappa, (n, v), d)
         out.update(isotropy_cap=cap)

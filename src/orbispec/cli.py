@@ -28,17 +28,14 @@ import sys
 from . import __version__
 from .bounds import (
     BoundReport,
-    alpha_constant,
     best_diameter_bound,
     default_r_grid,
-    diameter_bound,
-    ell_constant,
     isotropy_type_enumeration,
-    r_constant,
+    singular_point_cap,
     spectral_isotropy_bound,
     spectral_singular_point_bound,
 )
-from .dirichlet import ShootingConfig, lowest_dirichlet_eigenvalue
+from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError
 from .modelspectra import Spectrum, catalog_model, model_catalog
 from .netpack import (
@@ -127,8 +124,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict:
 
 def _cmd_eig_ball(args: argparse.Namespace) -> dict:
     sf = SpaceForm(args.n, args.kappa)
-    cfg = ShootingConfig(root_tol=args.tolerance) if args.tolerance else ShootingConfig()
-    value = lowest_dirichlet_eigenvalue(sf, args.r, cfg)
+    value = lowest_dirichlet_eigenvalue(sf, args.r)
     return {"eigenvalue": value, "eigenvalue_5dp": float(f"{value:.5f}")}
 
 
@@ -149,8 +145,7 @@ def _cmd_diameter(args: argparse.Namespace) -> dict:
         fit = weyl_fit(spec)
         v = fit.volume_estimate
         source = "weyl-estimated"
-    d, r_used = best_diameter_bound(spec, args.kappa, n, r_grid=r_grid, volume_hint=v)
-    rho = diameter_bound(spec, args.kappa, n, r_used)[1]
+    d, r_used, rho = best_diameter_bound(spec, args.kappa, n, r_grid=r_grid, volume_hint=v)
     return {
         "n": n,
         "volume_hint": v,
@@ -184,9 +179,8 @@ def _cmd_singular(args: argparse.Namespace) -> dict:
 
 
 def _cmd_constants(args: argparse.Namespace) -> dict:
-    alpha = alpha_constant(args.n, args.kappa, args.diameter, args.volume)
-    ell = ell_constant(args.n, args.kappa, args.volume)
-    return {"alpha": alpha, "ell": ell, "r": r_constant(args.kappa, alpha, ell)}
+    _, constants = singular_point_cap(args.n, args.kappa, args.diameter, args.volume)
+    return constants
 
 
 def _cmd_net(args: argparse.Namespace) -> dict:
@@ -330,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--kappa", type=float, required=True, help="curvature")
     p.add_argument("--r", type=float, required=True, help="ball radius")
-    p.add_argument("--tolerance", type=float, default=None, help="root tolerance")
     p.set_defaults(handler=_cmd_eig_ball)
 
     p = add_parser("weyl", "dimension/volume estimate from a spectrum")

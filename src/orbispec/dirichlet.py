@@ -1,28 +1,30 @@
 """Lowest Dirichlet eigenvalue of geodesic balls in constant curvature.
 
 The ground state of the Laplacian on a geodesic r-ball in the model space
-is radial, so the eigenvalue problem reduces to a Sturm-Liouville ODE
+is radial, so the eigenvalue problem reduces to a Sturm-Liouville problem
 
-    f'' + (n-1) * (sn'/sn)(t) * f' + lam * f = 0,   f(0) = 1, f'(0) = 0,
+    -(1/w) (w f')' = lam f  on (0, r),   w = sn^(n-1),   f(r) = 0,
 
-whose lowest Dirichlet eigenvalue is the smallest lam for which the first
-zero of f lands exactly at t = r.  Two independent routes are provided:
+and the diameter bound needs its lowest eigenvalue never *under*-estimated
+(Cheng's comparison).  Three routes, chosen by the input:
 
-* a shooting solver (bracket the zero-crossing count, then root-find the
-  boundary value in lam), and
-* a symmetric finite-difference discretization of the weighted operator
-  -(1/w)(w f')' with w = sn^(n-1), whose smallest eigenvalue converges at
-  O(h^2) and serves as a cross-check oracle.
+* kappa = 0: lam = j_(n/2-1,1)^2 / r^2, the first Bessel zero squared.
+* n = 3, any kappa: lam = pi^2 / r^2 - kappa exactly, since
+  f = sin(sqrt(lam + kappa) t) / sn(t) solves the equation.
+* otherwise: the scaling law lam(n, kappa, r) = lam(n, kappa r^2, 1) / r^2
+  and a quadratic-element (P2) Galerkin discretization on [0, 1].  The
+  returned value is the Rayleigh quotient of a P2 trial function, which by
+  Rayleigh-Ritz lies at or above the true eigenvalue whether or not the
+  inverse iteration producing it has fully converged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -33,36 +35,21 @@ from .spaceform import SpaceForm, bonnet_myers_cap, generalized_sin
 # accuracy degrades as the friction term blows up near the cap.
 CAP_SHRINK = 1.0 - 1e-9
 
+# P2 elements on [0, 1]: 100 keeps the hemisphere value within 1e-8 of n.
+RITZ_ELEMENTS = 100
+# Inverse iteration stops once the Rayleigh quotient drops by less than this
+# relative amount, or after RITZ_MAX_ITER steps; either way it is an upper bound.
+RITZ_RTOL = 1e-15
+RITZ_MAX_ITER = 200
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Knobs for the shooting solver.
-
-    ode_step: initial integrator step (a length); None lets the integrator pick.
-    lambda_bracket_growth: geometric factor for expanding the eigenvalue bracket.
-    root_tol: relative tolerance on the eigenvalue.
-    max_iter: cap on bracket expansions and root iterations.
-    """
-
-    ode_step: float | None = None
-    lambda_bracket_growth: float = 1.6
-    root_tol: float = 1e-10
-    max_iter: int = 80
-
-    def __post_init__(self):
-        if self.ode_step is not None and not self.ode_step > 0:
-            raise DomainError("ode_step must be positive or None")
-        if not self.lambda_bracket_growth > 1.0:
-            raise DomainError("lambda_bracket_growth must exceed 1")
-        if not (0.0 < self.root_tol <= 1e-3):
-            raise DomainError("root_tol must lie in (0, 1e-3]")
-        if self.max_iter < 16:
-            raise DomainError("max_iter must be at least 16")
-
-
-DEFAULT_SHOOTING = ShootingConfig()
-
-_memo: dict[tuple, float] = {}
+# Six-point Gauss-Legendre rule on the reference element [0, 1], and the
+# quadratic Lagrange shape functions (nodes 0, 1/2, 1) and their derivatives
+# at its nodes: rows are shape functions, columns quadrature points.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+_XI = 0.5 * (_GL_X + 1.0)
+_OMEGA = 0.5 * _GL_W
+_SHAPE = np.array([2 * _XI**2 - 3 * _XI + 1, 4 * _XI * (1 - _XI), 2 * _XI**2 - _XI])
+_DSHAPE = np.array([4 * _XI - 3, 4 - 8 * _XI, 4 * _XI - 1])
 
 
 def _check_ball(sf: SpaceForm, r: float):
@@ -75,6 +62,7 @@ def _check_ball(sf: SpaceForm, r: float):
         )
 
 
+@functools.lru_cache(maxsize=16)
 def _first_bessel_zero(n: int) -> float:
     """First positive zero of J_(n/2 - 1); the flat unit-ball eigenvalue is its square."""
     nu = 0.5 * n - 1.0
@@ -90,183 +78,86 @@ def _first_bessel_zero(n: int) -> float:
     raise ConvergenceError(f"no sign change found for Bessel order {nu}")
 
 
-_bessel_cache: dict[int, float] = {}
+def _assemble_band(local: np.ndarray) -> np.ndarray:
+    """Upper banded form (3 rows) of the global matrix from per-element 3x3 blocks.
 
-
-def _flat_guess(n: int, r: float) -> float:
-    if n not in _bessel_cache:
-        _bessel_cache[n] = _first_bessel_zero(n)
-    z = _bessel_cache[n]
-    return (z / r) ** 2
-
-
-def _shoot(sf: SpaceForm, lam: float, r: float, cfg: ShootingConfig) -> tuple[int, float]:
-    """Integrate the radial ODE at a trial eigenvalue.
-
-    Returns (number of zero crossings of f on (t0, r], f(r)).  The start is
-    pushed off the coordinate singularity with the series
-    f(t) ~ 1 - lam t^2 / (2n).
+    Element e owns nodes 2e, 2e+1, 2e+2; the last node carries the Dirichlet
+    condition and is dropped.
     """
-    n, kappa = sf.n, sf.kappa
-    t0 = 1e-6 * r
-    y0 = [1.0 - lam * t0 * t0 / (2.0 * n), -lam * t0 / n]
-    s = math.sqrt(abs(kappa)) if kappa != 0.0 else 0.0
-
-    def friction(t: float) -> float:
-        if kappa == 0.0:
-            return 1.0 / t
-        if kappa > 0:
-            return s / math.tan(s * t)
-        return s / math.tanh(s * t)
-
-    def rhs(t, y):
-        return [y[1], -(n - 1) * friction(t) * y[1] - lam * y[0]]
-
-    def crossing(t, y):
-        return y[0]
-
-    kwargs = {}
-    if cfg.ode_step is not None:
-        kwargs["first_step"] = min(cfg.ode_step, 0.5 * (r - t0))
-    try:
-        sol = solve_ivp(
-            rhs, (t0, r), y0, method="RK45", rtol=1e-10, atol=1e-12, events=crossing, **kwargs
-        )
-    except ValueError as exc:
-        # scipy's event location root-finds the crossing inside a step and
-        # raises when the dense output does not change sign there.
-        raise ConvergenceError(
-            f"zero-crossing location failed at lam={lam!r}, r={r!r}: {exc}"
-        ) from exc
-    if not sol.success:
-        raise ConvergenceError(f"radial ODE integration failed at lam={lam!r}: {sol.message}")
-    return len(sol.t_events[0]), float(sol.y[0, -1])
+    m = local.shape[0]
+    ab = np.zeros((3, 2 * m + 1))
+    ab[2, 0:2 * m:2] += local[:, 0, 0]
+    ab[2, 1::2] += local[:, 1, 1]
+    ab[2, 2::2] += local[:, 2, 2]
+    ab[1, 1::2] += local[:, 0, 1]
+    ab[1, 2::2] += local[:, 1, 2]
+    ab[0, 2::2] += local[:, 0, 2]
+    return ab[:, :-1]
 
 
-def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float, cfg: ShootingConfig = DEFAULT_SHOOTING) -> float:
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric matrix in upper banded form with x."""
+    y = ab[2] * x
+    y[:-1] += ab[1, 1:] * x[1:]
+    y[1:] += ab[1, 1:] * x[:-1]
+    y[:-2] += ab[0, 2:] * x[2:]
+    y[2:] += ab[0, 2:] * x[:-2]
+    return y
+
+
+def _ritz_unit_ball(n: int, kappa: float) -> float:
+    """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball.
+
+    Inverse iteration on the stiffness/mass pencil shifted by sigma.  When
+    kappa < 0, sigma is McKean's lower bound (n-1)^2 |kappa| / 4 on the
+    spectrum, so large hyperbolic balls converge as fast as small ones; the
+    shifted pencil stays positive definite because every Ritz value lies
+    above the true eigenvalue.  When kappa >= 0, sigma = -1 keeps the
+    factorization positive definite near the antipodal cap, where the lowest
+    eigenvalue underflows.  The shift only steers the iteration: the
+    returned quotient is that of the unshifted forms, summed from squared
+    gradients and values element by element, so it carries no cancellation.
+    """
+    m = RITZ_ELEMENTS
+    h = 1.0 / m
+    t = (np.arange(m)[:, None] + _XI[None, :]) * h
+    wq = generalized_sin(kappa, t) ** (n - 1) * _OMEGA
+    if not np.isfinite(wq).all():
+        raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
+    mass = _assemble_band(h * np.einsum("eq,aq,bq->eab", wq, _SHAPE, _SHAPE))
+    stiff = _assemble_band(np.einsum("eq,aq,bq->eab", wq, _DSHAPE, _DSHAPE) / h)
+    sigma = 0.25 * (n - 1) ** 2 * -kappa if kappa < 0 else -1.0
+    chol = cholesky_banded(stiff - sigma * mass)
+
+    def quotient(x: np.ndarray) -> float:
+        nodes = np.append(x, 0.0)
+        local = np.stack([nodes[0:-1:2], nodes[1::2], nodes[2::2]], axis=1)
+        grad = local @ _DSHAPE
+        val = local @ _SHAPE
+        return float(np.sum(wq * grad * grad)) / (h * h * float(np.sum(wq * val * val)))
+
+    x = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * m + 1)[:-1])
+    best = quotient(x)
+    for _ in range(RITZ_MAX_ITER):
+        x = cho_solve_banded((chol, False), _band_matvec(mass, x), check_finite=False)
+        x /= np.abs(x).max()
+        q = quotient(x)
+        if best - q <= RITZ_RTOL * q:
+            return min(best, q)
+        best = q
+    return best
+
+
+def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float) -> float:
     """Lowest Dirichlet eigenvalue of the geodesic r-ball in the model space.
 
-    Strategy: bracket the eigenvalue by the zero-crossing count of the
-    radial solution (monotone in lam: below the eigenvalue the solution
-    stays positive on (0, r], above it crosses), then root-find f(r) over
-    the certified bracket.  Results are memoized; they are pure functions
-    of (n, kappa, r, root_tol).
+    Exact closed forms for kappa = 0 and n = 3; elsewhere a P2 Rayleigh-Ritz
+    value, which is a one-sided upper bound on the true eigenvalue.
     """
     _check_ball(sf, r)
-    key = (sf.n, sf.kappa, float(r), cfg.root_tol)
-    if key in _memo:
-        return _memo[key]
-
-    growth = cfg.lambda_bracket_growth
-    lam = _flat_guess(sf.n, r)
-    crossings, _ = _shoot(sf, lam, r, cfg)
-    lo = hi = None
-    if crossings == 0:
-        lo = lam
-        for _ in range(cfg.max_iter):
-            lam *= growth
-            crossings, _ = _shoot(sf, lam, r, cfg)
-            if crossings > 0:
-                hi = lam
-                break
-            lo = lam
-    else:
-        hi = lam
-        for _ in range(cfg.max_iter):
-            lam /= growth
-            crossings, _ = _shoot(sf, lam, r, cfg)
-            if crossings == 0:
-                lo = lam
-                break
-            hi = lam
-    if lo is None or hi is None:
-        raise ConvergenceError(
-            f"failed to bracket the eigenvalue after {cfg.max_iter} expansions: "
-            f"lo={lo!r} hi={hi!r} last lam={lam!r} crossings={crossings}"
-        )
-
-    f_lo = _shoot(sf, lo, r, cfg)[1]
-    f_hi = _shoot(sf, hi, r, cfg)[1]
-    if not (f_lo > 0 > f_hi):
-        raise ConvergenceError(
-            f"bracket [{lo!r}, {hi!r}] does not straddle a simple boundary zero "
-            f"(f(r) = {f_lo!r}, {f_hi!r}); bracket growth may have skipped a branch"
-        )
-    lam_star = brentq(
-        lambda x: _shoot(sf, x, r, cfg)[1],
-        lo,
-        hi,
-        rtol=max(cfg.root_tol, 4e-16),
-        maxiter=max(cfg.max_iter, 64),
-    )
-    _memo[key] = float(lam_star)
-    return _memo[key]
-
-
-def _fd_system(sf: SpaceForm, r: float, mesh_points: int):
-    """Cell-centered symmetric discretization of -(1/w)(w f')' on (0, r).
-
-    Cells are centered at (i + 1/2) h; the flux through t = 0 vanishes with
-    the weight (natural closure at the coordinate singularity) and the
-    Dirichlet value at t = r enters through a half-cell flux.
-    """
-    if not isinstance(mesh_points, int) or mesh_points < 64:
-        raise DomainError(f"mesh_points must be an integer >= 64, got {mesh_points!r}")
-    _check_ball(sf, r)
-    m = mesh_points
-    h = r / m
-    edges = np.linspace(0.0, r, m + 1)
-    centers = edges[:-1] + 0.5 * h
-    w_edge = generalized_sin(sf.kappa, edges) ** (sf.n - 1)
-    w_cent = generalized_sin(sf.kappa, centers) ** (sf.n - 1)
-
-    diag = (w_edge[:-1] + w_edge[1:]) / h
-    diag[-1] = (w_edge[-2] + 2.0 * w_edge[-1]) / h
-    off = -w_edge[1:-1] / h
-    mass = w_cent * h
-    # Symmetrized generalized problem: B = M^(-1/2) K M^(-1/2).
-    d = diag / mass
-    e = off / np.sqrt(mass[:-1] * mass[1:])
-    return d, e, centers, mass
-
-
-def finite_difference_eigenvalue(sf: SpaceForm, r: float, mesh_points: int = 2048) -> float:
-    """Smallest eigenvalue of the finite-difference Dirichlet operator.
-
-    Independent O(h^2) cross-check for the shooting solver; combine two
-    meshes with Richardson extrapolation when more accuracy is needed.
-    """
-    d, e, _, _ = _fd_system(sf, r, mesh_points)
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)
-    return float(vals[0])
-
-
-def finite_difference_ground_state(sf: SpaceForm, r: float, mesh_points: int = 2048):
-    """(eigenvalue, cell centers, ground eigenfunction values) of the discretization."""
-    d, e, centers, mass = _fd_system(sf, r, mesh_points)
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    f = vecs[:, 0] / np.sqrt(mass)
-    if f[0] < 0:
-        f = -f
-    f = f / f[0] if f[0] != 0 else f
-    return float(vals[0]), centers, f
-
-
-def rayleigh_quotient_discrete(values, gradient_norms, weights) -> float:
-    """Discrete Rayleigh quotient: sum(w |g|^2) / sum(w v^2).
-
-    Any admissible trial vector gives an upper bound for the lowest
-    Dirichlet eigenvalue, so this is the cheap sanity check against both
-    solvers above.
-    """
-    v = np.asarray(values, dtype=float)
-    g = np.asarray(gradient_norms, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != g.shape or v.shape != w.shape:
-        raise DomainError("values, gradient_norms and weights must share a shape")
-    if np.any(w < 0):
-        raise DomainError("quadrature weights must be nonnegative")
-    denom = float(np.sum(w * v * v))
-    if denom <= 0.0:
-        raise DomainError("trial function has zero weighted norm")
-    return float(np.sum(w * g * g)) / denom
+    n, kappa = sf.n, sf.kappa
+    if kappa == 0.0:
+        return (_first_bessel_zero(n) / r) ** 2
+    if n == 3:
+        return (math.pi / r) ** 2 - kappa
+    return _ritz_unit_ball(n, kappa * r * r) / (r * r)

@@ -12,18 +12,146 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 from scipy.stats import norm, qmc
 
-from orbispec.dirichlet import finite_difference_eigenvalue
-from orbispec.spaceform import SpaceForm, sphere_measure
+from orbispec.dirichlet import _first_bessel_zero
+from orbispec.errors import ConvergenceError, DomainError
+from orbispec.spaceform import SpaceForm, generalized_sin, sphere_measure
+
+# Shooting-solver knobs: bracket growth factor, relative root tolerance, and
+# the cap on bracket expansions and root iterations.
+SHOOT_GROWTH = 1.6
+SHOOT_ROOT_TOL = 1e-10
+SHOOT_MAX_ITER = 80
+
+
+def _shoot(sf: SpaceForm, lam: float, r: float) -> tuple[int, float]:
+    """Integrate the radial ODE f'' + (n-1)(sn'/sn) f' + lam f = 0 at a trial lam.
+
+    Returns (number of zero crossings of f on (t0, r], f(r)).  The start is
+    pushed off the coordinate singularity with the series
+    f(t) ~ 1 - lam t^2 / (2n).
+    """
+    n, kappa = sf.n, sf.kappa
+    t0 = 1e-6 * r
+    y0 = [1.0 - lam * t0 * t0 / (2.0 * n), -lam * t0 / n]
+    s = math.sqrt(abs(kappa)) if kappa != 0.0 else 0.0
+
+    def friction(t: float) -> float:
+        if kappa == 0.0:
+            return 1.0 / t
+        if kappa > 0:
+            return s / math.tan(s * t)
+        return s / math.tanh(s * t)
+
+    def rhs(t, y):
+        return [y[1], -(n - 1) * friction(t) * y[1] - lam * y[0]]
+
+    def crossing(t, y):
+        return y[0]
+
+    try:
+        sol = solve_ivp(rhs, (t0, r), y0, method="RK45", rtol=1e-10, atol=1e-12, events=crossing)
+    except ValueError as exc:
+        # scipy's event location root-finds the crossing inside a step and
+        # raises when the dense output does not change sign there.
+        raise ConvergenceError(
+            f"zero-crossing location failed at lam={lam!r}, r={r!r}: {exc}"
+        ) from exc
+    if not sol.success:
+        raise ConvergenceError(f"radial ODE integration failed at lam={lam!r}: {sol.message}")
+    return len(sol.t_events[0]), float(sol.y[0, -1])
+
+
+def shooting_eigenvalue(sf: SpaceForm, r: float) -> float:
+    """Lowest Dirichlet eigenvalue of the r-ball by shooting on the radial ODE.
+
+    Brackets the eigenvalue by the zero-crossing count of the radial
+    solution (below the eigenvalue it stays positive on (0, r], above it
+    crosses), then root-finds f(r) over the bracket.  Independent of the
+    package's closed forms and Rayleigh-Ritz route.
+    """
+    if not (math.isfinite(r) and r > 0):
+        raise DomainError(f"ball radius must be positive and finite, got {r!r}")
+    # Start the bracket at the flat-ball value (j_(n/2-1,1) / r)^2.
+    lam = (_first_bessel_zero(sf.n) / r) ** 2
+    crossings, _ = _shoot(sf, lam, r)
+    lo = hi = None
+    if crossings == 0:
+        lo = lam
+        for _ in range(SHOOT_MAX_ITER):
+            lam *= SHOOT_GROWTH
+            crossings, _ = _shoot(sf, lam, r)
+            if crossings > 0:
+                hi = lam
+                break
+            lo = lam
+    else:
+        hi = lam
+        for _ in range(SHOOT_MAX_ITER):
+            lam /= SHOOT_GROWTH
+            crossings, _ = _shoot(sf, lam, r)
+            if crossings == 0:
+                lo = lam
+                break
+            hi = lam
+    if lo is None or hi is None:
+        raise ConvergenceError(f"failed to bracket the eigenvalue: lo={lo!r} hi={hi!r}")
+    f_lo = _shoot(sf, lo, r)[1]
+    f_hi = _shoot(sf, hi, r)[1]
+    if not (f_lo > 0 > f_hi):
+        raise ConvergenceError(
+            f"bracket [{lo!r}, {hi!r}] does not straddle a simple boundary zero "
+            f"(f(r) = {f_lo!r}, {f_hi!r})"
+        )
+    return float(
+        brentq(lambda x: _shoot(sf, x, r)[1], lo, hi, rtol=SHOOT_ROOT_TOL, maxiter=SHOOT_MAX_ITER)
+    )
+
+
+def _fd_system(sf: SpaceForm, r: float, mesh_points: int):
+    """Cell-centered symmetric discretization of -(1/w)(w f')' on (0, r).
+
+    Cells are centered at (i + 1/2) h; the flux through t = 0 vanishes with
+    the weight (natural closure at the coordinate singularity) and the
+    Dirichlet value at t = r enters through a half-cell flux.
+    """
+    if not isinstance(mesh_points, int) or mesh_points < 64:
+        raise DomainError(f"mesh_points must be an integer >= 64, got {mesh_points!r}")
+    if not (math.isfinite(r) and r > 0):
+        raise DomainError(f"ball radius must be positive and finite, got {r!r}")
+    m = mesh_points
+    h = r / m
+    edges = np.linspace(0.0, r, m + 1)
+    centers = edges[:-1] + 0.5 * h
+    w_edge = generalized_sin(sf.kappa, edges) ** (sf.n - 1)
+    w_cent = generalized_sin(sf.kappa, centers) ** (sf.n - 1)
+
+    diag = (w_edge[:-1] + w_edge[1:]) / h
+    diag[-1] = (w_edge[-2] + 2.0 * w_edge[-1]) / h
+    off = -w_edge[1:-1] / h
+    mass = w_cent * h
+    # Symmetrized generalized problem: B = M^(-1/2) K M^(-1/2).
+    d = diag / mass
+    e = off / np.sqrt(mass[:-1] * mass[1:])
+    return d, e
+
+
+def finite_difference_eigenvalue(sf: SpaceForm, r: float, mesh_points: int = 2048) -> float:
+    """Smallest eigenvalue of the O(h^2) finite-difference Dirichlet operator."""
+    d, e = _fd_system(sf, r, mesh_points)
+    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)
+    return float(vals[0])
 
 
 def richardson_fd_eigenvalue(sf: SpaceForm, r: float, mesh: int = 2048) -> float:
     """Richardson-extrapolated finite-difference ground eigenvalue.
 
-    The package's shooting solver is checked against this second-order
-    discretization: combining meshes m and 2m as (4 l(2m) - l(m)) / 3 cancels
-    the leading O(h^2) error term.
+    Combining meshes m and 2m as (4 l(2m) - l(m)) / 3 cancels the leading
+    O(h^2) error term of the second-order discretization.
     """
     coarse = finite_difference_eigenvalue(sf, r, mesh_points=mesh)
     fine = finite_difference_eigenvalue(sf, r, mesh_points=2 * mesh)

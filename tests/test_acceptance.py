@@ -35,7 +35,7 @@ from orbispec import (
     estimate_dimension,
     estimate_volume,
 )
-from oracles import richardson_fd_eigenvalue, sobol_two_cap_complement
+from oracles import richardson_fd_eigenvalue, shooting_eigenvalue, sobol_two_cap_complement
 
 from conftest import TORUS_TRUNCATION
 
@@ -76,9 +76,18 @@ def test_criterion_01_dirichlet_kernel():
         spread = max(vals) - min(vals)
         spreads.append(spread)
         assert spread <= 1e-9 * max(vals)
+    # (d) n = 3 closed form pi^2/r^2 - kappa at curved kappa vs shooting
+    curved_errs = []
+    for kappa, r in ((1.0, 1.0), (1.0, 2.5), (-1.0, 1.0), (-4.0, 1.5)):
+        lam = lowest_dirichlet_eigenvalue(SpaceForm(3, kappa), r)
+        assert lam == (math.pi / r) ** 2 - kappa
+        shot = shooting_eigenvalue(SpaceForm(3, kappa), r)
+        curved_errs.append(abs(lam - shot) / shot)
+        assert curved_errs[-1] < 1e-9
     print(
         f"criterion 1 PASS: disk rel err {rel:.3e}; hemisphere errs "
-        f"{[f'{e:.1e}' for e in hemi_errs]}; scaling spreads {[f'{s:.1e}' for s in spreads]}"
+        f"{[f'{e:.1e}' for e in hemi_errs]}; scaling spreads {[f'{s:.1e}' for s in spreads]}; "
+        f"n=3 curved rel errs {[f'{e:.1e}' for e in curved_errs]}"
     )
 
 
@@ -146,10 +155,10 @@ def test_criterion_04_relative_volume_monotone():
 def test_criterion_05_diameter_soundness(catalog_spectra, best_bounds):
     margins = {}
     for model_id, (model, _) in catalog_spectra.items():
-        d, _r = best_bounds[model_id]
+        d, _r, _rho = best_bounds[model_id]
         assert d >= model.diameter - 1e-12, (model_id, d, model.diameter)
         margins[model_id] = d / model.diameter
-    d_s2, _ = best_bounds["s2"]
+    d_s2 = best_bounds["s2"][0]
     assert d_s2 == math.pi  # Bonnet-Myers clamp is exact on the round sphere
     print(
         "criterion 5 PASS: bound/true diameter ratios "
@@ -160,7 +169,7 @@ def test_criterion_05_diameter_soundness(catalog_spectra, best_bounds):
 
 def test_criterion_06_isotropy_cap_soundness(catalog_spectra, best_bounds):
     for model_id, (model, spec) in catalog_spectra.items():
-        d, _ = best_bounds[model_id]
+        d = best_bounds[model_id][0]
         cap = isotropy_order_cap(
             spec, model.curvature_lower_bound, (model.dimension, model.volume), d
         )

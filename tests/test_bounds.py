@@ -35,6 +35,7 @@ from orbispec import (
     spectrum_content_id,
     weyl_fit,
 )
+from orbispec import bounds as bounds_module
 from orbispec.bounds import SHRINK
 from oracles import flat_separation_radius, hyperbolic_separation_radius
 
@@ -96,9 +97,10 @@ def test_default_r_grid_shape():
 
 
 def test_best_diameter_bound_prefers_small_radius(s2_spectrum):
-    d, r = best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[0.5, 1.0, 2.0])
+    d, r, rho = best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[0.5, 1.0, 2.0])
     assert d == math.pi
     assert r == 0.5  # all radii tie at the clamp; ties favor small r
+    assert rho == diameter_bound(s2_spectrum, 1.0, 2, 0.5)[1]
     with pytest.raises(DomainError):
         best_diameter_bound(s2_spectrum, 1.0, 2)  # no grid, no hint
     with pytest.raises(DomainError):
@@ -112,17 +114,34 @@ def test_best_diameter_bound_certification_failure():
     assert err.value.stage == "diameter"
 
 
-def test_best_diameter_bound_skips_unconverged_radius():
-    # The first radius hits the event-location failure tested in
-    # test_dirichlet; the search drops it and certifies with the second.
-    kappa, bad_r = 0.7852497754447629, 0.9071244157410668
+def test_best_diameter_bound_uses_closed_form_at_former_failure_key():
+    # The shooting oracle's event-location failure key (test_dirichlet) is
+    # an n = 3 key, where the threshold is now the closed form.
+    kappa, r = 0.7852497754447629, 0.9071244157410668
     spec = catalog_model("s3").spectrum(899.0)
-    with pytest.raises(ConvergenceError):
-        lambda_threshold(3, kappa, bad_r)
-    d, r = best_diameter_bound(spec, kappa, 3, r_grid=[bad_r, 1.2])
+    assert lambda_threshold(3, kappa, r) == (math.pi / r) ** 2 - kappa
+    d, r_used, rho = best_diameter_bound(spec, kappa, 3, r_grid=[r])
+    assert r_used == r
+    assert (d, rho) == diameter_bound(spec, kappa, 3, r)
+
+
+def test_best_diameter_bound_skips_unconverged_radius(monkeypatch):
+    # A threshold solve that raises ConvergenceError drops its radius; the
+    # search certifies with the next one and keeps the reason.
+    spec = catalog_model("s3").spectrum(899.0)
+    kappa, bad_r = 1.0, 0.9
+    real = bounds_module.lambda_threshold
+
+    def flaky(n, k, r):
+        if r == bad_r:
+            raise ConvergenceError("solver did not converge")
+        return real(n, k, r)
+
+    monkeypatch.setattr(bounds_module, "lambda_threshold", flaky)
+    d, r, rho = best_diameter_bound(spec, kappa, 3, r_grid=[bad_r, 1.2])
     assert r == 1.2
-    assert d == diameter_bound(spec, kappa, 3, 1.2)[0]
-    with pytest.raises(CertificationError, match="zero-crossing location failed"):
+    assert (d, rho) == diameter_bound(spec, kappa, 3, 1.2)
+    with pytest.raises(CertificationError, match="solver did not converge"):
         best_diameter_bound(spec, kappa, 3, r_grid=[bad_r])
 
 

@@ -10,6 +10,7 @@ from orbispec import (
     __version__,
     catalog_model,
     default_r_grid,
+    singular_point_cap,
     spectral_isotropy_bound,
     spectral_singular_point_bound,
 )
@@ -157,6 +158,16 @@ def test_constants_command(capsys):
     assert set(doc) >= {"alpha", "ell", "r"}
     assert 0.0 < doc["r"] < doc["ell"]
     assert abs(doc["ell"] - (1 - 1e-6) * math.sqrt(2 / (3 * math.pi))) < 1e-12
+
+
+def test_constants_command_clamps_r_at_the_diameter(capsys):
+    # r_constant alone gives 0.46 here; the cap pipeline separates at min(r, D)
+    doc = run_json(
+        capsys, "constants", "--n", "2", "--kappa", "0", "--diameter", "0.05", "--volume", "2"
+    )
+    assert doc["r"] <= 0.05
+    _, constants = singular_point_cap(2, 0.0, 0.05, 2.0)
+    assert {k: doc[k] for k in ("alpha", "ell", "r")} == constants
 
 
 def test_net_command_with_model(capsys):

@@ -1,4 +1,5 @@
-"""Lowest Dirichlet eigenvalue of geodesic balls: shooting vs. finite differences."""
+"""Lowest Dirichlet eigenvalue of geodesic balls: closed forms and Rayleigh-Ritz
+against the shooting and finite-difference oracles."""
 
 from __future__ import annotations
 
@@ -6,22 +7,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from orbispec.dirichlet import (
-    ShootingConfig,
-    finite_difference_eigenvalue,
-    finite_difference_ground_state,
-    lowest_dirichlet_eigenvalue,
-    rayleigh_quotient_discrete,
-)
+from orbispec.bounds import lambda_threshold
+from orbispec.dirichlet import _first_bessel_zero, lowest_dirichlet_eigenvalue
 from orbispec.errors import ConvergenceError, DomainError
 from orbispec.spaceform import SpaceForm
 
-from oracles import richardson_fd_eigenvalue
+from oracles import finite_difference_eigenvalue, richardson_fd_eigenvalue, shooting_eigenvalue
 
 # A (curvature, radius) key at which scipy's event location inside the
-# radial ODE fails to bracket the zero crossing.
+# shooting oracle's radial ODE fails to bracket the zero crossing.
 EVENT_FAILURE_KEY = (0.7852497754447629, 0.9071244157410668)
 
 # Richardson-extrapolated finite-difference value at mesh 2048/4096 for the
@@ -34,8 +32,8 @@ def test_flat_disk_against_fd_oracle():
     sf = SpaceForm(2, 0.0)
     live = richardson_fd_eigenvalue(sf, 1.0)
     assert abs(live - RICHARDSON_DISK) < 1e-9, "oracle drifted from its frozen value"
-    shot = lowest_dirichlet_eigenvalue(sf, 1.0)
-    assert abs(shot - RICHARDSON_DISK) < 1e-6 * RICHARDSON_DISK
+    got = lowest_dirichlet_eigenvalue(sf, 1.0)
+    assert abs(got - RICHARDSON_DISK) < 1e-6 * RICHARDSON_DISK
 
 
 def test_flat_disk_against_bessel():
@@ -55,10 +53,11 @@ def test_flat_disk_against_bessel():
 
 def test_hemisphere_eigenvalue_is_dimension():
     # the first Dirichlet eigenfunction of a hemisphere is the height
-    # coordinate, with eigenvalue n
+    # coordinate, with eigenvalue n; the Ritz route (n != 3) reads high
     for n in (2, 3, 4):
         got = lowest_dirichlet_eigenvalue(SpaceForm(n, 1.0), math.pi / 2)
         assert abs(got - n) < 1e-4, (n, got)
+    assert 0.0 <= lambda_threshold(2, 1.0, math.pi / 2) - 2.0 < 1e-7
 
 
 def test_flat_scaling_invariance():
@@ -78,10 +77,32 @@ def test_eigenvalue_decreases_with_radius():
 
 def test_hyperbolic_against_fd_oracle():
     sf = SpaceForm(2, -1.0)
-    shot = lowest_dirichlet_eigenvalue(sf, 1.0)
+    got = lowest_dirichlet_eigenvalue(sf, 1.0)
     oracle = richardson_fd_eigenvalue(sf, 1.0)
-    assert abs(shot - oracle) < 1e-6 * oracle
-    assert shot > lowest_dirichlet_eigenvalue(SpaceForm(2, 1.0), 1.0)
+    assert abs(got - oracle) < 1e-6 * oracle
+    assert got > lowest_dirichlet_eigenvalue(SpaceForm(2, 1.0), 1.0)
+
+
+def test_large_hyperbolic_ball_against_fd_oracle():
+    # kappa r^2 = -1600, where the shooting oracle fails to bracket: the
+    # inverse iteration's shift keeps the Ritz route converging, and its
+    # uniform mesh still reads within 1e-5 of the oracle, on the high side
+    sf = SpaceForm(2, -100.0)
+    got = lowest_dirichlet_eigenvalue(sf, 4.0)
+    oracle = richardson_fd_eigenvalue(sf, 4.0)
+    assert oracle * (1 - 1e-9) <= got < oracle * (1 + 1e-5)
+
+
+def test_near_cap_threshold_stays_positive_and_decreasing():
+    # the lowest eigenvalue underflows toward the antipodal cap; the Ritz
+    # route must still factor its pencil and return a positive, monotone value
+    for n in (4, 10):
+        vals = [
+            lowest_dirichlet_eigenvalue(SpaceForm(n, 1.0), u * math.pi)
+            for u in (0.99, 0.999, 1 - 1e-6, 1 - 2e-9)
+        ]
+        assert all(v > 0 for v in vals), (n, vals)
+        assert all(b < a for a, b in zip(vals, vals[1:])), (n, vals)
 
 
 def test_domain_errors():
@@ -92,18 +113,17 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         # radius beyond the antipodal cap
         lowest_dirichlet_eigenvalue(SpaceForm(2, 1.0), math.pi)
-    with pytest.raises(DomainError):
-        ShootingConfig(root_tol=0.0)
-    with pytest.raises(DomainError):
-        ShootingConfig(root_tol=1e-2)
-    with pytest.raises(DomainError):
-        ShootingConfig(max_iter=3)
+    with pytest.raises(DomainError), np.errstate(over="ignore"):
+        # the volume density sinh(1000 t) overflows on the Ritz mesh
+        lowest_dirichlet_eigenvalue(SpaceForm(2, -1e6), 1.0)
 
 
 def test_event_location_failure_is_a_convergence_error():
+    # the shooting oracle still fails here; the library's n = 3 closed form does not
     kappa, r = EVENT_FAILURE_KEY
     with pytest.raises(ConvergenceError):
-        lowest_dirichlet_eigenvalue(SpaceForm(3, kappa), r)
+        shooting_eigenvalue(SpaceForm(3, kappa), r)
+    assert lowest_dirichlet_eigenvalue(SpaceForm(3, kappa), r) == (math.pi / r) ** 2 - kappa
 
 
 def test_fd_second_order_convergence():
@@ -118,40 +138,73 @@ def test_fd_second_order_convergence():
     assert abs(richardson - exact) < abs(fine - exact)
 
 
-def test_fd_ground_state_profile():
-    sf = SpaceForm(2, 1.0)
-    val, centers, profile = finite_difference_ground_state(sf, 1.0, mesh_points=512)
-    assert abs(val - finite_difference_eigenvalue(sf, 1.0, mesh_points=512)) < 1e-12
-    assert profile[0] == 1.0
-    assert np.all(profile > 0.0)
-    # radial ground state decreases monotonically to the boundary
-    assert np.all(np.diff(profile) < 1e-12)
-    assert centers.shape == profile.shape
-
-
-def test_rayleigh_quotient_discrete():
-    # for the exact discrete ground state the quotient matches the eigenvalue
-    vals = np.array([1.0, 0.5])
-    grads = np.array([2.0, 1.0])
-    weights = np.array([0.5, 0.5])
-    got = rayleigh_quotient_discrete(vals, grads, weights)
-    want = (0.5 * 4 + 0.5 * 1) / (0.5 * 1 + 0.5 * 0.25)
-    assert abs(got - want) < 1e-15
-    with pytest.raises(DomainError):
-        rayleigh_quotient_discrete(vals, grads[:1], weights)
-    with pytest.raises(DomainError):
-        rayleigh_quotient_discrete(np.zeros(2), grads, weights)
-
-
 def test_memoization_returns_identical_floats():
+    # no result memo; repeat calls are deterministic and the only cache,
+    # the Bessel zero per dimension, is bounded
     sf = SpaceForm(3, 1.0)
-    a = lowest_dirichlet_eigenvalue(sf, 0.9)
-    b = lowest_dirichlet_eigenvalue(sf, 0.9)
-    assert a == b
+    assert lowest_dirichlet_eigenvalue(sf, 0.9) == lowest_dirichlet_eigenvalue(sf, 0.9)
+    sf = SpaceForm(4, 0.5)
+    assert lowest_dirichlet_eigenvalue(sf, 0.9) == lowest_dirichlet_eigenvalue(sf, 0.9)
+    assert _first_bessel_zero.cache_info().maxsize is not None
 
 
-def test_custom_tolerance_still_close():
-    sf = SpaceForm(2, 0.0)
-    loose = lowest_dirichlet_eigenvalue(sf, 1.0, ShootingConfig(root_tol=1e-4))
-    tight = lowest_dirichlet_eigenvalue(sf, 1.0, ShootingConfig(root_tol=1e-10))
-    assert abs(loose - tight) < 1e-3
+# ---------------------------------------------------------------------------
+# Properties of the threshold.
+
+KAPPA_SIGNS = st.sampled_from([-1.0, 0.0, 1.0])
+
+
+def _shooting_or_reject(n: int, kappa: float, r: float) -> float:
+    """The shooting oracle's value; keys where the oracle itself fails are discarded."""
+    try:
+        return shooting_eigenvalue(SpaceForm(n, kappa), r)
+    except ConvergenceError:
+        assume(False)
+
+
+@st.composite
+def ritz_keys(draw):
+    """(n, kappa, r) with n in {2, 4, 5}, any sign of kappa, r up to 0.999 pi/sqrt(kappa)."""
+    n = draw(st.sampled_from([2, 4, 5]))
+    kappa = draw(KAPPA_SIGNS) * draw(st.floats(0.05, 4.0))
+    r_max = 0.999 * math.pi / math.sqrt(kappa) if kappa > 0 else 3.0
+    r = draw(st.floats(0.05, 1.0)) * r_max
+    return n, kappa, r
+
+
+@settings(max_examples=25, deadline=None)
+@given(ritz_keys())
+def test_threshold_never_below_shooting_oracle(key):
+    n, kappa, r = key
+    assert lambda_threshold(n, kappa, r) >= _shooting_or_reject(n, kappa, r) * (1 - 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ritz_keys(), st.floats(0.2, 5.0))
+def test_threshold_scaling_law(key, c):
+    n, kappa, r = key
+    scaled = lambda_threshold(n, kappa / (c * c), c * r)
+    assert abs(scaled - lambda_threshold(n, kappa, r) / (c * c)) <= 1e-12 * scaled
+
+
+@settings(max_examples=40, deadline=None)
+@given(ritz_keys(), st.floats(0.5, 0.999))
+def test_threshold_strictly_decreasing_in_radius(key, shrink):
+    n, kappa, r = key
+    assert lambda_threshold(n, kappa, shrink * r) > lambda_threshold(n, kappa, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(KAPPA_SIGNS, st.floats(0.05, 4.0), st.floats(0.05, 1.0))
+def test_dimension_three_matches_shooting_oracle(sign, size, u):
+    kappa = sign * size
+    r = u * (0.999 * math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
+    oracle = _shooting_or_reject(3, kappa, r)
+    assert abs(lambda_threshold(3, kappa, r) - oracle) <= 1e-9 * oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]), st.floats(0.01, 100.0))
+def test_flat_threshold_matches_bessel_zeros(n, r):
+    want = (float(jn_zeros(n // 2 - 1, 1)[0]) / r) ** 2
+    assert abs(lambda_threshold(n, 0.0, r) - want) <= 1e-12 * want
