@@ -72,12 +72,11 @@ from .spaceform import (
     ball_volume,
     ball_volume_quadrature,
     bonnet_myers_cap,
-    cap_measure,
     cone_volume,
     generalized_sin,
     law_of_cosines_side,
+    linked_complement_measure,
     sphere_measure,
-    two_cap_complement_measure,
     unit_ball_volume,
 )
 from .weyl import WeylFit, estimate_dimension, estimate_volume, weyl_fit
@@ -88,8 +87,8 @@ __all__ = [
     "DomainError", "ConvergenceError", "CertificationError", "IndeterminateError",
     # spaceform
     "SpaceForm", "generalized_sin", "bonnet_myers_cap", "sphere_measure", "unit_ball_volume",
-    "ball_volume", "ball_volume_quadrature", "cap_measure", "two_cap_complement_measure",
-    "cone_volume", "law_of_cosines_side",
+    "ball_volume", "ball_volume_quadrature", "linked_complement_measure", "cone_volume",
+    "law_of_cosines_side",
     # dirichlet
     "lowest_dirichlet_eigenvalue",
     # groups

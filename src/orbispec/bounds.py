@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import betaincinv
 
 from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError
@@ -32,7 +33,7 @@ from .spaceform import (
     ball_volume,
     bonnet_myers_cap,
     cone_volume,
-    two_cap_complement_measure,
+    linked_complement_measure,
     unit_ball_volume,
 )
 from .weyl import estimate_dimension, estimate_volume
@@ -42,7 +43,6 @@ from .weyl import estimate_dimension, estimate_volume
 RHO_TOL_SCALE = 1e-9
 ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
-BISECT_ITERS = 60
 DEFAULT_GRID_POINTS = 64
 # Positive-curvature radius grids stop just short of the antipodal cap.
 CAP_GRID_FRACTION = 0.999
@@ -189,19 +189,15 @@ def isotropy_type_enumeration(n: int, cap: int) -> list[str]:
     ]
 
 
-def _linked_complement_measure(n: int, alpha: float) -> float:
-    """Directions on S^(n-1) at angle >= pi/2 - alpha from both hinge sides."""
-    return two_cap_complement_measure(n - 1, alpha, 0.5 * math.pi - alpha)
-
-
 def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     """Largest certified angle whose bad-direction cone stays under v/6.
 
-    The complement measure grows with alpha (at alpha -> 0 the two caps of
-    angular radius pi/2 - alpha cover the sphere; at alpha -> pi/2 they
-    shrink to points), so bisection runs against an increasing cone volume
-    and the returned endpoint satisfies the strict inequality with margin
-    1e-9.
+    The bad directions fill the fraction I_{sin^2 alpha}(1/2, (n-1)/2) of
+    the direction sphere (see linked_complement_measure), which grows with
+    alpha, so the incomplete-beta inverse at the budget gives the angle.
+    That inverse only starts the search: the angle is stepped down until the
+    forward cone satisfies the strict inequality with margin 1e-9, and that
+    forward check is the certificate.
     """
     sf = SpaceForm(n, kappa)
     if kappa > 0:
@@ -217,7 +213,7 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
         )
 
     def cone(alpha: float) -> float:
-        return cone_volume(sf, d, _linked_complement_measure(n, alpha))
+        return cone_volume(sf, d, linked_complement_measure(n - 1, alpha))
 
     hi = 0.5 * math.pi * (1.0 - 1e-12)
     if cone(hi) < target:
@@ -227,13 +223,24 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
         raise CertificationError(
             "alpha", f"no admissible angle: even alpha = {lo} exceeds the v/6 budget"
         )
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
+    x = betaincinv(0.5, 0.5 * (n - 1), min(1.0, target / ball_volume(sf, d)))
+    alpha = min(max(math.asin(math.sqrt(x)), lo), hi)
+    # Step down until the forward check passes, doubling the step after each
+    # failure, then bisect back up to the last failure: the result is the
+    # angle one-ulp steps would reach, without the billions of steps they
+    # take where the cone is flat to rounding (a budget within a few ulps of
+    # the ball volume puts the start near pi/2).  cone(lo) passes, so the
+    # walk stops at lo at worst.
+    fail, step = None, math.ulp(alpha)
+    while not cone(alpha) < target:
+        fail, alpha, step = alpha, max(lo, alpha - step), 2.0 * step
+    while fail is not None and math.nextafter(alpha, fail) < fail:
+        mid = 0.5 * (alpha + fail)
         if cone(mid) < target:
-            lo = mid
+            alpha = mid
         else:
-            hi = mid
-    return lo
+            fail = mid
+    return alpha
 
 
 def ell_constant(n: int, kappa: float, v: float) -> float:

@@ -27,7 +27,6 @@ import sys
 
 from . import __version__
 from .bounds import (
-    BoundReport,
     best_diameter_bound,
     default_r_grid,
     isotropy_type_enumeration,
@@ -108,10 +107,6 @@ def _config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _report_payload(report: BoundReport) -> dict:
-    return report.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns the payload merged into the envelope.
 
@@ -161,7 +156,7 @@ def _cmd_isotropy(args: argparse.Namespace) -> dict:
     report = spectral_isotropy_bound(
         spec, args.kappa, n=args.n, v=args.volume, r_grid=_parse_r_grid(args.r_grid)
     )
-    payload = _report_payload(report)
+    payload = report.to_dict()
     payload["isotropy_types"] = isotropy_type_enumeration(report.n, report.isotropy_cap)
     return {"report": payload}
 
@@ -175,7 +170,7 @@ def _cmd_singular(args: argparse.Namespace) -> dict:
         v=args.volume,
         r_grid=_parse_r_grid(args.r_grid),
     )
-    return {"report": _report_payload(report)}
+    return {"report": report.to_dict()}
 
 
 def _cmd_constants(args: argparse.Namespace) -> dict:

@@ -264,13 +264,17 @@ def invariant_multiplicity(action: OrthogonalAction, l: int) -> int:
     """
     if not isinstance(l, int) or l < 0:
         raise DomainError(f"harmonic degree must be an integer >= 0, got {l!r}")
-    table = _character_table(action, l)
-    avg = float(np.sum(table[:, l])) / len(action.elements())
+    return _invariant_count(_character_table(action, l), l)
+
+
+def _invariant_count(table: np.ndarray, l: int) -> int:
+    """Group average of the degree-l characters, rounded to the integer it must be."""
+    avg = float(np.sum(table[:, l])) / table.shape[0]
     r = round(avg)
     if abs(avg - r) > 1e-6 or r < 0:
         raise CertificationError(
             "invariant-multiplicity",
-            f"character average {avg!r} for degree {l} is not a nonnegative integer",
+            f"character average {avg!r} at degree {l} is not a nonnegative integer",
         )
     return int(r)
 
@@ -390,20 +394,13 @@ def quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
         while (l_max + 1) * (l_max + n) <= lambda_max:
             l_max += 1
         table = _character_table(model.action, l_max)
-        n_group = len(model.action.elements())
         entries = []
         for l in range(l_max + 1):
             if l * (l + n - 1) > lambda_max:
                 break
-            avg = float(np.sum(table[:, l])) / n_group
-            r = round(avg)
-            if abs(avg - r) > 1e-6 or r < 0:
-                raise CertificationError(
-                    "invariant-multiplicity",
-                    f"character average {avg!r} at degree {l} is not a nonnegative integer",
-                )
+            r = _invariant_count(table, l)
             if r > 0:
-                entries.append((float(l * (l + n - 1)), int(r)))
+                entries.append((float(l * (l + n - 1)), r))
         return Spectrum(tuple(entries), float(lambda_max), model.dimension)
     if model.kind == "torus_quotient":
         groups = _torus_quotient_groups(model, lambda_max)

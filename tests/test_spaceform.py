@@ -13,16 +13,15 @@ from orbispec.spaceform import (
     ball_volume,
     ball_volume_quadrature,
     bonnet_myers_cap,
-    cap_measure,
     cone_volume,
     generalized_sin,
     law_of_cosines_side,
+    linked_complement_measure,
     sphere_measure,
-    two_cap_complement_measure,
     unit_ball_volume,
 )
 
-from oracles import gauss_legendre_cap_measure, sobol_two_cap_complement
+from oracles import gauss_legendre_linked_complement, sobol_two_cap_complement
 
 
 def test_generalized_sin_closed_forms():
@@ -109,46 +108,16 @@ def test_relative_volume_ratio_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
-def test_cap_measure_values_and_oracle():
-    for theta in (0.2, 0.8, 1.5):
-        assert abs(cap_measure(1, theta) - 2 * theta) < 1e-15
-        want = 2 * math.pi * (1 - math.cos(theta))
-        assert abs(cap_measure(2, theta) - want) < 1e-13
-    assert cap_measure(2, 0.0) == 0.0
-    assert abs(cap_measure(2, math.pi) - 4 * math.pi) < 1e-12
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        d = int(rng.integers(2, 5))
-        theta = float(rng.uniform(0.05, math.pi - 0.05))
-        a = cap_measure(d, theta)
-        b = gauss_legendre_cap_measure(d, theta)
-        assert abs(a - b) < 1e-10 * max(1.0, b), (d, theta)
-
-
-def test_two_cap_complement_circle_arcs():
-    # d = 1 is exact arc arithmetic; spot values from drawing the arcs
-    # alpha=0: caps antipodal; complement = 2 pi - 4 theta until they wrap
-    for theta in (0.2, 0.7, 1.2):
-        assert abs(two_cap_complement_measure(1, 0.0, theta) - (2 * math.pi - 4 * theta)) < 1e-15
-    # theta = pi/2: complementary hemicircles leave nothing
-    assert two_cap_complement_measure(1, 0.0, math.pi / 2) == 0.0
-    # coincident caps (alpha = pi/2): complement = 2 pi - 2 theta ... single cap
-    a = math.pi / 2
-    for theta in (0.3, 1.0):
-        want = 2 * math.pi - 4 * theta + max(0.0, 2 * theta - math.pi + 2 * a)
-        assert abs(two_cap_complement_measure(1, a, theta) - want) < 1e-14
-
-
 def test_two_cap_complement_zero_at_linked_half_pi():
     for d in (1, 2, 3, 4):
-        assert two_cap_complement_measure(d, 0.0, math.pi / 2) == 0.0
+        assert linked_complement_measure(d, 0.0) == 0.0
 
 
 def test_two_cap_complement_monotone_in_alpha_linked():
     # along the linked family theta = pi/2 - alpha the measure grows with alpha
     for d in (1, 2, 3):
         alphas = np.linspace(0.01, math.pi / 2 - 0.01, 60)
-        vals = [two_cap_complement_measure(d, float(a), math.pi / 2 - float(a)) for a in alphas]
+        vals = [linked_complement_measure(d, float(a)) for a in alphas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), d
         assert vals[0] < vals[-1]
 
@@ -156,7 +125,23 @@ def test_two_cap_complement_monotone_in_alpha_linked():
 def test_two_cap_complement_circle_exact_linked():
     # on S^1 the linked complement is exactly 4*alpha (two arcs of 2*alpha)
     for a in (0.1, 0.4, 1.0, 1.4):
-        assert abs(two_cap_complement_measure(1, a, math.pi / 2 - a) - 4 * a) < 1e-14
+        assert abs(linked_complement_measure(1, a) - 4 * a) < 1e-14
+
+
+def test_linked_complement_matches_band_oracle():
+    # incomplete-beta closed form against a fixed Gauss-Legendre rule over the
+    # band, from alpha = 1e-6 to within 1e-6 of pi/2, in S^1 .. S^6
+    alphas = np.concatenate(
+        [np.geomspace(1e-6, 0.1, 12), np.linspace(0.1, math.pi / 2 - 1e-6, 24)]
+    )
+    for d in range(1, 7):
+        for a in alphas:
+            got = linked_complement_measure(d, float(a))
+            want = gauss_legendre_linked_complement(d, float(a))
+            assert abs(got - want) <= 1e-10 * want, (d, a, got, want)
+    # S^2: the band within alpha of the equator has measure 4 pi sin(alpha)
+    for a in (1e-6, 0.3, 1.2):
+        assert abs(linked_complement_measure(2, a) - 4 * math.pi * math.sin(a)) < 1e-13
 
 
 def test_two_cap_complement_vs_sampling():
@@ -164,7 +149,7 @@ def test_two_cap_complement_vs_sampling():
     for d, alpha, seed in ((2, 0.3, 11), (3, 0.7, 13)):
         theta = math.pi / 2 - alpha
         est, sig = sobol_two_cap_complement(d, alpha, theta, 1 << 20, seed=seed)
-        exact = two_cap_complement_measure(d, alpha, theta)
+        exact = linked_complement_measure(d, alpha)
         assert abs(est - exact) < 3 * sig, (d, alpha, est, exact, sig)
 
 
