@@ -1,19 +1,20 @@
 """Exact truncated Laplace spectra for model manifolds and good orbifolds.
 
-Flat tori (dual-lattice enumeration in exact rational arithmetic), round
-spheres (harmonic-polynomial multiplicities), and their quotients by finite
-isometry groups: sphere quotients via character averaging over the group,
-torus quotients by lattice-compatible linear symmetries via orbit counting
-on dual modes.  Eigenvalue grouping happens in exact arithmetic; floats
-appear only at the Spectrum boundary.  Every catalog entry carries its
-ground-truth geometry (volume, diameter, curvature lower bound, singular
-points) so the bound pipelines can be validated end to end.
+Flat tori (dual-lattice modes keyed by one exact integer quadratic form),
+round spheres (harmonic-polynomial multiplicities), and their quotients by
+finite isometry groups: sphere quotients via character averaging over the
+group, torus quotients by lattice-compatible linear symmetries via a
+Burnside count of fixed dual modes.  Eigenvalue grouping happens on exact
+integer keys; floats appear only at the Spectrum boundary.  Every catalog
+entry carries its ground-truth geometry (volume, diameter, curvature lower
+bound, singular points) so the bound pipelines can be validated end to end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -48,17 +49,24 @@ class Spectrum:
                 raise DomainError(f"eigenvalue {val!r} exceeds the truncation {self.truncation!r}")
             prev = val
 
-    @property
+    # Read-only arrays, built once per instance; they live outside the
+    # dataclass fields, so equality and hashing still see only the entries.
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.entries])
+        return _frozen(np.array([v for v, _ in self.entries], dtype=float))
 
-    @property
+    @cached_property
     def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries], dtype=int)
+        return _frozen(np.array([m for _, m in self.entries], dtype=int))
+
+    @cached_property
+    def cumulative_counts(self) -> np.ndarray:
+        """N at each eigenvalue: running total of the multiplicities."""
+        return _frozen(np.cumsum(self.multiplicities))
 
     @property
     def total_count(self) -> int:
-        return int(sum(m for _, m in self.entries))
+        return int(self.cumulative_counts[-1]) if self.entries else 0
 
     def to_dict(self) -> dict:
         out = {
@@ -87,56 +95,42 @@ class Spectrum:
         return Spectrum(tuple(entries), trunc, None if dim is None else int(dim))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def counting_function(spec: Spectrum, lam: float) -> int:
     """N(lam): number of eigenvalues <= lam, counted with multiplicity."""
+    if not math.isfinite(lam):
+        raise DomainError(f"counting needs a finite eigenvalue bound, got {lam!r}")
     if lam > spec.truncation:
         raise DomainError(
             f"counting at {lam!r} beyond the truncation {spec.truncation!r} would undercount"
         )
-    total = 0
-    for val, mult in spec.entries:
-        if val <= lam:
-            total += mult
-        else:
-            break
-    return total
+    i = int(np.searchsorted(spec.values, lam, side="right"))
+    return int(spec.cumulative_counts[i - 1]) if i else 0
 
 
-def _exact_dual_gram(basis: np.ndarray) -> list[list[Fraction]]:
-    """(B B^T)^(-1) as exact Fractions, via the adjugate over Fraction entries."""
-    n = basis.shape[0]
-    g = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
-
-    def det(m):
-        k = len(m)
-        if k == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j in range(k):
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det(minor)
-        return total
-
-    d = det(g)
-    if d == 0:
-        raise DomainError("lattice basis is singular")
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(g) if k != j]
-            row.append((-1) ** (i + j) * det(minor) / d)
-        inv.append(row)
-    return inv
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant of a small integer matrix by cofactor expansion, exactly."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
 
 
-def _dual_levels(basis: np.ndarray, lambda_max: float) -> dict[Fraction, list[tuple[int, ...]]]:
-    """Dual-lattice modes grouped by the exact quadratic form value.
+def _dual_modes(basis: np.ndarray, lambda_max: float):
+    """Dual-lattice modes k with 4 pi^2 q(k) <= lambda_max and their integer keys.
 
-    Keys q satisfy 4 pi^2 q <= lambda_max (with a relative slack of 1e-12 so
-    the float boundary cannot drop a level); values are the integer
-    coefficient vectors.  Completeness comes from the ellipsoid bound
-    |k_i|^2 <= c (B B^T)_(ii) applied in exact arithmetic.
+    The Gram matrix G = B B^T is read exactly from its float entries and
+    scaled by the lcm ``den`` of their denominators to an integer G_int, so
+    q(k) = k^T G^(-1) k = (k^T A k) den / det with A = adj(G_int) and
+    det = det(G_int) > 0.  Returns (modes, keys k^T A k, (A, den, det)).
+    Completeness comes from the ellipsoid bound |k_i|^2 <= c G_ii, with a
+    relative slack of 1e-12 on c so the float boundary cannot drop a level.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
@@ -146,50 +140,49 @@ def _dual_levels(basis: np.ndarray, lambda_max: float) -> dict[Fraction, list[tu
     if lambda_max < 0:
         raise DomainError(f"the truncation must be >= 0, got {lambda_max!r}")
     n = basis.shape[0]
-    q_form = _exact_dual_gram(basis)
     gram = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
+    den = math.lcm(*(g.denominator for row in gram for g in row))
+    g_int = [[int(g * den) for g in row] for row in gram]
+    minors = [_int_det([row[:k] for row in g_int[:k]]) for k in range(1, n + 1)]
+    if not minors or min(minors) <= 0:
+        raise DomainError("lattice basis is singular")
+    det = minors[-1]
+    adj = [
+        [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(g_int) if k != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
     c = Fraction(float(lambda_max)) * Fraction(1 + 1e-12) / Fraction(FOUR_PI_SQ)
+    bounds = [math.isqrt(int(c * gram[i][i])) for i in range(n)]
 
-    bounds = []
-    for i in range(n):
-        lim = c * gram[i][i]
-        bounds.append(math.isqrt(lim.numerator // lim.denominator))
-
-    levels: dict[Fraction, list[tuple[int, ...]]] = {}
-    idx = [-b for b in bounds]
-
-    def q_value(k):
-        total = Fraction(0)
-        for i in range(n):
-            if k[i] == 0:
-                continue
-            total += q_form[i][i] * k[i] * k[i]
-            for j in range(i + 1, n):
-                total += 2 * q_form[i][j] * k[i] * k[j]
-        return total
-
-    import itertools
-
-    for k in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        q = q_value(k)
-        if q <= c:
-            levels.setdefault(q, []).append(k)
-    return levels
+    # numpy integers wrap silently, so int64 is chosen only under an a-priori
+    # bound: every partial sum of k^T A k is at most n^2 max|A_ij| max(b_i)^2.
+    wide = n * n * max(abs(a) for row in adj for a in row) * (max(bounds) + 1) ** 2 >= 2**62
+    dtype = object if wide else np.int64
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    ks = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1).astype(dtype)
+    keys = ((ks @ np.array(adj, dtype=dtype)) * ks).sum(axis=1)
+    # key den / det <= c, with the denominators cleared: key <= floor(c.num det / (c.den den)).
+    keep = keys <= (c.numerator * det) // (c.denominator * den)
+    return ks[keep], keys[keep], (adj, den, det)
 
 
-def _levels_to_spectrum(
-    groups: list[tuple[Fraction, int]], lambda_max: float, dimension: int
-) -> Spectrum:
+def _levels_to_spectrum(keys, mults, den: int, det: int, lambda_max: float, dim: int) -> Spectrum:
+    """Spectrum from ascending level keys: eigenvalue 4 pi^2 key den / det.
+
+    Python-int true division rounds correctly, so each value is exactly
+    float(Fraction(key den, det)); levels that round to one float merge.
+    """
     entries: list[tuple[float, int]] = []
-    for q, mult in sorted(groups):
-        val = FOUR_PI_SQ * float(q)
-        if val > lambda_max or mult == 0:
+    for key, mult in zip(keys.tolist(), mults.tolist()):
+        val = FOUR_PI_SQ * ((key * den) / det)
+        if val > lambda_max:
             continue
         if entries and entries[-1][0] == val:
             entries[-1] = (val, entries[-1][1] + mult)
         else:
             entries.append((val, mult))
-    return Spectrum(tuple(entries), float(lambda_max), dimension)
+    return Spectrum(tuple(entries), float(lambda_max), dim)
 
 
 def flat_torus_spectrum(lattice_basis, lambda_max: float) -> Spectrum:
@@ -199,9 +192,9 @@ def flat_torus_spectrum(lattice_basis, lambda_max: float) -> Spectrum:
     mu = B^(-1) k with integer k and the quadratic form is (B B^T)^(-1).
     """
     basis = np.asarray(lattice_basis, dtype=float)
-    levels = _dual_levels(basis, lambda_max)
-    groups = [(q, len(ks)) for q, ks in levels.items()]
-    return _levels_to_spectrum(groups, lambda_max, basis.shape[0])
+    _, keys, (_, den, det) = _dual_modes(basis, lambda_max)
+    levels, counts = np.unique(keys, return_counts=True)
+    return _levels_to_spectrum(levels, counts, den, det, lambda_max, basis.shape[0])
 
 
 def harmonic_multiplicity(n: int, l: int) -> int:
@@ -325,19 +318,14 @@ class ModelOrbifold:
         return quotient_spectrum(self, lambda_max)
 
 
-def _integer_matrix(m: np.ndarray, what: str) -> np.ndarray:
-    r = np.rint(m)
-    if np.max(np.abs(m - r)) > 1e-9:
-        raise DomainError(f"{what} is not an integer matrix within 1e-9")
-    return r.astype(np.int64)
-
-
-def _torus_quotient_groups(model: ModelOrbifold, lambda_max: float) -> list[tuple[Fraction, int]]:
-    """Invariant Fourier dimensions per level: orbits of dual modes.
+def _torus_quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
+    """Invariant Fourier dimensions per level: orbits of dual modes, by Burnside.
 
     A lattice-compatible linear symmetry permutes the dual modes without
     phases, so the invariant dimension at each level is the number of
-    orbits of the cyclic action there.
+    orbits of the cyclic action there: the group average of the number of
+    modes each element fixes.  The symmetry must preserve the dual form and
+    have exactly the declared order on the lattice, both checked exactly.
     """
     action = model.action
     if action is None or len(action.generators) != 1:
@@ -351,33 +339,43 @@ def _torus_quotient_groups(model: ModelOrbifold, lambda_max: float) -> list[tupl
     a = action.generators[0]
     # Rows of the basis generate, so lattice coordinates of A are B^(-T) A B^T
     # and the dual modes k transform by the transpose of that.
-    m_lattice = _integer_matrix(
-        np.linalg.solve(basis.T, a @ basis.T), "the symmetry in lattice coordinates"
-    )
-    dual = m_lattice.T
+    m_lattice = np.linalg.solve(basis.T, a @ basis.T)
+    if np.max(np.abs(m_lattice - np.rint(m_lattice))) > 1e-9:
+        raise DomainError("the symmetry is not an integer matrix in lattice coordinates")
+    dual = np.rint(m_lattice).astype(np.int64).T.astype(object)
 
-    levels = _dual_levels(basis, lambda_max)
-    groups = []
-    for q, ks in levels.items():
-        level = set(ks)
-        seen: set[tuple[int, ...]] = set()
-        orbits = 0
-        for k in ks:
-            if k in seen:
-                continue
-            orbits += 1
-            cur = np.array(k, dtype=np.int64)
-            for _ in range(order):
-                t = tuple(int(x) for x in cur)
-                if t not in level:
-                    raise CertificationError(
-                        "torus-quotient",
-                        f"dual mode {t} left its level; the symmetry does not preserve the lattice",
-                    )
-                seen.add(t)
-                cur = dual @ cur
-        groups.append((q, orbits))
-    return groups
+    ks, keys, (adj, den, det) = _dual_modes(basis, lambda_max)
+    form = np.array(adj, dtype=object)
+    if not np.array_equal(dual.T @ form @ dual, form):
+        raise CertificationError(
+            "torus-quotient", "the symmetry does not preserve the dual form of the lattice"
+        )
+    n = basis.shape[0]
+    powers = [np.eye(n, dtype=object)]
+    for _ in range(order):
+        powers.append(powers[-1] @ dual)
+    # Exact order: dual^order = I and no lower power is.
+    if [np.array_equal(p, powers[0]) for p in powers[1:]] != [False] * (order - 1) + [True]:
+        raise CertificationError(
+            "torus-quotient",
+            f"the symmetry does not have the declared order {order} on the lattice",
+        )
+
+    powers.pop()
+    # A symmetry of the form maps each mode into the box, so only the partial
+    # sums of p k need a bound to stay in int64.
+    pmax = max(abs(int(x)) for p in powers for x in p.flat)
+    dtype = object if n * pmax * (int(np.abs(ks).max()) + 1) >= 2**62 else np.int64
+    ks = ks.astype(dtype)
+    fixed = np.sum([(ks @ p.T.astype(dtype) == ks).all(axis=1) for p in powers], axis=0)
+    levels, inverse = np.unique(keys, return_inverse=True)
+    totals = np.bincount(inverse, weights=fixed, minlength=len(levels)).astype(np.int64)
+    orbits, rem = np.divmod(totals, order)
+    if rem.any():
+        raise CertificationError(
+            "torus-quotient", "a level's fixed-mode count is not divisible by the group order"
+        )
+    return _levels_to_spectrum(levels, orbits, den, det, lambda_max, model.dimension)
 
 
 def quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
@@ -403,8 +401,7 @@ def quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
                 entries.append((float(l * (l + n - 1)), r))
         return Spectrum(tuple(entries), float(lambda_max), model.dimension)
     if model.kind == "torus_quotient":
-        groups = _torus_quotient_groups(model, lambda_max)
-        return _levels_to_spectrum(groups, lambda_max, model.dimension)
+        return _torus_quotient_spectrum(model, lambda_max)
     raise DomainError(f"quotient_spectrum does not apply to kind {model.kind!r}")
 
 

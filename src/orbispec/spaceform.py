@@ -127,28 +127,26 @@ def ball_volume_quadrature(sf: SpaceForm, r: float) -> float:
 def ball_volume(sf: SpaceForm, r: float) -> float:
     """Volume of the geodesic r-ball in the model space.
 
-    Closed forms in dimensions 2 and 3 (written via half-angle squares so
-    nothing cancels for small curvature*r^2); adaptive quadrature of the
-    volume density otherwise.  Strictly increasing in r up to the antipodal
-    cap for kappa > 0.
+    Closed forms when flat and in dimensions 2 and 3 (written via half-angle
+    squares so nothing cancels for small curvature*r^2); adaptive quadrature
+    of the volume density otherwise.  Strictly increasing in r up to the
+    antipodal cap for kappa > 0.
     """
     _check_radius(sf.kappa, r)
     if r == 0.0:
         return 0.0
     n, k = sf.n, sf.kappa
+    if k == 0.0:
+        return unit_ball_volume(n) * r**n
     if n == 2:
-        if k == 0.0:
-            return math.pi * r * r
         if k > 0:
             return 4.0 * math.pi / k * math.sin(0.5 * math.sqrt(k) * r) ** 2
         return 4.0 * math.pi / (-k) * math.sinh(0.5 * math.sqrt(-k) * r) ** 2
-    if n == 3 and k != 0.0 and abs(k) * r * r >= 1e-4:
+    if n == 3 and abs(k) * r * r >= 1e-4:
         s = math.sqrt(abs(k))
         if k > 0:
             return 2.0 * math.pi / k * (r - math.sin(2.0 * s * r) / (2.0 * s))
         return 2.0 * math.pi / (-k) * (math.sinh(2.0 * s * r) / (2.0 * s) - r)
-    if n == 3 and k == 0.0:
-        return 4.0 * math.pi * r ** 3 / 3.0
     return ball_volume_quadrature(sf, r)
 
 

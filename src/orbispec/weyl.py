@@ -46,7 +46,7 @@ def _window_samples(spec: Spectrum, window_fraction: float):
     if not (0.0 < window_fraction < 1.0):
         raise DomainError(f"window fraction must lie in (0, 1), got {window_fraction!r}")
     vals = spec.values
-    counts = np.cumsum(spec.multiplicities)
+    counts = spec.cumulative_counts
     lam_hi = float(vals[-1]) if len(vals) else 0.0
     if lam_hi <= 0.0:
         raise DomainError("spectrum has no positive eigenvalues to fit")

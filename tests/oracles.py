@@ -9,7 +9,9 @@ randomized sweeps.
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,7 +20,8 @@ from scipy.optimize import brentq
 from scipy.stats import norm, qmc
 
 from orbispec.dirichlet import _first_bessel_zero
-from orbispec.errors import ConvergenceError, DomainError
+from orbispec.errors import CertificationError, ConvergenceError, DomainError
+from orbispec.modelspectra import FOUR_PI_SQ, Spectrum
 from orbispec.spaceform import SpaceForm, generalized_sin, sphere_measure
 
 # Shooting-solver knobs: bracket growth factor, relative root tolerance, and
@@ -202,7 +205,7 @@ def brute_torus_levels(basis: np.ndarray, lambda_max: float) -> list[tuple[float
 
     Dual modes are mu = B^(-1) k over an integer box sized from the operator
     norm of B, eigenvalues 4 pi^2 |mu|^2, grouped at relative tolerance 1e-9.
-    Independent of the package's exact-fraction enumeration.
+    Independent of the package's exact integer-form enumeration.
     """
     basis = np.asarray(basis, dtype=float)
     dim = basis.shape[0]
@@ -221,6 +224,118 @@ def brute_torus_levels(basis: np.ndarray, lambda_max: float) -> list[tuple[float
         else:
             levels.append((float(v), 1))
     return levels
+
+
+def _fraction_dual_gram(basis: np.ndarray) -> list[list[Fraction]]:
+    """(B B^T)^(-1) as exact Fractions, via the adjugate over Fraction entries."""
+    n = basis.shape[0]
+    g = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
+
+    def det(m):
+        if not m:
+            return Fraction(1)
+        return sum(
+            (-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]])
+            for j in range(len(m))
+        )
+
+    d = det(g)
+    if d == 0:
+        raise DomainError("lattice basis is singular")
+    return [
+        [(-1) ** (i + j) * det([r[:i] + r[i + 1 :] for k, r in enumerate(g) if k != j]) / d
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _fraction_dual_levels(basis, lambda_max: float) -> dict[Fraction, list[tuple[int, ...]]]:
+    """Dual-lattice modes grouped by their exact Fraction quadratic-form value.
+
+    Evaluates (B B^T)^(-1) in Fraction arithmetic at every point of the
+    integer box |k_i|^2 <= c (B B^T)_(ii), c = lambda_max (1 + 1e-12) / (4 pi^2),
+    and keeps the modes with q(k) <= c.  Independent of the package's
+    integer-scaled form and numpy grouping.
+    """
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    q_form = _fraction_dual_gram(basis)
+    gram = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
+    c = Fraction(float(lambda_max)) * Fraction(1 + 1e-12) / Fraction(FOUR_PI_SQ)
+    bounds = []
+    for i in range(n):
+        lim = c * gram[i][i]
+        bounds.append(math.isqrt(lim.numerator // lim.denominator))
+
+    def q_value(k):
+        total = Fraction(0)
+        for i in range(n):
+            if k[i] == 0:
+                continue
+            total += q_form[i][i] * k[i] * k[i]
+            for j in range(i + 1, n):
+                total += 2 * q_form[i][j] * k[i] * k[j]
+        return total
+
+    levels: dict[Fraction, list[tuple[int, ...]]] = {}
+    for k in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        q = q_value(k)
+        if q <= c:
+            levels.setdefault(q, []).append(k)
+    return levels
+
+
+def _fraction_levels_spectrum(groups, lambda_max: float, dimension: int) -> Spectrum:
+    entries: list[tuple[float, int]] = []
+    for q, mult in sorted(groups):
+        val = FOUR_PI_SQ * float(q)
+        if val > lambda_max or mult == 0:
+            continue
+        if entries and entries[-1][0] == val:
+            entries[-1] = (val, entries[-1][1] + mult)
+        else:
+            entries.append((val, mult))
+    return Spectrum(tuple(entries), float(lambda_max), dimension)
+
+
+def fraction_torus_spectrum(basis, lambda_max: float) -> Spectrum:
+    """Flat-torus spectrum from the Fraction enumeration, one level per exact value."""
+    basis = np.asarray(basis, dtype=float)
+    levels = _fraction_dual_levels(basis, lambda_max)
+    return _fraction_levels_spectrum(
+        [(q, len(ks)) for q, ks in levels.items()], lambda_max, basis.shape[0]
+    )
+
+
+def orbit_walk_quotient_spectrum(basis, dual, order: int, lambda_max: float) -> Spectrum:
+    """Torus-quotient spectrum by walking each dual-mode orbit explicitly.
+
+    ``dual`` is the integer matrix acting on dual modes k.  Each level's
+    invariant dimension is its number of orbits under k -> dual k, found by
+    following every orbit for ``order`` steps; a mode that leaves its level
+    or an orbit that does not close after ``order`` steps raises.
+    """
+    basis = np.asarray(basis, dtype=float)
+    dual = np.asarray(dual, dtype=np.int64)
+    groups = []
+    for q, ks in _fraction_dual_levels(basis, lambda_max).items():
+        level = set(ks)
+        seen: set[tuple[int, ...]] = set()
+        orbits = 0
+        for k in ks:
+            if k in seen:
+                continue
+            orbits += 1
+            cur = k
+            for _ in range(order):
+                if cur not in level:
+                    raise CertificationError("torus-quotient", f"dual mode {cur} left its level")
+                seen.add(cur)
+                cur = tuple(int(x) for x in dual @ np.array(cur, dtype=np.int64))
+            if cur != k:
+                raise CertificationError("torus-quotient", f"orbit of {k} does not close")
+        groups.append((q, orbits))
+    return _fraction_levels_spectrum(groups, lambda_max, basis.shape[0])
 
 
 def merge_levels(levels, rel: float = 1e-9) -> list[tuple[float, int]]:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orbispec import (
     CertificationError,
@@ -24,10 +26,13 @@ from orbispec import (
     sphere_rotation_action,
     sphere_spectrum,
 )
+from orbispec.modelspectra import _dual_modes
 from oracles import (
     brute_torus_levels,
     circle_divisor_count,
+    fraction_torus_spectrum,
     merge_levels,
+    orbit_walk_quotient_spectrum,
     series_reciprocal_characters,
 )
 
@@ -70,6 +75,87 @@ def test_spectrum_round_trip_and_counting():
         Spectrum.from_dict([0.0, 1])
 
 
+def test_spectrum_arrays_are_cached_and_read_only():
+    spec = Spectrum(((0.0, 1), (2.0, 3), (6.0, 5)), 7.5, dimension=2)
+    for name in ("values", "multiplicities", "cumulative_counts"):
+        arr = getattr(spec, name)
+        assert getattr(spec, name) is arr
+        assert not arr.flags.writeable
+    assert spec.cumulative_counts.tolist() == [1, 4, 9]
+    # the cache is not part of equality or hashing
+    twin = Spectrum(spec.entries, 7.5, dimension=2)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert Spectrum((), 1.0).total_count == 0
+    assert counting_function(Spectrum((), 1.0), 0.5) == 0
+
+
+def test_counting_function_rejects_non_finite_bounds():
+    # N(nan) = 0 would give rho = 0 and D = 2r: the unsound direction.
+    spec = Spectrum(((0.0, 1), (2.0, 3)), 7.5)
+    for lam in (math.nan, -math.inf, math.inf, np.float64("nan")):
+        with pytest.raises(DomainError):
+            counting_function(spec, lam)
+
+
+def _lattice_dual(model) -> np.ndarray:
+    basis = np.asarray(model.lattice_basis, dtype=float)
+    a = model.action.generators[0]
+    return np.rint(np.linalg.solve(basis.T, a @ basis.T)).astype(np.int64).T
+
+
+def _oracle_spectrum(model, lam: float) -> Spectrum:
+    if model.kind == "flat_torus":
+        return fraction_torus_spectrum(model.lattice_basis, lam)
+    return orbit_walk_quotient_spectrum(
+        model.lattice_basis, _lattice_dual(model), model.action.order, lam
+    )
+
+
+def test_torus_catalog_spectra_equal_fraction_oracle():
+    rng = np.random.default_rng(20261018)
+    seeded = np.exp(rng.uniform(math.log(8000.0), math.log(256000.0), size=3))
+    for lam in [8000.0, 64000.0, 256000.0, *(float(t) for t in seeded)]:
+        for mid in ("t2", "pillowcase", "t2-mod-4"):
+            model = catalog_model(mid)
+            assert model.spectrum(lam) == _oracle_spectrum(model, lam), (mid, lam)
+
+
+DYADIC = st.integers(-6, 6).map(lambda k: k / 4.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.lists(DYADIC, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    lam=st.floats(0.0, 300.0),
+)
+@example(rows=[[1.0, 0.0], [0.1, 1.0]], lam=2000.0)  # Gram denominators force Python ints
+def test_torus_spectra_equal_fraction_oracle_on_random_bases(rows, lam):
+    basis = np.array(rows)
+    assume(abs(np.linalg.det(basis)) >= 0.25)
+    n = basis.shape[0]
+    assert flat_torus_spectrum(basis, lam) == fraction_torus_spectrum(basis, lam)
+    # x -> -x preserves every lattice; its quotient checks the Burnside count.
+    model = ModelOrbifold(
+        "random-pillow", "torus_quotient", n, 1.0, 1.0, 0.0,
+        lattice_basis=basis, action=OrthogonalAction((-np.eye(n),), order=2),
+    )
+    assert quotient_spectrum(model, lam) == orbit_walk_quotient_spectrum(
+        basis, -np.eye(n, dtype=np.int64), 2, lam
+    )
+
+
+def test_torus_enumeration_switches_to_python_ints_for_wide_forms():
+    # 0.1 has a 2^55 denominator, so the integer form cannot stay in int64.
+    skew = np.array([[1.0, 0.0], [0.1, 1.0]])
+    _, keys, _ = _dual_modes(skew, 2000.0)
+    assert keys.dtype == object
+    assert flat_torus_spectrum(skew, 2000.0) == fraction_torus_spectrum(skew, 2000.0)
+    _, keys, _ = _dual_modes(np.eye(2), 2000.0)
+    assert keys.dtype == np.int64
+
+
 def test_square_torus_levels():
     spec = flat_torus_spectrum(np.eye(2), 9 * PI2)
     # 4 pi^2 (p^2 + q^2): sums of two squares 0,1,2 -> mults 1,4,4
@@ -77,6 +163,18 @@ def test_square_torus_levels():
     assert abs(spec.entries[1][0] - 4 * PI2) < 1e-9 and spec.entries[1][1] == 4
     assert abs(spec.entries[2][0] - 8 * PI2) < 1e-9 and spec.entries[2][1] == 4
     assert spec.dimension == 2
+
+
+def test_circle_levels():
+    # R / L Z: eigenvalues 4 pi^2 k^2 / L^2, simple at k = 0 and double after.
+    for length in (0.5, 1.0, 3.0):
+        lam = 50 * PI2
+        spec = flat_torus_spectrum(np.array([[length]]), lam)
+        k_max = math.isqrt(int(lam * length**2 / (4 * PI2)))
+        assert [m for _, m in spec.entries] == [1] + [2] * k_max
+        for k, (v, _) in enumerate(spec.entries):
+            assert abs(v - 4 * PI2 * k * k / length**2) <= 1e-12 * max(1.0, v)
+        assert spec == fraction_torus_spectrum(np.array([[length]]), lam)
 
 
 def test_rectangular_torus_frozen_levels():
@@ -278,6 +376,20 @@ def test_torus_quotient_requires_lattice_symmetry():
     # a quarter turn does not preserve a 1 x 2 lattice
     with pytest.raises(DomainError):
         quotient_spectrum(model, 30.0)
+
+
+def test_torus_quotient_checks_the_declared_order():
+    # A quarter turn generates Z_4: declared as order 2 the orbit count read
+    # multiplicity 3 at 4 pi^2 (true: 1), and as order 6 the Z_4 spectrum.
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for order in (2, 6):
+        model = ModelOrbifold(
+            f"quarter-as-{order}", "torus_quotient", 2, 1.0 / order, 1.0, 0.0,
+            lattice_basis=np.eye(2), action=OrthogonalAction((quarter,), order=order),
+        )
+        with pytest.raises(CertificationError) as info:
+            quotient_spectrum(model, 5 * PI2)
+        assert info.value.stage == "torus-quotient"
 
 
 def test_quotient_spectrum_kind_and_shape_errors():

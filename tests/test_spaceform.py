@@ -87,6 +87,16 @@ def test_ball_volume_matches_quadrature_route():
         assert abs(a - b) < 1e-10 * max(1.0, b), (n, kappa, r, a, b)
 
 
+def test_flat_ball_volume_is_closed_form_in_every_dimension():
+    # kappa = 0 takes unit_ball_volume(n) r^n for every n, no quadrature.
+    for n in range(2, 9):
+        for r in (0.05, 0.7, 1.5, 4.0):
+            a = ball_volume(SpaceForm(n, 0.0), r)
+            assert a == unit_ball_volume(n) * r**n
+            b = ball_volume_quadrature(SpaceForm(n, 0.0), r)
+            assert abs(a - b) <= 1e-12 * b, (n, r, a, b)
+
+
 def test_ball_volume_monotone_and_domain():
     sf = SpaceForm(2, 1.0)
     grid = np.linspace(0.01, math.pi, 200)
