@@ -59,6 +59,10 @@ def spectrum_content_id(spec: Spectrum) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+class _TruncationSkip(DomainError):
+    """The spectrum stops below the ball threshold of a radius, hence of every smaller one."""
+
+
 def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[float, int]:
     """(D, rho): diameter bound from the eigenvalue count below the r-ball threshold.
 
@@ -78,7 +82,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     lam_thr = lambda_threshold(n, kappa, r)
     tol = RHO_TOL_SCALE * max(1.0, lam_thr)
     if spec.truncation < lam_thr + tol:
-        raise DomainError(
+        raise _TruncationSkip(
             f"spectrum truncation {spec.truncation:.9g} is below the ball threshold "
             f"{lam_thr:.9g}; the eigenvalue count there cannot be certified"
         )
@@ -105,42 +109,111 @@ def default_r_grid(
     return np.geomspace(lo, hi, points)
 
 
+class DiameterSearch(tuple):
+    """(D, r, rho) of the winning radius, with counts of the search that found it.
+
+    Unpacks and compares as the plain triple.  radii_in_grid is the grid
+    length, radii_solved the number of radii passed to diameter_bound, and
+    last_skip the reason the largest skipped radius was dropped (None when no
+    solved radius was skipped).
+    """
+
+    def __new__(cls, best, radii_in_grid: int, radii_solved: int, last_skip: str | None):
+        self = super().__new__(cls, best)
+        self.radii_in_grid = radii_in_grid
+        self.radii_solved = radii_solved
+        self.last_skip = last_skip
+        return self
+
+
 def best_diameter_bound(
     spec: Spectrum,
     kappa: float,
     n: int,
     r_grid=None,
     volume_hint: float | None = None,
-) -> tuple[float, float, int]:
+) -> DiameterSearch:
     """(D*, r*, rho*): smallest diameter bound over a radius grid; ties favor small r.
 
     Grid points whose ball threshold exceeds the spectrum truncation, that
     fall outside the curvature domain, or whose threshold solve does not
     converge are skipped; dropping a radius can only loosen the bound.
     Without an explicit grid a default is built from volume_hint.
+
+    The result is the minimum over every grid radius, but only radii that
+    can still win are solved.  The ball threshold strictly decreases in r
+    (domain monotonicity of the Dirichlet eigenvalue), so rho never grows
+    with r.  Hence a radius left of one whose threshold tops the truncation
+    is skipped too, and left of a certified radius b every radius r has
+    D(r) >= min(2 r (rho_b + 1), cap), with cap = pi / sqrt(kappa) when
+    kappa > 0.  The unsolved radii between solved ones form runs, each
+    bounded below at its left end by the largest certified rho to its
+    right (0 if none); the run with the lowest bound is split at
+    its midpoint until every run's bound exceeds the best D, or ties it
+    right of the best radius.  The first probes thus bisect toward the
+    first admissible radius.  The returned triple is always an actual
+    diameter_bound evaluation, so soundness does not rest on the pruning.
     """
     if r_grid is None:
         if volume_hint is None:
             raise DomainError("need either an explicit r_grid or a volume_hint")
         r_grid = default_r_grid(n, kappa, volume_hint)
-    radii = np.sort(np.asarray(r_grid, dtype=float))
-    if radii.size == 0:
+    radii = [float(r) for r in np.sort(np.asarray(r_grid, dtype=float))]
+    if not radii:
         raise DomainError("the radius grid is empty")
-    best: tuple[float, float, int] | None = None
-    last_reason = "empty grid"
-    for r in radii:
+    cap = bonnet_myers_cap(kappa) if kappa > 0 else math.inf
+    certified: dict[int, tuple[float, int]] = {}
+    skipped: dict[int, str] = {}
+    lo, best = 0, None  # every radius left of lo tops the truncation
+
+    def can_win(d: float, i: int) -> bool:
+        if best is None:
+            return True
+        d_best = certified[best][0]
+        return d < d_best or (d == d_best and i < best)
+
+    while True:
+        live = []
+        rho_right, end = 0, len(radii)
+        for i in range(len(radii) - 1, lo - 1, -1):
+            if i in certified:
+                rho_right = max(rho_right, certified[i][1])
+            if i in certified or i in skipped:
+                end = i
+            elif i == lo or i - 1 in certified or i - 1 in skipped:
+                # i starts the run [i, end) of unsolved radii: its lowest bound.
+                bound = min(2.0 * radii[i] * (rho_right + 1), cap)
+                if can_win(bound, i):
+                    live.append((bound, i, end))
+        if not live:
+            break
+        _, start, end = min(live)
+        i = (start + end) // 2
         try:
-            d, rho = diameter_bound(spec, kappa, n, float(r))
-        except (DomainError, ConvergenceError) as exc:
-            last_reason = str(exc)
+            d, rho = diameter_bound(spec, kappa, n, radii[i])
+        except _TruncationSkip as exc:
+            skipped[i] = str(exc)
+            lo = max(lo, i + 1)
             continue
-        if best is None or d < best[0]:
-            best = (d, float(r), rho)
+        except (DomainError, ConvergenceError) as exc:
+            skipped[i] = str(exc)
+            continue
+        certified[i] = (d, rho)
+        if can_win(d, i):
+            best = i
     if best is None:
+        # Nothing certified, so every radius from lo on was solved, the last included.
         raise CertificationError(
-            "diameter", f"no admissible radius in the grid; last failure: {last_reason}"
+            "diameter",
+            f"no admissible radius in the grid; last failure: {skipped[len(radii) - 1]}",
         )
-    return best
+    d, rho = certified[best]
+    return DiameterSearch(
+        (d, radii[best], rho),
+        radii_in_grid=len(radii),
+        radii_solved=len(certified) + len(skipped),
+        last_skip=skipped[max(skipped)] if skipped else None,
+    )
 
 
 def isotropy_order_cap(spec: Spectrum, kappa: float, fit, d: float) -> int:
@@ -436,8 +509,15 @@ def spectral_isotropy_bound(
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
-        d, r_used, rho = best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
-        out.update(diameter_bound=d, r=r_used)
+        search = best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
+        d, r_used, rho = search
+        out.update(
+            diameter_bound=d,
+            r=r_used,
+            radii_in_grid=search.radii_in_grid,
+            radii_solved=search.radii_solved,
+            last_skip=search.last_skip,
+        )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
         cap = isotropy_order_cap(spec, kappa, (n, v), d)
         out.update(isotropy_cap=cap)

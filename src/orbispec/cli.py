@@ -27,6 +27,7 @@ import sys
 
 from . import __version__
 from .bounds import (
+    _resolve_dimension_volume,
     best_diameter_bound,
     default_r_grid,
     isotropy_type_enumeration,
@@ -131,15 +132,7 @@ def _cmd_weyl(args: argparse.Namespace) -> dict:
 def _cmd_diameter(args: argparse.Namespace) -> dict:
     spec = _load_spectrum(args.spectrum)
     r_grid = _parse_r_grid(args.r_grid)
-    n, v = args.n, args.volume
-    source = "given"
-    if n is None:
-        n, _ = estimate_dimension(spec)
-        source = "weyl-estimated"
-    if v is None and r_grid is None:
-        fit = weyl_fit(spec)
-        v = fit.volume_estimate
-        source = "weyl-estimated"
+    n, v, source = _resolve_dimension_volume(spec, args.n, args.volume, [])
     d, r_used, rho = best_diameter_bound(spec, args.kappa, n, r_grid=r_grid, volume_hint=v)
     return {
         "n": n,

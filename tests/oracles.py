@@ -19,6 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.stats import norm, qmc
 
+from orbispec import bounds
 from orbispec.dirichlet import _first_bessel_zero
 from orbispec.errors import CertificationError, ConvergenceError, DomainError
 from orbispec.modelspectra import FOUR_PI_SQ, Spectrum
@@ -414,3 +415,29 @@ def hyperbolic_separation_radius(kappa: float, alpha: float, ell: float) -> floa
     """
     s = math.sqrt(-kappa)
     return 2.0 / s * math.atanh(math.tanh(s * ell) * math.sin(alpha))
+
+
+def exhaustive_diameter_bound(
+    spec: Spectrum, kappa: float, n: int, r_grid
+) -> tuple[float, float, int]:
+    """(D*, r*, rho*) by solving every grid radius in increasing order; ties favor small r.
+
+    The package prunes this scan by threshold monotonicity and must return
+    the same triple.  Radii are certified through the package's module-level
+    diameter_bound, so a monkeypatched threshold reaches both routes.
+    """
+    best = None
+    last_reason = "empty grid"
+    for r in np.sort(np.asarray(r_grid, dtype=float)):
+        try:
+            d, rho = bounds.diameter_bound(spec, kappa, n, float(r))
+        except (DomainError, ConvergenceError) as exc:
+            last_reason = str(exc)
+            continue
+        if best is None or d < best[0]:
+            best = (d, float(r), rho)
+    if best is None:
+        raise CertificationError(
+            "diameter", f"no admissible radius in the grid; last failure: {last_reason}"
+        )
+    return best

@@ -1,8 +1,11 @@
 """Certified diameter, isotropy, and singular-point bounds."""
 from __future__ import annotations
 
+import functools
+import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from orbispec import (
     isotropy_type_enumeration,
     lambda_threshold,
     law_of_cosines_side,
+    model_catalog,
     r_constant,
     singular_point_cap,
     spectral_isotropy_bound,
@@ -38,7 +42,9 @@ from orbispec import (
 )
 from orbispec import bounds as bounds_module
 from orbispec.bounds import SHRINK
+from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from oracles import (
+    exhaustive_diameter_bound,
     flat_separation_radius,
     gauss_legendre_linked_complement,
     hyperbolic_separation_radius,
@@ -148,6 +154,124 @@ def test_best_diameter_bound_skips_unconverged_radius(monkeypatch):
     assert (d, rho) == diameter_bound(spec, kappa, 3, 1.2)
     with pytest.raises(CertificationError, match="solver did not converge"):
         best_diameter_bound(spec, kappa, 3, r_grid=[bad_r])
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_spectrum(model_id: str, truncation: float):
+    model = catalog_model(model_id)
+    return model, model.spectrum(truncation)
+
+
+def _search_outcome(search, *args):
+    """The (D, r, rho) triple, or the stage and text of the CertificationError."""
+    try:
+        return tuple(search(*args))
+    except CertificationError as exc:
+        return ("error", exc.stage, str(exc))
+
+
+@st.composite
+def _radius_grids(draw, n, kappa, volume):
+    """Default grids, or unsorted radii with duplicates that may pass the antipodal cap."""
+    if draw(st.booleans()):
+        return list(default_r_grid(n, kappa, volume, points=draw(st.integers(2, 64))))
+    exponents = st.floats(min_value=-3.0, max_value=math.log10(8.0))
+    radii = draw(st.lists(exponents.map(lambda e: 10.0**e), min_size=1, max_size=24))
+    radii += draw(st.lists(st.sampled_from(radii), max_size=4))
+    return draw(st.permutations(radii))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_id=st.sampled_from([m.model_id for m in model_catalog()]),
+    truncation=st.sampled_from([60.0, 400.0, 1640.0, 10100.0]),
+    curvature_shift=st.sampled_from([0.0, -0.75, -1.0, -1.5]),
+    data=st.data(),
+)
+def test_best_diameter_bound_equals_exhaustive_scan(model_id, truncation, curvature_shift, data):
+    # Catalog n is 2 or 3; kappa = model kappa + shift covers all three
+    # curvature signs.  Failures must match too: same stage, same last-failure text.
+    model, spec = _catalog_spectrum(model_id, truncation)
+    n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
+    grid = data.draw(_radius_grids(n, kappa, model.volume))
+    args = (spec, kappa, n, grid)
+    assert _search_outcome(best_diameter_bound, *args) == _search_outcome(
+        exhaustive_diameter_bound, *args
+    )
+    # A threshold solve that fails at a radius in the middle of the grid.
+    bad_r = sorted(grid)[len(grid) // 2]
+    real = bounds_module.lambda_threshold
+
+    def flaky(n, k, r):
+        if r == bad_r:
+            raise ConvergenceError(f"solver did not converge at r = {r!r}")
+        return real(n, k, r)
+
+    with mock.patch.object(bounds_module, "lambda_threshold", flaky):
+        assert _search_outcome(best_diameter_bound, *args) == _search_outcome(
+            exhaustive_diameter_bound, *args
+        )
+
+
+def test_best_diameter_bound_without_admissible_radius_names_the_largest():
+    # Radii below the truncation's threshold and past the antipodal cap: the
+    # error names the failure at the largest radius, as the full scan does.
+    _, spec = _catalog_spectrum("s2", 60.0)
+    for kappa, grid in (
+        (1.0, [0.01, 0.02, 4.0]),
+        (1.0, [0.01, 0.02, 0.03]),
+        (1.0, [4.0, 5.0, 0.01]),
+        (0.0, [0.01] * 5),
+    ):
+        got = _search_outcome(best_diameter_bound, spec, kappa, 2, grid)
+        assert got[:2] == ("error", "diameter")
+        assert got == _search_outcome(exhaustive_diameter_bound, spec, kappa, 2, grid)
+    err = _search_outcome(best_diameter_bound, spec, 1.0, 2, [0.01, 4.0])
+    assert "antipodal cap" in err[2]
+
+
+@pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
+def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
+    # The 64-point default grid at both verify truncations: the pruned search
+    # solves at most 20 thresholds and still returns the full scan's triple.
+    model = catalog_model(model_id)
+    n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
+    grid = default_r_grid(n, kappa, v)
+    assert len(grid) == 64
+    real = bounds_module.lambda_threshold
+    calls = []
+
+    def counted(n, k, r):
+        calls.append(r)
+        return real(n, k, r)
+
+    monkeypatch.setattr(bounds_module, "lambda_threshold", counted)
+    for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
+        spec = model.spectrum(truncation)
+        calls.clear()
+        search = best_diameter_bound(spec, kappa, n, r_grid=grid)
+        assert len(calls) <= 20, (truncation, len(calls))
+        assert search.radii_in_grid == 64 and search.radii_solved == len(calls)
+        assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
+
+
+def test_diameter_stage_records_search_counts():
+    model = catalog_model("s2-mod-3")
+    spec = model.spectrum(400.0)
+    grid = [0.01, 0.4, 0.8, 1.5]  # 0.01 tops the truncation
+    rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=grid)
+    stage = next(s for s in rep.stage_trace if s["stage"] == "diameter")["outputs"]
+    assert stage["radii_in_grid"] == 4
+    assert 1 <= stage["radii_solved"] <= 4
+    assert "below the ball threshold" in stage["last_skip"]
+    clean = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8])
+    assert next(s for s in clean.stage_trace if s["stage"] == "diameter")["outputs"][
+        "last_skip"
+    ] is None
+    # Counts, not timings: the report stays reproducible and serializable.
+    again = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume, r_grid=grid)
+    assert again.to_dict() == rep.to_dict()
+    assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
 
 
 def test_isotropy_order_cap_exact_on_sphere_quotients(s2_spectrum):

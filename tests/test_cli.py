@@ -7,6 +7,7 @@ import math
 import pytest
 
 from orbispec import (
+    Spectrum,
     __version__,
     catalog_model,
     default_r_grid,
@@ -15,6 +16,7 @@ from orbispec import (
     spectral_singular_point_bound,
 )
 from orbispec.cli import main
+from orbispec.weyl import estimate_volume
 
 
 def run_cli(capsys, *argv):
@@ -86,8 +88,41 @@ def test_weyl_and_diameter_round_trip(capsys, tmp_path):
         "0.5,1.0",
     )
     assert doc["diameter_bound"] == math.pi
-    assert doc["source"] == "given"
+    # --n alone: the volume hint is still resolved, from the spectrum.
+    assert doc["source"] == "weyl-estimated"
+    spec = Spectrum.from_dict(json.loads(target.read_text())["spectrum"])
+    assert doc["volume_hint"] == estimate_volume(spec, 2)
     assert doc["rho"] >= 1
+    given = run_json(
+        capsys, "diameter", "--spectrum", str(target), "--kappa", "1", "--n", "2",
+        "--volume", "12.5", "--r-grid", "0.5,1.0",
+    )
+    assert given["source"] == "given" and given["volume_hint"] == 12.5
+    assert (given["diameter_bound"], given["r"], given["rho"]) == (
+        doc["diameter_bound"], doc["r"], doc["rho"]
+    )
+
+
+def test_diameter_command_resolves_dimension_like_the_pipelines(capsys, tmp_path):
+    # s2-mod-3 declares dimension 2: --n 3 is the same stage failure as in
+    # the isotropy pipeline, not a bound with a 2-D volume hint.
+    path = _write_spectrum(tmp_path, "s2-mod-3", 1640.0)
+    for command in ("diameter", "isotropy"):
+        code, out, err = run_cli(
+            capsys, command, "--spectrum", str(path), "--kappa", "1", "--n", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error[weyl-dimension]")
+    # Without a declared dimension the volume hint is fitted at the given n.
+    payload = json.loads(path.read_text())
+    del payload["dimension"]
+    path.write_text(json.dumps(payload))
+    spec = Spectrum.from_dict(payload)
+    for n in (2, 3):
+        doc = run_json(capsys, "diameter", "--spectrum", str(path), "--kappa", "1", "--n", str(n))
+        assert doc["n"] == n
+        assert doc["volume_hint"] == estimate_volume(spec, n)
+        assert doc["source"] == "weyl-estimated"
 
 
 def test_isotropy_command_matches_library(capsys, tmp_path):
