@@ -70,7 +70,6 @@ from .netpack import (
 from .spaceform import (
     SpaceForm,
     ball_volume,
-    ball_volume_quadrature,
     bonnet_myers_cap,
     cone_volume,
     generalized_sin,
@@ -87,7 +86,7 @@ __all__ = [
     "DomainError", "ConvergenceError", "CertificationError", "IndeterminateError",
     # spaceform
     "SpaceForm", "generalized_sin", "bonnet_myers_cap", "sphere_measure", "unit_ball_volume",
-    "ball_volume", "ball_volume_quadrature", "linked_complement_measure", "cone_volume",
+    "ball_volume", "linked_complement_measure", "cone_volume",
     "law_of_cosines_side",
     # dirichlet
     "lowest_dirichlet_eigenvalue",

@@ -16,8 +16,8 @@ soundness argument survives floating point.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -54,9 +54,17 @@ def lambda_threshold(n: int, kappa: float, r: float) -> float:
 
 
 def spectrum_content_id(spec: Spectrum) -> str:
-    """Content-addressed id: identical spectra give identical reports."""
-    payload = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    """Content-addressed id: identical spectra give identical reports.
+
+    SHA-256 (first 16 hex digits) of a fixed header (truncation as <f8, entry
+    count as <u8), the eigenvalues as <f8 and multiplicities as <i8, then
+    the declared dimension as text.
+    """
+    digest = hashlib.sha256(struct.pack("<dQ", float(spec.truncation), len(spec.entries)))
+    digest.update(spec.values.astype("<f8", copy=False))
+    digest.update(spec.multiplicities.astype("<i8", copy=False))
+    digest.update(str(spec.dimension).encode("ascii"))
+    return digest.hexdigest()[:16]
 
 
 class _TruncationSkip(DomainError):

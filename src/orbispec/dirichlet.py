@@ -12,10 +12,12 @@ and the diameter bound needs its lowest eigenvalue never *under*-estimated
 * n = 3, any kappa: lam = pi^2 / r^2 - kappa exactly, since
   f = sin(sqrt(lam + kappa) t) / sn(t) solves the equation.
 * otherwise: the scaling law lam(n, kappa, r) = lam(n, kappa r^2, 1) / r^2
-  and a quadratic-element (P2) Galerkin discretization on [0, 1].  The
-  returned value is the Rayleigh quotient of a P2 trial function, which by
-  Rayleigh-Ritz lies at or above the true eigenvalue whether or not the
-  inverse iteration producing it has fully converged.
+  and a quadratic-element (P2) Galerkin discretization on [0, 1].  Shifted
+  inverse iteration runs on LAPACK's banded Cholesky factor (pbtrf/pbtrs)
+  with a BLAS banded product (sbmv) and stops once the normalized iterate
+  stops moving.  The returned value is one exact element-wise Rayleigh
+  quotient of that final P2 trial function, which by Rayleigh-Ritz lies at
+  or above the true eigenvalue whether or not the iteration has converged.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -37,9 +39,10 @@ CAP_SHRINK = 1.0 - 1e-9
 
 # P2 elements on [0, 1]: 100 keeps the hemisphere value within 1e-8 of n.
 RITZ_ELEMENTS = 100
-# Inverse iteration stops once the Rayleigh quotient drops by less than this
-# relative amount, or after RITZ_MAX_ITER steps; either way it is an upper bound.
-RITZ_RTOL = 1e-15
+# Inverse iteration stops once the max-norm change of the iterate (scaled to
+# max-norm 1) is at most this, or after RITZ_MAX_ITER steps; either way the
+# Rayleigh quotient of the last iterate is an upper bound.
+RITZ_ITERATE_TOL = 1e-9
 RITZ_MAX_ITER = 200
 
 # Six-point Gauss-Legendre rule on the reference element [0, 1], and the
@@ -50,6 +53,24 @@ _XI = 0.5 * (_GL_X + 1.0)
 _OMEGA = 0.5 * _GL_W
 _SHAPE = np.array([2 * _XI**2 - 3 * _XI + 1, 4 * _XI * (1 - _XI), 2 * _XI**2 - _XI])
 _DSHAPE = np.array([4 * _XI - 3, 4 - 8 * _XI, 4 * _XI - 1])
+
+# Quadrature points of every element (one row each); the weighted
+# shape-function products behind the six distinct entries of an element
+# matrix (rows quadrature points, columns the pairs below), so that one
+# matmul with the volume density assembles every element; and the cosine
+# start vector on the free nodes.
+_H = 1.0 / RITZ_ELEMENTS
+_T = (np.arange(RITZ_ELEMENTS)[:, None] + _XI[None, :]) * _H
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+_MASS_TABLE = _H * np.stack([_SHAPE[a] * _SHAPE[b] * _OMEGA for a, b in _PAIRS], axis=1)
+_STIFF_TABLE = np.stack([_DSHAPE[a] * _DSHAPE[b] * _OMEGA for a, b in _PAIRS], axis=1) / _H
+_START = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * RITZ_ELEMENTS + 1)[:-1])
+_START.setflags(write=False)
+
+# Banded Cholesky factor and solve, and the symmetric banded product, all in
+# LAPACK's upper band storage with two superdiagonals.
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+_sbmv = get_blas_funcs("sbmv", dtype=np.float64)
 
 
 def _check_ball(sf: SpaceForm, r: float):
@@ -79,73 +100,71 @@ def _first_bessel_zero(n: int) -> float:
 
 
 def _assemble_band(local: np.ndarray) -> np.ndarray:
-    """Upper banded form (3 rows) of the global matrix from per-element 3x3 blocks.
+    """Upper banded form (3 rows) of the global matrix from per-element entries.
 
-    Element e owns nodes 2e, 2e+1, 2e+2; the last node carries the Dirichlet
-    condition and is dropped.
+    local holds the six distinct entries of each element matrix, in the
+    order of _PAIRS.  Element e owns nodes 2e, 2e+1, 2e+2; the last node
+    carries the Dirichlet condition and is dropped.
     """
-    m = local.shape[0]
+    m = RITZ_ELEMENTS
     ab = np.zeros((3, 2 * m + 1))
-    ab[2, 0:2 * m:2] += local[:, 0, 0]
-    ab[2, 1::2] += local[:, 1, 1]
-    ab[2, 2::2] += local[:, 2, 2]
-    ab[1, 1::2] += local[:, 0, 1]
-    ab[1, 2::2] += local[:, 1, 2]
-    ab[0, 2::2] += local[:, 0, 2]
+    ab[2, 0:2 * m:2] = local[:, 0]
+    ab[2, 1::2] = local[:, 1]
+    ab[2, 2::2] += local[:, 2]
+    ab[1, 1::2] = local[:, 3]
+    ab[1, 2::2] = local[:, 4]
+    ab[0, 2::2] = local[:, 5]
     return ab[:, :-1]
-
-
-def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of the symmetric matrix in upper banded form with x."""
-    y = ab[2] * x
-    y[:-1] += ab[1, 1:] * x[1:]
-    y[1:] += ab[1, 1:] * x[:-1]
-    y[:-2] += ab[0, 2:] * x[2:]
-    y[2:] += ab[0, 2:] * x[:-2]
-    return y
 
 
 def _ritz_unit_ball(n: int, kappa: float) -> float:
     """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball.
 
-    Inverse iteration on the stiffness/mass pencil shifted by sigma.  When
-    kappa < 0, sigma is McKean's lower bound (n-1)^2 |kappa| / 4 on the
-    spectrum, so large hyperbolic balls converge as fast as small ones; the
-    shifted pencil stays positive definite because every Ritz value lies
-    above the true eigenvalue.  When kappa >= 0, sigma = -1 keeps the
-    factorization positive definite near the antipodal cap, where the lowest
-    eigenvalue underflows.  The shift only steers the iteration: the
-    returned quotient is that of the unshifted forms, summed from squared
-    gradients and values element by element, so it carries no cancellation.
+    Inverse iteration on the stiffness/mass pencil shifted by sigma, with a
+    banded Cholesky factor.  When kappa < 0, sigma is McKean's lower bound
+    (n-1)^2 |kappa| / 4 on the spectrum, so large hyperbolic balls converge
+    as fast as small ones; the shifted pencil stays positive definite
+    because every Ritz value lies above the true eigenvalue.  When
+    kappa >= 0, sigma = -1 keeps the factorization positive definite near
+    the antipodal cap, where the lowest eigenvalue underflows.  The
+    iteration stops once the iterate moves by at most RITZ_ITERATE_TOL in
+    max norm.  The shift and the stop only steer the iteration: the returned
+    value is the Rayleigh quotient of the final iterate under the unshifted
+    forms, summed from squared gradients and values element by element, so
+    it carries no cancellation and bounds the eigenvalue from above whether
+    or not the iteration has converged.
     """
-    m = RITZ_ELEMENTS
-    h = 1.0 / m
-    t = (np.arange(m)[:, None] + _XI[None, :]) * h
-    wq = generalized_sin(kappa, t) ** (n - 1) * _OMEGA
-    if not np.isfinite(wq).all():
+    w = generalized_sin(kappa, _T) ** (n - 1)
+    if not np.isfinite(w).all():
         raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
-    mass = _assemble_band(h * np.einsum("eq,aq,bq->eab", wq, _SHAPE, _SHAPE))
-    stiff = _assemble_band(np.einsum("eq,aq,bq->eab", wq, _DSHAPE, _DSHAPE) / h)
+    mass = _assemble_band(w @ _MASS_TABLE)
+    stiff = _assemble_band(w @ _STIFF_TABLE)
     sigma = 0.25 * (n - 1) ** 2 * -kappa if kappa < 0 else -1.0
-    chol = cholesky_banded(stiff - sigma * mass)
-
-    def quotient(x: np.ndarray) -> float:
-        nodes = np.append(x, 0.0)
-        local = np.stack([nodes[0:-1:2], nodes[1::2], nodes[2::2]], axis=1)
-        grad = local @ _DSHAPE
-        val = local @ _SHAPE
-        return float(np.sum(wq * grad * grad)) / (h * h * float(np.sum(wq * val * val)))
-
-    x = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * m + 1)[:-1])
-    best = quotient(x)
+    chol, info = _pbtrf(stiff - sigma * mass)
+    if info != 0:
+        raise ConvergenceError(
+            f"banded Cholesky of the shifted Ritz pencil failed (LAPACK pbtrf info {info}) "
+            f"at n = {n}, kappa r^2 = {kappa!r}"
+        )
+    x = _START
     for _ in range(RITZ_MAX_ITER):
-        x = cho_solve_banded((chol, False), _band_matvec(mass, x), check_finite=False)
-        x /= np.abs(x).max()
-        q = quotient(x)
-        if best - q <= RITZ_RTOL * q:
-            return min(best, q)
-        best = q
-    return best
+        y, info = _pbtrs(chol, _sbmv(2, 1.0, mass, x))
+        if info != 0:
+            raise ConvergenceError(
+                f"banded Cholesky solve of the Ritz pencil failed (LAPACK pbtrs info {info}) "
+                f"at n = {n}, kappa r^2 = {kappa!r}"
+            )
+        y /= np.abs(y).max()
+        step = np.abs(y - x).max()
+        x = y
+        if step <= RITZ_ITERATE_TOL:
+            break
+    nodes = np.append(x, 0.0)
+    local = np.stack([nodes[0:-1:2], nodes[1::2], nodes[2::2]], axis=1)
+    grad = local @ _DSHAPE
+    val = local @ _SHAPE
+    wq = w * _OMEGA
+    return float(np.sum(wq * grad * grad)) / (_H * _H * float(np.sum(wq * val * val)))
 
 
 def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float) -> float:

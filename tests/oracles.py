@@ -14,16 +14,25 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import integrate
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.stats import norm, qmc
 
 from orbispec import bounds
-from orbispec.dirichlet import _first_bessel_zero
+from orbispec.dirichlet import (
+    _DSHAPE,
+    _OMEGA,
+    _SHAPE,
+    _XI,
+    RITZ_ELEMENTS,
+    RITZ_MAX_ITER,
+    _first_bessel_zero,
+)
 from orbispec.errors import CertificationError, ConvergenceError, DomainError
 from orbispec.modelspectra import FOUR_PI_SQ, Spectrum
-from orbispec.spaceform import SpaceForm, generalized_sin, sphere_measure
+from orbispec.spaceform import SpaceForm, _check_radius, generalized_sin, sphere_measure
 
 # Shooting-solver knobs: bracket growth factor, relative root tolerance, and
 # the cap on bracket expansions and root iterations.
@@ -441,3 +450,104 @@ def exhaustive_diameter_bound(
             "diameter", f"no admissible radius in the grid; last failure: {last_reason}"
         )
     return best
+
+
+# Stop of the reference Ritz kernel: the Rayleigh quotient drops by less
+# than this relative amount.
+RITZ_RTOL = 1e-15
+
+
+def _reference_assemble_band(local: np.ndarray) -> np.ndarray:
+    """Upper banded form (3 rows) of the global matrix from per-element 3x3 blocks.
+
+    Element e owns nodes 2e, 2e+1, 2e+2; the last node carries the Dirichlet
+    condition and is dropped.
+    """
+    m = local.shape[0]
+    ab = np.zeros((3, 2 * m + 1))
+    ab[2, 0:2 * m:2] += local[:, 0, 0]
+    ab[2, 1::2] += local[:, 1, 1]
+    ab[2, 2::2] += local[:, 2, 2]
+    ab[1, 1::2] += local[:, 0, 1]
+    ab[1, 2::2] += local[:, 1, 2]
+    ab[0, 2::2] += local[:, 0, 2]
+    return ab[:, :-1]
+
+
+def _reference_band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric matrix in upper banded form with x."""
+    y = ab[2] * x
+    y[:-1] += ab[1, 1:] * x[1:]
+    y[1:] += ab[1, 1:] * x[:-1]
+    y[:-2] += ab[0, 2:] * x[2:]
+    y[2:] += ab[0, 2:] * x[:-2]
+    return y
+
+
+def reference_ritz_unit_ball(n: int, kappa: float) -> float:
+    """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball.
+
+    The package's kernel before it moved to direct LAPACK/BLAS calls and an
+    iterate-change stop: the same mesh, quadrature, shift and start vector,
+    with scipy's banded Cholesky wrappers, a NumPy band product and a
+    Rayleigh-quotient stop.  The package must agree with it to rounding.
+
+    Inverse iteration on the stiffness/mass pencil shifted by sigma.  When
+    kappa < 0, sigma is McKean's lower bound (n-1)^2 |kappa| / 4 on the
+    spectrum, so large hyperbolic balls converge as fast as small ones; the
+    shifted pencil stays positive definite because every Ritz value lies
+    above the true eigenvalue.  When kappa >= 0, sigma = -1 keeps the
+    factorization positive definite near the antipodal cap, where the lowest
+    eigenvalue underflows.  The shift only steers the iteration: the
+    returned quotient is that of the unshifted forms, summed from squared
+    gradients and values element by element, so it carries no cancellation.
+    """
+    m = RITZ_ELEMENTS
+    h = 1.0 / m
+    t = (np.arange(m)[:, None] + _XI[None, :]) * h
+    wq = generalized_sin(kappa, t) ** (n - 1) * _OMEGA
+    if not np.isfinite(wq).all():
+        raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
+    mass = _reference_assemble_band(h * np.einsum("eq,aq,bq->eab", wq, _SHAPE, _SHAPE))
+    stiff = _reference_assemble_band(np.einsum("eq,aq,bq->eab", wq, _DSHAPE, _DSHAPE) / h)
+    sigma = 0.25 * (n - 1) ** 2 * -kappa if kappa < 0 else -1.0
+    chol = cholesky_banded(stiff - sigma * mass)
+
+    def quotient(x: np.ndarray) -> float:
+        nodes = np.append(x, 0.0)
+        local = np.stack([nodes[0:-1:2], nodes[1::2], nodes[2::2]], axis=1)
+        grad = local @ _DSHAPE
+        val = local @ _SHAPE
+        return float(np.sum(wq * grad * grad)) / (h * h * float(np.sum(wq * val * val)))
+
+    x = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * m + 1)[:-1])
+    best = quotient(x)
+    for _ in range(RITZ_MAX_ITER):
+        x = cho_solve_banded((chol, False), _reference_band_matvec(mass, x), check_finite=False)
+        x /= np.abs(x).max()
+        q = quotient(x)
+        if best - q <= RITZ_RTOL * q:
+            return min(best, q)
+        best = q
+    return best
+
+
+def ball_volume_quadrature(sf: SpaceForm, r: float) -> float:
+    """Reference integrator for the geodesic ball volume (any dimension).
+
+    sphere_measure(n-1) * integral_0^r generalized_sin(kappa, t)^(n-1) dt,
+    by adaptive quadrature at ~1e-12 relative accuracy.
+    """
+    _check_radius(sf.kappa, r)
+    if r == 0.0:
+        return 0.0
+    n, kappa = sf.n, sf.kappa
+    val, _ = integrate.quad(
+        lambda t: generalized_sin(kappa, t) ** (n - 1),
+        0.0,
+        r,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        limit=200,
+    )
+    return sphere_measure(n - 1) * val

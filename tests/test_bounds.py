@@ -69,6 +69,29 @@ def test_spectrum_content_id_is_content_addressed():
     assert all(ch in "0123456789abcdef" for ch in spectrum_content_id(a))
 
 
+def test_spectrum_content_id_round_trips_and_sees_every_field():
+    spec = catalog_model("s2-mod-3").spectrum(2000.0)
+    base = spectrum_content_id(spec)
+    assert spectrum_content_id(Spectrum.from_dict(spec.to_dict())) == base
+    entries = list(spec.entries)
+    val, mult = entries[1]
+    one_ulp = entries[:1] + [(float(np.nextafter(val, math.inf)), mult)] + entries[2:]
+    more = entries[:1] + [(val, mult + 1)] + entries[2:]
+    variants = [
+        Spectrum(tuple(one_ulp), spec.truncation, spec.dimension),
+        Spectrum(tuple(more), spec.truncation, spec.dimension),
+        Spectrum(spec.entries, float(np.nextafter(spec.truncation, math.inf)), spec.dimension),
+    ]
+    ids = {base} | {spectrum_content_id(v) for v in variants}
+    assert len(ids) == 4
+    undeclared = Spectrum(spec.entries, spec.truncation)
+    declared = Spectrum(spec.entries, spec.truncation, 2)
+    assert spectrum_content_id(undeclared) != spectrum_content_id(declared)
+    assert spectrum_content_id(Spectrum.from_dict(undeclared.to_dict())) == spectrum_content_id(
+        undeclared
+    )
+
+
 def test_diameter_bound_counts_and_clamps(s2_spectrum, catalog_spectra):
     # On the round sphere any admissible radius reaches the Bonnet-Myers clamp.
     d, rho = diameter_bound(s2_spectrum, 1.0, 2, 1.0)

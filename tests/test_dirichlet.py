@@ -11,12 +11,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from orbispec.bounds import lambda_threshold
-from orbispec.dirichlet import _first_bessel_zero, lowest_dirichlet_eigenvalue
+from orbispec import dirichlet
+from orbispec.bounds import best_diameter_bound, lambda_threshold
+from orbispec.dirichlet import _first_bessel_zero, _ritz_unit_ball, lowest_dirichlet_eigenvalue
 from orbispec.errors import ConvergenceError, DomainError
+from orbispec.modelspectra import catalog_model
 from orbispec.spaceform import SpaceForm
 
-from oracles import finite_difference_eigenvalue, richardson_fd_eigenvalue, shooting_eigenvalue
+from oracles import (
+    exhaustive_diameter_bound,
+    finite_difference_eigenvalue,
+    reference_ritz_unit_ball,
+    richardson_fd_eigenvalue,
+    shooting_eigenvalue,
+)
 
 # A (curvature, radius) key at which scipy's event location inside the
 # shooting oracle's radial ODE fails to bracket the zero crossing.
@@ -208,3 +216,78 @@ def test_dimension_three_matches_shooting_oracle(sign, size, u):
 def test_flat_threshold_matches_bessel_zeros(n, r):
     want = (float(jn_zeros(n // 2 - 1, 1)[0]) / r) ** 2
     assert abs(lambda_threshold(n, 0.0, r) - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# The banded LAPACK/BLAS kernel against the reference Ritz kernel.
+
+
+@settings(max_examples=60, deadline=None)
+@given(ritz_keys())
+def test_ritz_kernel_matches_reference_kernel(key):
+    # Same mesh, quadrature, shift and start vector: only the stop test and
+    # the linear-algebra calls differ, so the quotients agree to rounding.
+    n, kappa, r = key
+    s = kappa * r * r
+    want = reference_ritz_unit_ball(n, s)
+    assert abs(_ritz_unit_ball(n, s) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "n, s",
+    [
+        (10, (0.999 * math.pi) ** 2),
+        (2, -1600.0),
+        (10, -1600.0),
+        (2, 1e-9),
+        (2, -1e-9),
+        (5, 1e-9),
+        (5, -1e-9),
+    ],
+)
+def test_ritz_kernel_matches_reference_at_extreme_keys(n, s):
+    want = reference_ritz_unit_ball(n, s)
+    assert abs(_ritz_unit_ball(n, s) - want) <= 1e-10 * want
+
+
+def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
+    # A nonzero LAPACK info must surface as a ConvergenceError naming the
+    # key, never as garbage or an untyped LinAlgError, and the diameter
+    # search must drop that radius like any other unconverged one.
+    spec = catalog_model("s2-mod-3").spectrum(2000.0)
+    kappa, n = 1.0, 2
+    grid = np.geomspace(0.05, 0.999 * math.pi, 24)
+    _, r_win, _ = best_diameter_bound(spec, kappa, n, r_grid=grid)
+
+    real_pbtrf = dirichlet._pbtrf
+    pencils = []
+
+    def spy(ab, **kw):
+        pencils.append(np.array(ab))
+        return real_pbtrf(ab, **kw)
+
+    monkeypatch.setattr(dirichlet, "_pbtrf", spy)
+    lambda_threshold(n, kappa, r_win)
+    bad_pencil = pencils[-1]
+
+    def failing(ab, **kw):
+        if np.array_equal(ab, bad_pencil):
+            return np.array(ab), 3
+        return real_pbtrf(ab, **kw)
+
+    monkeypatch.setattr(dirichlet, "_pbtrf", failing)
+    key_text = f"kappa r^2 = {kappa * r_win * r_win!r}"
+    with pytest.raises(ConvergenceError, match="pbtrf info 3") as err:
+        lambda_threshold(n, kappa, r_win)
+    assert key_text in str(err.value)
+
+    found = best_diameter_bound(spec, kappa, n, r_grid=grid)
+    assert found == exhaustive_diameter_bound(spec, kappa, n, grid)
+    assert found[1] != r_win
+    assert "pbtrf info 3" in found.last_skip
+
+    monkeypatch.setattr(dirichlet, "_pbtrf", real_pbtrf)
+    monkeypatch.setattr(dirichlet, "_pbtrs", lambda chol, b, **kw: (b, -2))
+    with pytest.raises(ConvergenceError, match="pbtrs info -2"):
+        lambda_threshold(n, kappa, r_win)
+

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbispec.errors import DomainError
 from orbispec.spaceform import (
     SpaceForm,
     ball_volume,
-    ball_volume_quadrature,
     bonnet_myers_cap,
     cone_volume,
     generalized_sin,
@@ -21,7 +22,11 @@ from orbispec.spaceform import (
     unit_ball_volume,
 )
 
-from oracles import gauss_legendre_linked_complement, sobol_two_cap_complement
+from oracles import (
+    ball_volume_quadrature,
+    gauss_legendre_linked_complement,
+    sobol_two_cap_complement,
+)
 
 
 def test_generalized_sin_closed_forms():
@@ -95,6 +100,44 @@ def test_flat_ball_volume_is_closed_form_in_every_dimension():
             assert a == unit_ball_volume(n) * r**n
             b = ball_volume_quadrature(SpaceForm(n, 0.0), r)
             assert abs(a - b) <= 1e-12 * b, (n, r, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(-12.0, 2.0),
+    st.floats(0.05, 4.0),
+)
+@example(4, 1.0, 2.0, 1.0)  # clipped to 0.999 of the antipodal cap
+@example(8, 1.0, 2.0, 3.0)
+@example(5, -1.0, 2.0, 1.0)
+@example(3, 1.0, -4.0, 0.5)  # near-flat n = 3, formerly quadrature
+@example(3, -1.0, -0.01, 2.0)  # just below the n = 3 elementary switch
+@example(3, 1.0, -3.99, 1.0)  # the n = 3 elementary form cancels here
+@example(3, -1.0, -3.99, 0.3)
+@example(6, 1.0, -12.0, 0.3)
+@example(6, -1.0, -12.0, 0.3)
+def test_ball_volume_closed_forms_match_quadrature_oracle(n, sign, log_size, r):
+    # |kappa| r^2 = 10^log_size, capped at (0.999 pi)^2 so positive curvature
+    # stays inside the antipodal cap; sign 0 is the flat case
+    size = min(10.0**log_size, (0.999 * math.pi) ** 2)
+    sf = SpaceForm(n, sign * size / (r * r))
+    want = ball_volume_quadrature(sf, r)
+    assert abs(ball_volume(sf, r) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 1e-9, -1e-9])
+def test_ball_volume_strictly_increasing_in_radius(n, kappa):
+    cap = bonnet_myers_cap(kappa) if kappa > 0 else 6.0
+    radii = list(np.linspace(0.01, 0.999, 300) * cap)
+    # both sides of the switches at sqrt(kappa) r = pi/4 and |kappa| r^2 = 1
+    for edge in (0.25 * math.pi / math.sqrt(abs(kappa)), 1.0 / math.sqrt(abs(kappa))):
+        radii += [edge * (1 - 1e-9), edge, edge * (1 + 1e-9)]
+    radii = sorted(r for r in radii if r < cap)
+    vols = [ball_volume(SpaceForm(n, kappa), float(r)) for r in radii]
+    assert all(b > a for a, b in zip(vols, vols[1:])), n
 
 
 def test_ball_volume_monotone_and_domain():
