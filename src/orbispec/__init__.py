@@ -38,9 +38,6 @@ from .groups import (
     action_from_dict,
     antipodal_action,
     cyclic_generator,
-    in_open_hemisphere,
-    orbit,
-    orbit_sum,
     sphere_rotation_action,
 )
 from .modelspectra import (
@@ -73,7 +70,6 @@ from .spaceform import (
     bonnet_myers_cap,
     cone_volume,
     generalized_sin,
-    law_of_cosines_side,
     linked_complement_measure,
     sphere_measure,
     unit_ball_volume,
@@ -87,12 +83,11 @@ __all__ = [
     # spaceform
     "SpaceForm", "generalized_sin", "bonnet_myers_cap", "sphere_measure", "unit_ball_volume",
     "ball_volume", "linked_complement_measure", "cone_volume",
-    "law_of_cosines_side",
     # dirichlet
     "lowest_dirichlet_eigenvalue",
     # groups
     "OrthogonalAction", "cyclic_generator", "sphere_rotation_action", "antipodal_action",
-    "action_from_dict", "orbit", "orbit_sum", "in_open_hemisphere",
+    "action_from_dict",
     # modelspectra
     "Spectrum", "counting_function", "flat_torus_spectrum", "sphere_spectrum",
     "harmonic_multiplicity", "invariant_multiplicity", "quotient_spectrum",

@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import betaincinv
 
 from .dirichlet import lowest_dirichlet_eigenvalue
@@ -34,6 +33,8 @@ from .spaceform import (
     bonnet_myers_cap,
     cone_volume,
     linked_complement_measure,
+    newton_bracket,
+    sphere_measure,
     unit_ball_volume,
 )
 from .weyl import estimate_dimension, estimate_volume
@@ -325,31 +326,49 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
 
 
 def ell_constant(n: int, kappa: float, v: float) -> float:
-    """(1 - 1e-6) times the radius whose model-ball volume equals v/3."""
+    """(1 - 1e-6) times the radius whose model-ball volume equals v/3.
+
+    Closed forms invert ball_volume: flat (v / 3 omega_n)^(1/n); n = 2 the
+    asin / asinh of sqrt(|kappa| v / 12 pi); kappa > 0 the incomplete-beta
+    inverse of ball_volume's fraction of the sphere, in sin^2 up to pi/4 and
+    reflected into cos^2 past it.  Past the antipodal cap it is the cap.
+    For kappa < 0 with n >= 3, Newton steps on log ball_volume (concave in
+    r) inside the bracket (0, flat radius] (sn(t) >= t, so the flat radius
+    is at or past the root) close in to adjacent floats, and the lower one,
+    whose ball volume is at most v/3, is shrunk.
+    """
     sf = SpaceForm(n, kappa)
     if not v > 0:
         raise DomainError(f"volume must be positive, got {v!r}")
     target = v / 3.0
+    flat = (target / unit_ball_volume(n)) ** (1.0 / n)
+    if kappa == 0.0:
+        return SHRINK * flat
+    s = math.sqrt(abs(kappa))
     if kappa > 0:
         cap = bonnet_myers_cap(kappa)
         if ball_volume(sf, cap) <= target:
             return SHRINK * cap
-        hi = cap * (1.0 - 1e-12)
-    else:
-        hi = 1.0
-        for _ in range(200):
-            if ball_volume(sf, hi) > target:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError("could not bracket the v/3 ball radius from above")
-    lo = hi / 2.0
-    while ball_volume(sf, lo) >= target:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise ConvergenceError("could not bracket the v/3 ball radius from below")
-    r0 = brentq(lambda r: ball_volume(sf, r) - target, lo, hi, xtol=1e-15, rtol=1e-15)
-    return SHRINK * r0
+        if n == 2:
+            return SHRINK * 2.0 / s * math.asin(min(1.0, math.sqrt(kappa * v / (12.0 * math.pi))))
+        fraction = target / (0.5 * sphere_measure(n) * kappa ** (-0.5 * n))
+        if fraction < 1.0:
+            x = math.asin(math.sqrt(float(betaincinv(0.5 * n, 0.5, fraction))))
+        if fraction >= 1.0 or x > 0.25 * math.pi:
+            c2 = float(betaincinv(0.5, 0.5 * n, abs(1.0 - fraction)))
+            x = math.acos(math.copysign(math.sqrt(c2), 1.0 - fraction))
+        return SHRINK * x / s
+    if n == 2:
+        return SHRINK * 2.0 / s * math.asinh(math.sqrt(-kappa * v / (12.0 * math.pi)))
+    omega = sphere_measure(n - 1)
+    log_target = math.log(target)
+
+    def probe(r: float) -> tuple[bool, float]:
+        vol = ball_volume(sf, r)
+        density = omega * (math.sinh(s * r) / s) ** (n - 1)
+        return vol <= target, (log_target - math.log(vol)) * vol / density
+
+    return SHRINK * newton_bracket(probe, 0.0, flat, flat)[0]
 
 
 def r_constant(kappa: float, alpha: float, ell: float) -> float:

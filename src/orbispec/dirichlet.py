@@ -27,11 +27,10 @@ import math
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import ConvergenceError, DomainError
-from .spaceform import SpaceForm, bonnet_myers_cap, generalized_sin
+from .spaceform import SpaceForm, bonnet_myers_cap, generalized_sin, newton_bracket
 
 # Balls in positive curvature must stay strictly inside the antipodal cap;
 # accuracy degrades as the friction term blows up near the cap.
@@ -83,20 +82,52 @@ def _check_ball(sf: SpaceForm, r: float):
         )
 
 
+def _bessel_sign(n: int, x: float) -> int:
+    """Exact sign of J_(n/2 - 1)(x) at a float x > 0.
+
+    With w = x^2/2, J_(n/2-1)(x) is a positive multiple of the alternating
+    series sum_k (-w)^k / (k! n (n+2) ... (n+2k-2)), summed exactly in
+    integers (x is a dyadic rational) until the terms decrease and the
+    partial sum outweighs the next term, which bounds the tail.
+    """
+    num, den = x.as_integer_ratio()
+    p, q = num * num, 2 * den * den
+    # After k terms the partial sum is total / D and the last term is
+    # term / D, with D = g_0 ... g_(k-1) and g_k = q (k+1) (n+2k).
+    total, term, k = 1, 1, 0
+    while True:
+        g = q * (k + 1) * (n + 2 * k)
+        if p <= g and abs(total) * g > abs(term) * p:
+            return (total > 0) - (total < 0)
+        term *= -p
+        total = total * g + term
+        k += 1
+
+
 @functools.lru_cache(maxsize=16)
 def _first_bessel_zero(n: int) -> float:
-    """First positive zero of J_(n/2 - 1); the flat unit-ball eigenvalue is its square."""
+    """First positive zero of J_(n/2 - 1), rounded up to a float; the flat
+    unit-ball eigenvalue is its square.
+
+    Newton steps on jv inside sqrt((nu+1)(nu+5)) < j < sqrt(nu+1)(sqrt(nu+2)+1)
+    close the bracket to adjacent floats, and the upper end is kept.  jv
+    rounds, so its sign change can sit a float off; the exact sign then
+    walks that end to the smallest float where J_nu <= 0, and (j/r)^2 never
+    under-estimates the threshold.
+    """
     nu = 0.5 * n - 1.0
-    x = max(nu, 0.0) + 0.1
-    fx = jv(nu, x)
-    step = 0.2
-    for _ in range(400):
-        x2 = x + step
-        fx2 = jv(nu, x2)
-        if fx > 0 and fx2 <= 0:
-            return brentq(lambda t: jv(nu, t), x, x2, xtol=1e-13, rtol=1e-15)
-        x, fx = x2, fx2
-    raise ConvergenceError(f"no sign change found for Bessel order {nu}")
+
+    def probe(x: float) -> tuple[bool, float]:
+        f = float(jv(nu, x))
+        return f > 0.0, f / (nu / x * f - float(jv(nu - 1.0, x)))
+
+    hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
+    x = newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
+    while _bessel_sign(n, x) > 0:
+        x = math.nextafter(x, math.inf)
+    while _bessel_sign(n, math.nextafter(x, 0.0)) <= 0:
+        x = math.nextafter(x, 0.0)
+    return x
 
 
 def _assemble_band(local: np.ndarray) -> np.ndarray:

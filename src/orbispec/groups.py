@@ -1,12 +1,8 @@
 """Finite orthogonal actions on spheres.
 
-Cyclic block-rotation generators, group closure, orbits, the
-roots-of-unity orbit-sum identity, and an LP-certified test for whether a
-finite point set on the sphere fits inside an open hemisphere.  The
-hemisphere test returns either a strict witness direction or a convex
-combination of the points at the origin; both certificates are re-checked
-in plain arithmetic, and anything in between is reported as indeterminate
-rather than guessed.
+Cyclic block-rotation generators, actions from their JSON description, and
+group closure with a check of the declared order.  The sphere-quotient
+spectra in modelspectra average over these elements.
 """
 
 from __future__ import annotations
@@ -14,21 +10,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import CertificationError, ConvergenceError, DomainError, IndeterminateError
+from .errors import CertificationError, ConvergenceError, DomainError
 
 ORTHO_TOL = 1e-12
 DEDUP_TOL = 1e-9
-HEMISPHERE_MARGIN = 1e-9
 # Long products drift; re-project onto the orthogonal group every 16 steps.
 REORTHO_EVERY = 16
-# The LP solutions are re-verified against the 1e-9 margin, so the solver
-# must satisfy its constraints an order of magnitude more tightly than that.
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 
 def _polar_factor(m: np.ndarray) -> np.ndarray:
@@ -182,136 +170,3 @@ def action_from_dict(data: dict) -> OrthogonalAction:
             raise DomainError("matrix action needs a nonempty 'generators' list")
         return OrthogonalAction([np.asarray(g, dtype=float) for g in gens])
     raise DomainError(f"unknown action type {kind!r}")
-
-
-def _unit_vector(v, dim: int, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape != (dim,):
-        raise DomainError(f"{what} must have dimension {dim}, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-        raise DomainError(f"{what} must be a unit vector (|v| = 1 within 1e-12)")
-    return v
-
-
-def orbit(action: OrthogonalAction, v) -> np.ndarray:
-    """The orbit {g v : g in G}, deduplicated; its size divides the order."""
-    v = _unit_vector(v, action.ambient_dim, "orbit point")
-    pts: list[np.ndarray] = []
-    for g in action.elements():
-        q = g @ v
-        if not any(np.max(np.abs(q - p)) <= DEDUP_TOL for p in pts):
-            pts.append(q)
-    n_group = len(action.elements())
-    if n_group % len(pts) != 0:
-        raise CertificationError(
-            "orbit",
-            f"orbit size {len(pts)} does not divide the group order {n_group}; "
-            f"deduplication at {DEDUP_TOL} is ambiguous for this input",
-        )
-    return np.array(pts)
-
-
-def orbit_sum(action: OrthogonalAction, v) -> np.ndarray:
-    """Sum of the generator power chain gamma^k v, k = 0..order-1.
-
-    For a fixed-point-free cyclic block action every block angle is a
-    primitive root of unity times 2*pi, so the sum telescopes to zero; the
-    norm is certified to be at most 1e-10 * order, and a failure flags a
-    non-coprime exponent or a numerical fault.
-    """
-    if len(action.generators) != 1:
-        raise DomainError("orbit_sum is defined for single-generator actions")
-    v = _unit_vector(v, action.ambient_dim, "orbit point")
-    g = action.generators[0]
-    l = action.order
-    total = np.zeros_like(v)
-    q = v.copy()
-    for _ in range(l):
-        total = total + q
-        q = g @ q
-    if float(np.linalg.norm(q - v)) > DEDUP_TOL * l:
-        raise CertificationError(
-            "orbit-sum", f"generator does not have order {l} at tolerance {DEDUP_TOL * l:.1e}"
-        )
-    norm = float(np.linalg.norm(total))
-    if norm > 1e-10 * l:
-        raise CertificationError(
-            "orbit-sum",
-            f"|sum of the power chain| = {norm:.3e} exceeds 1e-10 * order = {1e-10 * l:.1e}; "
-            "the action is not fixed-point-free on this vector",
-        )
-    return total
-
-
-def in_open_hemisphere(points, margin: float = HEMISPHERE_MARGIN):
-    """Witness direction w with <w, p> > margin for all points, or None.
-
-    None means the origin lies in the convex hull of the points (within
-    the margin), so no open hemisphere contains them all.  Both outcomes
-    are certified by direct arithmetic on the LP solutions; if neither
-    certificate can be produced the situation is numerically ambiguous and
-    an IndeterminateError is raised.
-    """
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P[None, :]
-    if P.ndim != 2 or P.shape[0] == 0:
-        raise DomainError("need a nonempty list of points")
-    m, d = P.shape
-
-    witness = linprog(
-        np.zeros(d),
-        A_ub=-P,
-        b_ub=-np.ones(m),
-        bounds=[(None, None)] * d,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if witness.status == 0:
-        w = np.asarray(witness.x, dtype=float)
-        nw = float(np.linalg.norm(w))
-        if nw > 0.0:
-            w = w / nw
-            if float(np.min(P @ w)) > margin:
-                return w
-        # Feasible but with an uncertifiable margin: fall through to the
-        # hull test before declaring the input ambiguous.
-    elif witness.status != 2:
-        raise IndeterminateError(
-            "hemisphere", f"witness LP ended with status {witness.status}: {witness.message}"
-        )
-
-    hull = linprog(
-        np.zeros(m),
-        A_ub=np.vstack([P.T, -P.T]),
-        b_ub=np.full(2 * d, margin),
-        A_eq=np.ones((1, m)),
-        b_eq=np.ones(1),
-        bounds=[(0, None)] * m,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if hull.status == 0:
-        lam = np.asarray(hull.x, dtype=float)
-        # The solver may leave coefficients negative within its own primal
-        # feasibility tolerance; clamp those, renormalize, and certify the
-        # cleaned combination by direct arithmetic.
-        if float(np.min(lam)) >= -1e-8:
-            lam = np.clip(lam, 0.0, None)
-            total = float(np.sum(lam))
-            if abs(total - 1.0) <= 1e-6 and total > 0.0:
-                lam = lam / total
-                if float(np.max(np.abs(P.T @ lam))) <= 4.0 * margin:
-                    return None
-        raise IndeterminateError(
-            "hemisphere", "hull combination returned by the LP failed re-verification"
-        )
-    if hull.status == 2:
-        raise IndeterminateError(
-            "hemisphere",
-            f"neither a witness with margin > {margin} nor a hull combination "
-            f"within {margin} exists; the configuration is on the tolerance boundary",
-        )
-    raise IndeterminateError(
-        "hemisphere", f"hull LP ended with status {hull.status}: {hull.message}"
-    )

@@ -3,11 +3,12 @@
 Everything downstream (eigenvalue comparison, volume caps, hinge
 comparison) reduces to a handful of quantities in the simply connected
 model space of dimension n and curvature kappa: the generalized sine
-controlling the volume density, geodesic ball and cone volumes, the
+controlling the volume density, geodesic ball and cone volumes, and the
 measure of the bad directions between two touching caps on the unit
-direction sphere, and the side a hinge closes up to.  All three curvature
-signs share one code path with a series branch near kappa = 0 so nothing
-jumps when curvature crosses zero.
+direction sphere.  All three curvature signs share one code path with a
+series branch near kappa = 0 so nothing jumps when curvature crosses zero.
+The few quantities without a closed form are one-dimensional roots, found
+by newton_bracket.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincc, hyp2f1
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 # Switch to the truncated power series once |kappa| * r^2 drops below this;
 # the trig/hyperbolic branches lose digits to cancellation there.
 NEAR_FLAT = 1e-8
 # Tolerated overshoot when clamping arccos/arccosh arguments.
 ACOS_DRIFT = 1e-12
+# Probes newton_bracket may spend before it gives up on a bracket.
+ROOT_MAX_PROBES = 200
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,18 @@ def bonnet_myers_cap(kappa: float) -> float:
 
 
 def _check_radius(kappa: float, r, what: str = "radius"):
+    """r as a float array, after one min/max pass (NaN fails both comparisons)."""
     rr = np.asarray(r, dtype=float)
-    if np.any(~np.isfinite(rr)) or np.any(rr < 0):
+    lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
+    if not (lo >= 0.0 and hi < math.inf):
         raise DomainError(f"{what} must be finite and nonnegative, got {r!r}")
     if kappa > 0:
         cap = bonnet_myers_cap(kappa)
-        if np.any(rr > cap * (1.0 + ACOS_DRIFT)):
+        if hi > cap * (1.0 + ACOS_DRIFT):
             raise DomainError(
-                f"{what} {np.max(rr):.9g} exceeds the antipodal cap pi/sqrt(kappa) = {cap:.9g}"
+                f"{what} {hi:.9g} exceeds the antipodal cap pi/sqrt(kappa) = {cap:.9g}"
             )
-    return rr
+    return rr, lo
 
 
 def generalized_sin(kappa: float, r):
@@ -71,21 +76,53 @@ def generalized_sin(kappa: float, r):
 
     Accepts scalar or array ``r``.
     """
-    rr = _check_radius(kappa, r)
+    rr, lo = _check_radius(kappa, r)
     if kappa == 0.0:
         out = rr
     else:
-        x2 = kappa * rr * rr
-        series = rr * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
         s = math.sqrt(abs(kappa))
         if kappa > 0:
-            exact = np.sin(s * rr) / s
+            out = np.sin(s * rr) / s
         else:
-            exact = np.sinh(s * rr) / s
-        out = np.where(np.abs(x2) < NEAR_FLAT, series, exact)
+            out = np.sinh(s * rr) / s
+        # |kappa| r^2 rounds monotonically in r, so the smallest radius
+        # decides whether any point takes the series.
+        if abs(kappa) * lo * lo < NEAR_FLAT:
+            x2 = kappa * rr * rr
+            series = rr * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
+            out = np.where(np.abs(x2) < NEAR_FLAT, series, out)
     if np.ndim(r) == 0:
         return float(out)
     return out
+
+
+def newton_bracket(probe, lo: float, hi: float, x: float) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] of a sign change to two adjacent floats.
+
+    probe(x) returns (left, step): whether x lies left of the sign change,
+    and the Newton step from x.  The next probe is x + step when that moves
+    toward the other end and stays strictly inside the bracket, the midpoint
+    when it leaves the bracket, and the neighbouring float toward the other
+    end when the step is zero or points back.  So Newton converges to within
+    rounding and the last probes close the bracket one float at a time.
+    The ends passed in are taken on trust; the returned lo was probed left
+    and hi right, unless one of them is still a passed-in end.
+    """
+    for _ in range(ROOT_MAX_PROBES):
+        left, step = probe(x)
+        if left:
+            lo = x
+        else:
+            hi = x
+        if not math.nextafter(lo, hi) < hi:
+            return lo, hi
+        nxt = x + step
+        if not (nxt > x if left else nxt < x):
+            nxt = math.nextafter(x, hi if left else lo)
+        elif not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        x = nxt
+    raise ConvergenceError(f"no adjacent-float bracket after {ROOT_MAX_PROBES} probes")
 
 
 def sphere_measure(d: int) -> float:
@@ -176,48 +213,3 @@ def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:
             f"direction measure must lie in [0, {omega:.9g}], got {direction_measure!r}"
         )
     return ball_volume(sf, r) * min(direction_measure, omega) / omega
-
-
-def law_of_cosines_side(kappa: float, a, b, gamma):
-    """Side opposite the angle gamma in a geodesic hinge with sides a and b.
-
-    Spherical / Euclidean / hyperbolic law of cosines in one function,
-    continuous across kappa = 0: when |kappa|*(a+b)^2 < 1e-8 the curvature
-    correction is applied as a series on top of the Euclidean side, which
-    avoids the arccos cancellation.  Out-of-range arccos/arccosh arguments
-    within 1e-12 are clamped.  Accepts scalar or array ``a``/``b``/``gamma``.
-    """
-    aa = _check_radius(kappa, a, "side a")
-    bb = _check_radius(kappa, b, "side b")
-    gg = np.asarray(gamma, dtype=float)
-    if np.any(gg < -ACOS_DRIFT) or np.any(gg > math.pi + ACOS_DRIFT):
-        raise DomainError(f"hinge angle must lie in [0, pi], got {gamma!r}")
-    gg = np.clip(gg, 0.0, math.pi)
-
-    cos_g = np.cos(gg)
-    c0sq = np.maximum(aa * aa + bb * bb - 2.0 * aa * bb * cos_g, 0.0)
-    if kappa == 0.0:
-        out = np.sqrt(c0sq)
-    else:
-        # Series: c^2 = c0^2 - 2*kappa*E + O(kappa^2), E the quartic hinge form.
-        E = (
-            (aa ** 4 + bb ** 4) / 24.0
-            + aa * aa * bb * bb / 4.0
-            - aa * bb * (aa * aa + bb * bb) * cos_g / 6.0
-            - c0sq * c0sq / 24.0
-        )
-        series = np.sqrt(np.maximum(c0sq - 2.0 * kappa * E, 0.0))
-        s = math.sqrt(abs(kappa))
-        if kappa > 0:
-            arg = np.cos(s * aa) * np.cos(s * bb) + np.sin(s * aa) * np.sin(s * bb) * cos_g
-            arg = np.clip(arg, -1.0, 1.0)
-            exact = np.arccos(arg) / s
-        else:
-            arg = np.cosh(s * aa) * np.cosh(s * bb) - np.sinh(s * aa) * np.sinh(s * bb) * cos_g
-            arg = np.maximum(arg, 1.0)
-            exact = np.arccosh(arg) / s
-        near_flat = np.abs(kappa) * (aa + bb) ** 2 < NEAR_FLAT
-        out = np.where(near_flat, series, exact)
-    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(gamma) == 0:
-        return float(out)
-    return out

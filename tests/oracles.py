@@ -4,7 +4,9 @@ Each function here recomputes a quantity the package provides, by a different
 route: a different discretization, a different series expansion, a different
 enumeration order, or plain sampling.  Tests freeze oracle outputs as
 literals where a value is load-bearing, and call these routines directly for
-randomized sweeps.
+randomized sweeps.  The proof ingredients no certificate calls (the hinge law
+of cosines, orbits, orbit sums and the LP open-hemisphere test) live here
+too, exercised by the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import integrate
 from scipy.integrate import solve_ivp
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 from scipy.stats import norm, qmc
 
 from orbispec import bounds
@@ -30,9 +32,19 @@ from orbispec.dirichlet import (
     RITZ_MAX_ITER,
     _first_bessel_zero,
 )
-from orbispec.errors import CertificationError, ConvergenceError, DomainError
+from orbispec.errors import CertificationError, ConvergenceError, DomainError, IndeterminateError
+from orbispec.groups import DEDUP_TOL, OrthogonalAction
 from orbispec.modelspectra import FOUR_PI_SQ, Spectrum
-from orbispec.spaceform import SpaceForm, _check_radius, generalized_sin, sphere_measure
+from orbispec.spaceform import (
+    ACOS_DRIFT,
+    NEAR_FLAT,
+    SpaceForm,
+    _check_radius,
+    ball_volume,
+    bonnet_myers_cap,
+    generalized_sin,
+    sphere_measure,
+)
 
 # Shooting-solver knobs: bracket growth factor, relative root tolerance, and
 # the cap on bracket expansions and root iterations.
@@ -410,6 +422,52 @@ def gauss_legendre_linked_complement(d: int, alpha: float, order: int = 64) -> f
     return 2.0 * sphere_measure(d - 1) * float(np.sum(w * np.cos(s) ** (d - 1)))
 
 
+def law_of_cosines_side(kappa: float, a, b, gamma):
+    """Side opposite the angle gamma in a geodesic hinge with sides a and b.
+
+    Spherical / Euclidean / hyperbolic law of cosines in one function,
+    continuous across kappa = 0: when |kappa|*(a+b)^2 < 1e-8 the curvature
+    correction is applied as a series on top of the Euclidean side, which
+    avoids the arccos cancellation.  Out-of-range arccos/arccosh arguments
+    within 1e-12 are clamped.  Accepts scalar or array ``a``/``b``/``gamma``.
+    The hinge oracle behind the closed-form separation radius r_constant.
+    """
+    aa, _ = _check_radius(kappa, a, "side a")
+    bb, _ = _check_radius(kappa, b, "side b")
+    gg = np.asarray(gamma, dtype=float)
+    if np.any(gg < -ACOS_DRIFT) or np.any(gg > math.pi + ACOS_DRIFT):
+        raise DomainError(f"hinge angle must lie in [0, pi], got {gamma!r}")
+    gg = np.clip(gg, 0.0, math.pi)
+
+    cos_g = np.cos(gg)
+    c0sq = np.maximum(aa * aa + bb * bb - 2.0 * aa * bb * cos_g, 0.0)
+    if kappa == 0.0:
+        out = np.sqrt(c0sq)
+    else:
+        # Series: c^2 = c0^2 - 2*kappa*E + O(kappa^2), E the quartic hinge form.
+        E = (
+            (aa ** 4 + bb ** 4) / 24.0
+            + aa * aa * bb * bb / 4.0
+            - aa * bb * (aa * aa + bb * bb) * cos_g / 6.0
+            - c0sq * c0sq / 24.0
+        )
+        series = np.sqrt(np.maximum(c0sq - 2.0 * kappa * E, 0.0))
+        s = math.sqrt(abs(kappa))
+        if kappa > 0:
+            arg = np.cos(s * aa) * np.cos(s * bb) + np.sin(s * aa) * np.sin(s * bb) * cos_g
+            arg = np.clip(arg, -1.0, 1.0)
+            exact = np.arccos(arg) / s
+        else:
+            arg = np.cosh(s * aa) * np.cosh(s * bb) - np.sinh(s * aa) * np.sinh(s * bb) * cos_g
+            arg = np.maximum(arg, 1.0)
+            exact = np.arccosh(arg) / s
+        near_flat = np.abs(kappa) * (aa + bb) ** 2 < NEAR_FLAT
+        out = np.where(near_flat, series, exact)
+    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(gamma) == 0:
+        return float(out)
+    return out
+
+
 def flat_separation_radius(alpha: float, ell: float) -> float:
     """Closed-form kappa=0 separation radius min(ell, 2 ell sin(alpha))."""
     return min(ell, 2.0 * ell * math.sin(alpha))
@@ -551,3 +609,198 @@ def ball_volume_quadrature(sf: SpaceForm, r: float) -> float:
         limit=200,
     )
     return sphere_measure(n - 1) * val
+
+
+def reference_generalized_sin(kappa: float, r):
+    """The package's generalized_sin as it was before its near-flat shortcut:
+    both branches at every point, joined by np.where.  The package must stay
+    bit-identical to it."""
+    rr, _ = _check_radius(kappa, r)
+    if kappa == 0.0:
+        out = rr
+    else:
+        x2 = kappa * rr * rr
+        series = rr * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
+        s = math.sqrt(abs(kappa))
+        if kappa > 0:
+            exact = np.sin(s * rr) / s
+        else:
+            exact = np.sinh(s * rr) / s
+        out = np.where(np.abs(x2) < NEAR_FLAT, series, exact)
+    if np.ndim(r) == 0:
+        return float(out)
+    return out
+
+
+def reference_ell_constant(n: int, kappa: float, v: float) -> float:
+    """(1 - 1e-6) times the radius whose model-ball volume equals v/3, by
+    doubling brackets and brentq on ball_volume in every case; the package
+    inverts in closed form wherever one exists."""
+    sf = SpaceForm(n, kappa)
+    if not v > 0:
+        raise DomainError(f"volume must be positive, got {v!r}")
+    target = v / 3.0
+    if kappa > 0:
+        cap = bonnet_myers_cap(kappa)
+        if ball_volume(sf, cap) <= target:
+            return bounds.SHRINK * cap
+        hi = cap * (1.0 - 1e-12)
+    else:
+        hi = 1.0
+        for _ in range(200):
+            if ball_volume(sf, hi) > target:
+                break
+            hi *= 2.0
+        else:
+            raise ConvergenceError("could not bracket the v/3 ball radius from above")
+    lo = hi / 2.0
+    while ball_volume(sf, lo) >= target:
+        lo /= 2.0
+        if lo < 1e-300:
+            raise ConvergenceError("could not bracket the v/3 ball radius from below")
+    r0 = brentq(lambda r: ball_volume(sf, r) - target, lo, hi, xtol=1e-15, rtol=1e-15)
+    return bounds.SHRINK * r0
+
+
+# Finite-group proof ingredients of acceptance criteria 9 and 10: orbits, the
+# roots-of-unity orbit sum, and the LP-certified open-hemisphere test.
+HEMISPHERE_MARGIN = 1e-9
+# The LP solutions are re-verified against the 1e-9 margin, so the solver
+# must satisfy its constraints an order of magnitude more tightly than that.
+_LP_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
+def _unit_vector(v, dim: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float).ravel()
+    if v.shape != (dim,):
+        raise DomainError(f"{what} must have dimension {dim}, got shape {v.shape}")
+    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+        raise DomainError(f"{what} must be a unit vector (|v| = 1 within 1e-12)")
+    return v
+
+
+def orbit(action: OrthogonalAction, v) -> np.ndarray:
+    """The orbit {g v : g in G}, deduplicated; its size divides the order."""
+    v = _unit_vector(v, action.ambient_dim, "orbit point")
+    pts: list[np.ndarray] = []
+    for g in action.elements():
+        q = g @ v
+        if not any(np.max(np.abs(q - p)) <= DEDUP_TOL for p in pts):
+            pts.append(q)
+    n_group = len(action.elements())
+    if n_group % len(pts) != 0:
+        raise CertificationError(
+            "orbit",
+            f"orbit size {len(pts)} does not divide the group order {n_group}; "
+            f"deduplication at {DEDUP_TOL} is ambiguous for this input",
+        )
+    return np.array(pts)
+
+
+def orbit_sum(action: OrthogonalAction, v) -> np.ndarray:
+    """Sum of the generator power chain gamma^k v, k = 0..order-1.
+
+    For a fixed-point-free cyclic block action every block angle is a
+    primitive root of unity times 2*pi, so the sum telescopes to zero; the
+    norm is certified to be at most 1e-10 * order, and a failure flags a
+    non-coprime exponent or a numerical fault.
+    """
+    if len(action.generators) != 1:
+        raise DomainError("orbit_sum is defined for single-generator actions")
+    v = _unit_vector(v, action.ambient_dim, "orbit point")
+    g = action.generators[0]
+    l = action.order
+    total = np.zeros_like(v)
+    q = v.copy()
+    for _ in range(l):
+        total = total + q
+        q = g @ q
+    if float(np.linalg.norm(q - v)) > DEDUP_TOL * l:
+        raise CertificationError(
+            "orbit-sum", f"generator does not have order {l} at tolerance {DEDUP_TOL * l:.1e}"
+        )
+    norm = float(np.linalg.norm(total))
+    if norm > 1e-10 * l:
+        raise CertificationError(
+            "orbit-sum",
+            f"|sum of the power chain| = {norm:.3e} exceeds 1e-10 * order = {1e-10 * l:.1e}; "
+            "the action is not fixed-point-free on this vector",
+        )
+    return total
+
+
+def in_open_hemisphere(points, margin: float = HEMISPHERE_MARGIN):
+    """Witness direction w with <w, p> > margin for all points, or None.
+
+    None means the origin lies in the convex hull of the points (within
+    the margin), so no open hemisphere contains them all.  Both outcomes
+    are certified by direct arithmetic on the LP solutions; if neither
+    certificate can be produced the situation is numerically ambiguous and
+    an IndeterminateError is raised.
+    """
+    P = np.asarray(points, dtype=float)
+    if P.ndim == 1:
+        P = P[None, :]
+    if P.ndim != 2 or P.shape[0] == 0:
+        raise DomainError("need a nonempty list of points")
+    m, d = P.shape
+
+    witness = linprog(
+        np.zeros(d),
+        A_ub=-P,
+        b_ub=-np.ones(m),
+        bounds=[(None, None)] * d,
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if witness.status == 0:
+        w = np.asarray(witness.x, dtype=float)
+        nw = float(np.linalg.norm(w))
+        if nw > 0.0:
+            w = w / nw
+            if float(np.min(P @ w)) > margin:
+                return w
+        # Feasible but with an uncertifiable margin: fall through to the
+        # hull test before declaring the input ambiguous.
+    elif witness.status != 2:
+        raise IndeterminateError(
+            "hemisphere", f"witness LP ended with status {witness.status}: {witness.message}"
+        )
+
+    hull = linprog(
+        np.zeros(m),
+        A_ub=np.vstack([P.T, -P.T]),
+        b_ub=np.full(2 * d, margin),
+        A_eq=np.ones((1, m)),
+        b_eq=np.ones(1),
+        bounds=[(0, None)] * m,
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if hull.status == 0:
+        lam = np.asarray(hull.x, dtype=float)
+        # The solver may leave coefficients negative within its own primal
+        # feasibility tolerance; clamp those, renormalize, and certify the
+        # cleaned combination by direct arithmetic.
+        if float(np.min(lam)) >= -1e-8:
+            lam = np.clip(lam, 0.0, None)
+            total = float(np.sum(lam))
+            if abs(total - 1.0) <= 1e-6 and total > 0.0:
+                lam = lam / total
+                if float(np.max(np.abs(P.T @ lam))) <= 4.0 * margin:
+                    return None
+        raise IndeterminateError(
+            "hemisphere", "hull combination returned by the LP failed re-verification"
+        )
+    if hull.status == 2:
+        raise IndeterminateError(
+            "hemisphere",
+            f"neither a witness with margin > {margin} nor a hull combination "
+            f"within {margin} exists; the configuration is on the tolerance boundary",
+        )
+    raise IndeterminateError(
+        "hemisphere", f"hull LP ended with status {hull.status}: {hull.message}"
+    )

@@ -18,13 +18,10 @@ from orbispec import (
     best_diameter_bound,
     catalog_model,
     greedy_minimal_net,
-    in_open_hemisphere,
     isotropy_order_cap,
     linked_complement_measure,
     lowest_dirichlet_eigenvalue,
     model_point_cloud,
-    orbit,
-    orbit_sum,
     packing_bound,
     r_constant,
     sphere_rotation_action,
@@ -35,7 +32,14 @@ from orbispec import (
     estimate_dimension,
     estimate_volume,
 )
-from oracles import richardson_fd_eigenvalue, shooting_eigenvalue, sobol_two_cap_complement
+from oracles import (
+    in_open_hemisphere,
+    orbit,
+    orbit_sum,
+    richardson_fd_eigenvalue,
+    shooting_eigenvalue,
+    sobol_two_cap_complement,
+)
 
 from conftest import TORUS_TRUNCATION
 

@@ -27,10 +27,10 @@ from orbispec import (
     default_r_grid,
     diameter_bound,
     ell_constant,
+    generalized_sin,
     isotropy_order_cap,
     isotropy_type_enumeration,
     lambda_threshold,
-    law_of_cosines_side,
     model_catalog,
     r_constant,
     singular_point_cap,
@@ -48,6 +48,8 @@ from oracles import (
     flat_separation_radius,
     gauss_legendre_linked_complement,
     hyperbolic_separation_radius,
+    law_of_cosines_side,
+    reference_ell_constant,
 )
 
 BESSEL_J01_SQ = 5.783185962946785
@@ -445,6 +447,60 @@ def test_ell_constant_closed_forms():
     assert abs(ell_constant(2, kappa, v) - (1 - 1e-6) * r_hyp) < 1e-10
     with pytest.raises(DomainError):
         ell_constant(2, 0.0, 0.0)
+
+
+@st.composite
+def ell_keys(draw):
+    """(n, kappa, v): n = 2..6, every sign of kappa with |kappa| in [1e-6, 10],
+    v in [1e-3, 100]; for kappa > 0 also v/3 from just under the whole
+    sphere to past it, where the antipodal cap is returned."""
+    n = draw(st.integers(2, 6))
+    sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    kappa = sign * 10.0 ** draw(st.floats(-6.0, 1.0))
+    if kappa > 0 and draw(st.booleans()):
+        whole = sphere_measure(n) * kappa ** (-0.5 * n)
+        return n, kappa, 3.0 * whole * (1.0 + draw(st.floats(-0.5, 0.5)) ** 3)
+    return n, kappa, 10.0 ** draw(st.floats(-3.0, 2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=ell_keys())
+def test_ell_constant_matches_brentq_reference(key):
+    n, kappa, v = key
+    ell = ell_constant(n, kappa, v)
+    want = reference_ell_constant(n, kappa, v)
+    sf = SpaceForm(n, kappa)
+    r = ell / SHRINK
+    # Near the whole sphere the ball volume flattens in r and no float
+    # inversion pins r better than rounding times the condition number
+    # V / (r dV/dr); elsewhere that number is about 1/n.
+    density = sphere_measure(n - 1) * generalized_sin(kappa, r) ** (n - 1)
+    condition = max(1.0, ball_volume(sf, r) / (r * density)) if density > 0 else 1.0
+    assert abs(ell - want) <= 1e-13 * condition * want, (ell, want, condition)
+    assert ball_volume(sf, r) <= v / 3.0 * (1.0 + 1e-12)
+
+
+def test_ell_constant_root_makes_few_volume_calls(monkeypatch):
+    calls = []
+
+    def counted(sf, r):
+        calls.append(r)
+        return ball_volume(sf, r)
+
+    monkeypatch.setattr(bounds_module, "ball_volume", counted)
+    ell = ell_constant(5, -1.0, 3.0)
+    assert len(calls) <= 20, len(calls)
+    assert abs(ball_volume(SpaceForm(5, -1.0), ell / SHRINK) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, kappa, v", [(5, -1.0, 3.0), (3, -0.3, 40.0), (4, -2e-6, 0.01), (6, -7.0, 90.0)]
+)
+def test_ell_constant_root_is_the_float_below_the_crossing(n, kappa, v, monkeypatch):
+    monkeypatch.setattr(bounds_module, "SHRINK", 1.0)
+    root = ell_constant(n, kappa, v)
+    sf = SpaceForm(n, kappa)
+    assert ball_volume(sf, root) <= v / 3.0 < ball_volume(sf, math.nextafter(root, math.inf))
 
 
 def test_r_constant_flat_closed_form():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,12 @@ from scipy.special import jn_zeros
 
 from orbispec import dirichlet
 from orbispec.bounds import best_diameter_bound, lambda_threshold
-from orbispec.dirichlet import _first_bessel_zero, _ritz_unit_ball, lowest_dirichlet_eigenvalue
+from orbispec.dirichlet import (
+    _bessel_sign,
+    _first_bessel_zero,
+    _ritz_unit_ball,
+    lowest_dirichlet_eigenvalue,
+)
 from orbispec.errors import ConvergenceError, DomainError
 from orbispec.modelspectra import catalog_model
 from orbispec.spaceform import SpaceForm
@@ -216,6 +222,24 @@ def test_dimension_three_matches_shooting_oracle(sign, size, u):
 def test_flat_threshold_matches_bessel_zeros(n, r):
     want = (float(jn_zeros(n // 2 - 1, 1)[0]) / r) ** 2
     assert abs(lambda_threshold(n, 0.0, r) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_first_bessel_zero_is_rounded_up(n):
+    # never below the true zero, so (j/r)^2 never under-estimates the flat
+    # threshold, and the float just below it lies below the zero
+    with mpmath.workdps(40):
+        true = mpmath.besseljzero(mpmath.mpf(n) / 2 - 1, 1)
+        j = _first_bessel_zero(n)
+        assert mpmath.mpf(math.nextafter(j, 0.0)) < true <= mpmath.mpf(j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.floats(1e-3, 20.0))
+def test_bessel_sign_is_exact(n, x):
+    with mpmath.workdps(40):
+        true = mpmath.besselj(mpmath.mpf(n) / 2 - 1, mpmath.mpf(x))
+        assert _bessel_sign(n, x) == int(mpmath.sign(true))
 
 
 # ---------------------------------------------------------------------------

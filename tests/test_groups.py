@@ -13,11 +13,10 @@ from orbispec.groups import (
     action_from_dict,
     antipodal_action,
     cyclic_generator,
-    in_open_hemisphere,
-    orbit,
-    orbit_sum,
     sphere_rotation_action,
 )
+
+from oracles import in_open_hemisphere, orbit, orbit_sum
 
 
 def _random_unit(rng, dim):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from orbispec.errors import DomainError
 from orbispec.spaceform import (
+    NEAR_FLAT,
     SpaceForm,
     ball_volume,
     bonnet_myers_cap,
     cone_volume,
     generalized_sin,
-    law_of_cosines_side,
     linked_complement_measure,
     sphere_measure,
     unit_ball_volume,
@@ -25,6 +25,8 @@ from orbispec.spaceform import (
 from oracles import (
     ball_volume_quadrature,
     gauss_legendre_linked_complement,
+    law_of_cosines_side,
+    reference_generalized_sin,
     sobol_two_cap_complement,
 )
 
@@ -44,6 +46,30 @@ def test_generalized_sin_continuous_at_flat():
     for t in (0.1, 1.0, 3.0):
         for k in (1e-14, -1e-14):
             assert abs(generalized_sin(k, t) - t) < 1e-12 * max(1.0, t)
+
+
+def test_generalized_sin_bit_identical_to_both_branch_reference():
+    # The series branch runs only when some point is near flat; the values
+    # must not move by a bit, on arrays that straddle NEAR_FLAT and on scalars.
+    t = np.linspace(0.0, 1.0, 601)
+    for kappa in (-1.0, 2.0, 1e-3, -1e-3, 1e-6, -4e-8, 0.0):
+        assert np.array_equal(generalized_sin(kappa, t), reference_generalized_sin(kappa, t))
+    edge = math.sqrt(NEAR_FLAT)  # |kappa| r^2 = NEAR_FLAT at kappa = 1, r = edge
+    straddle = edge * np.array([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0, 1e4])
+    for kappa in (1.0, -1.0, 1e-9, -1e-9):
+        assert np.array_equal(
+            generalized_sin(kappa, straddle), reference_generalized_sin(kappa, straddle)
+        )
+    for kappa in (-2.5, -1e-12, 0.0, 1e-12, 2.5):
+        for r in (0.0, 1e-9, edge, 0.3, 1.2):
+            got = generalized_sin(kappa, r)
+            assert isinstance(got, float)
+            assert got == reference_generalized_sin(kappa, r)
+    for bad in (math.nan, math.inf, -1e-300, np.array([0.1, math.nan]), np.array([-0.0, -1.0])):
+        with pytest.raises(DomainError):
+            generalized_sin(-1.0, bad)
+    with pytest.raises(DomainError):
+        generalized_sin(1.0, np.array([0.1, math.pi * (1.0 + 1e-9)]))
 
 
 def test_bonnet_myers_cap():
