@@ -18,8 +18,8 @@ from .bounds import (
     diameter_bound,
     ell_constant,
     isotropy_order_cap,
-    isotropy_type_enumeration,
     lambda_threshold,
+    packing_bound,
     r_constant,
     singular_point_cap,
     spectral_isotropy_bound,
@@ -27,19 +27,8 @@ from .bounds import (
     spectrum_content_id,
 )
 from .dirichlet import lowest_dirichlet_eigenvalue
-from .errors import (
-    CertificationError,
-    ConvergenceError,
-    DomainError,
-    IndeterminateError,
-)
-from .groups import (
-    OrthogonalAction,
-    action_from_dict,
-    antipodal_action,
-    cyclic_generator,
-    sphere_rotation_action,
-)
+from .errors import CertificationError, ConvergenceError, DomainError
+from .groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 from .modelspectra import (
     ModelOrbifold,
     SingularPoint,
@@ -52,17 +41,6 @@ from .modelspectra import (
     model_catalog,
     quotient_spectrum,
     sphere_spectrum,
-)
-from .netpack import (
-    FiniteMetricSpace,
-    greedy_minimal_net,
-    model_point_cloud,
-    packing_bound,
-    sphere_distance_matrix,
-    torus_distance_matrix,
-    uniform_sphere_points,
-    uniform_torus_points,
-    verify_net,
 )
 from .spaceform import (
     SpaceForm,
@@ -79,15 +57,14 @@ from .weyl import WeylFit, estimate_dimension, estimate_volume, weyl_fit
 __all__ = [
     "__version__",
     # errors
-    "DomainError", "ConvergenceError", "CertificationError", "IndeterminateError",
+    "DomainError", "ConvergenceError", "CertificationError",
     # spaceform
     "SpaceForm", "generalized_sin", "bonnet_myers_cap", "sphere_measure", "unit_ball_volume",
     "ball_volume", "linked_complement_measure", "cone_volume",
     # dirichlet
     "lowest_dirichlet_eigenvalue",
     # groups
-    "OrthogonalAction", "cyclic_generator", "sphere_rotation_action", "antipodal_action",
-    "action_from_dict",
+    "OrthogonalAction", "cyclic_generator", "sphere_rotation_action",
     # modelspectra
     "Spectrum", "counting_function", "flat_torus_spectrum", "sphere_spectrum",
     "harmonic_multiplicity", "invariant_multiplicity", "quotient_spectrum",
@@ -96,11 +73,7 @@ __all__ = [
     "WeylFit", "estimate_dimension", "estimate_volume", "weyl_fit",
     # bounds
     "lambda_threshold", "spectrum_content_id", "diameter_bound", "default_r_grid",
-    "best_diameter_bound", "isotropy_order_cap", "isotropy_type_enumeration",
-    "alpha_constant", "ell_constant", "r_constant", "singular_point_cap",
+    "best_diameter_bound", "isotropy_order_cap", "alpha_constant", "ell_constant",
+    "r_constant", "packing_bound", "singular_point_cap",
     "BoundReport", "spectral_isotropy_bound", "spectral_singular_point_bound",
-    # netpack
-    "FiniteMetricSpace", "greedy_minimal_net", "packing_bound", "verify_net",
-    "uniform_sphere_points", "uniform_torus_points", "sphere_distance_matrix",
-    "torus_distance_matrix", "model_point_cloud",
 ]

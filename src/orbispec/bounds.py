@@ -225,17 +225,14 @@ def best_diameter_bound(
     )
 
 
-def isotropy_order_cap(spec: Spectrum, kappa: float, fit, d: float) -> int:
+def isotropy_order_cap(spec: Spectrum, kappa: float, fit: tuple[int, float], d: float) -> int:
     """Upper bound on every isotropy order: floor of ball_volume(D) / volume.
 
-    fit is either a WeylFit or an explicit (n, volume) pair.  The dilation
-    of small balls around a singular point scales volume down by the
-    isotropy order, so the order cannot exceed the model-ball/volume ratio.
+    fit is the (n, volume) pair.  The dilation of small balls around a
+    singular point scales volume down by the isotropy order, so the order
+    cannot exceed the model-ball/volume ratio.
     """
-    if hasattr(fit, "dimension_estimate"):
-        n, v = fit.dimension_estimate, fit.volume_estimate
-    else:
-        n, v = fit
+    n, v = fit
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
     if spec.dimension is not None and spec.dimension != n:
@@ -254,23 +251,6 @@ def isotropy_order_cap(spec: Spectrum, kappa: float, fit, d: float) -> int:
     return max(1, math.floor(ratio + 1e-9))
 
 
-def isotropy_type_enumeration(n: int, cap: int) -> list[str]:
-    """Possible isotropy groups under an order cap.
-
-    Orientable 2-orbifold isotropy sits in SO(2), so the groups are the
-    cyclic C_k with k up to the cap; in higher dimension only the order
-    cap itself is reported.
-    """
-    if not (isinstance(cap, int) and cap >= 1):
-        raise DomainError(f"order cap must be an integer >= 1, got {cap!r}")
-    if n == 2:
-        return [f"C_{k}" for k in range(2, cap + 1)]
-    return [
-        f"orders 2..{cap} admissible; explicit group enumeration is provided "
-        "only for n = 2, where orientable isotropy is cyclic"
-    ]
-
-
 def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     """Largest certified angle whose bad-direction cone stays under v/6.
 
@@ -278,7 +258,8 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     the direction sphere (see linked_complement_measure), which grows with
     alpha, so the incomplete-beta inverse at the budget gives the angle.
     That inverse only starts the search: the angle is stepped down until the
-    forward cone satisfies the strict inequality with margin 1e-9, and that
+    forward cone satisfies the strict inequality with relative margin 1e-9
+    (a relative margin keeps the angle invariant under rescaling), and that
     forward check is the certificate.
     """
     sf = SpaceForm(n, kappa)
@@ -288,11 +269,7 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
         raise DomainError(f"diameter bound must be positive, got {d!r}")
     if not v > 0:
         raise DomainError(f"volume must be positive, got {v!r}")
-    target = v / 6.0 - ALPHA_MARGIN
-    if target <= 0.0:
-        raise CertificationError(
-            "alpha", f"volume {v!r} is too small to certify any angle at margin {ALPHA_MARGIN}"
-        )
+    target = v / 6.0 * (1.0 - ALPHA_MARGIN)
 
     def cone(alpha: float) -> float:
         return cone_volume(sf, d, linked_complement_measure(n - 1, alpha))
@@ -413,14 +390,29 @@ def r_constant(kappa: float, alpha: float, ell: float) -> float:
     return SHRINK * min(ell, r_star)
 
 
+def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
+    """How many points pairwise at least eps apart fit in diameter <= ``diameter``.
+
+    Their eps/2-balls are disjoint, and relative volume comparison in the
+    curvature-kappa model gives each at least the fraction
+    ball(eps/2) / ball(diameter) of the space: at most
+    floor(ball(diameter) / ball(eps/2)) points.
+    """
+    if not 0.0 < eps <= 2.0 * diameter:
+        raise DomainError(f"need 0 < eps <= 2*diameter, got eps={eps} diameter={diameter}")
+    sf = SpaceForm(int(n), float(kappa))
+    ratio = ball_volume(sf, float(diameter)) / ball_volume(sf, eps / 2.0)
+    return math.floor(ratio + 1e-9)
+
+
 def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, dict[str, float]]:
     """(C, constants): packing cap on isolated singular points.
 
     Singular points are pairwise at least r apart (the separation radius
-    certified by r_constant with the alpha/ell constants), so disjoint
-    r/4-balls around them pack the diameter-D ball: C is the volume ratio.
+    certified by r_constant with the alpha/ell constants); C is the
+    packing_bound at eps = r/2, so disjoint r/4-balls around them pack the
+    diameter-D ball.
     """
-    sf = SpaceForm(n, kappa)
     if kappa > 0:
         d = min(d, bonnet_myers_cap(kappa))
     alpha = alpha_constant(n, kappa, d, v)
@@ -429,8 +421,7 @@ def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, d
     # With consistent inputs r < ell < D; the clamp only guards degenerate
     # volume/diameter combinations and stays sound (smaller r still separates).
     r_used = min(r, d)
-    cap = math.floor(ball_volume(sf, d) / ball_volume(sf, r_used / 4.0) + 1e-9)
-    return cap, {"alpha": alpha, "ell": ell, "r": r_used}
+    return packing_bound(n, kappa, d, r_used / 2.0), {"alpha": alpha, "ell": ell, "r": r_used}
 
 
 @dataclass(frozen=True)
@@ -596,7 +587,7 @@ def spectral_singular_point_bound(
         out.update(singular_cap=cap, **constants)
     notes = {
         **base.notes,
-        "alpha": f"largest angle with cone volume < v/6, strict margin {ALPHA_MARGIN}",
+        "alpha": f"largest angle with cone volume < (v/6)(1 - {ALPHA_MARGIN})",
         "ell": "(1 - 1e-6) times the exact v/3 ball radius",
         "r_sep": "closed form at the binding hinge (long side ell, angle pi/2 - alpha), shrink 1e-6",
         "singular_cap": "floor(ball_volume(D) / ball_volume(r/4))",

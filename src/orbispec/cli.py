@@ -10,13 +10,12 @@ diameter   certified diameter bound from a spectrum and curvature lower bound
 isotropy   diameter bound plus isotropy-order cap
 singular   isotropy pipeline plus the isolated-singular-point cap
 constants  the (alpha, ell, r) separation constants for given n, kappa, D, v
-net        greedy epsilon-net and packing bound on a sampled or supplied cloud
 verify     soundness sweep of every pipeline over the model catalog
 
 Every report embeds the tool version and the full effective configuration,
 and is emitted as JSON (stdout or --out).  Exit codes: 0 success; 1 malformed
 input file; 2 precondition or certification failure, with a stage-named
-diagnostic on stderr.  Given a fixed --seed all output is deterministic.
+diagnostic on stderr.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .bounds import (
     _resolve_dimension_volume,
     best_diameter_bound,
     default_r_grid,
-    isotropy_type_enumeration,
     singular_point_cap,
     spectral_isotropy_bound,
     spectral_singular_point_bound,
@@ -38,13 +36,6 @@ from .bounds import (
 from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError
 from .modelspectra import Spectrum, catalog_model, model_catalog
-from .netpack import (
-    FiniteMetricSpace,
-    greedy_minimal_net,
-    model_point_cloud,
-    packing_bound,
-    verify_net,
-)
 from .spaceform import SpaceForm
 from .weyl import estimate_dimension, weyl_fit
 
@@ -72,16 +63,6 @@ def _load_spectrum(path: str) -> Spectrum:
         payload = payload["spectrum"]
     try:
         return Spectrum.from_dict(payload)
-    except (DomainError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"{path}: {exc}") from exc
-
-
-def _load_cloud(path: str) -> FiniteMetricSpace:
-    payload = _load_json(path)
-    if "cloud" in payload and isinstance(payload["cloud"], dict):
-        payload = payload["cloud"]
-    try:
-        return FiniteMetricSpace.from_dict(payload)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
 
@@ -149,9 +130,7 @@ def _cmd_isotropy(args: argparse.Namespace) -> dict:
     report = spectral_isotropy_bound(
         spec, args.kappa, n=args.n, v=args.volume, r_grid=_parse_r_grid(args.r_grid)
     )
-    payload = report.to_dict()
-    payload["isotropy_types"] = isotropy_type_enumeration(report.n, report.isotropy_cap)
-    return {"report": payload}
+    return {"report": report.to_dict()}
 
 
 def _cmd_singular(args: argparse.Namespace) -> dict:
@@ -169,32 +148,6 @@ def _cmd_singular(args: argparse.Namespace) -> dict:
 def _cmd_constants(args: argparse.Namespace) -> dict:
     _, constants = singular_point_cap(args.n, args.kappa, args.diameter, args.volume)
     return constants
-
-
-def _cmd_net(args: argparse.Namespace) -> dict:
-    if args.cloud is not None:
-        space = _load_cloud(args.cloud)
-        n, kappa, diameter = args.n, args.kappa, args.diameter
-    else:
-        model = catalog_model(args.model)
-        space = model_point_cloud(model, args.count, args.seed)
-        n = model.dimension if args.n is None else args.n
-        kappa = model.curvature_lower_bound if args.kappa is None else args.kappa
-        diameter = model.diameter if args.diameter is None else args.diameter
-    net = greedy_minimal_net(space, args.eps)
-    ok, violations = verify_net(space, args.eps, net)
-    bound = None
-    if n is not None and kappa is not None and diameter is not None:
-        bound = packing_bound(n, kappa, diameter, args.eps)
-    return {
-        "points": len(space),
-        "eps": args.eps,
-        "net": net,
-        "size": len(net),
-        "packing_bound": bound,
-        "verified": ok,
-        "violations": violations,
-    }
 
 
 _VERIFY_TRUNCATIONS = {
@@ -336,18 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diameter", type=float, required=True)
     p.add_argument("--volume", type=float, required=True)
     p.set_defaults(handler=_cmd_constants)
-
-    p = add_parser("net", "greedy epsilon-net + packing bound")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--cloud", default=None, help="point-cloud JSON file")
-    src.add_argument("--model", default=None, help="catalog model to sample")
-    p.add_argument("--count", type=int, default=500, help="sample size with --model")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--eps", type=float, required=True, help="net radius")
-    p.add_argument("--n", type=int, default=None, help="dimension for the packing bound")
-    p.add_argument("--kappa", type=float, default=None, help="curvature for the packing bound")
-    p.add_argument("--diameter", type=float, default=None, help="diameter for the packing bound")
-    p.set_defaults(handler=_cmd_net)
 
     p = add_parser("verify", "soundness sweep over the model catalog")
     p.add_argument("--models", default=None, help="comma-separated model ids (default: all)")

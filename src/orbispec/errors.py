@@ -32,6 +32,3 @@ class CertificationError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
 
-
-class IndeterminateError(CertificationError):
-    """A yes/no certificate could not be produced at the working margin."""

@@ -1,8 +1,8 @@
 """Finite orthogonal actions on spheres.
 
-Cyclic block-rotation generators, actions from their JSON description, and
-group closure with a check of the declared order.  The sphere-quotient
-spectra in modelspectra average over these elements.
+Cyclic block-rotation generators and group closure with a check of the
+declared order.  The sphere-quotient spectra in modelspectra average over
+these elements.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ ORTHO_TOL = 1e-12
 DEDUP_TOL = 1e-9
 # Long products drift; re-project onto the orthogonal group every 16 steps.
 REORTHO_EVERY = 16
+# A closure that grows past this many elements is taken to be infinite.
+MAX_ORDER = 4096
 
 
 def _polar_factor(m: np.ndarray) -> np.ndarray:
@@ -48,7 +50,6 @@ class OrthogonalAction:
         generators,
         order: int | None = None,
         exponents: tuple[int, ...] | None = None,
-        max_order: int = 4096,
     ):
         mats = [_check_orthogonal(g, f"generator {i}") for i, g in enumerate(generators)]
         if not mats:
@@ -62,7 +63,6 @@ class OrthogonalAction:
         self.generators = tuple(mats)
         self.exponents = tuple(int(a) for a in exponents) if exponents is not None else None
         self._declared_order = None if order is None else int(order)
-        self._max_order = int(max_order)
         self._elements: list[np.ndarray] | None = None
 
     @property
@@ -91,9 +91,9 @@ class OrthogonalAction:
                     elems.append(b)
                     nxt.append(b)
                     accepted += 1
-                    if len(elems) > self._max_order:
+                    if len(elems) > MAX_ORDER:
                         raise ConvergenceError(
-                            f"group closure exceeded {self._max_order} elements; "
+                            f"group closure exceeded {MAX_ORDER} elements; "
                             "generators may not generate a finite group at this tolerance"
                         )
             frontier = nxt
@@ -145,28 +145,3 @@ def sphere_rotation_action(order: int) -> OrthogonalAction:
     g = np.eye(3)
     g[:2, :2] = rotation_block(2.0 * math.pi / l)
     return OrthogonalAction([g], order=l)
-
-
-def antipodal_action(ambient_dim: int) -> OrthogonalAction:
-    if int(ambient_dim) < 1:
-        raise DomainError("ambient dimension must be positive")
-    return OrthogonalAction([-np.eye(int(ambient_dim))], order=2)
-
-
-def action_from_dict(data: dict) -> OrthogonalAction:
-    """Build an action from its JSON description.
-
-    {"type": "cyclic", "order": l, "exponents": [...]} or
-    {"type": "matrix", "generators": [[[...]]]}.
-    """
-    if not isinstance(data, dict) or "type" not in data:
-        raise DomainError("action description must be an object with a 'type' field")
-    kind = data["type"]
-    if kind == "cyclic":
-        return cyclic_generator(data["order"], data.get("exponents", []))
-    if kind == "matrix":
-        gens = data.get("generators")
-        if not gens:
-            raise DomainError("matrix action needs a nonempty 'generators' list")
-        return OrthogonalAction([np.asarray(g, dtype=float) for g in gens])
-    raise DomainError(f"unknown action type {kind!r}")

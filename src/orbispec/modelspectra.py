@@ -13,6 +13,7 @@ bound, singular points) so the bound pipelines can be validated end to end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .groups import OrthogonalAction, antipodal_action, cyclic_generator, sphere_rotation_action
+from .groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 from .spaceform import sphere_measure
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
@@ -90,9 +91,18 @@ class Spectrum:
         for item in raw:
             if len(item) != 2:
                 raise DomainError(f"each eigenvalue entry must be [value, multiplicity]: {item!r}")
-            entries.append((float(item[0]), int(item[1])))
+            entries.append((float(item[0]), _integral(item[1], "multiplicity")))
         dim = data.get("dimension")
-        return Spectrum(tuple(entries), trunc, None if dim is None else int(dim))
+        return Spectrum(tuple(entries), trunc, None if dim is None else _integral(dim, "dimension"))
+
+
+def _integral(x, what: str) -> int:
+    """x as an int when it is an integral number, 3 or 3.0; a bool or 2.9 is refused."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise DomainError(f"{what} must be an integral number, got {x!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

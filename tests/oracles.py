@@ -5,8 +5,9 @@ route: a different discretization, a different series expansion, a different
 enumeration order, or plain sampling.  Tests freeze oracle outputs as
 literals where a value is load-bearing, and call these routines directly for
 randomized sweeps.  The proof ingredients no certificate calls (the hinge law
-of cosines, orbits, orbit sums and the LP open-hemisphere test) live here
-too, exercised by the acceptance criteria.
+of cosines, the antipodal action, orbits, orbit sums, the LP open-hemisphere
+test, and greedy nets on sampled model surfaces) live here too, exercised by
+the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from orbispec.dirichlet import (
     RITZ_MAX_ITER,
     _first_bessel_zero,
 )
-from orbispec.errors import CertificationError, ConvergenceError, DomainError, IndeterminateError
+from orbispec.errors import CertificationError, ConvergenceError, DomainError
 from orbispec.groups import DEDUP_TOL, OrthogonalAction
-from orbispec.modelspectra import FOUR_PI_SQ, Spectrum
+from orbispec.modelspectra import FOUR_PI_SQ, ModelOrbifold, Spectrum, catalog_model
 from orbispec.spaceform import (
     ACOS_DRIFT,
     NEAR_FLAT,
@@ -662,8 +663,9 @@ def reference_ell_constant(n: int, kappa: float, v: float) -> float:
     return bounds.SHRINK * r0
 
 
-# Finite-group proof ingredients of acceptance criteria 9 and 10: orbits, the
-# roots-of-unity orbit sum, and the LP-certified open-hemisphere test.
+# Finite-group proof ingredients of acceptance criteria 2 and 9: the antipodal
+# action, orbits, the roots-of-unity orbit sum, and the LP-certified
+# open-hemisphere test.
 HEMISPHERE_MARGIN = 1e-9
 # The LP solutions are re-verified against the 1e-9 margin, so the solver
 # must satisfy its constraints an order of magnitude more tightly than that.
@@ -671,6 +673,16 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+class IndeterminateError(CertificationError):
+    """A yes/no certificate could not be produced at the working margin."""
+
+
+def antipodal_action(ambient_dim: int) -> OrthogonalAction:
+    if int(ambient_dim) < 1:
+        raise DomainError("ambient dimension must be positive")
+    return OrthogonalAction([-np.eye(int(ambient_dim))], order=2)
 
 
 def _unit_vector(v, dim: int, what: str) -> np.ndarray:
@@ -804,3 +816,221 @@ def in_open_hemisphere(points, margin: float = HEMISPHERE_MARGIN):
     raise IndeterminateError(
         "hemisphere", f"hull LP ended with status {hull.status}: {hull.message}"
     )
+
+
+# Nets on sampled model surfaces, acceptance criterion 10: a farthest-point-
+# first greedy pass returns centers that cover a finite metric space at
+# radius eps while staying pairwise >= eps apart, so the count obeys
+# bounds.packing_bound.
+METRIC_TOL = 1e-9
+
+
+class FiniteMetricSpace:
+    """A list of point ids plus a validated, immutable distance matrix.
+
+    Validation (all at tolerance ``METRIC_TOL``): square shape, nonnegative
+    entries, zero diagonal, symmetry, and the triangle inequality, checked
+    exhaustively via a running min-plus pass over intermediate points.
+    """
+
+    def __init__(self, points, dist) -> None:
+        ids = list(points)
+        if not ids:
+            raise DomainError("metric space needs at least one point")
+        if len(set(ids)) != len(ids):
+            raise DomainError("point ids must be distinct")
+        d = np.asarray(dist, dtype=float)
+        n = len(ids)
+        if d.shape != (n, n):
+            raise DomainError(f"distance matrix shape {d.shape} != ({n}, {n})")
+        if not np.all(np.isfinite(d)):
+            raise DomainError("distance matrix has non-finite entries")
+        if d.min() < -METRIC_TOL:
+            raise DomainError("negative distance")
+        if np.abs(np.diag(d)).max() > METRIC_TOL:
+            raise DomainError("nonzero diagonal")
+        if np.abs(d - d.T).max() > METRIC_TOL:
+            raise DomainError("asymmetric distance matrix")
+        shortcut = d.copy()
+        for k in range(n):
+            np.minimum(shortcut, d[:, k, None] + d[None, k, :], out=shortcut)
+        gap = (d - shortcut).max()
+        if gap > METRIC_TOL:
+            raise DomainError(f"triangle inequality violated by {gap:.3e}")
+        d = d.copy()
+        d.flags.writeable = False
+        self._points = ids
+        self._dist = d
+        self._index = {pid: i for i, pid in enumerate(ids)}
+
+    @property
+    def points(self) -> list:
+        return list(self._points)
+
+    @property
+    def dist(self) -> np.ndarray:
+        return self._dist
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def index_of(self, point_id) -> int:
+        try:
+            return self._index[point_id]
+        except KeyError:
+            raise DomainError(f"unknown point id {point_id!r}") from None
+
+
+def greedy_minimal_net(space: FiniteMetricSpace, eps: float) -> list:
+    """Farthest-point-first net: covers at radius eps, centers >= eps apart.
+
+    Deterministic given the input order: the first point seeds the net and
+    ties in the farthest-point selection resolve to the lowest index.  A point
+    is covered once some center lies at distance strictly below eps, so a
+    point exactly eps away still gets promoted to a center.
+    """
+    if not eps > 0.0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    d = space.dist
+    ids = space.points
+    centers = [0]
+    reach = d[0].copy()
+    while True:
+        far = int(np.argmax(reach))
+        if reach[far] < eps:
+            break
+        centers.append(far)
+        np.minimum(reach, d[far], out=reach)
+    return [ids[i] for i in centers]
+
+
+def verify_net(space: FiniteMetricSpace, eps: float, net) -> tuple[bool, list]:
+    """Exhaustively check the two net properties; list every violation.
+
+    Returns ``(ok, violations)`` where each violation is either
+    ``{"kind": "uncovered", "point": id, "distance": float}`` (the nearest
+    center sits at distance >= eps) or
+    ``{"kind": "separation", "pair": [id, id], "distance": float}`` (two
+    centers closer than eps).
+    """
+    if not eps > 0.0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    idx = [space.index_of(pid) for pid in net]
+    if not idx:
+        raise DomainError("net is empty")
+    d = space.dist
+    ids = space.points
+    violations: list = []
+    nearest = d[idx].min(axis=0)
+    for j in np.flatnonzero(nearest >= eps):
+        violations.append({"kind": "uncovered", "point": ids[j], "distance": float(nearest[j])})
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            gap = d[idx[a], idx[b]]
+            if gap < eps:
+                violations.append(
+                    {"kind": "separation", "pair": [ids[idx[a]], ids[idx[b]]], "distance": float(gap)}
+                )
+    return (not violations, violations)
+
+
+# ---------------------------------------------------------------------------
+# Samplers and closed-form distance matrices for the catalog surfaces.
+
+
+def uniform_sphere_points(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points on the unit ``dim``-sphere in R^(dim+1), as rows."""
+    if dim < 1 or count < 1:
+        raise DomainError("need dim >= 1 and count >= 1")
+    pts = rng.standard_normal((count, dim + 1))
+    norms = np.linalg.norm(pts, axis=1)
+    while np.any(norms < 1e-12):  # pragma: no cover - astronomically unlikely
+        bad = norms < 1e-12
+        pts[bad] = rng.standard_normal((int(bad.sum()), dim + 1))
+        norms = np.linalg.norm(pts, axis=1)
+    return pts / norms[:, None]
+
+
+def uniform_torus_points(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points in the unit cube, read as coordinates on R^dim / Z^dim."""
+    if dim < 1 or count < 1:
+        raise DomainError("need dim >= 1 and count >= 1")
+    return rng.random((count, dim))
+
+
+def sphere_distance_matrix(points: np.ndarray, action: OrthogonalAction | None = None) -> np.ndarray:
+    """Great-circle distances, minimized over an optional deck action.
+
+    For a quotient S^d / G the distance between orbits is
+    min_g arccos(<p, g q>); passing ``action=None`` gives the round sphere.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise DomainError("points must be a 2-D array of row vectors")
+    norms = np.linalg.norm(pts, axis=1)
+    if np.abs(norms - 1.0).max() > 1e-9:
+        raise DomainError("sphere points must be unit vectors")
+    elements = [np.eye(pts.shape[1])] if action is None else action.elements()
+    best = -np.ones((len(pts), len(pts)))
+    for g in elements:
+        np.maximum(best, pts @ (pts @ g.T).T, out=best)
+    dist = np.arccos(np.clip(best, -1.0, 1.0))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def torus_distance_matrix(points: np.ndarray, action: OrthogonalAction | None = None) -> np.ndarray:
+    """Flat distances on R^dim / Z^dim, minimized over an optional point group.
+
+    Each coordinate difference wraps to min(|t|, 1 - |t|); an optional
+    orthogonal action (which must map the unit lattice to itself, e.g. the
+    half-turn x -> -x or a quarter-turn block rotation) is minimized over to
+    give quotient distances.
+    """
+    pts = np.asarray(points, dtype=float) % 1.0
+    if pts.ndim != 2:
+        raise DomainError("points must be a 2-D array of row vectors")
+    elements = [np.eye(pts.shape[1])] if action is None else action.elements()
+    best = np.full((len(pts), len(pts)), np.inf)
+    for g in elements:
+        lattice = g.round()
+        if np.abs(g - lattice).max() > 1e-9:
+            raise DomainError("point-group element does not preserve the unit lattice")
+        moved = (pts @ g.T) % 1.0
+        delta = np.abs(pts[:, None, :] - moved[None, :, :])
+        wrapped = np.minimum(delta, 1.0 - delta)
+        np.minimum(best, np.sqrt((wrapped**2).sum(axis=2)), out=best)
+    dist = 0.5 * (best + best.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def _cloud_ids(count: int) -> list:
+    return [f"p{i}" for i in range(count)]
+
+
+def model_point_cloud(model: ModelOrbifold | str, count: int, seed: int) -> FiniteMetricSpace:
+    """Sample ``count`` points from a catalog surface with exact distances.
+
+    Spheres and their orthogonal quotients use great-circle distances
+    minimized over the deck action; flat models require the unit-cube lattice
+    basis and use wrapped coordinate distances minimized over the point group.
+    """
+    if isinstance(model, str):
+        model = catalog_model(model)
+    if count < 1:
+        raise DomainError("need count >= 1")
+    rng = np.random.default_rng(seed)
+    if model.kind in ("round_sphere", "sphere_quotient"):
+        pts = uniform_sphere_points(model.dimension, count, rng)
+        dist = sphere_distance_matrix(pts, model.action)
+    elif model.kind in ("flat_torus", "torus_quotient"):
+        basis = np.asarray(model.lattice_basis, dtype=float)
+        if np.abs(basis - np.eye(model.dimension)).max() > 1e-12:
+            raise DomainError("point clouds are only supported for unit-cube lattice bases")
+        pts = uniform_torus_points(model.dimension, count, rng)
+        dist = torus_distance_matrix(pts, model.action)
+    else:  # pragma: no cover - catalog kinds are closed
+        raise DomainError(f"unsupported model kind {model.kind!r}")
+    return FiniteMetricSpace(_cloud_ids(count), dist)

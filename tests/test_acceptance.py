@@ -17,28 +17,28 @@ from orbispec import (
     ball_volume,
     best_diameter_bound,
     catalog_model,
-    greedy_minimal_net,
     isotropy_order_cap,
     linked_complement_measure,
     lowest_dirichlet_eigenvalue,
-    model_point_cloud,
     packing_bound,
     r_constant,
     sphere_rotation_action,
     spectral_singular_point_bound,
-    verify_net,
     cyclic_generator,
-    antipodal_action,
     estimate_dimension,
     estimate_volume,
 )
 from oracles import (
+    antipodal_action,
+    greedy_minimal_net,
     in_open_hemisphere,
+    model_point_cloud,
     orbit,
     orbit_sum,
     richardson_fd_eigenvalue,
     shooting_eigenvalue,
     sobol_two_cap_complement,
+    verify_net,
 )
 
 from conftest import TORUS_TRUNCATION

@@ -29,7 +29,6 @@ from orbispec import (
     ell_constant,
     generalized_sin,
     isotropy_order_cap,
-    isotropy_type_enumeration,
     lambda_threshold,
     model_catalog,
     r_constant,
@@ -38,7 +37,6 @@ from orbispec import (
     spectral_singular_point_bound,
     spectrum_content_id,
     sphere_measure,
-    weyl_fit,
 )
 from orbispec import bounds as bounds_module
 from orbispec.bounds import SHRINK
@@ -309,12 +307,6 @@ def test_isotropy_order_cap_exact_on_sphere_quotients(s2_spectrum):
     assert isotropy_order_cap(s2_spectrum, 1.0, (2, 4 * math.pi), 50.0) == 1
 
 
-def test_isotropy_order_cap_accepts_weyl_fit(s2_spectrum):
-    fit = weyl_fit(s2_spectrum)
-    cap = isotropy_order_cap(s2_spectrum, 1.0, fit, math.pi)
-    assert cap >= 1
-
-
 def test_isotropy_order_cap_validation(s2_spectrum):
     with pytest.raises(DomainError):
         isotropy_order_cap(s2_spectrum, 1.0, (0, 1.0), math.pi)
@@ -324,15 +316,6 @@ def test_isotropy_order_cap_validation(s2_spectrum):
         isotropy_order_cap(s2_spectrum, 1.0, (2, 1.0), 0.0)
     with pytest.raises(DomainError):
         isotropy_order_cap(s2_spectrum, 1.0, (3, 4.0), math.pi)  # declared dim 2
-
-
-def test_isotropy_type_enumeration():
-    assert isotropy_type_enumeration(2, 4) == ["C_2", "C_3", "C_4"]
-    assert isotropy_type_enumeration(2, 1) == []
-    note = isotropy_type_enumeration(3, 5)
-    assert len(note) == 1 and "n = 2" in note[0]
-    with pytest.raises(DomainError):
-        isotropy_type_enumeration(2, 0)
 
 
 ALPHA_HI = 0.5 * math.pi * (1.0 - 1e-12)
@@ -710,3 +693,58 @@ def test_singular_pipeline_full_report():
     d = rep.to_dict()
     assert set(d["notes"]) >= {"alpha", "ell", "r_sep", "singular_cap", "diameter"}
     assert d["singular_cap"] == rep.singular_cap
+
+
+@settings(max_examples=70, deadline=None)
+@given(
+    model_id=st.sampled_from([m.model_id for m in model_catalog()]),
+    j=st.integers(-3, 3),
+)
+def test_singular_pipeline_is_scale_covariant(catalog_spectra, model_id, j):
+    # Lengths times c: eigenvalues, truncation and kappa times c^-2, volume
+    # times c^n.  Powers of two keep every rescaled input exact.
+    model, spec = catalog_spectra[model_id]
+    n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
+    grid = list(default_r_grid(n, kappa, v, points=16))
+    c = 2.0**j
+    scaled = Spectrum(
+        tuple((lam / (c * c), mult) for lam, mult in spec.entries),
+        spec.truncation / (c * c),
+        spec.dimension,
+    )
+    base = spectral_singular_point_bound(spec, kappa, n=n, v=v, r_grid=grid)
+    rep = spectral_singular_point_bound(
+        scaled, kappa / (c * c), n=n, v=v * c**n, r_grid=[c * r for r in grid]
+    )
+    assert rep.diameter_bound == pytest.approx(c * base.diameter_bound, rel=1e-12)
+    assert (rep.rho, rep.isotropy_cap, rep.singular_cap) == (
+        base.rho, base.isotropy_cap, base.singular_cap,
+    )
+    assert rep.r_sep == pytest.approx(c * base.r_sep, rel=1e-12)
+    assert rep.ell == pytest.approx(c * base.ell, rel=1e-12)
+    assert rep.alpha == pytest.approx(base.alpha, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_id=st.sampled_from([m.model_id for m in model_catalog()]),
+    curvature_shift=st.sampled_from([0.0, -1.0]),
+    data=st.data(),
+)
+def test_diameter_bound_never_drops_as_the_spectrum_grows(
+    catalog_spectra, model_id, curvature_shift, data
+):
+    # Extra eigenvalues below the truncation and raised multiplicities only
+    # raise rho at every radius, so the smallest 2r(rho + 1) cannot fall.
+    model, spec = catalog_spectra[model_id]
+    n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
+    grid = default_r_grid(n, kappa, model.volume, points=16)
+    counts = dict(spec.entries)
+    values = [lam for lam, _ in spec.entries]
+    for lam in data.draw(st.lists(st.sampled_from(values), max_size=6)):
+        counts[lam] += data.draw(st.integers(1, 3))
+    for lam in data.draw(st.lists(st.floats(0.0, spec.truncation), max_size=6)):
+        counts[lam] = counts.get(lam, 0) + data.draw(st.integers(1, 3))
+    grown = Spectrum(tuple(sorted(counts.items())), spec.truncation, spec.dimension)
+    d_grown = best_diameter_bound(grown, kappa, n, grid)[0]
+    assert d_grown >= best_diameter_bound(spec, kappa, n, grid)[0]

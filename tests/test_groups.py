@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 
 from orbispec.errors import CertificationError, DomainError
-from orbispec.groups import (
-    OrthogonalAction,
-    action_from_dict,
-    antipodal_action,
-    cyclic_generator,
-    sphere_rotation_action,
-)
+from orbispec.groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 
-from oracles import in_open_hemisphere, orbit, orbit_sum
+from oracles import antipodal_action, in_open_hemisphere, orbit, orbit_sum
 
 
 def _random_unit(rng, dim):
@@ -78,20 +72,6 @@ def test_closure_stays_orthogonal_for_large_order():
     assert len(els) == 512
     worst = max(np.abs(g @ g.T - np.eye(2)).max() for g in els)
     assert worst < 1e-10, worst
-
-
-def test_action_from_dict_round_trip():
-    act = cyclic_generator(6, [1])
-    back = action_from_dict({"type": "cyclic", "order": 6, "exponents": [1]})
-    assert back.ambient_dim == act.ambient_dim
-    assert back.order == 6
-    assert np.abs(back.generators[0] - act.generators[0]).max() < 1e-15
-    mat = action_from_dict({"type": "matrix", "generators": [g.tolist() for g in act.generators]})
-    assert mat.order == 6
-    with pytest.raises(DomainError):
-        action_from_dict({"order": 6})
-    with pytest.raises(DomainError):
-        action_from_dict({"type": "permutation"})
 
 
 def test_orbit_size_divides_order():

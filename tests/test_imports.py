@@ -1,7 +1,11 @@
-"""The library's import graph: a fresh interpreter that imports orbispec and
-runs `orbispec verify --quick` loads only scipy.linalg and scipy.special
-from scipy, so a stray import cannot bring the optimizer, sparse or
-statistics stacks back into every cold start."""
+"""The library's public names and import graph.
+
+`orbispec.__all__` must equal a checked-in list, so a public name is added or
+removed on purpose.  A fresh interpreter that imports orbispec and runs
+`orbispec verify --quick` loads only scipy.linalg and scipy.special from
+scipy, so a stray import cannot bring the optimizer, sparse or statistics
+stacks back into every cold start, and no test-only module of the library
+(the former `orbispec.netpack`) comes back with them."""
 
 from __future__ import annotations
 
@@ -10,8 +14,27 @@ import pathlib
 import subprocess
 import sys
 
+import orbispec
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FORBIDDEN = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.integrate", "scipy.stats")
+FORBIDDEN = (
+    "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.integrate", "scipy.stats",
+    "orbispec.netpack",
+)
+PUBLIC_NAMES = [
+    "BoundReport", "CertificationError", "ConvergenceError", "DomainError",
+    "ModelOrbifold", "OrthogonalAction", "SingularPoint", "SpaceForm", "Spectrum",
+    "WeylFit", "__version__", "alpha_constant", "ball_volume", "best_diameter_bound",
+    "bonnet_myers_cap", "catalog_model", "cone_volume", "counting_function",
+    "cyclic_generator", "default_r_grid", "diameter_bound", "ell_constant",
+    "estimate_dimension", "estimate_volume", "flat_torus_spectrum", "generalized_sin",
+    "harmonic_multiplicity", "invariant_multiplicity", "isotropy_order_cap",
+    "lambda_threshold", "linked_complement_measure", "lowest_dirichlet_eigenvalue",
+    "model_catalog", "packing_bound", "quotient_spectrum", "r_constant",
+    "singular_point_cap", "spectral_isotropy_bound", "spectral_singular_point_bound",
+    "spectrum_content_id", "sphere_measure", "sphere_rotation_action",
+    "sphere_spectrum", "unit_ball_volume", "weyl_fit",
+]
 
 PROGRAM = f"""
 import contextlib, io, sys
@@ -21,6 +44,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = sorted(m for m in sys.modules if m.startswith({FORBIDDEN!r}))
 print(code, " ".join(loaded))
 """
+
+
+def test_public_names_are_the_checked_in_list():
+    assert sorted(orbispec.__all__) == PUBLIC_NAMES
+    assert all(hasattr(orbispec, name) for name in PUBLIC_NAMES)
 
 
 def test_library_imports_no_heavy_scipy_subpackage():

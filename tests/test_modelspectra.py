@@ -73,6 +73,20 @@ def test_spectrum_round_trip_and_counting():
         Spectrum.from_dict({"eigenvalues": [[0.0, 1]]})  # missing truncation
     with pytest.raises(DomainError):
         Spectrum.from_dict([0.0, 1])
+    # Truncating these to ints would undercount rho, hence the diameter bound.
+    for bad in (
+        {"eigenvalues": [[0.0, 1], [2.0, 2.9]], "truncation": 6.0},
+        {"eigenvalues": [[0.0, 1], [6.0, True]], "truncation": 6.0},
+        {"eigenvalues": [[0.0, 1]], "truncation": 6.0, "dimension": 2.7},
+        {"eigenvalues": [[0.0, 1]], "truncation": 6.0, "dimension": False},
+    ):
+        with pytest.raises(DomainError):
+            Spectrum.from_dict(bad)
+    spec = Spectrum.from_dict(
+        {"eigenvalues": [[0.0, 1.0], [2.0, 3.0]], "truncation": 6.0, "dimension": 2.0}
+    )
+    assert spec == Spectrum(((0.0, 1), (2.0, 3)), 6.0, dimension=2)
+    assert type(spec.entries[1][1]) is int and type(spec.dimension) is int
 
 
 def test_spectrum_arrays_are_cached_and_read_only():

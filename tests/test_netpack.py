@@ -6,20 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from orbispec import (
-    DomainError,
+from orbispec import DomainError, catalog_model, packing_bound
+from orbispec.groups import OrthogonalAction, sphere_rotation_action
+
+from oracles import (
     FiniteMetricSpace,
-    catalog_model,
     greedy_minimal_net,
     model_point_cloud,
-    packing_bound,
     sphere_distance_matrix,
     torus_distance_matrix,
     uniform_sphere_points,
     uniform_torus_points,
     verify_net,
 )
-from orbispec.groups import OrthogonalAction, sphere_rotation_action
 
 
 def _path_space(n: int, step: float = 1.0) -> FiniteMetricSpace:
@@ -58,11 +57,6 @@ def test_metric_space_accessors_and_immutability():
         space.index_of("missing")
     with pytest.raises(ValueError):
         space.dist[0, 1] = 5.0
-    back = FiniteMetricSpace.from_dict(space.to_dict())
-    assert np.array_equal(back.dist, space.dist)
-    assert back.points == ["p0", "p1", "p2", "p3"]
-    with pytest.raises(DomainError):
-        FiniteMetricSpace.from_dict({"dist": [[0.0]]})
 
 
 def test_greedy_net_on_a_path():
