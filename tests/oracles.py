@@ -645,7 +645,9 @@ def reference_ell_constant(n: int, kappa: float, v: float) -> float:
         cap = bonnet_myers_cap(kappa)
         if ball_volume(sf, cap) <= target:
             return bounds.SHRINK * cap
-        hi = cap * (1.0 - 1e-12)
+        # Near the cap the float ball volume is flat and rounds up and down,
+        # so only the cap itself is sure to lie above the target.
+        hi = cap
     else:
         hi = 1.0
         for _ in range(200):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbispec import (
@@ -448,19 +448,25 @@ def ell_keys(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(key=ell_keys())
+# v/3 one ulp below the whole sphere: the package radius rounds onto the cap
+@example(key=(2, 0.008529521654024232, 4419.838927929922))
+# v/3 one ulp below the whole sphere, where the float volume is flat
+@example(key=(3, 0.15313835624965452, 988.1548897138464))
 def test_ell_constant_matches_brentq_reference(key):
     n, kappa, v = key
     ell = ell_constant(n, kappa, v)
     want = reference_ell_constant(n, kappa, v)
     sf = SpaceForm(n, kappa)
-    r = ell / SHRINK
     # Near the whole sphere the ball volume flattens in r and no float
     # inversion pins r better than rounding times the condition number
-    # V / (r dV/dr); elsewhere that number is about 1/n.
+    # V / (r dV/dr); elsewhere that number is about 1/n.  It is taken at the
+    # smaller radius: the condition only grows toward the cap, and a radius
+    # rounded onto the cap has no positive density to divide by.
+    r = min(ell, want) / SHRINK
     density = sphere_measure(n - 1) * generalized_sin(kappa, r) ** (n - 1)
     condition = max(1.0, ball_volume(sf, r) / (r * density)) if density > 0 else 1.0
     assert abs(ell - want) <= 1e-13 * condition * want, (ell, want, condition)
-    assert ball_volume(sf, r) <= v / 3.0 * (1.0 + 1e-12)
+    assert ball_volume(sf, ell / SHRINK) <= v / 3.0 * (1.0 + 1e-12)
 
 
 def test_ell_constant_root_makes_few_volume_calls(monkeypatch):
