@@ -39,8 +39,9 @@ from .spaceform import (
 )
 from .weyl import estimate_dimension, estimate_volume
 
-# Eigenvalues within this (scaled) distance of the ball threshold are
-# counted: a larger rho weakens the bound but never breaks soundness.
+# Eigenvalues within this relative distance above the ball threshold are
+# counted: a larger rho weakens the bound but never breaks soundness, and a
+# purely relative tolerance keeps rho scale covariant.
 RHO_TOL_SCALE = 1e-9
 ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
@@ -75,8 +76,8 @@ class _TruncationSkip(DomainError):
 def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[float, int]:
     """(D, rho): diameter bound from the eigenvalue count below the r-ball threshold.
 
-    rho counts eigenvalues (with multiplicity) up to the threshold plus an
-    absolute tolerance 1e-9 * max(1, threshold); D = 2 r (rho + 1), clamped
+    rho counts eigenvalues (with multiplicity) up to the threshold plus the
+    relative tolerance 1e-9 * threshold; D = 2 r (rho + 1), clamped
     to the Bonnet-Myers cap when kappa > 0.
     """
     if not (isinstance(n, int) and n >= 2):
@@ -89,7 +90,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
             f"{bonnet_myers_cap(kappa):.9g} for kappa = {kappa:.9g}"
         )
     lam_thr = lambda_threshold(n, kappa, r)
-    tol = RHO_TOL_SCALE * max(1.0, lam_thr)
+    tol = RHO_TOL_SCALE * lam_thr
     if spec.truncation < lam_thr + tol:
         raise _TruncationSkip(
             f"spectrum truncation {spec.truncation:.9g} is below the ball threshold "
@@ -142,7 +143,7 @@ def best_diameter_bound(
     r_grid=None,
     volume_hint: float | None = None,
 ) -> DiameterSearch:
-    """(D*, r*, rho*): smallest diameter bound over a radius grid; ties favor small r.
+    """(D*, r*, rho*): smallest diameter bound over a radius grid; ties favor large r.
 
     Grid points whose ball threshold exceeds the spectrum truncation, that
     fall outside the curvature domain, or whose threshold solve does not
@@ -159,8 +160,11 @@ def best_diameter_bound(
     bounded below at its left end by the largest certified rho to its
     right (0 if none); the run with the lowest bound is split at
     its midpoint until every run's bound exceeds the best D, or ties it
-    right of the best radius.  The first probes thus bisect toward the
-    first admissible radius.  The returned triple is always an actual
+    and ends left of the best radius.  The first probes thus bisect toward
+    the first admissible radius.  Of tying radii the largest wins: it has
+    the smallest rho, so the bound rests on the fewest eigenvalues, and
+    when kappa > 0 clamps every D to the cap, no solve is spent bisecting
+    toward a smaller tying radius.  The returned triple is always an actual
     diameter_bound evaluation, so soundness does not rest on the pruning.
     """
     if r_grid is None:
@@ -179,7 +183,7 @@ def best_diameter_bound(
         if best is None:
             return True
         d_best = certified[best][0]
-        return d < d_best or (d == d_best and i < best)
+        return d < d_best or (d == d_best and i > best)
 
     while True:
         live = []
@@ -190,9 +194,10 @@ def best_diameter_bound(
             if i in certified or i in skipped:
                 end = i
             elif i == lo or i - 1 in certified or i - 1 in skipped:
-                # i starts the run [i, end) of unsolved radii: its lowest bound.
+                # i starts the run [i, end) of unsolved radii: its lowest
+                # bound.  A tie can win only at the run's right end.
                 bound = min(2.0 * radii[i] * (rho_right + 1), cap)
-                if can_win(bound, i):
+                if can_win(bound, end - 1):
                     live.append((bound, i, end))
         if not live:
             break
@@ -542,7 +547,7 @@ def spectral_isotropy_bound(
     notes = {
         "diameter": "smallest 2r(rho+1) over the radius grid"
         + (", clamped at the Bonnet-Myers cap" if kappa > 0 else ""),
-        "rho": f"eigenvalues counted up to the ball threshold + {RHO_TOL_SCALE} * max(1, threshold)",
+        "rho": f"eigenvalues counted up to (1 + {RHO_TOL_SCALE}) times the ball threshold",
         "isotropy_cap": "floor(ball_volume(D) / volume)",
         "volume": source,
     }

@@ -14,8 +14,10 @@ and the diameter bound needs its lowest eigenvalue never *under*-estimated
 * otherwise: the scaling law lam(n, kappa, r) = lam(n, kappa r^2, 1) / r^2
   and a quadratic-element (P2) Galerkin discretization on [0, 1].  Shifted
   inverse iteration runs on LAPACK's banded Cholesky factor (pbtrf/pbtrs)
-  with a BLAS banded product (sbmv) and stops once the normalized iterate
-  stops moving.  The returned value is one exact element-wise Rayleigh
+  with a BLAS banded product (sbmv), moves its shift once to just below the
+  iterate's Rayleigh quotient when that shift's pencil factors (so it stays
+  below the lowest discrete eigenvalue), and stops once the normalized
+  iterate stops moving.  The returned value is one exact element-wise Rayleigh
   quotient of that final P2 trial function, which by Rayleigh-Ritz lies at
   or above the true eigenvalue whether or not the iteration has converged.
 """
@@ -27,6 +29,7 @@ import math
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg.blas import idamax as _idamax
 from scipy.special import jv
 
 from .errors import ConvergenceError, DomainError
@@ -43,6 +46,14 @@ RITZ_ELEMENTS = 100
 # Rayleigh quotient of the last iterate is an upper bound.
 RITZ_ITERATE_TOL = 1e-9
 RITZ_MAX_ITER = 200
+# Steering: once the iterate moves by at most RITZ_STEER_STEP, the shift is
+# tried at RITZ_STEER_GAP of the way from the iterate's Rayleigh quotient rq
+# back to the current shift, sigma' = rq - RITZ_STEER_GAP (rq - sigma), and
+# kept only if its pencil factors.  A failed try is repeated once the step
+# has shrunk tenfold.  These constants set only the cost of a solve, never
+# its one-sidedness.
+RITZ_STEER_STEP = 3e-2
+RITZ_STEER_GAP = 1e-2
 
 # Six-point Gauss-Legendre rule on the reference element [0, 1], and the
 # quadratic Lagrange shape functions (nodes 0, 1/2, 1) and their derivatives
@@ -55,19 +66,28 @@ _DSHAPE = np.array([4 * _XI - 3, 4 - 8 * _XI, 4 * _XI - 1])
 
 # Quadrature points of every element (one row each); the weighted
 # shape-function products behind the six distinct entries of an element
-# matrix (rows quadrature points, columns the pairs below), so that one
-# matmul with the volume density assembles every element; and the cosine
-# start vector on the free nodes.
+# mass matrix and then of an element stiffness matrix (rows quadrature
+# points, columns the pairs below), so that one matmul with the volume
+# density assembles every element of both forms; the nodes of every element
+# (one row each, the Dirichlet node last); and the cosine start vector on
+# the free nodes.
 _H = 1.0 / RITZ_ELEMENTS
 _T = (np.arange(RITZ_ELEMENTS)[:, None] + _XI[None, :]) * _H
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
-_MASS_TABLE = _H * np.stack([_SHAPE[a] * _SHAPE[b] * _OMEGA for a, b in _PAIRS], axis=1)
-_STIFF_TABLE = np.stack([_DSHAPE[a] * _DSHAPE[b] * _OMEGA for a, b in _PAIRS], axis=1) / _H
+_FORM_TABLE = np.concatenate(
+    [
+        _H * np.stack([_SHAPE[a] * _SHAPE[b] * _OMEGA for a, b in _PAIRS], axis=1),
+        np.stack([_DSHAPE[a] * _DSHAPE[b] * _OMEGA for a, b in _PAIRS], axis=1) / _H,
+    ],
+    axis=1,
+)
+_ELEMENT_NODES = 2 * np.arange(RITZ_ELEMENTS)[:, None] + np.arange(3)
 _START = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * RITZ_ELEMENTS + 1)[:-1])
 _START.setflags(write=False)
 
 # Banded Cholesky factor and solve, and the symmetric banded product, all in
-# LAPACK's upper band storage with two superdiagonals.
+# LAPACK's upper band storage with two superdiagonals; and the index of the
+# entry largest in magnitude, for max norms without a temporary.
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 _sbmv = get_blas_funcs("sbmv", dtype=np.float64)
 
@@ -130,70 +150,98 @@ def _first_bessel_zero(n: int) -> float:
     return x
 
 
-def _assemble_band(local: np.ndarray) -> np.ndarray:
-    """Upper banded form (3 rows) of the global matrix from per-element entries.
+def _assemble_bands(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and stiffness matrices in upper banded form (3 rows each).
 
-    local holds the six distinct entries of each element matrix, in the
-    order of _PAIRS.  Element e owns nodes 2e, 2e+1, 2e+2; the last node
-    carries the Dirichlet condition and is dropped.
+    local holds per element the six distinct entries of its mass matrix and
+    then of its stiffness matrix, each in the order of _PAIRS.  Element e
+    owns nodes 2e, 2e+1, 2e+2; the last node carries the Dirichlet condition
+    and is dropped.  Both bands come out Fortran-contiguous, the layout the
+    LAPACK/BLAS wrappers take without a copy.
     """
     m = RITZ_ELEMENTS
-    ab = np.zeros((3, 2 * m + 1))
-    ab[2, 0:2 * m:2] = local[:, 0]
-    ab[2, 1::2] = local[:, 1]
-    ab[2, 2::2] += local[:, 2]
-    ab[1, 1::2] = local[:, 3]
-    ab[1, 2::2] = local[:, 4]
-    ab[0, 2::2] = local[:, 5]
-    return ab[:, :-1]
+    local = local.reshape(m, 2, 6).transpose(1, 0, 2)
+    ab = np.zeros((2, 2 * m + 1, 3))  # form, node, band row
+    ab[:, 0:2 * m:2, 2] = local[:, :, 0]
+    ab[:, 1::2, 2] = local[:, :, 1]
+    ab[:, 2::2, 2] += local[:, :, 2]
+    ab[:, 1::2, 1] = local[:, :, 3]
+    ab[:, 2::2, 1] = local[:, :, 4]
+    ab[:, 2::2, 0] = local[:, :, 5]
+    return ab[0, :-1].T, ab[1, :-1].T
 
 
 def _ritz_unit_ball(n: int, kappa: float) -> float:
     """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball.
 
-    Inverse iteration on the stiffness/mass pencil shifted by sigma, with a
-    banded Cholesky factor.  When kappa < 0, sigma is McKean's lower bound
-    (n-1)^2 |kappa| / 4 on the spectrum, so large hyperbolic balls converge
-    as fast as small ones; the shifted pencil stays positive definite
-    because every Ritz value lies above the true eigenvalue.  When
-    kappa >= 0, sigma = -1 keeps the factorization positive definite near
-    the antipodal cap, where the lowest eigenvalue underflows.  The
-    iteration stops once the iterate moves by at most RITZ_ITERATE_TOL in
-    max norm.  The shift and the stop only steer the iteration: the returned
-    value is the Rayleigh quotient of the final iterate under the unshifted
-    forms, summed from squared gradients and values element by element, so
-    it carries no cancellation and bounds the eigenvalue from above whether
-    or not the iteration has converged.
+    Inverse iteration on the stiffness/mass pencil K - sigma M, with a
+    banded Cholesky factor.  The first shift is safe by construction: when
+    kappa < 0, McKean's lower bound (n-1)^2 |kappa| / 4 on the spectrum, so
+    large hyperbolic balls converge as fast as small ones, and the shifted
+    pencil stays positive definite because every Ritz value lies above the
+    true eigenvalue; when kappa >= 0, sigma = -1, which keeps the
+    factorization positive definite near the antipodal cap, where the
+    lowest eigenvalue underflows.
+
+    Once the iterate has settled (RITZ_STEER_STEP), the shift moves to just
+    below its Rayleigh quotient rq (RITZ_STEER_GAP), which cuts the
+    iterations to about half.  A steering shift is kept only if its pencil
+    factors: by Sylvester's law of inertia K - sigma' M is positive definite
+    exactly when sigma' lies below the lowest eigenvalue of the discrete
+    pencil, so the iteration stays on the ground state.  A failed try keeps
+    the old factor.  rq comes from the shifted forms already at hand, so it
+    may cancel, but it only steers; the shift depends on nothing but the
+    key, so a key's value does not depend on call order.
+
+    The iteration stops once the iterate moves by at most RITZ_ITERATE_TOL
+    in max norm.  The shifts and the stop only steer: the returned value is
+    the Rayleigh quotient of the final iterate under the unshifted forms,
+    summed from squared gradients and values element by element, so it
+    carries no cancellation and bounds the eigenvalue from above whether or
+    not the iteration has converged.
     """
     w = generalized_sin(kappa, _T) ** (n - 1)
     if not np.isfinite(w).all():
         raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
-    mass = _assemble_band(w @ _MASS_TABLE)
-    stiff = _assemble_band(w @ _STIFF_TABLE)
+    mass, stiff = _assemble_bands(w @ _FORM_TABLE)
     sigma = 0.25 * (n - 1) ** 2 * -kappa if kappa < 0 else -1.0
-    chol, info = _pbtrf(stiff - sigma * mass)
+    chol, info = _pbtrf(stiff - sigma * mass, overwrite_ab=1)
     if info != 0:
         raise ConvergenceError(
             f"banded Cholesky of the shifted Ritz pencil failed (LAPACK pbtrf info {info}) "
             f"at n = {n}, kappa r^2 = {kappa!r}"
         )
+    steer_below = RITZ_STEER_STEP
     x = _START
+    mx = _sbmv(2, 1.0, mass, x)
     for _ in range(RITZ_MAX_ITER):
-        y, info = _pbtrs(chol, _sbmv(2, 1.0, mass, x))
+        y, info = _pbtrs(chol, mx)
         if info != 0:
             raise ConvergenceError(
                 f"banded Cholesky solve of the Ritz pencil failed (LAPACK pbtrs info {info}) "
                 f"at n = {n}, kappa r^2 = {kappa!r}"
             )
-        y /= np.abs(y).max()
-        step = np.abs(y - x).max()
+        my = _sbmv(2, 1.0, mass, y)
+        scale = 1.0 / abs(y[_idamax(y)])
+        y *= scale
+        dy = y - x
+        step = abs(dy[_idamax(dy)])
+        if step <= steer_below:
+            # (K - sigma M) y = M x, so rq(y) = sigma + y.Mx / y.My.
+            rq = sigma + float(y @ mx) / float(y @ my)
+            steered = sigma + (1.0 - RITZ_STEER_GAP) * (rq - sigma)
+            factor, info = _pbtrf(stiff - steered * mass, overwrite_ab=1)
+            if info == 0:
+                chol, sigma, steer_below = factor, steered, -1.0
+            else:
+                steer_below = 0.1 * step
         x = y
+        mx = my * scale
         if step <= RITZ_ITERATE_TOL:
             break
-    nodes = np.append(x, 0.0)
-    local = np.stack([nodes[0:-1:2], nodes[1::2], nodes[2::2]], axis=1)
-    grad = local @ _DSHAPE
-    val = local @ _SHAPE
+    nodes = np.append(x, 0.0)[_ELEMENT_NODES]
+    grad = nodes @ _DSHAPE
+    val = nodes @ _SHAPE
     wq = w * _OMEGA
     return float(np.sum(wq * grad * grad)) / (_H * _H * float(np.sum(wq * val * val)))
 

@@ -52,11 +52,21 @@ def bonnet_myers_cap(kappa: float) -> float:
 
 
 def _check_radius(kappa: float, r, what: str = "radius"):
-    """r as a float array, after one min/max pass (NaN fails both comparisons)."""
-    rr = np.asarray(r, dtype=float)
-    lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
+    """(r, its smallest value) once r is checked finite, nonnegative and inside the cap.
+
+    A Python scalar is checked with plain comparisons and comes back as a
+    float; anything else becomes a float array, checked in one min/max pass.
+    NaN fails both comparisons.  The error names the offending value, so a
+    scalar and an array holding it raise the same message.
+    """
+    if isinstance(r, (float, int)):
+        rr = lo = hi = float(r)
+    else:
+        rr = np.asarray(r, dtype=float)
+        lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
     if not (lo >= 0.0 and hi < math.inf):
-        raise DomainError(f"{what} must be finite and nonnegative, got {r!r}")
+        bad = hi if lo >= 0.0 else lo
+        raise DomainError(f"{what} must be finite and nonnegative, got {float(bad)!r}")
     if kappa > 0:
         cap = bonnet_myers_cap(kappa)
         if hi > cap * (1.0 + ACOS_DRIFT):
@@ -77,6 +87,14 @@ def generalized_sin(kappa: float, r):
     Accepts scalar or array ``r``.
     """
     rr, lo = _check_radius(kappa, r)
+    out = _generalized_sin(kappa, rr, lo)
+    if np.ndim(r) == 0:
+        return float(out)
+    return out
+
+
+def _generalized_sin(kappa: float, rr, lo: float):
+    """generalized_sin of a checked radius rr whose smallest value is lo."""
     if kappa == 0.0:
         out = rr
     else:
@@ -91,8 +109,6 @@ def generalized_sin(kappa: float, r):
             x2 = kappa * rr * rr
             series = rr * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
             out = np.where(np.abs(x2) < NEAR_FLAT, series, out)
-    if np.ndim(r) == 0:
-        return float(out)
     return out
 
 
@@ -176,7 +192,7 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
         c = math.cos(math.sqrt(k) * r)
         fraction = 1.0 - math.copysign(float(betainc(0.5, 0.5 * n, c * c)), c)
         return 0.5 * sphere_measure(n) * k ** (-0.5 * n) * fraction
-    sn = generalized_sin(k, r)
+    sn = float(_generalized_sin(k, r, r))
     return unit_ball_volume(n) * sn**n * float(hyp2f1(0.5, 0.5 * n, 0.5 * n + 1.0, k * sn * sn))
 
 

@@ -488,7 +488,7 @@ def hyperbolic_separation_radius(kappa: float, alpha: float, ell: float) -> floa
 def exhaustive_diameter_bound(
     spec: Spectrum, kappa: float, n: int, r_grid
 ) -> tuple[float, float, int]:
-    """(D*, r*, rho*) by solving every grid radius in increasing order; ties favor small r.
+    """(D*, r*, rho*) by solving every grid radius in increasing order; ties favor large r.
 
     The package prunes this scan by threshold monotonicity and must return
     the same triple.  Radii are certified through the package's module-level
@@ -502,7 +502,7 @@ def exhaustive_diameter_bound(
         except (DomainError, ConvergenceError) as exc:
             last_reason = str(exc)
             continue
-        if best is None or d < best[0]:
+        if best is None or d <= best[0]:
             best = (d, float(r), rho)
     if best is None:
         raise CertificationError(

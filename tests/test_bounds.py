@@ -104,6 +104,19 @@ def test_diameter_bound_counts_and_clamps(s2_spectrum, catalog_spectra):
     assert d >= catalog_spectra["t2"][0].diameter  # soundness
 
 
+def test_rho_tolerance_is_scale_covariant_below_threshold_one():
+    # Halving every length multiplies the eigenvalues and the truncation by 4
+    # (exactly, in floats) and must halve D with the same rho.  The threshold
+    # here is below 1, where an absolute tolerance floor of 1e-9 counted an
+    # eigenvalue 0.9e-9 above it at r = 4 ((24.0, 2)) but not at r = 2.
+    t = lambda_threshold(2, 0.0, 4.0)
+    assert t < 1.0
+    spec = Spectrum(((0.0, 1), (t + 0.9e-9, 1)), 10.0)
+    halved = Spectrum(((0.0, 1), (4.0 * (t + 0.9e-9), 1)), 40.0)
+    assert diameter_bound(spec, 0.0, 2, 4.0) == (16.0, 1)
+    assert diameter_bound(halved, 0.0, 2, 2.0) == (8.0, 1)
+
+
 def test_diameter_bound_validation(s2_spectrum):
     with pytest.raises(DomainError):
         diameter_bound(s2_spectrum, 1.0, 1, 0.5)
@@ -130,11 +143,11 @@ def test_default_r_grid_shape():
         default_r_grid(2, 0.0, 1.0, points=1)
 
 
-def test_best_diameter_bound_prefers_small_radius(s2_spectrum):
+def test_best_diameter_bound_prefers_large_radius(s2_spectrum):
     d, r, rho = best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[0.5, 1.0, 2.0])
     assert d == math.pi
-    assert r == 0.5  # all radii tie at the clamp; ties favor small r
-    assert rho == diameter_bound(s2_spectrum, 1.0, 2, 0.5)[1]
+    assert r == 2.0  # all radii tie at the clamp; ties favor large r (fewest eigenvalues)
+    assert rho == diameter_bound(s2_spectrum, 1.0, 2, 2.0)[1]
     with pytest.raises(DomainError):
         best_diameter_bound(s2_spectrum, 1.0, 2)  # no grid, no hint
     with pytest.raises(DomainError):

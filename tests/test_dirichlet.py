@@ -292,7 +292,8 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
 
     monkeypatch.setattr(dirichlet, "_pbtrf", spy)
     lambda_threshold(n, kappa, r_win)
-    bad_pencil = pencils[-1]
+    # The first pencil is the primary factorization; later ones only steer.
+    bad_pencil = pencils[0]
 
     def failing(ab, **kw):
         if np.array_equal(ab, bad_pencil):
@@ -315,3 +316,65 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
     with pytest.raises(ConvergenceError, match="pbtrs info -2"):
         lambda_threshold(n, kappa, r_win)
 
+
+
+def _count_pbtrs(monkeypatch) -> list[int]:
+    """Spy on the banded solves: one per inverse iteration."""
+    calls = [0]
+    real = dirichlet._pbtrs
+
+    def spy(chol, b, **kw):
+        calls[0] += 1
+        return real(chol, b, **kw)
+
+    monkeypatch.setattr(dirichlet, "_pbtrs", spy)
+    return calls
+
+
+def test_ritz_iteration_budget(monkeypatch, capsys):
+    # The steered shift converges in about 6 inverse iterations on the keys
+    # `orbispec verify` solves, and stays cheap at a large hyperbolic key in
+    # high dimension, where the safe McKean shift alone took 143.
+    from orbispec import cli
+
+    keys = []
+    real_ritz = dirichlet._ritz_unit_ball
+
+    def record(n, kappa):
+        keys.append((n, kappa))
+        return real_ritz(n, kappa)
+
+    monkeypatch.setattr(dirichlet, "_ritz_unit_ball", record)
+    assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(dirichlet, "_ritz_unit_ball", real_ritz)
+    assert len(keys) >= 20
+
+    calls = _count_pbtrs(monkeypatch)
+    for n, s in keys:
+        _ritz_unit_ball(n, s)
+    assert calls[0] / len(keys) <= 8.0, calls[0] / len(keys)
+
+    calls[0] = 0
+    _ritz_unit_ball(10, -1600.0)
+    assert calls[0] <= 50, calls[0]
+
+
+@pytest.mark.parametrize("n, s", [(2, 1.3), (4, -30.0), (5, 9.0), (10, -1600.0)])
+def test_failed_steering_keeps_the_safe_shift(monkeypatch, n, s):
+    # Every factorization after the primary one fails: the solve keeps the
+    # safe shift, does not raise, and still reaches the reference value.
+    real_pbtrf = dirichlet._pbtrf
+    calls = [0]
+
+    def first_only(ab, **kw):
+        calls[0] += 1
+        if calls[0] > 1:
+            return np.array(ab), 1
+        return real_pbtrf(ab, **kw)
+
+    monkeypatch.setattr(dirichlet, "_pbtrf", first_only)
+    got = _ritz_unit_ball(n, s)
+    assert calls[0] > 1, "no steering factorization was tried"
+    want = reference_ritz_unit_ball(n, s)
+    assert abs(got - want) <= 1e-10 * want
