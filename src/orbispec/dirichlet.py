@@ -28,8 +28,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
-from scipy.linalg.blas import idamax as _idamax
+from scipy.linalg import blas, get_blas_funcs, get_lapack_funcs
 from scipy.special import jv
 
 from .errors import ConvergenceError, DomainError
@@ -90,6 +89,7 @@ _START.setflags(write=False)
 # entry largest in magnitude, for max norms without a temporary.
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 _sbmv = get_blas_funcs("sbmv", dtype=np.float64)
+_idamax = blas.idamax
 
 
 def _check_ball(sf: SpaceForm, r: float):

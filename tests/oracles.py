@@ -546,10 +546,11 @@ def _reference_band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 def reference_ritz_unit_ball(n: int, kappa: float) -> float:
     """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball.
 
-    The package's kernel before it moved to direct LAPACK/BLAS calls and an
-    iterate-change stop: the same mesh, quadrature, shift and start vector,
-    with scipy's banded Cholesky wrappers, a NumPy band product and a
-    Rayleigh-quotient stop.  The package must agree with it to rounding.
+    The package's kernel before it moved to direct LAPACK/BLAS calls, an
+    iterate-change stop and a steered shift: the same mesh, quadrature, safe
+    shift and start vector, with scipy's banded Cholesky wrappers, a NumPy
+    band product and a Rayleigh-quotient stop.  Both converge to the same
+    discrete ground state, so the package must agree with it to rounding.
 
     Inverse iteration on the stiffness/mass pencil shifted by sigma.  When
     kappa < 0, sigma is McKean's lower bound (n-1)^2 |kappa| / 4 on the

@@ -249,8 +249,10 @@ def test_bessel_sign_is_exact(n, x):
 @settings(max_examples=60, deadline=None)
 @given(ritz_keys())
 def test_ritz_kernel_matches_reference_kernel(key):
-    # Same mesh, quadrature, shift and start vector: only the stop test and
-    # the linear-algebra calls differ, so the quotients agree to rounding.
+    # Same mesh, quadrature, safe shift and start vector: only the steered
+    # shift, the stop test and the linear-algebra calls differ, and both
+    # converge to the same discrete ground state, so the quotients agree to
+    # rounding.
     n, kappa, r = key
     s = kappa * r * r
     want = reference_ritz_unit_ball(n, s)
