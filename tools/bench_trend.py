@@ -11,7 +11,7 @@ every workload: ``--pairs`` untraced runs for the end-to-end metrics, with
 parent and change alternating and the side that goes first alternating
 too, then one traced run for the per-layer numbers.  It also times
 ``orbispec verify`` and ``orbispec verify --quick`` in fresh interpreters
-(wall seconds, median of ``--cli-repeats``).  Each side runs its own
+(wall seconds, median of CLI_REPEATS).  Each side runs its own
 ``perfbench`` and sources, so both are measured with the benchmark code of
 their own commit; give a parent whose benchmark matches when the numbers
 are to be compared.
@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify-cli", "certify-stream", "truncation-sweep")
 # Per-layer metrics kept from a traced run, besides every self_share.* entry.
 TRACE_KEYS = ("dirichlet.threshold_first_s", "dirichlet.threshold_keys", "bounds.radii_tried")
+CLI_REPEATS = 5
 RUN_TIMEOUT_S = 900
 CLI_PROGRAM = "import sys, orbispec.cli; sys.exit(orbispec.cli.main(sys.argv[1:]))"
 
@@ -81,12 +82,12 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     }
 
 
-def cli_wall(root: Path, args: list[str], repeats: int) -> float:
+def cli_wall(root: Path, args: list[str]) -> float:
     """Median wall seconds of `orbispec <args>` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     times = []
-    for _ in range(repeats):
+    for _ in range(CLI_REPEATS):
         t0 = time.perf_counter()
         subprocess.run(
             [sys.executable, "-c", CLI_PROGRAM, *args], cwd=root, env=env,
@@ -104,11 +105,11 @@ def summary(values: list[float]) -> dict:
 
 def measure(sides: dict[str, Path], args) -> tuple[dict, dict]:
     """Per side the summaries described above, and the metadata of one run."""
-    runs = {side: {w: [] for w in args.workloads} for side in sides}
+    runs = {side: {w: [] for w in WORKLOADS} for side in sides}
     names = list(sides)
     for i in range(args.pairs):
         order = names if i % 2 == 0 else names[::-1]
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for side in order:
                 runs[side][workload].append(
                     perfbench(sides[side], workload, args.seed, args.seconds, trace=0)
@@ -116,7 +117,7 @@ def measure(sides: dict[str, Path], args) -> tuple[dict, dict]:
     out = {}
     for side, root in sides.items():
         workloads = {}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             plain = runs[side][workload]
             traced = perfbench(root, workload, args.seed, args.seconds, trace=1)["metrics"]
             workloads[workload] = {
@@ -136,11 +137,11 @@ def measure(sides: dict[str, Path], args) -> tuple[dict, dict]:
             "source_sha256": plain[0]["meta"]["source_sha256"],
             "workloads": workloads,
             "cli_wall_s": {
-                "verify": cli_wall(root, ["verify"], args.cli_repeats),
-                "verify --quick": cli_wall(root, ["verify", "--quick"], args.cli_repeats),
+                "verify": cli_wall(root, ["verify"]),
+                "verify --quick": cli_wall(root, ["verify", "--quick"]),
             },
         }
-    return out, runs[names[0]][args.workloads[0]][0]["meta"]
+    return out, runs[names[0]][WORKLOADS[0]][0]["meta"]
 
 
 def main(argv=None) -> int:
@@ -150,11 +151,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=4, help="untraced runs per workload and side")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--cli-repeats", type=int, default=5)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.cli_repeats < 1:
-        parser.error("--pairs and --cli-repeats must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench-trend-") as tmp:
         sides = {"change": ROOT}
@@ -170,7 +169,7 @@ def main(argv=None) -> int:
         "machine": {k: meta[k] for k in ("cpu_model", "nproc", "openblas_num_threads", "omp_num_threads")},
         "settings": {
             "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-            "cli_repeats": args.cli_repeats, "workloads": args.workloads,
+            "cli_repeats": CLI_REPEATS, "workloads": list(WORKLOADS),
             "times": "end-to-end times in perfbench reference seconds; cli_wall_s in wall seconds",
         },
         **results,
