@@ -320,19 +320,6 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
 
 
 
-def _count_pbtrs(monkeypatch) -> list[int]:
-    """Spy on the banded solves: one per inverse iteration."""
-    calls = [0]
-    real = dirichlet._pbtrs
-
-    def spy(chol, b, **kw):
-        calls[0] += 1
-        return real(chol, b, **kw)
-
-    monkeypatch.setattr(dirichlet, "_pbtrs", spy)
-    return calls
-
-
 def test_ritz_iteration_budget(monkeypatch, capsys):
     # The steered shift converges in about 6 inverse iterations on the keys
     # `orbispec verify` solves, and stays cheap at a large hyperbolic key in
@@ -352,7 +339,15 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
     monkeypatch.setattr(dirichlet, "_ritz_unit_ball", real_ritz)
     assert len(keys) >= 20
 
-    calls = _count_pbtrs(monkeypatch)
+    # One banded solve per inverse iteration.
+    calls = [0]
+    real_pbtrs = dirichlet._pbtrs
+
+    def count(chol, b, **kw):
+        calls[0] += 1
+        return real_pbtrs(chol, b, **kw)
+
+    monkeypatch.setattr(dirichlet, "_pbtrs", count)
     for n, s in keys:
         _ritz_unit_ball(n, s)
     assert calls[0] / len(keys) <= 8.0, calls[0] / len(keys)
