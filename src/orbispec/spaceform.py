@@ -52,18 +52,13 @@ def bonnet_myers_cap(kappa: float) -> float:
 
 
 def _check_radius(kappa: float, r, what: str = "radius"):
-    """(r, its smallest value) once r is checked finite, nonnegative and inside the cap.
+    """r as a float array, after one min/max pass (NaN fails both comparisons).
 
-    A Python scalar is checked with plain comparisons and comes back as a
-    float; anything else becomes a float array, checked in one min/max pass.
-    NaN fails both comparisons.  The error names the offending value, so a
-    scalar and an array holding it raise the same message.
+    The error names the offending value, so a scalar and an array holding
+    it raise the same message.
     """
-    if isinstance(r, (float, int)):
-        rr = lo = hi = float(r)
-    else:
-        rr = np.asarray(r, dtype=float)
-        lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
+    rr = np.asarray(r, dtype=float)
+    lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
     if not (lo >= 0.0 and hi < math.inf):
         bad = hi if lo >= 0.0 else lo
         raise DomainError(f"{what} must be finite and nonnegative, got {float(bad)!r}")
@@ -173,7 +168,7 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
     through pi/2 up to the antipodal cap, where it gives the whole sphere.
     Strictly increasing in r up to the antipodal cap for kappa > 0.
     """
-    _check_radius(sf.kappa, r)
+    rr, lo = _check_radius(sf.kappa, r)
     if r == 0.0:
         return 0.0
     n, k = sf.n, sf.kappa
@@ -192,7 +187,7 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
         c = math.cos(math.sqrt(k) * r)
         fraction = 1.0 - math.copysign(float(betainc(0.5, 0.5 * n, c * c)), c)
         return 0.5 * sphere_measure(n) * k ** (-0.5 * n) * fraction
-    sn = float(_generalized_sin(k, r, r))
+    sn = float(_generalized_sin(k, rr, lo))
     return unit_ball_volume(n) * sn**n * float(hyp2f1(0.5, 0.5 * n, 0.5 * n + 1.0, k * sn * sn))
 
 

@@ -3,13 +3,14 @@
 
 Run from the repository root:
 
-    python3 tools/bench_trend.py --pr 10 --parent HEAD~1 --pairs 4
+    python3 tools/bench_trend.py --pr 10 --parent HEAD~1 --seed 11
 
 For each side (this checkout, and the parent revision unpacked with
 ``git archive`` into a temporary directory) it runs ``perfbench/run.py`` on
-every workload: ``--pairs`` untraced runs for the end-to-end metrics, with
-parent and change alternating and the side that goes first alternating
-too, then one traced run for the per-layer numbers.  It also times
+every workload for the ``run_seconds`` that BENCHMARK.json fixes:
+``--pairs`` untraced runs for the end-to-end metrics, with parent and
+change alternating and the side that goes first alternating too, then one
+traced run for the per-layer numbers.  It also times
 ``orbispec verify`` and ``orbispec verify --quick`` in fresh interpreters
 (wall seconds, median of CLI_REPEATS).  Each side runs its own
 ``perfbench`` and sources, so both are measured with the benchmark code of
@@ -19,8 +20,10 @@ are to be compared.
 The JSON holds the versions and machine, the settings, and per side and
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares, ``dirichlet.threshold_first_s`` and
-``bounds.radii_tried`` from the traced run, and the CLI wall times.
-Without ``--parent`` only this checkout is measured.
+``bounds.radii_tried`` from the traced run, and the CLI wall times.  Per
+workload, ``pairs_won`` counts for each end-to-end metric the pairs in
+which the change read better than the parent run beside it, in the
+direction BENCHMARK.json gives; ties count for neither side.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = ("verify-cli", "certify-stream", "truncation-sweep")
 # Per-layer metrics kept from a traced run, besides every self_share.* entry.
 TRACE_KEYS = ("dirichlet.threshold_first_s", "dirichlet.threshold_keys", "bounds.radii_tried")
@@ -103,8 +108,17 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": qs[0], "q3": qs[2], "runs": values}
 
 
-def measure(sides: dict[str, Path], args) -> tuple[dict, dict]:
-    """Per side the summaries described above, and the metadata of one run."""
+def pairs_won(change: list[dict], parent: list[dict]) -> dict:
+    """Per end-to-end metric, the pairs whose change run beats its parent run."""
+    sign = {m["name"]: 1 if m["better"] == "higher" else -1 for m in BENCHMARK["end_to_end"]}
+    return {
+        k: sum(sign[k] * (c["metrics"][k] - p["metrics"][k]) > 0 for c, p in zip(change, parent))
+        for k in change[0]["metrics"] if k in sign
+    }
+
+
+def measure(sides: dict[str, Path], args) -> tuple[dict, dict, dict]:
+    """Per side the summaries described above, the untraced runs, and one run's metadata."""
     runs = {side: {w: [] for w in WORKLOADS} for side in sides}
     names = list(sides)
     for i in range(args.pairs):
@@ -112,14 +126,14 @@ def measure(sides: dict[str, Path], args) -> tuple[dict, dict]:
         for workload in WORKLOADS:
             for side in order:
                 runs[side][workload].append(
-                    perfbench(sides[side], workload, args.seed, args.seconds, trace=0)
+                    perfbench(sides[side], workload, args.seed, SECONDS, trace=0)
                 )
     out = {}
     for side, root in sides.items():
         workloads = {}
         for workload in WORKLOADS:
             plain = runs[side][workload]
-            traced = perfbench(root, workload, args.seed, args.seconds, trace=1)["metrics"]
+            traced = perfbench(root, workload, args.seed, SECONDS, trace=1)["metrics"]
             workloads[workload] = {
                 "end_to_end": {
                     k: summary([r["metrics"][k] for r in plain]) for k in plain[0]["metrics"]
@@ -141,34 +155,35 @@ def measure(sides: dict[str, Path], args) -> tuple[dict, dict]:
                 "verify --quick": cli_wall(root, ["verify", "--quick"]),
             },
         }
-    return out, runs[names[0]][WORKLOADS[0]][0]["meta"]
+    return out, runs, runs[names[0]][WORKLOADS[0]][0]["meta"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, type=int, help="number in the file name")
-    parser.add_argument("--parent", help="git revision to measure beside this checkout")
-    parser.add_argument("--pairs", type=int, default=4, help="untraced runs per workload and side")
+    parser.add_argument("--parent", required=True,
+                        help="git revision to measure beside this checkout")
+    parser.add_argument("--pairs", type=int, default=10, help="untraced runs per workload and side")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench-trend-") as tmp:
-        sides = {"change": ROOT}
-        if args.parent:
-            sides["parent"] = unpack(args.parent, Path(tmp))
-        results, meta = measure(sides, args)
-        if args.parent:
-            results["parent"]["commit"] = _git("rev-parse", args.parent)
+        sides = {"change": ROOT, "parent": unpack(args.parent, Path(tmp))}
+        results, runs, meta = measure(sides, args)
+        results["parent"]["commit"] = _git("rev-parse", args.parent)
+    for workload in WORKLOADS:
+        results["change"]["workloads"][workload]["pairs_won"] = pairs_won(
+            runs["change"][workload], runs["parent"][workload]
+        )
 
     report = {
         "pr": args.pr,
         "versions": {k: meta[k] for k in ("python", "numpy", "scipy")},
         "machine": {k: meta[k] for k in ("cpu_model", "nproc", "openblas_num_threads", "omp_num_threads")},
         "settings": {
-            "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+            "seed": args.seed, "seconds": SECONDS, "pairs": args.pairs,
             "cli_repeats": CLI_REPEATS, "workloads": list(WORKLOADS),
             "times": "end-to-end times in perfbench reference seconds; cli_wall_s in wall seconds",
         },
