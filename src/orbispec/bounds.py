@@ -414,9 +414,12 @@ def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, d
     """(C, constants): packing cap on isolated singular points.
 
     Singular points are pairwise at least r apart (the separation radius
-    certified by r_constant with the alpha/ell constants); C is the
+    certified by r_constant with the alpha/ell constants).  C is the
     packing_bound at eps = r/2, so disjoint r/4-balls around them pack the
-    diameter-D ball.
+    diameter-D ball.  That is a factor-2 margin under the stated
+    separation, which alone would allow eps = r (disjoint r/2-balls) and a
+    cap about 2^n smaller; the cap keeps the margin until the separation
+    lemma is proved with its constants.
     """
     if kappa > 0:
         d = min(d, bonnet_myers_cap(kappa))

@@ -63,7 +63,7 @@ def _load_spectrum(path: str) -> Spectrum:
         payload = payload["spectrum"]
     try:
         return Spectrum.from_dict(payload)
-    except (DomainError, KeyError, TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
@@ -203,8 +203,10 @@ def _verify_row(model, quick: bool) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
     catalog = model_catalog()
-    if args.models:
+    if args.models is not None:
         wanted = [tok.strip() for tok in args.models.split(",") if tok.strip()]
+        if not wanted:
+            raise DomainError(f"--models {args.models!r} selects no model")
         known = {m.model_id for m in catalog}
         for tok in wanted:
             if tok not in known:

@@ -1,114 +1,67 @@
-"""Finite orthogonal actions on spheres.
+"""Finite cyclic orthogonal actions on spheres, as exact integer records.
 
-Cyclic block-rotation generators and group closure with a check of the
-declared order.  The sphere-quotient spectra in modelspectra average over
-these elements.
+An action is its order k, the exponents a_j of its 2x2 rotation blocks
+(block j turns by 2 pi a_j / k), and its numbers of fixed and reversed
+axes.  The generator matrix is derived from the record; the sphere-quotient
+spectra in modelspectra count invariant monomials from the record itself.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CertificationError, ConvergenceError, DomainError
-
-ORTHO_TOL = 1e-12
-DEDUP_TOL = 1e-9
-# Long products drift; re-project onto the orthogonal group every 16 steps.
-REORTHO_EVERY = 16
-# A closure that grows past this many elements is taken to be infinite.
-MAX_ORDER = 4096
+from .errors import DomainError
 
 
-def _polar_factor(m: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(m)
-    return u @ vt
-
-
-def _check_orthogonal(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"{what} must be a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    err = float(np.max(np.abs(m.T @ m - np.eye(d))))
-    if err > ORTHO_TOL:
-        raise DomainError(f"{what} is not orthogonal: |g^T g - I| = {err:.3e} > {ORTHO_TOL}")
-    return m
+def _count(x, what: str) -> int:
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 class OrthogonalAction:
-    """A finite subgroup of O(d) given by generators.
+    """The cyclic group generated by diag(R(2 pi a_1/k), ..., R(2 pi a_m/k), +1, ..., -1, ...).
 
-    For cyclic block-rotation actions the exponent list (1, a_1, ...) is
-    retained; ``order`` is the declared cyclic order, or the size of the
-    computed closure for plain matrix actions.
+    The record must generate a group of exactly the declared order k: the
+    lcm of the block orders k / gcd(a_j, k), and of 2 if any axis is
+    reversed, must be k.
     """
 
-    def __init__(
-        self,
-        generators,
-        order: int | None = None,
-        exponents: tuple[int, ...] | None = None,
-    ):
-        mats = [_check_orthogonal(g, f"generator {i}") for i, g in enumerate(generators)]
-        if not mats:
-            raise DomainError("an action needs at least one generator")
-        d = mats[0].shape[0]
-        if any(m.shape[0] != d for m in mats):
-            raise DomainError("generators must share an ambient dimension")
-        for m in mats:
-            m.setflags(write=False)
-        self.ambient_dim = d
-        self.generators = tuple(mats)
-        self.exponents = tuple(int(a) for a in exponents) if exponents is not None else None
-        self._declared_order = None if order is None else int(order)
-        self._elements: list[np.ndarray] | None = None
-
-    @property
-    def order(self) -> int:
-        if self._declared_order is not None:
-            return self._declared_order
-        return len(self.elements())
-
-    def elements(self) -> list[np.ndarray]:
-        """All group elements, by breadth-first closure of the generators."""
-        if self._elements is not None:
-            return self._elements
-        d = self.ambient_dim
-        elems: list[np.ndarray] = [np.eye(d)]
-        frontier = [np.eye(d)]
-        accepted = 1
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = a @ g
-                    if accepted % REORTHO_EVERY == 0:
-                        b = _polar_factor(b)
-                    if any(np.max(np.abs(b - e)) <= DEDUP_TOL for e in elems):
-                        continue
-                    elems.append(b)
-                    nxt.append(b)
-                    accepted += 1
-                    if len(elems) > MAX_ORDER:
-                        raise ConvergenceError(
-                            f"group closure exceeded {MAX_ORDER} elements; "
-                            "generators may not generate a finite group at this tolerance"
-                        )
-            frontier = nxt
-        if self._declared_order is not None and len(elems) != self._declared_order:
-            raise CertificationError(
-                "group-closure",
-                f"closure has {len(elems)} elements but order {self._declared_order} was declared",
+    def __init__(self, order: int, exponents=(), fixed_axes: int = 0, reversed_axes: int = 0):
+        k = _count(order, "the order")
+        if k < 2:
+            raise DomainError(f"cyclic order must be an integer >= 2, got {order!r}")
+        exps = tuple(_count(a, "a rotation exponent") for a in exponents)
+        fixed = _count(fixed_axes, "the number of fixed axes")
+        flipped = _count(reversed_axes, "the number of reversed axes")
+        if fixed < 0 or flipped < 0:
+            raise DomainError("axis counts must be nonnegative")
+        generated = math.lcm(*(k // math.gcd(a, k) for a in exps), 2 if flipped else 1)
+        if generated != k:
+            raise DomainError(
+                f"the record generates a group of order {generated}, not the declared {k}"
             )
-        self._elements = elems
-        return elems
+        self.order = k
+        self.exponents = exps
+        self.fixed_axes = fixed
+        self.reversed_axes = flipped
+        self.ambient_dim = 2 * len(exps) + fixed + flipped
 
-
-def rotation_block(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """The generator matrix, read-only."""
+        kept = 2 * len(self.exponents) + self.fixed_axes
+        g = np.diag([1.0] * kept + [-1.0] * self.reversed_axes)
+        for i, a in enumerate(self.exponents):
+            t = 2.0 * math.pi * a / self.order
+            c, s = math.cos(t), math.sin(t)
+            g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
+        g.setflags(write=False)
+        return g
 
 
 def cyclic_generator(order: int, exponents=()) -> OrthogonalAction:
@@ -120,8 +73,6 @@ def cyclic_generator(order: int, exponents=()) -> OrthogonalAction:
     dimension is 2*(1 + len(exponents)).
     """
     l = int(order)
-    if l < 2:
-        raise DomainError(f"cyclic order must be an integer >= 2, got {order!r}")
     exps = [1] + [int(a) for a in exponents]
     for a in exps:
         if math.gcd(a, l) != 1:
@@ -129,19 +80,9 @@ def cyclic_generator(order: int, exponents=()) -> OrthogonalAction:
                 f"exponent {a} shares a factor with the order {l}; "
                 "the action would fix points on the sphere"
             )
-    blocks = [rotation_block(2.0 * math.pi * a / l) for a in exps]
-    d = 2 * len(blocks)
-    g = np.zeros((d, d))
-    for i, b in enumerate(blocks):
-        g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
-    return OrthogonalAction([g], order=l, exponents=tuple(exps))
+    return OrthogonalAction(l, exps)
 
 
 def sphere_rotation_action(order: int) -> OrthogonalAction:
     """Z_order acting on the 2-sphere by rotation about the polar axis."""
-    l = int(order)
-    if l < 2:
-        raise DomainError(f"rotation order must be an integer >= 2, got {order!r}")
-    g = np.eye(3)
-    g[:2, :2] = rotation_block(2.0 * math.pi / l)
-    return OrthogonalAction([g], order=l)
+    return OrthogonalAction(int(order), (1,), fixed_axes=1)

@@ -2,12 +2,13 @@
 
 Flat tori (dual-lattice modes keyed by one exact integer quadratic form),
 round spheres (harmonic-polynomial multiplicities), and their quotients by
-finite isometry groups: sphere quotients via character averaging over the
-group, torus quotients by lattice-compatible linear symmetries via a
-Burnside count of fixed dual modes.  Eigenvalue grouping happens on exact
-integer keys; floats appear only at the Spectrum boundary.  Every catalog
-entry carries its ground-truth geometry (volume, diameter, curvature lower
-bound, singular points) so the bound pipelines can be validated end to end.
+cyclic isometry groups: sphere quotients by an exact integer count of
+invariant monomials (Molien's count for a cyclic action), torus quotients by
+lattice-compatible linear symmetries via a Burnside count of fixed dual
+modes.  Eigenvalue grouping happens on exact integer keys; floats appear
+only at the Spectrum boundary.  Every catalog entry carries its ground-truth
+geometry (volume, diameter, curvature lower bound, singular points) so the
+bound pipelines can be validated end to end.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class Spectrum:
     dimension: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.truncation) and self.truncation >= 0):
-            raise DomainError(f"truncation must be finite and >= 0, got {self.truncation!r}")
+        _check_truncation(self.truncation)
         prev = -math.inf
         for val, mult in self.entries:
             if not (math.isfinite(val) and val >= 0):
@@ -87,13 +87,18 @@ class Spectrum:
             trunc = float(data["truncation"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"spectrum JSON needs 'eigenvalues' and 'truncation': {exc}") from exc
-        entries = []
-        for item in raw:
-            if len(item) != 2:
-                raise DomainError(f"each eigenvalue entry must be [value, multiplicity]: {item!r}")
-            entries.append((float(item[0]), _integral(item[1], "multiplicity")))
+        try:
+            entries = [(float(val), _integral(mult, "multiplicity")) for val, mult in raw]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"'eigenvalues' must hold [value, multiplicity] pairs: {exc}") from exc
         dim = data.get("dimension")
         return Spectrum(tuple(entries), trunc, None if dim is None else _integral(dim, "dimension"))
+
+
+def _check_truncation(lambda_max: float) -> None:
+    """A truncation must be a finite number >= 0; inf would never end a sphere build."""
+    if not (math.isfinite(lambda_max) and lambda_max >= 0):
+        raise DomainError(f"the truncation must be finite and >= 0, got {lambda_max!r}")
 
 
 def _integral(x, what: str) -> int:
@@ -147,8 +152,7 @@ def _dual_modes(basis: np.ndarray, lambda_max: float):
         raise DomainError(f"lattice basis must be a square matrix, got shape {basis.shape}")
     if not np.all(np.isfinite(basis)):
         raise DomainError("lattice basis must be finite")
-    if lambda_max < 0:
-        raise DomainError(f"the truncation must be >= 0, got {lambda_max!r}")
+    _check_truncation(lambda_max)
     n = basis.shape[0]
     gram = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
     den = math.lcm(*(g.denominator for row in gram for g in row))
@@ -220,8 +224,7 @@ def sphere_spectrum(n: int, lambda_max: float) -> Spectrum:
     """Spectrum of the unit round S^n: eigenvalues l(l+n-1)."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"sphere dimension must be an integer >= 2, got {n!r}")
-    if lambda_max < 0:
-        raise DomainError(f"the truncation must be >= 0, got {lambda_max!r}")
+    _check_truncation(lambda_max)
     entries = []
     l = 0
     while l * (l + n - 1) <= lambda_max:
@@ -230,56 +233,33 @@ def sphere_spectrum(n: int, lambda_max: float) -> Spectrum:
     return Spectrum(tuple(entries), float(lambda_max), n)
 
 
-def _homogeneous_traces(eigs: np.ndarray, l_max: int) -> np.ndarray:
-    """h_d(g) for d = 0..l_max: traces of g on homogeneous degree-d polynomials.
+def _invariant_counts(action: OrthogonalAction, l_max: int) -> list[int]:
+    """Dimensions of the invariant degree-l harmonics on S^(d-1), l = 0..l_max.
 
-    Newton's identity h_d = (1/d) sum_k p_k h_(d-k) with power sums
-    p_k = sum of eigenvalue k-th powers.
+    In eigen-coordinates the generator scales each monomial by a root of
+    unity exp(2 pi i w / k), where w is the monomial's weight sum: a and -a
+    for the two coordinates of an a-block, 0 for a fixed axis and k/2 for a
+    reversed one.  The invariant degree-l polynomials are the p_l monomials
+    of weight 0 mod k, and, the squared norm being invariant, the invariant
+    harmonics number p_l - p_(l-2).  p comes from one exact integer table
+    over (degree, weight mod k), one variable at a time.
     """
-    p = np.array([np.sum(eigs**k) for k in range(1, l_max + 1)])
-    h = np.zeros(l_max + 1, dtype=complex)
-    h[0] = 1.0
-    for d in range(1, l_max + 1):
-        h[d] = np.sum(p[:d] * h[d - 1 :: -1]) / d
-    return h
-
-
-def _character_table(action: OrthogonalAction, l_max: int) -> np.ndarray:
-    """chi_l(g) = h_l(g) - h_(l-2)(g) for every group element, l = 0..l_max."""
-    dim = action.ambient_dim
-    n = dim - 1
-    rows = []
-    for g in action.elements():
-        if np.max(np.abs(g - np.eye(dim))) < 1e-12:
-            rows.append([float(harmonic_multiplicity(n, l)) for l in range(l_max + 1)])
-            continue
-        h = _homogeneous_traces(np.linalg.eigvals(g), l_max)
-        chi = [h[l] - (h[l - 2] if l >= 2 else 0.0) for l in range(l_max + 1)]
-        rows.append(np.real(chi))
-    return np.array(rows)
+    k = action.order
+    weights = [w for a in action.exponents for w in (a, -a)]
+    weights += [0] * action.fixed_axes + [k // 2] * action.reversed_axes
+    p = [[1] + [0] * (k - 1)] + [[0] * k for _ in range(l_max)]
+    for w in weights:
+        for l in range(1, l_max + 1):
+            below = p[l - 1]
+            p[l] = [c + below[(r - w) % k] for r, c in enumerate(p[l])]
+    return [p[l][0] - (p[l - 2][0] if l >= 2 else 0) for l in range(l_max + 1)]
 
 
 def invariant_multiplicity(action: OrthogonalAction, l: int) -> int:
-    """Dimension of the G-invariant degree-l spherical harmonics on S^(d-1).
-
-    Average of the character chi_l over the group; the result must be a
-    nonnegative integer within 1e-6 or the computation is rejected.
-    """
+    """Dimension of the G-invariant degree-l spherical harmonics on S^(d-1), counted exactly."""
     if not isinstance(l, int) or l < 0:
         raise DomainError(f"harmonic degree must be an integer >= 0, got {l!r}")
-    return _invariant_count(_character_table(action, l), l)
-
-
-def _invariant_count(table: np.ndarray, l: int) -> int:
-    """Group average of the degree-l characters, rounded to the integer it must be."""
-    avg = float(np.sum(table[:, l])) / table.shape[0]
-    r = round(avg)
-    if abs(avg - r) > 1e-6 or r < 0:
-        raise CertificationError(
-            "invariant-multiplicity",
-            f"character average {avg!r} at degree {l} is not a nonnegative integer",
-        )
-    return int(r)
+    return _invariant_counts(action, l)[l]
 
 
 @dataclass(frozen=True)
@@ -338,15 +318,15 @@ def _torus_quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectru
     have exactly the declared order on the lattice, both checked exactly.
     """
     action = model.action
-    if action is None or len(action.generators) != 1:
-        raise DomainError("torus quotients need a single-generator lattice symmetry")
+    if action is None:
+        raise DomainError("torus quotients need a lattice symmetry")
     order = action.order
     if order not in (2, 3, 4, 6):
         raise DomainError(
             f"torus quotients support crystallographic orders 2, 3, 4, 6; got {order}"
         )
     basis = np.asarray(model.lattice_basis, dtype=float)
-    a = action.generators[0]
+    a = action.generator
     # Rows of the basis generate, so lattice coordinates of A are B^(-T) A B^T
     # and the dual modes k transform by the transpose of that.
     m_lattice = np.linalg.solve(basis.T, a @ basis.T)
@@ -390,8 +370,7 @@ def _torus_quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectru
 
 def quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
     """Spectrum of a sphere or torus quotient: invariant eigenfunctions of the cover."""
-    if lambda_max < 0:
-        raise DomainError(f"the truncation must be >= 0, got {lambda_max!r}")
+    _check_truncation(lambda_max)
     if model.kind == "sphere_quotient":
         if model.action is None:
             raise DomainError("sphere quotients need an action")
@@ -401,15 +380,9 @@ def quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
         l_max = 0
         while (l_max + 1) * (l_max + n) <= lambda_max:
             l_max += 1
-        table = _character_table(model.action, l_max)
-        entries = []
-        for l in range(l_max + 1):
-            if l * (l + n - 1) > lambda_max:
-                break
-            r = _invariant_count(table, l)
-            if r > 0:
-                entries.append((float(l * (l + n - 1)), r))
-        return Spectrum(tuple(entries), float(lambda_max), model.dimension)
+        counts = _invariant_counts(model.action, l_max)
+        entries = tuple((float(l * (l + n - 1)), r) for l, r in enumerate(counts) if r > 0)
+        return Spectrum(entries, float(lambda_max), model.dimension)
     if model.kind == "torus_quotient":
         return _torus_quotient_spectrum(model, lambda_max)
     raise DomainError(f"quotient_spectrum does not apply to kind {model.kind!r}")
@@ -432,7 +405,7 @@ def model_catalog() -> list[ModelOrbifold]:
             "pillowcase", "torus_quotient", 2, 0.5, 0.5 * math.sqrt(2.0), 0.0,
             singular_points=tuple(SingularPoint(2, True) for _ in range(4)),
             lattice_basis=eye2,
-            action=OrthogonalAction([-np.eye(2)], order=2),
+            action=OrthogonalAction(2, reversed_axes=2),
             description=(
                 "unit square torus modulo x -> -x; four order-2 cone points at the "
                 "half-lattice points; area halves, diameter stays sqrt(2)/2 "
@@ -443,9 +416,7 @@ def model_catalog() -> list[ModelOrbifold]:
             "t2-mod-4", "torus_quotient", 2, 0.25, 0.5 * math.sqrt(2.0), 0.0,
             singular_points=(SingularPoint(4, True), SingularPoint(4, True), SingularPoint(2, True)),
             lattice_basis=eye2,
-            action=OrthogonalAction(
-                [np.array([[0.0, -1.0], [1.0, 0.0]])], order=4
-            ),
+            action=OrthogonalAction(4, (1,)),
             description=(
                 "unit square torus modulo the quarter turn; cone points of orders 4, 4 "
                 "(at the origin and the center, both fixed) and 2 (the edge-midpoint "

@@ -1,6 +1,6 @@
 """Shared fixtures: catalog spectra at the truncations the suite exercises.
 
-Spectra are exact but not free to build (character tables, lattice
+Spectra are exact but not free to build (lattice
 enumeration), so each is computed once per session and shared.
 """
 

@@ -7,7 +7,8 @@ literals where a value is load-bearing, and call these routines directly for
 randomized sweeps.  The proof ingredients no certificate calls (the hinge law
 of cosines, the antipodal action, orbits, orbit sums, the LP open-hemisphere
 test, and greedy nets on sampled model surfaces) live here too, exercised by
-the acceptance criteria.
+the acceptance criteria, as does the float character average over the
+element list g^j that the exact invariant counts are checked against.
 """
 
 from __future__ import annotations
@@ -34,8 +35,14 @@ from orbispec.dirichlet import (
     _first_bessel_zero,
 )
 from orbispec.errors import CertificationError, ConvergenceError, DomainError
-from orbispec.groups import DEDUP_TOL, OrthogonalAction
-from orbispec.modelspectra import FOUR_PI_SQ, ModelOrbifold, Spectrum, catalog_model
+from orbispec.groups import OrthogonalAction
+from orbispec.modelspectra import (
+    FOUR_PI_SQ,
+    ModelOrbifold,
+    Spectrum,
+    catalog_model,
+    harmonic_multiplicity,
+)
 from orbispec.spaceform import (
     ACOS_DRIFT,
     NEAR_FLAT,
@@ -406,6 +413,47 @@ def series_reciprocal_characters(g: np.ndarray, l_max: int) -> list[float]:
     return [h[l] - (h[l - 2] if l >= 2 else 0.0) for l in range(l_max + 1)]
 
 
+def elements(action: OrthogonalAction) -> list[np.ndarray]:
+    """The group elements g^j, j = 0..order-1, by repeated multiplication."""
+    out = [np.eye(action.ambient_dim)]
+    for _ in range(action.order - 1):
+        out.append(out[-1] @ action.generator)
+    return out
+
+
+def _homogeneous_traces(eigs: np.ndarray, l_max: int) -> np.ndarray:
+    """h_d(g) for d = 0..l_max: traces of g on homogeneous degree-d polynomials.
+
+    Newton's identity h_d = (1/d) sum_k p_k h_(d-k) with power sums
+    p_k = sum of eigenvalue k-th powers.
+    """
+    p = np.array([np.sum(eigs**k) for k in range(1, l_max + 1)])
+    h = np.zeros(l_max + 1, dtype=complex)
+    h[0] = 1.0
+    for d in range(1, l_max + 1):
+        h[d] = np.sum(p[:d] * h[d - 1 :: -1]) / d
+    return h
+
+
+def character_averages(action: OrthogonalAction, l_max: int) -> np.ndarray:
+    """Float group averages of the harmonic characters chi_l = h_l - h_(l-2), l = 0..l_max.
+
+    Each element's h_d come from Newton's identities on the eigenvalues of
+    its matrix (the identity contributes the harmonic dimensions exactly);
+    an average is the invariant dimension up to rounding, and the caller
+    decides how close to an integer it must be.
+    """
+    dim = action.ambient_dim
+    total = np.zeros(l_max + 1)
+    for g in elements(action):
+        if np.max(np.abs(g - np.eye(dim))) < 1e-12:
+            total += [harmonic_multiplicity(dim - 1, l) for l in range(l_max + 1)]
+            continue
+        h = np.real(_homogeneous_traces(np.linalg.eigvals(g), l_max))
+        total += h - np.concatenate(([0.0, 0.0], h[:-2]))[: l_max + 1]
+    return total / action.order
+
+
 def gauss_legendre_linked_complement(d: int, alpha: float, order: int = 64) -> float:
     """Fixed-order Gauss-Legendre evaluation of the linked two-cap complement.
 
@@ -670,6 +718,8 @@ def reference_ell_constant(n: int, kappa: float, v: float) -> float:
 # action, orbits, the roots-of-unity orbit sum, and the LP-certified
 # open-hemisphere test.
 HEMISPHERE_MARGIN = 1e-9
+# Two orbit points closer than this in every coordinate are one point.
+DEDUP_TOL = 1e-9
 # The LP solutions are re-verified against the 1e-9 margin, so the solver
 # must satisfy its constraints an order of magnitude more tightly than that.
 _LP_OPTIONS = {
@@ -685,7 +735,7 @@ class IndeterminateError(CertificationError):
 def antipodal_action(ambient_dim: int) -> OrthogonalAction:
     if int(ambient_dim) < 1:
         raise DomainError("ambient dimension must be positive")
-    return OrthogonalAction([-np.eye(int(ambient_dim))], order=2)
+    return OrthogonalAction(2, reversed_axes=int(ambient_dim))
 
 
 def _unit_vector(v, dim: int, what: str) -> np.ndarray:
@@ -701,11 +751,11 @@ def orbit(action: OrthogonalAction, v) -> np.ndarray:
     """The orbit {g v : g in G}, deduplicated; its size divides the order."""
     v = _unit_vector(v, action.ambient_dim, "orbit point")
     pts: list[np.ndarray] = []
-    for g in action.elements():
+    for g in elements(action):
         q = g @ v
         if not any(np.max(np.abs(q - p)) <= DEDUP_TOL for p in pts):
             pts.append(q)
-    n_group = len(action.elements())
+    n_group = action.order
     if n_group % len(pts) != 0:
         raise CertificationError(
             "orbit",
@@ -723,10 +773,8 @@ def orbit_sum(action: OrthogonalAction, v) -> np.ndarray:
     norm is certified to be at most 1e-10 * order, and a failure flags a
     non-coprime exponent or a numerical fault.
     """
-    if len(action.generators) != 1:
-        raise DomainError("orbit_sum is defined for single-generator actions")
     v = _unit_vector(v, action.ambient_dim, "orbit point")
-    g = action.generators[0]
+    g = action.generator
     l = action.order
     total = np.zeros_like(v)
     q = v.copy()
@@ -973,9 +1021,9 @@ def sphere_distance_matrix(points: np.ndarray, action: OrthogonalAction | None =
     norms = np.linalg.norm(pts, axis=1)
     if np.abs(norms - 1.0).max() > 1e-9:
         raise DomainError("sphere points must be unit vectors")
-    elements = [np.eye(pts.shape[1])] if action is None else action.elements()
+    group = [np.eye(pts.shape[1])] if action is None else elements(action)
     best = -np.ones((len(pts), len(pts)))
-    for g in elements:
+    for g in group:
         np.maximum(best, pts @ (pts @ g.T).T, out=best)
     dist = np.arccos(np.clip(best, -1.0, 1.0))
     dist = 0.5 * (dist + dist.T)
@@ -994,9 +1042,9 @@ def torus_distance_matrix(points: np.ndarray, action: OrthogonalAction | None = 
     pts = np.asarray(points, dtype=float) % 1.0
     if pts.ndim != 2:
         raise DomainError("points must be a 2-D array of row vectors")
-    elements = [np.eye(pts.shape[1])] if action is None else action.elements()
+    group = [np.eye(pts.shape[1])] if action is None else elements(action)
     best = np.full((len(pts), len(pts)), np.inf)
-    for g in elements:
+    for g in group:
         lattice = g.round()
         if np.abs(g - lattice).max() > 1e-9:
             raise DomainError("point-group element does not preserve the unit lattice")

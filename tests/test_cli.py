@@ -213,6 +213,11 @@ def test_exit_code_1_on_malformed_input(capsys, tmp_path):
     assert code == 1 and err.startswith("error[input]")
     code, _, err = run_cli(capsys, "weyl", "--spectrum", str(tmp_path / "missing.json"))
     assert code == 1
+    # eigenvalues that are not a list of pairs
+    for raw in (5, [5], [[1.0, 1, 2]], [["x", 1]]):
+        bad.write_text(json.dumps({"eigenvalues": raw, "truncation": 6.0}))
+        code, out, err = run_cli(capsys, "weyl", "--spectrum", str(bad))
+        assert code == 1 and out == "" and err.startswith("error[input]"), raw
     # a multiplicity or dimension that is not an integral number is refused, not truncated
     bad.write_text(
         '{"eigenvalues": [[0.0, 1], [2.0, 2.9], [6.0, true]], "dimension": 2.7, "truncation": 6.0}'
@@ -266,3 +271,20 @@ def test_verify_quick_subset(capsys):
         assert (row["singular"] or {}).get("cap") == rep.singular_cap
     code, _, err = run_cli(capsys, "verify", "--quick", "--models", "unknown-model")
     assert code == 2 and err.startswith("error[domain]")
+
+
+def test_verify_rejects_an_empty_selection(capsys):
+    # Zero rows would read "all_sound": true with nothing verified.
+    for selection in (",", "", " , "):
+        code, out, err = run_cli(capsys, "verify", "--quick", "--models", selection)
+        assert code == 2 and out == ""
+        assert err.startswith("error[domain]")
+
+
+def test_spectrum_rejects_non_finite_truncations(capsys):
+    # inf used to hang the sphere builds and crash the torus builds.
+    for model in ("s2", "s2-mod-3", "t2", "pillowcase"):
+        for lam in ("inf", "nan", "-1"):
+            code, out, err = run_cli(capsys, "spectrum", "--model", model, "--lambda-max", lam)
+            assert code == 2 and out == ""
+            assert err.startswith("error[domain]"), (model, lam, err)

@@ -1,4 +1,4 @@
-"""Finite orthogonal actions, orbits, and hemisphere certificates."""
+"""Cyclic orthogonal action records, orbits, and hemisphere certificates."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from orbispec.errors import CertificationError, DomainError
+from orbispec.errors import DomainError
 from orbispec.groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 
-from oracles import antipodal_action, in_open_hemisphere, orbit, orbit_sum
+from oracles import antipodal_action, elements, in_open_hemisphere, orbit, orbit_sum
 
 
 def _random_unit(rng, dim):
@@ -22,7 +22,7 @@ def test_sphere_rotation_action_basics():
     act = sphere_rotation_action(5)
     assert act.ambient_dim == 3
     assert act.order == 5
-    els = act.elements()
+    els = elements(act)
     assert len(els) == 5
     pole = np.array([0.0, 0.0, 1.0])
     for g in els:
@@ -35,14 +35,14 @@ def test_sphere_rotation_action_basics():
 def test_antipodal_action():
     act = antipodal_action(3)
     assert act.order == 2
-    assert np.array_equal(act.generators[0], -np.eye(3))
+    assert np.array_equal(act.generator, -np.eye(3))
 
 
 def test_cyclic_generator_block_structure():
     act = cyclic_generator(4, [1])
     assert act.ambient_dim == 4
     assert act.order == 4
-    g = act.generators[0]
+    g = act.generator
     # both blocks rotate by 2 pi / 4
     c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
     want = np.zeros((4, 4))
@@ -54,21 +54,58 @@ def test_cyclic_generator_block_structure():
         cyclic_generator(4, [2])
 
 
-def test_declared_order_mismatch_is_caught():
-    rot3 = sphere_rotation_action(3).generators[0]
-    with pytest.raises(CertificationError) as info:
-        OrthogonalAction([rot3], order=4).elements()
-    assert info.value.stage == "group-closure"
+def test_record_derives_its_generator():
+    act = OrthogonalAction(6, (1, 3), fixed_axes=1, reversed_axes=2)
+    assert act.ambient_dim == 7
+    g = act.generator
+    assert not g.flags.writeable
+    c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+    assert np.abs(g[:2, :2] - [[c, -s], [s, c]]).max() < 1e-15
+    assert np.abs(g[2:4, 2:4] + np.eye(2)).max() < 1e-15
+    assert np.array_equal(np.diag(g)[4:], [1.0, -1.0, -1.0])
+    assert np.count_nonzero(g) == 4 + 4 + 3
+    # g^6 = I and no lower power is
+    powers = elements(act) + [elements(act)[-1] @ g]
+    assert np.abs(powers[6] - np.eye(7)).max() < 1e-12
+    assert min(np.abs(p - np.eye(7)).max() for p in powers[1:6]) > 0.5
 
 
-def test_non_orthogonal_generator_rejected():
-    with pytest.raises(DomainError):
-        OrthogonalAction([np.array([[1.0, 0.1], [0.0, 1.0]])])
+def test_proper_subgroup_record_is_rejected():
+    # Each record generates a group smaller than its declared order.
+    for order, exps, fixed, flipped in (
+        (4, (2,), 0, 0),  # a half turn declared as order 4
+        (6, (2, 4), 1, 0),  # third turns: order 3
+        (6, (3,), 0, 1),  # a half turn and a reflection: order 2
+        (3, (), 0, 1),  # a reflection has order 2, not 3
+        (4, (0,), 2, 0),  # the identity
+        (2, (), 3, 0),
+    ):
+        with pytest.raises(DomainError):
+            OrthogonalAction(order, exps, fixed, flipped)
+    # the lcm of the block orders and of the reflection is the order
+    assert OrthogonalAction(6, (2,), 0, 1).order == 6
+    assert OrthogonalAction(6, (2, 3)).order == 6
+    assert OrthogonalAction(12, (3, 4, 0), 2, 0).order == 12
+
+
+def test_malformed_record_is_rejected():
+    for args in (
+        (1, (1,)),
+        (0, ()),
+        (2.0, (1,)),
+        (4, (1.5,)),
+        (4, (True,)),
+        (4, (1,), -1, 0),
+        (4, (1,), 0, -2),
+        (4, (1,), 0.5, 0),
+    ):
+        with pytest.raises(DomainError):
+            OrthogonalAction(*args)
 
 
 def test_closure_stays_orthogonal_for_large_order():
     act = cyclic_generator(512, [])
-    els = act.elements()
+    els = elements(act)
     assert len(els) == 512
     worst = max(np.abs(g @ g.T - np.eye(2)).max() for g in els)
     assert worst < 1e-10, worst

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbispec import (
-    CertificationError,
     DomainError,
     ModelOrbifold,
     OrthogonalAction,
@@ -29,7 +28,9 @@ from orbispec import (
 from orbispec.modelspectra import _dual_modes
 from oracles import (
     brute_torus_levels,
+    character_averages,
     circle_divisor_count,
+    elements,
     fraction_torus_spectrum,
     merge_levels,
     orbit_walk_quotient_spectrum,
@@ -73,6 +74,9 @@ def test_spectrum_round_trip_and_counting():
         Spectrum.from_dict({"eigenvalues": [[0.0, 1]]})  # missing truncation
     with pytest.raises(DomainError):
         Spectrum.from_dict([0.0, 1])
+    for bad in ({"eigenvalues": 5, "truncation": 6.0}, {"eigenvalues": [5], "truncation": 6.0}):
+        with pytest.raises(DomainError):
+            Spectrum.from_dict(bad)
     # Truncating these to ints would undercount rho, hence the diameter bound.
     for bad in (
         {"eigenvalues": [[0.0, 1], [2.0, 2.9]], "truncation": 6.0},
@@ -113,7 +117,7 @@ def test_counting_function_rejects_non_finite_bounds():
 
 def _lattice_dual(model) -> np.ndarray:
     basis = np.asarray(model.lattice_basis, dtype=float)
-    a = model.action.generators[0]
+    a = model.action.generator
     return np.rint(np.linalg.solve(basis.T, a @ basis.T)).astype(np.int64).T
 
 
@@ -153,7 +157,7 @@ def test_torus_spectra_equal_fraction_oracle_on_random_bases(rows, lam):
     # x -> -x preserves every lattice; its quotient checks the Burnside count.
     model = ModelOrbifold(
         "random-pillow", "torus_quotient", n, 1.0, 1.0, 0.0,
-        lattice_basis=basis, action=OrthogonalAction((-np.eye(n),), order=2),
+        lattice_basis=basis, action=OrthogonalAction(2, reversed_axes=n),
     )
     assert quotient_spectrum(model, lam) == orbit_walk_quotient_spectrum(
         basis, -np.eye(n, dtype=np.int64), 2, lam
@@ -285,16 +289,41 @@ def test_invariant_multiplicity_against_series_recurrence():
         act = cyclic_generator(k, exps)
         l_max = 9
         total = np.zeros(l_max + 1)
-        for g in act.elements():
+        for g in elements(act):
             total += np.array(series_reciprocal_characters(g, l_max), dtype=float)
         for l in range(l_max + 1):
-            expected = total[l] / len(act.elements())
+            expected = total[l] / act.order
             assert abs(expected - round(expected)) < 1e-8
             assert invariant_multiplicity(act, l) == round(expected)
 
 
+@st.composite
+def cyclic_records(draw):
+    """Valid records: order 2..12, up to 3 blocks, fixed and reversed axes, ambient dim >= 2."""
+    order = draw(st.integers(2, 12))
+    exps = draw(st.lists(st.integers(-order, 2 * order), max_size=3))
+    fixed = draw(st.integers(0, 2))
+    flipped = draw(st.integers(0, 2))
+    assume(2 * len(exps) + fixed + flipped >= 2)
+    try:
+        return OrthogonalAction(order, exps, fixed, flipped)
+    except DomainError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(act=cyclic_records())
+@example(act=OrthogonalAction(2, reversed_axes=3))  # the antipodal map of S^2
+@example(act=OrthogonalAction(12, (1, 5, 7)))
+def test_invariant_counts_equal_float_character_average(act):
+    l_max = 40
+    average = character_averages(act, l_max)
+    for l in range(l_max + 1):
+        assert abs(invariant_multiplicity(act, l) - average[l]) <= 1e-6, (l, average[l])
+
+
 def test_antipodal_action_kills_odd_degrees():
-    act = OrthogonalAction((-np.eye(3),), order=2)
+    act = OrthogonalAction(2, reversed_axes=3)
     for l in range(10):
         expect = 0 if l % 2 else 2 * l + 1
         assert invariant_multiplicity(act, l) == expect
@@ -357,8 +386,7 @@ def test_torus_quotient_matches_burnside_count():
 
 
 def test_torus_quotient_rejects_noncrystallographic_order():
-    c, s = math.cos(2 * math.pi / 5), math.sin(2 * math.pi / 5)
-    act = OrthogonalAction((np.array([[c, -s], [s, c]]),), order=5)
+    act = OrthogonalAction(5, (1,))
     model = ModelOrbifold(
         model_id="bad-5",
         kind="torus_quotient",
@@ -375,7 +403,7 @@ def test_torus_quotient_rejects_noncrystallographic_order():
 
 
 def test_torus_quotient_requires_lattice_symmetry():
-    rot = OrthogonalAction((np.array([[0.0, -1.0], [1.0, 0.0]]),), order=4)
+    rot = OrthogonalAction(4, (1,))
     model = ModelOrbifold(
         model_id="bad-rect",
         kind="torus_quotient",
@@ -390,20 +418,6 @@ def test_torus_quotient_requires_lattice_symmetry():
     # a quarter turn does not preserve a 1 x 2 lattice
     with pytest.raises(DomainError):
         quotient_spectrum(model, 30.0)
-
-
-def test_torus_quotient_checks_the_declared_order():
-    # A quarter turn generates Z_4: declared as order 2 the orbit count read
-    # multiplicity 3 at 4 pi^2 (true: 1), and as order 6 the Z_4 spectrum.
-    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for order in (2, 6):
-        model = ModelOrbifold(
-            f"quarter-as-{order}", "torus_quotient", 2, 1.0 / order, 1.0, 0.0,
-            lattice_basis=np.eye(2), action=OrthogonalAction((quarter,), order=order),
-        )
-        with pytest.raises(CertificationError) as info:
-            quotient_spectrum(model, 5 * PI2)
-        assert info.value.stage == "torus-quotient"
 
 
 def test_quotient_spectrum_kind_and_shape_errors():
@@ -424,6 +438,24 @@ def test_quotient_spectrum_kind_and_shape_errors():
         quotient_spectrum(mismatched, 10.0)
     with pytest.raises(DomainError):
         quotient_spectrum(catalog_model("lens-4-1"), -1.0)
+
+
+def test_non_finite_or_negative_truncations_are_domain_errors():
+    # inf used to loop forever on spheres and raise a bare OverflowError on tori.
+    kinds = set()
+    for model in model_catalog():
+        kinds.add(model.kind)
+        for lam in (math.inf, math.nan, -1.0):
+            with pytest.raises(DomainError):
+                model.spectrum(lam)
+    assert kinds == {"flat_torus", "round_sphere", "sphere_quotient", "torus_quotient"}
+    for lam in (math.inf, -math.inf, math.nan, np.float64("inf"), -1.0):
+        with pytest.raises(DomainError):
+            sphere_spectrum(2, lam)
+        with pytest.raises(DomainError):
+            flat_torus_spectrum(np.eye(2), lam)
+        with pytest.raises(DomainError):
+            quotient_spectrum(catalog_model("s2-mod-3"), lam)
 
 
 def test_model_validation():

@@ -164,7 +164,7 @@ def test_quotient_sphere_distances_shrink():
     quot = sphere_distance_matrix(pts, act)
     assert np.all(quot <= free + 1e-12)
     # a point and its rotated copy map to the same orbit
-    g = act.generators[0]
+    g = act.generator
     two = np.vstack([pts[0], pts[0] @ g.T])
     dq = sphere_distance_matrix(two, act)
     assert dq[0, 1] < 1e-9
@@ -183,15 +183,14 @@ def test_torus_distances_wrap():
 
 def test_pillowcase_identification():
     # On the half-turn quotient, x and -x are the same point.
-    act = OrthogonalAction((-np.eye(2),), order=2)
+    act = OrthogonalAction(2, reversed_axes=2)
     pts = np.array([[0.1, 0.1], [0.9, 0.9], [0.3, 0.2]])
     d = torus_distance_matrix(pts, act)
     assert d[0, 1] < 1e-12
     free = torus_distance_matrix(pts)
     assert np.all(d <= free + 1e-12)
     # a point group must preserve the unit lattice; a third-turn does not
-    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-    skew = OrthogonalAction((np.array([[c, -s], [s, c]]),), order=3)
+    skew = OrthogonalAction(3, (1,))
     with pytest.raises(DomainError):
         torus_distance_matrix(pts, skew)
 

@@ -12,15 +12,19 @@ every workload for the ``run_seconds`` that BENCHMARK.json fixes:
 change alternating and the side that goes first alternating too, then one
 traced run for the per-layer numbers.  It also times
 ``orbispec verify`` and ``orbispec verify --quick`` in fresh interpreters
-(wall seconds, median of CLI_REPEATS).  Each side runs its own
-``perfbench`` and sources, so both are measured with the benchmark code of
+(wall seconds, median of CLI_REPEATS), and runs the tier-1 pytest suite
+once in the side's tree (wall seconds and pytest's summary line; bytecode
+goes to a fresh cache directory per side, so both sides compile cold and
+nothing is written into the tree but the hypothesis database).  Each side
+runs its own ``perfbench`` and sources, so both are measured with the benchmark code of
 their own commit; give a parent whose benchmark matches when the numbers
 are to be compared.
 
 The JSON holds the versions and machine, the settings, and per side and
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares, ``dirichlet.threshold_first_s`` and
-``bounds.radii_tried`` from the traced run, and the CLI wall times.  Per
+``bounds.radii_tried`` from the traced run, the CLI wall times and the
+pytest run.  Per
 workload, ``pairs_won`` counts for each end-to-end metric the pairs in
 which the change read better than the parent run beside it, in the
 direction BENCHMARK.json gives; ties count for neither side.
@@ -48,6 +52,8 @@ TRACE_KEYS = ("dirichlet.threshold_first_s", "dirichlet.threshold_keys", "bounds
 CLI_REPEATS = 5
 RUN_TIMEOUT_S = 900
 CLI_PROGRAM = "import sys, orbispec.cli; sys.exit(orbispec.cli.main(sys.argv[1:]))"
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+PYTEST_TIMEOUT_S = 1800
 
 
 def _git(*args: str) -> str:
@@ -87,10 +93,15 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     }
 
 
-def cli_wall(root: Path, args: list[str]) -> float:
-    """Median wall seconds of `orbispec <args>` in a fresh interpreter."""
+def _env(root: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def cli_wall(root: Path, args: list[str]) -> float:
+    """Median wall seconds of `orbispec <args>` in a fresh interpreter."""
+    env = _env(root)
     times = []
     for _ in range(CLI_REPEATS):
         t0 = time.perf_counter()
@@ -100,6 +111,20 @@ def cli_wall(root: Path, args: list[str]) -> float:
         )
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def pytest_wall(root: Path, pycache: Path) -> dict:
+    """Wall seconds, exit code and summary line of one tier-1 pytest run in root."""
+    env = _env(root)
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True,
+        timeout=PYTEST_TIMEOUT_S,
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
 def summary(values: list[float]) -> dict:
@@ -117,7 +142,7 @@ def pairs_won(change: list[dict], parent: list[dict]) -> dict:
     }
 
 
-def measure(sides: dict[str, Path], args) -> tuple[dict, dict, dict]:
+def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, dict]:
     """Per side the summaries described above, the untraced runs, and one run's metadata."""
     runs = {side: {w: [] for w in WORKLOADS} for side in sides}
     names = list(sides)
@@ -154,6 +179,7 @@ def measure(sides: dict[str, Path], args) -> tuple[dict, dict, dict]:
                 "verify": cli_wall(root, ["verify"]),
                 "verify --quick": cli_wall(root, ["verify", "--quick"]),
             },
+            "pytest": pytest_wall(root, scratch / f"pycache-{side}"),
         }
     return out, runs, runs[names[0]][WORKLOADS[0]][0]["meta"]
 
@@ -171,7 +197,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-trend-") as tmp:
         sides = {"change": ROOT, "parent": unpack(args.parent, Path(tmp))}
-        results, runs, meta = measure(sides, args)
+        results, runs, meta = measure(sides, args, Path(tmp))
         results["parent"]["commit"] = _git("rev-parse", args.parent)
     for workload in WORKLOADS:
         results["change"]["workloads"][workload]["pairs_won"] = pairs_won(
@@ -185,7 +211,10 @@ def main(argv=None) -> int:
         "settings": {
             "seed": args.seed, "seconds": SECONDS, "pairs": args.pairs,
             "cli_repeats": CLI_REPEATS, "workloads": list(WORKLOADS),
-            "times": "end-to-end times in perfbench reference seconds; cli_wall_s in wall seconds",
+            "times": (
+                "end-to-end times in perfbench reference seconds; "
+                "cli_wall_s and pytest.wall_s in wall seconds"
+            ),
         },
         **results,
     }
