@@ -16,6 +16,7 @@ soundness argument survives floating point.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import struct
 from contextlib import contextmanager
@@ -26,6 +27,7 @@ from scipy.special import betaincinv
 
 from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError
+from .groups import _count
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
@@ -103,20 +105,16 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     return d, rho
 
 
-def default_r_grid(
-    n: int, kappa: float, volume: float, points: int = DEFAULT_GRID_POINTS
-) -> np.ndarray:
-    """Logarithmic radius grid spanning three decades below a diameter-scale hint."""
-    if not volume > 0:
-        raise DomainError(f"volume must be positive, got {volume!r}")
-    if points < 2:
-        raise DomainError(f"grid needs at least 2 points, got {points!r}")
+def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
+    """DEFAULT_GRID_POINTS log-spaced radii spanning three decades below a diameter hint."""
+    if not (math.isfinite(volume) and volume > 0):
+        raise DomainError(f"volume must be positive and finite, got {volume!r}")
     d_hint = 2.0 * (volume / unit_ball_volume(n)) ** (1.0 / n)
     hi = d_hint
     if kappa > 0:
         hi = min(hi, CAP_GRID_FRACTION * bonnet_myers_cap(kappa))
     lo = min(d_hint, hi) / 1000.0
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(lo, hi, DEFAULT_GRID_POINTS)
 
 
 class DiameterSearch(tuple):
@@ -136,19 +134,12 @@ class DiameterSearch(tuple):
         return self
 
 
-def best_diameter_bound(
-    spec: Spectrum,
-    kappa: float,
-    n: int,
-    r_grid=None,
-    volume_hint: float | None = None,
-) -> DiameterSearch:
-    """(D*, r*, rho*): smallest diameter bound over a radius grid; ties favor large r.
+def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> DiameterSearch:
+    """(D*, r*, rho*): smallest diameter bound over the given radii; ties favor large r.
 
     Grid points whose ball threshold exceeds the spectrum truncation, that
     fall outside the curvature domain, or whose threshold solve does not
     converge are skipped; dropping a radius can only loosen the bound.
-    Without an explicit grid a default is built from volume_hint.
 
     The result is the minimum over every grid radius, but only radii that
     can still win are solved.  The ball threshold strictly decreases in r
@@ -156,74 +147,62 @@ def best_diameter_bound(
     with r.  Hence a radius left of one whose threshold tops the truncation
     is skipped too, and left of a certified radius b every radius r has
     D(r) >= min(2 r (rho_b + 1), cap), with cap = pi / sqrt(kappa) when
-    kappa > 0.  The unsolved radii between solved ones form runs, each
-    bounded below at its left end by the largest certified rho to its
-    right (0 if none); the run with the lowest bound is split at
-    its midpoint until every run's bound exceeds the best D, or ties it
-    and ends left of the best radius.  The first probes thus bisect toward
-    the first admissible radius.  Of tying radii the largest wins: it has
-    the smallest rho, so the bound rests on the fewest eigenvalues, and
-    when kappa > 0 clamps every D to the cap, no solve is spent bisecting
-    toward a smaller tying radius.  The returned triple is always an actual
+    kappa > 0.  The unsolved radii between solved ones form runs, kept in a
+    heap keyed by the bound at each run's left end from the rho of the
+    nearest certified radius to its right (0 if none).  The run with the
+    lowest bound is popped and split at its midpoint; a popped run is
+    dropped instead once it lies left of the first admissible radius, or
+    once its bound exceeds the best D, or ties it and the run ends left of
+    the best radius.  The first probes thus bisect toward the first
+    admissible radius.  Of tying radii the largest wins: it has the
+    smallest rho, so the bound rests on the fewest eigenvalues, and when
+    kappa > 0 clamps every D to the cap, no solve is spent bisecting toward
+    a smaller tying radius.  The returned triple is always an actual
     diameter_bound evaluation, so soundness does not rest on the pruning.
     """
-    if r_grid is None:
-        if volume_hint is None:
-            raise DomainError("need either an explicit r_grid or a volume_hint")
-        r_grid = default_r_grid(n, kappa, volume_hint)
     radii = [float(r) for r in np.sort(np.asarray(r_grid, dtype=float))]
     if not radii:
         raise DomainError("the radius grid is empty")
     cap = bonnet_myers_cap(kappa) if kappa > 0 else math.inf
     certified: dict[int, tuple[float, int]] = {}
     skipped: dict[int, str] = {}
-    lo, best = 0, None  # every radius left of lo tops the truncation
+    lo = 0  # every radius left of lo tops the truncation
+    best = (math.inf, 1)  # (D, -i) of the winner: lowest D, then largest index
+    runs: list[tuple[float, int, int, int]] = []  # (bound, start, end, rho_right)
 
-    def can_win(d: float, i: int) -> bool:
-        if best is None:
-            return True
-        d_best = certified[best][0]
-        return d < d_best or (d == d_best and i > best)
+    def push(start: int, end: int, rho_right: int) -> None:
+        if start < end:
+            bound = min(2.0 * radii[start] * (rho_right + 1), cap)
+            heapq.heappush(runs, (bound, start, end, rho_right))
 
-    while True:
-        live = []
-        rho_right, end = 0, len(radii)
-        for i in range(len(radii) - 1, lo - 1, -1):
-            if i in certified:
-                rho_right = max(rho_right, certified[i][1])
-            if i in certified or i in skipped:
-                end = i
-            elif i == lo or i - 1 in certified or i - 1 in skipped:
-                # i starts the run [i, end) of unsolved radii: its lowest
-                # bound.  A tie can win only at the run's right end.
-                bound = min(2.0 * radii[i] * (rho_right + 1), cap)
-                if can_win(bound, end - 1):
-                    live.append((bound, i, end))
-        if not live:
-            break
-        _, start, end = min(live)
+    push(0, len(radii), 0)
+    while runs:
+        bound, start, end, rho_right = heapq.heappop(runs)
+        # A tie can win only at the run's right end.
+        if start < lo or (bound, 1 - end) >= best:
+            continue
         i = (start + end) // 2
         try:
             d, rho = diameter_bound(spec, kappa, n, radii[i])
-        except _TruncationSkip as exc:
-            skipped[i] = str(exc)
-            lo = max(lo, i + 1)
-            continue
         except (DomainError, ConvergenceError) as exc:
             skipped[i] = str(exc)
-            continue
-        certified[i] = (d, rho)
-        if can_win(d, i):
-            best = i
-    if best is None:
+            if isinstance(exc, _TruncationSkip):
+                lo = i + 1
+            rho = rho_right
+        else:
+            certified[i] = (d, rho)
+            best = min(best, (d, -i))
+        push(start, i, rho)
+        push(i + 1, end, rho_right)
+    if not certified:
         # Nothing certified, so every radius from lo on was solved, the last included.
         raise CertificationError(
             "diameter",
             f"no admissible radius in the grid; last failure: {skipped[len(radii) - 1]}",
         )
-    d, rho = certified[best]
+    d, rho = certified[-best[1]]
     return DiameterSearch(
-        (d, radii[best], rho),
+        (d, radii[-best[1]], rho),
         radii_in_grid=len(radii),
         radii_solved=len(certified) + len(skipped),
         last_skip=skipped[max(skipped)] if skipped else None,
@@ -244,8 +223,8 @@ def isotropy_order_cap(spec: Spectrum, kappa: float, fit: tuple[int, float], d: 
         raise DomainError(
             f"spectrum declares dimension {spec.dimension} but the fit says {n}"
         )
-    if not v > 0:
-        raise DomainError(f"volume must be positive, got {v!r}")
+    if not (math.isfinite(v) and v > 0):
+        raise DomainError(f"volume must be positive and finite, got {v!r}")
     if not d > 0:
         raise DomainError(f"diameter bound must be positive, got {d!r}")
     sf = SpaceForm(n, kappa)
@@ -405,7 +384,7 @@ def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
     """
     if not 0.0 < eps <= 2.0 * diameter:
         raise DomainError(f"need 0 < eps <= 2*diameter, got eps={eps} diameter={diameter}")
-    sf = SpaceForm(int(n), float(kappa))
+    sf = SpaceForm(_count(n, "the dimension"), float(kappa))
     ratio = ball_volume(sf, float(diameter)) / ball_volume(sf, eps / 2.0)
     return math.floor(ratio + 1e-9)
 
@@ -519,9 +498,9 @@ def _resolve_dimension_volume(spec: Spectrum, n, v, trace: list):
         with _stage(trace, "weyl-volume", {"n": n}) as out:
             v = estimate_volume(spec, n)
             out.update(volume=v)
-    if not v > 0:
-        raise CertificationError("weyl-volume", f"volume {v!r} is not positive")
-    return int(n), float(v), source
+    if not (math.isfinite(v) and v > 0):
+        raise CertificationError("weyl-volume", f"volume {v!r} is not positive and finite")
+    return _count(n, "the dimension"), float(v), source
 
 
 def spectral_isotropy_bound(
@@ -531,11 +510,17 @@ def spectral_isotropy_bound(
     v: float | None = None,
     r_grid=None,
 ) -> BoundReport:
-    """Diameter bound plus isotropy-order cap from a spectrum and curvature."""
+    """Diameter bound plus isotropy-order cap from a spectrum and curvature.
+
+    The diameter search runs over r_grid, or over default_r_grid(n, kappa, v)
+    when none is given.
+    """
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
-        search = best_diameter_bound(spec, kappa, n, r_grid=r_grid, volume_hint=v)
+        if r_grid is None:
+            r_grid = default_r_grid(n, kappa, v)
+        search = best_diameter_bound(spec, kappa, n, r_grid)
         d, r_used, rho = search
         out.update(
             diameter_bound=d,
@@ -582,9 +567,10 @@ def spectral_singular_point_bound(
 ) -> BoundReport:
     """Full pipeline: Weyl data, diameter bound, isotropy cap, singular-point cap.
 
-    Every stage failure is reported as a certification error naming the
-    stage; the returned report carries the stage trace and per-constant
-    provenance notes.
+    The radius grid defaults as in spectral_isotropy_bound.  Every stage
+    failure is reported as a certification error naming the stage; the
+    returned report carries the stage trace and per-constant provenance
+    notes.
     """
     base = spectral_isotropy_bound(spec, kappa, n=n, v=v, r_grid=r_grid)
     trace = list(base.stage_trace)

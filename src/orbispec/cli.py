@@ -25,14 +25,7 @@ import json
 import sys
 
 from . import __version__
-from .bounds import (
-    _resolve_dimension_volume,
-    best_diameter_bound,
-    default_r_grid,
-    singular_point_cap,
-    spectral_isotropy_bound,
-    spectral_singular_point_bound,
-)
+from .bounds import singular_point_cap, spectral_isotropy_bound, spectral_singular_point_bound
 from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError
 from .modelspectra import Spectrum, catalog_model, model_catalog
@@ -110,39 +103,29 @@ def _cmd_weyl(args: argparse.Namespace) -> dict:
     return {"fit": weyl_fit(spec).to_dict()}
 
 
-def _cmd_diameter(args: argparse.Namespace) -> dict:
+def _bound_report(args: argparse.Namespace, pipeline):
     spec = _load_spectrum(args.spectrum)
-    r_grid = _parse_r_grid(args.r_grid)
-    n, v, source = _resolve_dimension_volume(spec, args.n, args.volume, [])
-    d, r_used, rho = best_diameter_bound(spec, args.kappa, n, r_grid=r_grid, volume_hint=v)
+    return pipeline(spec, args.kappa, n=args.n, v=args.volume, r_grid=_parse_r_grid(args.r_grid))
+
+
+def _cmd_diameter(args: argparse.Namespace) -> dict:
+    report = _bound_report(args, spectral_isotropy_bound)
     return {
-        "n": n,
-        "volume_hint": v,
-        "source": source,
-        "diameter_bound": d,
-        "r": r_used,
-        "rho": rho,
+        "n": report.n,
+        "volume_hint": report.volume,
+        "source": report.source,
+        "diameter_bound": report.diameter_bound,
+        "r": report.r_used,
+        "rho": report.rho,
     }
 
 
 def _cmd_isotropy(args: argparse.Namespace) -> dict:
-    spec = _load_spectrum(args.spectrum)
-    report = spectral_isotropy_bound(
-        spec, args.kappa, n=args.n, v=args.volume, r_grid=_parse_r_grid(args.r_grid)
-    )
-    return {"report": report.to_dict()}
+    return {"report": _bound_report(args, spectral_isotropy_bound).to_dict()}
 
 
 def _cmd_singular(args: argparse.Namespace) -> dict:
-    spec = _load_spectrum(args.spectrum)
-    report = spectral_singular_point_bound(
-        spec,
-        args.kappa,
-        n=args.n,
-        v=args.volume,
-        r_grid=_parse_r_grid(args.r_grid),
-    )
-    return {"report": report.to_dict()}
+    return {"report": _bound_report(args, spectral_singular_point_bound).to_dict()}
 
 
 def _cmd_constants(args: argparse.Namespace) -> dict:
@@ -167,9 +150,7 @@ def _verify_row(model, quick: bool) -> dict:
     n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
     true_count = model.isolated_singular_count
     pipeline = spectral_singular_point_bound if true_count > 0 else spectral_isotropy_bound
-    report = pipeline(
-        spec, kappa, n=n, v=v, r_grid=default_r_grid(n, kappa, v, points=16 if quick else 48)
-    )
+    report = pipeline(spec, kappa, n=n, v=v)
     singular = None
     if report.singular_cap is not None:
         singular = {

@@ -72,8 +72,8 @@ def cyclic_generator(order: int, exponents=()) -> OrthogonalAction:
     points) contributes a block rotating by 2*pi*a/order.  The ambient
     dimension is 2*(1 + len(exponents)).
     """
-    l = int(order)
-    exps = [1] + [int(a) for a in exponents]
+    l = _count(order, "the order")
+    exps = [1] + [_count(a, "a rotation exponent") for a in exponents]
     for a in exps:
         if math.gcd(a, l) != 1:
             raise DomainError(
@@ -85,4 +85,4 @@ def cyclic_generator(order: int, exponents=()) -> OrthogonalAction:
 
 def sphere_rotation_action(order: int) -> OrthogonalAction:
     """Z_order acting on the 2-sphere by rotation about the polar axis."""
-    return OrthogonalAction(int(order), (1,), fixed_axes=1)
+    return OrthogonalAction(order, (1,), fixed_axes=1)

@@ -41,37 +41,28 @@ class WeylFit:
         }
 
 
-def _window_samples(spec: Spectrum, window_fraction: float):
-    """Distinct positive eigenvalues in the tail window and N there."""
-    if not (0.0 < window_fraction < 1.0):
-        raise DomainError(f"window fraction must lie in (0, 1), got {window_fraction!r}")
+def _window_samples(spec: Spectrum):
+    """Distinct positive eigenvalues in the top WINDOW_FRACTION tail, N there, and the window."""
     vals = spec.values
     counts = spec.cumulative_counts
     lam_hi = float(vals[-1]) if len(vals) else 0.0
     if lam_hi <= 0.0:
         raise DomainError("spectrum has no positive eigenvalues to fit")
-    lam_lo = window_fraction * lam_hi
+    lam_lo = WINDOW_FRACTION * lam_hi
     mask = (vals >= lam_lo) & (vals > 0.0)
     if not np.any(mask):
         raise DomainError("the fit window contains no eigenvalues")
     return vals[mask], counts[mask].astype(float), (lam_lo, lam_hi)
 
 
-def estimate_dimension(
-    spec: Spectrum, window_fraction: float = WINDOW_FRACTION
-) -> tuple[int, float]:
-    """(dimension, diagnostic): snapped log-log slope of the counting function.
-
-    The diagnostic is |2s - round(2s)| for the fitted slope s; values
-    beyond 0.25 mean the input is not in the asymptotic regime (or is not
-    a Laplace spectrum) and are rejected.
-    """
+def _fit_dimension(spec: Spectrum):
+    """estimate_dimension's (dimension, diagnostic), then the window samples it fitted."""
     if spec.total_count < MIN_EIGENVALUE_COUNT:
         raise DomainError(
             f"need at least {MIN_EIGENVALUE_COUNT} eigenvalues counted with "
             f"multiplicity, got {spec.total_count}"
         )
-    lam, counts, _ = _window_samples(spec, window_fraction)
+    lam, counts, window = _window_samples(spec)
     if len(lam) < 2:
         raise DomainError("the fit window has fewer than 2 distinct eigenvalues")
     slope = float(np.polyfit(np.log(lam), np.log(counts), 1)[0])
@@ -83,24 +74,35 @@ def estimate_dimension(
             f"log-log slope {slope:.6g} gives 2s = {2 * slope:.6g}, "
             f"{diagnostic:.3g} away from an integer (threshold {SLOPE_SNAP_THRESHOLD})",
         )
-    return int(n), diagnostic
+    return int(n), diagnostic, lam, counts, window
 
 
-def estimate_volume(
-    spec: Spectrum, n: int, window_fraction: float = WINDOW_FRACTION
-) -> float:
-    """Median of N(lam) (2 pi)^n / (vol B^n_0(1) lam^(n/2)) over the window."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
-    lam, counts, _ = _window_samples(spec, window_fraction)
+def _median_volume(lam: np.ndarray, counts: np.ndarray, n: int) -> float:
     prefactor = (2.0 * math.pi) ** n / unit_ball_volume(n)
     return float(np.median(counts * prefactor / lam ** (0.5 * n)))
 
 
-def weyl_fit(spec: Spectrum, window_fraction: float = WINDOW_FRACTION) -> WeylFit:
-    n, diagnostic = estimate_dimension(spec, window_fraction)
-    volume = estimate_volume(spec, n, window_fraction)
-    _, _, window = _window_samples(spec, window_fraction)
+def estimate_dimension(spec: Spectrum) -> tuple[int, float]:
+    """(dimension, diagnostic): snapped log-log slope of the counting function.
+
+    The diagnostic is |2s - round(2s)| for the fitted slope s; values
+    beyond 0.25 mean the input is not in the asymptotic regime (or is not
+    a Laplace spectrum) and are rejected.
+    """
+    return _fit_dimension(spec)[:2]
+
+
+def estimate_volume(spec: Spectrum, n: int) -> float:
+    """Median of N(lam) (2 pi)^n / (vol B^n_0(1) lam^(n/2)) over the window."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
+    lam, counts, _ = _window_samples(spec)
+    return _median_volume(lam, counts, n)
+
+
+def weyl_fit(spec: Spectrum) -> WeylFit:
+    n, diagnostic, lam, counts, window = _fit_dimension(spec)
+    volume = _median_volume(lam, counts, n)
     if not volume > 0:
         raise CertificationError("weyl-volume", f"volume estimate {volume!r} is not positive")
     return WeylFit(n, volume, window, diagnostic)

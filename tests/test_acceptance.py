@@ -17,6 +17,7 @@ from orbispec import (
     ball_volume,
     best_diameter_bound,
     catalog_model,
+    default_r_grid,
     isotropy_order_cap,
     linked_complement_measure,
     lowest_dirichlet_eigenvalue,
@@ -49,11 +50,9 @@ def best_bounds(catalog_spectra):
     """best_diameter_bound over the default radius grid, per catalog model."""
     out = {}
     for model_id, (model, spec) in catalog_spectra.items():
+        n, kappa = model.dimension, model.curvature_lower_bound
         out[model_id] = best_diameter_bound(
-            spec,
-            model.curvature_lower_bound,
-            model.dimension,
-            volume_hint=model.volume,
+            spec, kappa, n, default_r_grid(n, kappa, model.volume)
         )
     return out
 

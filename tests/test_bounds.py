@@ -39,7 +39,7 @@ from orbispec import (
     sphere_measure,
 )
 from orbispec import bounds as bounds_module
-from orbispec.bounds import SHRINK
+from orbispec.bounds import DEFAULT_GRID_POINTS, SHRINK
 from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from oracles import (
     exhaustive_diameter_bound,
@@ -132,15 +132,14 @@ def test_diameter_bound_validation(s2_spectrum):
 
 
 def test_default_r_grid_shape():
-    g = default_r_grid(2, 0.0, math.pi * 4, points=16)
-    assert len(g) == 16 and np.all(np.diff(g) > 0)
+    g = default_r_grid(2, 0.0, math.pi * 4)
+    assert len(g) == DEFAULT_GRID_POINTS == 64 and np.all(np.diff(g) > 0)
     assert abs(g[-1] / g[0] - 1000.0) < 1e-6
     capped = default_r_grid(2, 1.0, 1e9)
     assert capped[-1] <= 0.999 * math.pi + 1e-12
-    with pytest.raises(DomainError):
-        default_r_grid(2, 0.0, -1.0)
-    with pytest.raises(DomainError):
-        default_r_grid(2, 0.0, 1.0, points=1)
+    for volume in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            default_r_grid(2, 0.0, volume)
 
 
 def test_best_diameter_bound_prefers_large_radius(s2_spectrum):
@@ -148,8 +147,6 @@ def test_best_diameter_bound_prefers_large_radius(s2_spectrum):
     assert d == math.pi
     assert r == 2.0  # all radii tie at the clamp; ties favor large r (fewest eigenvalues)
     assert rho == diameter_bound(s2_spectrum, 1.0, 2, 2.0)[1]
-    with pytest.raises(DomainError):
-        best_diameter_bound(s2_spectrum, 1.0, 2)  # no grid, no hint
     with pytest.raises(DomainError):
         best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[])
 
@@ -210,7 +207,7 @@ def _search_outcome(search, *args):
 def _radius_grids(draw, n, kappa, volume):
     """Default grids, or unsorted radii with duplicates that may pass the antipodal cap."""
     if draw(st.booleans()):
-        return list(default_r_grid(n, kappa, volume, points=draw(st.integers(2, 64))))
+        return list(default_r_grid(n, kappa, volume))
     exponents = st.floats(min_value=-3.0, max_value=math.log10(8.0))
     radii = draw(st.lists(exponents.map(lambda e: 10.0**e), min_size=1, max_size=24))
     radii += draw(st.lists(st.sampled_from(radii), max_size=4))
@@ -329,6 +326,19 @@ def test_isotropy_order_cap_validation(s2_spectrum):
         isotropy_order_cap(s2_spectrum, 1.0, (2, 1.0), 0.0)
     with pytest.raises(DomainError):
         isotropy_order_cap(s2_spectrum, 1.0, (3, 4.0), math.pi)  # declared dim 2
+
+
+def test_infinite_volume_is_refused():
+    # With v = inf the cap floor(ball_volume(D) / v) read 1 on the
+    # pillowcase, whose true maximum isotropy order is 2.
+    spec = catalog_model("pillowcase").spectrum(4000.0)
+    for v in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            isotropy_order_cap(spec, 0.0, (2, v), 3.0)
+        for grid in ([0.05, 0.1, 0.2], None):
+            with pytest.raises(CertificationError) as err:
+                spectral_isotropy_bound(spec, 0.0, n=2, v=v, r_grid=grid)
+            assert err.value.stage == "weyl-volume"
 
 
 ALPHA_HI = 0.5 * math.pi * (1.0 - 1e-12)
@@ -724,7 +734,7 @@ def test_singular_pipeline_is_scale_covariant(catalog_spectra, model_id, j):
     # times c^n.  Powers of two keep every rescaled input exact.
     model, spec = catalog_spectra[model_id]
     n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
-    grid = list(default_r_grid(n, kappa, v, points=16))
+    grid = list(default_r_grid(n, kappa, v))
     c = 2.0**j
     scaled = Spectrum(
         tuple((lam / (c * c), mult) for lam, mult in spec.entries),
@@ -757,7 +767,7 @@ def test_diameter_bound_never_drops_as_the_spectrum_grows(
     # raise rho at every radius, so the smallest 2r(rho + 1) cannot fall.
     model, spec = catalog_spectra[model_id]
     n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
-    grid = default_r_grid(n, kappa, model.volume, points=16)
+    grid = default_r_grid(n, kappa, model.volume)
     counts = dict(spec.entries)
     values = [lam for lam, _ in spec.entries]
     for lam in data.draw(st.lists(st.sampled_from(values), max_size=6)):

@@ -10,7 +10,6 @@ from orbispec import (
     Spectrum,
     __version__,
     catalog_model,
-    default_r_grid,
     singular_point_cap,
     spectral_isotropy_bound,
     spectral_singular_point_bound,
@@ -123,6 +122,55 @@ def test_diameter_command_resolves_dimension_like_the_pipelines(capsys, tmp_path
         assert doc["n"] == n
         assert doc["volume_hint"] == estimate_volume(spec, n)
         assert doc["source"] == "weyl-estimated"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        (),
+        ("--n", "2"),
+        ("--n", "2", "--volume", "12.5"),
+        ("--n", "2", "--volume", "12.5", "--r-grid", "0.5,1.0"),
+    ],
+)
+def test_diameter_command_reports_the_isotropy_pipeline(capsys, tmp_path, options):
+    path = _write_spectrum(tmp_path, "s2-mod-4", 1640.0)
+    doc = run_json(capsys, "diameter", "--spectrum", str(path), "--kappa", "0.5", *options)
+    iso = run_json(capsys, "isotropy", "--spectrum", str(path), "--kappa", "0.5", *options)
+    rep = iso["report"]
+    assert (doc["n"], doc["volume_hint"], doc["source"]) == tuple(
+        rep["inputs"][key] for key in ("n", "volume", "source")
+    )
+    assert (doc["diameter_bound"], doc["r"], doc["rho"]) == (
+        rep["diameter_bound"], rep["r_used"], rep["rho"]
+    )
+
+
+def test_diameter_command_refuses_a_report_with_rho_zero(capsys, tmp_path):
+    # Without the eigenvalue 0 no radius counts an eigenvalue, and a report
+    # needs rho >= 1.
+    path = tmp_path / "no-zero.json"
+    path.write_text(json.dumps({"eigenvalues": [[50.0, 1]], "truncation": 100.0}))
+    code, out, err = run_cli(
+        capsys, "diameter", "--spectrum", str(path), "--kappa", "0", "--n", "2",
+        "--volume", "3.14", "--r-grid", "0.5,1.0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[domain]") and "rho" in err
+
+
+def test_infinite_volume_is_refused(capsys, tmp_path):
+    # An infinite volume once certified isotropy cap 1 on the pillowcase
+    # (true maximum order 2) and printed "volume": Infinity.
+    path = _write_spectrum(tmp_path, "pillowcase", 4000.0)
+    for grid in (("--r-grid", "0.05,0.1,0.2"), ()):
+        for command in ("diameter", "isotropy", "singular"):
+            code, out, err = run_cli(
+                capsys, command, "--spectrum", str(path), "--kappa", "0", "--n", "2",
+                "--volume", "inf", *grid,
+            )
+            assert code == 2 and out == "", (command, grid)
+            assert err.startswith("error[weyl-volume]"), err
 
 
 def test_isotropy_command_matches_library(capsys, tmp_path):
@@ -253,24 +301,31 @@ def test_verify_quick_subset(capsys):
     assert row["singular"]["sound"] and row["singular"]["true"] == 2
     assert row["weyl"]["dimension_ok"]
     assert rows["t2"]["singular"] is None  # manifold: nothing to cap
-    # Each row is the library pipeline's report, field by field.
-    for model_id, pipeline in (
-        ("s2-mod-3", spectral_singular_point_bound),
-        ("t2", spectral_isotropy_bound),
-    ):
-        model = catalog_model(model_id)
-        n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
-        rep = pipeline(
-            model.spectrum(rows[model_id]["truncation"]), kappa, n=n, v=v,
-            r_grid=default_r_grid(n, kappa, v, points=16),
-        )
-        row = rows[model_id]
-        assert row["diameter"]["bound"] == rep.diameter_bound
-        assert row["diameter"]["r"] == rep.r_used
-        assert row["isotropy"]["cap"] == rep.isotropy_cap
-        assert (row["singular"] or {}).get("cap") == rep.singular_cap
     code, _, err = run_cli(capsys, "verify", "--quick", "--models", "unknown-model")
     assert code == 2 and err.startswith("error[domain]")
+
+
+@pytest.mark.parametrize("flags", [(), ("--quick",)])
+def test_verify_rows_are_the_default_pipeline_reports(capsys, flags):
+    # --quick changes only the truncations: every row is the library
+    # pipeline's report on its default radius grid, field by field.
+    doc = run_json(capsys, "verify", *flags)
+    assert doc["all_sound"] is True
+    rows = {row["model"]: row for row in doc["models"]}
+    assert len(rows) == 10
+    for model_id, row in rows.items():
+        model = catalog_model(model_id)
+        n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
+        pipeline = (
+            spectral_singular_point_bound
+            if model.isolated_singular_count > 0
+            else spectral_isotropy_bound
+        )
+        rep = pipeline(model.spectrum(row["truncation"]), kappa, n=n, v=v)
+        assert row["diameter"]["bound"] == rep.diameter_bound, model_id
+        assert row["diameter"]["r"] == rep.r_used, model_id
+        assert row["isotropy"]["cap"] == rep.isotropy_cap, model_id
+        assert (row["singular"] or {}).get("cap") == rep.singular_cap, model_id
 
 
 def test_verify_rejects_an_empty_selection(capsys):

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from orbispec.bounds import packing_bound, spectral_isotropy_bound
 from orbispec.errors import DomainError
+from orbispec.modelspectra import Spectrum
 from orbispec.groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 
 from oracles import antipodal_action, elements, in_open_hemisphere, orbit, orbit_sum
@@ -30,6 +32,29 @@ def test_sphere_rotation_action_basics():
         assert np.abs(g @ g.T - np.eye(3)).max() < 1e-12
     with pytest.raises(DomainError):
         sphere_rotation_action(1)
+    assert sphere_rotation_action(np.int64(5)).order == 5  # numpy integers pass
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cyclic_generator(4.7, []),
+        lambda: cyclic_generator(4.0, []),
+        lambda: cyclic_generator(True, []),
+        lambda: cyclic_generator(4, [1.5]),
+        lambda: cyclic_generator(5, [True]),
+        lambda: sphere_rotation_action(3.9),
+        lambda: sphere_rotation_action(np.float64(3.0)),
+        lambda: packing_bound(2.7, 0.0, 1.0, 0.1),
+        lambda: packing_bound(True, 0.0, 1.0, 0.1),
+        lambda: spectral_isotropy_bound(Spectrum(((0.0, 1), (2.0, 3)), 10.0), 0.0, n=2.7, v=4.0),
+    ],
+)
+def test_integer_arguments_are_refused_not_truncated(call):
+    # int() once turned 4.7 into order 4 and 1.5 into exponent 1, and
+    # packing_bound and the pipelines took n = 2.7 as dimension 2.
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_antipodal_action():
@@ -52,6 +77,7 @@ def test_cyclic_generator_block_structure():
     # exponents sharing a factor with the order do not give a free action
     with pytest.raises(DomainError):
         cyclic_generator(4, [2])
+    assert cyclic_generator(np.int64(5), [np.int32(2)]).exponents == (1, 2)
 
 
 def test_record_derives_its_generator():

@@ -5,10 +5,13 @@ removed on purpose.  A fresh interpreter that imports orbispec and runs
 `orbispec verify --quick` loads only scipy.linalg and scipy.special from
 scipy, so a stray import cannot bring the optimizer, sparse or statistics
 stacks back into every cold start, and no test-only module of the library
-(the former `orbispec.netpack`) comes back with them."""
+(the former `orbispec.netpack`) comes back with them.  The command-line
+front end is a thin layer over the pipelines, so it imports no private
+(underscore-prefixed) name of the library."""
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -64,3 +67,16 @@ def test_library_imports_no_heavy_scipy_subpackage():
     code, _, loaded = proc.stdout.strip().partition(" ")
     assert code == "0", proc.stdout
     assert loaded == "", f"library import pulled in: {loaded}"
+
+
+def test_cli_imports_no_private_library_name():
+    tree = ast.parse((ROOT / "src" / "orbispec" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "orbispec")
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert private == [], f"orbispec.cli imports private names: {private}"

@@ -103,6 +103,7 @@ def test_packing_bound_closed_forms():
     # flat disks: ratio (D / (eps/2))^n exactly
     assert packing_bound(2, 0.0, 1.0, 0.5) == 16
     assert packing_bound(3, 0.0, 2.0, 1.0) == 64
+    assert packing_bound(np.int64(3), 0.0, 2.0, 1.0) == 64  # numpy integers pass
     # sphere: ball(pi) = 4 pi, ball(pi/4) = 4 pi sin^2(pi/8)
     want = math.floor(1.0 / math.sin(math.pi / 8) ** 2 + 1e-9)
     assert packing_bound(2, 1.0, math.pi, math.pi / 2) == want

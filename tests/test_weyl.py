@@ -48,11 +48,16 @@ def test_needs_enough_eigenvalues():
         estimate_dimension(spec)
 
 
-def test_window_fraction_validation(s2_spectrum):
-    with pytest.raises(DomainError):
-        estimate_dimension(s2_spectrum, window_fraction=0.0)
-    with pytest.raises(DomainError):
-        estimate_dimension(s2_spectrum, window_fraction=1.0)
+def test_weyl_fit_equals_the_separate_estimates(catalog_spectra):
+    # One pass over the window gives what the two estimators give alone.
+    for model_id, (_, spec) in catalog_spectra.items():
+        fit = weyl_fit(spec)
+        n, diag = estimate_dimension(spec)
+        assert (fit.dimension_estimate, fit.residual) == (n, diag), model_id
+        assert fit.volume_estimate == estimate_volume(spec, n), model_id
+
+
+def test_estimate_volume_rejects_bad_dimension(s2_spectrum):
     with pytest.raises(DomainError):
         estimate_volume(s2_spectrum, 0)
     with pytest.raises(DomainError):
