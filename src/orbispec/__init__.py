@@ -37,9 +37,7 @@ from .modelspectra import (
     counting_function,
     flat_torus_spectrum,
     harmonic_multiplicity,
-    invariant_multiplicity,
     model_catalog,
-    quotient_spectrum,
     sphere_spectrum,
 )
 from .spaceform import (
@@ -67,8 +65,7 @@ __all__ = [
     "OrthogonalAction", "cyclic_generator", "sphere_rotation_action",
     # modelspectra
     "Spectrum", "counting_function", "flat_torus_spectrum", "sphere_spectrum",
-    "harmonic_multiplicity", "invariant_multiplicity", "quotient_spectrum",
-    "SingularPoint", "ModelOrbifold", "model_catalog", "catalog_model",
+    "harmonic_multiplicity", "SingularPoint", "ModelOrbifold", "model_catalog", "catalog_model",
     # weyl
     "WeylFit", "estimate_dimension", "estimate_volume", "weyl_fit",
     # bounds

@@ -27,7 +27,6 @@ from scipy.special import betaincinv
 
 from .dirichlet import lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError
-from .groups import _count
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
@@ -80,17 +79,11 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
 
     rho counts eigenvalues (with multiplicity) up to the threshold plus the
     relative tolerance 1e-9 * threshold; D = 2 r (rho + 1), clamped
-    to the Bonnet-Myers cap when kappa > 0.
+    to the Bonnet-Myers cap.  The threshold solve owns the domain: SpaceForm
+    refuses a dimension that is not an integer >= 2 or a non-finite kappa,
+    and the ball check refuses a radius that is not positive and finite or
+    that exceeds (1 - 1e-9) pi/sqrt(kappa).
     """
-    if not (isinstance(n, int) and n >= 2):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-    if not (math.isfinite(r) and r > 0):
-        raise DomainError(f"ball radius must be positive and finite, got {r!r}")
-    if kappa > 0 and r >= bonnet_myers_cap(kappa):
-        raise DomainError(
-            f"ball radius {r:.9g} must be below the antipodal cap "
-            f"{bonnet_myers_cap(kappa):.9g} for kappa = {kappa:.9g}"
-        )
     lam_thr = lambda_threshold(n, kappa, r)
     tol = RHO_TOL_SCALE * lam_thr
     if spec.truncation < lam_thr + tol:
@@ -99,10 +92,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
             f"{lam_thr:.9g}; the eigenvalue count there cannot be certified"
         )
     rho = counting_function(spec, lam_thr + tol)
-    d = 2.0 * r * (rho + 1)
-    if kappa > 0:
-        d = min(d, bonnet_myers_cap(kappa))
-    return d, rho
+    return min(2.0 * r * (rho + 1), bonnet_myers_cap(kappa)), rho
 
 
 def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
@@ -110,9 +100,7 @@ def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
     if not (math.isfinite(volume) and volume > 0):
         raise DomainError(f"volume must be positive and finite, got {volume!r}")
     d_hint = 2.0 * (volume / unit_ball_volume(n)) ** (1.0 / n)
-    hi = d_hint
-    if kappa > 0:
-        hi = min(hi, CAP_GRID_FRACTION * bonnet_myers_cap(kappa))
+    hi = min(d_hint, CAP_GRID_FRACTION * bonnet_myers_cap(kappa))
     lo = min(d_hint, hi) / 1000.0
     return np.geomspace(lo, hi, DEFAULT_GRID_POINTS)
 
@@ -146,8 +134,8 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     (domain monotonicity of the Dirichlet eigenvalue), so rho never grows
     with r.  Hence a radius left of one whose threshold tops the truncation
     is skipped too, and left of a certified radius b every radius r has
-    D(r) >= min(2 r (rho_b + 1), cap), with cap = pi / sqrt(kappa) when
-    kappa > 0.  The unsolved radii between solved ones form runs, kept in a
+    D(r) >= min(2 r (rho_b + 1), cap), with cap = bonnet_myers_cap(kappa).
+    The unsolved radii between solved ones form runs, kept in a
     heap keyed by the bound at each run's left end from the rho of the
     nearest certified radius to its right (0 if none).  The run with the
     lowest bound is popped and split at its midpoint; a popped run is
@@ -159,11 +147,14 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     kappa > 0 clamps every D to the cap, no solve is spent bisecting toward
     a smaller tying radius.  The returned triple is always an actual
     diameter_bound evaluation, so soundness does not rest on the pruning.
+    A dimension or curvature outside SpaceForm's domain would fail every
+    radius alike, so it is refused before the search.
     """
+    n = SpaceForm(n, kappa).n
     radii = [float(r) for r in np.sort(np.asarray(r_grid, dtype=float))]
     if not radii:
         raise DomainError("the radius grid is empty")
-    cap = bonnet_myers_cap(kappa) if kappa > 0 else math.inf
+    cap = bonnet_myers_cap(kappa)
     certified: dict[int, tuple[float, int]] = {}
     skipped: dict[int, str] = {}
     lo = 0  # every radius left of lo tops the truncation
@@ -209,28 +200,20 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     )
 
 
-def isotropy_order_cap(spec: Spectrum, kappa: float, fit: tuple[int, float], d: float) -> int:
+def isotropy_order_cap(n: int, kappa: float, d: float, v: float) -> int:
     """Upper bound on every isotropy order: floor of ball_volume(D) / volume.
 
-    fit is the (n, volume) pair.  The dilation of small balls around a
-    singular point scales volume down by the isotropy order, so the order
-    cannot exceed the model-ball/volume ratio.
+    The dilation of small balls around a singular point scales volume down
+    by the isotropy order, so the order cannot exceed the model-ball/volume
+    ratio.  SpaceForm checks n; the pipelines check (n, v) against the
+    spectrum before they get here.
     """
-    n, v = fit
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
-    if spec.dimension is not None and spec.dimension != n:
-        raise DomainError(
-            f"spectrum declares dimension {spec.dimension} but the fit says {n}"
-        )
     if not (math.isfinite(v) and v > 0):
         raise DomainError(f"volume must be positive and finite, got {v!r}")
     if not d > 0:
         raise DomainError(f"diameter bound must be positive, got {d!r}")
     sf = SpaceForm(n, kappa)
-    if kappa > 0:
-        d = min(d, bonnet_myers_cap(kappa))
-    ratio = ball_volume(sf, d) / v
+    ratio = ball_volume(sf, min(d, bonnet_myers_cap(kappa))) / v
     # Nudge against float drop-off so an exact integer ratio floors to itself.
     return max(1, math.floor(ratio + 1e-9))
 
@@ -247,8 +230,7 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     forward check is the certificate.
     """
     sf = SpaceForm(n, kappa)
-    if kappa > 0:
-        d = min(d, bonnet_myers_cap(kappa))
+    d = min(d, bonnet_myers_cap(kappa))
     if not d > 0:
         raise DomainError(f"diameter bound must be positive, got {d!r}")
     if not v > 0:
@@ -355,7 +337,7 @@ def r_constant(kappa: float, alpha: float, ell: float) -> float:
         raise DomainError(f"angle must lie in (0, pi/2), got {alpha!r}")
     if not (math.isfinite(ell) and ell > 0):
         raise DomainError(f"ell must be positive and finite, got {ell!r}")
-    if kappa > 0 and ell >= bonnet_myers_cap(kappa):
+    if ell >= bonnet_myers_cap(kappa):
         raise DomainError(
             f"ell = {ell!r} must stay below the antipodal cap {bonnet_myers_cap(kappa)!r}"
         )
@@ -384,7 +366,7 @@ def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
     """
     if not 0.0 < eps <= 2.0 * diameter:
         raise DomainError(f"need 0 < eps <= 2*diameter, got eps={eps} diameter={diameter}")
-    sf = SpaceForm(_count(n, "the dimension"), float(kappa))
+    sf = SpaceForm(n, float(kappa))
     ratio = ball_volume(sf, float(diameter)) / ball_volume(sf, eps / 2.0)
     return math.floor(ratio + 1e-9)
 
@@ -400,8 +382,7 @@ def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, d
     cap about 2^n smaller; the cap keeps the margin until the separation
     lemma is proved with its constants.
     """
-    if kappa > 0:
-        d = min(d, bonnet_myers_cap(kappa))
+    d = min(d, bonnet_myers_cap(kappa))
     alpha = alpha_constant(n, kappa, d, v)
     ell = ell_constant(n, kappa, v)
     r = r_constant(kappa, alpha, ell)
@@ -434,7 +415,7 @@ class BoundReport:
     def __post_init__(self):
         if not self.diameter_bound > 0:
             raise DomainError("diameter bound must be positive")
-        if self.kappa > 0 and self.diameter_bound > bonnet_myers_cap(self.kappa) * (1 + 1e-12):
+        if self.diameter_bound > bonnet_myers_cap(self.kappa) * (1 + 1e-12):
             raise DomainError("diameter bound exceeds the Bonnet-Myers cap")
         if self.rho < 1 or self.isotropy_cap < 1:
             raise DomainError("rho and the isotropy cap must be at least 1")
@@ -483,12 +464,15 @@ def _stage(trace: list, stage: str, inputs: dict):
     trace.append({"stage": stage, "inputs": inputs, "outputs": outputs})
 
 
-def _resolve_dimension_volume(spec: Spectrum, n, v, trace: list):
+def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
+    """(n, v, source): the given or Weyl-fitted pair.  SpaceForm checks
+    (n, kappa); n must match the spectrum's declared dimension."""
     source = "given" if (n is not None and v is not None) else "weyl-estimated"
     if n is None:
         with _stage(trace, "weyl-dimension", {"eigenvalue_count": spec.total_count}) as out:
             n, snap = estimate_dimension(spec)
             out.update(n=n, slope_snap_distance=snap)
+    n = SpaceForm(n, kappa).n
     if spec.dimension is not None and spec.dimension != n:
         raise CertificationError(
             "weyl-dimension",
@@ -500,7 +484,7 @@ def _resolve_dimension_volume(spec: Spectrum, n, v, trace: list):
             out.update(volume=v)
     if not (math.isfinite(v) and v > 0):
         raise CertificationError("weyl-volume", f"volume {v!r} is not positive and finite")
-    return _count(n, "the dimension"), float(v), source
+    return n, float(v), source
 
 
 def spectral_isotropy_bound(
@@ -516,7 +500,7 @@ def spectral_isotropy_bound(
     when none is given.
     """
     trace: list[dict] = []
-    n, v, source = _resolve_dimension_volume(spec, n, v, trace)
+    n, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
         if r_grid is None:
             r_grid = default_r_grid(n, kappa, v)
@@ -530,7 +514,7 @@ def spectral_isotropy_bound(
             last_skip=search.last_skip,
         )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
-        cap = isotropy_order_cap(spec, kappa, (n, v), d)
+        cap = isotropy_order_cap(n, kappa, d, v)
         out.update(isotropy_cap=cap)
     notes = {
         "diameter": "smallest 2r(rho+1) over the radius grid"

@@ -8,6 +8,8 @@ requested tolerance.  The CLI maps these onto exit codes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class DomainError(ValueError):
     """An argument lies outside the geometric domain of validity."""
@@ -32,3 +34,16 @@ class CertificationError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
 
+
+def _count(x, what: str, minimum: int | None = None) -> int:
+    """x as a plain int when it is an integer (numpy integers included) of at
+    least ``minimum``; a bool, a float such as 2.0, or a smaller value raises
+    DomainError.  The library's one rule for dimension, degree, order and
+    count arguments."""
+    if type(x) is not int:
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise DomainError(f"{what} must be an integer, got {x!r}")
+        x = int(x)
+    if minimum is not None and x < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {x!r}")
+    return x

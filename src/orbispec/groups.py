@@ -9,18 +9,11 @@ spectra in modelspectra count invariant monomials from the record itself.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
-
-
-def _count(x, what: str) -> int:
-    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-        raise DomainError(f"{what} must be an integer, got {x!r}")
-    return int(x)
+from .errors import DomainError, _count
 
 
 class OrthogonalAction:
@@ -32,14 +25,10 @@ class OrthogonalAction:
     """
 
     def __init__(self, order: int, exponents=(), fixed_axes: int = 0, reversed_axes: int = 0):
-        k = _count(order, "the order")
-        if k < 2:
-            raise DomainError(f"cyclic order must be an integer >= 2, got {order!r}")
+        k = _count(order, "cyclic order", 2)
         exps = tuple(_count(a, "a rotation exponent") for a in exponents)
-        fixed = _count(fixed_axes, "the number of fixed axes")
-        flipped = _count(reversed_axes, "the number of reversed axes")
-        if fixed < 0 or flipped < 0:
-            raise DomainError("axis counts must be nonnegative")
+        fixed = _count(fixed_axes, "the number of fixed axes", 0)
+        flipped = _count(reversed_axes, "the number of reversed axes", 0)
         generated = math.lcm(*(k // math.gcd(a, k) for a in exps), 2 if flipped else 1)
         if generated != k:
             raise DomainError(

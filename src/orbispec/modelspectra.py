@@ -14,14 +14,13 @@ bound pipelines can be validated end to end.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, _count
 from .groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 from .spaceform import sphere_measure
 
@@ -103,11 +102,9 @@ def _check_truncation(lambda_max: float) -> None:
 
 def _integral(x, what: str) -> int:
     """x as an int when it is an integral number, 3 or 3.0; a bool or 2.9 is refused."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return int(x)
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    raise DomainError(f"{what} must be an integral number, got {x!r}")
+    return _count(x, what)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -205,14 +202,66 @@ def flat_torus_spectrum(lattice_basis, lambda_max: float) -> Spectrum:
     Rows of lattice_basis generate the lattice, so the dual modes are
     mu = B^(-1) k with integer k and the quadratic form is (B B^T)^(-1).
     """
+    return _torus_spectrum(lattice_basis, None, lambda_max)
+
+
+def _torus_spectrum(lattice_basis, action: OrthogonalAction | None, lambda_max: float) -> Spectrum:
+    """Spectrum of the torus R^n / L, or of its quotient by a lattice symmetry.
+
+    Without an action each level's multiplicity is its number of dual modes.
+    With one, it is the invariant Fourier dimension: a lattice-compatible
+    linear symmetry permutes the dual modes without phases, so the level
+    carries one invariant per orbit of the cyclic action there, the group
+    average of the number of modes each element fixes (Burnside).  The
+    symmetry must preserve the dual form, checked exactly.
+    """
     basis = np.asarray(lattice_basis, dtype=float)
-    _, keys, (_, den, det) = _dual_modes(basis, lambda_max)
-    levels, counts = np.unique(keys, return_counts=True)
-    return _levels_to_spectrum(levels, counts, den, det, lambda_max, basis.shape[0])
+    n = basis.shape[0]
+    ks, keys, (adj, den, det) = _dual_modes(basis, lambda_max)
+    if action is None:
+        levels, counts = np.unique(keys, return_counts=True)
+        return _levels_to_spectrum(levels, counts, den, det, lambda_max, n)
+    order = action.order
+    if order not in (2, 3, 4, 6):
+        raise DomainError(
+            f"torus quotients support crystallographic orders 2, 3, 4, 6; got {order}"
+        )
+    # Rows of the basis generate, so lattice coordinates of A are B^(-T) A B^T
+    # and the dual modes k transform by the transpose of that.
+    m_lattice = np.linalg.solve(basis.T, action.generator @ basis.T)
+    if np.max(np.abs(m_lattice - np.rint(m_lattice))) > 1e-9:
+        raise DomainError("the symmetry is not an integer matrix in lattice coordinates")
+    dual = np.rint(m_lattice).astype(np.int64).T.astype(object)
+    form = np.array(adj, dtype=object)
+    if not np.array_equal(dual.T @ form @ dual, form):
+        raise CertificationError(
+            "torus-quotient", "the symmetry does not preserve the dual form of the lattice"
+        )
+    # The record's generator has exactly its declared order, and so does its
+    # integer conjugate: these are the group's elements.
+    powers = [np.eye(n, dtype=object)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] @ dual)
+    # A symmetry of the form maps each mode into the box, so only the partial
+    # sums of p k need a bound to stay in int64.
+    pmax = max(abs(int(x)) for p in powers for x in p.flat)
+    dtype = object if n * pmax * (int(np.abs(ks).max()) + 1) >= 2**62 else np.int64
+    ks = ks.astype(dtype)
+    fixed = np.sum([(ks @ p.T.astype(dtype) == ks).all(axis=1) for p in powers], axis=0)
+    levels, inverse = np.unique(keys, return_inverse=True)
+    totals = np.bincount(inverse, weights=fixed, minlength=len(levels)).astype(np.int64)
+    orbits, rem = np.divmod(totals, order)
+    if rem.any():
+        raise CertificationError(
+            "torus-quotient", "a level's fixed-mode count is not divisible by the group order"
+        )
+    return _levels_to_spectrum(levels, orbits, den, det, lambda_max, n)
 
 
 def harmonic_multiplicity(n: int, l: int) -> int:
-    """Dimension of degree-l spherical harmonics on S^n."""
+    """Dimension of degree-l spherical harmonics on S^n; 0 for a negative degree."""
+    n = _count(n, "sphere dimension", 1)
+    l = _count(l, "harmonic degree")
     if l < 0:
         return 0
     if l == 0:
@@ -222,15 +271,28 @@ def harmonic_multiplicity(n: int, l: int) -> int:
 
 def sphere_spectrum(n: int, lambda_max: float) -> Spectrum:
     """Spectrum of the unit round S^n: eigenvalues l(l+n-1)."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"sphere dimension must be an integer >= 2, got {n!r}")
+    return _sphere_spectrum(n, None, lambda_max)
+
+
+def _sphere_spectrum(n: int, action: OrthogonalAction | None, lambda_max: float) -> Spectrum:
+    """Spectrum of the unit round S^n, or of its quotient by an orthogonal action.
+
+    The degree-l harmonics sit at l(l+n-1); a quotient keeps the invariant
+    ones, and a degree with none drops out.
+    """
+    n = _count(n, "sphere dimension", 2)
     _check_truncation(lambda_max)
-    entries = []
-    l = 0
-    while l * (l + n - 1) <= lambda_max:
-        entries.append((float(l * (l + n - 1)), harmonic_multiplicity(n, l)))
-        l += 1
-    return Spectrum(tuple(entries), float(lambda_max), n)
+    if action is not None and action.ambient_dim != n + 1:
+        raise DomainError("action ambient dimension does not match the model dimension")
+    l_max = 0
+    while (l_max + 1) * (l_max + n) <= lambda_max:
+        l_max += 1
+    if action is None:
+        counts = [harmonic_multiplicity(n, l) for l in range(l_max + 1)]
+    else:
+        counts = _invariant_counts(action, l_max)
+    entries = tuple((float(l * (l + n - 1)), c) for l, c in enumerate(counts) if c > 0)
+    return Spectrum(entries, float(lambda_max), n)
 
 
 def _invariant_counts(action: OrthogonalAction, l_max: int) -> list[int]:
@@ -255,13 +317,6 @@ def _invariant_counts(action: OrthogonalAction, l_max: int) -> list[int]:
     return [p[l][0] - (p[l - 2][0] if l >= 2 else 0) for l in range(l_max + 1)]
 
 
-def invariant_multiplicity(action: OrthogonalAction, l: int) -> int:
-    """Dimension of the G-invariant degree-l spherical harmonics on S^(d-1), counted exactly."""
-    if not isinstance(l, int) or l < 0:
-        raise DomainError(f"harmonic degree must be an integer >= 0, got {l!r}")
-    return _invariant_counts(action, l)[l]
-
-
 @dataclass(frozen=True)
 class SingularPoint:
     isotropy_order: int
@@ -270,10 +325,14 @@ class SingularPoint:
 
 @dataclass(frozen=True, eq=False)
 class ModelOrbifold:
-    """A model space with exact spectrum and known ground-truth geometry."""
+    """A model space with exact spectrum and known ground-truth geometry.
+
+    The record decides the builder: a torus when lattice_basis is set, a
+    round sphere otherwise, divided by action when one is given.  kind names
+    that choice.
+    """
 
     model_id: str
-    kind: str  # flat_torus | round_sphere | sphere_quotient | torus_quotient
     dimension: int
     volume: float
     diameter: float
@@ -284,13 +343,18 @@ class ModelOrbifold:
     description: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("flat_torus", "round_sphere", "sphere_quotient", "torus_quotient"):
-            raise DomainError(f"unknown model kind {self.kind!r}")
         if not (self.volume > 0 and self.diameter > 0):
             raise DomainError("volume and diameter must be positive")
         for p in self.singular_points:
             if p.isotropy_order < 2:
                 raise DomainError("singular points have isotropy order >= 2")
+
+    @property
+    def kind(self) -> str:
+        """flat_torus | torus_quotient | round_sphere | sphere_quotient, read off the record."""
+        if self.lattice_basis is not None:
+            return "flat_torus" if self.action is None else "torus_quotient"
+        return "round_sphere" if self.action is None else "sphere_quotient"
 
     @property
     def max_isotropy_order(self) -> int:
@@ -301,91 +365,9 @@ class ModelOrbifold:
         return sum(1 for p in self.singular_points if p.isolated)
 
     def spectrum(self, lambda_max: float) -> Spectrum:
-        if self.kind == "flat_torus":
-            return flat_torus_spectrum(self.lattice_basis, lambda_max)
-        if self.kind == "round_sphere":
-            return sphere_spectrum(self.dimension, lambda_max)
-        return quotient_spectrum(self, lambda_max)
-
-
-def _torus_quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
-    """Invariant Fourier dimensions per level: orbits of dual modes, by Burnside.
-
-    A lattice-compatible linear symmetry permutes the dual modes without
-    phases, so the invariant dimension at each level is the number of
-    orbits of the cyclic action there: the group average of the number of
-    modes each element fixes.  The symmetry must preserve the dual form and
-    have exactly the declared order on the lattice, both checked exactly.
-    """
-    action = model.action
-    if action is None:
-        raise DomainError("torus quotients need a lattice symmetry")
-    order = action.order
-    if order not in (2, 3, 4, 6):
-        raise DomainError(
-            f"torus quotients support crystallographic orders 2, 3, 4, 6; got {order}"
-        )
-    basis = np.asarray(model.lattice_basis, dtype=float)
-    a = action.generator
-    # Rows of the basis generate, so lattice coordinates of A are B^(-T) A B^T
-    # and the dual modes k transform by the transpose of that.
-    m_lattice = np.linalg.solve(basis.T, a @ basis.T)
-    if np.max(np.abs(m_lattice - np.rint(m_lattice))) > 1e-9:
-        raise DomainError("the symmetry is not an integer matrix in lattice coordinates")
-    dual = np.rint(m_lattice).astype(np.int64).T.astype(object)
-
-    ks, keys, (adj, den, det) = _dual_modes(basis, lambda_max)
-    form = np.array(adj, dtype=object)
-    if not np.array_equal(dual.T @ form @ dual, form):
-        raise CertificationError(
-            "torus-quotient", "the symmetry does not preserve the dual form of the lattice"
-        )
-    n = basis.shape[0]
-    powers = [np.eye(n, dtype=object)]
-    for _ in range(order):
-        powers.append(powers[-1] @ dual)
-    # Exact order: dual^order = I and no lower power is.
-    if [np.array_equal(p, powers[0]) for p in powers[1:]] != [False] * (order - 1) + [True]:
-        raise CertificationError(
-            "torus-quotient",
-            f"the symmetry does not have the declared order {order} on the lattice",
-        )
-
-    powers.pop()
-    # A symmetry of the form maps each mode into the box, so only the partial
-    # sums of p k need a bound to stay in int64.
-    pmax = max(abs(int(x)) for p in powers for x in p.flat)
-    dtype = object if n * pmax * (int(np.abs(ks).max()) + 1) >= 2**62 else np.int64
-    ks = ks.astype(dtype)
-    fixed = np.sum([(ks @ p.T.astype(dtype) == ks).all(axis=1) for p in powers], axis=0)
-    levels, inverse = np.unique(keys, return_inverse=True)
-    totals = np.bincount(inverse, weights=fixed, minlength=len(levels)).astype(np.int64)
-    orbits, rem = np.divmod(totals, order)
-    if rem.any():
-        raise CertificationError(
-            "torus-quotient", "a level's fixed-mode count is not divisible by the group order"
-        )
-    return _levels_to_spectrum(levels, orbits, den, det, lambda_max, model.dimension)
-
-
-def quotient_spectrum(model: ModelOrbifold, lambda_max: float) -> Spectrum:
-    """Spectrum of a sphere or torus quotient: invariant eigenfunctions of the cover."""
-    _check_truncation(lambda_max)
-    if model.kind == "sphere_quotient":
-        if model.action is None:
-            raise DomainError("sphere quotients need an action")
-        n = model.action.ambient_dim - 1
-        if n != model.dimension:
-            raise DomainError("action ambient dimension does not match the model dimension")
-        l_max = 0
-        while (l_max + 1) * (l_max + n) <= lambda_max:
-            l_max += 1
-        counts = _invariant_counts(model.action, l_max)
-        entries = tuple((float(l * (l + n - 1)), r) for l, r in enumerate(counts) if r > 0)
-        return Spectrum(entries, float(lambda_max), model.dimension)
-    if model.kind == "torus_quotient":
-        return _torus_quotient_spectrum(model, lambda_max)
-    raise DomainError(f"quotient_spectrum does not apply to kind {model.kind!r}")
+        if self.lattice_basis is not None:
+            return _torus_spectrum(self.lattice_basis, self.action, lambda_max)
+        return _sphere_spectrum(self.dimension, self.action, lambda_max)
 
 
 def model_catalog() -> list[ModelOrbifold]:
@@ -393,16 +375,16 @@ def model_catalog() -> list[ModelOrbifold]:
     eye2 = np.eye(2)
     cat = [
         ModelOrbifold(
-            "s2", "round_sphere", 2, 4.0 * math.pi, math.pi, 1.0,
+            "s2", 2, 4.0 * math.pi, math.pi, 1.0,
             description="unit round 2-sphere",
         ),
         ModelOrbifold(
-            "t2", "flat_torus", 2, 1.0, 0.5 * math.sqrt(2.0), 0.0,
+            "t2", 2, 1.0, 0.5 * math.sqrt(2.0), 0.0,
             lattice_basis=eye2,
             description="unit square torus; diameter = half diagonal",
         ),
         ModelOrbifold(
-            "pillowcase", "torus_quotient", 2, 0.5, 0.5 * math.sqrt(2.0), 0.0,
+            "pillowcase", 2, 0.5, 0.5 * math.sqrt(2.0), 0.0,
             singular_points=tuple(SingularPoint(2, True) for _ in range(4)),
             lattice_basis=eye2,
             action=OrthogonalAction(2, reversed_axes=2),
@@ -413,7 +395,7 @@ def model_catalog() -> list[ModelOrbifold]:
             ),
         ),
         ModelOrbifold(
-            "t2-mod-4", "torus_quotient", 2, 0.25, 0.5 * math.sqrt(2.0), 0.0,
+            "t2-mod-4", 2, 0.25, 0.5 * math.sqrt(2.0), 0.0,
             singular_points=(SingularPoint(4, True), SingularPoint(4, True), SingularPoint(2, True)),
             lattice_basis=eye2,
             action=OrthogonalAction(4, (1,)),
@@ -425,11 +407,11 @@ def model_catalog() -> list[ModelOrbifold]:
             ),
         ),
         ModelOrbifold(
-            "s3", "round_sphere", 3, sphere_measure(3), math.pi, 1.0,
+            "s3", 3, sphere_measure(3), math.pi, 1.0,
             description="unit round 3-sphere",
         ),
         ModelOrbifold(
-            "lens-4-1", "sphere_quotient", 3, sphere_measure(3) / 4.0, 0.5 * math.pi, 1.0,
+            "lens-4-1", 3, sphere_measure(3) / 4.0, 0.5 * math.pi, 1.0,
             action=cyclic_generator(4, [1]),
             description=(
                 "lens space S^3/Z_4 with block angles (2 pi/4, 2 pi/4); free action, "
@@ -443,7 +425,7 @@ def model_catalog() -> list[ModelOrbifold]:
     for k in (2, 3, 4, 6):
         cat.append(
             ModelOrbifold(
-                f"s2-mod-{k}", "sphere_quotient", 2, 4.0 * math.pi / k, math.pi, 1.0,
+                f"s2-mod-{k}", 2, 4.0 * math.pi / k, math.pi, 1.0,
                 singular_points=(SingularPoint(k, True), SingularPoint(k, True)),
                 action=sphere_rotation_action(k),
                 description=(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincc, hyp2f1
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _count
 
 # Switch to the truncated power series once |kappa| * r^2 drops below this;
 # the trig/hyperbolic branches lose digits to cancellation there.
@@ -32,14 +32,16 @@ ROOT_MAX_PROBES = 200
 
 @dataclass(frozen=True)
 class SpaceForm:
-    """Simply connected model space: dimension ``n`` and curvature ``kappa``."""
+    """Simply connected model space: dimension ``n`` and curvature ``kappa``.
+
+    ``n`` is stored as a plain int; numpy integers are accepted.
+    """
 
     n: int
     kappa: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"model dimension must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _count(self.n, "model dimension", 2))
         if not math.isfinite(self.kappa):
             raise DomainError(f"curvature must be finite, got {self.kappa!r}")
 
@@ -62,12 +64,9 @@ def _check_radius(kappa: float, r, what: str = "radius"):
     if not (lo >= 0.0 and hi < math.inf):
         bad = hi if lo >= 0.0 else lo
         raise DomainError(f"{what} must be finite and nonnegative, got {float(bad)!r}")
-    if kappa > 0:
-        cap = bonnet_myers_cap(kappa)
-        if hi > cap * (1.0 + ACOS_DRIFT):
-            raise DomainError(
-                f"{what} {hi:.9g} exceeds the antipodal cap pi/sqrt(kappa) = {cap:.9g}"
-            )
+    cap = bonnet_myers_cap(kappa)
+    if hi > cap * (1.0 + ACOS_DRIFT):
+        raise DomainError(f"{what} {hi:.9g} exceeds the antipodal cap pi/sqrt(kappa) = {cap:.9g}")
     return rr, lo
 
 
@@ -138,15 +137,13 @@ def newton_bracket(probe, lo: float, hi: float, x: float) -> tuple[float, float]
 
 def sphere_measure(d: int) -> float:
     """Total measure of the unit d-sphere: 2*pi^((d+1)/2) / Gamma((d+1)/2)."""
-    if not isinstance(d, int) or d < 0:
-        raise DomainError(f"sphere dimension must be an integer >= 0, got {d!r}")
+    d = _count(d, "sphere dimension", 0)
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the Euclidean unit n-ball: pi^(n/2) / Gamma(n/2 + 1)."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"ball dimension must be an integer >= 1, got {n!r}")
+    n = _count(n, "ball dimension", 1)
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
@@ -202,8 +199,7 @@ def linked_complement_measure(d: int, alpha: float) -> float:
     the reflection I_x(a, b) = 1 - I_{1-x}(b, a) evaluates it in cos^2 alpha,
     which keeps the digits that sin^2 alpha rounds away near pi/2.
     """
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"sphere dimension must be an integer >= 1, got {d!r}")
+    d = _count(d, "sphere dimension", 1)
     if not (-ACOS_DRIFT <= alpha <= 0.5 * math.pi + ACOS_DRIFT):
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     alpha = min(max(alpha, 0.0), 0.5 * math.pi)

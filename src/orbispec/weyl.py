@@ -42,7 +42,16 @@ class WeylFit:
 
 
 def _window_samples(spec: Spectrum):
-    """Distinct positive eigenvalues in the top WINDOW_FRACTION tail, N there, and the window."""
+    """Distinct positive eigenvalues in the top WINDOW_FRACTION tail, N there, and the window.
+
+    Both fits stand on these samples, so both need MIN_EIGENVALUE_COUNT
+    eigenvalues: a handful of low levels fits a volume far off the truth.
+    """
+    if spec.total_count < MIN_EIGENVALUE_COUNT:
+        raise DomainError(
+            f"need at least {MIN_EIGENVALUE_COUNT} eigenvalues counted with "
+            f"multiplicity, got {spec.total_count}"
+        )
     vals = spec.values
     counts = spec.cumulative_counts
     lam_hi = float(vals[-1]) if len(vals) else 0.0
@@ -57,11 +66,6 @@ def _window_samples(spec: Spectrum):
 
 def _fit_dimension(spec: Spectrum):
     """estimate_dimension's (dimension, diagnostic), then the window samples it fitted."""
-    if spec.total_count < MIN_EIGENVALUE_COUNT:
-        raise DomainError(
-            f"need at least {MIN_EIGENVALUE_COUNT} eigenvalues counted with "
-            f"multiplicity, got {spec.total_count}"
-        )
     lam, counts, window = _window_samples(spec)
     if len(lam) < 2:
         raise DomainError("the fit window has fewer than 2 distinct eigenvalues")
@@ -93,9 +97,10 @@ def estimate_dimension(spec: Spectrum) -> tuple[int, float]:
 
 
 def estimate_volume(spec: Spectrum, n: int) -> float:
-    """Median of N(lam) (2 pi)^n / (vol B^n_0(1) lam^(n/2)) over the window."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
+    """Median of N(lam) (2 pi)^n / (vol B^n_0(1) lam^(n/2)) over the window.
+
+    unit_ball_volume checks that n is an integer >= 1.
+    """
     lam, counts, _ = _window_samples(spec)
     return _median_volume(lam, counts, n)
 

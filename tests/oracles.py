@@ -591,8 +591,9 @@ def _reference_band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def reference_ritz_unit_ball(n: int, kappa: float) -> float:
-    """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball.
+def reference_ritz_unit_ball(n: int, kappa: float) -> tuple[float, np.ndarray]:
+    """P2 Rayleigh-Ritz upper bound on the lowest eigenvalue of the unit ball,
+    and the final iterate (its free nodal values) whose quotient it is.
 
     The package's kernel before it moved to direct LAPACK/BLAS calls, an
     iterate-change stop and a steered shift: the same mesh, quadrature, safe
@@ -631,13 +632,35 @@ def reference_ritz_unit_ball(n: int, kappa: float) -> float:
     x = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * m + 1)[:-1])
     best = quotient(x)
     for _ in range(RITZ_MAX_ITER):
-        x = cho_solve_banded((chol, False), _reference_band_matvec(mass, x), check_finite=False)
-        x /= np.abs(x).max()
-        q = quotient(x)
+        y = cho_solve_banded((chol, False), _reference_band_matvec(mass, x), check_finite=False)
+        y /= np.abs(y).max()
+        q = quotient(y)
         if best - q <= RITZ_RTOL * q:
-            return min(best, q)
-        best = q
-    return best
+            return (q, y) if q < best else (best, x)
+        best, x = q, y
+    return best, x
+
+
+def ritz_quotient(n: int, kappa: float, x: np.ndarray, points: int = 40) -> float:
+    """Rayleigh quotient of the P2 function with free nodal values x on the
+    unit ball, with a ``points``-point Gauss-Legendre rule per element.
+
+    At 40 points the rule is exact to rounding for the smooth volume density,
+    so this is the quotient the 6-point rule of the package approximates.
+    """
+    m = len(x) // 2
+    h = 1.0 / m
+    gx, gw = np.polynomial.legendre.leggauss(points)
+    xi, omega = 0.5 * (gx + 1.0), 0.5 * gw
+    shape = np.array([2 * xi**2 - 3 * xi + 1, 4 * xi * (1 - xi), 2 * xi**2 - xi])
+    dshape = np.array([4 * xi - 3, 4 - 8 * xi, 4 * xi - 1])
+    t = (np.arange(m)[:, None] + xi[None, :]) * h
+    wq = generalized_sin(kappa, t) ** (n - 1) * omega
+    nodes = np.append(x, 0.0)
+    local = np.stack([nodes[0:-1:2], nodes[1::2], nodes[2::2]], axis=1)
+    grad = local @ dshape
+    val = local @ shape
+    return float(np.sum(wq * grad * grad)) / (h * h * float(np.sum(wq * val * val)))
 
 
 def ball_volume_quadrature(sf: SpaceForm, r: float) -> float:

@@ -307,25 +307,22 @@ def test_diameter_stage_records_search_counts():
     assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
 
 
-def test_isotropy_order_cap_exact_on_sphere_quotients(s2_spectrum):
+def test_isotropy_order_cap_exact_on_sphere_quotients():
     # ball_volume(S^2, pi) = 4 pi, so the cap equals k exactly for v = 4 pi / k.
     for k in (2, 3, 4, 6):
-        spec = catalog_model(f"s2-mod-{k}").spectrum(120.0)
-        cap = isotropy_order_cap(spec, 1.0, (2, 4 * math.pi / k), math.pi)
+        cap = isotropy_order_cap(2, 1.0, math.pi, 4 * math.pi / k)
         assert cap == k
     # diameters beyond the antipodal cap clamp back to it
-    assert isotropy_order_cap(s2_spectrum, 1.0, (2, 4 * math.pi), 50.0) == 1
+    assert isotropy_order_cap(2, 1.0, 50.0, 4 * math.pi) == 1
 
 
-def test_isotropy_order_cap_validation(s2_spectrum):
+def test_isotropy_order_cap_validation():
     with pytest.raises(DomainError):
-        isotropy_order_cap(s2_spectrum, 1.0, (0, 1.0), math.pi)
+        isotropy_order_cap(0, 1.0, math.pi, 1.0)
     with pytest.raises(DomainError):
-        isotropy_order_cap(s2_spectrum, 1.0, (2, -1.0), math.pi)
+        isotropy_order_cap(2, 1.0, math.pi, -1.0)
     with pytest.raises(DomainError):
-        isotropy_order_cap(s2_spectrum, 1.0, (2, 1.0), 0.0)
-    with pytest.raises(DomainError):
-        isotropy_order_cap(s2_spectrum, 1.0, (3, 4.0), math.pi)  # declared dim 2
+        isotropy_order_cap(2, 1.0, 0.0, 1.0)
 
 
 def test_infinite_volume_is_refused():
@@ -334,7 +331,7 @@ def test_infinite_volume_is_refused():
     spec = catalog_model("pillowcase").spectrum(4000.0)
     for v in (math.inf, math.nan):
         with pytest.raises(DomainError):
-            isotropy_order_cap(spec, 0.0, (2, v), 3.0)
+            isotropy_order_cap(2, 0.0, 3.0, v)
         for grid in ([0.05, 0.1, 0.2], None):
             with pytest.raises(CertificationError) as err:
                 spectral_isotropy_bound(spec, 0.0, n=2, v=v, r_grid=grid)
@@ -347,7 +344,7 @@ ALPHA_HI = 0.5 * math.pi * (1.0 - 1e-12)
 def _oracle_cone(n, kappa, d, alpha):
     """Cone volume over the bad directions, measured by the band oracle."""
     sf = SpaceForm(n, kappa)
-    dd = min(d, bonnet_myers_cap(kappa)) if kappa > 0 else d
+    dd = min(d, bonnet_myers_cap(kappa))
     band = gauss_legendre_linked_complement(n - 1, alpha)
     return ball_volume(sf, dd) * band / sphere_measure(n - 1)
 
@@ -564,9 +561,7 @@ def test_r_constant_sound_on_dense_and_random_hinges():
     for kappa, alpha, ell in R_CONSTANT_CASES:
         r = r_constant(kappa, alpha, ell)
         assert 0.0 < r < ell
-        c3_max = 3.0 * ell
-        if kappa > 0:
-            c3_max = min(c3_max, bonnet_myers_cap(kappa) * (1.0 - 1e-9))
+        c3_max = min(3.0 * ell, bonnet_myers_cap(kappa) * (1.0 - 1e-9))
         theta_max = 0.5 * math.pi - alpha
         dense_c3, dense_theta = np.meshgrid(
             np.linspace(ell, c3_max, 301), np.linspace(0.0, theta_max, 301)

@@ -343,3 +343,43 @@ def test_spectrum_rejects_non_finite_truncations(capsys):
             code, out, err = run_cli(capsys, "spectrum", "--model", model, "--lambda-max", lam)
             assert code == 2 and out == ""
             assert err.startswith("error[domain]"), (model, lam, err)
+
+
+@pytest.mark.parametrize("truncation", [6.0, 20.0])
+def test_volume_fit_below_the_eigenvalue_floor_exits_2(capsys, tmp_path, truncation):
+    # 3 and 9 eigenvalues once fitted a volume that certified an isotropy cap
+    # below the true order 3 with exit 0.
+    path = _write_spectrum(tmp_path, "s2-mod-3", truncation)
+    code, out, err = run_cli(
+        capsys, "isotropy", "--spectrum", str(path), "--kappa", "1", "--n", "2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[weyl-volume]"), err
+
+
+@pytest.mark.parametrize("grid", ["abc", ","])
+def test_malformed_radius_grid_exits_1(capsys, tmp_path, grid):
+    path = _write_spectrum(tmp_path, "t2", 400.0)
+    code, out, err = run_cli(
+        capsys, "diameter", "--spectrum", str(path), "--kappa", "0", "--n", "2",
+        "--volume", "1", "--r-grid", grid,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error[input]: --r-grid"), err
+
+
+def test_spectrum_file_holding_an_array_exits_1(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([[0.0, 1], [2.0, 3]]))
+    code, out, err = run_cli(capsys, "weyl", "--spectrum", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error[input]") and "expected a JSON object" in err
+
+
+def test_solver_failure_exits_2_as_a_convergence_error(capsys, monkeypatch):
+    from orbispec import dirichlet
+
+    monkeypatch.setattr(dirichlet, "_pbtrf", lambda ab, **kw: (ab, 3))
+    code, out, err = run_cli(capsys, "eig-ball", "--n", "2", "--kappa", "1", "--r", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error[convergence]") and "pbtrf info 3" in err

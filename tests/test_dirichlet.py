@@ -8,12 +8,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from orbispec import dirichlet
-from orbispec.bounds import best_diameter_bound, lambda_threshold
+from orbispec.bounds import RHO_TOL_SCALE, best_diameter_bound, lambda_threshold
 from orbispec.dirichlet import (
     _bessel_sign,
     _first_bessel_zero,
@@ -29,6 +29,7 @@ from oracles import (
     finite_difference_eigenvalue,
     reference_ritz_unit_ball,
     richardson_fd_eigenvalue,
+    ritz_quotient,
     shooting_eigenvalue,
 )
 
@@ -255,8 +256,26 @@ def test_ritz_kernel_matches_reference_kernel(key):
     # rounding.
     n, kappa, r = key
     s = kappa * r * r
-    want = reference_ritz_unit_ball(n, s)
+    want, _ = reference_ritz_unit_ball(n, s)
     assert abs(_ritz_unit_ball(n, s) - want) <= 1e-13 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(ritz_keys())
+@example((10, -1600.0, 1.0))
+@example((10, (0.999 * math.pi) ** 2, 1.0))
+def test_ritz_quadrature_error_stays_inside_the_rho_tolerance(key):
+    # The returned value is the 6-point Gauss-Legendre quotient of the final
+    # P2 iterate; only the exact quotient of a trial function bounds the
+    # eigenvalue from above.  The diameter bound counts eigenvalues up to
+    # (1 + RHO_TOL_SCALE) times the threshold, so the 6-point value must not
+    # fall below the 40-point quotient of the same discrete ground state by
+    # more than a tenth of that.  Measured: at most about 3.5e-15 relative
+    # below over these keys, and 2.8e-8 above at n = 10, kappa r^2 = -1600.
+    n, kappa, r = key
+    s = kappa * r * r
+    _, iterate = reference_ritz_unit_ball(n, s)
+    assert _ritz_unit_ball(n, s) >= ritz_quotient(n, s, iterate) * (1 - RHO_TOL_SCALE / 10)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +291,7 @@ def test_ritz_kernel_matches_reference_kernel(key):
     ],
 )
 def test_ritz_kernel_matches_reference_at_extreme_keys(n, s):
-    want = reference_ritz_unit_ball(n, s)
+    want, _ = reference_ritz_unit_ball(n, s)
     assert abs(_ritz_unit_ball(n, s) - want) <= 1e-10 * want
 
 
@@ -373,5 +392,5 @@ def test_failed_steering_keeps_the_safe_shift(monkeypatch, n, s):
     monkeypatch.setattr(dirichlet, "_pbtrf", first_only)
     got = _ritz_unit_ball(n, s)
     assert calls[0] > 1, "no steering factorization was tried"
-    want = reference_ritz_unit_ball(n, s)
+    want, _ = reference_ritz_unit_ball(n, s)
     assert abs(got - want) <= 1e-10 * want

@@ -19,13 +19,11 @@ from orbispec import (
     cyclic_generator,
     flat_torus_spectrum,
     harmonic_multiplicity,
-    invariant_multiplicity,
     model_catalog,
-    quotient_spectrum,
     sphere_rotation_action,
     sphere_spectrum,
 )
-from orbispec.modelspectra import _dual_modes
+from orbispec.modelspectra import _dual_modes, _invariant_counts
 from oracles import (
     brute_torus_levels,
     character_averages,
@@ -156,10 +154,10 @@ def test_torus_spectra_equal_fraction_oracle_on_random_bases(rows, lam):
     assert flat_torus_spectrum(basis, lam) == fraction_torus_spectrum(basis, lam)
     # x -> -x preserves every lattice; its quotient checks the Burnside count.
     model = ModelOrbifold(
-        "random-pillow", "torus_quotient", n, 1.0, 1.0, 0.0,
+        "random-pillow", n, 1.0, 1.0, 0.0,
         lattice_basis=basis, action=OrthogonalAction(2, reversed_axes=n),
     )
-    assert quotient_spectrum(model, lam) == orbit_walk_quotient_spectrum(
+    assert model.spectrum(lam) == orbit_walk_quotient_spectrum(
         basis, -np.eye(n, dtype=np.int64), 2, lam
     )
 
@@ -193,6 +191,14 @@ def test_circle_levels():
         for k, (v, _) in enumerate(spec.entries):
             assert abs(v - 4 * PI2 * k * k / length**2) <= 1e-12 * max(1.0, v)
         assert spec == fraction_torus_spectrum(np.array([[length]]), lam)
+
+
+def test_torus_truncation_boundary_is_the_float_check():
+    # Just below 4 pi^2 the 1e-12 completeness slack keeps key 1 in the
+    # enumeration; its float eigenvalue then tops the truncation and is dropped.
+    below = math.nextafter(4 * PI2, 0.0)
+    assert flat_torus_spectrum(np.eye(2), below).entries == ((0.0, 1),)
+    assert flat_torus_spectrum(np.eye(2), 4 * PI2).entries == ((0.0, 1), (4 * PI2, 4))
 
 
 def test_rectangular_torus_frozen_levels():
@@ -273,8 +279,9 @@ def test_invariant_multiplicity_against_divisor_count():
     # with m divisible by k / gcd(j, k).
     for k in (2, 3, 4, 5, 6, 9):
         act = sphere_rotation_action(k)
+        counts = _invariant_counts(act, 12)
         for l in (0, 1, 2, 3, 7, 12):
-            assert invariant_multiplicity(act, l) == circle_divisor_count(k, l)
+            assert counts[l] == circle_divisor_count(k, l)
 
 
 def test_invariant_multiplicity_against_series_recurrence():
@@ -291,10 +298,11 @@ def test_invariant_multiplicity_against_series_recurrence():
         total = np.zeros(l_max + 1)
         for g in elements(act):
             total += np.array(series_reciprocal_characters(g, l_max), dtype=float)
+        counts = _invariant_counts(act, l_max)
         for l in range(l_max + 1):
             expected = total[l] / act.order
             assert abs(expected - round(expected)) < 1e-8
-            assert invariant_multiplicity(act, l) == round(expected)
+            assert counts[l] == round(expected)
 
 
 @st.composite
@@ -318,15 +326,16 @@ def cyclic_records(draw):
 def test_invariant_counts_equal_float_character_average(act):
     l_max = 40
     average = character_averages(act, l_max)
+    counts = _invariant_counts(act, l_max)
     for l in range(l_max + 1):
-        assert abs(invariant_multiplicity(act, l) - average[l]) <= 1e-6, (l, average[l])
+        assert abs(counts[l] - average[l]) <= 1e-6, (l, average[l])
 
 
 def test_antipodal_action_kills_odd_degrees():
-    act = OrthogonalAction(2, reversed_axes=3)
+    counts = _invariant_counts(OrthogonalAction(2, reversed_axes=3), 9)
     for l in range(10):
         expect = 0 if l % 2 else 2 * l + 1
-        assert invariant_multiplicity(act, l) == expect
+        assert counts[l] == expect
 
 
 def test_sphere_quotient_frozen_small_levels():
@@ -340,12 +349,10 @@ def test_sphere_quotient_counting_identity():
         model = catalog_model(mid)
         spec = model.spectrum(180.0)
         n = model.dimension
-        total = 0
-        l = 0
-        while l * (l + n - 1) <= 180.0:
-            total += invariant_multiplicity(model.action, l)
-            l += 1
-        assert spec.total_count == total
+        l_max = 0
+        while (l_max + 1) * (l_max + n) <= 180.0:
+            l_max += 1
+        assert spec.total_count == sum(_invariant_counts(model.action, l_max))
 
 
 def test_pillowcase_frozen_levels():
@@ -389,7 +396,6 @@ def test_torus_quotient_rejects_noncrystallographic_order():
     act = OrthogonalAction(5, (1,))
     model = ModelOrbifold(
         model_id="bad-5",
-        kind="torus_quotient",
         dimension=2,
         volume=0.2,
         diameter=1.0,
@@ -399,14 +405,13 @@ def test_torus_quotient_rejects_noncrystallographic_order():
         singular_points=(SingularPoint(5, True),),
     )
     with pytest.raises(DomainError):
-        quotient_spectrum(model, 10.0)
+        model.spectrum(10.0)
 
 
 def test_torus_quotient_requires_lattice_symmetry():
     rot = OrthogonalAction(4, (1,))
     model = ModelOrbifold(
         model_id="bad-rect",
-        kind="torus_quotient",
         dimension=2,
         volume=0.5,
         diameter=1.0,
@@ -417,16 +422,12 @@ def test_torus_quotient_requires_lattice_symmetry():
     )
     # a quarter turn does not preserve a 1 x 2 lattice
     with pytest.raises(DomainError):
-        quotient_spectrum(model, 30.0)
+        model.spectrum(30.0)
 
 
-def test_quotient_spectrum_kind_and_shape_errors():
-    s2 = catalog_model("s2")
-    with pytest.raises(DomainError):
-        quotient_spectrum(s2, 10.0)
+def test_sphere_quotient_shape_errors():
     mismatched = ModelOrbifold(
         model_id="bad-dim",
-        kind="sphere_quotient",
         dimension=3,
         volume=1.0,
         diameter=1.0,
@@ -435,9 +436,9 @@ def test_quotient_spectrum_kind_and_shape_errors():
         singular_points=(SingularPoint(3, True), SingularPoint(3, True)),
     )
     with pytest.raises(DomainError):
-        quotient_spectrum(mismatched, 10.0)
+        mismatched.spectrum(10.0)
     with pytest.raises(DomainError):
-        quotient_spectrum(catalog_model("lens-4-1"), -1.0)
+        catalog_model("lens-4-1").spectrum(-1.0)
 
 
 def test_non_finite_or_negative_truncations_are_domain_errors():
@@ -455,17 +456,15 @@ def test_non_finite_or_negative_truncations_are_domain_errors():
         with pytest.raises(DomainError):
             flat_torus_spectrum(np.eye(2), lam)
         with pytest.raises(DomainError):
-            quotient_spectrum(catalog_model("s2-mod-3"), lam)
+            catalog_model("s2-mod-3").spectrum(lam)
 
 
 def test_model_validation():
     with pytest.raises(DomainError):
-        ModelOrbifold("x", "cylinder", 2, 1.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        ModelOrbifold("x", "round_sphere", 2, -1.0, 1.0, 1.0)
+        ModelOrbifold("x", 2, -1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         ModelOrbifold(
-            "x", "round_sphere", 2, 1.0, 1.0, 1.0,
+            "x", 2, 1.0, 1.0, 1.0,
             singular_points=(SingularPoint(1, True),),
         )
 
@@ -478,6 +477,12 @@ def test_catalog_ground_truth():
         "t2", "pillowcase", "t2-mod-4", "s3", "lens-4-1",
     ]
     by_id = {m.model_id: m for m in cat}
+    # kind is read off the record: lattice or sphere, divided by an action or not
+    assert {m.model_id: m.kind for m in cat} == {
+        "s2": "round_sphere", "s3": "round_sphere", "t2": "flat_torus",
+        "pillowcase": "torus_quotient", "t2-mod-4": "torus_quotient",
+        "lens-4-1": "sphere_quotient", **{f"s2-mod-{k}": "sphere_quotient" for k in (2, 3, 4, 6)},
+    }
     assert by_id["s2"].max_isotropy_order == 1
     assert by_id["s2"].isolated_singular_count == 0
     for k in (2, 3, 4, 6):

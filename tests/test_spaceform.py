@@ -9,15 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbispec.errors import DomainError
+from orbispec.errors import ConvergenceError, DomainError
 from orbispec.spaceform import (
     NEAR_FLAT,
+    ROOT_MAX_PROBES,
     SpaceForm,
     ball_volume,
     bonnet_myers_cap,
     cone_volume,
     generalized_sin,
     linked_complement_measure,
+    newton_bracket,
     sphere_measure,
     unit_ball_volume,
 )
@@ -310,3 +312,17 @@ def test_space_form_validation():
         SpaceForm(1, 1.0)
     with pytest.raises(DomainError):
         SpaceForm(2, math.nan)
+
+
+def test_newton_bracket_gives_up_after_its_probe_budget():
+    # A probe that always reads "left" with a zero step walks one float at a
+    # time, which cannot close [0, 1] in ROOT_MAX_PROBES probes.
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return True, 0.0
+
+    with pytest.raises(ConvergenceError, match=f"{ROOT_MAX_PROBES} probes"):
+        newton_bracket(probe, 0.0, 1.0, 0.5)
+    assert len(probes) == ROOT_MAX_PROBES

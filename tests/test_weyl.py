@@ -10,10 +10,13 @@ from orbispec import (
     CertificationError,
     DomainError,
     Spectrum,
+    catalog_model,
     estimate_dimension,
     estimate_volume,
+    spectral_isotropy_bound,
     weyl_fit,
 )
+from orbispec.weyl import MIN_EIGENVALUE_COUNT
 
 
 def test_dimension_recovery_on_catalog(catalog_spectra):
@@ -55,6 +58,21 @@ def test_weyl_fit_equals_the_separate_estimates(catalog_spectra):
         n, diag = estimate_dimension(spec)
         assert (fit.dimension_estimate, fit.residual) == (n, diag), model_id
         assert fit.volume_estimate == estimate_volume(spec, n), model_id
+
+
+@pytest.mark.parametrize("truncation", [6.0, 20.0])
+def test_volume_fit_needs_enough_eigenvalues(truncation):
+    # From 3 eigenvalues (truncation 6) the fit read v = 9.42 against the
+    # true 4.19 and certified isotropy cap 1 with the true order 3; from 9
+    # (truncation 20) it certified 2.  The volume fit now has the floor the
+    # dimension fit has, and the pipeline fails at its weyl-volume stage.
+    spec = catalog_model("s2-mod-3").spectrum(truncation)
+    assert spec.total_count < MIN_EIGENVALUE_COUNT
+    with pytest.raises(DomainError, match="eigenvalues counted"):
+        estimate_volume(spec, 2)
+    with pytest.raises(CertificationError) as err:
+        spectral_isotropy_bound(spec, 1.0, n=2)
+    assert err.value.stage == "weyl-volume"
 
 
 def test_estimate_volume_rejects_bad_dimension(s2_spectrum):

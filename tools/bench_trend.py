@@ -12,7 +12,9 @@ every workload for the ``run_seconds`` that BENCHMARK.json fixes:
 change alternating and the side that goes first alternating too, then one
 traced run for the per-layer numbers.  It also times
 ``orbispec verify`` and ``orbispec verify --quick`` in fresh interpreters
-(wall seconds, median of CLI_REPEATS), and runs the tier-1 pytest suite
+(wall seconds, median of CLI_REPEATS), reads the library's size (lines in
+``src/orbispec/*.py`` and the length of ``orbispec.__all__``, the names from
+a fresh interpreter on the side's tree), and runs the tier-1 pytest suite
 once in the side's tree (wall seconds and pytest's summary line; bytecode
 goes to a fresh cache directory per side, so both sides compile cold and
 nothing is written into the tree but the hypothesis database).  Each side
@@ -23,8 +25,8 @@ are to be compared.
 The JSON holds the versions and machine, the settings, and per side and
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares, ``dirichlet.threshold_first_s`` and
-``bounds.radii_tried`` from the traced run, the CLI wall times and the
-pytest run.  Per
+``bounds.radii_tried`` from the traced run, the CLI wall times, the library
+size and the pytest run.  Per
 workload, ``pairs_won`` counts for each end-to-end metric the pairs in
 which the change read better than the parent run beside it, in the
 direction BENCHMARK.json gives; ties count for neither side.
@@ -52,6 +54,7 @@ TRACE_KEYS = ("dirichlet.threshold_first_s", "dirichlet.threshold_keys", "bounds
 CLI_REPEATS = 5
 RUN_TIMEOUT_S = 900
 CLI_PROGRAM = "import sys, orbispec.cli; sys.exit(orbispec.cli.main(sys.argv[1:]))"
+NAMES_PROGRAM = "import orbispec; print(len(orbispec.__all__))"
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 PYTEST_TIMEOUT_S = 1800
 
@@ -111,6 +114,16 @@ def cli_wall(root: Path, args: list[str]) -> float:
         )
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def library_size(root: Path) -> dict:
+    """Lines in root's src/orbispec/*.py and the number of names in its orbispec.__all__."""
+    lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "orbispec").glob("*.py"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NAMES_PROGRAM], cwd=root, env=_env(root),
+        capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S,
+    )
+    return {"lines": lines, "public_names": int(proc.stdout.strip())}
 
 
 def pytest_wall(root: Path, pycache: Path) -> dict:
@@ -179,6 +192,7 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
                 "verify": cli_wall(root, ["verify"]),
                 "verify --quick": cli_wall(root, ["verify", "--quick"]),
             },
+            "library": library_size(root),
             "pytest": pytest_wall(root, scratch / f"pycache-{side}"),
         }
     return out, runs, runs[names[0]][WORKLOADS[0]][0]["meta"]
