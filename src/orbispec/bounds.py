@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import numbers
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .dirichlet import lowest_dirichlet_eigenvalue
-from .errors import CertificationError, ConvergenceError, DomainError
+from .errors import CertificationError, ConvergenceError, DomainError, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
@@ -97,8 +98,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
 
 def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
     """DEFAULT_GRID_POINTS log-spaced radii spanning three decades below a diameter hint."""
-    if not (math.isfinite(volume) and volume > 0):
-        raise DomainError(f"volume must be positive and finite, got {volume!r}")
+    volume = _positive(volume, "volume")
     d_hint = 2.0 * (volume / unit_ball_volume(n)) ** (1.0 / n)
     hi = min(d_hint, CAP_GRID_FRACTION * bonnet_myers_cap(kappa))
     lo = min(d_hint, hi) / 1000.0
@@ -200,22 +200,40 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     )
 
 
+def _diameter(d, kappa: float) -> float:
+    """A diameter bound clamped at the antipodal cap pi/sqrt(kappa), then held
+    to the magnitude rule.  Sound: curvature >= kappa > 0 keeps every
+    diameter below the cap, so D = inf is accepted when kappa > 0.  Only a
+    real number is clamped, so a bool is refused whatever the cap."""
+    cap = bonnet_myers_cap(kappa)
+    if isinstance(d, numbers.Real) and not isinstance(d, bool) and d > cap:
+        d = cap
+    return _positive(d, "diameter bound")
+
+
+def _floor_ratio(num: float, den: float) -> int:
+    """floor(num / den) of two volumes, nudged by 1e-9 against float drop-off
+    so an exact integer ratio floors to itself.  A ratio that is no finite
+    float (an underflowed denominator, an overflowed quotient) is a
+    DomainError."""
+    ratio = num / den if den > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise DomainError(f"the volume ratio {num!r} / {den!r} is not a finite float")
+    return math.floor(ratio + 1e-9)
+
+
 def isotropy_order_cap(n: int, kappa: float, d: float, v: float) -> int:
     """Upper bound on every isotropy order: floor of ball_volume(D) / volume.
 
     The dilation of small balls around a singular point scales volume down
     by the isotropy order, so the order cannot exceed the model-ball/volume
-    ratio.  SpaceForm checks n; the pipelines check (n, v) against the
-    spectrum before they get here.
+    ratio.  SpaceForm checks n and kappa, D is clamped at the antipodal cap
+    and must then be positive and finite, as v must; the pipelines check
+    (n, v) against the spectrum before they get here.
     """
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"volume must be positive and finite, got {v!r}")
-    if not d > 0:
-        raise DomainError(f"diameter bound must be positive, got {d!r}")
     sf = SpaceForm(n, kappa)
-    ratio = ball_volume(sf, min(d, bonnet_myers_cap(kappa))) / v
-    # Nudge against float drop-off so an exact integer ratio floors to itself.
-    return max(1, math.floor(ratio + 1e-9))
+    v = _positive(v, "volume")
+    return max(1, _floor_ratio(ball_volume(sf, _diameter(d, kappa)), v))
 
 
 def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
@@ -230,11 +248,8 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     forward check is the certificate.
     """
     sf = SpaceForm(n, kappa)
-    d = min(d, bonnet_myers_cap(kappa))
-    if not d > 0:
-        raise DomainError(f"diameter bound must be positive, got {d!r}")
-    if not v > 0:
-        raise DomainError(f"volume must be positive, got {v!r}")
+    d = _diameter(d, kappa)
+    v = _positive(v, "volume")
     target = v / 6.0 * (1.0 - ALPHA_MARGIN)
 
     def cone(alpha: float) -> float:
@@ -281,8 +296,7 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
     whose ball volume is at most v/3, is shrunk.
     """
     sf = SpaceForm(n, kappa)
-    if not v > 0:
-        raise DomainError(f"volume must be positive, got {v!r}")
+    v = _positive(v, "volume")
     target = v / 3.0
     flat = (target / unit_ball_volume(n)) ** (1.0 / n)
     if kappa == 0.0:
@@ -335,8 +349,7 @@ def r_constant(kappa: float, alpha: float, ell: float) -> float:
         raise DomainError(f"curvature must be finite, got {kappa!r}")
     if not (0.0 < alpha < 0.5 * math.pi):
         raise DomainError(f"angle must lie in (0, pi/2), got {alpha!r}")
-    if not (math.isfinite(ell) and ell > 0):
-        raise DomainError(f"ell must be positive and finite, got {ell!r}")
+    ell = _positive(ell, "ell")
     if ell >= bonnet_myers_cap(kappa):
         raise DomainError(
             f"ell = {ell!r} must stay below the antipodal cap {bonnet_myers_cap(kappa)!r}"
@@ -362,13 +375,16 @@ def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
     Their eps/2-balls are disjoint, and relative volume comparison in the
     curvature-kappa model gives each at least the fraction
     ball(eps/2) / ball(diameter) of the space: at most
-    floor(ball(diameter) / ball(eps/2)) points.
+    floor(ball(diameter) / ball(eps/2)) points.  SpaceForm checks n and
+    kappa; the diameter is clamped at the antipodal cap, and it and eps must
+    then be positive and finite, with eps <= 2 diameter.
     """
-    if not 0.0 < eps <= 2.0 * diameter:
-        raise DomainError(f"need 0 < eps <= 2*diameter, got eps={eps} diameter={diameter}")
     sf = SpaceForm(n, float(kappa))
-    ratio = ball_volume(sf, float(diameter)) / ball_volume(sf, eps / 2.0)
-    return math.floor(ratio + 1e-9)
+    diameter = _diameter(diameter, kappa)
+    eps = _positive(eps, "eps")
+    if eps > 2.0 * diameter:
+        raise DomainError(f"need eps <= 2*diameter, got eps={eps} diameter={diameter}")
+    return _floor_ratio(ball_volume(sf, diameter), ball_volume(sf, eps / 2.0))
 
 
 def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, dict[str, float]]:
@@ -382,7 +398,7 @@ def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, d
     cap about 2^n smaller; the cap keeps the margin until the separation
     lemma is proved with its constants.
     """
-    d = min(d, bonnet_myers_cap(kappa))
+    d = _diameter(d, kappa)
     alpha = alpha_constant(n, kappa, d, v)
     ell = ell_constant(n, kappa, v)
     r = r_constant(kappa, alpha, ell)
@@ -413,8 +429,7 @@ class BoundReport:
     stage_trace: tuple[dict, ...]
 
     def __post_init__(self):
-        if not self.diameter_bound > 0:
-            raise DomainError("diameter bound must be positive")
+        _positive(self.diameter_bound, "diameter bound")
         if self.diameter_bound > bonnet_myers_cap(self.kappa) * (1 + 1e-12):
             raise DomainError("diameter bound exceeds the Bonnet-Myers cap")
         if self.rho < 1 or self.isotropy_cap < 1:
@@ -482,9 +497,11 @@ def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
         with _stage(trace, "weyl-volume", {"n": n}) as out:
             v = estimate_volume(spec, n)
             out.update(volume=v)
-    if not (math.isfinite(v) and v > 0):
-        raise CertificationError("weyl-volume", f"volume {v!r} is not positive and finite")
-    return n, float(v), source
+    try:
+        v = _positive(v, "volume")
+    except DomainError as exc:
+        raise CertificationError("weyl-volume", str(exc)) from exc
+    return n, v, source
 
 
 def spectral_isotropy_bound(

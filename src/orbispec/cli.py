@@ -27,7 +27,7 @@ import sys
 from . import __version__
 from .bounds import singular_point_cap, spectral_isotropy_bound, spectral_singular_point_bound
 from .dirichlet import lowest_dirichlet_eigenvalue
-from .errors import CertificationError, ConvergenceError, DomainError
+from .errors import DomainError, OrbispecError
 from .modelspectra import Spectrum, catalog_model, model_catalog
 from .spaceform import SpaceForm
 from .weyl import estimate_dimension, weyl_fit
@@ -298,14 +298,8 @@ def main(argv=None) -> int:
     except MalformedInputError as exc:
         print(f"error[input]: {exc}", file=sys.stderr)
         return 1
-    except CertificationError as exc:
+    except OrbispecError as exc:
         print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error[convergence]: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error[domain]: {exc}", file=sys.stderr)
         return 2
     exit_code = int(payload.pop("_exit_code", 0))
     envelope = {

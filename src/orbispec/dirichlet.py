@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import blas, get_blas_funcs, get_lapack_funcs
 from scipy.special import jv
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _positive
 from .spaceform import SpaceForm, bonnet_myers_cap, generalized_sin, newton_bracket
 
 # Balls in positive curvature must stay strictly inside the antipodal cap;
@@ -98,14 +98,15 @@ _sbmv = get_blas_funcs("sbmv", dtype=np.float64)
 _idamax = blas.idamax
 
 
-def _check_ball(sf: SpaceForm, r: float):
-    if not (math.isfinite(r) and r > 0):
-        raise DomainError(f"ball radius must be positive and finite, got {r!r}")
+def _check_ball(sf: SpaceForm, r: float) -> float:
+    """r as a float, positive and finite and inside the antipodal cap."""
+    r = _positive(r, "ball radius")
     if r > CAP_SHRINK * bonnet_myers_cap(sf.kappa):
         raise DomainError(
             f"ball radius {r:.9g} must stay strictly inside the antipodal cap "
             f"{bonnet_myers_cap(sf.kappa):.9g} (within factor {CAP_SHRINK})"
         )
+    return r
 
 
 def _bessel_sign(n: int, x: float) -> int:
@@ -135,25 +136,20 @@ def _first_bessel_zero(n: int) -> float:
     """First positive zero of J_(n/2 - 1), rounded up to a float; the flat
     unit-ball eigenvalue is its square.
 
-    Newton steps on jv inside sqrt((nu+1)(nu+5)) < j < sqrt(nu+1)(sqrt(nu+2)+1)
-    close the bracket to adjacent floats, and the upper end is kept.  jv
-    rounds, so its sign change can sit a float off; the exact sign then
-    walks that end to the smallest float where J_nu <= 0, and (j/r)^2 never
+    Inside sqrt((nu+1)(nu+5)) < j < sqrt(nu+1)(sqrt(nu+2)+1) each probe
+    takes its side from the exact sign of J_nu and its Newton step from the
+    rounded jv, so the bracket closes on the exact sign change: the upper
+    end kept is the smallest float where J_nu <= 0, and (j/r)^2 never
     under-estimates the threshold.
     """
     nu = 0.5 * n - 1.0
 
     def probe(x: float) -> tuple[bool, float]:
         f = float(jv(nu, x))
-        return f > 0.0, f / (nu / x * f - float(jv(nu - 1.0, x)))
+        return _bessel_sign(n, x) > 0, f / (nu / x * f - float(jv(nu - 1.0, x)))
 
     hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    x = newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
-    while _bessel_sign(n, x) > 0:
-        x = math.nextafter(x, math.inf)
-    while _bessel_sign(n, math.nextafter(x, 0.0)) <= 0:
-        x = math.nextafter(x, 0.0)
-    return x
+    return newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
 
 
 def _assemble_bands(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,12 +253,20 @@ def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float) -> float:
     """Lowest Dirichlet eigenvalue of the geodesic r-ball in the model space.
 
     Exact closed forms for kappa = 0 and n = 3; elsewhere a P2 Rayleigh-Ritz
-    value, which is a one-sided upper bound on the true eigenvalue.
+    value, which is a one-sided upper bound on the true eigenvalue.  A value
+    past every float (a tiny ball) is a DomainError.
     """
-    _check_ball(sf, r)
+    r = _check_ball(sf, r)
     n, kappa = sf.n, sf.kappa
-    if kappa == 0.0:
-        return (_first_bessel_zero(n) / r) ** 2
-    if n == 3:
-        return (math.pi / r) ** 2 - kappa
-    return _ritz_unit_ball(n, kappa * r * r) / (r * r)
+    try:
+        if kappa == 0.0:
+            lam = (_first_bessel_zero(n) / r) ** 2
+        elif n == 3:
+            lam = (math.pi / r) ** 2 - kappa
+        else:
+            lam = _ritz_unit_ball(n, kappa * r * r) / (r * r)
+    except (OverflowError, ZeroDivisionError):
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise DomainError(f"the ball threshold at r = {r!r}, kappa = {kappa!r} overflows")
+    return lam

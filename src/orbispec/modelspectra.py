@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, _count
+from .errors import CertificationError, DomainError, _count, _positive
 from .groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 from .spaceform import sphere_measure
 
@@ -29,7 +29,14 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted (eigenvalue, multiplicity) pairs, complete up to the truncation."""
+    """Sorted (eigenvalue, multiplicity) pairs, complete up to the truncation.
+
+    The constructor applies the library's integer rule: each multiplicity
+    must be an integer >= 1 and the dimension, when given, an integer >= 1;
+    numpy integers are stored as plain ints, and a bool or a float such as
+    2.0 is refused.  So every record it builds survives its own JSON:
+    from_dict(to_dict()) gives it back.
+    """
 
     entries: tuple[tuple[float, int], ...]
     truncation: float
@@ -38,16 +45,22 @@ class Spectrum:
     def __post_init__(self):
         _check_truncation(self.truncation)
         prev = -math.inf
+        convert = False
         for val, mult in self.entries:
             if not (math.isfinite(val) and val >= 0):
                 raise DomainError(f"eigenvalues must be finite and >= 0, got {val!r}")
             if val <= prev:
                 raise DomainError("eigenvalues must be strictly increasing")
-            if not (isinstance(mult, int) and mult > 0):
-                raise DomainError(f"multiplicities must be positive integers, got {mult!r}")
+            if type(mult) is not int or mult < 1:
+                _count(mult, "multiplicity", 1)
+                convert = True
             if val > self.truncation:
                 raise DomainError(f"eigenvalue {val!r} exceeds the truncation {self.truncation!r}")
             prev = val
+        if convert:
+            object.__setattr__(self, "entries", tuple((v, int(m)) for v, m in self.entries))
+        if self.dimension is not None:
+            object.__setattr__(self, "dimension", _count(self.dimension, "spectrum dimension", 1))
 
     # Read-only arrays, built once per instance; they live outside the
     # dataclass fields, so equality and hashing still see only the entries.
@@ -87,11 +100,10 @@ class Spectrum:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"spectrum JSON needs 'eigenvalues' and 'truncation': {exc}") from exc
         try:
-            entries = [(float(val), _integral(mult, "multiplicity")) for val, mult in raw]
+            entries = [(float(val), _integral(mult)) for val, mult in raw]
         except (TypeError, ValueError) as exc:
             raise DomainError(f"'eigenvalues' must hold [value, multiplicity] pairs: {exc}") from exc
-        dim = data.get("dimension")
-        return Spectrum(tuple(entries), trunc, None if dim is None else _integral(dim, "dimension"))
+        return Spectrum(tuple(entries), trunc, _integral(data.get("dimension")))
 
 
 def _check_truncation(lambda_max: float) -> None:
@@ -100,11 +112,12 @@ def _check_truncation(lambda_max: float) -> None:
         raise DomainError(f"the truncation must be finite and >= 0, got {lambda_max!r}")
 
 
-def _integral(x, what: str) -> int:
-    """x as an int when it is an integral number, 3 or 3.0; a bool or 2.9 is refused."""
+def _integral(x):
+    """JSON's integral float such as 3.0 as the int 3; anything else unchanged,
+    for the Spectrum constructor's integer rule to judge."""
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    return _count(x, what)
+    return x
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -282,8 +295,6 @@ def _sphere_spectrum(n: int, action: OrthogonalAction | None, lambda_max: float)
     """
     n = _count(n, "sphere dimension", 2)
     _check_truncation(lambda_max)
-    if action is not None and action.ambient_dim != n + 1:
-        raise DomainError("action ambient dimension does not match the model dimension")
     l_max = 0
     while (l_max + 1) * (l_max + n) <= lambda_max:
         l_max += 1
@@ -319,8 +330,15 @@ def _invariant_counts(action: OrthogonalAction, l_max: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SingularPoint:
+    """A singular point: its isotropy order, an integer >= 2 under the
+    library's integer rule (stored as a plain int), and whether it is isolated."""
+
     isotropy_order: int
     isolated: bool
+
+    def __post_init__(self):
+        order = _count(self.isotropy_order, "isotropy order", 2)
+        object.__setattr__(self, "isotropy_order", order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +347,11 @@ class ModelOrbifold:
 
     The record decides the builder: a torus when lattice_basis is set, a
     round sphere otherwise, divided by action when one is given.  kind names
-    that choice.
+    that choice.  The record checks itself: dimension passes the integer
+    rule (stored as a plain int), volume and diameter the magnitude rule
+    (stored as floats), a lattice basis must be dimension x dimension, and
+    an action must act on R^dimension on a torus and on R^(dimension + 1)
+    on a sphere.
     """
 
     model_id: str
@@ -343,11 +365,22 @@ class ModelOrbifold:
     description: str = ""
 
     def __post_init__(self):
-        if not (self.volume > 0 and self.diameter > 0):
-            raise DomainError("volume and diameter must be positive")
-        for p in self.singular_points:
-            if p.isotropy_order < 2:
-                raise DomainError("singular points have isotropy order >= 2")
+        n = _count(self.dimension, "model dimension", 1)
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "volume", _positive(self.volume, "volume"))
+        object.__setattr__(self, "diameter", _positive(self.diameter, "diameter"))
+        ambient = n + 1
+        if self.lattice_basis is not None:
+            ambient = n
+            if np.shape(self.lattice_basis) != (n, n):
+                raise DomainError(
+                    f"a dimension-{n} lattice basis must be {n} x {n}, "
+                    f"got shape {np.shape(self.lattice_basis)}"
+                )
+        if self.action is not None and self.action.ambient_dim != ambient:
+            raise DomainError(
+                f"the action acts on R^{self.action.ambient_dim}, but the model needs R^{ambient}"
+            )
 
     @property
     def kind(self) -> str:

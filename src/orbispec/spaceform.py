@@ -163,12 +163,23 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
     and overflow as kappa r^2 -> 0.  For kappa > 0 past x = pi/4 the
     incomplete beta is reflected into cos^2 x, which keeps its digits
     through pi/2 up to the antipodal cap, where it gives the whole sphere.
-    Strictly increasing in r up to the antipodal cap for kappa > 0.
+    Strictly increasing in r up to the antipodal cap for kappa > 0.  A volume
+    past every float (a large hyperbolic ball) is a DomainError.
     """
     rr, lo = _check_radius(sf.kappa, r)
     if r == 0.0:
         return 0.0
-    n, k = sf.n, sf.kappa
+    try:
+        vol = _ball_volume(sf.n, sf.kappa, r, rr, lo)
+    except OverflowError:
+        vol = math.inf
+    if not math.isfinite(vol):
+        raise DomainError(f"the volume of the r = {r!r} ball at kappa = {sf.kappa!r} overflows")
+    return vol
+
+
+def _ball_volume(n: int, k: float, r: float, rr, lo: float) -> float:
+    """ball_volume of a checked radius r > 0, as rr and its smallest value lo."""
     if k == 0.0:
         return unit_ball_volume(n) * r**n
     if n == 2:

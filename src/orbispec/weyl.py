@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, _positive
 from .modelspectra import Spectrum
 from .spaceform import unit_ball_volume
 
@@ -54,13 +54,13 @@ def _window_samples(spec: Spectrum):
         )
     vals = spec.values
     counts = spec.cumulative_counts
-    lam_hi = float(vals[-1]) if len(vals) else 0.0
+    # MIN_EIGENVALUE_COUNT >= 1 eigenvalues, so there is a top one, and the
+    # window always holds it.
+    lam_hi = float(vals[-1])
     if lam_hi <= 0.0:
         raise DomainError("spectrum has no positive eigenvalues to fit")
     lam_lo = WINDOW_FRACTION * lam_hi
     mask = (vals >= lam_lo) & (vals > 0.0)
-    if not np.any(mask):
-        raise DomainError("the fit window contains no eigenvalues")
     return vals[mask], counts[mask].astype(float), (lam_lo, lam_hi)
 
 
@@ -107,7 +107,8 @@ def estimate_volume(spec: Spectrum, n: int) -> float:
 
 def weyl_fit(spec: Spectrum) -> WeylFit:
     n, diagnostic, lam, counts, window = _fit_dimension(spec)
-    volume = _median_volume(lam, counts, n)
-    if not volume > 0:
-        raise CertificationError("weyl-volume", f"volume estimate {volume!r} is not positive")
+    try:
+        volume = _positive(_median_volume(lam, counts, n), "volume estimate")
+    except DomainError as exc:
+        raise CertificationError("weyl-volume", str(exc)) from exc
     return WeylFit(n, volume, window, diagnostic)

@@ -31,6 +31,7 @@ from orbispec import (
     isotropy_order_cap,
     lambda_threshold,
     model_catalog,
+    packing_bound,
     r_constant,
     singular_point_cap,
     spectral_isotropy_bound,
@@ -338,6 +339,20 @@ def test_infinite_volume_is_refused():
             assert err.value.stage == "weyl-volume"
 
 
+def test_volumes_past_every_float_are_typed_failures():
+    # Each raised a bare OverflowError or ZeroDivisionError.
+    with pytest.raises(DomainError, match="not a finite float"):
+        isotropy_order_cap(2, 0.0, 1.0, 1e-320)  # pi / 1e-320 overflows
+    with pytest.raises(DomainError, match="not a finite float"):
+        packing_bound(2, 0.0, 1.0, 1e-200)  # ball_volume(eps / 2) underflows to 0
+    # Every default radius is near 1e-160, where (j / r)^2 overflows: each
+    # is skipped, and the diameter stage fails by name.
+    spec = catalog_model("t2").spectrum(8000.0)
+    with pytest.raises(CertificationError) as err:
+        spectral_isotropy_bound(spec, 0.0, n=2, v=1e-320)
+    assert err.value.stage == "diameter" and "overflows" in str(err.value)
+
+
 ALPHA_HI = 0.5 * math.pi * (1.0 - 1e-12)
 
 
@@ -604,6 +619,9 @@ def test_r_constant_scales_with_length(kappa, alpha, ell_fraction, c):
 
 
 def test_r_constant_validation():
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="curvature must be finite"):
+            r_constant(kappa, 0.3, 1.0)
     with pytest.raises(DomainError):
         r_constant(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):

@@ -249,6 +249,29 @@ def test_constants_command_clamps_r_at_the_diameter(capsys):
     assert {k: doc[k] for k in ("alpha", "ell", "r")} == constants
 
 
+@pytest.mark.parametrize("kappa", ["1", "0", "-1"])
+def test_constants_command_refuses_an_infinite_volume(capsys, kappa):
+    # It once printed constants at kappa = 1 (and "volume": Infinity) and
+    # exited 0, and named a radius or ell at kappa <= 0.
+    code, out, err = run_cli(
+        capsys, "constants", "--n", "2", "--kappa", kappa, "--diameter", "3", "--volume", "inf"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[domain]: volume must be positive and finite, got inf"), err
+
+
+def test_ball_volume_overflow_exits_2_at_its_stage(capsys, tmp_path):
+    # The isotropy cap's ball volume sinh(50 D)^2 overflows: a traceback and
+    # exit 1 once, a stage-named failure now.
+    path = tmp_path / "t2.json"
+    run_cli(capsys, "spectrum", "--model", "t2", "--lambda-max", "8000", "--out", str(path))
+    code, out, err = run_cli(
+        capsys, "isotropy", "--spectrum", str(path), "--kappa=-1e4", "--n", "2", "--volume", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[isotropy-cap]") and "overflows" in err, err
+
+
 def test_exit_code_1_on_malformed_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

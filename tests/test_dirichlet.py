@@ -131,6 +131,11 @@ def test_domain_errors():
     with pytest.raises(DomainError), np.errstate(over="ignore"):
         # the volume density sinh(1000 t) overflows on the Ritz mesh
         lowest_dirichlet_eigenvalue(SpaceForm(2, -1e6), 1.0)
+    # Thresholds past every float: (j / r)^2 and (pi / r)^2 overflow, and the
+    # Ritz route's r^2 underflows to 0.
+    for n, kappa in ((2, 0.0), (3, 1.0), (2, -1.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            lowest_dirichlet_eigenvalue(SpaceForm(n, kappa), 1e-170)
 
 
 def test_event_location_failure_is_a_convergence_error():

@@ -1,8 +1,8 @@
 """One rule for integer arguments.
 
-Every public function that takes a dimension, degree, order or count accepts
-numpy integers and refuses a bool, a float such as 2.0, and a value below
-its minimum with DomainError.
+Every public function or record slot that takes a dimension, degree, order
+or count accepts numpy integers and refuses a bool, a float such as 2.0, and
+a value below its minimum with DomainError; the records store a plain int.
 """
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ import pytest
 
 from orbispec import (
     DomainError,
+    ModelOrbifold,
     OrthogonalAction,
+    SingularPoint,
     SpaceForm,
     Spectrum,
     alpha_constant,
@@ -56,6 +58,13 @@ CASES = [
     ("OrthogonalAction.reversed_axes", lambda x: OrthogonalAction(2, (1,), 0, x), 1, 0),
     ("cyclic_generator", cyclic_generator, 3, 2),
     ("sphere_rotation_action", sphere_rotation_action, 3, 2),
+    ("Spectrum.multiplicity", lambda x: Spectrum(((0.0, 1), (2.0, x)), 3.0), 3, 1),
+    ("Spectrum.dimension", lambda x: Spectrum(((0.0, 1),), 3.0, x), 2, 1),
+    ("SingularPoint", lambda x: SingularPoint(x, True), 2, 2),
+    (
+        "ModelOrbifold.dimension",
+        lambda x: ModelOrbifold("x", x, 1.0, 1.0, 0.0, lattice_basis=np.eye(2)).dimension, 2, 1,
+    ),
     ("estimate_volume", lambda x: estimate_volume(S2, x), 2, 1),
     ("lambda_threshold", lambda x: lambda_threshold(x, 0.0, 1.0), 2, 2),
     ("diameter_bound", lambda x: diameter_bound(T2, 0.0, x, 0.5), 2, 2),
@@ -96,3 +105,11 @@ def test_integer_argument_rule(call, valid, minimum):
 
 def test_space_form_stores_a_plain_int():
     assert type(SpaceForm(np.int64(3), 1.0).n) is int
+
+
+def test_records_store_plain_ints():
+    spec = Spectrum(((0.0, np.int64(1)), (2.0, np.int32(3))), 3.0, np.int64(2))
+    assert [type(m) for _, m in spec.entries] == [int, int] and type(spec.dimension) is int
+    assert type(SingularPoint(np.int64(2), True).isotropy_order) is int
+    model = ModelOrbifold("x", np.int64(2), 1.0, 1.0, 0.0, lattice_basis=np.eye(2))
+    assert type(model.dimension) is int

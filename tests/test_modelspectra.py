@@ -1,6 +1,7 @@
 """Exact model spectra: tori, spheres, and their quotients."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -89,6 +90,50 @@ def test_spectrum_round_trip_and_counting():
     )
     assert spec == Spectrum(((0.0, 1), (2.0, 3)), 6.0, dimension=2)
     assert type(spec.entries[1][1]) is int and type(spec.dimension) is int
+
+
+# Candidate multiplicities and dimensions, valid or not: the constructor is
+# the judge.
+_INTEGER_LIKE = st.one_of(
+    st.integers(-2, 10**6),
+    st.integers(-2, 10**6).map(np.int64),
+    st.integers(0, 100).map(np.int32),
+    st.booleans(),
+    st.floats(-2.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1e6), max_size=6, unique=True).map(sorted),
+    mults=st.lists(_INTEGER_LIKE, min_size=6, max_size=6),
+    dimension=st.one_of(st.none(), _INTEGER_LIKE),
+    headroom=st.floats(0.0, 10.0),
+)
+def test_every_spectrum_the_constructor_builds_survives_its_json(values, mults, dimension, headroom):
+    truncation = (values[-1] if values else 0.0) + headroom
+    try:
+        spec = Spectrum(tuple(zip(values, mults)), truncation, dimension)
+    except DomainError:
+        return
+    assert Spectrum.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+def test_records_that_their_json_would_refuse_are_refused():
+    # Each of these once built, and from_dict then refused its to_dict JSON.
+    for entries, dim, doc in (
+        (((0.0, True),), None, {"eigenvalues": [[0.0, True]], "truncation": 1.0}),
+        (((0.0, 1),), 2.5, {"eigenvalues": [[0.0, 1]], "truncation": 1.0, "dimension": 2.5}),
+        (((0.0, 1),), True, {"eigenvalues": [[0.0, 1]], "truncation": 1.0, "dimension": True}),
+    ):
+        with pytest.raises(DomainError):
+            Spectrum(entries, 1.0, dim)
+        with pytest.raises(DomainError):
+            Spectrum.from_dict(json.loads(json.dumps(doc)))
+    # A numpy-integer multiplicity, once refused, is stored as a plain int.
+    spec = Spectrum(((0.0, np.int64(1)),), 1.0)
+    assert spec == Spectrum(((0.0, 1),), 1.0)
+    assert Spectrum.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 def test_spectrum_arrays_are_cached_and_read_only():
@@ -244,6 +289,9 @@ def test_torus_rejects_bad_bases():
         flat_torus_spectrum(np.zeros((2, 2)), 10.0)
     with pytest.raises(DomainError):
         flat_torus_spectrum(np.ones((2, 3)), 10.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            flat_torus_spectrum(np.array([[1.0, 0.0], [0.0, bad]]), 10.0)
 
 
 def test_harmonic_multiplicity_formulas():
@@ -426,17 +474,18 @@ def test_torus_quotient_requires_lattice_symmetry():
 
 
 def test_sphere_quotient_shape_errors():
-    mismatched = ModelOrbifold(
-        model_id="bad-dim",
-        dimension=3,
-        volume=1.0,
-        diameter=1.0,
-        curvature_lower_bound=1.0,
-        action=sphere_rotation_action(3),  # acts on S^2, not S^3
-        singular_points=(SingularPoint(3, True), SingularPoint(3, True)),
-    )
-    with pytest.raises(DomainError):
-        mismatched.spectrum(10.0)
+    # The record owns the ambient-dimension check, so a mismatch is refused
+    # when it is built, before any spectrum.
+    with pytest.raises(DomainError, match="R\\^3, but the model needs R\\^4"):
+        ModelOrbifold(
+            model_id="bad-dim",
+            dimension=3,
+            volume=1.0,
+            diameter=1.0,
+            curvature_lower_bound=1.0,
+            action=sphere_rotation_action(3),  # acts on S^2, not S^3
+            singular_points=(SingularPoint(3, True), SingularPoint(3, True)),
+        )
     with pytest.raises(DomainError):
         catalog_model("lens-4-1").spectrum(-1.0)
 
@@ -467,6 +516,21 @@ def test_model_validation():
             "x", 2, 1.0, 1.0, 1.0,
             singular_points=(SingularPoint(1, True),),
         )
+    # Each of these once built: a fractional dimension gave a dimension-2
+    # spectrum, and the mismatched action stopped in a bare numpy ValueError.
+    with pytest.raises(DomainError):
+        ModelOrbifold("x", 2.5, 1.0, 1.0, 0.0, lattice_basis=np.eye(2))
+    with pytest.raises(DomainError):
+        SingularPoint(2.5, True)
+    with pytest.raises(DomainError):
+        ModelOrbifold("x", 2, math.inf, 1.0, 0.0)
+    with pytest.raises(DomainError, match="R\\^3, but the model needs R\\^2"):
+        ModelOrbifold(
+            "x", 2, 0.5, 1.0, 0.0,
+            lattice_basis=np.eye(2), action=OrthogonalAction(2, reversed_axes=3),
+        )
+    with pytest.raises(DomainError, match="must be 3 x 3"):
+        ModelOrbifold("x", 3, 1.0, 1.0, 0.0, lattice_basis=np.eye(2))
 
 
 def test_catalog_ground_truth():

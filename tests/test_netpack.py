@@ -111,6 +111,9 @@ def test_packing_bound_closed_forms():
         packing_bound(2, 0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         packing_bound(2, 0.0, 1.0, 2.5)  # eps beyond 2 * diameter
+    # a diameter past the antipodal cap clamps to it, as in the other caps
+    for d in (4.0, math.inf):
+        assert packing_bound(2, 1.0, d, math.pi / 2) == want
 
 
 def test_packing_bound_dominates_greedy_net():

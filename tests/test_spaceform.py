@@ -198,6 +198,13 @@ def test_ball_volume_monotone_and_domain():
     assert ball_volume(SpaceForm(2, -1.0), 30.0) > 0
 
 
+@pytest.mark.parametrize("n, kappa, r", [(2, -1e4, 15.0), (3, -100.0, 80.0), (5, -100.0, 50.0)])
+def test_ball_volume_past_every_float_is_a_domain_error(n, kappa, r):
+    # math.sinh, then sinh(2 s r), then sn**n once raised a bare OverflowError.
+    with pytest.raises(DomainError, match="overflows"), np.errstate(over="ignore"):
+        ball_volume(SpaceForm(n, kappa), r)
+
+
 def test_relative_volume_ratio_nonincreasing():
     # Bishop-Gromov shadow: vol_kappa(r) / vol_0(r) is nonincreasing for kappa > 0
     sf1, sf0 = SpaceForm(2, 1.0), SpaceForm(2, 0.0)
@@ -209,6 +216,9 @@ def test_relative_volume_ratio_nonincreasing():
 def test_two_cap_complement_zero_at_linked_half_pi():
     for d in (1, 2, 3, 4):
         assert linked_complement_measure(d, 0.0) == 0.0
+    for alpha in (-0.1, 0.5 * math.pi + 0.1, math.nan):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            linked_complement_measure(2, alpha)
 
 
 def test_two_cap_complement_monotone_in_alpha_linked():

@@ -98,6 +98,23 @@ def test_zero_spectrum_rejected():
         estimate_dimension(spec)
 
 
+def test_one_level_window_cannot_fit_a_slope():
+    spec = Spectrum(((0.0, 1), (5.0, 200)), 6.0)
+    with pytest.raises(DomainError, match="fewer than 2 distinct eigenvalues"):
+        estimate_dimension(spec)
+
+
+def test_volume_estimate_past_every_float_is_a_weyl_volume_failure():
+    # N ~ (lam / 1e200)^2 fits dimension 4, and lam^2 overflows, so the
+    # estimate N (2 pi)^4 / (omega_4 lam^2) reads 0.
+    entries = ((0.0, 1),) + tuple((1e200 * math.sqrt(j), 1) for j in range(1, 400))
+    spec = Spectrum(entries, entries[-1][0])
+    assert estimate_dimension(spec)[0] == 4
+    with pytest.raises(CertificationError) as err, np.errstate(over="ignore"):
+        weyl_fit(spec)
+    assert err.value.stage == "weyl-volume"
+
+
 def test_synthetic_exact_weyl_law():
     # A spectrum laid exactly on N(lam) = c lam^(n/2) recovers n and the
     # volume that produced c, for several dimensions.
