@@ -31,6 +31,7 @@ from .errors import CertificationError, ConvergenceError, DomainError, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
+    _check_curvature,
     ball_volume,
     bonnet_myers_cap,
     cone_volume,
@@ -64,7 +65,7 @@ def spectrum_content_id(spec: Spectrum) -> str:
     count as <u8), the eigenvalues as <f8 and multiplicities as <i8, then
     the declared dimension as text.
     """
-    digest = hashlib.sha256(struct.pack("<dQ", float(spec.truncation), len(spec.entries)))
+    digest = hashlib.sha256(struct.pack("<dQ", float(spec.truncation), len(spec.values)))
     digest.update(spec.values.astype("<f8", copy=False))
     digest.update(spec.multiplicities.astype("<i8", copy=False))
     digest.update(str(spec.dimension).encode("ascii"))
@@ -345,8 +346,7 @@ def r_constant(kappa: float, alpha: float, ell: float) -> float:
     For kappa > 0 with s ell >= pi/2 every such hinge shortens, so r* = ell.
     The final shrink keeps the certificate strict.
     """
-    if not math.isfinite(kappa):
-        raise DomainError(f"curvature must be finite, got {kappa!r}")
+    _check_curvature(kappa)
     if not (0.0 < alpha < 0.5 * math.pi):
         raise DomainError(f"angle must lie in (0, pi/2), got {alpha!r}")
     ell = _positive(ell, "ell")

@@ -203,7 +203,9 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
     not the iteration has converged, up to the quadrature error that
     RHO_TOL_SCALE covers (see the module docstring).
     """
-    w = generalized_sin(kappa, _T) ** (n - 1)
+    # A density past every float is refused below; numpy need not warn first.
+    with np.errstate(over="ignore"):
+        w = generalized_sin(kappa, _T) ** (n - 1)
     if not np.isfinite(w).all():
         raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
     mass, stiff = _assemble_bands(w @ _FORM_TABLE)

@@ -14,7 +14,7 @@ bound pipelines can be validated end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -27,59 +27,108 @@ from .spaceform import sphere_measure
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Sorted (eigenvalue, multiplicity) pairs, complete up to the truncation.
+    """Sorted eigenvalues with multiplicities, complete up to the truncation.
 
-    The constructor applies the library's integer rule: each multiplicity
-    must be an integer >= 1 and the dimension, when given, an integer >= 1;
-    numpy integers are stored as plain ints, and a bool or a float such as
-    2.0 is refused.  So every record it builds survives its own JSON:
-    from_dict(to_dict()) gives it back.
+    The state is three read-only arrays, built once at construction: float64
+    ``values``, int64 ``multiplicities`` and their running total
+    ``cumulative_counts``.  ``entries``, the (eigenvalue, multiplicity)
+    pairs as plain floats and ints, is a view derived from them on first
+    use; equality and hashing mean the same truncation, dimension and
+    entries.
+
+    The constructor takes the pairs and applies the library's rules:
+    eigenvalues finite, >= 0, strictly increasing and at most the
+    truncation; each multiplicity an integer >= 1 and the dimension, when
+    given, an integer >= 1; numpy integers are stored as plain ints, and a
+    bool or a float such as 2.0 is refused.  So every record it builds
+    survives its own JSON: from_dict(to_dict()) gives it back.
     """
 
-    entries: tuple[tuple[float, int], ...]
-    truncation: float
-    dimension: int | None = None
+    def __init__(self, entries, truncation: float, dimension: int | None = None):
+        pairs = tuple(entries)
+        values = np.asarray([v for v, _ in pairs])
+        if values.dtype.kind not in "biufO" or values.ndim != 1:
+            raise DomainError(f"eigenvalues must be real numbers, got {values.dtype} entries")
+        try:
+            values = values.astype(float, copy=False)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"eigenvalues must be real numbers: {exc}") from exc
+        self._fill(values, _multiplicity_array([m for _, m in pairs]), truncation, dimension)
 
-    def __post_init__(self):
-        _check_truncation(self.truncation)
-        prev = -math.inf
-        convert = False
-        for val, mult in self.entries:
-            if not (math.isfinite(val) and val >= 0):
+    @classmethod
+    def _from_arrays(cls, values: np.ndarray, multiplicities: np.ndarray,
+                     truncation: float, dimension: int | None = None) -> "Spectrum":
+        """The builders' route: a float values array and a signed-integer
+        multiplicities array, which the spectrum takes over (as float64 and
+        int64) and freezes, under the constructor's rules."""
+        if values.dtype.kind != "f" or multiplicities.dtype.kind != "i":
+            raise DomainError(
+                "a spectrum takes float eigenvalues and integer multiplicities, "
+                f"got {values.dtype} and {multiplicities.dtype} arrays"
+            )
+        spec = cls.__new__(cls)
+        spec._fill(
+            values.astype(float, copy=False), multiplicities.astype(np.int64, copy=False),
+            truncation, dimension,
+        )
+        return spec
+
+    def _fill(self, values: np.ndarray, mults: np.ndarray, truncation, dimension) -> None:
+        _check_truncation(truncation)
+        if len(values):
+            bad = ~(np.isfinite(values) & (values >= 0))
+            if bad.any():
+                val = float(values[bad.argmax()])
                 raise DomainError(f"eigenvalues must be finite and >= 0, got {val!r}")
-            if val <= prev:
+            if (np.diff(values) <= 0).any():
                 raise DomainError("eigenvalues must be strictly increasing")
-            if type(mult) is not int or mult < 1:
-                _count(mult, "multiplicity", 1)
-                convert = True
-            if val > self.truncation:
-                raise DomainError(f"eigenvalue {val!r} exceeds the truncation {self.truncation!r}")
-            prev = val
-        if convert:
-            object.__setattr__(self, "entries", tuple((v, int(m)) for v, m in self.entries))
-        if self.dimension is not None:
-            object.__setattr__(self, "dimension", _count(self.dimension, "spectrum dimension", 1))
+            if mults.min() < 1:
+                _count(int(mults[(mults < 1).argmax()]), "multiplicity", 1)
+            if values[-1] > truncation:
+                val = float(values[(values > truncation).argmax()])
+                raise DomainError(f"eigenvalue {val!r} exceeds the truncation {truncation!r}")
+        if dimension is not None:
+            dimension = _count(dimension, "spectrum dimension", 1)
+        state = self.__dict__
+        state["values"] = _frozen(values)
+        state["multiplicities"] = _frozen(mults)
+        state["cumulative_counts"] = _frozen(np.cumsum(mults))
+        state["truncation"] = truncation
+        state["dimension"] = dimension
 
-    # Read-only arrays, built once per instance; they live outside the
-    # dataclass fields, so equality and hashing still see only the entries.
-    @cached_property
-    def values(self) -> np.ndarray:
-        return _frozen(np.array([v for v, _ in self.entries], dtype=float))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
-    def multiplicities(self) -> np.ndarray:
-        return _frozen(np.array([m for _, m in self.entries], dtype=int))
+    def entries(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(self.values.tolist(), self.multiplicities.tolist()))
 
-    @cached_property
-    def cumulative_counts(self) -> np.ndarray:
-        """N at each eigenvalue: running total of the multiplicities."""
-        return _frozen(np.cumsum(self.multiplicities))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.truncation == other.truncation
+            and self.dimension == other.dimension
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.multiplicities, other.multiplicities)
+        )
+
+    def __hash__(self):
+        return hash((self.entries, self.truncation, self.dimension))
+
+    def __repr__(self):
+        return (
+            f"Spectrum(entries={self.entries!r}, truncation={self.truncation!r}, "
+            f"dimension={self.dimension!r})"
+        )
 
     @property
     def total_count(self) -> int:
-        return int(self.cumulative_counts[-1]) if self.entries else 0
+        return int(self.cumulative_counts[-1]) if len(self.values) else 0
 
     def to_dict(self) -> dict:
         out = {
@@ -100,16 +149,31 @@ class Spectrum:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"spectrum JSON needs 'eigenvalues' and 'truncation': {exc}") from exc
         try:
-            entries = [(float(val), _integral(mult)) for val, mult in raw]
+            values = np.array([float(val) for val, _ in raw], dtype=float)
+            mults = [_integral(mult) for _, mult in raw]
         except (TypeError, ValueError) as exc:
             raise DomainError(f"'eigenvalues' must hold [value, multiplicity] pairs: {exc}") from exc
-        return Spectrum(tuple(entries), trunc, _integral(data.get("dimension")))
+        return Spectrum._from_arrays(
+            values, _multiplicity_array(mults), trunc, _integral(data.get("dimension"))
+        )
 
 
 def _check_truncation(lambda_max: float) -> None:
     """A truncation must be a finite number >= 0; inf would never end a sphere build."""
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise DomainError(f"the truncation must be finite and >= 0, got {lambda_max!r}")
+
+
+def _multiplicity_array(mults: list) -> np.ndarray:
+    """Multiplicities as int64 under the integer rule's type test: plain ints
+    pass at once, anything else goes through _count (numpy integers become
+    ints, a bool or a float is refused).  The >= 1 test is the array check's."""
+    if not set(map(type, mults)) <= {int}:
+        mults = [_count(m, "multiplicity") for m in mults]
+    try:
+        return np.array(mults, dtype=np.int64)
+    except OverflowError as exc:
+        raise DomainError(f"multiplicities must fit in 64 bits: {exc}") from exc
 
 
 def _integral(x):
@@ -153,7 +217,8 @@ def _dual_modes(basis: np.ndarray, lambda_max: float):
     The Gram matrix G = B B^T is read exactly from its float entries and
     scaled by the lcm ``den`` of their denominators to an integer G_int, so
     q(k) = k^T G^(-1) k = (k^T A k) den / det with A = adj(G_int) and
-    det = det(G_int) > 0.  Returns (modes, keys k^T A k, (A, den, det)).
+    det = det(G_int) > 0.  Returns (modes, one column per mode; keys k^T A k;
+    (A, den, det)).
     Completeness comes from the ellipsoid bound |k_i|^2 <= c G_ii, with a
     relative slack of 1e-12 on c so the float boundary cannot drop a level.
     """
@@ -183,30 +248,42 @@ def _dual_modes(basis: np.ndarray, lambda_max: float):
     # bound: every partial sum of k^T A k is at most n^2 max|A_ij| max(b_i)^2.
     wide = n * n * max(abs(a) for row in adj for a in row) * (max(bounds) + 1) ** 2 >= 2**62
     dtype = object if wide else np.int64
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    ks = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1).astype(dtype)
-    keys = ((ks @ np.array(adj, dtype=dtype)) * ks).sum(axis=1)
+    axes = [np.arange(-b, b + 1).astype(dtype) for b in bounds]
+    # k^T A k on the whole box at once: a weighted sum of outer products of
+    # the axes, each axis along its own dimension of the box.
+    grid = [ax.reshape((-1,) + (1,) * (n - 1 - i)) for i, ax in enumerate(axes)]
+    box = sum(
+        (adj[i][j] if i == j else 2 * adj[i][j]) * grid[i] * grid[j]
+        for i in range(n) for j in range(i, n)
+    )
     # key den / det <= c, with the denominators cleared: key <= floor(c.num det / (c.den den)).
-    keep = keys <= (c.numerator * det) // (c.denominator * den)
-    return ks[keep], keys[keep], (adj, den, det)
+    keep = box <= (c.numerator * det) // (c.denominator * den)
+    idx = np.nonzero(keep)
+    ks = np.stack([ax[i] for ax, i in zip(axes, idx)])
+    return ks, box[keep], (adj, den, det)
 
 
 def _levels_to_spectrum(keys, mults, den: int, det: int, lambda_max: float, dim: int) -> Spectrum:
-    """Spectrum from ascending level keys: eigenvalue 4 pi^2 key den / det.
+    """Spectrum from ascending level keys: eigenvalue 4 pi^2 ((key den) / det).
 
-    Python-int true division rounds correctly, so each value is exactly
-    float(Fraction(key den, det)); levels that round to one float merge.
+    Python-int true division rounds correctly, and so does float division of
+    two integers below 2**53, which are exact floats; so the keys are int64
+    when the largest key den and det both stay below 2**53 and Python ints
+    otherwise, and each value is exactly float(Fraction(key den, det)).
+    Levels that round to one float merge.
     """
-    entries: list[tuple[float, int]] = []
-    for key, mult in zip(keys.tolist(), mults.tolist()):
-        val = FOUR_PI_SQ * ((key * den) / det)
-        if val > lambda_max:
-            continue
-        if entries and entries[-1][0] == val:
-            entries[-1] = (val, entries[-1][1] + mult)
-        else:
-            entries.append((val, mult))
-    return Spectrum(tuple(entries), float(lambda_max), dim)
+    # The zero mode is always kept, so there is a largest key; den must fit too.
+    top = max(int(keys[-1]), 1) * den
+    dtype = np.int64 if max(top, det) < 2**53 else object
+    scaled = keys.astype(dtype, copy=False) * den
+    values = (FOUR_PI_SQ * (scaled / det)).astype(float, copy=False)
+    # Ascending keys give nondecreasing values: cut the tail past the truncation.
+    cut = int(np.searchsorted(values, lambda_max, side="right"))
+    values, mults = values[:cut], mults[:cut]
+    starts = np.flatnonzero(np.diff(values, prepend=-1.0))
+    return Spectrum._from_arrays(
+        values[starts], np.add.reduceat(mults, starts), float(lambda_max), dim
+    )
 
 
 def flat_torus_spectrum(lattice_basis, lambda_max: float) -> Spectrum:
@@ -231,8 +308,9 @@ def _torus_spectrum(lattice_basis, action: OrthogonalAction | None, lambda_max: 
     basis = np.asarray(lattice_basis, dtype=float)
     n = basis.shape[0]
     ks, keys, (adj, den, det) = _dual_modes(basis, lambda_max)
+    # Each level's number of modes, which the identity fixes.
+    levels, counts = np.unique(keys, return_counts=True)
     if action is None:
-        levels, counts = np.unique(keys, return_counts=True)
         return _levels_to_spectrum(levels, counts, den, det, lambda_max, n)
     order = action.order
     if order not in (2, 3, 4, 6):
@@ -259,10 +337,11 @@ def _torus_spectrum(lattice_basis, action: OrthogonalAction | None, lambda_max: 
     # sums of p k need a bound to stay in int64.
     pmax = max(abs(int(x)) for p in powers for x in p.flat)
     dtype = object if n * pmax * (int(np.abs(ks).max()) + 1) >= 2**62 else np.int64
-    ks = ks.astype(dtype)
-    fixed = np.sum([(ks @ p.T.astype(dtype) == ks).all(axis=1) for p in powers], axis=0)
-    levels, inverse = np.unique(keys, return_inverse=True)
-    totals = np.bincount(inverse, weights=fixed, minlength=len(levels)).astype(np.int64)
+    ks = ks.astype(dtype, copy=False)
+    totals = counts
+    for p in powers[1:]:
+        fixed = keys[(p.astype(dtype) @ ks == ks).all(axis=0)]
+        totals = totals + np.bincount(np.searchsorted(levels, fixed), minlength=len(levels))
     orbits, rem = np.divmod(totals, order)
     if rem.any():
         raise CertificationError(
@@ -302,8 +381,10 @@ def _sphere_spectrum(n: int, action: OrthogonalAction | None, lambda_max: float)
         counts = [harmonic_multiplicity(n, l) for l in range(l_max + 1)]
     else:
         counts = _invariant_counts(action, l_max)
-    entries = tuple((float(l * (l + n - 1)), c) for l, c in enumerate(counts) if c > 0)
-    return Spectrum(entries, float(lambda_max), n)
+    counts = _multiplicity_array(counts)
+    degrees = np.flatnonzero(counts)
+    values = (degrees * (degrees + n - 1)).astype(float)
+    return Spectrum._from_arrays(values, counts[degrees], float(lambda_max), n)
 
 
 def _invariant_counts(action: OrthogonalAction, l_max: int) -> list[int]:

@@ -42,8 +42,13 @@ class SpaceForm:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n, "model dimension", 2))
-        if not math.isfinite(self.kappa):
-            raise DomainError(f"curvature must be finite, got {self.kappa!r}")
+        _check_curvature(self.kappa)
+
+
+def _check_curvature(kappa: float) -> None:
+    """The curvature rule: kappa must be finite."""
+    if not math.isfinite(kappa):
+        raise DomainError(f"curvature must be finite, got {kappa!r}")
 
 
 def bonnet_myers_cap(kappa: float) -> float:

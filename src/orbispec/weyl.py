@@ -83,7 +83,9 @@ def _fit_dimension(spec: Spectrum):
 
 def _median_volume(lam: np.ndarray, counts: np.ndarray, n: int) -> float:
     prefactor = (2.0 * math.pi) ** n / unit_ball_volume(n)
-    return float(np.median(counts * prefactor / lam ** (0.5 * n)))
+    # lam^(n/2) past every float reads volume 0, which weyl_fit refuses.
+    with np.errstate(over="ignore"):
+        return float(np.median(counts * prefactor / lam ** (0.5 * n)))
 
 
 def estimate_dimension(spec: Spectrum) -> tuple[int, float]:

@@ -1,8 +1,9 @@
-"""The trend line's library-size field, on a throwaway tree."""
+"""The trend line's library-size and commit fields, on throwaway trees."""
 from __future__ import annotations
 
 import importlib.util
 import pathlib
+import subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -22,3 +23,24 @@ def test_library_size_reads_the_given_tree(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     assert _bench_trend().library_size(tmp_path) == {"lines": 6, "public_names": 3}
 
+
+
+def test_tree_commit_marks_an_uncommitted_tree(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    tree_commit = _bench_trend().tree_commit
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "one")
+    assert tree_commit(tmp_path) == git("rev-parse", "HEAD")
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert tree_commit(tmp_path) == "uncommitted"
+    git("commit", "-q", "-am", "two")
+    (tmp_path / "b.py").write_text("y = 1\n")
+    assert tree_commit(tmp_path) == "uncommitted"

@@ -4,6 +4,7 @@ against the shooting and finite-difference oracles."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -128,8 +129,10 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         # radius beyond the antipodal cap
         lowest_dirichlet_eigenvalue(SpaceForm(2, 1.0), math.pi)
-    with pytest.raises(DomainError), np.errstate(over="ignore"):
-        # the volume density sinh(1000 t) overflows on the Ritz mesh
+    with pytest.raises(DomainError), warnings.catch_warnings():
+        # the volume density sinh(1000 t) overflows on the Ritz mesh; the
+        # refusal comes without a numpy overflow warning first
+        warnings.simplefilter("error")
         lowest_dirichlet_eigenvalue(SpaceForm(2, -1e6), 1.0)
     # Thresholds past every float: (j / r)^2 and (pi / r)^2 overflow, and the
     # Ritz route's r^2 underflows to 0.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from orbispec import (
     model_catalog,
     sphere_rotation_action,
     sphere_spectrum,
+    spectrum_content_id,
 )
 from orbispec.modelspectra import _dual_modes, _invariant_counts
 from oracles import (
@@ -55,6 +57,11 @@ def test_spectrum_validation():
         Spectrum((), -1.0)
     with pytest.raises(DomainError):
         Spectrum((), math.inf)
+    with pytest.raises(DomainError):
+        Spectrum(((0.0, 2**70),), 10.0)  # multiplicity past int64
+    for value in ("1.5", (1.0, 2.0), object()):
+        with pytest.raises(DomainError, match="real numbers"):
+            Spectrum(((value, 1),), 10.0)
 
 
 def test_spectrum_round_trip_and_counting():
@@ -142,12 +149,111 @@ def test_spectrum_arrays_are_cached_and_read_only():
         arr = getattr(spec, name)
         assert getattr(spec, name) is arr
         assert not arr.flags.writeable
+    assert spec.values.dtype == np.float64 and spec.multiplicities.dtype == np.int64
     assert spec.cumulative_counts.tolist() == [1, 4, 9]
-    # the cache is not part of equality or hashing
+    assert spec.entries is spec.entries
+    assert spec.entries == ((0.0, 1), (2.0, 3), (6.0, 5))
+    assert repr(spec) == (
+        "Spectrum(entries=((0.0, 1), (2.0, 3), (6.0, 5)), truncation=7.5, dimension=2)"
+    )
+    # the cached view is not part of equality or hashing
     twin = Spectrum(spec.entries, 7.5, dimension=2)
     assert twin == spec and hash(twin) == hash(spec)
+    assert spec != spec.entries and spec != Spectrum(spec.entries, 7.5)
+    for name in ("values", "truncation", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
     assert Spectrum((), 1.0).total_count == 0
     assert counting_function(Spectrum((), 1.0), 0.5) == 0
+
+
+_MULTIPLICITY_ARRAYS = st.one_of(
+    # (candidates of one kind, the dtype of their array): the routes judge.
+    st.tuples(st.lists(st.integers(-2, 10**6), min_size=6, max_size=6), st.just(np.int64)),
+    st.tuples(st.lists(st.integers(0, 100).map(np.int32), min_size=6, max_size=6),
+              st.just(np.int32)),
+    st.tuples(st.lists(st.booleans(), min_size=6, max_size=6), st.just(np.bool_)),
+    st.tuples(st.lists(st.floats(-2.0, 10.0), min_size=6, max_size=6), st.just(np.float64)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1e6), max_size=6, unique=True).map(sorted),
+    mults=_MULTIPLICITY_ARRAYS,
+    dimension=st.one_of(st.none(), _INTEGER_LIKE),
+    headroom=st.floats(0.0, 10.0),
+)
+def test_tuple_and_array_routes_build_the_same_spectrum(values, mults, dimension, headroom):
+    # An empty tuple of pairs holds no multiplicity to judge; its array is int.
+    mults, dtype = mults[0][: len(values)], mults[1] if values else np.int64
+    truncation = (values[-1] if values else 0.0) + headroom
+    built = []
+    for build in (
+        lambda: Spectrum(tuple(zip(values, mults)), truncation, dimension),
+        lambda: Spectrum._from_arrays(
+            np.array(values, dtype=float), np.array(mults, dtype=dtype), truncation, dimension
+        ),
+    ):
+        try:
+            built.append(build())
+        except DomainError:
+            built.append(None)
+    by_tuple, by_array = built
+    assert (by_tuple is None) == (by_array is None)
+    # Both refuse exactly bools, floats and values below 1, as multiplicities
+    # and as the dimension.
+    dim_ok = dimension is None or (
+        isinstance(dimension, numbers.Integral) and not isinstance(dimension, bool)
+        and dimension >= 1
+    )
+    ints = dtype in (np.int64, np.int32)
+    assert (by_tuple is not None) == (ints and min(mults, default=1) >= 1 and dim_ok)
+    if by_tuple is None:
+        return
+    assert by_tuple == by_array and hash(by_tuple) == hash(by_array)
+    assert spectrum_content_id(by_tuple) == spectrum_content_id(by_array)
+    assert all(type(m) is int for _, m in by_array.entries)
+    back = Spectrum.from_dict(json.loads(json.dumps(by_array.to_dict())))
+    assert back == by_tuple and spectrum_content_id(back) == spectrum_content_id(by_tuple)
+
+
+# spectrum_content_id of each catalog model at the verify truncations (full
+# and --quick) and, for the tori, at 256000, as the loop-built spectra read.
+CATALOG_CONTENT_IDS = {
+    ("s2", 10100.0): "4ca95c32eb433f24",
+    ("s2", 1640.0): "bf6161f1779aae4e",
+    ("s2-mod-2", 10100.0): "317c443a7e70c300",
+    ("s2-mod-2", 1640.0): "bd101d517e16fd2d",
+    ("s2-mod-3", 10100.0): "65e6ea2bade4ba2f",
+    ("s2-mod-3", 1640.0): "0028d6a382dda5c1",
+    ("s2-mod-4", 10100.0): "9c504cf4017b664e",
+    ("s2-mod-4", 1640.0): "33056664e7f04a55",
+    ("s2-mod-6", 10100.0): "b7617e8fbbdadf1e",
+    ("s2-mod-6", 1640.0): "06b18272fcd76f12",
+    ("t2", 64000.0): "aee4345fa40a1e0d",
+    ("t2", 8000.0): "91d38f541b51d555",
+    ("t2", 256000.0): "1f81159c89f92182",
+    ("pillowcase", 64000.0): "64a741baaf19e36d",
+    ("pillowcase", 8000.0): "6ec49fbdc27aba15",
+    ("pillowcase", 256000.0): "57266062ebcf466c",
+    ("t2-mod-4", 64000.0): "568666a59cf48070",
+    ("t2-mod-4", 8000.0): "d5692b9d9b1ab433",
+    ("t2-mod-4", 256000.0): "9d0905b2afe264eb",
+    ("s3", 4032.0): "e3af93b92d7c0c11",
+    ("s3", 899.0): "206232e5acf1b6ff",
+    ("lens-4-1", 4032.0): "1e27bc340826ecb5",
+    ("lens-4-1", 899.0): "b32e02c0130cb156",
+}
+
+
+def test_catalog_spectra_keep_their_content_ids():
+    assert {m for m, _ in CATALOG_CONTENT_IDS} == {m.model_id for m in model_catalog()}
+    for (model_id, truncation), content_id in CATALOG_CONTENT_IDS.items():
+        spec = catalog_model(model_id).spectrum(truncation)
+        assert spectrum_content_id(spec) == content_id, (model_id, truncation)
 
 
 def test_counting_function_rejects_non_finite_bounds():
@@ -209,12 +315,20 @@ def test_torus_spectra_equal_fraction_oracle_on_random_bases(rows, lam):
 
 def test_torus_enumeration_switches_to_python_ints_for_wide_forms():
     # 0.1 has a 2^55 denominator, so the integer form cannot stay in int64.
+    # Eigenvalues divide key den by det: as floats only while both are below
+    # 2^53, else as Python ints.  Each case must equal the Fraction oracle
+    # bit for bit.
     skew = np.array([[1.0, 0.0], [0.1, 1.0]])
-    _, keys, _ = _dual_modes(skew, 2000.0)
-    assert keys.dtype == object
-    assert flat_torus_spectrum(skew, 2000.0) == fraction_torus_spectrum(skew, 2000.0)
-    _, keys, _ = _dual_modes(np.eye(2), 2000.0)
-    assert keys.dtype == np.int64
+    for basis, lam, key_dtype in (
+        (np.eye(2), 2000.0, np.int64),  # int64 keys and values
+        (skew, 2000.0, object),  # Python-int keys and values
+        (skew, 200.0, np.int64),  # int64 keys, but key den tops 2^53
+        (np.diag([1.0, 1e-10]), 1.0, object),  # the zero mode alone; den tops int64
+    ):
+        _, keys, (_, den, _) = _dual_modes(basis, lam)
+        assert keys.dtype == key_dtype, (basis, lam)
+        assert flat_torus_spectrum(basis, lam) == fraction_torus_spectrum(basis, lam)
+    assert den >= 2**63
 
 
 def test_square_torus_levels():

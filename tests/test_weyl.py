@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,7 +111,8 @@ def test_volume_estimate_past_every_float_is_a_weyl_volume_failure():
     entries = ((0.0, 1),) + tuple((1e200 * math.sqrt(j), 1) for j in range(1, 400))
     spec = Spectrum(entries, entries[-1][0])
     assert estimate_dimension(spec)[0] == 4
-    with pytest.raises(CertificationError) as err, np.errstate(over="ignore"):
+    with pytest.raises(CertificationError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning first
         weyl_fit(spec)
     assert err.value.stage == "weyl-volume"
 

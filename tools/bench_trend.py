@@ -22,7 +22,9 @@ runs its own ``perfbench`` and sources, so both are measured with the benchmark 
 their own commit; give a parent whose benchmark matches when the numbers
 are to be compared.
 
-The JSON holds the versions and machine, the settings, and per side and
+The JSON holds the versions and machine, the settings, and per side its
+commit (for this checkout "uncommitted" when ``git status --porcelain`` is
+not empty; ``source_sha256`` identifies the sources either way) and per
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares, ``dirichlet.threshold_first_s`` and
 ``bounds.radii_tried`` from the traced run, the CLI wall times, the library
@@ -59,10 +61,18 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 PYTEST_TIMEOUT_S = 1800
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True, timeout=60
+        ["git", *args], cwd=cwd, capture_output=True, text=True, check=True, timeout=60
     ).stdout.strip()
+
+
+def tree_commit(root: Path) -> str:
+    """HEAD of the checkout at root, or "uncommitted" when ``git status
+    --porcelain`` lists any change: HEAD then names the parent of what runs."""
+    if _git("status", "--porcelain", cwd=root):
+        return "uncommitted"
+    return _git("rev-parse", "HEAD", cwd=root)
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -185,7 +195,6 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
                 },
             }
         out[side] = {
-            "commit": plain[0]["meta"]["git_commit"],
             "source_sha256": plain[0]["meta"]["source_sha256"],
             "workloads": workloads,
             "cli_wall_s": {
@@ -209,10 +218,12 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    commit = tree_commit(ROOT)
     with tempfile.TemporaryDirectory(prefix="bench-trend-") as tmp:
         sides = {"change": ROOT, "parent": unpack(args.parent, Path(tmp))}
         results, runs, meta = measure(sides, args, Path(tmp))
-        results["parent"]["commit"] = _git("rev-parse", args.parent)
+    results["change"]["commit"] = commit
+    results["parent"]["commit"] = _git("rev-parse", args.parent)
     for workload in WORKLOADS:
         results["change"]["workloads"][workload]["pairs_won"] = pairs_won(
             runs["change"][workload], runs["parent"][workload]
