@@ -304,12 +304,19 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
         return SHRINK * flat
     s = math.sqrt(abs(kappa))
     if kappa > 0:
-        cap = bonnet_myers_cap(kappa)
-        if ball_volume(sf, cap) <= target:
-            return SHRINK * cap
+        # One rounding of the whole sphere for the cap test and the inverse:
+        # target < whole keeps the fraction below 2, past which it is NaN.
+        try:
+            whole = sphere_measure(n) * kappa ** (-0.5 * n)
+        except OverflowError:
+            whole = math.inf
+        if whole == math.inf:
+            raise DomainError(f"the volume of the whole sphere at kappa = {kappa!r} overflows")
+        if target >= whole:
+            return SHRINK * bonnet_myers_cap(kappa)
         if n == 2:
             return SHRINK * 2.0 / s * math.asin(min(1.0, math.sqrt(kappa * v / (12.0 * math.pi))))
-        fraction = target / (0.5 * sphere_measure(n) * kappa ** (-0.5 * n))
+        fraction = target / (0.5 * whole)
         if fraction < 1.0:
             x = math.asin(math.sqrt(float(betaincinv(0.5 * n, 0.5, fraction))))
         if fraction >= 1.0 or x > 0.25 * math.pi:

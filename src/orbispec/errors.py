@@ -61,11 +61,10 @@ def _count(x, what: str, minimum: int | None = None) -> int:
     return x
 
 
-def _positive(x, what: str) -> float:
-    """x as a float when it is a finite real number > 0 (numpy scalars
-    included); a bool, a non-real, NaN, an infinity, zero or a negative value
-    raises DomainError.  The library's one rule for volume, diameter, radius,
-    ell and eps arguments."""
+def _real(x, what: str) -> float:
+    """x as a float when it is a real number (numpy scalars included; an int
+    past every float counts as infinite); a bool or a non-real raises
+    DomainError.  The type test under the magnitude and truncation rules."""
     if type(x) is not float:
         if not isinstance(x, numbers.Real) or isinstance(x, bool):
             raise DomainError(f"{what} must be a real number, got {x!r}")
@@ -73,6 +72,15 @@ def _positive(x, what: str) -> float:
             x = float(x)
         except OverflowError:  # an int past every float
             x = math.inf
+    return x
+
+
+def _positive(x, what: str) -> float:
+    """x as a float when it is a finite real number > 0 (numpy scalars
+    included); a bool, a non-real, NaN, an infinity, zero or a negative value
+    raises DomainError.  The library's one rule for volume, diameter, radius,
+    ell and eps arguments."""
+    x = _real(x, what)
     if not 0.0 < x < math.inf:
         raise DomainError(f"{what} must be positive and finite, got {x!r}")
     return x

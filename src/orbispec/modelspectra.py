@@ -14,13 +14,13 @@ bound pipelines can be validated end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, _count, _positive
+from .errors import DomainError, _count, _positive, _real
 from .groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
 from .spaceform import sphere_measure
 
@@ -37,23 +37,22 @@ class Spectrum:
     use; equality and hashing mean the same truncation, dimension and
     entries.
 
-    The constructor takes the pairs and applies the library's rules:
-    eigenvalues finite, >= 0, strictly increasing and at most the
-    truncation; each multiplicity an integer >= 1 and the dimension, when
-    given, an integer >= 1; numpy integers are stored as plain ints, and a
-    bool or a float such as 2.0 is refused.  So every record it builds
-    survives its own JSON: from_dict(to_dict()) gives it back.
+    The constructor takes the pairs and applies the library's rules: the
+    truncation a finite real >= 0, stored as a float; eigenvalues real,
+    finite, >= 0, strictly increasing and at most the truncation; each
+    multiplicity an integer >= 1 and the dimension, when given, an integer
+    >= 1; numpy integers are stored as plain ints.  A bool is refused
+    everywhere, as is a float multiplicity such as 2.0 and an entry that is
+    not a pair.  So every record it builds survives its own JSON:
+    from_dict(to_dict()) gives it back.
     """
 
     def __init__(self, entries, truncation: float, dimension: int | None = None):
-        pairs = tuple(entries)
-        values = np.asarray([v for v, _ in pairs])
-        if values.dtype.kind not in "biufO" or values.ndim != 1:
-            raise DomainError(f"eigenvalues must be real numbers, got {values.dtype} entries")
         try:
-            values = values.astype(float, copy=False)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"eigenvalues must be real numbers: {exc}") from exc
+            pairs = [(v, m) for v, m in entries]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"entries must be (eigenvalue, multiplicity) pairs: {exc}") from exc
+        values = np.array([_real(v, "eigenvalue") for v, _ in pairs], dtype=float)
         self._fill(values, _multiplicity_array([m for _, m in pairs]), truncation, dimension)
 
     @classmethod
@@ -75,7 +74,7 @@ class Spectrum:
         return spec
 
     def _fill(self, values: np.ndarray, mults: np.ndarray, truncation, dimension) -> None:
-        _check_truncation(truncation)
+        truncation = _check_truncation(truncation)
         if len(values):
             bad = ~(np.isfinite(values) & (values >= 0))
             if bad.any():
@@ -141,27 +140,25 @@ class Spectrum:
 
     @staticmethod
     def from_dict(data: dict) -> "Spectrum":
+        """The spectrum of to_dict's JSON, under the constructor's rules; only
+        an integral JSON float such as 3.0 is read as an integer."""
         if not isinstance(data, dict):
             raise DomainError("spectrum JSON must be an object")
         try:
-            raw = data["eigenvalues"]
-            trunc = float(data["truncation"])
-        except (KeyError, TypeError, ValueError) as exc:
+            pairs = ((v, _integral(m)) for v, m in data["eigenvalues"])
+            trunc = data["truncation"]
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"spectrum JSON needs 'eigenvalues' and 'truncation': {exc}") from exc
-        try:
-            values = np.array([float(val) for val, _ in raw], dtype=float)
-            mults = [_integral(mult) for _, mult in raw]
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"'eigenvalues' must hold [value, multiplicity] pairs: {exc}") from exc
-        return Spectrum._from_arrays(
-            values, _multiplicity_array(mults), trunc, _integral(data.get("dimension"))
-        )
+        # A malformed pair fails in the constructor, which reads the generator.
+        return Spectrum(pairs, trunc, _integral(data.get("dimension")))
 
 
-def _check_truncation(lambda_max: float) -> None:
-    """A truncation must be a finite number >= 0; inf would never end a sphere build."""
+def _check_truncation(lambda_max) -> float:
+    """A truncation as a float: a finite real >= 0; inf would never end a sphere build."""
+    lambda_max = _real(lambda_max, "the truncation")
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise DomainError(f"the truncation must be finite and >= 0, got {lambda_max!r}")
+    return lambda_max
 
 
 def _multiplicity_array(mults: list) -> np.ndarray:
@@ -211,79 +208,94 @@ def _int_det(m: list[list[int]]) -> int:
     )
 
 
-def _dual_modes(basis: np.ndarray, lambda_max: float):
-    """Dual-lattice modes k with 4 pi^2 q(k) <= lambda_max and their integer keys.
+class _Lattice:
+    """A torus R^n / L, and the symmetry that divides it, in exact integers.
 
     The Gram matrix G = B B^T is read exactly from its float entries and
-    scaled by the lcm ``den`` of their denominators to an integer G_int, so
-    q(k) = k^T G^(-1) k = (k^T A k) den / det with A = adj(G_int) and
-    det = det(G_int) > 0.  Returns (modes, one column per mode; keys k^T A k;
-    (A, den, det)).
+    scaled by the lcm ``den`` of their denominators to an integer G_int, so a
+    dual mode k has q(k) = k^T G^(-1) k = (k^T A k) den / det, with the form
+    A = adj(G_int) and det = det(G_int) > 0; ``gram_diag`` holds the G_ii
+    that bound the mode box.  A symmetry of ``order`` acts on the dual modes
+    by integer matrices, and ``powers`` are its non-identity powers (none on
+    a plain torus).  The symmetry must be crystallographic: an integer matrix
+    in lattice coordinates that preserves the form, both checked exactly.
+    """
+
+    def __init__(self, lattice_basis, action: OrthogonalAction | None = None):
+        basis = np.asarray(lattice_basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+            raise DomainError(f"lattice basis must be a square matrix, got shape {basis.shape}")
+        if not np.all(np.isfinite(basis)):
+            raise DomainError("lattice basis must be finite")
+        n = self.n = basis.shape[0]
+        gram = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
+        self.gram_diag = tuple(gram[i][i] for i in range(n))
+        den = self.den = math.lcm(*(g.denominator for row in gram for g in row))
+        g_int = [[int(g * den) for g in row] for row in gram]
+        minors = [_int_det([row[:k] for row in g_int[:k]]) for k in range(1, n + 1)]
+        if not minors or min(minors) <= 0:
+            raise DomainError("lattice basis is singular")
+        self.det = minors[-1]
+        self.form = [
+            [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(g_int) if k != j])
+             for j in range(n)]
+            for i in range(n)
+        ]
+        self.order, self.powers = 1, ()
+        if action is None:
+            return
+        if action.order not in (2, 3, 4, 6):
+            raise DomainError(
+                f"torus quotients support crystallographic orders 2, 3, 4, 6; got {action.order}"
+            )
+        # Rows of the basis generate, so lattice coordinates of A are B^(-T) A B^T
+        # and the dual modes k transform by the transpose of that.
+        m_lattice = np.linalg.solve(basis.T, action.generator @ basis.T)
+        if np.max(np.abs(m_lattice - np.rint(m_lattice))) > 1e-9:
+            raise DomainError("the symmetry is not an integer matrix in lattice coordinates")
+        dual = np.rint(m_lattice).astype(np.int64).T.astype(object)
+        form = np.array(self.form, dtype=object)
+        if not np.array_equal(dual.T @ form @ dual, form):
+            raise DomainError("the symmetry does not preserve the dual form of the lattice")
+        # The record's generator has exactly its declared order, and so does its
+        # integer conjugate: these are the group's elements.
+        powers = [dual]
+        for _ in range(action.order - 2):
+            powers.append(powers[-1] @ dual)
+        self.order, self.powers = action.order, tuple(powers)
+
+
+def _dual_modes(lat: _Lattice, lambda_max: float):
+    """The keys k^T A k of the dual modes k with 4 pi^2 q(k) <= lambda_max,
+    and, when the lattice has a symmetry, those modes, one column each (else
+    None).  lambda_max is a truncation _check_truncation has passed.
+
     Completeness comes from the ellipsoid bound |k_i|^2 <= c G_ii, with a
     relative slack of 1e-12 on c so the float boundary cannot drop a level.
     """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise DomainError(f"lattice basis must be a square matrix, got shape {basis.shape}")
-    if not np.all(np.isfinite(basis)):
-        raise DomainError("lattice basis must be finite")
-    _check_truncation(lambda_max)
-    n = basis.shape[0]
-    gram = [[Fraction(float(basis[i] @ basis[j])) for j in range(n)] for i in range(n)]
-    den = math.lcm(*(g.denominator for row in gram for g in row))
-    g_int = [[int(g * den) for g in row] for row in gram]
-    minors = [_int_det([row[:k] for row in g_int[:k]]) for k in range(1, n + 1)]
-    if not minors or min(minors) <= 0:
-        raise DomainError("lattice basis is singular")
-    det = minors[-1]
-    adj = [
-        [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(g_int) if k != j])
-         for j in range(n)]
-        for i in range(n)
-    ]
-    c = Fraction(float(lambda_max)) * Fraction(1 + 1e-12) / Fraction(FOUR_PI_SQ)
-    bounds = [math.isqrt(int(c * gram[i][i])) for i in range(n)]
-
+    c = Fraction(lambda_max) * Fraction(1 + 1e-12) / Fraction(FOUR_PI_SQ)
+    bounds = [math.isqrt(int(c * g)) for g in lat.gram_diag]
     # numpy integers wrap silently, so int64 is chosen only under an a-priori
-    # bound: every partial sum of k^T A k is at most n^2 max|A_ij| max(b_i)^2.
-    wide = n * n * max(abs(a) for row in adj for a in row) * (max(bounds) + 1) ** 2 >= 2**62
-    dtype = object if wide else np.int64
+    # bound on every partial sum, with w = max(b_i) + 1: n^2 max|A_ij| w^2 for
+    # k^T A k, and n max|p_ij| w for a power p applied to a mode.
+    n, w = lat.n, max(bounds) + 1
+    amax = max(abs(a) for row in lat.form for a in row)
+    pmax = max((abs(int(x)) for p in lat.powers for x in p.flat), default=0)
+    dtype = object if n * w * max(n * amax * w, pmax) >= 2**62 else np.int64
     axes = [np.arange(-b, b + 1).astype(dtype) for b in bounds]
     # k^T A k on the whole box at once: a weighted sum of outer products of
     # the axes, each axis along its own dimension of the box.
     grid = [ax.reshape((-1,) + (1,) * (n - 1 - i)) for i, ax in enumerate(axes)]
+    a = lat.form
     box = sum(
-        (adj[i][j] if i == j else 2 * adj[i][j]) * grid[i] * grid[j]
+        (a[i][j] if i == j else 2 * a[i][j]) * grid[i] * grid[j]
         for i in range(n) for j in range(i, n)
     )
     # key den / det <= c, with the denominators cleared: key <= floor(c.num det / (c.den den)).
-    keep = box <= (c.numerator * det) // (c.denominator * den)
-    idx = np.nonzero(keep)
-    ks = np.stack([ax[i] for ax, i in zip(axes, idx)])
-    return ks, box[keep], (adj, den, det)
-
-
-def _levels_to_spectrum(keys, mults, den: int, det: int, lambda_max: float, dim: int) -> Spectrum:
-    """Spectrum from ascending level keys: eigenvalue 4 pi^2 ((key den) / det).
-
-    Python-int true division rounds correctly, and so does float division of
-    two integers below 2**53, which are exact floats; so the keys are int64
-    when the largest key den and det both stay below 2**53 and Python ints
-    otherwise, and each value is exactly float(Fraction(key den, det)).
-    Levels that round to one float merge.
-    """
-    # The zero mode is always kept, so there is a largest key; den must fit too.
-    top = max(int(keys[-1]), 1) * den
-    dtype = np.int64 if max(top, det) < 2**53 else object
-    scaled = keys.astype(dtype, copy=False) * den
-    values = (FOUR_PI_SQ * (scaled / det)).astype(float, copy=False)
-    # Ascending keys give nondecreasing values: cut the tail past the truncation.
-    cut = int(np.searchsorted(values, lambda_max, side="right"))
-    values, mults = values[:cut], mults[:cut]
-    starts = np.flatnonzero(np.diff(values, prepend=-1.0))
-    return Spectrum._from_arrays(
-        values[starts], np.add.reduceat(mults, starts), float(lambda_max), dim
-    )
+    keep = box <= (c.numerator * lat.det) // (c.denominator * lat.den)
+    # Only a quotient's Burnside count reads the modes themselves.
+    modes = np.stack([np.broadcast_to(g, keep.shape)[keep] for g in grid]) if lat.powers else None
+    return box[keep], modes
 
 
 def flat_torus_spectrum(lattice_basis, lambda_max: float) -> Spectrum:
@@ -292,62 +304,42 @@ def flat_torus_spectrum(lattice_basis, lambda_max: float) -> Spectrum:
     Rows of lattice_basis generate the lattice, so the dual modes are
     mu = B^(-1) k with integer k and the quadratic form is (B B^T)^(-1).
     """
-    return _torus_spectrum(lattice_basis, None, lambda_max)
+    return _torus_spectrum(_Lattice(lattice_basis), lambda_max)
 
 
-def _torus_spectrum(lattice_basis, action: OrthogonalAction | None, lambda_max: float) -> Spectrum:
+def _torus_spectrum(lat: _Lattice, lambda_max: float) -> Spectrum:
     """Spectrum of the torus R^n / L, or of its quotient by a lattice symmetry.
 
-    Without an action each level's multiplicity is its number of dual modes.
+    Without a symmetry each level's multiplicity is its number of dual modes.
     With one, it is the invariant Fourier dimension: a lattice-compatible
     linear symmetry permutes the dual modes without phases, so the level
     carries one invariant per orbit of the cyclic action there, the group
-    average of the number of modes each element fixes (Burnside).  The
-    symmetry must preserve the dual form, checked exactly.
+    average of the number of modes each element fixes (Burnside).
     """
-    basis = np.asarray(lattice_basis, dtype=float)
-    n = basis.shape[0]
-    ks, keys, (adj, den, det) = _dual_modes(basis, lambda_max)
+    lambda_max = _check_truncation(lambda_max)
+    keys, modes = _dual_modes(lat, lambda_max)
     # Each level's number of modes, which the identity fixes.
     levels, counts = np.unique(keys, return_counts=True)
-    if action is None:
-        return _levels_to_spectrum(levels, counts, den, det, lambda_max, n)
-    order = action.order
-    if order not in (2, 3, 4, 6):
-        raise DomainError(
-            f"torus quotients support crystallographic orders 2, 3, 4, 6; got {order}"
-        )
-    # Rows of the basis generate, so lattice coordinates of A are B^(-T) A B^T
-    # and the dual modes k transform by the transpose of that.
-    m_lattice = np.linalg.solve(basis.T, action.generator @ basis.T)
-    if np.max(np.abs(m_lattice - np.rint(m_lattice))) > 1e-9:
-        raise DomainError("the symmetry is not an integer matrix in lattice coordinates")
-    dual = np.rint(m_lattice).astype(np.int64).T.astype(object)
-    form = np.array(adj, dtype=object)
-    if not np.array_equal(dual.T @ form @ dual, form):
-        raise CertificationError(
-            "torus-quotient", "the symmetry does not preserve the dual form of the lattice"
-        )
-    # The record's generator has exactly its declared order, and so does its
-    # integer conjugate: these are the group's elements.
-    powers = [np.eye(n, dtype=object)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] @ dual)
-    # A symmetry of the form maps each mode into the box, so only the partial
-    # sums of p k need a bound to stay in int64.
-    pmax = max(abs(int(x)) for p in powers for x in p.flat)
-    dtype = object if n * pmax * (int(np.abs(ks).max()) + 1) >= 2**62 else np.int64
-    ks = ks.astype(dtype, copy=False)
-    totals = counts
-    for p in powers[1:]:
-        fixed = keys[(p.astype(dtype) @ ks == ks).all(axis=0)]
-        totals = totals + np.bincount(np.searchsorted(levels, fixed), minlength=len(levels))
-    orbits, rem = np.divmod(totals, order)
-    if rem.any():
-        raise CertificationError(
-            "torus-quotient", "a level's fixed-mode count is not divisible by the group order"
-        )
-    return _levels_to_spectrum(levels, orbits, den, det, lambda_max, n)
+    for p in lat.powers:
+        fixed = keys[(p.astype(modes.dtype) @ modes == modes).all(axis=0)]
+        counts = counts + np.bincount(np.searchsorted(levels, fixed), minlength=len(levels))
+    # Every kept level is complete (an exact key cut on a box that holds the
+    # whole ellipsoid), and a symmetry of the form maps it onto itself, so its
+    # fixed counts sum to the order times its number of orbits: exact division.
+    counts //= lat.order
+    # Eigenvalue 4 pi^2 ((key den) / det).  Python-int true division rounds
+    # correctly, and so does float division of two integers below 2**53, which
+    # are exact floats; so each value is exactly float(Fraction(key den, det)).
+    # The zero mode is always kept, so there is a largest key.
+    fits = max(max(int(levels[-1]), 1) * lat.den, lat.det) < 2**53
+    scaled = levels.astype(np.int64 if fits else object, copy=False) * lat.den
+    values = (FOUR_PI_SQ * (scaled / lat.det)).astype(float, copy=False)
+    # Ascending keys give nondecreasing values: cut the tail past the truncation,
+    # and merge levels that round to one float.
+    cut = int(np.searchsorted(values, lambda_max, side="right"))
+    values, counts = values[:cut], counts[:cut]
+    starts = np.flatnonzero(np.diff(values, prepend=-1.0))
+    return Spectrum._from_arrays(values[starts], np.add.reduceat(counts, starts), lambda_max, lat.n)
 
 
 def harmonic_multiplicity(n: int, l: int) -> int:
@@ -373,7 +365,7 @@ def _sphere_spectrum(n: int, action: OrthogonalAction | None, lambda_max: float)
     ones, and a degree with none drops out.
     """
     n = _count(n, "sphere dimension", 2)
-    _check_truncation(lambda_max)
+    lambda_max = _check_truncation(lambda_max)
     l_max = 0
     while (l_max + 1) * (l_max + n) <= lambda_max:
         l_max += 1
@@ -384,7 +376,7 @@ def _sphere_spectrum(n: int, action: OrthogonalAction | None, lambda_max: float)
     counts = _multiplicity_array(counts)
     degrees = np.flatnonzero(counts)
     values = (degrees * (degrees + n - 1)).astype(float)
-    return Spectrum._from_arrays(values, counts[degrees], float(lambda_max), n)
+    return Spectrum._from_arrays(values, counts[degrees], lambda_max, n)
 
 
 def _invariant_counts(action: OrthogonalAction, l_max: int) -> list[int]:
@@ -432,7 +424,8 @@ class ModelOrbifold:
     rule (stored as a plain int), volume and diameter the magnitude rule
     (stored as floats), a lattice basis must be dimension x dimension, and
     an action must act on R^dimension on a torus and on R^(dimension + 1)
-    on a sphere.
+    on a sphere.  A torus is reduced to its exact _Lattice here, once, so a
+    symmetry that is not crystallographic is refused when the record is built.
     """
 
     model_id: str
@@ -444,24 +437,26 @@ class ModelOrbifold:
     lattice_basis: np.ndarray | None = None
     action: OrthogonalAction | None = None
     description: str = ""
+    _lattice: _Lattice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _count(self.dimension, "model dimension", 1)
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "volume", _positive(self.volume, "volume"))
         object.__setattr__(self, "diameter", _positive(self.diameter, "diameter"))
-        ambient = n + 1
-        if self.lattice_basis is not None:
-            ambient = n
-            if np.shape(self.lattice_basis) != (n, n):
-                raise DomainError(
-                    f"a dimension-{n} lattice basis must be {n} x {n}, "
-                    f"got shape {np.shape(self.lattice_basis)}"
-                )
+        torus = self.lattice_basis is not None
+        if torus and np.shape(self.lattice_basis) != (n, n):
+            raise DomainError(
+                f"a dimension-{n} lattice basis must be {n} x {n}, "
+                f"got shape {np.shape(self.lattice_basis)}"
+            )
+        ambient = n if torus else n + 1
         if self.action is not None and self.action.ambient_dim != ambient:
             raise DomainError(
                 f"the action acts on R^{self.action.ambient_dim}, but the model needs R^{ambient}"
             )
+        if torus:
+            object.__setattr__(self, "_lattice", _Lattice(self.lattice_basis, self.action))
 
     @property
     def kind(self) -> str:
@@ -479,19 +474,28 @@ class ModelOrbifold:
         return sum(1 for p in self.singular_points if p.isolated)
 
     def spectrum(self, lambda_max: float) -> Spectrum:
-        if self.lattice_basis is not None:
-            return _torus_spectrum(self.lattice_basis, self.action, lambda_max)
+        if self._lattice is not None:
+            return _torus_spectrum(self._lattice, lambda_max)
         return _sphere_spectrum(self.dimension, self.action, lambda_max)
 
 
 def model_catalog() -> list[ModelOrbifold]:
     """Verification targets with exactly known spectra and geometry."""
     eye2 = np.eye(2)
-    cat = [
+    cat = [ModelOrbifold("s2", 2, 4.0 * math.pi, math.pi, 1.0, description="unit round 2-sphere")]
+    cat += [
         ModelOrbifold(
-            "s2", 2, 4.0 * math.pi, math.pi, 1.0,
-            description="unit round 2-sphere",
-        ),
+            f"s2-mod-{k}", 2, 4.0 * math.pi / k, math.pi, 1.0,
+            singular_points=(SingularPoint(k, True), SingularPoint(k, True)),
+            action=sphere_rotation_action(k),
+            description=(
+                f"unit 2-sphere modulo the order-{k} polar rotation; two order-{k} "
+                "cone points at the poles, which stay at distance pi in the quotient"
+            ),
+        )
+        for k in (2, 3, 4, 6)
+    ]
+    return cat + [
         ModelOrbifold(
             "t2", 2, 1.0, 0.5 * math.sqrt(2.0), 0.0,
             lattice_basis=eye2,
@@ -520,10 +524,7 @@ def model_catalog() -> list[ModelOrbifold]:
                 "to the center, whose orbit is a single point"
             ),
         ),
-        ModelOrbifold(
-            "s3", 3, sphere_measure(3), math.pi, 1.0,
-            description="unit round 3-sphere",
-        ),
+        ModelOrbifold("s3", 3, sphere_measure(3), math.pi, 1.0, description="unit round 3-sphere"),
         ModelOrbifold(
             "lens-4-1", 3, sphere_measure(3) / 4.0, 0.5 * math.pi, 1.0,
             action=cyclic_generator(4, [1]),
@@ -536,22 +537,6 @@ def model_catalog() -> list[ModelOrbifold]:
             ),
         ),
     ]
-    for k in (2, 3, 4, 6):
-        cat.append(
-            ModelOrbifold(
-                f"s2-mod-{k}", 2, 4.0 * math.pi / k, math.pi, 1.0,
-                singular_points=(SingularPoint(k, True), SingularPoint(k, True)),
-                action=sphere_rotation_action(k),
-                description=(
-                    f"unit 2-sphere modulo the order-{k} polar rotation; two order-{k} "
-                    "cone points at the poles, which stay at distance pi in the quotient"
-                ),
-            )
-        )
-    order = ["s2", "s2-mod-2", "s2-mod-3", "s2-mod-4", "s2-mod-6",
-             "t2", "pillowcase", "t2-mod-4", "s3", "lens-4-1"]
-    by_id = {c.model_id: c for c in cat}
-    return [by_id[i] for i in order]
 
 
 def catalog_model(model_id: str) -> ModelOrbifold:

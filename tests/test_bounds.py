@@ -458,6 +458,12 @@ def test_ell_constant_closed_forms():
     assert abs(ell_constant(2, 1.0, v) - (1 - 1e-6) * r_sphere) < 1e-10
     # huge volume saturates at the antipodal cap
     assert abs(ell_constant(2, 1.0, 40 * math.pi) - (1 - 1e-6) * math.pi) < 1e-12
+    # a whole sphere below every float is the cap; past every float it is refused
+    for n in (2, 3, 4):
+        assert ell_constant(n, 1e300, 1.0) == SHRINK * math.pi / math.sqrt(1e300)
+    for n, kappa in ((3, 1e-210), (2, 5e-324), (2, 1e-310), (5, 1e-130)):
+        with pytest.raises(DomainError, match="overflows"):
+            ell_constant(n, kappa, 1.0)
     # hyperbolic: (4 pi / |k|) sinh^2(s r / 2) = v/3
     kappa, v = -2.0, 5.0
     s = math.sqrt(-kappa)
@@ -487,6 +493,9 @@ def ell_keys(draw):
 @example(key=(2, 0.008529521654024232, 4419.838927929922))
 # v/3 one ulp below the whole sphere, where the float volume is flat
 @example(key=(3, 0.15313835624965452, 988.1548897138464))
+# v/3 between two roundings of the whole sphere: the n = 3 closed form for
+# the cap's volume rounds up, and a fraction just past 2 once made NaN
+@example(key=(3, 0.021427228022871232, 18880.000821016314))
 def test_ell_constant_matches_brentq_reference(key):
     n, kappa, v = key
     ell = ell_constant(n, kappa, v)
@@ -667,6 +676,8 @@ def test_bound_report_validation():
         BoundReport(**{**base, "diameter_bound": 4.0})  # beyond pi at kappa = 1
     with pytest.raises(DomainError):
         BoundReport(**{**base, "rho": 0})
+    with pytest.raises(DomainError, match="nonnegative"):
+        BoundReport(**{**base, "singular_cap": -1, "alpha": 0.3, "ell": 0.4, "r_sep": 0.2})
     with pytest.raises(DomainError):
         BoundReport(**{**base, "singular_cap": 5})  # constants missing
     with pytest.raises(DomainError):

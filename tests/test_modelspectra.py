@@ -26,7 +26,7 @@ from orbispec import (
     sphere_spectrum,
     spectrum_content_id,
 )
-from orbispec.modelspectra import _dual_modes, _invariant_counts
+from orbispec.modelspectra import _Lattice, _dual_modes, _invariant_counts
 from oracles import (
     brute_torus_levels,
     character_averages,
@@ -59,9 +59,20 @@ def test_spectrum_validation():
         Spectrum((), math.inf)
     with pytest.raises(DomainError):
         Spectrum(((0.0, 2**70),), 10.0)  # multiplicity past int64
-    for value in ("1.5", (1.0, 2.0), object()):
-        with pytest.raises(DomainError, match="real numbers"):
+    for value in ("1.5", (1.0, 2.0), object(), True, np.True_):
+        with pytest.raises(DomainError, match="real number"):
             Spectrum(((value, 1),), 10.0)
+    # The truncation is stored as a float; a bool or a non-real is refused.
+    assert type(Spectrum((), 10).truncation) is float
+    for trunc in (True, "5", None):
+        with pytest.raises(DomainError, match="truncation must be a real number"):
+            Spectrum(((0.0, 1),), trunc)
+    for entries in (((0.0, 1, 2),), ((0.0,),), (5,)):
+        with pytest.raises(DomainError, match="pairs"):
+            Spectrum(entries, 10.0)
+    # An int past every float is an infinite eigenvalue.
+    with pytest.raises(DomainError, match="finite"):
+        Spectrum(((10**400, 1),), 10.0)
 
 
 def test_spectrum_round_trip_and_counting():
@@ -89,6 +100,17 @@ def test_spectrum_round_trip_and_counting():
         {"eigenvalues": [[0.0, 1], [6.0, True]], "truncation": 6.0},
         {"eigenvalues": [[0.0, 1]], "truncation": 6.0, "dimension": 2.7},
         {"eigenvalues": [[0.0, 1]], "truncation": 6.0, "dimension": False},
+    ):
+        with pytest.raises(DomainError):
+            Spectrum.from_dict(bad)
+    # The JSON route takes the constructor's rules: no bool or string
+    # truncation, string or bool eigenvalue, or entry that is not a pair.
+    for bad in (
+        {"eigenvalues": [[0.0, 1]], "truncation": True},
+        {"eigenvalues": [[0.0, 1]], "truncation": "5"},
+        {"eigenvalues": [["1.5", 2]], "truncation": 6.0},
+        {"eigenvalues": [[False, 1]], "truncation": 6.0},
+        {"eigenvalues": [[0.0, 1, 2]], "truncation": 6.0},
     ):
         with pytest.raises(DomainError):
             Spectrum.from_dict(bad)
@@ -325,10 +347,11 @@ def test_torus_enumeration_switches_to_python_ints_for_wide_forms():
         (skew, 200.0, np.int64),  # int64 keys, but key den tops 2^53
         (np.diag([1.0, 1e-10]), 1.0, object),  # the zero mode alone; den tops int64
     ):
-        _, keys, (_, den, _) = _dual_modes(basis, lam)
-        assert keys.dtype == key_dtype, (basis, lam)
+        lattice = _Lattice(basis)
+        keys, modes = _dual_modes(lattice, lam)
+        assert keys.dtype == key_dtype and modes is None, (basis, lam)
         assert flat_torus_spectrum(basis, lam) == fraction_torus_spectrum(basis, lam)
-    assert den >= 2**63
+    assert lattice.den >= 2**63
 
 
 def test_square_torus_levels():
@@ -556,35 +579,45 @@ def test_torus_quotient_matches_burnside_count():
 
 def test_torus_quotient_rejects_noncrystallographic_order():
     act = OrthogonalAction(5, (1,))
-    model = ModelOrbifold(
-        model_id="bad-5",
-        dimension=2,
-        volume=0.2,
-        diameter=1.0,
-        curvature_lower_bound=0.0,
-        lattice_basis=np.eye(2),
-        action=act,
-        singular_points=(SingularPoint(5, True),),
-    )
-    with pytest.raises(DomainError):
-        model.spectrum(10.0)
+    with pytest.raises(DomainError, match="crystallographic"):
+        ModelOrbifold(
+            model_id="bad-5",
+            dimension=2,
+            volume=0.2,
+            diameter=1.0,
+            curvature_lower_bound=0.0,
+            lattice_basis=np.eye(2),
+            action=act,
+            singular_points=(SingularPoint(5, True),),
+        )
 
 
 def test_torus_quotient_requires_lattice_symmetry():
     rot = OrthogonalAction(4, (1,))
-    model = ModelOrbifold(
-        model_id="bad-rect",
-        dimension=2,
-        volume=0.5,
-        diameter=1.0,
-        curvature_lower_bound=0.0,
-        lattice_basis=np.diag([1.0, 2.0]),
-        action=rot,
-        singular_points=(SingularPoint(4, True),),
-    )
     # a quarter turn does not preserve a 1 x 2 lattice
-    with pytest.raises(DomainError):
-        model.spectrum(30.0)
+    with pytest.raises(DomainError, match="not an integer matrix"):
+        ModelOrbifold(
+            model_id="bad-rect",
+            dimension=2,
+            volume=0.5,
+            diameter=1.0,
+            curvature_lower_bound=0.0,
+            lattice_basis=np.diag([1.0, 2.0]),
+            action=rot,
+            singular_points=(SingularPoint(4, True),),
+        )
+
+
+def test_torus_quotient_requires_the_symmetry_to_preserve_the_exact_form():
+    # The sixth turn is an integer matrix on the float hexagonal basis to
+    # 1e-9, but sqrt(3)/2 is not exact, so the exact dual form is not
+    # preserved and the model is refused when it is built.
+    hexagonal = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    with pytest.raises(DomainError, match="does not preserve the dual form"):
+        ModelOrbifold(
+            "hex-mod-6", 2, math.sqrt(3.0) / 12.0, 1.0, 0.0,
+            lattice_basis=hexagonal, action=OrthogonalAction(6, (1,)),
+        )
 
 
 def test_sphere_quotient_shape_errors():

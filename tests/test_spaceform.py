@@ -327,6 +327,20 @@ def test_space_form_validation():
         SpaceForm(2, math.nan)
 
 
+def test_newton_bracket_takes_the_midpoint_when_a_step_leaves_the_bracket():
+    # The first Newton step from 0.5 jumps past 0, outside [0, 0.5]; the
+    # next probe is the midpoint, and exact steps then close on 0.3.
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return x < 0.3, (0.3 - x) if len(probes) > 1 else -10.0
+
+    lo, hi = newton_bracket(probe, 0.0, 1.0, 0.5)
+    assert probes[1] == 0.25
+    assert lo < 0.3 <= hi and math.nextafter(lo, hi) == hi
+
+
 def test_newton_bracket_gives_up_after_its_probe_budget():
     # A probe that always reads "left" with a zero step walks one float at a
     # time, which cannot close [0, 1] in ROOT_MAX_PROBES probes.
