@@ -8,9 +8,13 @@ threshold caps the number of balls); an upper bound on every isotropy
 order (volume comparison of the orbifold against the curvature-model ball
 of diameter size); and an upper bound on the number of isolated singular
 points (singular points repel each other by a certified separation radius,
-so a packing argument counts them).  All constants are certified
-conservatively — strict inequalities with explicit margins — so the
-soundness argument survives floating point.
+so a packing argument counts them).  When kappa > 0 the diameter search
+counts below the flat Bessel threshold (j_(n/2-1,1) / r)^2 (n = 3 below its
+exact closed form): by Cheng's comparison between the model spaces it is
+at or above the kappa-model threshold, so the count stays sound and no
+Rayleigh-Ritz solve is needed (see diameter_bound).  All constants are
+certified conservatively — strict inequalities with explicit margins — so
+the soundness argument survives floating point.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .dirichlet import lowest_dirichlet_eigenvalue
+from .dirichlet import _check_ball, lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
@@ -76,17 +80,55 @@ class _TruncationSkip(DomainError):
     """The spectrum stops below the ball threshold of a radius, hence of every smaller one."""
 
 
+def _threshold_route(n: int, kappa: float) -> str:
+    """The ball threshold diameter_bound counts below at (n, kappa).
+
+    "n3-closed-form" (pi^2/r^2 - kappa) when n = 3 and kappa != 0;
+    otherwise "ritz" when kappa < 0 and "flat-bessel" ((j/r)^2, the flat
+    value) when kappa >= 0.
+    """
+    if n == 3 and kappa != 0.0:
+        return "n3-closed-form"
+    return "ritz" if kappa < 0 else "flat-bessel"
+
+
+# What the "rho" note adds, by route, when kappa > 0.
+_POSITIVE_THRESHOLD_NOTES = {
+    "flat-bessel": (
+        "; the threshold is the flat (j_(n/2-1,1) / r)^2, at or above the"
+        " kappa-model one by Cheng's comparison between the model spaces"
+    ),
+    "n3-closed-form": "; the threshold is the exact n = 3 closed form pi^2/r^2 - kappa",
+}
+
+
 def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[float, int]:
     """(D, rho): diameter bound from the eigenvalue count below the r-ball threshold.
 
     rho counts eigenvalues (with multiplicity) up to the threshold plus the
     relative tolerance 1e-9 * threshold; D = 2 r (rho + 1), clamped
-    to the Bonnet-Myers cap.  The threshold solve owns the domain: SpaceForm
+    to the Bonnet-Myers cap.  The threshold owns the domain: SpaceForm
     refuses a dimension that is not an integer >= 2 or a non-finite kappa,
     and the ball check refuses a radius that is not positive and finite or
     that exceeds (1 - 1e-9) pi/sqrt(kappa).
+
+    The threshold is the one _threshold_route names.  When kappa > 0 and
+    n != 3 it is the flat value (j_(n/2-1,1) / r)^2, not the curved one,
+    so no Ritz solve is made.  That is sound by Cheng's comparison applied
+    with the model spaces themselves as the manifold: the kappa-model has
+    Ric >= 0, so its r-ball's lowest Dirichlet eigenvalue lambda_kappa(r)
+    is at most the flat lambda_0(r) for every r < pi/sqrt(kappa), and
+    counting below the larger value can only raise rho, hence D.  The flat
+    value is rounded up exactly and strictly decreases in r, as
+    best_diameter_bound's pruning needs; the radius is still checked
+    against the real kappa's antipodal cap.  n = 3 keeps its exact closed
+    form, which needs no solve and is the tighter threshold.
     """
-    lam_thr = lambda_threshold(n, kappa, r)
+    sf = SpaceForm(n, kappa)
+    flat = sf.kappa > 0 and _threshold_route(sf.n, sf.kappa) == "flat-bessel"
+    if flat:
+        _check_ball(sf, r)
+    lam_thr = lambda_threshold(sf.n, 0.0 if flat else sf.kappa, r)
     tol = RHO_TOL_SCALE * lam_thr
     if spec.truncation < lam_thr + tol:
         raise _TruncationSkip(
@@ -536,6 +578,7 @@ def spectral_isotropy_bound(
             radii_in_grid=search.radii_in_grid,
             radii_solved=search.radii_solved,
             last_skip=search.last_skip,
+            threshold_route=_threshold_route(n, kappa),
         )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
         cap = isotropy_order_cap(n, kappa, d, v)
@@ -543,7 +586,8 @@ def spectral_isotropy_bound(
     notes = {
         "diameter": "smallest 2r(rho+1) over the radius grid"
         + (", clamped at the Bonnet-Myers cap" if kappa > 0 else ""),
-        "rho": f"eigenvalues counted up to (1 + {RHO_TOL_SCALE}) times the ball threshold",
+        "rho": f"eigenvalues counted up to (1 + {RHO_TOL_SCALE}) times the ball threshold"
+        + (_POSITIVE_THRESHOLD_NOTES[_threshold_route(n, kappa)] if kappa > 0 else ""),
         "isotropy_cap": "floor(ball_volume(D) / volume)",
         "volume": source,
     }

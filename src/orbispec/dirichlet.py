@@ -26,6 +26,10 @@ and the diameter bound needs its lowest eigenvalue never *under*-estimated
   rule the 6-point quotient sits at most about 4e-15 relative below (n in
   {2, 4, 5}, kappa r^2 from -36 to (0.999 pi)^2) and above it at the extreme
   keys tried (2.8e-8 at n = 10, kappa r^2 = -1600).
+
+The bound pipelines reach the Ritz route only when kappa < 0: at kappa > 0
+they count below the flat value, which bounds the curved one from above
+(see bounds.diameter_bound).  This module always returns the curved value.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -480,8 +480,16 @@ class ModelOrbifold:
 
 
 def model_catalog() -> list[ModelOrbifold]:
-    """Verification targets with exactly known spectra and geometry."""
-    eye2 = np.eye(2)
+    """Verification targets with exactly known spectra and geometry, in a fresh list."""
+    return list(_catalog())
+
+
+@lru_cache(maxsize=1)
+def _catalog() -> tuple[ModelOrbifold, ...]:
+    """The catalog records, built once: each torus reduces its lattice at
+    construction, so a rebuild per lookup costs far more than the lookup.
+    The records are frozen and share one read-only lattice basis."""
+    eye2 = _frozen(np.eye(2))
     cat = [ModelOrbifold("s2", 2, 4.0 * math.pi, math.pi, 1.0, description="unit round 2-sphere")]
     cat += [
         ModelOrbifold(
@@ -495,7 +503,7 @@ def model_catalog() -> list[ModelOrbifold]:
         )
         for k in (2, 3, 4, 6)
     ]
-    return cat + [
+    return tuple(cat) + (
         ModelOrbifold(
             "t2", 2, 1.0, 0.5 * math.sqrt(2.0), 0.0,
             lattice_basis=eye2,
@@ -536,12 +544,12 @@ def model_catalog() -> list[ModelOrbifold]:
                 "is attained for axis-aligned pairs"
             ),
         ),
-    ]
+    )
 
 
 def catalog_model(model_id: str) -> ModelOrbifold:
-    for model in model_catalog():
+    for model in _catalog():
         if model.model_id == model_id:
             return model
-    known = ", ".join(m.model_id for m in model_catalog())
+    known = ", ".join(m.model_id for m in _catalog())
     raise DomainError(f"unknown model {model_id!r}; catalog has: {known}")

@@ -24,6 +24,7 @@ from orbispec import (
     best_diameter_bound,
     bonnet_myers_cap,
     catalog_model,
+    counting_function,
     default_r_grid,
     diameter_bound,
     ell_constant,
@@ -40,7 +41,8 @@ from orbispec import (
     sphere_measure,
 )
 from orbispec import bounds as bounds_module
-from orbispec.bounds import DEFAULT_GRID_POINTS, SHRINK
+from orbispec import dirichlet
+from orbispec.bounds import DEFAULT_GRID_POINTS, RHO_TOL_SCALE, SHRINK
 from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from oracles import (
     exhaustive_diameter_bound,
@@ -49,6 +51,7 @@ from oracles import (
     hyperbolic_separation_radius,
     law_of_cosines_side,
     reference_ell_constant,
+    shooting_eigenvalue,
 )
 
 BESSEL_J01_SQ = 5.783185962946785
@@ -306,6 +309,123 @@ def test_diameter_stage_records_search_counts():
     again = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume, r_grid=grid)
     assert again.to_dict() == rep.to_dict()
     assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The flat threshold at kappa > 0: no Ritz solve, and the same certificates.
+
+
+def _ritz_spy(monkeypatch) -> list:
+    """Route every Ritz solve through a recorder; returns the list of its keys."""
+    keys = []
+    real = dirichlet._ritz_unit_ball
+
+    def record(n, kappa):
+        keys.append((n, kappa))
+        return real(n, kappa)
+
+    monkeypatch.setattr(dirichlet, "_ritz_unit_ball", record)
+    return keys
+
+
+def _diameter_stage(report) -> dict:
+    return next(s for s in report.stage_trace if s["stage"] == "diameter")["outputs"]
+
+
+def test_positive_curvature_pipelines_make_no_ritz_solve(monkeypatch, capsys):
+    from orbispec import cli
+
+    keys = _ritz_spy(monkeypatch)
+    assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    assert keys == []
+    spec = catalog_model("s2-mod-3").spectrum(10100.0)
+    for kappa in (1.0, 0.25):
+        rep = spectral_singular_point_bound(spec, kappa)
+        assert rep.source == "weyl-estimated" and rep.singular_cap is not None
+        assert _diameter_stage(rep)["threshold_route"] == "flat-bessel"
+    assert keys == []
+    # Below zero curvature the pipelines still reach the kernel.
+    rep = spectral_singular_point_bound(catalog_model("t2").spectrum(8000.0), -0.75)
+    assert _diameter_stage(rep)["threshold_route"] == "ritz"
+    assert len(keys) >= 1 and all(n == 2 and s < 0 for n, s in keys)
+
+
+@pytest.mark.parametrize(
+    "n, kappa, route",
+    [(2, 1.0, "flat-bessel"), (5, 0.25, "flat-bessel"), (2, 0.0, "flat-bessel"),
+     (4, -1.0, "ritz"), (3, 1.0, "n3-closed-form"), (3, -1.0, "n3-closed-form"),
+     (3, 0.0, "flat-bessel")],
+)
+def test_diameter_stage_names_the_threshold_route(n, kappa, route):
+    spec = Spectrum(((0.0, 1), (50.0, 3)), 1e6, n)
+    rep = spectral_isotropy_bound(spec, kappa, n=n, v=1.0, r_grid=[0.5])
+    assert _diameter_stage(rep)["threshold_route"] == route
+    threshold = {
+        "flat-bessel": lambda_threshold(n, 0.0, 0.5),
+        "n3-closed-form": (math.pi / 0.5) ** 2 - kappa,
+        "ritz": lambda_threshold(n, kappa, 0.5),
+    }[route]
+    assert rep.rho == counting_function(spec, threshold * (1 + RHO_TOL_SCALE))
+    named = "closed form" if route == "n3-closed-form" else "flat"
+    assert (named in rep.notes["rho"]) == (kappa > 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([2, 4, 5]),
+    st.floats(0.05, 4.0),
+    st.floats(1e-3, 0.99),
+)
+@example(2, 1.0, 0.99)
+@example(5, 4.0, 0.99)
+@example(4, 0.05, 1e-3)
+def test_flat_threshold_bounds_the_curved_one_from_above(n, kappa, u):
+    # Cheng's comparison between the model spaces: the kappa-model has
+    # Ric >= 0, so for kappa r^2 in (0, (0.99 pi)^2] its ball eigenvalue is
+    # at most the flat (j/r)^2 the pipelines count below.  It is read from
+    # the independent shooting oracle, since the Ritz value reads high near
+    # the cap; kappa r^2 starts near 1e-5, where the oracle's flat starting
+    # value still fits a float.
+    r = u * math.pi / math.sqrt(kappa)
+    try:
+        curved = shooting_eigenvalue(SpaceForm(n, kappa), r)
+    except ConvergenceError:
+        assume(False)
+    assert curved <= lambda_threshold(n, 0.0, r) * (1 + 1e-9)
+
+
+def _ritz_route_certificate(spec, kappa: float, n: int, v: float):
+    """(D, isotropy cap, singular cap) from a scan of the pipeline's grid that
+    counts below the curved lambda_threshold(n, kappa, r); ties favor large r."""
+    best = None
+    for r in default_r_grid(n, kappa, v):
+        lam = lambda_threshold(n, kappa, float(r))
+        if spec.truncation < lam * (1 + RHO_TOL_SCALE):
+            continue
+        rho = counting_function(spec, lam * (1 + RHO_TOL_SCALE))
+        d = min(2.0 * float(r) * (rho + 1), bonnet_myers_cap(kappa))
+        if best is None or d <= best:
+            best = d
+    return best, isotropy_order_cap(n, kappa, best, v), singular_point_cap(n, kappa, best, v)[0]
+
+
+SPHERE_FAMILY = ("s2", "s2-mod-2", "s2-mod-3", "s2-mod-4", "s2-mod-6")
+
+
+@pytest.mark.parametrize("model_id", SPHERE_FAMILY)
+@pytest.mark.parametrize("kappa", [1.0, 0.25])
+def test_flat_threshold_keeps_the_sphere_family_certificates(model_id, kappa):
+    model = catalog_model(model_id)
+    for truncation in VERIFY_TRUNCATIONS[(model.kind, 2)]:
+        spec = model.spectrum(truncation)
+        for v in (model.volume, None):
+            rep = spectral_singular_point_bound(spec, kappa, n=2, v=v)
+            assert _diameter_stage(rep)["threshold_route"] == "flat-bessel"
+            want = _ritz_route_certificate(spec, kappa, 2, rep.volume)
+            assert (rep.diameter_bound, rep.isotropy_cap, rep.singular_cap) == want, (
+                truncation, v,
+            )
 
 
 def test_isotropy_order_cap_exact_on_sphere_quotients():

@@ -306,10 +306,12 @@ def test_ritz_kernel_matches_reference_at_extreme_keys(n, s):
 def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
     # A nonzero LAPACK info must surface as a ConvergenceError naming the
     # key, never as garbage or an untyped LinAlgError, and the diameter
-    # search must drop that radius like any other unconverged one.
-    spec = catalog_model("s2-mod-3").spectrum(2000.0)
-    kappa, n = 1.0, 2
-    grid = np.geomspace(0.05, 0.999 * math.pi, 24)
+    # search must drop that radius like any other unconverged one.  The
+    # search reaches the Ritz kernel only when kappa < 0 (and n != 3), so
+    # the torus is taken at a loose negative curvature bound.
+    spec = catalog_model("t2").spectrum(2000.0)
+    kappa, n = -0.75, 2
+    grid = np.geomspace(0.05, 1.5, 24)
     _, r_win, _ = best_diameter_bound(spec, kappa, n, r_grid=grid)
 
     real_pbtrf = dirichlet._pbtrf
@@ -349,9 +351,12 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
 
 def test_ritz_iteration_budget(monkeypatch, capsys):
     # The steered shift converges in about 6 inverse iterations on the keys
-    # `orbispec verify` solves, and stays cheap at a large hyperbolic key in
-    # high dimension, where the safe McKean shift alone took 143.
+    # the library solves: the diameter searches at kappa < 0 (the only
+    # pipelines that reach the kernel) and `orbispec eig-ball` at kappa > 0.
+    # It stays cheap at a large hyperbolic key in high dimension, where the
+    # safe McKean shift alone took 143.
     from orbispec import cli
+    from orbispec.bounds import spectral_isotropy_bound
 
     keys = []
     real_ritz = dirichlet._ritz_unit_ball
@@ -361,10 +366,19 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
         return real_ritz(n, kappa)
 
     monkeypatch.setattr(dirichlet, "_ritz_unit_ball", record)
-    assert cli.main(["verify"]) == 0
+    for model_id in ("t2", "pillowcase", "t2-mod-4"):
+        model = catalog_model(model_id)
+        spec = model.spectrum(8000.0)
+        spectral_isotropy_bound(spec, -0.75, n=2, v=model.volume)
+        spectral_isotropy_bound(spec, -0.75)
+    searched = len(keys)
+    for n, kappa, r in ((2, 1.0, 1.5), (4, 1.0, 2.0), (5, 0.25, 3.0), (2, 4.0, 1.2)):
+        argv = ["eig-ball", "--n", str(n), "--kappa", str(kappa), "--r", str(r)]
+        assert cli.main(argv) == 0
     capsys.readouterr()
     monkeypatch.setattr(dirichlet, "_ritz_unit_ball", real_ritz)
-    assert len(keys) >= 20
+    assert searched >= 20 and len(keys) == searched + 4
+    assert all(s < 0 for _, s in keys[:searched]) and all(s > 0 for _, s in keys[searched:])
 
     # One banded solve per inverse iteration.
     calls = [0]

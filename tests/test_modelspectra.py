@@ -680,6 +680,37 @@ def test_model_validation():
         ModelOrbifold("x", 3, 1.0, 1.0, 0.0, lattice_basis=np.eye(2))
 
 
+def test_catalog_is_built_once_and_handed_out_in_fresh_lists(monkeypatch):
+    # Each torus record reduces its lattice at construction, so the catalog
+    # is built once; lookups after that construct no record.
+    model_catalog()
+    built = []
+    real_init = ModelOrbifold.__post_init__
+
+    def counted(self):
+        built.append(self.model_id)
+        real_init(self)
+
+    monkeypatch.setattr(ModelOrbifold, "__post_init__", counted)
+    first = catalog_model("t2-mod-4")
+    assert catalog_model("t2-mod-4") is first
+    ids = [m.model_id for m in model_catalog()]
+    assert built == []
+    # The list is the caller's: emptying or refilling it leaves the catalog,
+    # and the records' shared lattice basis cannot be written to.
+    cat = model_catalog()
+    assert cat is not model_catalog()
+    cat.clear()
+    cat.append(ModelOrbifold("x", 2, 1.0, 1.0, 0.0))
+    assert [m.model_id for m in model_catalog()] == ids
+    assert catalog_model("t2-mod-4") is first
+    with pytest.raises(DomainError, match="unknown model 'x'"):
+        catalog_model("x")
+    with pytest.raises(ValueError):
+        first.lattice_basis[0, 0] = 2.0
+    assert built == ["x"]
+
+
 def test_catalog_ground_truth():
     cat = model_catalog()
     ids = [m.model_id for m in cat]
