@@ -8,19 +8,20 @@ threshold caps the number of balls); an upper bound on every isotropy
 order (volume comparison of the orbifold against the curvature-model ball
 of diameter size); and an upper bound on the number of isolated singular
 points (singular points repel each other by a certified separation radius,
-so a packing argument counts them).  When kappa > 0 the diameter search
-counts below the flat Bessel threshold (j_(n/2-1,1) / r)^2 (n = 3 below its
-exact closed form): by Cheng's comparison between the model spaces it is
-at or above the kappa-model threshold, so the count stays sound and no
-Rayleigh-Ritz solve is needed (see diameter_bound).  All constants are
-certified conservatively — strict inequalities with explicit margins — so
-the soundness argument survives floating point.
+so a packing argument counts them).  By Cheng's comparison between the
+model spaces the flat Bessel threshold (j_(n/2-1,1) / r)^2 is at or above
+the kappa-model one when kappa > 0, so the diameter search counts below it
+(n = 3 below its exact closed form) with no Rayleigh-Ritz solve (see
+diameter_bound), and at or below it when kappa < 0, so the search screens
+the radius grid with it and solves only radii that can still win (see
+best_diameter_bound).  All constants are certified conservatively — strict
+inequalities with explicit margins — so the soundness argument survives
+floating point.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import numbers
 import struct
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .dirichlet import _check_ball, lowest_dirichlet_eigenvalue
+from .dirichlet import CAP_SHRINK, _check_ball, _closed_form, lowest_dirichlet_eigenvalue
 from .errors import CertificationError, ConvergenceError, DomainError, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
@@ -76,8 +77,10 @@ def spectrum_content_id(spec: Spectrum) -> str:
     return digest.hexdigest()[:16]
 
 
-class _TruncationSkip(DomainError):
-    """The spectrum stops below the ball threshold of a radius, hence of every smaller one."""
+def _truncation_reason(spec: Spectrum, threshold: float, bound: str = "the ball threshold") -> str:
+    """Why a radius whose threshold, or the named bound on it, tops the truncation is skipped."""
+    return (f"spectrum truncation {spec.truncation:.9g} is below {bound} {threshold:.9g}; "
+            "the eigenvalue count there cannot be certified")
 
 
 def _threshold_route(n: int, kappa: float) -> str:
@@ -118,11 +121,10 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     with the model spaces themselves as the manifold: the kappa-model has
     Ric >= 0, so its r-ball's lowest Dirichlet eigenvalue lambda_kappa(r)
     is at most the flat lambda_0(r) for every r < pi/sqrt(kappa), and
-    counting below the larger value can only raise rho, hence D.  The flat
-    value is rounded up exactly and strictly decreases in r, as
-    best_diameter_bound's pruning needs; the radius is still checked
-    against the real kappa's antipodal cap.  n = 3 keeps its exact closed
-    form, which needs no solve and is the tighter threshold.
+    counting below the larger value can only raise rho, hence D.  The
+    radius is still checked against the real kappa's antipodal cap.  n = 3
+    keeps its exact closed form, which needs no solve and is the tighter
+    threshold.
     """
     sf = SpaceForm(n, kappa)
     flat = sf.kappa > 0 and _threshold_route(sf.n, sf.kappa) == "flat-bessel"
@@ -131,10 +133,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     lam_thr = lambda_threshold(sf.n, 0.0 if flat else sf.kappa, r)
     tol = RHO_TOL_SCALE * lam_thr
     if spec.truncation < lam_thr + tol:
-        raise _TruncationSkip(
-            f"spectrum truncation {spec.truncation:.9g} is below the ball threshold "
-            f"{lam_thr:.9g}; the eigenvalue count there cannot be certified"
-        )
+        raise DomainError(_truncation_reason(spec, lam_thr))
     rho = counting_function(spec, lam_thr + tol)
     return min(2.0 * r * (rho + 1), bonnet_myers_cap(kappa)), rho
 
@@ -153,8 +152,8 @@ class DiameterSearch(tuple):
 
     Unpacks and compares as the plain triple.  radii_in_grid is the grid
     length, radii_solved the number of radii passed to diameter_bound, and
-    last_skip the reason the largest skipped radius was dropped (None when no
-    solved radius was skipped).
+    last_skip the reason the largest skipped radius was dropped, by the
+    screen or by diameter_bound (None when no radius was skipped).
     """
 
     def __new__(cls, best, radii_in_grid: int, radii_solved: int, last_skip: str | None):
@@ -172,73 +171,71 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     fall outside the curvature domain, or whose threshold solve does not
     converge are skipped; dropping a radius can only loosen the bound.
 
-    The result is the minimum over every grid radius, but only radii that
-    can still win are solved.  The ball threshold strictly decreases in r
-    (domain monotonicity of the Dirichlet eigenvalue), so rho never grows
-    with r.  Hence a radius left of one whose threshold tops the truncation
-    is skipped too, and left of a certified radius b every radius r has
-    D(r) >= min(2 r (rho_b + 1), cap), with cap = bonnet_myers_cap(kappa).
-    The unsolved radii between solved ones form runs, kept in a
-    heap keyed by the bound at each run's left end from the rho of the
-    nearest certified radius to its right (0 if none).  The run with the
-    lowest bound is popped and split at its midpoint; a popped run is
-    dropped instead once it lies left of the first admissible radius, or
-    once its bound exceeds the best D, or ties it and the run ends left of
-    the best radius.  The first probes thus bisect toward the first
-    admissible radius.  Of tying radii the largest wins: it has the
-    smallest rho, so the bound rests on the fewest eigenvalues, and when
-    kappa > 0 clamps every D to the cap, no solve is spent bisecting toward
-    a smaller tying radius.  The returned triple is always an actual
-    diameter_bound evaluation, so soundness does not rest on the pruning.
-    A dimension or curvature outside SpaceForm's domain would fail every
-    radius alike, so it is refused before the search.
+    A screen gives every radius, in one array pass, a closed-form threshold
+    at or below diameter_bound's: the route's own, bit for bit, on the
+    closed-form routes, and the flat (j_(n/2-1,1) / r)^2 on the Ritz route
+    (kappa < 0), by Cheng's comparison with flat space as the manifold
+    (Ric = 0 >= (n-1) kappa; the Ritz value lies above the curved one).
+    Counting below it gives D_low = min(2 r (rho_low + 1), cap) <= D(r).
+    It refuses only radii diameter_bound refuses too.  A walk then calls
+    diameter_bound in ascending (D_low, -index) order until the next key
+    cannot beat the best (D, -index): the full scan's result, from one call
+    on the closed-form routes.  Of tying radii the largest wins: it has the
+    smallest rho, so the bound rests on the fewest eigenvalues.  The result
+    is always an actual diameter_bound evaluation, so soundness does not
+    rest on the screen.  A dimension or curvature outside SpaceForm's
+    domain would fail every radius alike, so it is refused before the
+    search.
     """
-    n = SpaceForm(n, kappa).n
-    radii = [float(r) for r in np.sort(np.asarray(r_grid, dtype=float))]
-    if not radii:
+    sf = SpaceForm(n, kappa)
+    n = sf.n
+    radii = np.sort(np.asarray(r_grid, dtype=float))
+    if not radii.size:
         raise DomainError("the radius grid is empty")
     cap = bonnet_myers_cap(kappa)
-    certified: dict[int, tuple[float, int]] = {}
+    route = _threshold_route(n, sf.kappa)
+    inside = (radii > 0.0) & (radii < math.inf) & (radii <= CAP_SHRINK * cap)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = _closed_form(n, sf.kappa if route == "n3-closed-form" else 0.0, radii)
+        top = lam + RHO_TOL_SCALE * lam
+        rho_low = np.append(0, spec.cumulative_counts)[np.searchsorted(spec.values, top, "right")]
+        d_low = np.minimum(2.0 * radii * (rho_low + 1), cap).tolist()
+    admissible = inside & (top <= spec.truncation)
+    walk = sorted(np.flatnonzero(admissible).tolist(), key=lambda i: (d_low[i], -i))
+    best = (math.inf, 1, 0)  # (D, -i, rho) of the winner: lowest D, then largest index
     skipped: dict[int, str] = {}
-    lo = 0  # every radius left of lo tops the truncation
-    best = (math.inf, 1)  # (D, -i) of the winner: lowest D, then largest index
-    runs: list[tuple[float, int, int, int]] = []  # (bound, start, end, rho_right)
-
-    def push(start: int, end: int, rho_right: int) -> None:
-        if start < end:
-            bound = min(2.0 * radii[start] * (rho_right + 1), cap)
-            heapq.heappush(runs, (bound, start, end, rho_right))
-
-    push(0, len(radii), 0)
-    while runs:
-        bound, start, end, rho_right = heapq.heappop(runs)
-        # A tie can win only at the run's right end.
-        if start < lo or (bound, 1 - end) >= best:
-            continue
-        i = (start + end) // 2
+    solved = 0
+    for i in walk:
+        if (d_low[i], -i) >= best[:2]:
+            break
+        solved += 1
         try:
-            d, rho = diameter_bound(spec, kappa, n, radii[i])
+            d, rho = diameter_bound(spec, kappa, n, float(radii[i]))
         except (DomainError, ConvergenceError) as exc:
             skipped[i] = str(exc)
-            if isinstance(exc, _TruncationSkip):
-                lo = i + 1
-            rho = rho_right
         else:
-            certified[i] = (d, rho)
-            best = min(best, (d, -i))
-        push(start, i, rho)
-        push(i + 1, end, rho_right)
-    if not certified:
-        # Nothing certified, so every radius from lo on was solved, the last included.
-        raise CertificationError(
-            "diameter",
-            f"no admissible radius in the grid; last failure: {skipped[len(radii) - 1]}",
-        )
-    d, rho = certified[-best[1]]
+            best = min(best, (d, -i, rho))
+    if best[1] == 1:  # nothing certified: the largest radius's failure is the full scan's last
+        try:
+            diameter_bound(spec, kappa, n, float(radii[-1]))
+        except (DomainError, ConvergenceError) as exc:
+            raise CertificationError(
+                "diameter", f"no admissible radius in the grid; last failure: {exc}"
+            ) from None
+    refused = np.flatnonzero(~admissible)
+    if refused.size and refused[-1] > max(skipped, default=-1):
+        i = int(refused[-1])  # the screen's reason, with no solve
+        try:
+            _check_ball(sf, float(radii[i]))
+            bound = "the ball threshold" + ("'s flat lower bound" if route == "ritz" else "")
+            skipped[i] = _truncation_reason(spec, float(lam[i]), bound)
+        except DomainError as exc:
+            skipped[i] = str(exc)
+    d, neg_i, rho = best
     return DiameterSearch(
-        (d, radii[-best[1]], rho),
-        radii_in_grid=len(radii),
-        radii_solved=len(certified) + len(skipped),
+        (d, float(radii[-neg_i]), rho),
+        radii_in_grid=radii.size,
+        radii_solved=solved,
         last_skip=skipped[max(skipped)] if skipped else None,
     )
 

@@ -29,7 +29,9 @@ and the diameter bound needs its lowest eigenvalue never *under*-estimated
 
 The bound pipelines reach the Ritz route only when kappa < 0: at kappa > 0
 they count below the flat value, which bounds the curved one from above
-(see bounds.diameter_bound).  This module always returns the curved value.
+(see bounds.diameter_bound), and at kappa < 0 the flat value, a lower
+bound there, screens out the radii that cannot win (see
+bounds.best_diameter_bound).  This module always returns the curved value.
 """
 
 from __future__ import annotations
@@ -156,6 +158,18 @@ def _first_bessel_zero(n: int) -> float:
     return newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
 
 
+def _closed_form(n: int, kappa: float, r):
+    """The exact threshold where one exists: (j_(n/2-1,1) / r)^2 when kappa = 0
+    and pi^2/r^2 - kappa when n = 3 (callers pick the route).
+
+    r is a float or an array of radii.  The square is a product, correctly
+    rounded for both, so a value over an array agrees bit for bit with the
+    value at each of its radii.
+    """
+    q = (_first_bessel_zero(n) if kappa == 0.0 else math.pi) / r
+    return q * q - kappa
+
+
 def _assemble_bands(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mass and stiffness matrices in upper banded form (3 rows each).
 
@@ -265,10 +279,8 @@ def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float) -> float:
     r = _check_ball(sf, r)
     n, kappa = sf.n, sf.kappa
     try:
-        if kappa == 0.0:
-            lam = (_first_bessel_zero(n) / r) ** 2
-        elif n == 3:
-            lam = (math.pi / r) ** 2 - kappa
+        if kappa == 0.0 or n == 3:
+            lam = _closed_form(n, kappa, r)
         else:
             lam = _ritz_unit_ball(n, kappa * r * r) / (r * r)
     except (OverflowError, ZeroDivisionError):

@@ -110,7 +110,12 @@ def shooting_eigenvalue(sf: SpaceForm, r: float) -> float:
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"ball radius must be positive and finite, got {r!r}")
     # Start the bracket at the flat-ball value (j_(n/2-1,1) / r)^2.
-    lam = (_first_bessel_zero(sf.n) / r) ** 2
+    try:
+        lam = (_first_bessel_zero(sf.n) / r) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"the flat starting value at r = {r!r}, kappa = {sf.kappa!r} overflows"
+        ) from None
     crossings, _ = _shoot(sf, lam, r)
     lo = hi = None
     if crossings == 0:
@@ -538,9 +543,10 @@ def exhaustive_diameter_bound(
 ) -> tuple[float, float, int]:
     """(D*, r*, rho*) by solving every grid radius in increasing order; ties favor large r.
 
-    The package prunes this scan by threshold monotonicity and must return
-    the same triple.  Radii are certified through the package's module-level
-    diameter_bound, so a monkeypatched threshold reaches both routes.
+    The package screens the grid with closed-form lower bounds on each
+    radius's D and walks it best first, and must return the same triple.
+    Radii are certified through the package's module-level diameter_bound,
+    so a monkeypatched threshold reaches both routes.
     """
     best = None
     last_reason = "empty grid"

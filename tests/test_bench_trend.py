@@ -24,6 +24,18 @@ def test_library_size_reads_the_given_tree(tmp_path):
     assert _bench_trend().library_size(tmp_path) == {"lines": 6, "public_names": 3}
 
 
+def test_cli_wall_alternates_the_sides(tmp_path, monkeypatch):
+    # Each repeat runs both sides, and the side that goes first alternates,
+    # so a drift in the machine's speed cannot read as a change.
+    bench_trend = _bench_trend()
+    sides = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    ran = []
+    monkeypatch.setattr(bench_trend.subprocess, "run", lambda cmd, cwd, **kw: ran.append(cwd))
+    walls = bench_trend.cli_wall(sides, ["verify", "--quick"])
+    change, parent, repeats = sides["change"], sides["parent"], bench_trend.CLI_REPEATS
+    turns = [change, parent, parent, change] * (repeats // 2) + [change, parent] * (repeats % 2)
+    assert ran == turns
+    assert set(walls) == set(sides)
 
 def test_tree_commit_marks_an_uncommitted_tree(tmp_path):
     def git(*args):

@@ -269,26 +269,56 @@ def test_best_diameter_bound_without_admissible_radius_names_the_largest():
 
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
 def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
-    # The 64-point default grid at both verify truncations: the pruned search
-    # solves at most 20 thresholds and still returns the full scan's triple.
+    # The 64-point default grid at both verify truncations and the exact
+    # kappa, where every catalog model takes a closed-form route: the screen
+    # computes the threshold itself, so the walk's one diameter_bound call
+    # returns the full scan's triple.
     model = catalog_model(model_id)
     n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
+    assert bounds_module._threshold_route(n, kappa) != "ritz"
     grid = default_r_grid(n, kappa, v)
     assert len(grid) == 64
-    real = bounds_module.lambda_threshold
+    real = bounds_module.diameter_bound
     calls = []
 
-    def counted(n, k, r):
-        calls.append(r)
-        return real(n, k, r)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(bounds_module, "lambda_threshold", counted)
+    monkeypatch.setattr(bounds_module, "diameter_bound", counted)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
         spec = model.spectrum(truncation)
         calls.clear()
         search = best_diameter_bound(spec, kappa, n, r_grid=grid)
-        assert len(calls) <= 20, (truncation, len(calls))
-        assert search.radii_in_grid == 64 and search.radii_solved == len(calls)
+        assert len(calls) == 1 and search.radii_solved == 1, (truncation, len(calls))
+        assert search.radii_in_grid == 64
+        assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
+
+
+@pytest.mark.parametrize("model_id", ["t2", "pillowcase", "t2-mod-4"])
+def test_ritz_route_search_solves_few_radii(model_id, monkeypatch):
+    # At kappa = -0.75 the tori take the Ritz route.  The flat screen, a
+    # lower bound on every threshold, ranks the default grid so that a
+    # search makes at most 3 Ritz solves and still returns the full scan's
+    # triple.
+    model = catalog_model(model_id)
+    n, kappa = model.dimension, -0.75
+    grid = default_r_grid(n, kappa, model.volume)
+    real = dirichlet._ritz_unit_ball
+    solves = []
+
+    def counted(n, s):
+        solves.append(s)
+        return real(n, s)
+
+    monkeypatch.setattr(dirichlet, "_ritz_unit_ball", counted)
+    for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
+        spec = model.spectrum(truncation)
+        solves.clear()
+        search = best_diameter_bound(spec, kappa, n, r_grid=grid)
+        assert len(solves) == search.radii_solved <= 3, (truncation, len(solves))
+        # The smallest radii top the truncation; the screen names its flat bound.
+        assert "below the ball threshold's flat lower bound" in search.last_skip
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
 
 
@@ -393,6 +423,25 @@ def test_flat_threshold_bounds_the_curved_one_from_above(n, kappa, u):
     except ConvergenceError:
         assume(False)
     assert curved <= lambda_threshold(n, 0.0, r) * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 4, 5]),
+    st.floats(-9.0, math.log10(4.0)),
+    st.floats(-3.0, 1.0),
+)
+@example(2, -9.0, -3.0)
+@example(5, math.log10(4.0), 1.0)
+@example(4, -3.0, 0.0)
+def test_flat_threshold_bounds_the_curved_one_from_below(n, log_abs_kappa, log_r):
+    # Cheng's comparison with flat space as the manifold: Ric = 0 >=
+    # (n-1) kappa when kappa < 0, so the flat (j/r)^2 is at most the
+    # kappa-model eigenvalue, which the Ritz value bounds from above.  The
+    # diameter search screens Ritz-route radii with the flat float, so it
+    # must stay at or below the Ritz float, kappa r^2 from -1e-15 to -400.
+    kappa, r = -(10.0**log_abs_kappa), 10.0**log_r
+    assert lambda_threshold(n, 0.0, r) <= lambda_threshold(n, kappa, r)
 
 
 def _ritz_route_certificate(spec, kappa: float, n: int, v: float):

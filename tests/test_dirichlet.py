@@ -141,6 +141,13 @@ def test_domain_errors():
             lowest_dirichlet_eigenvalue(SpaceForm(n, kappa), 1e-170)
 
 
+def test_shooting_oracle_refuses_an_overflowing_start():
+    # The flat starting value (j/r)^2 past every float is a DomainError that
+    # names the key, as the library's threshold refuses it.
+    with pytest.raises(DomainError, match=r"r = 1\.27e-261, kappa = 1\.0 overflows"):
+        shooting_eigenvalue(SpaceForm(2, 1.0), 1.27e-261)
+
+
 def test_event_location_failure_is_a_convergence_error():
     # the shooting oracle still fails here; the library's n = 3 closed form does not
     kappa, r = EVENT_FAILURE_KEY
@@ -351,12 +358,13 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
 
 def test_ritz_iteration_budget(monkeypatch, capsys):
     # The steered shift converges in about 6 inverse iterations on the keys
-    # the library solves: the diameter searches at kappa < 0 (the only
-    # pipelines that reach the kernel) and `orbispec eig-ball` at kappa > 0.
+    # the library solves: the thresholds across the default radius grids at
+    # kappa < 0 (the only pipelines that reach the kernel; their searches
+    # solve about one of them each) and `orbispec eig-ball` at kappa > 0.
     # It stays cheap at a large hyperbolic key in high dimension, where the
     # safe McKean shift alone took 143.
     from orbispec import cli
-    from orbispec.bounds import spectral_isotropy_bound
+    from orbispec.bounds import default_r_grid
 
     keys = []
     real_ritz = dirichlet._ritz_unit_ball
@@ -368,9 +376,8 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
     monkeypatch.setattr(dirichlet, "_ritz_unit_ball", record)
     for model_id in ("t2", "pillowcase", "t2-mod-4"):
         model = catalog_model(model_id)
-        spec = model.spectrum(8000.0)
-        spectral_isotropy_bound(spec, -0.75, n=2, v=model.volume)
-        spectral_isotropy_bound(spec, -0.75)
+        for r in default_r_grid(2, -0.75, model.volume):
+            lambda_threshold(2, -0.75, r)
     searched = len(keys)
     for n, kappa, r in ((2, 1.0, 1.5), (4, 1.0, 2.0), (5, 0.25, 3.0), (2, 4.0, 1.2)):
         argv = ["eig-ball", "--n", str(n), "--kappa", str(kappa), "--r", str(r)]

@@ -12,7 +12,8 @@ every workload for the ``run_seconds`` that BENCHMARK.json fixes:
 change alternating and the side that goes first alternating too, then one
 traced run for the per-layer numbers.  It also times
 ``orbispec verify`` and ``orbispec verify --quick`` in fresh interpreters
-(wall seconds, median of CLI_REPEATS), reads the library's size (lines in
+(wall seconds, median of CLI_REPEATS, the two sides taking turns in
+each repeat), reads the library's size (lines in
 ``src/orbispec/*.py`` and the length of ``orbispec.__all__``, the names from
 a fresh interpreter on the side's tree), and runs the tier-1 pytest suite
 once in the side's tree (wall seconds and pytest's summary line; bytecode
@@ -112,18 +113,24 @@ def _env(root: Path) -> dict:
     return env
 
 
-def cli_wall(root: Path, args: list[str]) -> float:
-    """Median wall seconds of `orbispec <args>` in a fresh interpreter."""
-    env = _env(root)
-    times = []
-    for _ in range(CLI_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-c", CLI_PROGRAM, *args], cwd=root, env=env,
-            stdout=subprocess.DEVNULL, check=True, timeout=RUN_TIMEOUT_S,
-        )
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, float]:
+    """Per side, median wall seconds of `orbispec <args>` in a fresh interpreter.
+
+    The sides take turns within each repeat, and the side that goes first
+    alternates, so a drift in the machine's speed reaches both alike.
+    """
+    names = list(sides)
+    times: dict[str, list[float]] = {side: [] for side in names}
+    for i in range(CLI_REPEATS):
+        for side in names if i % 2 == 0 else names[::-1]:
+            t0 = time.perf_counter()
+            subprocess.run(
+                [sys.executable, "-c", CLI_PROGRAM, *args], cwd=sides[side],
+                env=_env(sides[side]), stdout=subprocess.DEVNULL, check=True,
+                timeout=RUN_TIMEOUT_S,
+            )
+            times[side].append(time.perf_counter() - t0)
+    return {side: statistics.median(t) for side, t in times.items()}
 
 
 def library_size(root: Path) -> dict:
@@ -176,6 +183,7 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
                 runs[side][workload].append(
                     perfbench(sides[side], workload, args.seed, SECONDS, trace=0)
                 )
+    cli = {cmd: cli_wall(sides, cmd.split()) for cmd in ("verify", "verify --quick")}
     out = {}
     for side, root in sides.items():
         workloads = {}
@@ -197,10 +205,7 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
         out[side] = {
             "source_sha256": plain[0]["meta"]["source_sha256"],
             "workloads": workloads,
-            "cli_wall_s": {
-                "verify": cli_wall(root, ["verify"]),
-                "verify --quick": cli_wall(root, ["verify", "--quick"]),
-            },
+            "cli_wall_s": {cmd: walls[side] for cmd, walls in cli.items()},
             "library": library_size(root),
             "pytest": pytest_wall(root, scratch / f"pycache-{side}"),
         }
