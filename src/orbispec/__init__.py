@@ -18,7 +18,6 @@ from .bounds import (
     diameter_bound,
     ell_constant,
     isotropy_order_cap,
-    lambda_threshold,
     packing_bound,
     r_constant,
     singular_point_cap,
@@ -69,8 +68,8 @@ __all__ = [
     # weyl
     "WeylFit", "estimate_dimension", "estimate_volume", "weyl_fit",
     # bounds
-    "lambda_threshold", "spectrum_content_id", "diameter_bound", "default_r_grid",
-    "best_diameter_bound", "isotropy_order_cap", "alpha_constant", "ell_constant",
-    "r_constant", "packing_bound", "singular_point_cap",
+    "spectrum_content_id", "diameter_bound", "default_r_grid", "best_diameter_bound",
+    "isotropy_order_cap", "alpha_constant", "ell_constant", "r_constant", "packing_bound",
+    "singular_point_cap",
     "BoundReport", "spectral_isotropy_bound", "spectral_singular_point_bound",
 ]

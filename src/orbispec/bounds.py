@@ -8,15 +8,15 @@ threshold caps the number of balls); an upper bound on every isotropy
 order (volume comparison of the orbifold against the curvature-model ball
 of diameter size); and an upper bound on the number of isolated singular
 points (singular points repel each other by a certified separation radius,
-so a packing argument counts them).  By Cheng's comparison between the
-model spaces the flat Bessel threshold (j_(n/2-1,1) / r)^2 is at or above
-the kappa-model one when kappa > 0, so the diameter search counts below it
-(n = 3 below its exact closed form) with no Rayleigh-Ritz solve (see
-diameter_bound), and at or below it when kappa < 0, so the search screens
-the radius grid with it and solves only radii that can still win (see
-best_diameter_bound).  All constants are certified conservatively — strict
-inequalities with explicit margins — so the soundness argument survives
-floating point.
+so a packing argument counts them).  The diameter bound counts below a
+closed-form upper bound on the model ball's lowest Dirichlet eigenvalue at
+every curvature, with no Rayleigh-Ritz solve: the flat Bessel value when
+kappa > 0 (Cheng's comparison between the model spaces), the exact forms
+at kappa = 0 and n = 3, and a Liouville trial-function bound when
+kappa < 0 (proofs in diameter_bound).  So the search over a radius grid is
+one array pass (see best_diameter_bound).  All constants are certified
+conservatively — strict inequalities with explicit margins — so the
+soundness argument survives floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .dirichlet import CAP_SHRINK, _check_ball, _closed_form, lowest_dirichlet_eigenvalue
+from .dirichlet import CAP_SHRINK, _ball_threshold, _check_ball, _refuse_overflow
 from .errors import CertificationError, ConvergenceError, DomainError, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
@@ -58,11 +58,6 @@ DEFAULT_GRID_POINTS = 64
 CAP_GRID_FRACTION = 0.999
 
 
-def lambda_threshold(n: int, kappa: float, r: float) -> float:
-    """Lowest Dirichlet eigenvalue of the r-ball in the curvature model, never below it."""
-    return lowest_dirichlet_eigenvalue(SpaceForm(n, kappa), r)
-
-
 def spectrum_content_id(spec: Spectrum) -> str:
     """Content-addressed id: identical spectra give identical reports.
 
@@ -77,64 +72,87 @@ def spectrum_content_id(spec: Spectrum) -> str:
     return digest.hexdigest()[:16]
 
 
-def _truncation_reason(spec: Spectrum, threshold: float, bound: str = "the ball threshold") -> str:
-    """Why a radius whose threshold, or the named bound on it, tops the truncation is skipped."""
-    return (f"spectrum truncation {spec.truncation:.9g} is below {bound} {threshold:.9g}; "
-            "the eigenvalue count there cannot be certified")
-
-
-def _threshold_route(n: int, kappa: float) -> str:
-    """The ball threshold diameter_bound counts below at (n, kappa).
-
-    "n3-closed-form" (pi^2/r^2 - kappa) when n = 3 and kappa != 0;
-    otherwise "ritz" when kappa < 0 and "flat-bessel" ((j/r)^2, the flat
-    value) when kappa >= 0.
-    """
-    if n == 3 and kappa != 0.0:
-        return "n3-closed-form"
-    return "ritz" if kappa < 0 else "flat-bessel"
-
-
-# What the "rho" note adds, by route, when kappa > 0.
-_POSITIVE_THRESHOLD_NOTES = {
-    "flat-bessel": (
-        "; the threshold is the flat (j_(n/2-1,1) / r)^2, at or above the"
-        " kappa-model one by Cheng's comparison between the model spaces"
-    ),
-    "n3-closed-form": "; the threshold is the exact n = 3 closed form pi^2/r^2 - kappa",
+# The ball threshold of each route, for the "rho" note.
+_THRESHOLD_NOTES = {
+    "flat-bessel": "the flat (j_(n/2-1,1) / r)^2, exact at kappa = 0 and at or above the"
+    " kappa-model one when kappa > 0 by Cheng's comparison between the model spaces",
+    "n3-closed-form": "the exact n = 3 closed form pi^2/r^2 - kappa",
+    "liouville": "the Liouville bound (j_(n/2-1,1) / r)^2 + c_n |kappa| on the kappa-model one",
 }
 
 
 def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[float, int]:
     """(D, rho): diameter bound from the eigenvalue count below the r-ball threshold.
 
-    rho counts eigenvalues (with multiplicity) up to the threshold plus the
-    relative tolerance 1e-9 * threshold; D = 2 r (rho + 1), clamped
-    to the Bonnet-Myers cap.  The threshold owns the domain: SpaceForm
-    refuses a dimension that is not an integer >= 2 or a non-finite kappa,
-    and the ball check refuses a radius that is not positive and finite or
-    that exceeds (1 - 1e-9) pi/sqrt(kappa).
+    rho counts eigenvalues (with multiplicity) up to the threshold Lambda(r)
+    plus the relative tolerance 1e-9 * Lambda(r); D = 2 r (rho + 1),
+    clamped to the Bonnet-Myers cap.  SpaceForm refuses a dimension that is
+    not an integer >= 2 or a non-finite kappa, and the ball check a radius
+    that is not positive and finite or that exceeds (1 - 1e-9)
+    pi/sqrt(kappa); a threshold past every float or above the truncation is
+    refused too.
 
-    The threshold is the one _threshold_route names.  When kappa > 0 and
-    n != 3 it is the flat value (j_(n/2-1,1) / r)^2, not the curved one,
-    so no Ritz solve is made.  That is sound by Cheng's comparison applied
-    with the model spaces themselves as the manifold: the kappa-model has
-    Ric >= 0, so its r-ball's lowest Dirichlet eigenvalue lambda_kappa(r)
-    is at most the flat lambda_0(r) for every r < pi/sqrt(kappa), and
-    counting below the larger value can only raise rho, hence D.  The
-    radius is still checked against the real kappa's antipodal cap.  n = 3
-    keeps its exact closed form, which needs no solve and is the tighter
-    threshold.
+    Cheng's comparison needs Lambda(r) only at or above lambda_kappa(r),
+    the lowest Dirichlet eigenvalue of the r-ball in the kappa-model:
+    counting below a larger value can only raise rho, hence D.  Lambda is
+    dirichlet._ball_threshold, a closed form on each route (lambda_0(r) =
+    (j_(n/2-1,1) / r)^2 is the flat value):
+
+    * "flat-bessel" (kappa = 0, and kappa > 0 with n != 3): lambda_0(r),
+      exact at kappa = 0.  When kappa > 0 this is Cheng's comparison with
+      the kappa-model itself as the manifold: it has Ric >= 0, so
+      lambda_kappa(r) <= lambda_0(r) for every r < pi/sqrt(kappa).
+    * "n3-closed-form" (n = 3, kappa != 0): pi^2/r^2 - kappa, exact.
+    * "liouville" (kappa < 0, n != 3): lambda_0(r) + c_n |kappa|, with
+      c_2 = 1/3 and c_n = (n-1)^2/4 for n >= 4.  The n = 3 form is the
+      case c_3 = 1, where the bound below is exact.
+
+    Proof of the Liouville bound.  Let a = (n-1)/2, s = sqrt|kappa|,
+    sn(t) = sinh(s t)/s and x = s t.  A radial f with f(r) = 0 has Rayleigh
+    quotient RQ(f) = int sn^(n-1) f'^2 / int sn^(n-1) f^2 over [0, r].  Let
+    f0 be the flat ground state on [0, r] (weight t^(n-1), quotient
+    lambda_0(r)), g = t^a f0, and take the trial function
+    f = g / sn^a = f0 (x / sinh x)^a: smooth, radial, zero at r.  For
+    u = sn^a f, f' = (u' - h u) / sn^a with h = (sn^a)'/sn^a; integrating
+    -2 h u u' by parts on [eps, r] gives the Liouville identity
+
+        int sn^(n-1) f'^2 = int (u'^2 + Q u^2) + h(eps) u(eps)^2,
+        Q = (sn^a)''/sn^a = a(a-1) (sn'/sn)^2 + a sn''/sn,
+
+    and the same identity with sn = t for f0, where u = g as well.  Both
+    denominators are int g^2.  Subtract the flat identity from the kappa
+    one on [eps, r]: the boundary terms differ by a (s coth(s eps) - 1/eps)
+    g(eps)^2 -> 0 as eps -> 0.  (For n = 2, int Q_0 g^2 diverges at 0, so
+    each identity alone has no limit; their difference has.)  Hence
+
+        lambda_kappa(r) <= RQ(f) = lambda_0(r) + <Q_kappa - Q_0>_g,
+
+    the mean under the weight g^2.  As sn'' = |kappa| sn,
+
+        Q_kappa - Q_0 = a(a-1) |kappa| phi(x) + a |kappa|,
+        phi(x) = coth^2 x - 1/x^2,
+
+    and 2/3 <= phi <= 1 for x > 0.  phi - 1 = 1/sinh^2 x - 1/x^2 <= 0
+    because sinh x >= x.  With y = 2x, x^2 sinh^2 x (phi - 2/3) =
+    cosh y (y^2/24 - 1/2) + 5 y^2/24 + 1/2, a power series whose
+    coefficients of y^0, y^2 and y^4 vanish and whose coefficient of
+    y^(2m), m >= 3, is 1/(24 (2m-2)!) - 1/(2 (2m)!) > 0.  For n >= 4,
+    a(a-1) > 0 and phi <= 1 bound the mean by a^2 |kappa| =
+    (n-1)^2/4 |kappa|; for n = 2, a(a-1) = -1/4 and phi >= 2/3 bound it by
+    (1/2 - 1/6) |kappa| = |kappa|/3.  For n = 3, a(a-1) = 0 and g is the
+    exact ground state sin(pi t / r).
+
+    The float threshold may lie a few ulps below the closed form (math.pi
+    and 1/3 round down); the relative tolerance RHO_TOL_SCALE covers that.
     """
     sf = SpaceForm(n, kappa)
-    flat = sf.kappa > 0 and _threshold_route(sf.n, sf.kappa) == "flat-bessel"
-    if flat:
-        _check_ball(sf, r)
-    lam_thr = lambda_threshold(sf.n, 0.0 if flat else sf.kappa, r)
-    tol = RHO_TOL_SCALE * lam_thr
-    if spec.truncation < lam_thr + tol:
-        raise DomainError(_truncation_reason(spec, lam_thr))
-    rho = counting_function(spec, lam_thr + tol)
+    r = _check_ball(sf, r)
+    lam = _refuse_overflow(_ball_threshold(sf.n, sf.kappa, r)[1], r, sf.kappa)
+    tol = RHO_TOL_SCALE * lam
+    if spec.truncation < lam + tol:
+        raise DomainError(f"spectrum truncation {spec.truncation:.9g} is below the ball "
+                          f"threshold {lam:.9g}; the eigenvalue count there cannot be certified")
+    rho = counting_function(spec, lam + tol)
     return min(2.0 * r * (rho + 1), bonnet_myers_cap(kappa)), rho
 
 
@@ -148,95 +166,71 @@ def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
 
 
 class DiameterSearch(tuple):
-    """(D, r, rho) of the winning radius, with counts of the search that found it.
+    """(D, r, rho) of the winning radius, with what the search saw.
 
     Unpacks and compares as the plain triple.  radii_in_grid is the grid
-    length, radii_solved the number of radii passed to diameter_bound, and
-    last_skip the reason the largest skipped radius was dropped, by the
-    screen or by diameter_bound (None when no radius was skipped).
+    length, threshold_route the route of the threshold rho was counted
+    below (see diameter_bound), and last_skip diameter_bound's reason for
+    refusing the largest skipped radius (None when no radius was skipped).
     """
 
-    def __new__(cls, best, radii_in_grid: int, radii_solved: int, last_skip: str | None):
+    def __new__(cls, best, radii_in_grid: int, threshold_route: str, last_skip: str | None):
         self = super().__new__(cls, best)
         self.radii_in_grid = radii_in_grid
-        self.radii_solved = radii_solved
+        self.threshold_route = threshold_route
         self.last_skip = last_skip
         return self
 
 
+def _refusal(spec: Spectrum, kappa: float, n: int, r: float) -> str:
+    """The text of the DomainError with which diameter_bound refuses r."""
+    try:
+        diameter_bound(spec, kappa, n, r)
+    except DomainError as exc:
+        return str(exc)
+
+
 def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> DiameterSearch:
-    """(D*, r*, rho*): smallest diameter bound over the given radii; ties favor large r.
+    """(D*, r*, rho*): smallest diameter_bound over the given radii; ties favor large r.
 
-    Grid points whose ball threshold exceeds the spectrum truncation, that
-    fall outside the curvature domain, or whose threshold solve does not
-    converge are skipped; dropping a radius can only loosen the bound.
-
-    A screen gives every radius, in one array pass, a closed-form threshold
-    at or below diameter_bound's: the route's own, bit for bit, on the
-    closed-form routes, and the flat (j_(n/2-1,1) / r)^2 on the Ritz route
-    (kappa < 0), by Cheng's comparison with flat space as the manifold
-    (Ric = 0 >= (n-1) kappa; the Ritz value lies above the curved one).
-    Counting below it gives D_low = min(2 r (rho_low + 1), cap) <= D(r).
-    It refuses only radii diameter_bound refuses too.  A walk then calls
-    diameter_bound in ascending (D_low, -index) order until the next key
-    cannot beat the best (D, -index): the full scan's result, from one call
-    on the closed-form routes.  Of tying radii the largest wins: it has the
-    smallest rho, so the bound rests on the fewest eigenvalues.  The result
-    is always an actual diameter_bound evaluation, so soundness does not
-    rest on the screen.  A dimension or curvature outside SpaceForm's
-    domain would fail every radius alike, so it is refused before the
-    search.
+    One array pass gives every radius diameter_bound's threshold (the same
+    closed-form expression, so the same float), one searchsorted counts the
+    spectrum up to it plus its tolerance, and D = min(2 r (rho + 1), cap)
+    follows.  Radii diameter_bound refuses are skipped: outside the ball
+    check's domain, or whose threshold plus tolerance tops the truncation
+    (an overflowed one included).  Dropping a radius can only loosen the
+    bound.  Of tying radii the largest wins: it has the smallest rho, so the
+    bound rests on the fewest eigenvalues.  The result is therefore that of
+    calling diameter_bound at every radius, and with no admissible radius
+    the error carries diameter_bound's refusal at the largest one.
+    last_skip is diameter_bound's reason for the largest skipped radius.  A
+    dimension or curvature outside SpaceForm's domain would fail every
+    radius alike, so it is refused before the search.
     """
     sf = SpaceForm(n, kappa)
-    n = sf.n
     radii = np.sort(np.asarray(r_grid, dtype=float))
     if not radii.size:
         raise DomainError("the radius grid is empty")
     cap = bonnet_myers_cap(kappa)
-    route = _threshold_route(n, sf.kappa)
-    inside = (radii > 0.0) & (radii < math.inf) & (radii <= CAP_SHRINK * cap)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lam = _closed_form(n, sf.kappa if route == "n3-closed-form" else 0.0, radii)
+        route, lam = _ball_threshold(sf.n, sf.kappa, radii)
         top = lam + RHO_TOL_SCALE * lam
-        rho_low = np.append(0, spec.cumulative_counts)[np.searchsorted(spec.values, top, "right")]
-        d_low = np.minimum(2.0 * radii * (rho_low + 1), cap).tolist()
-    admissible = inside & (top <= spec.truncation)
-    walk = sorted(np.flatnonzero(admissible).tolist(), key=lambda i: (d_low[i], -i))
-    best = (math.inf, 1, 0)  # (D, -i, rho) of the winner: lowest D, then largest index
-    skipped: dict[int, str] = {}
-    solved = 0
-    for i in walk:
-        if (d_low[i], -i) >= best[:2]:
-            break
-        solved += 1
-        try:
-            d, rho = diameter_bound(spec, kappa, n, float(radii[i]))
-        except (DomainError, ConvergenceError) as exc:
-            skipped[i] = str(exc)
-        else:
-            best = min(best, (d, -i, rho))
-    if best[1] == 1:  # nothing certified: the largest radius's failure is the full scan's last
-        try:
-            diameter_bound(spec, kappa, n, float(radii[-1]))
-        except (DomainError, ConvergenceError) as exc:
-            raise CertificationError(
-                "diameter", f"no admissible radius in the grid; last failure: {exc}"
-            ) from None
+        rho = np.append(0, spec.cumulative_counts)[np.searchsorted(spec.values, top, "right")]
+        d = np.minimum(2.0 * radii * (rho + 1), cap)
+    admissible = (radii > 0.0) & (radii < math.inf) & (radii <= CAP_SHRINK * cap)
+    admissible &= top <= spec.truncation
     refused = np.flatnonzero(~admissible)
-    if refused.size and refused[-1] > max(skipped, default=-1):
-        i = int(refused[-1])  # the screen's reason, with no solve
-        try:
-            _check_ball(sf, float(radii[i]))
-            bound = "the ball threshold" + ("'s flat lower bound" if route == "ritz" else "")
-            skipped[i] = _truncation_reason(spec, float(lam[i]), bound)
-        except DomainError as exc:
-            skipped[i] = str(exc)
-    d, neg_i, rho = best
+    last_skip = _refusal(spec, kappa, n, float(radii[refused[-1]])) if refused.size else None
+    if not admissible.any():
+        raise CertificationError(
+            "diameter", f"no admissible radius in the grid; last failure: {last_skip}"
+        )
+    i = np.flatnonzero(admissible & (d == d[admissible].min()))[-1]
     return DiameterSearch(
-        (d, float(radii[-neg_i]), rho),
+        (float(d[i]), float(radii[i]), int(rho[i])),
         radii_in_grid=radii.size,
-        radii_solved=solved,
-        last_skip=skipped[max(skipped)] if skipped else None,
+        threshold_route=route,
+        last_skip=last_skip,
     )
 
 
@@ -573,9 +567,8 @@ def spectral_isotropy_bound(
             diameter_bound=d,
             r=r_used,
             radii_in_grid=search.radii_in_grid,
-            radii_solved=search.radii_solved,
             last_skip=search.last_skip,
-            threshold_route=_threshold_route(n, kappa),
+            threshold_route=search.threshold_route,
         )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
         cap = isotropy_order_cap(n, kappa, d, v)
@@ -583,8 +576,8 @@ def spectral_isotropy_bound(
     notes = {
         "diameter": "smallest 2r(rho+1) over the radius grid"
         + (", clamped at the Bonnet-Myers cap" if kappa > 0 else ""),
-        "rho": f"eigenvalues counted up to (1 + {RHO_TOL_SCALE}) times the ball threshold"
-        + (_POSITIVE_THRESHOLD_NOTES[_threshold_route(n, kappa)] if kappa > 0 else ""),
+        "rho": f"eigenvalues counted up to (1 + {RHO_TOL_SCALE}) times the ball threshold, "
+        + _THRESHOLD_NOTES[search.threshold_route],
         "isotropy_cap": "floor(ball_volume(D) / volume)",
         "volume": source,
     }

@@ -3,35 +3,27 @@
 The ground state of the Laplacian on a geodesic r-ball in the model space
 is radial, so the eigenvalue problem reduces to a Sturm-Liouville problem
 
-    -(1/w) (w f')' = lam f  on (0, r),   w = sn^(n-1),   f(r) = 0,
+    -(1/w) (w f')' = lam f  on (0, r),   w = sn^(n-1),   f(r) = 0.
 
-and the diameter bound needs its lowest eigenvalue never *under*-estimated
-(Cheng's comparison).  Three routes, chosen by the input:
+The diameter bound needs only an upper bound on its lowest eigenvalue
+(Cheng's comparison): _ball_threshold gives one in closed form at every
+curvature (routes and proofs in bounds.diameter_bound).
 
-* kappa = 0: lam = j_(n/2-1,1)^2 / r^2, the first Bessel zero squared.
-* n = 3, any kappa: lam = pi^2 / r^2 - kappa exactly, since
-  f = sin(sqrt(lam + kappa) t) / sn(t) solves the equation.
-* otherwise: the scaling law lam(n, kappa, r) = lam(n, kappa r^2, 1) / r^2
-  and a quadratic-element (P2) Galerkin discretization on [0, 1].  Shifted
-  inverse iteration runs on LAPACK's banded Cholesky factor (pbtrf/pbtrs)
-  with a BLAS banded product (sbmv), moves its shift once to just below the
-  iterate's Rayleigh quotient when that shift's pencil factors (so it stays
-  below the lowest discrete eigenvalue), and stops once the normalized
-  iterate stops moving.  The returned value is the Rayleigh quotient of that
-  final P2 trial function, summed element by element with the 6-point
-  Gauss-Legendre rule.  By Rayleigh-Ritz the exact quotient lies at or above
-  the true eigenvalue whether or not the iteration has converged.  The rule's
-  own error is covered by bounds.RHO_TOL_SCALE: the diameter bound counts
-  eigenvalues up to (1 + 1e-9) times the threshold, while against a 40-point
-  rule the 6-point quotient sits at most about 4e-15 relative below (n in
-  {2, 4, 5}, kappa r^2 from -36 to (0.999 pi)^2) and above it at the extreme
-  keys tried (2.8e-8 at n = 10, kappa r^2 = -1600).
-
-The bound pipelines reach the Ritz route only when kappa < 0: at kappa > 0
-they count below the flat value, which bounds the curved one from above
-(see bounds.diameter_bound), and at kappa < 0 the flat value, a lower
-bound there, screens out the radii that cannot win (see
-bounds.best_diameter_bound).  This module always returns the curved value.
+lowest_dirichlet_eigenvalue returns the eigenvalue itself: exactly when
+kappa = 0 or n = 3, and otherwise by the scaling law lam(n, kappa, r) =
+lam(n, kappa r^2, 1) / r^2 and a quadratic-element (P2) Galerkin
+discretization on [0, 1].  Shifted inverse iteration runs on LAPACK's
+banded Cholesky factor (pbtrf/pbtrs) with a BLAS banded product (sbmv),
+moves its shift once to just below the iterate's Rayleigh quotient when
+that shift's pencil factors (so it stays below the lowest discrete
+eigenvalue), and stops once the normalized iterate stops moving.  The
+returned value is the Rayleigh quotient of that final P2 trial function,
+summed element by element with the 6-point Gauss-Legendre rule.  By
+Rayleigh-Ritz the exact quotient lies at or above the true eigenvalue
+whether or not the iteration has converged; against a 40-point rule the
+6-point quotient sits at most about 4e-15 relative below (n in {2, 4, 5},
+kappa r^2 from -36 to (0.999 pi)^2).  No certificate rests on the Ritz
+value: it serves lowest_dirichlet_eigenvalue and `orbispec eig-ball`.
 """
 
 from __future__ import annotations
@@ -158,16 +150,31 @@ def _first_bessel_zero(n: int) -> float:
     return newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
 
 
-def _closed_form(n: int, kappa: float, r):
-    """The exact threshold where one exists: (j_(n/2-1,1) / r)^2 when kappa = 0
-    and pi^2/r^2 - kappa when n = 3 (callers pick the route).
+def _ball_threshold(n: int, kappa: float, r):
+    """(route, Lambda): the closed-form upper bound on the r-ball's lowest
+    Dirichlet eigenvalue that the pipelines count below (the routes and
+    their proofs are in bounds.diameter_bound).
 
-    r is a float or an array of radii.  The square is a product, correctly
-    rounded for both, so a value over an array agrees bit for bit with the
-    value at each of its radii.
+    No domain checks; r is a float or an array of radii.  The square is a
+    product, correctly rounded for both, so a value over an array agrees
+    bit for bit with the value at each of its radii.
     """
-    q = (_first_bessel_zero(n) if kappa == 0.0 else math.pi) / r
-    return q * q - kappa
+    if n == 3 and kappa != 0.0:
+        route, q, c = "n3-closed-form", math.pi, 1.0
+    elif kappa < 0:
+        route, q = "liouville", _first_bessel_zero(n)
+        c = 1.0 / 3.0 if n == 2 else 0.25 * (n - 1) ** 2  # c_n
+    else:
+        route, q, c = "flat-bessel", _first_bessel_zero(n), 0.0
+    q = q / r
+    return route, q * q - c * kappa
+
+
+def _refuse_overflow(lam: float, r: float, kappa: float) -> float:
+    """lam, or a DomainError when the threshold at (r, kappa) is past every float."""
+    if not math.isfinite(lam):
+        raise DomainError(f"the ball threshold at r = {r!r}, kappa = {kappa!r} overflows")
+    return lam
 
 
 def _assemble_bands(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +225,12 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
     the Rayleigh quotient of the final iterate under the unshifted forms,
     summed from squared gradients and values element by element, so it
     carries no cancellation and bounds the eigenvalue from above whether or
-    not the iteration has converged, up to the quadrature error that
-    RHO_TOL_SCALE covers (see the module docstring).
+    not the iteration has converged, up to the quadrature error (see the
+    module docstring).
     """
-    # A density past every float is refused below; numpy need not warn first.
-    with np.errstate(over="ignore"):
+    # A density past every float (an inf / inf when kappa r^2 is -inf) is
+    # refused below; numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
         w = generalized_sin(kappa, _T) ** (n - 1)
     if not np.isfinite(w).all():
         raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
@@ -272,19 +280,16 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
 def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float) -> float:
     """Lowest Dirichlet eigenvalue of the geodesic r-ball in the model space.
 
-    Exact closed forms for kappa = 0 and n = 3; elsewhere a P2 Rayleigh-Ritz
-    value, which is a one-sided upper bound on the true eigenvalue.  A value
-    past every float (a tiny ball) is a DomainError.
+    Exact closed forms for kappa = 0 and n = 3 (there the pipelines'
+    threshold is exact); elsewhere a P2 Rayleigh-Ritz value, which is a
+    one-sided upper bound on the true eigenvalue.  A value past every float
+    (a tiny ball) is a DomainError.
     """
     r = _check_ball(sf, r)
     n, kappa = sf.n, sf.kappa
-    try:
-        if kappa == 0.0 or n == 3:
-            lam = _closed_form(n, kappa, r)
-        else:
-            lam = _ritz_unit_ball(n, kappa * r * r) / (r * r)
-    except (OverflowError, ZeroDivisionError):
-        lam = math.inf
-    if not math.isfinite(lam):
-        raise DomainError(f"the ball threshold at r = {r!r}, kappa = {kappa!r} overflows")
-    return lam
+    if kappa == 0.0 or n == 3:
+        lam = _ball_threshold(n, kappa, r)[1]
+    else:
+        rr = r * r
+        lam = _ritz_unit_ball(n, kappa * r * r) / rr if rr > 0.0 else math.inf
+    return _refuse_overflow(lam, r, kappa)

@@ -541,19 +541,18 @@ def hyperbolic_separation_radius(kappa: float, alpha: float, ell: float) -> floa
 def exhaustive_diameter_bound(
     spec: Spectrum, kappa: float, n: int, r_grid
 ) -> tuple[float, float, int]:
-    """(D*, r*, rho*) by solving every grid radius in increasing order; ties favor large r.
+    """(D*, r*, rho*) by calling diameter_bound at every grid radius in
+    increasing order; ties favor large r.
 
-    The package screens the grid with closed-form lower bounds on each
-    radius's D and walks it best first, and must return the same triple.
-    Radii are certified through the package's module-level diameter_bound,
-    so a monkeypatched threshold reaches both routes.
+    The package computes every radius in one array pass and must return the
+    same triple, and with no admissible radius the same error.
     """
     best = None
     last_reason = "empty grid"
     for r in np.sort(np.asarray(r_grid, dtype=float)):
         try:
             d, rho = bounds.diameter_bound(spec, kappa, n, float(r))
-        except (DomainError, ConvergenceError) as exc:
+        except DomainError as exc:
             last_reason = str(exc)
             continue
         if best is None or d <= best[0]:

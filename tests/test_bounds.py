@@ -5,7 +5,6 @@ import functools
 import json
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from orbispec import (
     ell_constant,
     generalized_sin,
     isotropy_order_cap,
-    lambda_threshold,
+    lowest_dirichlet_eigenvalue,
     model_catalog,
     packing_bound,
     r_constant,
@@ -39,6 +38,7 @@ from orbispec import (
     spectral_singular_point_bound,
     spectrum_content_id,
     sphere_measure,
+    sphere_spectrum,
 )
 from orbispec import bounds as bounds_module
 from orbispec import dirichlet
@@ -57,10 +57,14 @@ from oracles import (
 BESSEL_J01_SQ = 5.783185962946785
 
 
+def _eigenvalue(n: int, kappa: float, r: float) -> float:
+    return lowest_dirichlet_eigenvalue(SpaceForm(n, kappa), r)
+
+
 def test_lambda_threshold_known_values():
-    assert abs(lambda_threshold(2, 1.0, 0.5 * math.pi) - 2.0) < 1e-7
-    assert abs(lambda_threshold(2, 0.0, 1.0) - BESSEL_J01_SQ) < 1e-7
-    assert abs(lambda_threshold(2, 0.0, 0.5) - BESSEL_J01_SQ / 0.25) < 1e-6
+    assert abs(_eigenvalue(2, 1.0, 0.5 * math.pi) - 2.0) < 1e-7
+    assert abs(_eigenvalue(2, 0.0, 1.0) - BESSEL_J01_SQ) < 1e-7
+    assert abs(_eigenvalue(2, 0.0, 0.5) - BESSEL_J01_SQ / 0.25) < 1e-6
 
 
 def test_spectrum_content_id_is_content_addressed():
@@ -113,7 +117,7 @@ def test_rho_tolerance_is_scale_covariant_below_threshold_one():
     # (exactly, in floats) and must halve D with the same rho.  The threshold
     # here is below 1, where an absolute tolerance floor of 1e-9 counted an
     # eigenvalue 0.9e-9 above it at r = 4 ((24.0, 2)) but not at r = 2.
-    t = lambda_threshold(2, 0.0, 4.0)
+    t = _eigenvalue(2, 0.0, 4.0)
     assert t < 1.0
     spec = Spectrum(((0.0, 1), (t + 0.9e-9, 1)), 10.0)
     halved = Spectrum(((0.0, 1), (4.0 * (t + 0.9e-9), 1)), 40.0)
@@ -167,30 +171,10 @@ def test_best_diameter_bound_uses_closed_form_at_former_failure_key():
     # an n = 3 key, where the threshold is now the closed form.
     kappa, r = 0.7852497754447629, 0.9071244157410668
     spec = catalog_model("s3").spectrum(899.0)
-    assert lambda_threshold(3, kappa, r) == (math.pi / r) ** 2 - kappa
+    assert _eigenvalue(3, kappa, r) == (math.pi / r) ** 2 - kappa
     d, r_used, rho = best_diameter_bound(spec, kappa, 3, r_grid=[r])
     assert r_used == r
     assert (d, rho) == diameter_bound(spec, kappa, 3, r)
-
-
-def test_best_diameter_bound_skips_unconverged_radius(monkeypatch):
-    # A threshold solve that raises ConvergenceError drops its radius; the
-    # search certifies with the next one and keeps the reason.
-    spec = catalog_model("s3").spectrum(899.0)
-    kappa, bad_r = 1.0, 0.9
-    real = bounds_module.lambda_threshold
-
-    def flaky(n, k, r):
-        if r == bad_r:
-            raise ConvergenceError("solver did not converge")
-        return real(n, k, r)
-
-    monkeypatch.setattr(bounds_module, "lambda_threshold", flaky)
-    d, r, rho = best_diameter_bound(spec, kappa, 3, r_grid=[bad_r, 1.2])
-    assert r == 1.2
-    assert (d, rho) == diameter_bound(spec, kappa, 3, 1.2)
-    with pytest.raises(CertificationError, match="solver did not converge"):
-        best_diameter_bound(spec, kappa, 3, r_grid=[bad_r])
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,7 +211,8 @@ def _radius_grids(draw, n, kappa, volume):
 )
 def test_best_diameter_bound_equals_exhaustive_scan(model_id, truncation, curvature_shift, data):
     # Catalog n is 2 or 3; kappa = model kappa + shift covers all three
-    # curvature signs.  Failures must match too: same stage, same last-failure text.
+    # curvature signs and every threshold route.  Failures must match too:
+    # same stage, same last-failure text.
     model, spec = _catalog_spectrum(model_id, truncation)
     n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
     grid = data.draw(_radius_grids(n, kappa, model.volume))
@@ -235,19 +220,6 @@ def test_best_diameter_bound_equals_exhaustive_scan(model_id, truncation, curvat
     assert _search_outcome(best_diameter_bound, *args) == _search_outcome(
         exhaustive_diameter_bound, *args
     )
-    # A threshold solve that fails at a radius in the middle of the grid.
-    bad_r = sorted(grid)[len(grid) // 2]
-    real = bounds_module.lambda_threshold
-
-    def flaky(n, k, r):
-        if r == bad_r:
-            raise ConvergenceError(f"solver did not converge at r = {r!r}")
-        return real(n, k, r)
-
-    with mock.patch.object(bounds_module, "lambda_threshold", flaky):
-        assert _search_outcome(best_diameter_bound, *args) == _search_outcome(
-            exhaustive_diameter_bound, *args
-        )
 
 
 def test_best_diameter_bound_without_admissible_radius_names_the_largest():
@@ -270,12 +242,11 @@ def test_best_diameter_bound_without_admissible_radius_names_the_largest():
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
 def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     # The 64-point default grid at both verify truncations and the exact
-    # kappa, where every catalog model takes a closed-form route: the screen
-    # computes the threshold itself, so the walk's one diameter_bound call
-    # returns the full scan's triple.
+    # kappa: the search computes every threshold in one array pass and
+    # calls diameter_bound at most once, for the reason it skipped the
+    # largest refused radius, and returns the full scan's triple.
     model = catalog_model(model_id)
     n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
-    assert bounds_module._threshold_route(n, kappa) != "ritz"
     grid = default_r_grid(n, kappa, v)
     assert len(grid) == 64
     real = bounds_module.diameter_bound
@@ -290,36 +261,31 @@ def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
         spec = model.spectrum(truncation)
         calls.clear()
         search = best_diameter_bound(spec, kappa, n, r_grid=grid)
-        assert len(calls) == 1 and search.radii_solved == 1, (truncation, len(calls))
+        assert len(calls) == (search.last_skip is not None), (truncation, len(calls))
         assert search.radii_in_grid == 64
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
 
 
 @pytest.mark.parametrize("model_id", ["t2", "pillowcase", "t2-mod-4"])
-def test_ritz_route_search_solves_few_radii(model_id, monkeypatch):
-    # At kappa = -0.75 the tori take the Ritz route.  The flat screen, a
-    # lower bound on every threshold, ranks the default grid so that a
-    # search makes at most 3 Ritz solves and still returns the full scan's
+def test_loose_torus_search_makes_no_ritz_solve(model_id, monkeypatch):
+    # At kappa = -0.75 the tori take the Liouville route: the search and
+    # the pipeline make no Ritz solve and still return the full scan's
     # triple.
     model = catalog_model(model_id)
     n, kappa = model.dimension, -0.75
     grid = default_r_grid(n, kappa, model.volume)
-    real = dirichlet._ritz_unit_ball
-    solves = []
-
-    def counted(n, s):
-        solves.append(s)
-        return real(n, s)
-
-    monkeypatch.setattr(dirichlet, "_ritz_unit_ball", counted)
+    keys = _ritz_spy(monkeypatch)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
         spec = model.spectrum(truncation)
-        solves.clear()
         search = best_diameter_bound(spec, kappa, n, r_grid=grid)
-        assert len(solves) == search.radii_solved <= 3, (truncation, len(solves))
-        # The smallest radii top the truncation; the screen names its flat bound.
-        assert "below the ball threshold's flat lower bound" in search.last_skip
+        assert search.threshold_route == "liouville"
+        # The smallest radii top the truncation.
+        assert "is below the ball threshold" in search.last_skip
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
+        rep = spectral_singular_point_bound(spec, kappa, n=n, v=model.volume)
+        assert _diameter_stage(rep)["threshold_route"] == "liouville"
+        assert rep.diameter_bound == search[0] and rep.singular_cap is not None
+    assert keys == []
 
 
 def test_diameter_stage_records_search_counts():
@@ -329,7 +295,7 @@ def test_diameter_stage_records_search_counts():
     rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=grid)
     stage = next(s for s in rep.stage_trace if s["stage"] == "diameter")["outputs"]
     assert stage["radii_in_grid"] == 4
-    assert 1 <= stage["radii_solved"] <= 4
+    assert "radii_solved" not in stage
     assert "below the ball threshold" in stage["last_skip"]
     clean = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8])
     assert next(s for s in clean.stage_trace if s["stage"] == "diameter")["outputs"][
@@ -342,7 +308,8 @@ def test_diameter_stage_records_search_counts():
 
 
 # ---------------------------------------------------------------------------
-# The flat threshold at kappa > 0: no Ritz solve, and the same certificates.
+# Closed-form thresholds at every curvature: no Ritz solve, and the same
+# certificates at kappa > 0.
 
 
 def _ritz_spy(monkeypatch) -> list:
@@ -375,30 +342,41 @@ def test_positive_curvature_pipelines_make_no_ritz_solve(monkeypatch, capsys):
         assert rep.source == "weyl-estimated" and rep.singular_cap is not None
         assert _diameter_stage(rep)["threshold_route"] == "flat-bessel"
     assert keys == []
-    # Below zero curvature the pipelines still reach the kernel.
-    rep = spectral_singular_point_bound(catalog_model("t2").spectrum(8000.0), -0.75)
-    assert _diameter_stage(rep)["threshold_route"] == "ritz"
-    assert len(keys) >= 1 and all(n == 2 and s < 0 for n, s in keys)
+
+
+def test_dimension_four_negative_curvature_request_makes_no_ritz_solve(monkeypatch):
+    # The round S^4 under the loose bound kappa = -1: spectrum-only and
+    # given-volume requests count below the Liouville bound, and the
+    # diameter bound is still sound.
+    keys = _ritz_spy(monkeypatch)
+    spec = sphere_spectrum(4, 2000.0)
+    for v in (None, sphere_measure(4)):
+        rep = spectral_isotropy_bound(spec, -1.0, n=4, v=v)
+        assert _diameter_stage(rep)["threshold_route"] == "liouville"
+        assert rep.diameter_bound >= math.pi and rep.isotropy_cap >= 1
+    assert keys == []
 
 
 @pytest.mark.parametrize(
     "n, kappa, route",
     [(2, 1.0, "flat-bessel"), (5, 0.25, "flat-bessel"), (2, 0.0, "flat-bessel"),
-     (4, -1.0, "ritz"), (3, 1.0, "n3-closed-form"), (3, -1.0, "n3-closed-form"),
+     (4, -1.0, "liouville"), (2, -1.0, "liouville"), (3, 1.0, "n3-closed-form"),
+     (3, -1.0, "n3-closed-form"),
      (3, 0.0, "flat-bessel")],
 )
 def test_diameter_stage_names_the_threshold_route(n, kappa, route):
     spec = Spectrum(((0.0, 1), (50.0, 3)), 1e6, n)
     rep = spectral_isotropy_bound(spec, kappa, n=n, v=1.0, r_grid=[0.5])
     assert _diameter_stage(rep)["threshold_route"] == route
+    flat = _eigenvalue(n, 0.0, 0.5)
     threshold = {
-        "flat-bessel": lambda_threshold(n, 0.0, 0.5),
+        "flat-bessel": flat,
         "n3-closed-form": (math.pi / 0.5) ** 2 - kappa,
-        "ritz": lambda_threshold(n, kappa, 0.5),
+        "liouville": flat + (1 / 3 if n == 2 else (n - 1) ** 2 / 4) * -kappa,
     }[route]
     assert rep.rho == counting_function(spec, threshold * (1 + RHO_TOL_SCALE))
-    named = "closed form" if route == "n3-closed-form" else "flat"
-    assert (named in rep.notes["rho"]) == (kappa > 0)
+    named = {"flat-bessel": "flat", "n3-closed-form": "closed form", "liouville": "Liouville"}
+    assert named[route] in rep.notes["rho"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -422,7 +400,7 @@ def test_flat_threshold_bounds_the_curved_one_from_above(n, kappa, u):
         curved = shooting_eigenvalue(SpaceForm(n, kappa), r)
     except ConvergenceError:
         assume(False)
-    assert curved <= lambda_threshold(n, 0.0, r) * (1 + 1e-9)
+    assert curved <= _eigenvalue(n, 0.0, r) * (1 + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,19 +415,20 @@ def test_flat_threshold_bounds_the_curved_one_from_above(n, kappa, u):
 def test_flat_threshold_bounds_the_curved_one_from_below(n, log_abs_kappa, log_r):
     # Cheng's comparison with flat space as the manifold: Ric = 0 >=
     # (n-1) kappa when kappa < 0, so the flat (j/r)^2 is at most the
-    # kappa-model eigenvalue, which the Ritz value bounds from above.  The
-    # diameter search screens Ritz-route radii with the flat float, so it
-    # must stay at or below the Ritz float, kappa r^2 from -1e-15 to -400.
+    # kappa-model eigenvalue, which the Ritz value bounds from above: the
+    # Liouville term c_n |kappa| is what lifts the pipelines' threshold to
+    # it.  The flat float stays at or below the Ritz float, kappa r^2 from
+    # -1e-15 to -400.
     kappa, r = -(10.0**log_abs_kappa), 10.0**log_r
-    assert lambda_threshold(n, 0.0, r) <= lambda_threshold(n, kappa, r)
+    assert _eigenvalue(n, 0.0, r) <= _eigenvalue(n, kappa, r)
 
 
 def _ritz_route_certificate(spec, kappa: float, n: int, v: float):
     """(D, isotropy cap, singular cap) from a scan of the pipeline's grid that
-    counts below the curved lambda_threshold(n, kappa, r); ties favor large r."""
+    counts below the curved Ritz eigenvalue at (n, kappa, r); ties favor large r."""
     best = None
     for r in default_r_grid(n, kappa, v):
-        lam = lambda_threshold(n, kappa, float(r))
+        lam = _eigenvalue(n, kappa, float(r))
         if spec.truncation < lam * (1 + RHO_TOL_SCALE):
             continue
         rho = counting_function(spec, lam * (1 + RHO_TOL_SCALE))

@@ -1,10 +1,12 @@
 """Lowest Dirichlet eigenvalue of geodesic balls: closed forms and Rayleigh-Ritz
-against the shooting and finite-difference oracles."""
+against the shooting and finite-difference oracles, and the closed-form upper
+bound the pipelines count below."""
 
 from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from orbispec import dirichlet
-from orbispec.bounds import RHO_TOL_SCALE, best_diameter_bound, lambda_threshold
+from orbispec.bounds import RHO_TOL_SCALE
 from orbispec.dirichlet import (
+    _ball_threshold,
     _bessel_sign,
     _first_bessel_zero,
     _ritz_unit_ball,
@@ -26,7 +29,6 @@ from orbispec.modelspectra import catalog_model
 from orbispec.spaceform import SpaceForm
 
 from oracles import (
-    exhaustive_diameter_bound,
     finite_difference_eigenvalue,
     reference_ritz_unit_ball,
     richardson_fd_eigenvalue,
@@ -73,7 +75,7 @@ def test_hemisphere_eigenvalue_is_dimension():
     for n in (2, 3, 4):
         got = lowest_dirichlet_eigenvalue(SpaceForm(n, 1.0), math.pi / 2)
         assert abs(got - n) < 1e-4, (n, got)
-    assert 0.0 <= lambda_threshold(2, 1.0, math.pi / 2) - 2.0 < 1e-7
+    assert 0.0 <= lowest_dirichlet_eigenvalue(SpaceForm(2, 1.0), math.pi / 2) - 2.0 < 1e-7
 
 
 def test_flat_scaling_invariance():
@@ -129,11 +131,13 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         # radius beyond the antipodal cap
         lowest_dirichlet_eigenvalue(SpaceForm(2, 1.0), math.pi)
-    with pytest.raises(DomainError), warnings.catch_warnings():
-        # the volume density sinh(1000 t) overflows on the Ritz mesh; the
-        # refusal comes without a numpy overflow warning first
-        warnings.simplefilter("error")
-        lowest_dirichlet_eigenvalue(SpaceForm(2, -1e6), 1.0)
+    for kappa, r in ((-1e6, 1.0), (-0.75, 1e308)):
+        with pytest.raises(DomainError), warnings.catch_warnings():
+            # the volume density sinh(1000 t) overflows on the Ritz mesh,
+            # and at kappa r^2 = -inf it is inf / inf; the refusal comes
+            # without a numpy warning first
+            warnings.simplefilter("error")
+            lowest_dirichlet_eigenvalue(SpaceForm(2, kappa), r)
     # Thresholds past every float: (j / r)^2 and (pi / r)^2 overflow, and the
     # Ritz route's r^2 underflows to 0.
     for n, kappa in ((2, 0.0), (3, 1.0), (2, -1.0)):
@@ -184,6 +188,10 @@ def test_memoization_returns_identical_floats():
 KAPPA_SIGNS = st.sampled_from([-1.0, 0.0, 1.0])
 
 
+def _eigenvalue(n: int, kappa: float, r: float) -> float:
+    return lowest_dirichlet_eigenvalue(SpaceForm(n, kappa), r)
+
+
 def _shooting_or_reject(n: int, kappa: float, r: float) -> float:
     """The shooting oracle's value; keys where the oracle itself fails are discarded."""
     try:
@@ -206,22 +214,22 @@ def ritz_keys(draw):
 @given(ritz_keys())
 def test_threshold_never_below_shooting_oracle(key):
     n, kappa, r = key
-    assert lambda_threshold(n, kappa, r) >= _shooting_or_reject(n, kappa, r) * (1 - 1e-9)
+    assert _eigenvalue(n, kappa, r) >= _shooting_or_reject(n, kappa, r) * (1 - 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ritz_keys(), st.floats(0.2, 5.0))
 def test_threshold_scaling_law(key, c):
     n, kappa, r = key
-    scaled = lambda_threshold(n, kappa / (c * c), c * r)
-    assert abs(scaled - lambda_threshold(n, kappa, r) / (c * c)) <= 1e-12 * scaled
+    scaled = _eigenvalue(n, kappa / (c * c), c * r)
+    assert abs(scaled - _eigenvalue(n, kappa, r) / (c * c)) <= 1e-12 * scaled
 
 
 @settings(max_examples=40, deadline=None)
 @given(ritz_keys(), st.floats(0.5, 0.999))
 def test_threshold_strictly_decreasing_in_radius(key, shrink):
     n, kappa, r = key
-    assert lambda_threshold(n, kappa, shrink * r) > lambda_threshold(n, kappa, r)
+    assert _eigenvalue(n, kappa, shrink * r) > _eigenvalue(n, kappa, r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,14 +238,14 @@ def test_dimension_three_matches_shooting_oracle(sign, size, u):
     kappa = sign * size
     r = u * (0.999 * math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
     oracle = _shooting_or_reject(3, kappa, r)
-    assert abs(lambda_threshold(3, kappa, r) - oracle) <= 1e-9 * oracle
+    assert abs(_eigenvalue(3, kappa, r) - oracle) <= 1e-9 * oracle
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 4, 6, 8]), st.floats(0.01, 100.0))
 def test_flat_threshold_matches_bessel_zeros(n, r):
     want = (float(jn_zeros(n // 2 - 1, 1)[0]) / r) ** 2
-    assert abs(lambda_threshold(n, 0.0, r) - want) <= 1e-12 * want
+    assert abs(_eigenvalue(n, 0.0, r) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -256,6 +264,89 @@ def test_bessel_sign_is_exact(n, x):
     with mpmath.workdps(40):
         true = mpmath.besselj(mpmath.mpf(n) / 2 - 1, mpmath.mpf(x))
         assert _bessel_sign(n, x) == int(mpmath.sign(true))
+
+
+# ---------------------------------------------------------------------------
+# The closed-form threshold the pipelines count below.
+
+
+def _liouville_phi(x):
+    """coth^2 x - 1/x^2, the potential ratio of the Liouville bound's proof."""
+    return mpmath.coth(x) ** 2 - 1 / x**2
+
+
+def test_liouville_potential_ratio_lies_between_two_thirds_and_one():
+    # The proof in bounds.diameter_bound: phi <= 1 as sinh x >= x, and
+    # phi >= 2/3 as x^2 sinh^2 x (phi - 2/3) equals, with y = 2x, a power
+    # series with only nonnegative coefficients.
+    def series(y):
+        return mpmath.cosh(y) * (y**2 / 24 - mpmath.mpf(1) / 2) + 5 * y**2 / 24 + mpmath.mpf(1) / 2
+
+    with mpmath.workdps(80):
+        for e in np.linspace(-6.0, 2.0, 81):
+            x = mpmath.mpf(10) ** mpmath.mpf(float(e))
+            phi = _liouville_phi(x)
+            assert mpmath.mpf(2) / 3 <= phi <= 1, (e, phi)
+            product = x**2 * mpmath.sinh(x) ** 2 * (phi - mpmath.mpf(2) / 3)
+            assert abs(product - series(2 * x)) <= mpmath.mpf(10) ** -20 * product
+        taylor = mpmath.taylor(series, 0, 13)
+        # The coefficient of y^(2m): 1/(24 (2m-2)!) - 1/(2 (2m)!), plus 1/2
+        # at m = 0 and 5/24 at m = 1; zero up to m = 2, positive after.
+        for m in range(40):
+            c = Fraction(1, 24 * math.factorial(2 * m - 2)) if m >= 1 else Fraction(0)
+            c += {0: Fraction(1, 2), 1: Fraction(5, 24)}.get(m, 0)
+            c -= Fraction(1, 2 * math.factorial(2 * m))
+            assert c == 0 if m <= 2 else c > 0, m
+            if 2 * m + 1 < len(taylor):
+                assert abs(taylor[2 * m] - mpmath.mpf(c.numerator) / c.denominator) < 1e-40
+                assert abs(taylor[2 * m + 1]) < 1e-40
+
+
+@st.composite
+def liouville_keys(draw):
+    """(n, kappa, r): n in {2, 4, 5, 6}, kappa < 0, kappa r^2 down to -36."""
+    n = draw(st.sampled_from([2, 4, 5, 6]))
+    r = draw(st.floats(0.05, 3.0))
+    kappa_r2 = -draw(st.floats(1e-6, 36.0))
+    return n, kappa_r2 / (r * r), r
+
+
+@settings(max_examples=15, deadline=None)
+@given(liouville_keys())
+@example((2, -36.0, 1.0))
+@example((6, -36.0, 1.0))
+@example((4, -1e-6, 1.0))
+def test_liouville_threshold_never_below_shooting_oracle(key):
+    n, kappa, r = key
+    route, lam = _ball_threshold(n, kappa, r)
+    assert route == "liouville"
+    assert lam >= _shooting_or_reject(n, kappa, r) * (1 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 10]),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(0.05, 4.0),
+    st.floats(0.05, 0.999),
+    st.floats(0.2, 5.0),
+)
+def test_ball_threshold_scales_and_agrees_over_arrays(n, sign, size, u, c):
+    # Lengths times c, curvature times c^-2: the threshold times c^-2, to
+    # rounding, and exactly for a power of two.  The value over an array
+    # of radii equals the value at each radius bit for bit, which the
+    # diameter search's array pass relies on.
+    kappa = sign * size
+    r = u * (math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
+    route, lam = _ball_threshold(n, kappa, r)
+    scaled_route, scaled = _ball_threshold(n, kappa / (c * c), c * r)
+    assert scaled_route == route
+    assert abs(scaled - lam / (c * c)) <= 1e-14 * scaled
+    assert _ball_threshold(n, kappa / 4.0, 2.0 * r)[1] == lam / 4.0
+    radii = np.array([0.5 * r, r, math.nextafter(r, 0.0)])
+    assert _ball_threshold(n, kappa, radii)[1].tolist() == [
+        _ball_threshold(n, kappa, float(x))[1] for x in radii
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +373,11 @@ def test_ritz_kernel_matches_reference_kernel(key):
 def test_ritz_quadrature_error_stays_inside_the_rho_tolerance(key):
     # The returned value is the 6-point Gauss-Legendre quotient of the final
     # P2 iterate; only the exact quotient of a trial function bounds the
-    # eigenvalue from above.  The diameter bound counts eigenvalues up to
-    # (1 + RHO_TOL_SCALE) times the threshold, so the 6-point value must not
-    # fall below the 40-point quotient of the same discrete ground state by
-    # more than a tenth of that.  Measured: at most about 3.5e-15 relative
-    # below over these keys, and 2.8e-8 above at n = 10, kappa r^2 = -1600.
+    # eigenvalue from above.  The 6-point value must not fall below the
+    # 40-point quotient of the same discrete ground state by more than a
+    # tenth of the relative tolerance RHO_TOL_SCALE the diameter bound
+    # counts with.  Measured: at most about 3.5e-15 relative below over
+    # these keys, and 2.8e-8 above at n = 10, kappa r^2 = -1600.
     n, kappa, r = key
     s = kappa * r * r
     _, iterate = reference_ritz_unit_ball(n, s)
@@ -312,15 +403,11 @@ def test_ritz_kernel_matches_reference_at_extreme_keys(n, s):
 
 def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
     # A nonzero LAPACK info must surface as a ConvergenceError naming the
-    # key, never as garbage or an untyped LinAlgError, and the diameter
-    # search must drop that radius like any other unconverged one.  The
-    # search reaches the Ritz kernel only when kappa < 0 (and n != 3), so
-    # the torus is taken at a loose negative curvature bound.
-    spec = catalog_model("t2").spectrum(2000.0)
-    kappa, n = -0.75, 2
-    grid = np.geomspace(0.05, 1.5, 24)
-    _, r_win, _ = best_diameter_bound(spec, kappa, n, r_grid=grid)
-
+    # key, never as garbage or an untyped LinAlgError.  The diameter search
+    # counts below closed forms and never reaches the kernel, so no radius
+    # is skipped for it; the key is a loose torus one (kappa r^2 = -0.1875).
+    n, kappa, r = 2, -0.75, 0.5
+    sf = SpaceForm(n, kappa)
     real_pbtrf = dirichlet._pbtrf
     pencils = []
 
@@ -329,7 +416,7 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
         return real_pbtrf(ab, **kw)
 
     monkeypatch.setattr(dirichlet, "_pbtrf", spy)
-    lambda_threshold(n, kappa, r_win)
+    lowest_dirichlet_eigenvalue(sf, r)
     # The first pencil is the primary factorization; later ones only steer.
     bad_pencil = pencils[0]
 
@@ -339,29 +426,22 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
         return real_pbtrf(ab, **kw)
 
     monkeypatch.setattr(dirichlet, "_pbtrf", failing)
-    key_text = f"kappa r^2 = {kappa * r_win * r_win!r}"
+    key_text = f"kappa r^2 = {kappa * r * r!r}"
     with pytest.raises(ConvergenceError, match="pbtrf info 3") as err:
-        lambda_threshold(n, kappa, r_win)
+        lowest_dirichlet_eigenvalue(sf, r)
     assert key_text in str(err.value)
-
-    found = best_diameter_bound(spec, kappa, n, r_grid=grid)
-    assert found == exhaustive_diameter_bound(spec, kappa, n, grid)
-    assert found[1] != r_win
-    assert "pbtrf info 3" in found.last_skip
 
     monkeypatch.setattr(dirichlet, "_pbtrf", real_pbtrf)
     monkeypatch.setattr(dirichlet, "_pbtrs", lambda chol, b, **kw: (b, -2))
     with pytest.raises(ConvergenceError, match="pbtrs info -2"):
-        lambda_threshold(n, kappa, r_win)
-
+        lowest_dirichlet_eigenvalue(sf, r)
 
 
 def test_ritz_iteration_budget(monkeypatch, capsys):
     # The steered shift converges in about 6 inverse iterations on the keys
-    # the library solves: the thresholds across the default radius grids at
-    # kappa < 0 (the only pipelines that reach the kernel; their searches
-    # solve about one of them each) and `orbispec eig-ball` at kappa > 0.
-    # It stays cheap at a large hyperbolic key in high dimension, where the
+    # it serves: the curved eigenvalues across the loose tori's default
+    # radius grids at kappa < 0, and `orbispec eig-ball` at kappa > 0.  It
+    # stays cheap at a large hyperbolic key in high dimension, where the
     # safe McKean shift alone took 143.
     from orbispec import cli
     from orbispec.bounds import default_r_grid
@@ -377,7 +457,7 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
     for model_id in ("t2", "pillowcase", "t2-mod-4"):
         model = catalog_model(model_id)
         for r in default_r_grid(2, -0.75, model.volume):
-            lambda_threshold(2, -0.75, r)
+            _eigenvalue(2, -0.75, r)
     searched = len(keys)
     for n, kappa, r in ((2, 1.0, 1.5), (4, 1.0, 2.0), (5, 0.25, 3.0), (2, 4.0, 1.2)):
         argv = ["eig-ball", "--n", str(n), "--kappa", str(kappa), "--r", str(r)]

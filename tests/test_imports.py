@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "cyclic_generator", "default_r_grid", "diameter_bound", "ell_constant",
     "estimate_dimension", "estimate_volume", "flat_torus_spectrum", "generalized_sin",
     "harmonic_multiplicity", "isotropy_order_cap",
-    "lambda_threshold", "linked_complement_measure", "lowest_dirichlet_eigenvalue",
+    "linked_complement_measure", "lowest_dirichlet_eigenvalue",
     "model_catalog", "packing_bound", "r_constant",
     "singular_point_cap", "spectral_isotropy_bound", "spectral_singular_point_bound",
     "spectrum_content_id", "sphere_measure", "sphere_rotation_action",

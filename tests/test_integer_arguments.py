@@ -26,7 +26,6 @@ from orbispec import (
     estimate_volume,
     harmonic_multiplicity,
     isotropy_order_cap,
-    lambda_threshold,
     linked_complement_measure,
     packing_bound,
     singular_point_cap,
@@ -66,7 +65,6 @@ CASES = [
         lambda x: ModelOrbifold("x", x, 1.0, 1.0, 0.0, lattice_basis=np.eye(2)).dimension, 2, 1,
     ),
     ("estimate_volume", lambda x: estimate_volume(S2, x), 2, 1),
-    ("lambda_threshold", lambda x: lambda_threshold(x, 0.0, 1.0), 2, 2),
     ("diameter_bound", lambda x: diameter_bound(T2, 0.0, x, 0.5), 2, 2),
     ("default_r_grid", lambda x: default_r_grid(x, 0.0, 1.0), 2, 1),
     ("best_diameter_bound", lambda x: best_diameter_bound(T2, 0.0, x, [0.3, 0.5]), 2, 2),

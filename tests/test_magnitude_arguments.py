@@ -29,7 +29,6 @@ from orbispec import (
     diameter_bound,
     ell_constant,
     isotropy_order_cap,
-    lambda_threshold,
     lowest_dirichlet_eigenvalue,
     packing_bound,
     r_constant,
@@ -49,7 +48,6 @@ REPORT = dict(
 # (name, call of the magnitude argument, a valid value, the cap an infinite
 # diameter bound clamps to, or None where infinity is refused)
 CASES = [
-    ("lambda_threshold", lambda x: lambda_threshold(2, 0.0, x), 0.5, None),
     (
         "lowest_dirichlet_eigenvalue",
         lambda x: lowest_dirichlet_eigenvalue(SpaceForm(4, -1.0), x), 0.5, None,
@@ -116,7 +114,7 @@ def test_non_real_and_huge_magnitudes_are_domain_errors():
         with pytest.raises(DomainError):
             ell_constant(2, 0.0, bad)
         with pytest.raises(DomainError):
-            lambda_threshold(2, 0.0, bad)
+            lowest_dirichlet_eigenvalue(SpaceForm(2, 0.0), bad)
 
 
 @pytest.mark.parametrize("pipeline", [spectral_isotropy_bound, spectral_singular_point_bound])

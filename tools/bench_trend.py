@@ -27,9 +27,8 @@ The JSON holds the versions and machine, the settings, and per side its
 commit (for this checkout "uncommitted" when ``git status --porcelain`` is
 not empty; ``source_sha256`` identifies the sources either way) and per
 workload the median, quartiles and every run of each end-to-end metric,
-the per-layer self-time shares, ``dirichlet.threshold_first_s`` and
-``bounds.radii_tried`` from the traced run, the CLI wall times, the library
-size and the pytest run.  Per
+the per-layer self-time shares and ``bounds.radii_tried`` from the traced
+run, the CLI wall times, the library size and the pytest run.  Per
 workload, ``pairs_won`` counts for each end-to-end metric the pairs in
 which the change read better than the parent run beside it, in the
 direction BENCHMARK.json gives; ties count for neither side.
@@ -53,7 +52,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = ("verify-cli", "certify-stream", "truncation-sweep")
 # Per-layer metrics kept from a traced run, besides every self_share.* entry.
-TRACE_KEYS = ("dirichlet.threshold_first_s", "dirichlet.threshold_keys", "bounds.radii_tried")
+TRACE_KEYS = ("bounds.radii_tried",)
 CLI_REPEATS = 5
 RUN_TIMEOUT_S = 900
 CLI_PROGRAM = "import sys, orbispec.cli; sys.exit(orbispec.cli.main(sys.argv[1:]))"
