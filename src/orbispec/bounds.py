@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .dirichlet import CAP_SHRINK, _ball_threshold, _check_ball, _refuse_overflow
 from .errors import CertificationError, ConvergenceError, DomainError, _positive
@@ -90,7 +89,8 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     not an integer >= 2 or a non-finite kappa, and the ball check a radius
     that is not positive and finite or that exceeds (1 - 1e-9)
     pi/sqrt(kappa); a threshold past every float or above the truncation is
-    refused too.
+    refused too, and so is a 2 r (rho + 1) past every float (kappa <= 0
+    has no cap to clamp it to, and D = inf bounds nothing).
 
     Cheng's comparison needs Lambda(r) only at or above lambda_kappa(r),
     the lowest Dirichlet eigenvalue of the r-ball in the kappa-model:
@@ -153,7 +153,10 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
         raise DomainError(f"spectrum truncation {spec.truncation:.9g} is below the ball "
                           f"threshold {lam:.9g}; the eigenvalue count there cannot be certified")
     rho = counting_function(spec, lam + tol)
-    return min(2.0 * r * (rho + 1), bonnet_myers_cap(kappa)), rho
+    d = 2.0 * r * (rho + 1)
+    if d == math.inf:
+        raise DomainError(f"the diameter bound 2 r (rho + 1) at r = {r!r}, rho = {rho} overflows")
+    return min(d, bonnet_myers_cap(kappa)), rho
 
 
 def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
@@ -197,15 +200,16 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     closed-form expression, so the same float), one searchsorted counts the
     spectrum up to it plus its tolerance, and D = min(2 r (rho + 1), cap)
     follows.  Radii diameter_bound refuses are skipped: outside the ball
-    check's domain, or whose threshold plus tolerance tops the truncation
-    (an overflowed one included).  Dropping a radius can only loosen the
-    bound.  Of tying radii the largest wins: it has the smallest rho, so the
-    bound rests on the fewest eigenvalues.  The result is therefore that of
-    calling diameter_bound at every radius, and with no admissible radius
-    the error carries diameter_bound's refusal at the largest one.
-    last_skip is diameter_bound's reason for the largest skipped radius.  A
-    dimension or curvature outside SpaceForm's domain would fail every
-    radius alike, so it is refused before the search.
+    check's domain, whose threshold plus tolerance tops the truncation (an
+    overflowed one included), or whose 2 r (rho + 1) overflows.  Dropping a
+    radius can only loosen the bound.  Of tying radii the largest wins: it
+    has the smallest rho, so the bound rests on the fewest eigenvalues.
+    The result is therefore that of calling diameter_bound at every radius,
+    and with no admissible radius the error carries diameter_bound's
+    refusal at the largest one.  last_skip is diameter_bound's reason for
+    the largest skipped radius.  A dimension or curvature outside
+    SpaceForm's domain would fail every radius alike, so it is refused
+    before the search.
     """
     sf = SpaceForm(n, kappa)
     radii = np.sort(np.asarray(r_grid, dtype=float))
@@ -216,9 +220,10 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
         route, lam = _ball_threshold(sf.n, sf.kappa, radii)
         top = lam + RHO_TOL_SCALE * lam
         rho = np.append(0, spec.cumulative_counts)[np.searchsorted(spec.values, top, "right")]
-        d = np.minimum(2.0 * radii * (rho + 1), cap)
+        span = 2.0 * radii * (rho + 1)
+        d = np.minimum(span, cap)
     admissible = (radii > 0.0) & (radii < math.inf) & (radii <= CAP_SHRINK * cap)
-    admissible &= top <= spec.truncation
+    admissible &= (top <= spec.truncation) & (span < math.inf)
     refused = np.flatnonzero(~admissible)
     last_skip = _refusal(spec, kappa, n, float(radii[refused[-1]])) if refused.size else None
     if not admissible.any():
@@ -270,16 +275,40 @@ def isotropy_order_cap(n: int, kappa: float, d: float, v: float) -> int:
     return max(1, _floor_ratio(ball_volume(sf, _diameter(d, kappa)), v))
 
 
+def _guarded_newton(probe):
+    """A newton_bracket probe from probe(x) -> (left, gap, slope).
+
+    The step is gap / slope, except where the slope underflows or two
+    probes in a row land exactly on the target, as they do where the value
+    is flat to rounding over many floats (near pi/2 or the antipodal cap)
+    and one-float steps would walk it: there the step is infinite toward
+    the far end, which newton_bracket turns into a midpoint.
+    """
+    exact = 0
+
+    def guarded(x: float) -> tuple[bool, float]:
+        nonlocal exact
+        left, gap, slope = probe(x)
+        exact = exact + 1 if gap == 0.0 else 0
+        if slope > 0.0 and exact < 2:
+            return left, gap / slope
+        return left, math.inf if left else -math.inf
+
+    return guarded
+
+
 def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     """Largest certified angle whose bad-direction cone stays under v/6.
 
-    The bad directions fill the fraction I_{sin^2 alpha}(1/2, (n-1)/2) of
-    the direction sphere (see linked_complement_measure), which grows with
-    alpha, so the incomplete-beta inverse at the budget gives the angle.
-    That inverse only starts the search: the angle is stepped down until the
-    forward cone satisfies the strict inequality with relative margin 1e-9
-    (a relative margin keeps the angle invariant under rescaling), and that
-    forward check is the certificate.
+    The bad directions fill the band linked_complement_measure(n-1, alpha)
+    of the direction sphere, which grows with alpha at the rate
+    2 sphere_measure(n-2) cos^(n-2) alpha, so Newton steps on it
+    (newton_bracket) give the angle at which the band's share of the
+    sphere is the budget's share of the ball.  That angle only starts the
+    search: the angle is stepped down until the forward cone satisfies the
+    strict inequality with relative margin 1e-9 (a relative margin keeps
+    the angle invariant under rescaling), and that forward check is the
+    certificate.
     """
     sf = SpaceForm(n, kappa)
     d = _diameter(d, kappa)
@@ -297,8 +326,14 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
         raise CertificationError(
             "alpha", f"no admissible angle: even alpha = {lo} exceeds the v/6 budget"
         )
-    x = betaincinv(0.5, 0.5 * (n - 1), min(1.0, target / ball_volume(sf, d)))
-    alpha = min(max(math.asin(math.sqrt(x)), lo), hi)
+    band = sphere_measure(n - 1) * min(1.0, target / ball_volume(sf, d))
+    rate = 2.0 * sphere_measure(n - 2)
+
+    def probe(alpha: float) -> tuple[bool, float, float]:
+        gap = band - linked_complement_measure(n - 1, alpha)
+        return gap > 0.0, gap, rate * math.cos(alpha) ** (n - 2)
+
+    alpha = newton_bracket(_guarded_newton(probe), lo, hi, min(max(band / rate, lo), hi))[0]
     # Step down until the forward check passes, doubling the step after each
     # failure, then bisect back up to the last failure: the result is the
     # angle one-ulp steps would reach, without the billions of steps they
@@ -320,14 +355,15 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
 def ell_constant(n: int, kappa: float, v: float) -> float:
     """(1 - 1e-6) times the radius whose model-ball volume equals v/3.
 
-    Closed forms invert ball_volume: flat (v / 3 omega_n)^(1/n); n = 2 the
-    asin / asinh of sqrt(|kappa| v / 12 pi); kappa > 0 the incomplete-beta
-    inverse of ball_volume's fraction of the sphere, in sin^2 up to pi/4 and
-    reflected into cos^2 past it.  Past the antipodal cap it is the cap.
-    For kappa < 0 with n >= 3, Newton steps on log ball_volume (concave in
-    r) inside the bracket (0, flat radius] (sn(t) >= t, so the flat radius
-    is at or past the root) close in to adjacent floats, and the lower one,
-    whose ball volume is at most v/3, is shrunk.
+    Closed forms invert ball_volume when flat, (v / 3 omega_n)^(1/n), and
+    when n = 2, the asin / asinh of sqrt(|kappa| v / 12 pi).  For
+    kappa > 0 a v/3 of at least the whole sphere gives the antipodal cap.
+    Every other curved case takes one route: Newton steps on log
+    ball_volume (concave in r) from the flat radius close in to adjacent
+    floats, and the lower one, whose ball volume is at most v/3, is shrunk.
+    The bracket is (0, cap] when kappa > 0 and (0, flat radius] when
+    kappa < 0: sn(t) <= t in the first case and sn(t) >= t in the second,
+    so the flat radius lies at or below the root, or at or above it.
     """
     sf = SpaceForm(n, kappa)
     v = _positive(v, "volume")
@@ -337,8 +373,6 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
         return SHRINK * flat
     s = math.sqrt(abs(kappa))
     if kappa > 0:
-        # One rounding of the whole sphere for the cap test and the inverse:
-        # target < whole keeps the fraction below 2, past which it is NaN.
         try:
             whole = sphere_measure(n) * kappa ** (-0.5 * n)
         except OverflowError:
@@ -349,24 +383,20 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
             return SHRINK * bonnet_myers_cap(kappa)
         if n == 2:
             return SHRINK * 2.0 / s * math.asin(min(1.0, math.sqrt(kappa * v / (12.0 * math.pi))))
-        fraction = target / (0.5 * whole)
-        if fraction < 1.0:
-            x = math.asin(math.sqrt(float(betaincinv(0.5 * n, 0.5, fraction))))
-        if fraction >= 1.0 or x > 0.25 * math.pi:
-            c2 = float(betaincinv(0.5, 0.5 * n, abs(1.0 - fraction)))
-            x = math.acos(math.copysign(math.sqrt(c2), 1.0 - fraction))
-        return SHRINK * x / s
-    if n == 2:
-        return SHRINK * 2.0 / s * math.asinh(math.sqrt(-kappa * v / (12.0 * math.pi)))
+        sine, hi = math.sin, bonnet_myers_cap(kappa)
+    else:
+        if n == 2:
+            return SHRINK * 2.0 / s * math.asinh(math.sqrt(-kappa * v / (12.0 * math.pi)))
+        sine, hi = math.sinh, flat
     omega = sphere_measure(n - 1)
     log_target = math.log(target)
 
-    def probe(r: float) -> tuple[bool, float]:
+    def probe(r: float) -> tuple[bool, float, float]:
         vol = ball_volume(sf, r)
-        density = omega * (math.sinh(s * r) / s) ** (n - 1)
-        return vol <= target, (log_target - math.log(vol)) * vol / density
+        density = omega * (sine(s * r) / s) ** (n - 1)
+        return vol <= target, (log_target - math.log(vol)) * vol, density
 
-    return SHRINK * newton_bracket(probe, 0.0, flat, flat)[0]
+    return SHRINK * newton_bracket(_guarded_newton(probe), 0.0, hi, min(flat, hi))[0]
 
 
 def r_constant(kappa: float, alpha: float, ell: float) -> float:

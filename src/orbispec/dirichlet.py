@@ -23,20 +23,21 @@ Rayleigh-Ritz the exact quotient lies at or above the true eigenvalue
 whether or not the iteration has converged; against a 40-point rule the
 6-point quotient sits at most about 4e-15 relative below (n in {2, 4, 5},
 kappa r^2 from -36 to (0.999 pi)^2).  No certificate rests on the Ritz
-value: it serves lowest_dirichlet_eigenvalue and `orbispec eig-ball`.
+value: it serves lowest_dirichlet_eigenvalue and `orbispec eig-ball`, so
+its LAPACK and BLAS routines load from scipy.linalg with the first Ritz
+solve, and importing the package loads no scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, get_blas_funcs, get_lapack_funcs
-from scipy.special import jv
 
 from .errors import ConvergenceError, DomainError, _positive
-from .spaceform import SpaceForm, bonnet_myers_cap, generalized_sin, newton_bracket
+from .spaceform import SERIES_TOL, SpaceForm, bonnet_myers_cap, generalized_sin, newton_bracket
 
 # Balls in positive curvature must stay strictly inside the antipodal cap;
 # accuracy degrades as the friction term blows up near the cap.
@@ -88,12 +89,26 @@ _ELEMENT_NODES = 2 * np.arange(RITZ_ELEMENTS)[:, None] + np.arange(3)
 _START = np.cos(0.5 * math.pi * np.linspace(0.0, 1.0, 2 * RITZ_ELEMENTS + 1)[:-1])
 _START.setflags(write=False)
 
-# Banded Cholesky factor and solve, and the symmetric banded product, all in
-# LAPACK's upper band storage with two superdiagonals; and the index of the
-# entry largest in magnitude, for max norms without a temporary.
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-_sbmv = get_blas_funcs("sbmv", dtype=np.float64)
-_idamax = blas.idamax
+
+class _Linalg(NamedTuple):
+    """Banded Cholesky factor and solve, and the symmetric banded product,
+    all in LAPACK's upper band storage with two superdiagonals; and the
+    index of the entry largest in magnitude, for max norms without a
+    temporary."""
+
+    pbtrf: Callable
+    pbtrs: Callable
+    sbmv: Callable
+    idamax: Callable
+
+
+@functools.cache
+def _linalg() -> _Linalg:
+    """The Ritz kernel's LAPACK and BLAS routines, from scipy.linalg on first use."""
+    from scipy.linalg import blas, get_blas_funcs, get_lapack_funcs
+
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+    return _Linalg(pbtrf, pbtrs, get_blas_funcs("sbmv", dtype=np.float64), blas.idamax)
 
 
 def _check_ball(sf: SpaceForm, r: float) -> float:
@@ -129,6 +144,27 @@ def _bessel_sign(n: int, x: float) -> int:
         k += 1
 
 
+def _bessel_step(n: int, x: float) -> float:
+    """Newton step -J_nu(x) / J_nu'(x), nu = n/2 - 1, at a float x > 0.
+
+    J_nu(x) is x^nu times the series _bessel_sign sums exactly, here summed
+    in floats: with terms t_k, G = sum t_k and K = sum k t_k, the step is
+    -x G / (nu G + 2 K).  It only steers; no sign is taken from it.
+    """
+    w = 0.5 * x * x
+    term = total = peak = 1.0
+    moment, k = 0.0, 0
+    while True:
+        k += 1
+        g = k * (n + 2 * k - 2)
+        term *= -w / g
+        total += term
+        moment += k * term
+        peak = max(peak, abs(term))
+        if g > w and abs(term) <= SERIES_TOL * peak:
+            return -x * total / ((0.5 * n - 1.0) * total + 2.0 * moment)
+
+
 @functools.lru_cache(maxsize=16)
 def _first_bessel_zero(n: int) -> float:
     """First positive zero of J_(n/2 - 1), rounded up to a float; the flat
@@ -136,15 +172,14 @@ def _first_bessel_zero(n: int) -> float:
 
     Inside sqrt((nu+1)(nu+5)) < j < sqrt(nu+1)(sqrt(nu+2)+1) each probe
     takes its side from the exact sign of J_nu and its Newton step from the
-    rounded jv, so the bracket closes on the exact sign change: the upper
-    end kept is the smallest float where J_nu <= 0, and (j/r)^2 never
-    under-estimates the threshold.
+    same series in floats (_bessel_step), so the bracket closes on the
+    exact sign change: the upper end kept is the smallest float where
+    J_nu <= 0, and (j/r)^2 never under-estimates the threshold.
     """
     nu = 0.5 * n - 1.0
 
     def probe(x: float) -> tuple[bool, float]:
-        f = float(jv(nu, x))
-        return _bessel_sign(n, x) > 0, f / (nu / x * f - float(jv(nu - 1.0, x)))
+        return _bessel_sign(n, x) > 0, _bessel_step(n, x)
 
     hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
     return newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
@@ -235,8 +270,9 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
     if not np.isfinite(w).all():
         raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
     mass, stiff = _assemble_bands(w @ _FORM_TABLE)
+    pbtrf, pbtrs, sbmv, idamax = _linalg()
     sigma = 0.25 * (n - 1) ** 2 * -kappa if kappa < 0 else -1.0
-    chol, info = _pbtrf(stiff - sigma * mass, overwrite_ab=1)
+    chol, info = pbtrf(stiff - sigma * mass, overwrite_ab=1)
     if info != 0:
         raise ConvergenceError(
             f"banded Cholesky of the shifted Ritz pencil failed (LAPACK pbtrf info {info}) "
@@ -244,24 +280,24 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
         )
     steer_below = RITZ_STEER_STEP
     x = _START
-    mx = _sbmv(2, 1.0, mass, x)
+    mx = sbmv(2, 1.0, mass, x)
     for _ in range(RITZ_MAX_ITER):
-        y, info = _pbtrs(chol, mx)
+        y, info = pbtrs(chol, mx)
         if info != 0:
             raise ConvergenceError(
                 f"banded Cholesky solve of the Ritz pencil failed (LAPACK pbtrs info {info}) "
                 f"at n = {n}, kappa r^2 = {kappa!r}"
             )
-        my = _sbmv(2, 1.0, mass, y)
-        scale = 1.0 / abs(y[_idamax(y)])
+        my = sbmv(2, 1.0, mass, y)
+        scale = 1.0 / abs(y[idamax(y)])
         y *= scale
         dy = y - x
-        step = abs(dy[_idamax(dy)])
+        step = abs(dy[idamax(dy)])
         if step <= steer_below:
             # (K - sigma M) y = M x, so rq(y) = sigma + y.Mx / y.My.
             rq = sigma + float(y @ mx) / float(y @ my)
             steered = sigma + (1.0 - RITZ_STEER_GAP) * (rq - sigma)
-            factor, info = _pbtrf(stiff - steered * mass, overwrite_ab=1)
+            factor, info = pbtrf(stiff - steered * mass, overwrite_ab=1)
             if info == 0:
                 chol, sigma, steer_below = factor, steered, -1.0
             else:

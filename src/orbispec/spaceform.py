@@ -5,10 +5,11 @@ comparison) reduces to a handful of quantities in the simply connected
 model space of dimension n and curvature kappa: the generalized sine
 controlling the volume density, geodesic ball and cone volumes, and the
 measure of the bad directions between two touching caps on the unit
-direction sphere.  All three curvature signs share one code path with a
-series branch near kappa = 0 so nothing jumps when curvature crosses zero.
-The few quantities without a closed form are one-dimensional roots, found
-by newton_bracket.
+direction sphere.  The volumes and the measure are integrals of sin^m,
+sinh^m and cos^m, which _power_integral evaluates in elementary terms; the
+generalized sine takes a series branch near kappa = 0 so nothing jumps
+when curvature crosses zero.  The few quantities without a closed form are
+one-dimensional roots, found by newton_bracket.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, hyp2f1
 
 from .errors import ConvergenceError, DomainError, _count
 
@@ -28,6 +28,12 @@ NEAR_FLAT = 1e-8
 ACOS_DRIFT = 1e-12
 # Probes newton_bracket may spend before it gives up on a bracket.
 ROOT_MAX_PROBES = 200
+# _power_integral's series stop once a term falls to this share of the sum;
+# their ratios stay at most 1/2, so the tail is at most the last term.
+SERIES_TOL = 2.0**-54
+# _power_integral sums its series up to these angles sqrt|kappa| r
+# (sin^2 = 1/2, sinh^2 = 1) and takes the two-term recursion past them.
+SERIES_SWITCH = {1: 0.25 * math.pi, -1: math.asinh(1.0)}
 
 
 @dataclass(frozen=True)
@@ -86,14 +92,6 @@ def generalized_sin(kappa: float, r):
     Accepts scalar or array ``r``.
     """
     rr, lo = _check_radius(kappa, r)
-    out = _generalized_sin(kappa, rr, lo)
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
-
-
-def _generalized_sin(kappa: float, rr, lo: float):
-    """generalized_sin of a checked radius rr whose smallest value is lo."""
     if kappa == 0.0:
         out = rr
     else:
@@ -108,6 +106,8 @@ def _generalized_sin(kappa: float, rr, lo: float):
             x2 = kappa * rr * rr
             series = rr * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
             out = np.where(np.abs(x2) < NEAR_FLAT, series, out)
+    if np.ndim(r) == 0:
+        return float(out)
     return out
 
 
@@ -153,29 +153,24 @@ def unit_ball_volume(n: int) -> float:
 
 
 def ball_volume(sf: SpaceForm, r: float) -> float:
-    """Volume of the geodesic r-ball in the model space, in closed form.
+    """Volume of the geodesic r-ball in the model space, in elementary terms.
 
-    Flat: omega_n r^n, omega_n the unit-ball volume.  n = 2, and n = 3 once
-    |kappa| r^2 >= 1: elementary forms (below 1 the n = 3 one cancels, to
-    about 3e-12 relative at 1e-4).  Otherwise, with sn = generalized_sin(r),
-
-        omega_n sn^n 2F1(1/2, n/2; n/2 + 1; kappa sn^2),
-
-    which is sinh^n(x)/n 2F1(1/2, n/2; n/2 + 1; -sinh^2 x) up to the factor
-    sphere_measure(n-1) |kappa|^(-n/2) for kappa < 0, and the same multiple
-    of the incomplete beta (1/2) B(n/2, 1/2) I_{sin^2 x}(n/2, 1/2) for
-    kappa > 0 (x = sqrt(|kappa|) r).  Scaling by sn keeps it free of under-
-    and overflow as kappa r^2 -> 0.  For kappa > 0 past x = pi/4 the
-    incomplete beta is reflected into cos^2 x, which keeps its digits
-    through pi/2 up to the antipodal cap, where it gives the whole sphere.
-    Strictly increasing in r up to the antipodal cap for kappa > 0.  A volume
-    past every float (a large hyperbolic ball) is a DomainError.
+    Flat: omega_n r^n, omega_n the unit-ball volume.  Curved:
+    sphere_measure(n-1) times the integral of sn^(n-1) over [0, r], sn the
+    generalized sine, which _power_integral evaluates: a positive series
+    scaled by sn^n near the centre, so nothing under- or overflows as
+    kappa r^2 -> 0, and a two-term recursion past it.  n = 2, and n = 3 once
+    |kappa| r^2 >= 1, keep their closed forms, the m = 1 and m = 2 cases of
+    that recursion (below 1 the n = 3 form cancels, to about 3e-12 relative
+    at 1e-4).  For kappa > 0 the ball grows up to the antipodal cap, where
+    it is the whole sphere.  A volume past every float (a large hyperbolic
+    ball) is a DomainError.
     """
-    rr, lo = _check_radius(sf.kappa, r)
+    _check_radius(sf.kappa, r)
     if r == 0.0:
         return 0.0
     try:
-        vol = _ball_volume(sf.n, sf.kappa, r, rr, lo)
+        vol = _ball_volume(sf.n, sf.kappa, r)
     except OverflowError:
         vol = math.inf
     if not math.isfinite(vol):
@@ -183,8 +178,8 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
     return vol
 
 
-def _ball_volume(n: int, k: float, r: float, rr, lo: float) -> float:
-    """ball_volume of a checked radius r > 0, as rr and its smallest value lo."""
+def _ball_volume(n: int, k: float, r: float) -> float:
+    """ball_volume of a checked radius r > 0."""
     if k == 0.0:
         return unit_ball_volume(n) * r**n
     if n == 2:
@@ -196,12 +191,76 @@ def _ball_volume(n: int, k: float, r: float, rr, lo: float) -> float:
         if k > 0:
             return 2.0 * math.pi / k * (r - math.sin(2.0 * s * r) / (2.0 * s))
         return 2.0 * math.pi / (-k) * (math.sinh(2.0 * s * r) / (2.0 * s) - r)
-    if k > 0 and math.sqrt(k) * r > 0.25 * math.pi:
-        c = math.cos(math.sqrt(k) * r)
-        fraction = 1.0 - math.copysign(float(betainc(0.5, 0.5 * n, c * c)), c)
-        return 0.5 * sphere_measure(n) * k ** (-0.5 * n) * fraction
-    sn = float(_generalized_sin(k, rr, lo))
-    return unit_ball_volume(n) * sn**n * float(hyp2f1(0.5, 0.5 * n, 0.5 * n + 1.0, k * sn * sn))
+    return sphere_measure(n - 1) * _power_integral(n - 1, k, r)
+
+
+def _power_integral(m: int, kappa: float, r: float, cosine: bool = False) -> float:
+    """Integral over [0, r] of sn^m, or of cn^m when cosine, for m >= 0 and
+    kappa != 0 (cosine needs kappa > 0).
+
+    sn and cn = sn' are the generalized sine and cosine: with s =
+    sqrt|kappa| and x = s r, the integral is s^-(m+1) times that of sin^m,
+    sinh^m or cos^m over [0, x].  The branches:
+
+    * cos^m: I_m = ((m-1) I_(m-2) + cn^(m-1) sn) / m from I_0 = r and
+      I_1 = sn, every term nonnegative up to x = pi/2.
+    * sin^m up to x = pi/4: sn^(m+1) sum_k (1/2)_k / k! z^k / (m+1+2k) with
+      z = kappa sn^2 = sin^2 x <= 1/2, the series of
+      2F1(1/2, (m+1)/2; (m+3)/2; z), every term positive.
+    * sinh^m up to sinh^2 x = 1: the same 2F1 at z = -sinh^2 x, rewritten by
+      Pfaff's transformation into sn^(m+1) / ((m+1) cn) times
+      sum_k (1/2)_k / ((m+3)/2)_k t^k, t = z/(z-1) = tanh^2 x <= 1/2, every
+      term positive.
+    * past those switches (SERIES_SWITCH): I_m = ((m-1) I_(m-2) - sn^(m-1) cn)
+      / (m kappa) from I_0 = r and I_1 = 2 sn(r/2)^2, both free of
+      cancellation.  Past x = pi/2 every sin^m term is nonnegative; between
+      pi/4 and pi/2, and for sinh^m with sinh^2 x >= 1, the subtracted term
+      is at most about the kept one, so against 50-digit values the result
+      stays within 4e-14 relative for m <= 11 (the hyperbolic error grows
+      like x ulps, the conditioning of sinh itself).
+
+    The series ratios stay at most 1/2, so stopping at SERIES_TOL leaves a
+    tail below the last term.
+    """
+    s = math.sqrt(abs(kappa))
+    x = s * r
+    if cosine:
+        sn = math.sin(x) / s
+        g, h, k, first = math.cos(x), sn, 1.0, sn
+    elif kappa > 0:
+        sn = math.sin(x) / s
+        if x <= SERIES_SWITCH[1]:
+            z = kappa * sn * sn
+            total = term = 1.0 / (m + 1)
+            a, j = 1.0, 0
+            while term > SERIES_TOL * total:
+                a *= (j + 0.5) / (j + 1.0) * z
+                j += 1
+                term = a / (m + 1 + 2 * j)
+                total += term
+            return sn ** (m + 1) * total
+        half = math.sin(0.5 * x) / s
+        g, h, k, first = sn, -math.cos(x), kappa, 2.0 * half * half
+    else:
+        sn = math.sinh(x) / s
+        if x <= SERIES_SWITCH[-1]:
+            t = math.tanh(x) ** 2
+            total = term = 1.0
+            c, j = 0.5 * (m + 3), 0
+            while term > SERIES_TOL * total:
+                term *= (j + 0.5) / (j + c) * t
+                j += 1
+                total += term
+            return sn ** (m + 1) / ((m + 1) * math.cosh(x)) * total
+        half = math.sinh(0.5 * x) / s
+        g, h, k, first = sn, -math.cosh(x), kappa, 2.0 * half * half
+    # Both recursions read I_j = ((j-1) I_(j-2) + h g^(j-1)) / (j k), with
+    # g the integrand's base and (h, k) = (sn, 1) or (-cn, kappa).
+    val, j = (first, 1) if m % 2 else (r, 0)
+    while j < m:
+        j += 2
+        val = ((j - 1) * val + h * g ** (j - 1)) / (j * k)
+    return val
 
 
 def linked_complement_measure(d: int, alpha: float) -> float:
@@ -210,20 +269,16 @@ def linked_complement_measure(d: int, alpha: float) -> float:
 
     The two caps of angular radius pi/2 - alpha touch, so the complement is
     the band within alpha of the great sphere midway between the centres:
-    sphere_measure(d) * I_{sin^2 alpha}(1/2, d/2), with I the regularized
-    incomplete beta (4*alpha on S^1, 4*pi*sin(alpha) on S^2).  Above pi/4
-    the reflection I_x(a, b) = 1 - I_{1-x}(b, a) evaluates it in cos^2 alpha,
-    which keeps the digits that sin^2 alpha rounds away near pi/2.
+    2 sphere_measure(d-1) times the integral of cos^(d-1) over [0, alpha]
+    (4*alpha on S^1, 4*pi*sin(alpha) on S^2), whose recursion in
+    _power_integral has only nonnegative terms, so nothing cancels up to
+    pi/2.
     """
     d = _count(d, "sphere dimension", 1)
     if not (-ACOS_DRIFT <= alpha <= 0.5 * math.pi + ACOS_DRIFT):
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     alpha = min(max(alpha, 0.0), 0.5 * math.pi)
-    if alpha <= 0.25 * math.pi:
-        fraction = betainc(0.5, 0.5 * d, math.sin(alpha) ** 2)
-    else:
-        fraction = betaincc(0.5 * d, 0.5, math.cos(alpha) ** 2)
-    return sphere_measure(d) * float(fraction)
+    return 2.0 * sphere_measure(d - 1) * _power_integral(d - 1, 1.0, alpha, cosine=True)
 
 
 def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:

@@ -468,7 +468,7 @@ def gauss_legendre_linked_complement(d: int, alpha: float, order: int = 64) -> f
     2 * sphere_measure(d-1) * int_0^alpha cos(s)^(d-1) ds.  Integrating the
     band itself, not sphere_measure(d) minus two caps, keeps the digits that
     subtraction cancels at small alpha; a fixed quadrature rule, independent
-    of the package's incomplete-beta closed form.
+    of the package's cosine-power recursion.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     s = 0.5 * alpha * (nodes + 1.0)
@@ -542,7 +542,8 @@ def exhaustive_diameter_bound(
     spec: Spectrum, kappa: float, n: int, r_grid
 ) -> tuple[float, float, int]:
     """(D*, r*, rho*) by calling diameter_bound at every grid radius in
-    increasing order; ties favor large r.
+    increasing order, skipping each radius it refuses (a 2 r (rho + 1)
+    that overflows among them); ties favor large r.
 
     The package computes every radius in one array pass and must return the
     same triple, and with no admissible radius the same error.

@@ -1,4 +1,4 @@
-"""The trend line's library-size and commit fields, on throwaway trees."""
+"""The trend line's library-size, import, scipy and commit fields, on throwaway trees."""
 from __future__ import annotations
 
 import importlib.util
@@ -36,6 +36,48 @@ def test_cli_wall_alternates_the_sides(tmp_path, monkeypatch):
     turns = [change, parent, parent, change] * (repeats // 2) + [change, parent] * (repeats % 2)
     assert ran == turns
     assert set(walls) == set(sides)
+
+
+def test_import_wall_times_a_bare_import_with_the_sides_alternating(tmp_path, monkeypatch):
+    bench_trend = _bench_trend()
+    sides = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    ran = []
+    monkeypatch.setattr(
+        bench_trend.subprocess, "run", lambda cmd, cwd, **kw: ran.append((cmd[1:], cwd))
+    )
+    walls = bench_trend.fresh_wall(sides, ["-c", bench_trend.IMPORT_PROGRAM])
+    assert {tuple(cmd) for cmd, _ in ran} == {("-c", "import orbispec.cli")}
+    change, parent, repeats = sides["change"], sides["parent"], bench_trend.CLI_REPEATS
+    turns = [change, parent, parent, change] * (repeats // 2) + [change, parent] * (repeats % 2)
+    assert [cwd for _, cwd in ran] == turns
+    assert set(walls) == set(sides)
+
+
+def test_scipy_modules_counts_what_verify_quick_left_loaded(tmp_path):
+    # A stand-in scipy on the tree's src shadows the installed one, so the
+    # count is that of the tree's own imports.
+    pkg = tmp_path / "src" / "orbispec"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "def main(argv):\n"
+        "    assert argv == ['verify', '--quick']\n"
+        "    print('report')\n"
+        "    return 0\n"
+    )
+    count = _bench_trend().scipy_modules
+    assert count(tmp_path) == 0
+    fake = tmp_path / "src" / "scipy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "linalg.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "def main(argv):\n"
+        "    import scipy.linalg\n"
+        "    return 0\n"
+    )
+    assert count(tmp_path) == 2
+
 
 def test_tree_commit_marks_an_uncommitted_tree(tmp_path):
     def git(*args):

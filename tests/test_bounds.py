@@ -239,6 +239,27 @@ def test_best_diameter_bound_without_admissible_radius_names_the_largest():
     assert "antipodal cap" in err[2]
 
 
+def test_diameter_bound_refuses_an_overflowing_span():
+    # At kappa <= 0 no cap clamps 2 r (rho + 1), so a radius near 1e308
+    # whose threshold lies below the truncation once certified D = inf and
+    # the failure surfaced only in the isotropy stage.  It is refused, and
+    # the search skips it with that reason.
+    spec = catalog_model("t2").spectrum(8000.0)
+    with pytest.raises(DomainError, match=r"2 r \(rho \+ 1\) .* overflows"):
+        diameter_bound(spec, 0.0, 2, 1e308)
+    got = _search_outcome(best_diameter_bound, spec, 0.0, 2, [1e308])
+    assert got[:2] == ("error", "diameter") and "overflows" in got[2]
+    assert got == _search_outcome(exhaustive_diameter_bound, spec, 0.0, 2, [1e308])
+    search = best_diameter_bound(spec, 0.0, 2, [1e308, 0.7])
+    assert search == exhaustive_diameter_bound(spec, 0.0, 2, [1e308, 0.7])
+    assert search[1] == 0.7 and math.isfinite(search[0])
+    assert "overflows" in search.last_skip
+    rep = spectral_isotropy_bound(spec, 0.0, n=2, v=1.0, r_grid=[1e308, 0.7])
+    assert rep.diameter_bound == search[0]
+    with pytest.raises(CertificationError, match=r"^\[diameter\]"):
+        spectral_isotropy_bound(spec, 0.0, n=2, v=1.0, r_grid=[1e308])
+
+
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
 def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     # The 64-point default grid at both verify truncations and the exact

@@ -402,7 +402,8 @@ def test_spectrum_file_holding_an_array_exits_1(capsys, tmp_path):
 def test_solver_failure_exits_2_as_a_convergence_error(capsys, monkeypatch):
     from orbispec import dirichlet
 
-    monkeypatch.setattr(dirichlet, "_pbtrf", lambda ab, **kw: (ab, 3))
+    failing = dirichlet._linalg()._replace(pbtrf=lambda ab, **kw: (ab, 3))
+    monkeypatch.setattr(dirichlet, "_linalg", lambda: failing)
     code, out, err = run_cli(capsys, "eig-ball", "--n", "2", "--kappa", "1", "--r", "1")
     assert code == 2 and out == ""
     assert err.startswith("error[convergence]") and "pbtrf info 3" in err

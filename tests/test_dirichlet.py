@@ -331,17 +331,20 @@ def test_liouville_threshold_never_below_shooting_oracle(key):
     st.floats(0.05, 0.999),
     st.floats(0.2, 5.0),
 )
+@example(3, 1.0, 1.0, 0.99609375, 1.5)  # pi^2/r^2 - kappa cancels near the cap
 def test_ball_threshold_scales_and_agrees_over_arrays(n, sign, size, u, c):
     # Lengths times c, curvature times c^-2: the threshold times c^-2, to
-    # rounding, and exactly for a power of two.  The value over an array
-    # of radii equals the value at each radius bit for bit, which the
-    # diameter search's array pass relies on.
+    # rounding, and exactly for a power of two.  The threshold is (q/r)^2
+    # minus or plus c_n |kappa|, so its rounding is relative to the sum of
+    # the two terms: near the antipodal cap the n = 3 difference cancels.
+    # The value over an array of radii equals the value at each radius bit
+    # for bit, which the diameter search's array pass relies on.
     kappa = sign * size
     r = u * (math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
     route, lam = _ball_threshold(n, kappa, r)
     scaled_route, scaled = _ball_threshold(n, kappa / (c * c), c * r)
     assert scaled_route == route
-    assert abs(scaled - lam / (c * c)) <= 1e-14 * scaled
+    assert abs(scaled - lam / (c * c)) <= 1e-14 * (scaled + abs(kappa) / (c * c))
     assert _ball_threshold(n, kappa / 4.0, 2.0 * r)[1] == lam / 4.0
     radii = np.array([0.5 * r, r, math.nextafter(r, 0.0)])
     assert _ball_threshold(n, kappa, radii)[1].tolist() == [
@@ -401,6 +404,11 @@ def test_ritz_kernel_matches_reference_at_extreme_keys(n, s):
     assert abs(_ritz_unit_ball(n, s) - want) <= 1e-10 * want
 
 
+def _patch_linalg(monkeypatch, real, **routines):
+    """Give the Ritz kernel the real LAPACK/BLAS routines with some replaced."""
+    monkeypatch.setattr(dirichlet, "_linalg", lambda: real._replace(**routines))
+
+
 def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
     # A nonzero LAPACK info must surface as a ConvergenceError naming the
     # key, never as garbage or an untyped LinAlgError.  The diameter search
@@ -408,14 +416,14 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
     # is skipped for it; the key is a loose torus one (kappa r^2 = -0.1875).
     n, kappa, r = 2, -0.75, 0.5
     sf = SpaceForm(n, kappa)
-    real_pbtrf = dirichlet._pbtrf
+    real = dirichlet._linalg()
     pencils = []
 
     def spy(ab, **kw):
         pencils.append(np.array(ab))
-        return real_pbtrf(ab, **kw)
+        return real.pbtrf(ab, **kw)
 
-    monkeypatch.setattr(dirichlet, "_pbtrf", spy)
+    _patch_linalg(monkeypatch, real, pbtrf=spy)
     lowest_dirichlet_eigenvalue(sf, r)
     # The first pencil is the primary factorization; later ones only steer.
     bad_pencil = pencils[0]
@@ -423,16 +431,15 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
     def failing(ab, **kw):
         if np.array_equal(ab, bad_pencil):
             return np.array(ab), 3
-        return real_pbtrf(ab, **kw)
+        return real.pbtrf(ab, **kw)
 
-    monkeypatch.setattr(dirichlet, "_pbtrf", failing)
+    _patch_linalg(monkeypatch, real, pbtrf=failing)
     key_text = f"kappa r^2 = {kappa * r * r!r}"
     with pytest.raises(ConvergenceError, match="pbtrf info 3") as err:
         lowest_dirichlet_eigenvalue(sf, r)
     assert key_text in str(err.value)
 
-    monkeypatch.setattr(dirichlet, "_pbtrf", real_pbtrf)
-    monkeypatch.setattr(dirichlet, "_pbtrs", lambda chol, b, **kw: (b, -2))
+    _patch_linalg(monkeypatch, real, pbtrs=lambda chol, b, **kw: (b, -2))
     with pytest.raises(ConvergenceError, match="pbtrs info -2"):
         lowest_dirichlet_eigenvalue(sf, r)
 
@@ -469,13 +476,13 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
 
     # One banded solve per inverse iteration.
     calls = [0]
-    real_pbtrs = dirichlet._pbtrs
+    real = dirichlet._linalg()
 
     def count(chol, b, **kw):
         calls[0] += 1
-        return real_pbtrs(chol, b, **kw)
+        return real.pbtrs(chol, b, **kw)
 
-    monkeypatch.setattr(dirichlet, "_pbtrs", count)
+    _patch_linalg(monkeypatch, real, pbtrs=count)
     for n, s in keys:
         _ritz_unit_ball(n, s)
     assert calls[0] / len(keys) <= 8.0, calls[0] / len(keys)
@@ -489,16 +496,16 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
 def test_failed_steering_keeps_the_safe_shift(monkeypatch, n, s):
     # Every factorization after the primary one fails: the solve keeps the
     # safe shift, does not raise, and still reaches the reference value.
-    real_pbtrf = dirichlet._pbtrf
+    real = dirichlet._linalg()
     calls = [0]
 
     def first_only(ab, **kw):
         calls[0] += 1
         if calls[0] > 1:
             return np.array(ab), 1
-        return real_pbtrf(ab, **kw)
+        return real.pbtrf(ab, **kw)
 
-    monkeypatch.setattr(dirichlet, "_pbtrf", first_only)
+    _patch_linalg(monkeypatch, real, pbtrf=first_only)
     got = _ritz_unit_ball(n, s)
     assert calls[0] > 1, "no steering factorization was tried"
     want, _ = reference_ritz_unit_ball(n, s)

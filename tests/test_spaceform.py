@@ -14,6 +14,7 @@ from orbispec.errors import ConvergenceError, DomainError
 from orbispec.spaceform import (
     NEAR_FLAT,
     ROOT_MAX_PROBES,
+    SERIES_SWITCH,
     SpaceForm,
     ball_volume,
     bonnet_myers_cap,
@@ -178,8 +179,10 @@ def test_ball_volume_closed_forms_match_quadrature_oracle(n, sign, log_size, r):
 def test_ball_volume_strictly_increasing_in_radius(n, kappa):
     cap = bonnet_myers_cap(kappa) if kappa > 0 else 6.0
     radii = list(np.linspace(0.01, 0.999, 300) * cap)
-    # both sides of the switches at sqrt(kappa) r = pi/4 and |kappa| r^2 = 1
-    for edge in (0.25 * math.pi / math.sqrt(abs(kappa)), 1.0 / math.sqrt(abs(kappa))):
+    # both sides of the series switch (sqrt(kappa) r = pi/4, or sinh^2 = 1
+    # when kappa < 0) and of the n = 3 closed form's at |kappa| r^2 = 1
+    s = math.sqrt(abs(kappa))
+    for edge in (SERIES_SWITCH[1 if kappa > 0 else -1] / s, 1.0 / s):
         radii += [edge * (1 - 1e-9), edge, edge * (1 + 1e-9)]
     radii = sorted(r for r in radii if r < cap)
     vols = [ball_volume(SpaceForm(n, kappa), float(r)) for r in radii]
@@ -240,7 +243,7 @@ def test_two_cap_complement_circle_exact_linked():
 
 
 def test_linked_complement_matches_band_oracle():
-    # incomplete-beta closed form against a fixed Gauss-Legendre rule over the
+    # cosine-power recursion against a fixed Gauss-Legendre rule over the
     # band, from alpha = 1e-6 to within 1e-6 of pi/2, in S^1 .. S^6
     alphas = np.concatenate(
         [np.geomspace(1e-6, 0.1, 12), np.linspace(0.1, math.pi / 2 - 1e-6, 24)]

@@ -11,9 +11,10 @@ every workload for the ``run_seconds`` that BENCHMARK.json fixes:
 ``--pairs`` untraced runs for the end-to-end metrics, with parent and
 change alternating and the side that goes first alternating too, then one
 traced run for the per-layer numbers.  It also times
-``orbispec verify`` and ``orbispec verify --quick`` in fresh interpreters
-(wall seconds, median of CLI_REPEATS, the two sides taking turns in
-each repeat), reads the library's size (lines in
+``import orbispec.cli``, ``orbispec verify`` and ``orbispec verify --quick``
+in fresh interpreters (wall seconds, median of CLI_REPEATS, the two sides
+taking turns in each repeat), counts the ``scipy`` modules a fresh
+``orbispec verify --quick`` leaves loaded, reads the library's size (lines in
 ``src/orbispec/*.py`` and the length of ``orbispec.__all__``, the names from
 a fresh interpreter on the side's tree), and runs the tier-1 pytest suite
 once in the side's tree (wall seconds and pytest's summary line; bytecode
@@ -28,10 +29,11 @@ commit (for this checkout "uncommitted" when ``git status --porcelain`` is
 not empty; ``source_sha256`` identifies the sources either way) and per
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares and ``bounds.radii_tried`` from the traced
-run, the CLI wall times, the library size and the pytest run.  Per
-workload, ``pairs_won`` counts for each end-to-end metric the pairs in
-which the change read better than the parent run beside it, in the
-direction BENCHMARK.json gives; ties count for neither side.
+run, the import and CLI wall times, the scipy module count, the library
+size and the pytest run.  Per workload, ``pairs_won`` counts for each
+end-to-end metric the pairs in which the change read better than the
+parent run beside it, in the direction BENCHMARK.json gives; ties count
+for neither side.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ TRACE_KEYS = ("bounds.radii_tried",)
 CLI_REPEATS = 5
 RUN_TIMEOUT_S = 900
 CLI_PROGRAM = "import sys, orbispec.cli; sys.exit(orbispec.cli.main(sys.argv[1:]))"
+IMPORT_PROGRAM = "import orbispec.cli"
+SCIPY_PROGRAM = (
+    "import contextlib, io, sys, orbispec.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    orbispec.cli.main(['verify', '--quick'])\n"
+    "print(sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+)
 NAMES_PROGRAM = "import orbispec; print(len(orbispec.__all__))"
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 PYTEST_TIMEOUT_S = 1800
@@ -112,8 +121,8 @@ def _env(root: Path) -> dict:
     return env
 
 
-def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, float]:
-    """Per side, median wall seconds of `orbispec <args>` in a fresh interpreter.
+def fresh_wall(sides: dict[str, Path], argv: list[str]) -> dict[str, float]:
+    """Per side, median wall seconds of `python <argv>` in a fresh interpreter.
 
     The sides take turns within each repeat, and the side that goes first
     alternates, so a drift in the machine's speed reaches both alike.
@@ -124,12 +133,26 @@ def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, float]:
         for side in names if i % 2 == 0 else names[::-1]:
             t0 = time.perf_counter()
             subprocess.run(
-                [sys.executable, "-c", CLI_PROGRAM, *args], cwd=sides[side],
+                [sys.executable, *argv], cwd=sides[side],
                 env=_env(sides[side]), stdout=subprocess.DEVNULL, check=True,
                 timeout=RUN_TIMEOUT_S,
             )
             times[side].append(time.perf_counter() - t0)
     return {side: statistics.median(t) for side, t in times.items()}
+
+
+def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, float]:
+    """Per side, median wall seconds of `orbispec <args>` (see fresh_wall)."""
+    return fresh_wall(sides, ["-c", CLI_PROGRAM, *args])
+
+
+def scipy_modules(root: Path) -> int:
+    """How many scipy modules a fresh `orbispec verify --quick` in root leaves loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROGRAM], cwd=root, env=_env(root),
+        capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S,
+    )
+    return int(proc.stdout.strip().splitlines()[-1])
 
 
 def library_size(root: Path) -> dict:
@@ -183,6 +206,7 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
                     perfbench(sides[side], workload, args.seed, SECONDS, trace=0)
                 )
     cli = {cmd: cli_wall(sides, cmd.split()) for cmd in ("verify", "verify --quick")}
+    imports = fresh_wall(sides, ["-c", IMPORT_PROGRAM])
     out = {}
     for side, root in sides.items():
         workloads = {}
@@ -205,6 +229,8 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
             "source_sha256": plain[0]["meta"]["source_sha256"],
             "workloads": workloads,
             "cli_wall_s": {cmd: walls[side] for cmd, walls in cli.items()},
+            "import_wall_s": imports[side],
+            "scipy_modules_verify_quick": scipy_modules(root),
             "library": library_size(root),
             "pytest": pytest_wall(root, scratch / f"pycache-{side}"),
         }
@@ -242,7 +268,7 @@ def main(argv=None) -> int:
             "cli_repeats": CLI_REPEATS, "workloads": list(WORKLOADS),
             "times": (
                 "end-to-end times in perfbench reference seconds; "
-                "cli_wall_s and pytest.wall_s in wall seconds"
+                "cli_wall_s, import_wall_s and pytest.wall_s in wall seconds"
             ),
         },
         **results,
