@@ -14,7 +14,6 @@ from .bounds import (
     BoundReport,
     alpha_constant,
     best_diameter_bound,
-    default_r_grid,
     diameter_bound,
     ell_constant,
     isotropy_order_cap,
@@ -68,7 +67,7 @@ __all__ = [
     # weyl
     "WeylFit", "estimate_dimension", "estimate_volume", "weyl_fit",
     # bounds
-    "spectrum_content_id", "diameter_bound", "default_r_grid", "best_diameter_bound",
+    "spectrum_content_id", "diameter_bound", "best_diameter_bound",
     "isotropy_order_cap", "alpha_constant", "ell_constant", "r_constant", "packing_bound",
     "singular_point_cap",
     "BoundReport", "spectral_isotropy_bound", "spectral_singular_point_bound",

@@ -13,10 +13,14 @@ closed-form upper bound on the model ball's lowest Dirichlet eigenvalue at
 every curvature, with no Rayleigh-Ritz solve: the flat Bessel value when
 kappa > 0 (Cheng's comparison between the model spaces), the exact forms
 at kappa = 0 and n = 3, and a Liouville trial-function bound when
-kappa < 0 (proofs in diameter_bound).  So the search over a radius grid is
-one array pass (see best_diameter_bound).  All constants are certified
-conservatively — strict inequalities with explicit margins — so the
-soundness argument survives floating point.
+kappa < 0 (proofs in diameter_bound).  Each is (q/r)^2 - c kappa, strictly
+decreasing and invertible in r, so the smallest bound over every
+admissible radius sits at one of the breakpoints of the eigenvalue count,
+one per distinct eigenvalue: the search finds each in floats from the
+closed-form inverse and scores them in one array pass (see
+best_diameter_bound).  All constants are certified conservatively —
+strict inequalities with explicit margins — so the soundness argument
+survives floating point.
 """
 
 from __future__ import annotations
@@ -25,12 +29,19 @@ import hashlib
 import math
 import numbers
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import CAP_SHRINK, _ball_threshold, _check_ball, _refuse_overflow
+from .dirichlet import (
+    CAP_SHRINK,
+    _ball_threshold,
+    _check_ball,
+    _refuse_overflow,
+    _threshold_form,
+)
 from .errors import CertificationError, ConvergenceError, DomainError, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
@@ -46,15 +57,16 @@ from .spaceform import (
 )
 from .weyl import estimate_dimension, estimate_volume
 
-# Eigenvalues within this relative distance above the ball threshold are
-# counted: a larger rho weakens the bound but never breaks soundness, and a
-# purely relative tolerance keeps rho scale covariant.
+# Eigenvalues up to this many times the sum of the ball threshold's terms'
+# magnitudes above it are counted: a larger rho weakens the bound but never
+# breaks soundness, and a purely relative tolerance keeps rho scale
+# covariant.
 RHO_TOL_SCALE = 1e-9
 ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
-DEFAULT_GRID_POINTS = 64
-# Positive-curvature radius grids stop just short of the antipodal cap.
-CAP_GRID_FRACTION = 0.999
+# The bit pattern of the largest float; those of positive floats order as
+# the floats do.
+_LARGEST_BITS = int(np.array(sys.float_info.max).view(np.int64))
 
 
 def spectrum_content_id(spec: Spectrum) -> str:
@@ -83,8 +95,9 @@ _THRESHOLD_NOTES = {
 def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[float, int]:
     """(D, rho): diameter bound from the eigenvalue count below the r-ball threshold.
 
-    rho counts eigenvalues (with multiplicity) up to the threshold Lambda(r)
-    plus the relative tolerance 1e-9 * Lambda(r); D = 2 r (rho + 1),
+    rho counts eigenvalues (with multiplicity) up to top(r), the threshold
+    Lambda(r) plus the tolerance 1e-9 times the sum of its terms'
+    magnitudes (see _count_limit); D = 2 r (rho + 1),
     clamped to the Bonnet-Myers cap.  SpaceForm refuses a dimension that is
     not an integer >= 2 or a non-finite kappa, and the ball check a radius
     that is not positive and finite or that exceeds (1 - 1e-9)
@@ -142,44 +155,118 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     (1/2 - 1/6) |kappa| = |kappa|/3.  For n = 3, a(a-1) = 0 and g is the
     exact ground state sin(pi t / r).
 
-    The float threshold may lie a few ulps below the closed form (math.pi
-    and 1/3 round down); the relative tolerance RHO_TOL_SCALE covers that.
+    The float threshold (q/r)^2 - c kappa may lie below the closed form
+    (math.pi and 1/3 round down) by a few ulps of its larger term, not of
+    itself: near the antipodal cap the n = 3 difference pi^2/r^2 - kappa
+    cancels, and at kappa = 3.7, r = CAP_SHRINK pi / sqrt(kappa) it reads
+    2.7e-8 relative low.  So the tolerance is relative to the sum of the
+    terms' magnitudes, (q/r)^2 + c |kappa|, which covers that rounding.
     """
     sf = SpaceForm(n, kappa)
     r = _check_ball(sf, r)
-    lam = _refuse_overflow(_ball_threshold(sf.n, sf.kappa, r)[1], r, sf.kappa)
-    tol = RHO_TOL_SCALE * lam
-    if spec.truncation < lam + tol:
+    _, lam, top = _count_limit(sf.n, sf.kappa, r)
+    lam = _refuse_overflow(lam, r, sf.kappa)
+    if spec.truncation < top:
         raise DomainError(f"spectrum truncation {spec.truncation:.9g} is below the ball "
                           f"threshold {lam:.9g}; the eigenvalue count there cannot be certified")
-    rho = counting_function(spec, lam + tol)
+    rho = counting_function(spec, top)
     d = 2.0 * r * (rho + 1)
     if d == math.inf:
         raise DomainError(f"the diameter bound 2 r (rho + 1) at r = {r!r}, rho = {rho} overflows")
     return min(d, bonnet_myers_cap(kappa)), rho
 
 
-def default_r_grid(n: int, kappa: float, volume: float) -> np.ndarray:
-    """DEFAULT_GRID_POINTS log-spaced radii spanning three decades below a diameter hint."""
-    volume = _positive(volume, "volume")
-    d_hint = 2.0 * (volume / unit_ball_volume(n)) ** (1.0 / n)
-    hi = min(d_hint, CAP_GRID_FRACTION * bonnet_myers_cap(kappa))
-    lo = min(d_hint, hi) / 1000.0
-    return np.geomspace(lo, hi, DEFAULT_GRID_POINTS)
+def _count_limit(n: int, kappa: float, r):
+    """(route, Lambda, top): the ball threshold and the value rho counts up
+    to, Lambda plus RHO_TOL_SCALE times the sum of its terms' magnitudes.
+
+    diameter_bound, the search's array pass and its breakpoints all take
+    top from here, so they agree bit for bit.  Each step is a correctly
+    rounded monotone operation, so top is non-increasing in the float r.
+    """
+    route, lam, size = _ball_threshold(n, kappa, r)
+    return route, lam, lam + RHO_TOL_SCALE * size
+
+
+def _first_below(top, targets: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per target, the smallest positive float r with top(r) < target.
+
+    top must be non-increasing in r and below every target at the largest
+    float.  One pass probes each guess in start and the two floats on
+    either side, which brackets an answer from one float below the guess
+    to two above: the guess inverts a few correctly rounded steps, and in
+    the catalog's searches every answer fell in that window.  Each other
+    entry steps 1, 2, 4, ... floats toward its answer until it is
+    bracketed, then bisects the bracket, probing only open brackets: a
+    guess k floats off costs about 2 log2(k) probes, and any guess at most
+    about 126.
+    """
+    guess = np.minimum(np.maximum(start.view(np.int64), 3), _LARGEST_BITS - 2)
+    window = guess + np.arange(-2, 3)[:, None]
+    fails = (top(window.view(float)) >= targets).sum(axis=0)  # failures come first
+    down = fails == 0
+    lo = np.where(down, 0, guess + (fails - 3))  # r = 0 is the threshold's pole
+    hi = np.where(fails == 5, _LARGEST_BITS, guess + (fails - 2))
+    idx, step = np.flatnonzero(hi - lo > 1), 1
+    while idx.size:
+        below, above = lo[idx], hi[idx]
+        offset = np.minimum((above - below) // 2, step)
+        probe = np.where(down[idx], above - offset, below + offset)
+        passed = top(probe.view(float)) < targets[idx]
+        hi[idx] = np.where(passed, probe, above)
+        lo[idx] = np.where(passed, below, probe)
+        idx, step = idx[hi[idx] - lo[idx] > 1], min(2 * step, 1 << 62)
+    return hi.view(float)
+
+
+def _breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
+    """The radii where the smallest 2 r (rho + 1) can sit (see
+    best_diameter_bound): per distinct eigenvalue lam_k the smallest float
+    r with top(r) < lam_k, and the smallest with top(r) <= T.
+
+    A target at or below top at the largest admissible radius, CAP_SHRINK
+    times the antipodal cap or the largest float, is dropped: its radius
+    would lie past the cap, or there is none (lam_0 = 0 on the flat-bessel
+    route, whose threshold only tends to 0).  When that drops the
+    truncation's target, no radius is admissible at all; when kappa < 0,
+    because every threshold stays above c |kappa|.
+    """
+    route, q, c = _threshold_form(n, kappa)
+
+    def top(r):
+        return _count_limit(n, kappa, r)[2]
+
+    widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
+    least = top(widest)
+    truncation = math.nextafter(spec.truncation, math.inf)
+    if not truncation > least:
+        raise CertificationError(
+            "diameter",
+            f"spectrum truncation {spec.truncation:.9g} is below {least:.12g}, the least {route} "
+            f"ball threshold plus its tolerance over the admissible radii, at r = {widest:.9g}"
+            + (f" (every threshold exceeds c |kappa| = {c * -kappa:.9g})" if kappa < 0 else "")
+            + "; no eigenvalue count can be certified",
+        )
+    targets = np.append(spec.values[spec.values > least], truncation)
+    # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|.
+    flat = (targets + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _first_below(top, targets, q / np.sqrt(np.maximum(flat, 0.0)))
 
 
 class DiameterSearch(tuple):
     """(D, r, rho) of the winning radius, with what the search saw.
 
-    Unpacks and compares as the plain triple.  radii_in_grid is the grid
-    length, threshold_route the route of the threshold rho was counted
-    below (see diameter_bound), and last_skip diameter_bound's reason for
-    refusing the largest skipped radius (None when no radius was skipped).
+    Unpacks and compares as the plain triple.  radii_searched is the number
+    of radii searched (the breakpoints, or the given radii),
+    threshold_route the route of the threshold rho was counted below (see
+    diameter_bound), and last_skip diameter_bound's reason for refusing
+    the largest skipped radius (None when no radius was skipped).
     """
 
-    def __new__(cls, best, radii_in_grid: int, threshold_route: str, last_skip: str | None):
+    def __new__(cls, best, radii_searched: int, threshold_route: str, last_skip: str | None):
         self = super().__new__(cls, best)
-        self.radii_in_grid = radii_in_grid
+        self.radii_searched = radii_searched
         self.threshold_route = threshold_route
         self.last_skip = last_skip
         return self
@@ -193,32 +280,52 @@ def _refusal(spec: Spectrum, kappa: float, n: int, r: float) -> str:
         return str(exc)
 
 
-def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> DiameterSearch:
-    """(D*, r*, rho*): smallest diameter_bound over the given radii; ties favor large r.
+def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid=None) -> DiameterSearch:
+    """(D*, r*, rho*): smallest diameter_bound over every admissible radius,
+    or over the radii of r_grid when given; ties favor large r.
 
-    One array pass gives every radius diameter_bound's threshold (the same
-    closed-form expression, so the same float), one searchsorted counts the
-    spectrum up to it plus its tolerance, and D = min(2 r (rho + 1), cap)
-    follows.  Radii diameter_bound refuses are skipped: outside the ball
-    check's domain, whose threshold plus tolerance tops the truncation (an
-    overflowed one included), or whose 2 r (rho + 1) overflows.  Dropping a
-    radius can only loosen the bound.  Of tying radii the largest wins: it
-    has the smallest rho, so the bound rests on the fewest eigenvalues.
-    The result is therefore that of calling diameter_bound at every radius,
-    and with no admissible radius the error carries diameter_bound's
-    refusal at the largest one.  last_skip is diameter_bound's reason for
-    the largest skipped radius.  A dimension or curvature outside
-    SpaceForm's domain would fail every radius alike, so it is refused
-    before the search.
+    Why the breakpoints suffice.  rho(r) = N(top(r)) counts eigenvalues up
+    to top(r) (see _count_limit), which is non-increasing in the float r,
+    since each of its steps is a correctly rounded monotone operation; so
+    the smallest floats below are well defined.  rho is a non-increasing
+    step function of r, and on each of its plateaus
+    D = min(2 r (rho + 1), cap) does not fall as r grows.  A radius is
+    admissible when top(r) <= T, the truncation, which makes the
+    admissible radii a ray, and when r lies inside the antipodal cap and
+    2 r (rho + 1) is finite, which only cut plateaus off on the right.  So
+    the smallest D over all admissible floats is attained where a plateau
+    begins inside the ray, the smallest float with top(r) < lam_k for a
+    distinct eigenvalue lam_k, or where the ray begins, the smallest float
+    with top(r) <= T, i.e. top(r) < nextafter(T, inf).  _breakpoints finds
+    these exactly, so with r_grid None the result is at or below the
+    bound at any radius.  A given r_grid restricts the search, which can
+    only loosen D.
+
+    One array pass gives every radius top(r) (the expression
+    diameter_bound evaluates, so the same float), one searchsorted counts
+    the spectrum up to it, and D = min(2 r (rho + 1), cap) follows.  Radii
+    diameter_bound refuses are skipped: outside the ball check's domain,
+    whose top exceeds the truncation (an overflowed one included), or
+    whose 2 r (rho + 1) overflows.  Of tying radii the largest wins: it has
+    the smallest rho, so the bound rests on the fewest eigenvalues.  The
+    result is therefore that of calling diameter_bound at every radius
+    searched, and with no admissible radius the error carries
+    diameter_bound's refusal at the largest one.  last_skip is
+    diameter_bound's reason for the largest skipped radius.  A dimension or
+    curvature outside SpaceForm's domain would fail every radius alike, so
+    it is refused before the search.
     """
     sf = SpaceForm(n, kappa)
-    radii = np.sort(np.asarray(r_grid, dtype=float))
-    if not radii.size:
-        raise DomainError("the radius grid is empty")
+    if r_grid is None:
+        radii = _breakpoints(spec, sf.n, sf.kappa)
+    else:
+        radii = np.asarray(r_grid, dtype=float)
+        if not radii.size:
+            raise DomainError("the radius grid is empty")
+    radii = np.sort(radii)
     cap = bonnet_myers_cap(kappa)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        route, lam = _ball_threshold(sf.n, sf.kappa, radii)
-        top = lam + RHO_TOL_SCALE * lam
+        route, _, top = _count_limit(sf.n, sf.kappa, radii)
         rho = np.append(0, spec.cumulative_counts)[np.searchsorted(spec.values, top, "right")]
         span = 2.0 * radii * (rho + 1)
         d = np.minimum(span, cap)
@@ -227,13 +334,11 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Diamete
     refused = np.flatnonzero(~admissible)
     last_skip = _refusal(spec, kappa, n, float(radii[refused[-1]])) if refused.size else None
     if not admissible.any():
-        raise CertificationError(
-            "diameter", f"no admissible radius in the grid; last failure: {last_skip}"
-        )
+        raise CertificationError("diameter", f"no admissible radius; last failure: {last_skip}")
     i = np.flatnonzero(admissible & (d == d[admissible].min()))[-1]
     return DiameterSearch(
         (float(d[i]), float(radii[i]), int(rho[i])),
-        radii_in_grid=radii.size,
+        radii_searched=radii.size,
         threshold_route=route,
         last_skip=last_skip,
     )
@@ -583,20 +688,18 @@ def spectral_isotropy_bound(
 ) -> BoundReport:
     """Diameter bound plus isotropy-order cap from a spectrum and curvature.
 
-    The diameter search runs over r_grid, or over default_r_grid(n, kappa, v)
-    when none is given.
+    The diameter search runs over every admissible radius, or over the
+    radii of r_grid when given (see best_diameter_bound).
     """
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
-        if r_grid is None:
-            r_grid = default_r_grid(n, kappa, v)
         search = best_diameter_bound(spec, kappa, n, r_grid)
         d, r_used, rho = search
         out.update(
             diameter_bound=d,
             r=r_used,
-            radii_in_grid=search.radii_in_grid,
+            radii_searched=search.radii_searched,
             last_skip=search.last_skip,
             threshold_route=search.threshold_route,
         )
@@ -604,10 +707,12 @@ def spectral_isotropy_bound(
         cap = isotropy_order_cap(n, kappa, d, v)
         out.update(isotropy_cap=cap)
     notes = {
-        "diameter": "smallest 2r(rho+1) over the radius grid"
+        "diameter": "smallest 2r(rho+1) over "
+        + ("the given radii" if r_grid is not None
+           else "every admissible radius (the breakpoints of rho)")
         + (", clamped at the Bonnet-Myers cap" if kappa > 0 else ""),
-        "rho": f"eigenvalues counted up to (1 + {RHO_TOL_SCALE}) times the ball threshold, "
-        + _THRESHOLD_NOTES[search.threshold_route],
+        "rho": f"eigenvalues counted up to the ball threshold plus {RHO_TOL_SCALE} times the "
+        "sum of its terms' magnitudes, " + _THRESHOLD_NOTES[search.threshold_route],
         "isotropy_cap": "floor(ball_volume(D) / volume)",
         "volume": source,
     }
@@ -639,7 +744,7 @@ def spectral_singular_point_bound(
 ) -> BoundReport:
     """Full pipeline: Weyl data, diameter bound, isotropy cap, singular-point cap.
 
-    The radius grid defaults as in spectral_isotropy_bound.  Every stage
+    The diameter search is spectral_isotropy_bound's.  Every stage
     failure is reported as a certification error naming the stage; the
     returned report carries the stage trace and per-constant provenance
     notes.

@@ -222,7 +222,9 @@ def _add_bound_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None, help="dimension (default: estimated)")
     sub.add_argument("--volume", type=float, default=None, help="volume (default: estimated)")
     sub.add_argument(
-        "--r-grid", default=None, help="comma-separated ball radii for the diameter search"
+        "--r-grid",
+        default=None,
+        help="restrict the diameter search to these radii (default: every breakpoint)",
     )
 
 

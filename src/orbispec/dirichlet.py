@@ -185,24 +185,36 @@ def _first_bessel_zero(n: int) -> float:
     return newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
 
 
+def _threshold_form(n: int, kappa: float) -> tuple[str, float, float]:
+    """(route, q, c): the pipelines' ball threshold is Lambda(r) = (q/r)^2 -
+    c kappa on every route (the routes and their proofs are in
+    bounds.diameter_bound), strictly decreasing in r with the inverse
+    r = q / sqrt(Lambda + c kappa).  The one place the route is decided.
+    """
+    if n == 3 and kappa != 0.0:
+        return "n3-closed-form", math.pi, 1.0
+    if kappa < 0:
+        return "liouville", _first_bessel_zero(n), 1.0 / 3.0 if n == 2 else 0.25 * (n - 1) ** 2
+    return "flat-bessel", _first_bessel_zero(n), 0.0
+
+
 def _ball_threshold(n: int, kappa: float, r):
-    """(route, Lambda): the closed-form upper bound on the r-ball's lowest
-    Dirichlet eigenvalue that the pipelines count below (the routes and
-    their proofs are in bounds.diameter_bound).
+    """(route, Lambda, size): the closed-form upper bound on the r-ball's
+    lowest Dirichlet eigenvalue that the pipelines count below, and size =
+    (q/r)^2 + c |kappa|, the sum of its terms' magnitudes, to which its
+    rounding error is relative (the n = 3 difference cancels near the
+    antipodal cap).
 
     No domain checks; r is a float or an array of radii.  The square is a
     product, correctly rounded for both, so a value over an array agrees
-    bit for bit with the value at each of its radii.
+    bit for bit with the value at each of its radii.  Each step is a
+    correctly rounded monotone operation, so both values are
+    non-increasing in the float r.
     """
-    if n == 3 and kappa != 0.0:
-        route, q, c = "n3-closed-form", math.pi, 1.0
-    elif kappa < 0:
-        route, q = "liouville", _first_bessel_zero(n)
-        c = 1.0 / 3.0 if n == 2 else 0.25 * (n - 1) ** 2  # c_n
-    else:
-        route, q, c = "flat-bessel", _first_bessel_zero(n), 0.0
+    route, q, c = _threshold_form(n, kappa)
     q = q / r
-    return route, q * q - c * kappa
+    flat = q * q
+    return route, flat - c * kappa, flat + c * abs(kappa)
 
 
 def _refuse_overflow(lam: float, r: float, kappa: float) -> float:

@@ -52,6 +52,7 @@ from orbispec.spaceform import (
     bonnet_myers_cap,
     generalized_sin,
     sphere_measure,
+    unit_ball_volume,
 )
 
 # Shooting-solver knobs: bracket growth factor, relative root tolerance, and
@@ -538,6 +539,19 @@ def hyperbolic_separation_radius(kappa: float, alpha: float, ell: float) -> floa
     return 2.0 / s * math.atanh(math.tanh(s * ell) * math.sin(alpha))
 
 
+def log_radius_grid(n: int, kappa: float, volume: float) -> np.ndarray:
+    """64 radii spaced logarithmically over three decades below a diameter
+    hint, twice the radius of the flat n-ball of the given volume, held
+    within 0.999 of the antipodal cap.
+
+    A fixed grid for the scans that solve a Ritz eigenvalue at every
+    radius; the library searches every breakpoint of rho instead.
+    """
+    d_hint = 2.0 * (volume / unit_ball_volume(n)) ** (1.0 / n)
+    hi = min(d_hint, 0.999 * bonnet_myers_cap(kappa))
+    return np.geomspace(hi / 1000.0, hi, 64)
+
+
 def exhaustive_diameter_bound(
     spec: Spectrum, kappa: float, n: int, r_grid
 ) -> tuple[float, float, int]:
@@ -560,7 +574,7 @@ def exhaustive_diameter_bound(
             best = (d, float(r), rho)
     if best is None:
         raise CertificationError(
-            "diameter", f"no admissible radius in the grid; last failure: {last_reason}"
+            "diameter", f"no admissible radius; last failure: {last_reason}"
         )
     return best
 

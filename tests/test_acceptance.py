@@ -17,7 +17,6 @@ from orbispec import (
     ball_volume,
     best_diameter_bound,
     catalog_model,
-    default_r_grid,
     isotropy_order_cap,
     linked_complement_measure,
     lowest_dirichlet_eigenvalue,
@@ -47,13 +46,10 @@ from conftest import TORUS_TRUNCATION
 
 @pytest.fixture(scope="module")
 def best_bounds(catalog_spectra):
-    """best_diameter_bound over the default radius grid, per catalog model."""
+    """best_diameter_bound over every admissible radius, per catalog model."""
     out = {}
     for model_id, (model, spec) in catalog_spectra.items():
-        n, kappa = model.dimension, model.curvature_lower_bound
-        out[model_id] = best_diameter_bound(
-            spec, kappa, n, default_r_grid(n, kappa, model.volume)
-        )
+        out[model_id] = best_diameter_bound(spec, model.curvature_lower_bound, model.dimension)
     return out
 
 

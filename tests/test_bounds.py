@@ -24,9 +24,9 @@ from orbispec import (
     bonnet_myers_cap,
     catalog_model,
     counting_function,
-    default_r_grid,
     diameter_bound,
     ell_constant,
+    flat_torus_spectrum,
     generalized_sin,
     isotropy_order_cap,
     lowest_dirichlet_eigenvalue,
@@ -42,7 +42,7 @@ from orbispec import (
 )
 from orbispec import bounds as bounds_module
 from orbispec import dirichlet
-from orbispec.bounds import DEFAULT_GRID_POINTS, RHO_TOL_SCALE, SHRINK
+from orbispec.bounds import RHO_TOL_SCALE, SHRINK
 from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from oracles import (
     exhaustive_diameter_bound,
@@ -50,6 +50,7 @@ from oracles import (
     gauss_legendre_linked_complement,
     hyperbolic_separation_radius,
     law_of_cosines_side,
+    log_radius_grid,
     reference_ell_constant,
     shooting_eigenvalue,
 )
@@ -139,17 +140,6 @@ def test_diameter_bound_validation(s2_spectrum):
         diameter_bound(short, 0.0, 2, 1.0)  # threshold above truncation
 
 
-def test_default_r_grid_shape():
-    g = default_r_grid(2, 0.0, math.pi * 4)
-    assert len(g) == DEFAULT_GRID_POINTS == 64 and np.all(np.diff(g) > 0)
-    assert abs(g[-1] / g[0] - 1000.0) < 1e-6
-    capped = default_r_grid(2, 1.0, 1e9)
-    assert capped[-1] <= 0.999 * math.pi + 1e-12
-    for volume in (-1.0, 0.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            default_r_grid(2, 0.0, volume)
-
-
 def test_best_diameter_bound_prefers_large_radius(s2_spectrum):
     d, r, rho = best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[0.5, 1.0, 2.0])
     assert d == math.pi
@@ -193,9 +183,9 @@ def _search_outcome(search, *args):
 
 @st.composite
 def _radius_grids(draw, n, kappa, volume):
-    """Default grids, or unsorted radii with duplicates that may pass the antipodal cap."""
+    """64-radius log grids, or unsorted radii with duplicates that may pass the antipodal cap."""
     if draw(st.booleans()):
-        return list(default_r_grid(n, kappa, volume))
+        return list(log_radius_grid(n, kappa, volume))
     exponents = st.floats(min_value=-3.0, max_value=math.log10(8.0))
     radii = draw(st.lists(exponents.map(lambda e: 10.0**e), min_size=1, max_size=24))
     radii += draw(st.lists(st.sampled_from(radii), max_size=4))
@@ -262,14 +252,13 @@ def test_diameter_bound_refuses_an_overflowing_span():
 
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
 def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
-    # The 64-point default grid at both verify truncations and the exact
-    # kappa: the search computes every threshold in one array pass and
-    # calls diameter_bound at most once, for the reason it skipped the
-    # largest refused radius, and returns the full scan's triple.
+    # The default search at both verify truncations and the exact kappa:
+    # at most one radius per distinct eigenvalue, plus the truncation's,
+    # none past the antipodal cap.  The search computes every threshold in
+    # array passes, skips no radius, so calls diameter_bound for no skip
+    # text, and returns the full scan's triple over those radii.
     model = catalog_model(model_id)
-    n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
-    grid = default_r_grid(n, kappa, v)
-    assert len(grid) == 64
+    n, kappa = model.dimension, model.curvature_lower_bound
     real = bounds_module.diameter_bound
     calls = []
 
@@ -280,10 +269,11 @@ def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     monkeypatch.setattr(bounds_module, "diameter_bound", counted)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
         spec = model.spectrum(truncation)
+        grid = bounds_module._breakpoints(spec, n, kappa)
         calls.clear()
-        search = best_diameter_bound(spec, kappa, n, r_grid=grid)
-        assert len(calls) == (search.last_skip is not None), (truncation, len(calls))
-        assert search.radii_in_grid == 64
+        search = best_diameter_bound(spec, kappa, n)
+        assert calls == [] and search.last_skip is None, truncation
+        assert search.radii_searched == len(grid) <= spec.values.size + 1
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
 
 
@@ -294,14 +284,14 @@ def test_loose_torus_search_makes_no_ritz_solve(model_id, monkeypatch):
     # triple.
     model = catalog_model(model_id)
     n, kappa = model.dimension, -0.75
-    grid = default_r_grid(n, kappa, model.volume)
     keys = _ritz_spy(monkeypatch)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
         spec = model.spectrum(truncation)
-        search = best_diameter_bound(spec, kappa, n, r_grid=grid)
+        search = best_diameter_bound(spec, kappa, n)
         assert search.threshold_route == "liouville"
-        # The smallest radii top the truncation.
-        assert "is below the ball threshold" in search.last_skip
+        # No cap at kappa < 0, and no breakpoint tops the truncation.
+        assert search.last_skip is None
+        grid = bounds_module._breakpoints(spec, n, kappa)
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
         rep = spectral_singular_point_bound(spec, kappa, n=n, v=model.volume)
         assert _diameter_stage(rep)["threshold_route"] == "liouville"
@@ -315,8 +305,14 @@ def test_diameter_stage_records_search_counts():
     grid = [0.01, 0.4, 0.8, 1.5]  # 0.01 tops the truncation
     rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=grid)
     stage = next(s for s in rep.stage_trace if s["stage"] == "diameter")["outputs"]
-    assert stage["radii_in_grid"] == 4
+    assert stage["radii_searched"] == 4
     assert "radii_solved" not in stage
+    assert rep.notes["diameter"].startswith("smallest 2r(rho+1) over the given radii")
+    default = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume)
+    assert "every admissible radius (the breakpoints of rho)" in default.notes["diameter"]
+    assert _diameter_stage(default)["radii_searched"] == len(
+        bounds_module._breakpoints(spec, 2, 1.0)
+    )
     assert "below the ball threshold" in stage["last_skip"]
     clean = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8])
     assert next(s for s in clean.stage_trace if s["stage"] == "diameter")["outputs"][
@@ -444,11 +440,11 @@ def test_flat_threshold_bounds_the_curved_one_from_below(n, log_abs_kappa, log_r
     assert _eigenvalue(n, 0.0, r) <= _eigenvalue(n, kappa, r)
 
 
-def _ritz_route_certificate(spec, kappa: float, n: int, v: float):
-    """(D, isotropy cap, singular cap) from a scan of the pipeline's grid that
-    counts below the curved Ritz eigenvalue at (n, kappa, r); ties favor large r."""
+def _ritz_route_certificate(spec, kappa: float, n: int, v: float, grid):
+    """(D, isotropy cap, singular cap) from a scan of the grid that counts
+    below the curved Ritz eigenvalue at (n, kappa, r); ties favor large r."""
     best = None
-    for r in default_r_grid(n, kappa, v):
+    for r in grid:
         lam = _eigenvalue(n, kappa, float(r))
         if spec.truncation < lam * (1 + RHO_TOL_SCALE):
             continue
@@ -465,13 +461,16 @@ SPHERE_FAMILY = ("s2", "s2-mod-2", "s2-mod-3", "s2-mod-4", "s2-mod-6")
 @pytest.mark.parametrize("model_id", SPHERE_FAMILY)
 @pytest.mark.parametrize("kappa", [1.0, 0.25])
 def test_flat_threshold_keeps_the_sphere_family_certificates(model_id, kappa):
+    # Both scan the same 64-radius grid, which keeps the oracle's Ritz
+    # solves few.
     model = catalog_model(model_id)
+    grid = log_radius_grid(2, kappa, model.volume)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, 2)]:
         spec = model.spectrum(truncation)
         for v in (model.volume, None):
-            rep = spectral_singular_point_bound(spec, kappa, n=2, v=v)
+            rep = spectral_singular_point_bound(spec, kappa, n=2, v=v, r_grid=grid)
             assert _diameter_stage(rep)["threshold_route"] == "flat-bessel"
-            want = _ritz_route_certificate(spec, kappa, 2, rep.volume)
+            want = _ritz_route_certificate(spec, kappa, 2, rep.volume, grid)
             assert (rep.diameter_bound, rep.isotropy_cap, rep.singular_cap) == want, (
                 truncation, v,
             )
@@ -514,12 +513,16 @@ def test_volumes_past_every_float_are_typed_failures():
         isotropy_order_cap(2, 0.0, 1.0, 1e-320)  # pi / 1e-320 overflows
     with pytest.raises(DomainError, match="not a finite float"):
         packing_bound(2, 0.0, 1.0, 1e-200)  # ball_volume(eps / 2) underflows to 0
-    # Every default radius is near 1e-160, where (j / r)^2 overflows: each
-    # is skipped, and the diameter stage fails by name.
+    # At r = 1e-160 (j / r)^2 overflows: the radius is skipped, and the
+    # diameter stage fails by name.  The default search does not read the
+    # volume, so there the ratio fails by name in the isotropy stage.
     spec = catalog_model("t2").spectrum(8000.0)
     with pytest.raises(CertificationError) as err:
-        spectral_isotropy_bound(spec, 0.0, n=2, v=1e-320)
+        spectral_isotropy_bound(spec, 0.0, n=2, v=1e-320, r_grid=[1e-160])
     assert err.value.stage == "diameter" and "overflows" in str(err.value)
+    with pytest.raises(CertificationError) as err:
+        spectral_isotropy_bound(spec, 0.0, n=2, v=1e-320)
+    assert err.value.stage == "isotropy-cap" and "not a finite float" in str(err.value)
 
 
 ALPHA_HI = 0.5 * math.pi * (1.0 - 1e-12)
@@ -925,20 +928,18 @@ def test_singular_pipeline_full_report():
 def test_singular_pipeline_is_scale_covariant(catalog_spectra, model_id, j):
     # Lengths times c: eigenvalues, truncation and kappa times c^-2, volume
     # times c^n.  Powers of two keep every rescaled input exact.
+    # The breakpoints scale exactly too, so the search's winner does.
     model, spec = catalog_spectra[model_id]
     n, kappa, v = model.dimension, model.curvature_lower_bound, model.volume
-    grid = list(default_r_grid(n, kappa, v))
     c = 2.0**j
     scaled = Spectrum(
         tuple((lam / (c * c), mult) for lam, mult in spec.entries),
         spec.truncation / (c * c),
         spec.dimension,
     )
-    base = spectral_singular_point_bound(spec, kappa, n=n, v=v, r_grid=grid)
-    rep = spectral_singular_point_bound(
-        scaled, kappa / (c * c), n=n, v=v * c**n, r_grid=[c * r for r in grid]
-    )
-    assert rep.diameter_bound == pytest.approx(c * base.diameter_bound, rel=1e-12)
+    base = spectral_singular_point_bound(spec, kappa, n=n, v=v)
+    rep = spectral_singular_point_bound(scaled, kappa / (c * c), n=n, v=v * c**n)
+    assert (rep.diameter_bound, rep.r_used) == (c * base.diameter_bound, c * base.r_used)
     assert (rep.rho, rep.isotropy_cap, rep.singular_cap) == (
         base.rho, base.isotropy_cap, base.singular_cap,
     )
@@ -960,7 +961,6 @@ def test_diameter_bound_never_drops_as_the_spectrum_grows(
     # raise rho at every radius, so the smallest 2r(rho + 1) cannot fall.
     model, spec = catalog_spectra[model_id]
     n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
-    grid = default_r_grid(n, kappa, model.volume)
     counts = dict(spec.entries)
     values = [lam for lam, _ in spec.entries]
     for lam in data.draw(st.lists(st.sampled_from(values), max_size=6)):
@@ -968,5 +968,143 @@ def test_diameter_bound_never_drops_as_the_spectrum_grows(
     for lam in data.draw(st.lists(st.floats(0.0, spec.truncation), max_size=6)):
         counts[lam] = counts.get(lam, 0) + data.draw(st.integers(1, 3))
     grown = Spectrum(tuple(sorted(counts.items())), spec.truncation, spec.dimension)
-    d_grown = best_diameter_bound(grown, kappa, n, grid)[0]
-    assert d_grown >= best_diameter_bound(spec, kappa, n, grid)[0]
+    d_grown = best_diameter_bound(grown, kappa, n)[0]
+    assert d_grown >= best_diameter_bound(spec, kappa, n)[0]
+
+
+# ---------------------------------------------------------------------------
+# The default search: every breakpoint of rho.
+
+# Catalog n is 2 or 3; these shifts reach all three threshold routes, with
+# and without an antipodal cap.
+ROUTE_SHIFTS = [0.0, 0.5, -0.75, -1.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_id=st.sampled_from([m.model_id for m in model_catalog()]),
+    truncation=st.sampled_from([60.0, 400.0, 1640.0]),
+    curvature_shift=st.sampled_from(ROUTE_SHIFTS),
+    data=st.data(),
+)
+def test_default_search_is_at_most_any_grid(model_id, truncation, curvature_shift, data):
+    # The breakpoint search finds the smallest bound over every admissible
+    # radius, so no grid, whatever its order, duplicates or radii past the
+    # cap, certifies a smaller D; and where no grid radius is admissible it
+    # may still certify, but never the other way round.
+    model, spec = _catalog_spectrum(model_id, truncation)
+    n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
+    grid = data.draw(_radius_grids(n, kappa, model.volume))
+    got = _search_outcome(best_diameter_bound, spec, kappa, n)
+    given_grid = _search_outcome(best_diameter_bound, spec, kappa, n, grid)
+    if got[0] == "error":
+        assert given_grid[0] == "error"
+    elif given_grid[0] != "error":
+        assert got[0] <= given_grid[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model_id=st.sampled_from([m.model_id for m in model_catalog()]),
+    truncation=st.sampled_from([60.0, 400.0, 1640.0]),
+    curvature_shift=st.sampled_from(ROUTE_SHIFTS),
+)
+def test_default_search_equals_exhaustive_scan_over_its_breakpoints(
+    model_id, truncation, curvature_shift
+):
+    # Each breakpoint is the smallest float whose top sits below its
+    # target, and the search is the full scan over them, errors included.
+    model, spec = _catalog_spectrum(model_id, truncation)
+    n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
+    radii = bounds_module._breakpoints(spec, n, kappa)
+    with np.errstate(divide="ignore", over="ignore"):
+        top = bounds_module._count_limit(n, kappa, radii)[2]
+        below = bounds_module._count_limit(n, kappa, np.nextafter(radii, 0.0))[2]
+    # The targets are the eigenvalues above the threshold at the largest
+    # admissible radius, a suffix of the spectrum, then the truncation's.
+    limits = np.append(
+        spec.values[spec.values.size - radii.size + 1:], math.nextafter(spec.truncation, math.inf)
+    )
+    assert (top < limits).all() and (below >= limits).all()
+    assert _search_outcome(best_diameter_bound, spec, kappa, n) == _search_outcome(
+        exhaustive_diameter_bound, spec, kappa, n, radii
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    b=st.floats(0.5, 2.0),
+    kappa=st.sampled_from([0.0, -0.01, -0.75, -3.0]),
+)
+def test_rectangular_torus_diameter_bound_is_sound(a, b, kappa):
+    # R^2 / (a Z x b Z) has diameter exactly sqrt(a^2 + b^2) / 2, and
+    # curvature 0 >= kappa: the search over every breakpoint stays above it.
+    spec = flat_torus_spectrum([[a, 0.0], [0.0, b]], 2000.0)
+    search = best_diameter_bound(spec, kappa, 2)
+    assert search[0] >= math.hypot(a, b) / 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_kappa=st.floats(-3.0, 3.0),
+    gap=st.floats(0.0, 1e-3),
+)
+@example(math.log10(3.7), 0.0)
+def test_n3_tolerance_covers_the_cancellation_near_the_cap(log_kappa, gap):
+    # pi^2/r^2 - kappa cancels near the antipodal cap: at kappa = 3.7 and
+    # r = CAP_SHRINK pi / sqrt(kappa) the float reads 2.7e-8 relative below
+    # the exact value, past a tolerance of 1e-9 times the threshold.  The
+    # tolerance 1e-9 times pi^2/r^2 + kappa keeps top at or above the
+    # exact threshold, to 40 digits.
+    import mpmath
+
+    kappa = 10.0**log_kappa
+    r = (1.0 - gap) * dirichlet.CAP_SHRINK * math.pi / math.sqrt(kappa)
+    route, lam, top = bounds_module._count_limit(3, kappa, r)
+    assert route == "n3-closed-form"
+    with mpmath.workdps(40):
+        exact = mpmath.pi**2 / mpmath.mpf(r) ** 2 - mpmath.mpf(kappa)
+        assert mpmath.mpf(top) >= exact
+        if (log_kappa, gap) == (math.log10(3.7), 0.0):
+            assert mpmath.mpf(lam * (1 + RHO_TOL_SCALE)) < exact
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_breakpoint_targets_without_an_admissible_radius_are_dropped(kappa):
+    # On the flat-bessel route the threshold only tends to 0, so lam_0 = 0
+    # has no breakpoint (its inverse radius is infinite) and never enters
+    # the bisection; at kappa = 1 the breakpoint of 0.5, near r = 3.4,
+    # lies past the antipodal cap pi and is not searched either.
+    spec = Spectrum(((0.0, 1), (0.5, 1), (50.0, 3)), 100.0, 2)
+    search = best_diameter_bound(spec, kappa, 2)
+    assert search.radii_searched == 3 - int(kappa) and search.threshold_route == "flat-bessel"
+    assert search.last_skip is None
+    assert search == exhaustive_diameter_bound(
+        spec, kappa, 2, bounds_module._breakpoints(spec, 2, kappa)
+    )
+
+
+@pytest.mark.parametrize("n, kappa, limit", [(2, -3.0, 1.0), (4, -4.0, 9.0), (3, -2.0, 2.0)])
+def test_truncation_below_the_threshold_limit_has_no_breakpoint(n, kappa, limit):
+    # When kappa < 0 the threshold stays above c_n |kappa| at every radius,
+    # so a truncation at or below it leaves no admissible radius at all.
+    spec = Spectrum(((0.0, 1),), limit, n)
+    with pytest.raises(CertificationError, match=r"c \|kappa\| = ") as err:
+        best_diameter_bound(spec, kappa, n)
+    assert err.value.stage == "diameter" and f"c |kappa| = {limit:.9g})" in str(err.value)
+    with pytest.raises(CertificationError, match=r"^\[diameter\]"):
+        spectral_isotropy_bound(spec, kappa, n=n, v=1.0)
+    # A truncation just above the limit (and its tolerance) certifies.
+    roomy = Spectrum(((0.0, 1),), limit * (1.0 + 1e-8), n)
+    assert best_diameter_bound(roomy, kappa, n)[2] == 1
+
+
+def test_truncation_below_the_threshold_at_the_cap_has_no_breakpoint():
+    # When kappa > 0 the largest admissible radius sits just inside the
+    # antipodal cap; a truncation below the threshold there leaves none.
+    spec = Spectrum(((0.0, 1),), 0.1, 2)
+    with pytest.raises(CertificationError, match=r"over the admissible radii, at r = 3\.14") as err:
+        best_diameter_bound(spec, 1.0, 2)
+    assert err.value.stage == "diameter"
+    assert _search_outcome(best_diameter_bound, spec, 1.0, 2, [3.0])[:2] == ("error", "diameter")

@@ -331,7 +331,7 @@ def test_verify_quick_subset(capsys):
 @pytest.mark.parametrize("flags", [(), ("--quick",)])
 def test_verify_rows_are_the_default_pipeline_reports(capsys, flags):
     # --quick changes only the truncations: every row is the library
-    # pipeline's report on its default radius grid, field by field.
+    # pipeline's report on its default diameter search, field by field.
     doc = run_json(capsys, "verify", *flags)
     assert doc["all_sound"] is True
     rows = {row["model"]: row for row in doc["models"]}

@@ -30,6 +30,7 @@ from orbispec.spaceform import SpaceForm
 
 from oracles import (
     finite_difference_eigenvalue,
+    log_radius_grid,
     reference_ritz_unit_ball,
     richardson_fd_eigenvalue,
     ritz_quotient,
@@ -318,7 +319,7 @@ def liouville_keys(draw):
 @example((4, -1e-6, 1.0))
 def test_liouville_threshold_never_below_shooting_oracle(key):
     n, kappa, r = key
-    route, lam = _ball_threshold(n, kappa, r)
+    route, lam, _ = _ball_threshold(n, kappa, r)
     assert route == "liouville"
     assert lam >= _shooting_or_reject(n, kappa, r) * (1 - 1e-9)
 
@@ -341,8 +342,8 @@ def test_ball_threshold_scales_and_agrees_over_arrays(n, sign, size, u, c):
     # for bit, which the diameter search's array pass relies on.
     kappa = sign * size
     r = u * (math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
-    route, lam = _ball_threshold(n, kappa, r)
-    scaled_route, scaled = _ball_threshold(n, kappa / (c * c), c * r)
+    route, lam, _ = _ball_threshold(n, kappa, r)
+    scaled_route, scaled, _ = _ball_threshold(n, kappa / (c * c), c * r)
     assert scaled_route == route
     assert abs(scaled - lam / (c * c)) <= 1e-14 * (scaled + abs(kappa) / (c * c))
     assert _ball_threshold(n, kappa / 4.0, 2.0 * r)[1] == lam / 4.0
@@ -446,12 +447,11 @@ def test_banded_kernel_failure_is_typed_and_skips_the_radius(monkeypatch):
 
 def test_ritz_iteration_budget(monkeypatch, capsys):
     # The steered shift converges in about 6 inverse iterations on the keys
-    # it serves: the curved eigenvalues across the loose tori's default
-    # radius grids at kappa < 0, and `orbispec eig-ball` at kappa > 0.  It
+    # it serves: the curved eigenvalues across 64-radius grids for the
+    # loose tori at kappa < 0, and `orbispec eig-ball` at kappa > 0.  It
     # stays cheap at a large hyperbolic key in high dimension, where the
     # safe McKean shift alone took 143.
     from orbispec import cli
-    from orbispec.bounds import default_r_grid
 
     keys = []
     real_ritz = dirichlet._ritz_unit_ball
@@ -463,7 +463,7 @@ def test_ritz_iteration_budget(monkeypatch, capsys):
     monkeypatch.setattr(dirichlet, "_ritz_unit_ball", record)
     for model_id in ("t2", "pillowcase", "t2-mod-4"):
         model = catalog_model(model_id)
-        for r in default_r_grid(2, -0.75, model.volume):
+        for r in log_radius_grid(2, -0.75, model.volume):
             _eigenvalue(2, -0.75, r)
     searched = len(keys)
     for n, kappa, r in ((2, 1.0, 1.5), (4, 1.0, 2.0), (5, 0.25, 3.0), (2, 4.0, 1.2)):

@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "ModelOrbifold", "OrthogonalAction", "SingularPoint", "SpaceForm", "Spectrum",
     "WeylFit", "__version__", "alpha_constant", "ball_volume", "best_diameter_bound",
     "bonnet_myers_cap", "catalog_model", "cone_volume", "counting_function",
-    "cyclic_generator", "default_r_grid", "diameter_bound", "ell_constant",
+    "cyclic_generator", "diameter_bound", "ell_constant",
     "estimate_dimension", "estimate_volume", "flat_torus_spectrum", "generalized_sin",
     "harmonic_multiplicity", "isotropy_order_cap",
     "linked_complement_measure", "lowest_dirichlet_eigenvalue",

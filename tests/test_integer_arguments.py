@@ -20,7 +20,6 @@ from orbispec import (
     best_diameter_bound,
     catalog_model,
     cyclic_generator,
-    default_r_grid,
     diameter_bound,
     ell_constant,
     estimate_volume,
@@ -66,7 +65,6 @@ CASES = [
     ),
     ("estimate_volume", lambda x: estimate_volume(S2, x), 2, 1),
     ("diameter_bound", lambda x: diameter_bound(T2, 0.0, x, 0.5), 2, 2),
-    ("default_r_grid", lambda x: default_r_grid(x, 0.0, 1.0), 2, 1),
     ("best_diameter_bound", lambda x: best_diameter_bound(T2, 0.0, x, [0.3, 0.5]), 2, 2),
     ("isotropy_order_cap", lambda x: isotropy_order_cap(x, 0.0, 1.0, 1.0), 2, 2),
     ("alpha_constant", lambda x: alpha_constant(x, 0.0, 1.0, 1.0), 2, 2),

@@ -25,7 +25,6 @@ from orbispec import (
     Spectrum,
     alpha_constant,
     catalog_model,
-    default_r_grid,
     diameter_bound,
     ell_constant,
     isotropy_order_cap,
@@ -53,7 +52,6 @@ CASES = [
         lambda x: lowest_dirichlet_eigenvalue(SpaceForm(4, -1.0), x), 0.5, None,
     ),
     ("diameter_bound", lambda x: diameter_bound(T2, 0.0, 2, x), 0.3, None),
-    ("default_r_grid", lambda x: default_r_grid(2, 0.0, x), 1.0, None),
     ("isotropy_order_cap.d", lambda x: isotropy_order_cap(2, 0.0, x, 1.0), 1.0, None),
     ("isotropy_order_cap.d.kappa>0", lambda x: isotropy_order_cap(2, 1.0, x, 1.0), 1.0, math.pi),
     ("isotropy_order_cap.v", lambda x: isotropy_order_cap(2, 0.0, 1.0, x), 1.0, None),
