@@ -248,8 +248,11 @@ def _breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
             + "; no eigenvalue count can be certified",
         )
     targets = np.append(spec.values[spec.values > least], truncation)
-    # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|.
-    flat = (targets + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
+    # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
+    # taken at the largest float where the truncation's target is inf: the
+    # inverse of inf is the pole r = 0, from which the search would gallop.
+    reach = np.minimum(targets, sys.float_info.max)
+    flat = (reach + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _first_below(top, targets, q / np.sqrt(np.maximum(flat, 0.0)))
 

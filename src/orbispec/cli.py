@@ -112,7 +112,7 @@ def _cmd_diameter(args: argparse.Namespace) -> dict:
     report = _bound_report(args, spectral_isotropy_bound)
     return {
         "n": report.n,
-        "volume_hint": report.volume,
+        "volume": report.volume,
         "source": report.source,
         "diameter_bound": report.diameter_bound,
         "r": report.r_used,

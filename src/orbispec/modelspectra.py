@@ -426,6 +426,12 @@ class ModelOrbifold:
     an action must act on R^dimension on a torus and on R^(dimension + 1)
     on a sphere.  A torus is reduced to its exact _Lattice here, once, so a
     symmetry that is not crystallographic is refused when the record is built.
+
+    The record holds one spectrum, the largest it has built.  A spectrum at
+    a truncation T is exactly the part at or below T of any spectrum built
+    at or above T, so spectrum() builds only past the held truncation and
+    cuts a lower one from the held spectrum, sharing its read-only value and
+    multiplicity arrays.
     """
 
     model_id: str
@@ -438,6 +444,7 @@ class ModelOrbifold:
     action: OrthogonalAction | None = None
     description: str = ""
     _lattice: _Lattice | None = field(default=None, init=False, repr=False, compare=False)
+    _held: Spectrum | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _count(self.dimension, "model dimension", 1)
@@ -474,9 +481,22 @@ class ModelOrbifold:
         return sum(1 for p in self.singular_points if p.isolated)
 
     def spectrum(self, lambda_max: float) -> Spectrum:
-        if self._lattice is not None:
-            return _torus_spectrum(self._lattice, lambda_max)
-        return _sphere_spectrum(self.dimension, self.action, lambda_max)
+        lambda_max = _check_truncation(lambda_max)
+        held = self._held
+        if held is None or lambda_max > held.truncation:
+            if self._lattice is not None:
+                held = _torus_spectrum(self._lattice, lambda_max)
+            else:
+                held = _sphere_spectrum(self.dimension, self.action, lambda_max)
+            object.__setattr__(self, "_held", held)
+        # -0.0 equals 0.0 but prints apart, so the held one is returned only
+        # for the same float; every other truncation is cut from it.
+        if lambda_max.hex() == held.truncation.hex():
+            return held
+        cut = int(np.searchsorted(held.values, lambda_max, side="right"))
+        return Spectrum._from_arrays(
+            held.values[:cut], held.multiplicities[:cut], lambda_max, held.dimension
+        )
 
 
 def model_catalog() -> list[ModelOrbifold]:

@@ -1100,6 +1100,37 @@ def test_truncation_below_the_threshold_limit_has_no_breakpoint(n, kappa, limit)
     assert best_diameter_bound(roomy, kappa, n)[2] == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
+def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
+    n, kappa, monkeypatch
+):
+    # nextafter(T, inf) is inf at the largest float T, whose closed-form
+    # inverse is the pole r = 0; clamped at T, the start stays within a few
+    # floats of the smallest radius with a finite top, so no gallop from 0.
+    big = sys.float_info.max
+    spec = Spectrum(((0.0, 1), (big / 2, 1)), big, n)
+    radii = bounds_module._breakpoints(spec, n, kappa)
+    with np.errstate(over="ignore"):
+        top = bounds_module._count_limit(n, kappa, radii)[2]
+        below = bounds_module._count_limit(n, kappa, np.nextafter(radii, 0.0))[2]
+    limits = np.array([big / 2, math.inf])
+    assert (top < limits).all() and (below >= limits).all()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return count_limit(*args)
+
+    count_limit = bounds_module._count_limit
+    monkeypatch.setattr(bounds_module, "_count_limit", counted)
+    search = best_diameter_bound(spec, kappa, n)
+    # top at the widest radius, the five-float window, the array pass.
+    assert len(calls) <= 4
+    monkeypatch.undo()
+    assert search == exhaustive_diameter_bound(spec, kappa, n, radii)
+
+
 def test_truncation_below_the_threshold_at_the_cap_has_no_breakpoint():
     # When kappa > 0 the largest admissible radius sits just inside the
     # antipodal cap; a truncation below the threshold there leaves none.

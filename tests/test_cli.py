@@ -87,16 +87,16 @@ def test_weyl_and_diameter_round_trip(capsys, tmp_path):
         "0.5,1.0",
     )
     assert doc["diameter_bound"] == math.pi
-    # --n alone: the volume hint is still resolved, from the spectrum.
+    # --n alone: the volume is still resolved, from the spectrum.
     assert doc["source"] == "weyl-estimated"
     spec = Spectrum.from_dict(json.loads(target.read_text())["spectrum"])
-    assert doc["volume_hint"] == estimate_volume(spec, 2)
+    assert doc["volume"] == estimate_volume(spec, 2)
     assert doc["rho"] >= 1
     given = run_json(
         capsys, "diameter", "--spectrum", str(target), "--kappa", "1", "--n", "2",
         "--volume", "12.5", "--r-grid", "0.5,1.0",
     )
-    assert given["source"] == "given" and given["volume_hint"] == 12.5
+    assert given["source"] == "given" and given["volume"] == 12.5
     assert (given["diameter_bound"], given["r"], given["rho"]) == (
         doc["diameter_bound"], doc["r"], doc["rho"]
     )
@@ -104,7 +104,7 @@ def test_weyl_and_diameter_round_trip(capsys, tmp_path):
 
 def test_diameter_command_resolves_dimension_like_the_pipelines(capsys, tmp_path):
     # s2-mod-3 declares dimension 2: --n 3 is the same stage failure as in
-    # the isotropy pipeline, not a bound with a 2-D volume hint.
+    # the isotropy pipeline, not a bound with a 2-D volume.
     path = _write_spectrum(tmp_path, "s2-mod-3", 1640.0)
     for command in ("diameter", "isotropy"):
         code, out, err = run_cli(
@@ -112,7 +112,7 @@ def test_diameter_command_resolves_dimension_like_the_pipelines(capsys, tmp_path
         )
         assert code == 2 and out == ""
         assert err.startswith("error[weyl-dimension]")
-    # Without a declared dimension the volume hint is fitted at the given n.
+    # Without a declared dimension the volume is fitted at the given n.
     payload = json.loads(path.read_text())
     del payload["dimension"]
     path.write_text(json.dumps(payload))
@@ -120,7 +120,7 @@ def test_diameter_command_resolves_dimension_like_the_pipelines(capsys, tmp_path
     for n in (2, 3):
         doc = run_json(capsys, "diameter", "--spectrum", str(path), "--kappa", "1", "--n", str(n))
         assert doc["n"] == n
-        assert doc["volume_hint"] == estimate_volume(spec, n)
+        assert doc["volume"] == estimate_volume(spec, n)
         assert doc["source"] == "weyl-estimated"
 
 
@@ -138,7 +138,7 @@ def test_diameter_command_reports_the_isotropy_pipeline(capsys, tmp_path, option
     doc = run_json(capsys, "diameter", "--spectrum", str(path), "--kappa", "0.5", *options)
     iso = run_json(capsys, "isotropy", "--spectrum", str(path), "--kappa", "0.5", *options)
     rep = iso["report"]
-    assert (doc["n"], doc["volume_hint"], doc["source"]) == tuple(
+    assert (doc["n"], doc["volume"], doc["source"]) == tuple(
         rep["inputs"][key] for key in ("n", "volume", "source")
     )
     assert (doc["diameter_bound"], doc["r"], doc["rho"]) == (

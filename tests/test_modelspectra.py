@@ -1,6 +1,7 @@
 """Exact model spectra: tori, spheres, and their quotients."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -26,7 +27,13 @@ from orbispec import (
     sphere_spectrum,
     spectrum_content_id,
 )
-from orbispec.modelspectra import _Lattice, _dual_modes, _invariant_counts
+from orbispec.modelspectra import (
+    _dual_modes,
+    _invariant_counts,
+    _Lattice,
+    _sphere_spectrum,
+    _torus_spectrum,
+)
 from oracles import (
     brute_torus_levels,
     character_averages,
@@ -276,6 +283,63 @@ def test_catalog_spectra_keep_their_content_ids():
     for (model_id, truncation), content_id in CATALOG_CONTENT_IDS.items():
         spec = catalog_model(model_id).spectrum(truncation)
         assert spectrum_content_id(spec) == content_id, (model_id, truncation)
+
+
+def _fresh_spectrum(model, truncation):
+    """The record's spectrum built without its held one."""
+    if model.lattice_basis is not None:
+        return _torus_spectrum(model._lattice, truncation)
+    return _sphere_spectrum(model.dimension, model.action, truncation)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    draws=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0])),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(draws=[0.0, -0.0])  # equal truncations that print apart
+@example(draws=[-0.0, 0.0])
+def test_spectra_cut_from_the_held_one_equal_fresh_builds(draws):
+    # Each record starts empty and is asked for the drawn truncations in the
+    # drawn order, so some build past the held spectrum and some cut from it.
+    for model in model_catalog():
+        top = 4000.0 if model.lattice_basis is not None else 400.0 * model.dimension
+        record = dataclasses.replace(model)
+        for share in draws:
+            got = record.spectrum(share * top)
+            fresh = _fresh_spectrum(model, share * top)
+            assert json.dumps(got.to_dict()) == json.dumps(fresh.to_dict())
+            assert got == fresh and hash(got) == hash(fresh)
+            assert spectrum_content_id(got) == spectrum_content_id(fresh)
+        assert record._held.truncation == max(draws) * top
+
+
+@pytest.mark.parametrize("model_id", ["t2-mod-4", "s2-mod-3", "lens-4-1"])
+def test_a_record_holds_its_largest_spectrum_and_cuts_lower_ones(model_id):
+    record = dataclasses.replace(catalog_model(model_id))
+    assert record._held is None
+    held = record.spectrum(1500.0)
+    assert record._held is held and record.spectrum(1500) is held
+    assert "_held" not in repr(record)
+    cut = record.spectrum(700.0)
+    assert record._held is held and cut.truncation == 700.0
+    assert cut == _fresh_spectrum(record, 700.0)
+    # The cut shares the held arrays, and neither can be written through it.
+    assert np.shares_memory(cut.values, held.values)
+    for name in ("values", "multiplicities", "cumulative_counts"):
+        with pytest.raises(ValueError):
+            getattr(cut, name)[0] = 1
+    wider = record.spectrum(2000.0)
+    assert record._held is wider and wider is not held
+    assert record.spectrum(1500.0) == held
+    for lam in (-1.0, math.nan, math.inf, -math.inf, True, np.float64("nan"), "10"):
+        with pytest.raises(DomainError):
+            record.spectrum(lam)
+        assert record._held is wider
+    assert record.spectrum(2000.0) is wider
 
 
 def test_counting_function_rejects_non_finite_bounds():
