@@ -16,11 +16,11 @@ at kappa = 0 and n = 3, and a Liouville trial-function bound when
 kappa < 0 (proofs in diameter_bound).  Each is (q/r)^2 - c kappa, strictly
 decreasing and invertible in r, so the smallest bound over every
 admissible radius sits at one of the breakpoints of the eigenvalue count,
-one per distinct eigenvalue: the search finds each in floats from the
-closed-form inverse and scores them in one array pass (see
-best_diameter_bound).  All constants are certified conservatively —
-strict inequalities with explicit margins — so the soundness argument
-survives floating point.
+one per distinct eigenvalue: the search resolves in floats, from the
+closed-form inverse, only the few whose proven lower bound could win, and
+scores them on plain floats (see best_diameter_bound).  All constants are
+certified conservatively — strict inequalities with explicit margins — so
+the soundness argument survives floating point.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
 # The bit pattern of the largest float; those of positive floats order as
 # the floats do.
-_LARGEST_BITS = int(np.array(sys.float_info.max).view(np.int64))
+_LARGEST_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
 
 
 def spectrum_content_id(spec: Spectrum) -> str:
@@ -180,96 +180,77 @@ def _count_limit(n: int, kappa: float, r):
     """(route, Lambda, top): the ball threshold and the value rho counts up
     to, Lambda plus RHO_TOL_SCALE times the sum of its terms' magnitudes.
 
-    diameter_bound, the search's array pass and its breakpoints all take
-    top from here, so they agree bit for bit.  Each step is a correctly
+    diameter_bound, the search's scoring and its breakpoints all take top
+    from here, so they agree bit for bit.  Each step is a correctly
     rounded monotone operation, so top is non-increasing in the float r.
     """
     route, lam, size = _ball_threshold(n, kappa, r)
     return route, lam, lam + RHO_TOL_SCALE * size
 
 
-def _first_below(top, targets: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Per target, the smallest positive float r with top(r) < target.
+def _bits(x: float) -> int:
+    """The bit pattern of the float x as an integer."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
 
-    top must be non-increasing in r and below every target at the largest
-    float.  One pass probes each guess in start and the two floats on
-    either side, which brackets an answer from one float below the guess
-    to two above: the guess inverts a few correctly rounded steps, and in
-    the catalog's searches every answer fell in that window.  Each other
-    entry steps 1, 2, 4, ... floats toward its answer until it is
-    bracketed, then bisects the bracket, probing only open brackets: a
-    guess k floats off costs about 2 log2(k) probes, and any guess at most
-    about 126.
+
+def _from_bits(bits: int) -> float:
+    """The float whose bit pattern is the integer bits."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_below(top, target: float, guess: float) -> float:
+    """The smallest positive float r with top(r) < target.
+
+    top must be non-increasing in r and below target at the largest float.
+    The search probes the guess, then the float beside it toward the
+    answer: the guess inverts a few correctly rounded steps, and in the
+    catalog's searches nearly every answer lay from one float below it to
+    two above, so two or three probes settle most targets.  Otherwise it steps
+    1, 2, 4, ... floats on the bit patterns until the answer is bracketed,
+    then bisects the bracket: a guess k floats off costs about 2 log2(k)
+    probes, and any guess at most about 126.  r = 0, the threshold's pole,
+    is never probed.
     """
-    guess = np.minimum(np.maximum(start.view(np.int64), 3), _LARGEST_BITS - 2)
-    window = guess + np.arange(-2, 3)[:, None]
-    fails = (top(window.view(float)) >= targets).sum(axis=0)  # failures come first
-    down = fails == 0
-    lo = np.where(down, 0, guess + (fails - 3))  # r = 0 is the threshold's pole
-    hi = np.where(fails == 5, _LARGEST_BITS, guess + (fails - 2))
-    idx, step = np.flatnonzero(hi - lo > 1), 1
-    while idx.size:
-        below, above = lo[idx], hi[idx]
-        offset = np.minimum((above - below) // 2, step)
-        probe = np.where(down[idx], above - offset, below + offset)
-        passed = top(probe.view(float)) < targets[idx]
-        hi[idx] = np.where(passed, probe, above)
-        lo[idx] = np.where(passed, below, probe)
-        idx, step = idx[hi[idx] - lo[idx] > 1], min(2 * step, 1 << 62)
-    return hi.view(float)
-
-
-def _breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
-    """The radii where the smallest 2 r (rho + 1) can sit (see
-    best_diameter_bound): per distinct eigenvalue lam_k the smallest float
-    r with top(r) < lam_k, and the smallest with top(r) <= T.
-
-    A target at or below top at the largest admissible radius, CAP_SHRINK
-    times the antipodal cap or the largest float, is dropped: its radius
-    would lie past the cap, or there is none (lam_0 = 0 on the flat-bessel
-    route, whose threshold only tends to 0).  When that drops the
-    truncation's target, no radius is admissible at all; when kappa < 0,
-    because every threshold stays above c |kappa|.
-    """
-    route, q, c = _threshold_form(n, kappa)
-
-    def top(r):
-        return _count_limit(n, kappa, r)[2]
-
-    widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
-    least = top(widest)
-    truncation = math.nextafter(spec.truncation, math.inf)
-    if not truncation > least:
-        raise CertificationError(
-            "diameter",
-            f"spectrum truncation {spec.truncation:.9g} is below {least:.12g}, the least {route} "
-            f"ball threshold plus its tolerance over the admissible radii, at r = {widest:.9g}"
-            + (f" (every threshold exceeds c |kappa| = {c * -kappa:.9g})" if kappa < 0 else "")
-            + "; no eigenvalue count can be certified",
-        )
-    targets = np.append(spec.values[spec.values > least], truncation)
-    # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
-    # taken at the largest float where the truncation's target is inf: the
-    # inverse of inf is the pole r = 0, from which the search would gallop.
-    reach = np.minimum(targets, sys.float_info.max)
-    flat = (reach + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _first_below(top, targets, q / np.sqrt(np.maximum(flat, 0.0)))
+    guess = min(max(_bits(guess), 1), _LARGEST_BITS)
+    if top(_from_bits(guess)) < target:
+        hi, step = guess, 1
+        while True:
+            lo = max(hi - step, 0)
+            if lo == 0 or not top(_from_bits(lo)) < target:
+                break
+            hi, step = lo, 2 * step
+    else:
+        lo, step = guess, 1
+        while True:
+            hi = min(lo + step, _LARGEST_BITS)
+            if hi == _LARGEST_BITS or top(_from_bits(hi)) < target:
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if top(_from_bits(mid)) < target:
+            hi = mid
+        else:
+            lo = mid
+    return _from_bits(hi)
 
 
 class DiameterSearch(tuple):
     """(D, r, rho) of the winning radius, with what the search saw.
 
     Unpacks and compares as the plain triple.  radii_searched is the number
-    of radii searched (the breakpoints, or the given radii),
-    threshold_route the route of the threshold rho was counted below (see
-    diameter_bound), and last_skip diameter_bound's reason for refusing
-    the largest skipped radius (None when no radius was skipped).
+    of radii searched (the breakpoints, or the given radii), radii_resolved
+    how many of them the search resolved to a float radius (every given
+    one), threshold_route the route of the threshold rho was counted below
+    (see diameter_bound), and last_skip diameter_bound's reason for
+    refusing the largest skipped radius (None when no radius was skipped).
     """
 
-    def __new__(cls, best, radii_searched: int, threshold_route: str, last_skip: str | None):
+    def __new__(cls, best, radii_searched: int, radii_resolved: int, threshold_route: str,
+                last_skip: str | None):
         self = super().__new__(cls, best)
         self.radii_searched = radii_searched
+        self.radii_resolved = radii_resolved
         self.threshold_route = threshold_route
         self.last_skip = last_skip
         return self
@@ -281,6 +262,95 @@ def _refusal(spec: Spectrum, kappa: float, n: int, r: float) -> str:
         diameter_bound(spec, kappa, n, r)
     except DomainError as exc:
         return str(exc)
+
+
+class _Tally:
+    """The best (D, r, rho) over the radii scored so far, ties to the larger
+    radius, and the largest radius diameter_bound would refuse."""
+
+    def __init__(self, spec: Spectrum, n: int, kappa: float, cap: float):
+        self.spec, self.n, self.kappa, self.cap = spec, n, kappa, cap
+        self.best = None
+        self.skipped = None
+
+    def score(self, r: float, rho: int | None = None) -> None:
+        """Weigh the float r as diameter_bound does, by the same expressions:
+        refused outside the ball check's domain, where top exceeds the
+        truncation (an overflowed top included) or where 2 r (rho + 1)
+        overflows.  rho is counted up to top unless given."""
+        if 0.0 < r < math.inf and r <= CAP_SHRINK * self.cap:
+            top = _count_limit(self.n, self.kappa, r)[2]
+            if top <= self.spec.truncation:
+                if rho is None:
+                    rho = counting_function(self.spec, top)
+                span = 2.0 * r * (rho + 1)
+                if span < math.inf:
+                    d = min(span, self.cap)
+                    best = self.best
+                    if best is None or d < best[0] or (d == best[0] and r >= best[1]):
+                        self.best = (d, r, rho)
+                    return
+        if self.skipped is None or not r < self.skipped:
+            self.skipped = r
+
+
+def _walk(tally: _Tally) -> tuple[int, int]:
+    """Score the winning breakpoints into tally (see best_diameter_bound);
+    (breakpoints, breakpoints resolved)."""
+    spec, n, kappa, cap = tally.spec, tally.n, tally.kappa, tally.cap
+    route, q, c = _threshold_form(n, kappa)
+
+    def top(r: float) -> float:
+        return _count_limit(n, kappa, r)[2]
+
+    def inverse(target: float) -> float:
+        # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
+        # taken at the largest float where the truncation's target is inf: the
+        # inverse of inf is the pole r = 0, from which the search would gallop.
+        reach = min(target, sys.float_info.max)
+        flat = (reach + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
+        return q / math.sqrt(flat) if flat > 0.0 else widest
+
+    widest = min(CAP_SHRINK * cap, sys.float_info.max)
+    least = top(widest)
+    truncation = math.nextafter(spec.truncation, math.inf)
+    if not truncation > least:
+        raise CertificationError(
+            "diameter",
+            f"spectrum truncation {spec.truncation:.9g} is below {least:.12g}, the least {route} "
+            f"ball threshold plus its tolerance over the admissible radii, at r = {widest:.9g}"
+            + (f" (every threshold exceeds c |kappa| = {c * -kappa:.9g})" if kappa < 0 else "")
+            + "; no eigenvalue count can be certified",
+        )
+    values, counts = spec.values, spec.cumulative_counts
+    first = int(np.searchsorted(values, least, "right"))
+    r_t = _first_below(top, truncation, inverse(truncation))
+    tally.score(r_t)
+    resolved, previous = 1, least
+    below = counts.item(first - 1) if first else 0  # N(< lam_k)
+
+    def beaten(bound: float) -> bool:
+        # No D of at least min(bound, cap) can win: it exceeds the best D, or
+        # ties it where the best lies past r_T, so at a radius no later r_k
+        # exceeds.
+        best = tally.best
+        bound = min(bound, cap)
+        return bound > best[0] or (bound == best[0] and best[1] > r_t)
+
+    for k in range(first, values.size):
+        if beaten(2.0 * r_t * (below + 1)):
+            break
+        lam = values.item(k)
+        guess = inverse(lam)
+        low = guess * (1.0 - 1e-9)
+        # r_k > low once top(low) >= lam_k is checked, and r_k >= r_T always.
+        if not beaten(2.0 * (low if low > r_t and top(low) >= lam else r_t) * (below + 1)):
+            r = _first_below(top, lam, guess)
+            resolved += 1
+            if top(r) >= previous:  # else r_k = r_(k-1), whose triple is weighed
+                tally.score(r, below)
+        previous, below = lam, counts.item(k)
+    return values.size - first + 1, resolved
 
 
 def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid=None) -> DiameterSearch:
@@ -296,17 +366,52 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid=None) -> Di
     admissible when top(r) <= T, the truncation, which makes the
     admissible radii a ray, and when r lies inside the antipodal cap and
     2 r (rho + 1) is finite, which only cut plateaus off on the right.  So
-    the smallest D over all admissible floats is attained where a plateau
-    begins inside the ray, the smallest float with top(r) < lam_k for a
-    distinct eigenvalue lam_k, or where the ray begins, the smallest float
-    with top(r) <= T, i.e. top(r) < nextafter(T, inf).  _breakpoints finds
-    these exactly, so with r_grid None the result is at or below the
-    bound at any radius.  A given r_grid restricts the search, which can
-    only loosen D.
+    the smallest D over all admissible floats is attained at a breakpoint:
+    where a plateau begins inside the ray, r_k, the smallest float with
+    top(r) < lam_k for a distinct eigenvalue lam_k, or where the ray
+    begins, r_T, the smallest float with top(r) <= T, i.e.
+    top(r) < nextafter(T, inf).  A target at or below top at the largest
+    admissible radius, widest (CAP_SHRINK times the antipodal cap, or the
+    largest float), has no breakpoint inside the cap, or none at all
+    (lam_0 = 0 on the flat-bessel route, whose threshold only tends to 0),
+    and when that drops the truncation's target no radius is admissible.
+    radii_searched counts the breakpoints.
 
-    One array pass gives every radius top(r) (the expression
-    diameter_bound evaluates, so the same float), one searchsorted counts
-    the spectrum up to it, and D = min(2 r (rho + 1), cap) follows.  Radii
+    Which breakpoints can win.  The search resolves r_T first and scores
+    it; then it walks the targets lam_k upward, so r_k falls, and resolves
+    r_k (_first_below, from the closed-form inverse g_k of top) only where
+    a proven lower bound on its D could still win against the best so far:
+
+    * r_k >= r_T, since lam_k <= T < nextafter(T, inf).
+    * With r_lo = g_k (1 - 1e-9): if top(r_lo) >= lam_k, then r_k > r_lo,
+      because top is non-increasing and top(r_k) < lam_k.  The check is
+      an evaluation, so an inaccurate g_k costs only the tighter bound.
+    * If r_k differs from r_(k-1), rho(r_k) = N(< lam_k) exactly: top(r_k)
+      < lam_k, and top(r_k) >= lam_(k-1), as r_k < r_(k-1) is not in the
+      set whose smallest float r_(k-1) is (for the lowest target,
+      top(r_k) >= top(widest) and no eigenvalue lies between).  If r_k
+      equals r_(k-1), its triple is that one's, which the walk has
+      already weighed; a resolved r_k with top(r_k) < lam_(k-1) is
+      therefore not scored again.
+
+    So D_k >= min(2 max(r_T, r_lo) (N(< lam_k) + 1), cap) for every r_k
+    with a radius of its own.  A tie wins only at a larger radius, and every
+    later r_k is at most every earlier one, so once the best lies past r_T
+    a tie cannot win: r_k stays unresolved when its bound exceeds the best
+    D, or equals it with the best past r_T.  N(< lam_k) never falls as k
+    grows, so once min(2 r_T (N(< lam_k) + 1), cap) is beaten that way no
+    later breakpoint of its own radius can win, and one that shares a
+    radius repeats a weighed triple: the walk stops.  With the best at the
+    cap, as when kappa > 0 clamps every D, it stops once that product
+    reaches the cap.  No breakpoint is refused, so one left unresolved
+    hides no skip: r_k <= widest, top(r_k) < lam_k <= T, and 2 r_k (rho + 1)
+    stays finite, as r_k is below about q 1e162 (q over the root of the
+    least positive float) and rho below 2^63.  radii_resolved counts the
+    breakpoints resolved, r_T's included.
+
+    Scoring.  Every radius, breakpoint or given, is scored by _Tally.score
+    through the expressions diameter_bound evaluates, so the same floats:
+    top(r), the count up to it and D = min(2 r (rho + 1), cap).  Radii
     diameter_bound refuses are skipped: outside the ball check's domain,
     whose top exceeds the truncation (an overflowed one included), or
     whose 2 r (rho + 1) overflows.  Of tying radii the largest wins: it has
@@ -314,35 +419,31 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid=None) -> Di
     result is therefore that of calling diameter_bound at every radius
     searched, and with no admissible radius the error carries
     diameter_bound's refusal at the largest one.  last_skip is
-    diameter_bound's reason for the largest skipped radius.  A dimension or
+    diameter_bound's reason for the largest skipped radius.  A given
+    r_grid restricts the search, which can only loosen D.  A dimension or
     curvature outside SpaceForm's domain would fail every radius alike, so
     it is refused before the search.
     """
     sf = SpaceForm(n, kappa)
+    cap = bonnet_myers_cap(kappa)
+    tally = _Tally(spec, sf.n, sf.kappa, cap)
     if r_grid is None:
-        radii = _breakpoints(spec, sf.n, sf.kappa)
+        searched, resolved = _walk(tally)
     else:
         radii = np.asarray(r_grid, dtype=float)
         if not radii.size:
             raise DomainError("the radius grid is empty")
-    radii = np.sort(radii)
-    cap = bonnet_myers_cap(kappa)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        route, _, top = _count_limit(sf.n, sf.kappa, radii)
-        rho = np.append(0, spec.cumulative_counts)[np.searchsorted(spec.values, top, "right")]
-        span = 2.0 * radii * (rho + 1)
-        d = np.minimum(span, cap)
-    admissible = (radii > 0.0) & (radii < math.inf) & (radii <= CAP_SHRINK * cap)
-    admissible &= (top <= spec.truncation) & (span < math.inf)
-    refused = np.flatnonzero(~admissible)
-    last_skip = _refusal(spec, kappa, n, float(radii[refused[-1]])) if refused.size else None
-    if not admissible.any():
+        for r in np.sort(radii, axis=None).tolist():
+            tally.score(r)
+        searched = resolved = radii.size
+    last_skip = None if tally.skipped is None else _refusal(spec, kappa, n, tally.skipped)
+    if tally.best is None:
         raise CertificationError("diameter", f"no admissible radius; last failure: {last_skip}")
-    i = np.flatnonzero(admissible & (d == d[admissible].min()))[-1]
     return DiameterSearch(
-        (float(d[i]), float(radii[i]), int(rho[i])),
-        radii_searched=radii.size,
-        threshold_route=route,
+        tally.best,
+        radii_searched=searched,
+        radii_resolved=resolved,
+        threshold_route=_threshold_form(sf.n, sf.kappa)[0],
         last_skip=last_skip,
     )
 
@@ -703,6 +804,7 @@ def spectral_isotropy_bound(
             diameter_bound=d,
             r=r_used,
             radii_searched=search.radii_searched,
+            radii_resolved=search.radii_resolved,
             last_skip=search.last_skip,
             threshold_route=search.threshold_route,
         )

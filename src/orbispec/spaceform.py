@@ -31,9 +31,13 @@ ROOT_MAX_PROBES = 200
 # _power_integral's series stop once a term falls to this share of the sum;
 # their ratios stay at most 1/2, so the tail is at most the last term.
 SERIES_TOL = 2.0**-54
-# _power_integral sums its series up to these angles sqrt|kappa| r
-# (sin^2 = 1/2, sinh^2 = 1) and takes the two-term recursion past them.
+# _power_integral sums its series at most up to these angles sqrt|kappa| r
+# (sin^2 = 1/2, sinh^2 = 1), where their ratios reach 1/2, and takes the
+# two-term recursion past them, or sooner: each of its m // 2 steps scales
+# the rounding error by about 1/x^2, so it starts once x^(2 (m // 2))
+# reaches RECURSION_REACH (see _series_switch).
 SERIES_SWITCH = {1: 0.25 * math.pi, -1: math.asinh(1.0)}
+RECURSION_REACH = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -65,20 +69,26 @@ def bonnet_myers_cap(kappa: float) -> float:
 
 
 def _check_radius(kappa: float, r, what: str = "radius"):
-    """r as a float array, after one min/max pass (NaN fails both comparisons).
+    """r as a float array, after one min/max pass, and its least entry.
 
     The error names the offending value, so a scalar and an array holding
     it raise the same message.
     """
     rr = np.asarray(r, dtype=float)
     lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
+    _check_extent(kappa, float(lo), float(hi), what)
+    return rr, lo
+
+
+def _check_extent(kappa: float, lo: float, hi: float, what: str = "radius") -> None:
+    """The radius rule for radii from lo to hi: finite, nonnegative and at
+    most the antipodal cap (NaN fails both comparisons)."""
     if not (lo >= 0.0 and hi < math.inf):
         bad = hi if lo >= 0.0 else lo
-        raise DomainError(f"{what} must be finite and nonnegative, got {float(bad)!r}")
+        raise DomainError(f"{what} must be finite and nonnegative, got {bad!r}")
     cap = bonnet_myers_cap(kappa)
     if hi > cap * (1.0 + ACOS_DRIFT):
         raise DomainError(f"{what} {hi:.9g} exceeds the antipodal cap pi/sqrt(kappa) = {cap:.9g}")
-    return rr, lo
 
 
 def generalized_sin(kappa: float, r):
@@ -166,7 +176,8 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
     it is the whole sphere.  A volume past every float (a large hyperbolic
     ball) is a DomainError.
     """
-    _check_radius(sf.kappa, r)
+    r = float(r)
+    _check_extent(sf.kappa, r, r)
     if r == 0.0:
         return 0.0
     try:
@@ -194,6 +205,14 @@ def _ball_volume(n: int, k: float, r: float) -> float:
     return sphere_measure(n - 1) * _power_integral(n - 1, k, r)
 
 
+def _series_switch(m: int, sign: int) -> float:
+    """The angle sqrt|kappa| r up to which _power_integral sums its series
+    for sn^m, with sign that of kappa: 0 for m <= 1, which the recursion
+    gives with no step."""
+    steps = m // 2
+    return min(SERIES_SWITCH[sign], RECURSION_REACH ** (0.5 / steps)) if steps else 0.0
+
+
 def _power_integral(m: int, kappa: float, r: float, cosine: bool = False) -> float:
     """Integral over [0, r] of sn^m, or of cn^m when cosine, for m >= 0 and
     kappa != 0 (cosine needs kappa > 0).
@@ -204,20 +223,24 @@ def _power_integral(m: int, kappa: float, r: float, cosine: bool = False) -> flo
 
     * cos^m: I_m = ((m-1) I_(m-2) + cn^(m-1) sn) / m from I_0 = r and
       I_1 = sn, every term nonnegative up to x = pi/2.
-    * sin^m up to x = pi/4: sn^(m+1) sum_k (1/2)_k / k! z^k / (m+1+2k) with
-      z = kappa sn^2 = sin^2 x <= 1/2, the series of
+    * sin^m up to the switch (at most x = pi/4): sn^(m+1) sum_k (1/2)_k /
+      k! z^k / (m+1+2k) with z = kappa sn^2 = sin^2 x <= 1/2, the series of
       2F1(1/2, (m+1)/2; (m+3)/2; z), every term positive.
-    * sinh^m up to sinh^2 x = 1: the same 2F1 at z = -sinh^2 x, rewritten by
-      Pfaff's transformation into sn^(m+1) / ((m+1) cn) times
-      sum_k (1/2)_k / ((m+3)/2)_k t^k, t = z/(z-1) = tanh^2 x <= 1/2, every
-      term positive.
-    * past those switches (SERIES_SWITCH): I_m = ((m-1) I_(m-2) - sn^(m-1) cn)
-      / (m kappa) from I_0 = r and I_1 = 2 sn(r/2)^2, both free of
-      cancellation.  Past x = pi/2 every sin^m term is nonnegative; between
-      pi/4 and pi/2, and for sinh^m with sinh^2 x >= 1, the subtracted term
-      is at most about the kept one, so against 50-digit values the result
-      stays within 4e-14 relative for m <= 11 (the hyperbolic error grows
-      like x ulps, the conditioning of sinh itself).
+    * sinh^m up to the switch (at most sinh^2 x = 1): the same 2F1 at
+      z = -sinh^2 x, rewritten by Pfaff's transformation into
+      sn^(m+1) / ((m+1) cn) times sum_k (1/2)_k / ((m+3)/2)_k t^k,
+      t = z/(z-1) = tanh^2 x <= 1/2, every term positive.
+    * past the switch (_series_switch): I_m = ((m-1) I_(m-2) -
+      sn^(m-1) cn) / (m kappa) from I_0 = r and I_1 = 2 sn(r/2)^2, both
+      free of cancellation.  Past x = pi/2 every sin^m term is
+      nonnegative; below it, and for sinh^m, the subtracted term cancels
+      part of the kept one, and each step scales the error by about
+      1/x^2 for small x.  So the switch depends on m: from 0 for m <= 1
+      (no step) through x = 1/4 for m = 2, 3 and 1/2 for m = 4, 5 to the
+      series' limits.  Against 40-digit values the result stays within
+      4e-14 relative for m <= 11 (the hyperbolic error grows like x ulps,
+      the conditioning of sinh itself), and the series needs at most 47
+      terms, 13 for m = 2, 3.
 
     The series ratios stay at most 1/2, so stopping at SERIES_TOL leaves a
     tail below the last term.
@@ -229,7 +252,7 @@ def _power_integral(m: int, kappa: float, r: float, cosine: bool = False) -> flo
         g, h, k, first = math.cos(x), sn, 1.0, sn
     elif kappa > 0:
         sn = math.sin(x) / s
-        if x <= SERIES_SWITCH[1]:
+        if x <= _series_switch(m, 1):
             z = kappa * sn * sn
             total = term = 1.0 / (m + 1)
             a, j = 1.0, 0
@@ -243,7 +266,7 @@ def _power_integral(m: int, kappa: float, r: float, cosine: bool = False) -> flo
         g, h, k, first = sn, -math.cos(x), kappa, 2.0 * half * half
     else:
         sn = math.sinh(x) / s
-        if x <= SERIES_SWITCH[-1]:
+        if x <= _series_switch(m, -1):
             t = math.tanh(x) ** 2
             total = term = 1.0
             c, j = 0.5 * (m + 3), 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from scipy.stats import norm, qmc
 
 from orbispec import bounds
 from orbispec.dirichlet import (
+    CAP_SHRINK,
     _DSHAPE,
     _OMEGA,
     _SHAPE,
@@ -33,6 +35,7 @@ from orbispec.dirichlet import (
     RITZ_ELEMENTS,
     RITZ_MAX_ITER,
     _first_bessel_zero,
+    _threshold_form,
 )
 from orbispec.errors import CertificationError, ConvergenceError, DomainError
 from orbispec.groups import OrthogonalAction
@@ -552,18 +555,93 @@ def log_radius_grid(n: int, kappa: float, volume: float) -> np.ndarray:
     return np.geomspace(hi / 1000.0, hi, 64)
 
 
-def exhaustive_diameter_bound(
-    spec: Spectrum, kappa: float, n: int, r_grid
-) -> tuple[float, float, int]:
+# The bit pattern of the largest float; those of positive floats order as
+# the floats do.
+_LARGEST_BITS = int(np.array(sys.float_info.max).view(np.int64))
+
+
+def _first_below(top, targets: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per target, the smallest positive float r with top(r) < target.
+
+    top must be non-increasing in r and below every target at the largest
+    float.  One array pass probes each guess in start and the two floats on
+    either side; each other entry steps 1, 2, 4, ... floats toward its
+    answer until it is bracketed, then bisects the bracket, probing only
+    open brackets.
+    """
+    guess = np.minimum(np.maximum(start.view(np.int64), 3), _LARGEST_BITS - 2)
+    window = guess + np.arange(-2, 3)[:, None]
+    fails = (top(window.view(float)) >= targets).sum(axis=0)  # failures come first
+    down = fails == 0
+    lo = np.where(down, 0, guess + (fails - 3))  # r = 0 is the threshold's pole
+    hi = np.where(fails == 5, _LARGEST_BITS, guess + (fails - 2))
+    idx, step = np.flatnonzero(hi - lo > 1), 1
+    while idx.size:
+        below, above = lo[idx], hi[idx]
+        offset = np.minimum((above - below) // 2, step)
+        probe = np.where(down[idx], above - offset, below + offset)
+        passed = top(probe.view(float)) < targets[idx]
+        hi[idx] = np.where(passed, probe, above)
+        lo[idx] = np.where(passed, below, probe)
+        idx, step = idx[hi[idx] - lo[idx] > 1], min(2 * step, 1 << 62)
+    return hi.view(float)
+
+
+def breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
+    """Every breakpoint of rho, resolved in array passes: per distinct
+    eigenvalue lam_k above top at the largest admissible radius the
+    smallest float r with top(r) < lam_k, then the smallest with
+    top(r) <= T.  The library's search resolves only those that can win.
+
+    With no target above that least top the truncation's is dropped too,
+    and no radius is admissible: the same CertificationError the library
+    raises.
+    """
+    route, q, c = _threshold_form(n, kappa)
+
+    def top(r):
+        return bounds._count_limit(n, kappa, r)[2]
+
+    widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
+    least = top(widest)
+    truncation = math.nextafter(spec.truncation, math.inf)
+    if not truncation > least:
+        raise CertificationError(
+            "diameter",
+            f"spectrum truncation {spec.truncation:.9g} is below {least:.12g}, the least {route} "
+            f"ball threshold plus its tolerance over the admissible radii, at r = {widest:.9g}"
+            + (f" (every threshold exceeds c |kappa| = {c * -kappa:.9g})" if kappa < 0 else "")
+            + "; no eigenvalue count can be certified",
+        )
+    targets = np.append(spec.values[spec.values > least], truncation)
+    reach = np.minimum(targets, sys.float_info.max)
+    flat = (reach + c * kappa - bounds.RHO_TOL_SCALE * c * abs(kappa)) / (
+        1.0 + bounds.RHO_TOL_SCALE
+    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _first_below(top, targets, q / np.sqrt(np.maximum(flat, 0.0)))
+
+
+class Scan(tuple):
+    """The (D, r, rho) triple of a scan, with last_skip, diameter_bound's
+    refusal at the largest skipped radius (None when none was skipped)."""
+
+    def __new__(cls, best, last_skip):
+        self = super().__new__(cls, best)
+        self.last_skip = last_skip
+        return self
+
+
+def exhaustive_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> Scan:
     """(D*, r*, rho*) by calling diameter_bound at every grid radius in
     increasing order, skipping each radius it refuses (a 2 r (rho + 1)
     that overflows among them); ties favor large r.
 
-    The package computes every radius in one array pass and must return the
-    same triple, and with no admissible radius the same error.
+    The package must return the same triple and last_skip, and with no
+    admissible radius the same error.
     """
     best = None
-    last_reason = "empty grid"
+    last_reason = None
     for r in np.sort(np.asarray(r_grid, dtype=float)):
         try:
             d, rho = bounds.diameter_bound(spec, kappa, n, float(r))
@@ -574,9 +652,9 @@ def exhaustive_diameter_bound(
             best = (d, float(r), rho)
     if best is None:
         raise CertificationError(
-            "diameter", f"no admissible radius; last failure: {last_reason}"
+            "diameter", f"no admissible radius; last failure: {last_reason or 'empty grid'}"
         )
-    return best
+    return Scan(best, last_reason)
 
 
 # Stop of the reference Ritz kernel: the Rayleigh quotient drops by less

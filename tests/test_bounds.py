@@ -45,6 +45,7 @@ from orbispec import dirichlet
 from orbispec.bounds import RHO_TOL_SCALE, SHRINK
 from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from oracles import (
+    breakpoints,
     exhaustive_diameter_bound,
     flat_separation_radius,
     gauss_legendre_linked_complement,
@@ -254,9 +255,9 @@ def test_diameter_bound_refuses_an_overflowing_span():
 def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     # The default search at both verify truncations and the exact kappa:
     # at most one radius per distinct eigenvalue, plus the truncation's,
-    # none past the antipodal cap.  The search computes every threshold in
-    # array passes, skips no radius, so calls diameter_bound for no skip
-    # text, and returns the full scan's triple over those radii.
+    # none past the antipodal cap.  The search resolves only the breakpoints
+    # that can win, skips no radius, so calls diameter_bound for no skip
+    # text, and returns the full scan's triple over every breakpoint.
     model = catalog_model(model_id)
     n, kappa = model.dimension, model.curvature_lower_bound
     real = bounds_module.diameter_bound
@@ -269,12 +270,29 @@ def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     monkeypatch.setattr(bounds_module, "diameter_bound", counted)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
         spec = model.spectrum(truncation)
-        grid = bounds_module._breakpoints(spec, n, kappa)
+        grid = breakpoints(spec, n, kappa)
         calls.clear()
         search = best_diameter_bound(spec, kappa, n)
         assert calls == [] and search.last_skip is None, truncation
         assert search.radii_searched == len(grid) <= spec.values.size + 1
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
+
+
+@pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
+def test_diameter_search_resolves_at_most_eight_radii(model_id):
+    # The walk resolves only breakpoints whose proven lower bound on D can
+    # still win, at the exact and a loosened kappa, at both verify
+    # truncations and at the largest the benchmark sweeps: a handful of
+    # radii however many breakpoints there are.
+    model = catalog_model(model_id)
+    n = model.dimension
+    for truncation in (*VERIFY_TRUNCATIONS[(model.kind, n)], 256000.0 if n == 2 else 16000.0):
+        spec = model.spectrum(truncation)
+        for kappa in (model.curvature_lower_bound, model.curvature_lower_bound - 0.75):
+            search = best_diameter_bound(spec, kappa, n)
+            assert search.radii_resolved <= 8, (truncation, kappa, search.radii_searched)
+            rep = spectral_isotropy_bound(spec, kappa, n=n, v=model.volume)
+            assert _diameter_stage(rep)["radii_resolved"] == search.radii_resolved
 
 
 @pytest.mark.parametrize("model_id", ["t2", "pillowcase", "t2-mod-4"])
@@ -291,7 +309,7 @@ def test_loose_torus_search_makes_no_ritz_solve(model_id, monkeypatch):
         assert search.threshold_route == "liouville"
         # No cap at kappa < 0, and no breakpoint tops the truncation.
         assert search.last_skip is None
-        grid = bounds_module._breakpoints(spec, n, kappa)
+        grid = breakpoints(spec, n, kappa)
         assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
         rep = spectral_singular_point_bound(spec, kappa, n=n, v=model.volume)
         assert _diameter_stage(rep)["threshold_route"] == "liouville"
@@ -305,14 +323,15 @@ def test_diameter_stage_records_search_counts():
     grid = [0.01, 0.4, 0.8, 1.5]  # 0.01 tops the truncation
     rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=grid)
     stage = next(s for s in rep.stage_trace if s["stage"] == "diameter")["outputs"]
-    assert stage["radii_searched"] == 4
+    assert stage["radii_searched"] == stage["radii_resolved"] == 4
     assert "radii_solved" not in stage
     assert rep.notes["diameter"].startswith("smallest 2r(rho+1) over the given radii")
     default = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume)
     assert "every admissible radius (the breakpoints of rho)" in default.notes["diameter"]
     assert _diameter_stage(default)["radii_searched"] == len(
-        bounds_module._breakpoints(spec, 2, 1.0)
+        breakpoints(spec, 2, 1.0)
     )
+    assert 1 <= _diameter_stage(default)["radii_resolved"] <= 8
     assert "below the ball threshold" in stage["last_skip"]
     clean = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8])
     assert next(s for s in clean.stage_trace if s["stage"] == "diameter")["outputs"][
@@ -1003,20 +1022,27 @@ def test_default_search_is_at_most_any_grid(model_id, truncation, curvature_shif
         assert got[0] <= given_grid[0]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     model_id=st.sampled_from([m.model_id for m in model_catalog()]),
     truncation=st.sampled_from([60.0, 400.0, 1640.0]),
+    scale=st.floats(0.1, 10.0),
     curvature_shift=st.sampled_from(ROUTE_SHIFTS),
 )
 def test_default_search_equals_exhaustive_scan_over_its_breakpoints(
-    model_id, truncation, curvature_shift
+    model_id, truncation, scale, curvature_shift
 ):
+    # The metric scaled by c: eigenvalues, truncation and kappa times c^-2,
+    # and the shifts from the model's K reach all three threshold routes.
     # Each breakpoint is the smallest float whose top sits below its
     # target, and the search is the full scan over them, errors included.
     model, spec = _catalog_spectrum(model_id, truncation)
-    n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
-    radii = bounds_module._breakpoints(spec, n, kappa)
+    s = 1.0 / (scale * scale)
+    spec = Spectrum._from_arrays(
+        spec.values * s, spec.multiplicities, spec.truncation * s, spec.dimension
+    )
+    n, kappa = model.dimension, (model.curvature_lower_bound + curvature_shift) * s
+    radii = _assert_walk_is_the_scan(spec, kappa, n)
     with np.errstate(divide="ignore", over="ignore"):
         top = bounds_module._count_limit(n, kappa, radii)[2]
         below = bounds_module._count_limit(n, kappa, np.nextafter(radii, 0.0))[2]
@@ -1026,9 +1052,78 @@ def test_default_search_equals_exhaustive_scan_over_its_breakpoints(
         spec.values[spec.values.size - radii.size + 1:], math.nextafter(spec.truncation, math.inf)
     )
     assert (top < limits).all() and (below >= limits).all()
-    assert _search_outcome(best_diameter_bound, spec, kappa, n) == _search_outcome(
-        exhaustive_diameter_bound, spec, kappa, n, radii
-    )
+
+
+def _assert_walk_is_the_scan(spec: Spectrum, kappa: float, n: int):
+    """The default search against the full scan over the oracle's every
+    breakpoint: the same (D, r, rho), last_skip and breakpoint count, or
+    the same error.  Every rho the walk scores without counting is
+    diameter_bound's count at that radius.  Returns the breakpoints."""
+    try:
+        radii = breakpoints(spec, n, kappa)
+    except CertificationError as exc:
+        got = _search_outcome(best_diameter_bound, spec, kappa, n)
+        assert got == ("error", exc.stage, str(exc))
+        return None
+    real, given_rho = bounds_module._Tally.score, []
+
+    def checked(tally, r, rho=None):
+        if rho is not None:
+            given_rho.append((r, rho))
+        return real(tally, r, rho)
+
+    bounds_module._Tally.score = checked
+    try:
+        search = best_diameter_bound(spec, kappa, n)
+    finally:
+        bounds_module._Tally.score = real
+    scan = exhaustive_diameter_bound(spec, kappa, n, radii)
+    assert tuple(search) == tuple(scan) and search.last_skip == scan.last_skip
+    assert search.radii_searched == radii.size >= search.radii_resolved
+    for r, rho in given_rho:
+        assert diameter_bound(spec, kappa, n, r)[1] == rho, (r, rho)
+    return radii
+
+
+@pytest.mark.parametrize("model_id", ["s2-mod-3", "t2", "s3"])
+@pytest.mark.parametrize("error", [1.5, 0.5])
+def test_walk_bound_rests_on_evaluation_not_on_the_inverse(model_id, error, monkeypatch):
+    # Each breakpoint's lower bound r_lo = g (1 - 1e-9) counts only once
+    # top(r_lo) >= lam is evaluated, so a closed-form inverse g off by a
+    # factor either way costs probes and resolutions, never the triple.
+    model, spec = _catalog_spectrum(model_id, 400.0)
+    real = bounds_module._threshold_form
+
+    def skewed(n, kappa):
+        route, q, c = real(n, kappa)
+        return route, q * error, c
+
+    monkeypatch.setattr(bounds_module, "_threshold_form", skewed)
+    for shift in ROUTE_SHIFTS:
+        _assert_walk_is_the_scan(spec, model.curvature_lower_bound + shift, model.dimension)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0, -0.75])
+def test_walk_equals_exhaustive_scan_with_eigenvalues_one_float_apart(n, kappa):
+    a, twin = 7.0, math.nextafter(7.0, math.inf)
+    spec = Spectrum(((0.0, 1), (a, 2), (twin, 1), (40.0, 3)), 50.0, n)
+    _assert_walk_is_the_scan(spec, kappa, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
+def test_walk_scores_a_shared_breakpoint_once(n, kappa):
+    # 7 and the float after it share a breakpoint radius here.  With 2e9
+    # zero modes the second one's bound on D, 2 r (N(< lam) + 1) at
+    # N = 2e9 + 1, falls below the first one's D at a truncation 1.5e-9
+    # above them, so the walk resolves it: scored with N(< lam) it would
+    # count one eigenvalue too many.
+    a, twin = 7.0, math.nextafter(7.0, math.inf)
+    spec = Spectrum(((0.0, 2_000_000_000), (a, 1), (twin, 1)), a * (1.0 + 1.5e-9), n)
+    radii = _assert_walk_is_the_scan(spec, kappa, n)
+    assert radii[0] == radii[1]
+    assert best_diameter_bound(spec, kappa, n).radii_resolved == 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -1081,7 +1176,7 @@ def test_breakpoint_targets_without_an_admissible_radius_are_dropped(kappa):
     assert search.radii_searched == 3 - int(kappa) and search.threshold_route == "flat-bessel"
     assert search.last_skip is None
     assert search == exhaustive_diameter_bound(
-        spec, kappa, 2, bounds_module._breakpoints(spec, 2, kappa)
+        spec, kappa, 2, breakpoints(spec, 2, kappa)
     )
 
 
@@ -1110,7 +1205,7 @@ def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
     # floats of the smallest radius with a finite top, so no gallop from 0.
     big = sys.float_info.max
     spec = Spectrum(((0.0, 1), (big / 2, 1)), big, n)
-    radii = bounds_module._breakpoints(spec, n, kappa)
+    radii = breakpoints(spec, n, kappa)
     with np.errstate(over="ignore"):
         top = bounds_module._count_limit(n, kappa, radii)[2]
         below = bounds_module._count_limit(n, kappa, np.nextafter(radii, 0.0))[2]
@@ -1124,11 +1219,13 @@ def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
 
     count_limit = bounds_module._count_limit
     monkeypatch.setattr(bounds_module, "_count_limit", counted)
-    search = best_diameter_bound(spec, kappa, n)
-    # top at the widest radius, the five-float window, the array pass.
-    assert len(calls) <= 4
+    best_diameter_bound(spec, kappa, n)
+    # top at the widest radius, then per breakpoint its lower-bound check,
+    # a few probes around its guess, the shared-radius check and its score:
+    # a gallop from the pole or from the largest float takes over a hundred.
+    assert len(calls) <= 12
     monkeypatch.undo()
-    assert search == exhaustive_diameter_bound(spec, kappa, n, radii)
+    _assert_walk_is_the_scan(spec, kappa, n)
 
 
 def test_truncation_below_the_threshold_at_the_cap_has_no_breakpoint():

@@ -339,7 +339,7 @@ def test_ball_threshold_scales_and_agrees_over_arrays(n, sign, size, u, c):
     # minus or plus c_n |kappa|, so its rounding is relative to the sum of
     # the two terms: near the antipodal cap the n = 3 difference cancels.
     # The value over an array of radii equals the value at each radius bit
-    # for bit, which the diameter search's array pass relies on.
+    # for bit, which the breakpoint oracle's array pass relies on.
     kappa = sign * size
     r = u * (math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
     route, lam, _ = _ball_threshold(n, kappa, r)

@@ -20,8 +20,8 @@ from scipy.special import jv
 from orbispec.bounds import ALPHA_MARGIN, SHRINK, alpha_constant, ell_constant
 from orbispec.dirichlet import _bessel_sign, _first_bessel_zero
 from orbispec.spaceform import (
-    SERIES_SWITCH,
     SpaceForm,
+    _series_switch,
     ball_volume,
     bonnet_myers_cap,
     linked_complement_measure,
@@ -62,14 +62,14 @@ def _linked_complement_mp(d: int, alpha: float):
                                   mpmath.sin(mpmath.mpf(alpha)) ** 2)
 
 
-def _angles(sign: int) -> list[float]:
+def _angles(n: int, sign: int) -> list[float]:
     """sqrt|kappa| r from 1e-6 (|kappa| r^2 = 1e-12) up to the antipodal cap,
     or to 40 (|kappa| r^2 = 1600) when kappa < 0, and both sides of every
-    branch switch: the series switch, and |kappa| r^2 = 1 where the n = 3
-    closed form takes over."""
+    branch switch: the series switch of sn^(n-1), and |kappa| r^2 = 1 where
+    the n = 3 closed form takes over."""
     top = math.pi if sign > 0 else 40.0
     xs = list(np.geomspace(1e-6, top, 40))
-    for edge in (SERIES_SWITCH[sign], 1.0):
+    for edge in (_series_switch(n - 1, sign) or 1.0, 1.0):
         xs += [edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12)]
     return sorted(xs)
 
@@ -79,7 +79,7 @@ def _angles(sign: int) -> list[float]:
 def test_ball_volume_matches_mpmath(n, kappa):
     s = math.sqrt(abs(kappa))
     sign = 1 if kappa > 0 else -1
-    for x in _angles(sign):
+    for x in _angles(n, sign):
         r = min(x / s, bonnet_myers_cap(kappa))
         got = ball_volume(SpaceForm(n, kappa), r)
         want = _ball_volume_mp(n, kappa, r)
@@ -92,7 +92,8 @@ def test_ball_volume_is_monotone_across_each_switch(n, kappa):
     # Radii 1e-10 apart in relative terms change the volume by about n e-10,
     # far above the 1e-13 accuracy, so any jump at a switch would show.
     sign = 1 if kappa > 0 else -1
-    for edge in (SERIES_SWITCH[sign], 1.0):
+    # n = 2 has no series switch: sn^1 takes no recursion step.
+    for edge in (_series_switch(n - 1, sign) or 1.0, 1.0):
         radii = edge * (1.0 + 1e-10 * np.arange(-8, 9))
         vols = [ball_volume(SpaceForm(n, kappa), float(r)) for r in radii]
         assert all(b > a for a, b in zip(vols, vols[1:])), (n, kappa, edge)

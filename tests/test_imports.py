@@ -6,6 +6,7 @@ imports orbispec and orbispec.cli, runs `orbispec verify` with or without
 --quick, or certifies spectrum-only at n = 2..5 with kappa of each sign: the
 pipelines' special functions are elementary and LAPACK loads only with the
 Ritz kernel, which `orbispec eig-ball` still reaches through scipy.linalg.
+The first spectrum-only certificate leaves numpy.ma unloaded too.
 No test-only module of the library (the former `orbispec.netpack`) comes
 back either.  The command-line front end is a thin layer over the
 pipelines, so it imports no private (underscore-prefixed) name of the
@@ -98,6 +99,23 @@ def test_pipelines_load_no_scipy(program):
     printed, loaded = _fresh(SCIPY_FREE[program])
     assert printed.split() == ([] if program == "import" else ["0"]), printed
     assert loaded == [], f"{program} pulled in: {' '.join(loaded)}"
+
+
+def test_first_spectrum_only_certificate_stays_on_the_cold_path():
+    # One spectrum-only certificate in a fresh interpreter: the Weyl fit
+    # takes its median from a sort, as np.median's NaN check would import
+    # numpy.ma (10 to 20 ms on the first certificate of a process), and no
+    # special function needs scipy.
+    program = (
+        "import sys\n"
+        "from orbispec import catalog_model, spectral_singular_point_bound\n"
+        "spectral_singular_point_bound(catalog_model('s2-mod-3').spectrum(10100.0), 1.0)\n"
+        "print(' '.join(m for m in sorted(sys.modules)"
+        " if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    printed, loaded = _fresh(program)
+    assert printed == "", f"numpy.ma loaded: {printed}"
+    assert loaded == [], f"pulled in: {' '.join(loaded)}"
 
 
 def test_ritz_kernel_loads_scipy_linalg_on_first_use():

@@ -14,7 +14,6 @@ from orbispec.errors import ConvergenceError, DomainError
 from orbispec.spaceform import (
     NEAR_FLAT,
     ROOT_MAX_PROBES,
-    SERIES_SWITCH,
     SpaceForm,
     ball_volume,
     bonnet_myers_cap,
@@ -24,6 +23,7 @@ from orbispec.spaceform import (
     newton_bracket,
     sphere_measure,
     unit_ball_volume,
+    _series_switch,
 )
 
 from oracles import (
@@ -179,10 +179,11 @@ def test_ball_volume_closed_forms_match_quadrature_oracle(n, sign, log_size, r):
 def test_ball_volume_strictly_increasing_in_radius(n, kappa):
     cap = bonnet_myers_cap(kappa) if kappa > 0 else 6.0
     radii = list(np.linspace(0.01, 0.999, 300) * cap)
-    # both sides of the series switch (sqrt(kappa) r = pi/4, or sinh^2 = 1
-    # when kappa < 0) and of the n = 3 closed form's at |kappa| r^2 = 1
+    # both sides of the series switch of sn^(n-1) (at most sqrt(kappa) r =
+    # pi/4, or sinh^2 = 1 when kappa < 0) and of the n = 3 closed form's at
+    # |kappa| r^2 = 1
     s = math.sqrt(abs(kappa))
-    for edge in (SERIES_SWITCH[1 if kappa > 0 else -1] / s, 1.0 / s):
+    for edge in (_series_switch(n - 1, 1 if kappa > 0 else -1) / s, 1.0 / s):
         radii += [edge * (1 - 1e-9), edge, edge * (1 + 1e-9)]
     radii = sorted(r for r in radii if r < cap)
     vols = [ball_volume(SpaceForm(n, kappa), float(r)) for r in radii]
