@@ -239,123 +239,33 @@ class DiameterSearch(tuple):
     """(D, r, rho) of the winning radius, with what the search saw.
 
     Unpacks and compares as the plain triple.  radii_searched is the number
-    of radii searched (the breakpoints, or the given radii), radii_resolved
-    how many of them the search resolved to a float radius (every given
-    one), threshold_route the route of the threshold rho was counted below
-    (see diameter_bound), and last_skip diameter_bound's reason for
-    refusing the largest skipped radius (None when no radius was skipped).
+    of breakpoints, radii_resolved how many of them the search resolved to
+    a float radius, and threshold_route the route of the threshold rho was
+    counted below (see diameter_bound).
     """
 
-    def __new__(cls, best, radii_searched: int, radii_resolved: int, threshold_route: str,
-                last_skip: str | None):
+    def __new__(cls, best, radii_searched: int, radii_resolved: int, threshold_route: str):
         self = super().__new__(cls, best)
         self.radii_searched = radii_searched
         self.radii_resolved = radii_resolved
         self.threshold_route = threshold_route
-        self.last_skip = last_skip
         return self
 
 
-def _refusal(spec: Spectrum, kappa: float, n: int, r: float) -> str:
-    """The text of the DomainError with which diameter_bound refuses r."""
-    try:
-        diameter_bound(spec, kappa, n, r)
-    except DomainError as exc:
-        return str(exc)
+def _weigh(best: tuple, r: float, rho: int, cap: float) -> tuple:
+    """best, or (D, r, rho) with D = min(2 r (rho + 1), cap), diameter_bound's
+    expression, when that D is smaller, or equal at a radius at least best's."""
+    d = min(2.0 * r * (rho + 1), cap)
+    return (d, r, rho) if d < best[0] or (d == best[0] and r >= best[1]) else best
 
 
-class _Tally:
-    """The best (D, r, rho) over the radii scored so far, ties to the larger
-    radius, and the largest radius diameter_bound would refuse."""
+def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
+    """(D*, r*, rho*): smallest diameter_bound over every admissible radius;
+    ties favor large r.
 
-    def __init__(self, spec: Spectrum, n: int, kappa: float, cap: float):
-        self.spec, self.n, self.kappa, self.cap = spec, n, kappa, cap
-        self.best = None
-        self.skipped = None
-
-    def score(self, r: float, rho: int | None = None) -> None:
-        """Weigh the float r as diameter_bound does, by the same expressions:
-        refused outside the ball check's domain, where top exceeds the
-        truncation (an overflowed top included) or where 2 r (rho + 1)
-        overflows.  rho is counted up to top unless given."""
-        if 0.0 < r < math.inf and r <= CAP_SHRINK * self.cap:
-            top = _count_limit(self.n, self.kappa, r)[2]
-            if top <= self.spec.truncation:
-                if rho is None:
-                    rho = counting_function(self.spec, top)
-                span = 2.0 * r * (rho + 1)
-                if span < math.inf:
-                    d = min(span, self.cap)
-                    best = self.best
-                    if best is None or d < best[0] or (d == best[0] and r >= best[1]):
-                        self.best = (d, r, rho)
-                    return
-        if self.skipped is None or not r < self.skipped:
-            self.skipped = r
-
-
-def _walk(tally: _Tally) -> tuple[int, int]:
-    """Score the winning breakpoints into tally (see best_diameter_bound);
-    (breakpoints, breakpoints resolved)."""
-    spec, n, kappa, cap = tally.spec, tally.n, tally.kappa, tally.cap
-    route, q, c = _threshold_form(n, kappa)
-
-    def top(r: float) -> float:
-        return _count_limit(n, kappa, r)[2]
-
-    def inverse(target: float) -> float:
-        # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
-        # taken at the largest float where the truncation's target is inf: the
-        # inverse of inf is the pole r = 0, from which the search would gallop.
-        reach = min(target, sys.float_info.max)
-        flat = (reach + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
-        return q / math.sqrt(flat) if flat > 0.0 else widest
-
-    widest = min(CAP_SHRINK * cap, sys.float_info.max)
-    least = top(widest)
-    truncation = math.nextafter(spec.truncation, math.inf)
-    if not truncation > least:
-        raise CertificationError(
-            "diameter",
-            f"spectrum truncation {spec.truncation:.9g} is below {least:.12g}, the least {route} "
-            f"ball threshold plus its tolerance over the admissible radii, at r = {widest:.9g}"
-            + (f" (every threshold exceeds c |kappa| = {c * -kappa:.9g})" if kappa < 0 else "")
-            + "; no eigenvalue count can be certified",
-        )
-    values, counts = spec.values, spec.cumulative_counts
-    first = int(np.searchsorted(values, least, "right"))
-    r_t = _first_below(top, truncation, inverse(truncation))
-    tally.score(r_t)
-    resolved, previous = 1, least
-    below = counts.item(first - 1) if first else 0  # N(< lam_k)
-
-    def beaten(bound: float) -> bool:
-        # No D of at least min(bound, cap) can win: it exceeds the best D, or
-        # ties it where the best lies past r_T, so at a radius no later r_k
-        # exceeds.
-        best = tally.best
-        bound = min(bound, cap)
-        return bound > best[0] or (bound == best[0] and best[1] > r_t)
-
-    for k in range(first, values.size):
-        if beaten(2.0 * r_t * (below + 1)):
-            break
-        lam = values.item(k)
-        guess = inverse(lam)
-        low = guess * (1.0 - 1e-9)
-        # r_k > low once top(low) >= lam_k is checked, and r_k >= r_T always.
-        if not beaten(2.0 * (low if low > r_t and top(low) >= lam else r_t) * (below + 1)):
-            r = _first_below(top, lam, guess)
-            resolved += 1
-            if top(r) >= previous:  # else r_k = r_(k-1), whose triple is weighed
-                tally.score(r, below)
-        previous, below = lam, counts.item(k)
-    return values.size - first + 1, resolved
-
-
-def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid=None) -> DiameterSearch:
-    """(D*, r*, rho*): smallest diameter_bound over every admissible radius,
-    or over the radii of r_grid when given; ties favor large r.
+    The count rests on lam_0 = 0, the eigenvalue of the constants, which the
+    spectrum of every closed connected orbifold has: a spectrum whose lowest
+    eigenvalue is not 0 is refused.
 
     Why the breakpoints suffice.  rho(r) = N(top(r)) counts eigenvalues up
     to top(r) (see _count_limit), which is non-increasing in the float r,
@@ -403,48 +313,88 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid=None) -> Di
     later breakpoint of its own radius can win, and one that shares a
     radius repeats a weighed triple: the walk stops.  With the best at the
     cap, as when kappa > 0 clamps every D, it stops once that product
-    reaches the cap.  No breakpoint is refused, so one left unresolved
-    hides no skip: r_k <= widest, top(r_k) < lam_k <= T, and 2 r_k (rho + 1)
-    stays finite, as r_k is below about q 1e162 (q over the root of the
-    least positive float) and rho below 2^63.  radii_resolved counts the
-    breakpoints resolved, r_T's included.
+    reaches the cap.  radii_resolved counts the breakpoints resolved, r_T's
+    included.
 
-    Scoring.  Every radius, breakpoint or given, is scored by _Tally.score
-    through the expressions diameter_bound evaluates, so the same floats:
-    top(r), the count up to it and D = min(2 r (rho + 1), cap).  Radii
-    diameter_bound refuses are skipped: outside the ball check's domain,
-    whose top exceeds the truncation (an overflowed one included), or
-    whose 2 r (rho + 1) overflows.  Of tying radii the largest wins: it has
-    the smallest rho, so the bound rests on the fewest eigenvalues.  The
-    result is therefore that of calling diameter_bound at every radius
-    searched, and with no admissible radius the error carries
-    diameter_bound's refusal at the largest one.  last_skip is
-    diameter_bound's reason for the largest skipped radius.  A given
-    r_grid restricts the search, which can only loosen D.  A dimension or
-    curvature outside SpaceForm's domain would fail every radius alike, so
-    it is refused before the search.
+    Scoring.  No breakpoint, r_T included, is refused: each lies in
+    (0, widest], its top is at most T, and 2 r (rho + 1) stays finite, as r
+    is below about q 1e162 (q over the root of the least positive float)
+    and rho below 2^63.  So r_T is scored by diameter_bound itself (were it
+    ever refused, the pipelines would report a [diameter] error), and each
+    resolved r_k by _weigh, with rho = N(< lam_k): the same floats
+    diameter_bound would give.  Of tying radii the largest wins: it has the
+    smallest rho, so the bound rests on the fewest eigenvalues.  The result
+    is therefore that of calling diameter_bound at every breakpoint.  A
+    dimension or curvature outside SpaceForm's domain would fail every
+    radius alike, so it is refused before the search.
     """
     sf = SpaceForm(n, kappa)
+    n, kappa = sf.n, sf.kappa
+    values, counts = spec.values, spec.cumulative_counts
+    if not (values.size and values.item(0) == 0.0):
+        found = f"the lowest eigenvalue is {values.item(0)!r}" if values.size else "none is given"
+        raise CertificationError(
+            "diameter",
+            "the ball count rests on lam_0 = 0, which the spectrum of every closed connected "
+            f"orbifold has, but {found}",
+        )
     cap = bonnet_myers_cap(kappa)
-    tally = _Tally(spec, sf.n, sf.kappa, cap)
-    if r_grid is None:
-        searched, resolved = _walk(tally)
-    else:
-        radii = np.asarray(r_grid, dtype=float)
-        if not radii.size:
-            raise DomainError("the radius grid is empty")
-        for r in np.sort(radii, axis=None).tolist():
-            tally.score(r)
-        searched = resolved = radii.size
-    last_skip = None if tally.skipped is None else _refusal(spec, kappa, n, tally.skipped)
-    if tally.best is None:
-        raise CertificationError("diameter", f"no admissible radius; last failure: {last_skip}")
+    route, q, c = _threshold_form(n, kappa)
+
+    def top(r: float) -> float:
+        return _count_limit(n, kappa, r)[2]
+
+    def inverse(target: float) -> float:
+        # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
+        # taken at the largest float where the truncation's target is inf: the
+        # inverse of inf is the pole r = 0, from which the search would gallop.
+        reach = min(target, sys.float_info.max)
+        flat = (reach + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
+        return q / math.sqrt(flat) if flat > 0.0 else widest
+
+    widest = min(CAP_SHRINK * cap, sys.float_info.max)
+    least = top(widest)
+    truncation = math.nextafter(spec.truncation, math.inf)
+    if not truncation > least:
+        raise CertificationError(
+            "diameter",
+            f"spectrum truncation {spec.truncation:.9g} is below {least:.12g}, the least {route} "
+            f"ball threshold plus its tolerance over the admissible radii, at r = {widest:.9g}"
+            + (f" (every threshold exceeds c |kappa| = {c * -kappa:.9g})" if kappa < 0 else "")
+            + "; no eigenvalue count can be certified",
+        )
+    first = int(np.searchsorted(values, least, "right"))
+    r_t = _first_below(top, truncation, inverse(truncation))
+    d, rho = diameter_bound(spec, kappa, n, r_t)
+    best = (d, r_t, rho)
+    resolved, previous = 1, least
+    below = counts.item(first - 1) if first else 0  # N(< lam_k)
+
+    def beaten(bound: float) -> bool:
+        # No D of at least min(bound, cap) can win: it exceeds the best D, or
+        # ties it where the best lies past r_T, so at a radius no later r_k
+        # exceeds.
+        bound = min(bound, cap)
+        return bound > best[0] or (bound == best[0] and best[1] > r_t)
+
+    for k in range(first, values.size):
+        if beaten(2.0 * r_t * (below + 1)):
+            break
+        lam = values.item(k)
+        guess = inverse(lam)
+        low = guess * (1.0 - 1e-9)
+        # r_k > low once top(low) >= lam_k is checked, and r_k >= r_T always.
+        if not beaten(2.0 * (low if low > r_t and top(low) >= lam else r_t) * (below + 1)):
+            r = _first_below(top, lam, guess)
+            resolved += 1
+            if top(r) >= previous:  # else r_k = r_(k-1), whose triple is weighed
+                best = _weigh(best, r, below, cap)
+        previous, below = lam, counts.item(k)
     return DiameterSearch(
-        tally.best,
-        radii_searched=searched,
+        best,
+        radii_searched=values.size - first + 1,
         radii_resolved=resolved,
-        threshold_route=_threshold_form(sf.n, sf.kappa)[0],
-        last_skip=last_skip,
+        threshold_route=route,
     )
 
 
@@ -788,33 +738,29 @@ def spectral_isotropy_bound(
     kappa: float,
     n: int | None = None,
     v: float | None = None,
-    r_grid=None,
 ) -> BoundReport:
     """Diameter bound plus isotropy-order cap from a spectrum and curvature.
 
-    The diameter search runs over every admissible radius, or over the
-    radii of r_grid when given (see best_diameter_bound).
+    The diameter search runs over every admissible radius (see
+    best_diameter_bound).
     """
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
-        search = best_diameter_bound(spec, kappa, n, r_grid)
+        search = best_diameter_bound(spec, kappa, n)
         d, r_used, rho = search
         out.update(
             diameter_bound=d,
             r=r_used,
             radii_searched=search.radii_searched,
             radii_resolved=search.radii_resolved,
-            last_skip=search.last_skip,
             threshold_route=search.threshold_route,
         )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
         cap = isotropy_order_cap(n, kappa, d, v)
         out.update(isotropy_cap=cap)
     notes = {
-        "diameter": "smallest 2r(rho+1) over "
-        + ("the given radii" if r_grid is not None
-           else "every admissible radius (the breakpoints of rho)")
+        "diameter": "smallest 2r(rho+1) over every admissible radius (the breakpoints of rho)"
         + (", clamped at the Bonnet-Myers cap" if kappa > 0 else ""),
         "rho": f"eigenvalues counted up to the ball threshold plus {RHO_TOL_SCALE} times the "
         "sum of its terms' magnitudes, " + _THRESHOLD_NOTES[search.threshold_route],
@@ -845,7 +791,6 @@ def spectral_singular_point_bound(
     kappa: float,
     n: int | None = None,
     v: float | None = None,
-    r_grid=None,
 ) -> BoundReport:
     """Full pipeline: Weyl data, diameter bound, isotropy cap, singular-point cap.
 
@@ -854,7 +799,7 @@ def spectral_singular_point_bound(
     returned report carries the stage trace and per-constant provenance
     notes.
     """
-    base = spectral_isotropy_bound(spec, kappa, n=n, v=v, r_grid=r_grid)
+    base = spectral_isotropy_bound(spec, kappa, n=n, v=v)
     trace = list(base.stage_trace)
     with _stage(
         trace, "singular-cap", {"diameter_bound": base.diameter_bound, "volume": base.volume}

@@ -60,18 +60,6 @@ def _load_spectrum(path: str) -> Spectrum:
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
-def _parse_r_grid(text: str | None):
-    if text is None:
-        return None
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise MalformedInputError(f"--r-grid: {exc}") from exc
-    if not values:
-        raise MalformedInputError("--r-grid: no radii given")
-    return values
-
-
 def _config(args: argparse.Namespace) -> dict:
     skip = {"handler", "out", "command"}
     cfg = {}
@@ -105,7 +93,7 @@ def _cmd_weyl(args: argparse.Namespace) -> dict:
 
 def _bound_report(args: argparse.Namespace, pipeline):
     spec = _load_spectrum(args.spectrum)
-    return pipeline(spec, args.kappa, n=args.n, v=args.volume, r_grid=_parse_r_grid(args.r_grid))
+    return pipeline(spec, args.kappa, n=args.n, v=args.volume)
 
 
 def _cmd_diameter(args: argparse.Namespace) -> dict:
@@ -221,11 +209,6 @@ def _add_bound_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa", type=float, required=True, help="curvature lower bound")
     sub.add_argument("--n", type=int, default=None, help="dimension (default: estimated)")
     sub.add_argument("--volume", type=float, default=None, help="volume (default: estimated)")
-    sub.add_argument(
-        "--r-grid",
-        default=None,
-        help="restrict the diameter search to these radii (default: every breakpoint)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

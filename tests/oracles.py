@@ -637,8 +637,9 @@ def exhaustive_diameter_bound(spec: Spectrum, kappa: float, n: int, r_grid) -> S
     increasing order, skipping each radius it refuses (a 2 r (rho + 1)
     that overflows among them); ties favor large r.
 
-    The package must return the same triple and last_skip, and with no
-    admissible radius the same error.
+    Over the breakpoints of rho the package's search must return the same
+    triple, and this scan must skip none of them; over any other radii it
+    stands for diameter_bound called at each one.
     """
     best = None
     last_reason = None

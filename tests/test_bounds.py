@@ -142,19 +142,34 @@ def test_diameter_bound_validation(s2_spectrum):
 
 
 def test_best_diameter_bound_prefers_large_radius(s2_spectrum):
-    d, r, rho = best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[0.5, 1.0, 2.0])
-    assert d == math.pi
-    assert r == 2.0  # all radii tie at the clamp; ties favor large r (fewest eigenvalues)
-    assert rho == diameter_bound(s2_spectrum, 1.0, 2, 2.0)[1]
-    with pytest.raises(DomainError):
-        best_diameter_bound(s2_spectrum, 1.0, 2, r_grid=[])
+    # Every breakpoint ties at the clamp; ties favor large r (fewest
+    # eigenvalues), so the search returns the largest of them.
+    d, r, rho = best_diameter_bound(s2_spectrum, 1.0, 2)
+    radii = breakpoints(s2_spectrum, 2, 1.0)
+    assert d == math.pi and r == radii.max()
+    assert all(diameter_bound(s2_spectrum, 1.0, 2, float(x))[0] == math.pi for x in radii)
+    assert rho == diameter_bound(s2_spectrum, 1.0, 2, r)[1]
 
 
 def test_best_diameter_bound_certification_failure():
+    # At kappa = 1 every threshold exceeds this truncation.
     short = Spectrum(((0.0, 1),), 0.05)
     with pytest.raises(CertificationError) as err:
-        best_diameter_bound(short, 0.0, 2, r_grid=[0.5, 1.0])
+        best_diameter_bound(short, 1.0, 2)
     assert err.value.stage == "diameter"
+
+
+@pytest.mark.parametrize("entries", [((50.0, 1),), ((50.0, 1), (60.0, 2)), ()])
+def test_best_diameter_bound_refuses_a_spectrum_without_eigenvalue_zero(entries):
+    # The ball count rests on lam_0 = 0.  Without it the search once
+    # certified rho = 0, which only the report's constructor refused, as an
+    # error with no stage.
+    spec = Spectrum(entries, 100.0)
+    with pytest.raises(CertificationError, match=r"lam_0 = 0") as err:
+        best_diameter_bound(spec, 0.0, 2)
+    assert err.value.stage == "diameter"
+    with pytest.raises(CertificationError, match=r"^\[diameter\].*lam_0 = 0"):
+        spectral_isotropy_bound(spec, 0.0, n=2, v=math.pi)
 
 
 def test_best_diameter_bound_uses_closed_form_at_former_failure_key():
@@ -163,9 +178,9 @@ def test_best_diameter_bound_uses_closed_form_at_former_failure_key():
     kappa, r = 0.7852497754447629, 0.9071244157410668
     spec = catalog_model("s3").spectrum(899.0)
     assert _eigenvalue(3, kappa, r) == (math.pi / r) ** 2 - kappa
-    d, r_used, rho = best_diameter_bound(spec, kappa, 3, r_grid=[r])
-    assert r_used == r
-    assert (d, rho) == diameter_bound(spec, kappa, 3, r)
+    d, rho = diameter_bound(spec, kappa, 3, r)
+    assert exhaustive_diameter_bound(spec, kappa, 3, [r]) == (d, r, rho)
+    assert best_diameter_bound(spec, kappa, 3)[0] <= d
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,62 +208,15 @@ def _radius_grids(draw, n, kappa, volume):
     return draw(st.permutations(radii))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    model_id=st.sampled_from([m.model_id for m in model_catalog()]),
-    truncation=st.sampled_from([60.0, 400.0, 1640.0, 10100.0]),
-    curvature_shift=st.sampled_from([0.0, -0.75, -1.0, -1.5]),
-    data=st.data(),
-)
-def test_best_diameter_bound_equals_exhaustive_scan(model_id, truncation, curvature_shift, data):
-    # Catalog n is 2 or 3; kappa = model kappa + shift covers all three
-    # curvature signs and every threshold route.  Failures must match too:
-    # same stage, same last-failure text.
-    model, spec = _catalog_spectrum(model_id, truncation)
-    n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
-    grid = data.draw(_radius_grids(n, kappa, model.volume))
-    args = (spec, kappa, n, grid)
-    assert _search_outcome(best_diameter_bound, *args) == _search_outcome(
-        exhaustive_diameter_bound, *args
-    )
-
-
-def test_best_diameter_bound_without_admissible_radius_names_the_largest():
-    # Radii below the truncation's threshold and past the antipodal cap: the
-    # error names the failure at the largest radius, as the full scan does.
-    _, spec = _catalog_spectrum("s2", 60.0)
-    for kappa, grid in (
-        (1.0, [0.01, 0.02, 4.0]),
-        (1.0, [0.01, 0.02, 0.03]),
-        (1.0, [4.0, 5.0, 0.01]),
-        (0.0, [0.01] * 5),
-    ):
-        got = _search_outcome(best_diameter_bound, spec, kappa, 2, grid)
-        assert got[:2] == ("error", "diameter")
-        assert got == _search_outcome(exhaustive_diameter_bound, spec, kappa, 2, grid)
-    err = _search_outcome(best_diameter_bound, spec, 1.0, 2, [0.01, 4.0])
-    assert "antipodal cap" in err[2]
-
-
 def test_diameter_bound_refuses_an_overflowing_span():
     # At kappa <= 0 no cap clamps 2 r (rho + 1), so a radius near 1e308
     # whose threshold lies below the truncation once certified D = inf and
-    # the failure surfaced only in the isotropy stage.  It is refused, and
-    # the search skips it with that reason.
+    # the failure surfaced only in the isotropy stage.  It is refused; no
+    # breakpoint lies that far out, so the search certifies a finite D.
     spec = catalog_model("t2").spectrum(8000.0)
     with pytest.raises(DomainError, match=r"2 r \(rho \+ 1\) .* overflows"):
         diameter_bound(spec, 0.0, 2, 1e308)
-    got = _search_outcome(best_diameter_bound, spec, 0.0, 2, [1e308])
-    assert got[:2] == ("error", "diameter") and "overflows" in got[2]
-    assert got == _search_outcome(exhaustive_diameter_bound, spec, 0.0, 2, [1e308])
-    search = best_diameter_bound(spec, 0.0, 2, [1e308, 0.7])
-    assert search == exhaustive_diameter_bound(spec, 0.0, 2, [1e308, 0.7])
-    assert search[1] == 0.7 and math.isfinite(search[0])
-    assert "overflows" in search.last_skip
-    rep = spectral_isotropy_bound(spec, 0.0, n=2, v=1.0, r_grid=[1e308, 0.7])
-    assert rep.diameter_bound == search[0]
-    with pytest.raises(CertificationError, match=r"^\[diameter\]"):
-        spectral_isotropy_bound(spec, 0.0, n=2, v=1.0, r_grid=[1e308])
+    assert math.isfinite(best_diameter_bound(spec, 0.0, 2)[0])
 
 
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
@@ -256,8 +224,9 @@ def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     # The default search at both verify truncations and the exact kappa:
     # at most one radius per distinct eigenvalue, plus the truncation's,
     # none past the antipodal cap.  The search resolves only the breakpoints
-    # that can win, skips no radius, so calls diameter_bound for no skip
-    # text, and returns the full scan's triple over every breakpoint.
+    # that can win, scores the truncation's, r_T, through diameter_bound
+    # itself and no other radius, and returns the full scan's triple over
+    # every breakpoint, none of which that scan refuses.
     model = catalog_model(model_id)
     n, kappa = model.dimension, model.curvature_lower_bound
     real = bounds_module.diameter_bound
@@ -273,9 +242,10 @@ def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
         grid = breakpoints(spec, n, kappa)
         calls.clear()
         search = best_diameter_bound(spec, kappa, n)
-        assert calls == [] and search.last_skip is None, truncation
+        assert [args[3] for args in calls] == [grid[-1]], truncation
         assert search.radii_searched == len(grid) <= spec.values.size + 1
-        assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
+        scan = exhaustive_diameter_bound(spec, kappa, n, grid)
+        assert search == scan and scan.last_skip is None
 
 
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
@@ -308,9 +278,8 @@ def test_loose_torus_search_makes_no_ritz_solve(model_id, monkeypatch):
         search = best_diameter_bound(spec, kappa, n)
         assert search.threshold_route == "liouville"
         # No cap at kappa < 0, and no breakpoint tops the truncation.
-        assert search.last_skip is None
-        grid = breakpoints(spec, n, kappa)
-        assert search == exhaustive_diameter_bound(spec, kappa, n, grid)
+        scan = exhaustive_diameter_bound(spec, kappa, n, breakpoints(spec, n, kappa))
+        assert search == scan and scan.last_skip is None
         rep = spectral_singular_point_bound(spec, kappa, n=n, v=model.volume)
         assert _diameter_stage(rep)["threshold_route"] == "liouville"
         assert rep.diameter_bound == search[0] and rep.singular_cap is not None
@@ -320,25 +289,19 @@ def test_loose_torus_search_makes_no_ritz_solve(model_id, monkeypatch):
 def test_diameter_stage_records_search_counts():
     model = catalog_model("s2-mod-3")
     spec = model.spectrum(400.0)
-    grid = [0.01, 0.4, 0.8, 1.5]  # 0.01 tops the truncation
-    rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=grid)
-    stage = next(s for s in rep.stage_trace if s["stage"] == "diameter")["outputs"]
-    assert stage["radii_searched"] == stage["radii_resolved"] == 4
-    assert "radii_solved" not in stage
-    assert rep.notes["diameter"].startswith("smallest 2r(rho+1) over the given radii")
-    default = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume)
-    assert "every admissible radius (the breakpoints of rho)" in default.notes["diameter"]
-    assert _diameter_stage(default)["radii_searched"] == len(
-        breakpoints(spec, 2, 1.0)
+    rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume)
+    stage = _diameter_stage(rep)
+    assert set(stage) == {
+        "diameter_bound", "r", "radii_searched", "radii_resolved", "threshold_route"
+    }
+    assert rep.notes["diameter"] == (
+        "smallest 2r(rho+1) over every admissible radius (the breakpoints of rho), "
+        "clamped at the Bonnet-Myers cap"
     )
-    assert 1 <= _diameter_stage(default)["radii_resolved"] <= 8
-    assert "below the ball threshold" in stage["last_skip"]
-    clean = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8])
-    assert next(s for s in clean.stage_trace if s["stage"] == "diameter")["outputs"][
-        "last_skip"
-    ] is None
+    assert stage["radii_searched"] == len(breakpoints(spec, 2, 1.0))
+    assert 1 <= stage["radii_resolved"] <= 8
     # Counts, not timings: the report stays reproducible and serializable.
-    again = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume, r_grid=grid)
+    again = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume)
     assert again.to_dict() == rep.to_dict()
     assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
 
@@ -402,7 +365,7 @@ def test_dimension_four_negative_curvature_request_makes_no_ritz_solve(monkeypat
 )
 def test_diameter_stage_names_the_threshold_route(n, kappa, route):
     spec = Spectrum(((0.0, 1), (50.0, 3)), 1e6, n)
-    rep = spectral_isotropy_bound(spec, kappa, n=n, v=1.0, r_grid=[0.5])
+    rep = spectral_isotropy_bound(spec, kappa, n=n, v=1.0)
     assert _diameter_stage(rep)["threshold_route"] == route
     flat = _eigenvalue(n, 0.0, 0.5)
     threshold = {
@@ -410,7 +373,8 @@ def test_diameter_stage_names_the_threshold_route(n, kappa, route):
         "n3-closed-form": (math.pi / 0.5) ** 2 - kappa,
         "liouville": flat + (1 / 3 if n == 2 else (n - 1) ** 2 / 4) * -kappa,
     }[route]
-    assert rep.rho == counting_function(spec, threshold * (1 + RHO_TOL_SCALE))
+    rho = diameter_bound(spec, kappa, n, 0.5)[1]
+    assert rho == counting_function(spec, threshold * (1 + RHO_TOL_SCALE))
     named = {"flat-bessel": "flat", "n3-closed-form": "closed form", "liouville": "Liouville"}
     assert named[route] in rep.notes["rho"]
 
@@ -459,9 +423,9 @@ def test_flat_threshold_bounds_the_curved_one_from_below(n, log_abs_kappa, log_r
     assert _eigenvalue(n, 0.0, r) <= _eigenvalue(n, kappa, r)
 
 
-def _ritz_route_certificate(spec, kappa: float, n: int, v: float, grid):
-    """(D, isotropy cap, singular cap) from a scan of the grid that counts
-    below the curved Ritz eigenvalue at (n, kappa, r); ties favor large r."""
+def _ritz_route_diameter(spec, kappa: float, n: int, grid) -> float:
+    """The smallest D over a scan of the grid that counts below the curved
+    Ritz eigenvalue at (n, kappa, r)."""
     best = None
     for r in grid:
         lam = _eigenvalue(n, kappa, float(r))
@@ -471,7 +435,7 @@ def _ritz_route_certificate(spec, kappa: float, n: int, v: float, grid):
         d = min(2.0 * float(r) * (rho + 1), bonnet_myers_cap(kappa))
         if best is None or d <= best:
             best = d
-    return best, isotropy_order_cap(n, kappa, best, v), singular_point_cap(n, kappa, best, v)[0]
+    return best
 
 
 SPHERE_FAMILY = ("s2", "s2-mod-2", "s2-mod-3", "s2-mod-4", "s2-mod-6")
@@ -480,19 +444,20 @@ SPHERE_FAMILY = ("s2", "s2-mod-2", "s2-mod-3", "s2-mod-4", "s2-mod-6")
 @pytest.mark.parametrize("model_id", SPHERE_FAMILY)
 @pytest.mark.parametrize("kappa", [1.0, 0.25])
 def test_flat_threshold_keeps_the_sphere_family_certificates(model_id, kappa):
-    # Both scan the same 64-radius grid, which keeps the oracle's Ritz
-    # solves few.
+    # diameter_bound at each radius of a 64-radius grid, which keeps the
+    # oracle's Ritz solves few, certifies what counting below the curved
+    # Ritz value there does; the pipeline's search over every breakpoint
+    # can only do better.
     model = catalog_model(model_id)
     grid = log_radius_grid(2, kappa, model.volume)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, 2)]:
         spec = model.spectrum(truncation)
+        d = exhaustive_diameter_bound(spec, kappa, 2, grid)[0]
+        assert d == _ritz_route_diameter(spec, kappa, 2, grid), truncation
         for v in (model.volume, None):
-            rep = spectral_singular_point_bound(spec, kappa, n=2, v=v, r_grid=grid)
+            rep = spectral_singular_point_bound(spec, kappa, n=2, v=v)
             assert _diameter_stage(rep)["threshold_route"] == "flat-bessel"
-            want = _ritz_route_certificate(spec, kappa, 2, rep.volume, grid)
-            assert (rep.diameter_bound, rep.isotropy_cap, rep.singular_cap) == want, (
-                truncation, v,
-            )
+            assert rep.diameter_bound <= d
 
 
 def test_isotropy_order_cap_exact_on_sphere_quotients():
@@ -520,10 +485,9 @@ def test_infinite_volume_is_refused():
     for v in (math.inf, math.nan):
         with pytest.raises(DomainError):
             isotropy_order_cap(2, 0.0, 3.0, v)
-        for grid in ([0.05, 0.1, 0.2], None):
-            with pytest.raises(CertificationError) as err:
-                spectral_isotropy_bound(spec, 0.0, n=2, v=v, r_grid=grid)
-            assert err.value.stage == "weyl-volume"
+        with pytest.raises(CertificationError) as err:
+            spectral_isotropy_bound(spec, 0.0, n=2, v=v)
+        assert err.value.stage == "weyl-volume"
 
 
 def test_volumes_past_every_float_are_typed_failures():
@@ -532,13 +496,12 @@ def test_volumes_past_every_float_are_typed_failures():
         isotropy_order_cap(2, 0.0, 1.0, 1e-320)  # pi / 1e-320 overflows
     with pytest.raises(DomainError, match="not a finite float"):
         packing_bound(2, 0.0, 1.0, 1e-200)  # ball_volume(eps / 2) underflows to 0
-    # At r = 1e-160 (j / r)^2 overflows: the radius is skipped, and the
-    # diameter stage fails by name.  The default search does not read the
-    # volume, so there the ratio fails by name in the isotropy stage.
+    # At r = 1e-160 (j / r)^2 overflows, and diameter_bound refuses the
+    # radius.  The search does not read the volume, so the ratio fails by
+    # name in the isotropy stage.
     spec = catalog_model("t2").spectrum(8000.0)
-    with pytest.raises(CertificationError) as err:
-        spectral_isotropy_bound(spec, 0.0, n=2, v=1e-320, r_grid=[1e-160])
-    assert err.value.stage == "diameter" and "overflows" in str(err.value)
+    with pytest.raises(DomainError, match="overflows"):
+        diameter_bound(spec, 0.0, 2, 1e-160)
     with pytest.raises(CertificationError) as err:
         spectral_isotropy_bound(spec, 0.0, n=2, v=1e-320)
     assert err.value.stage == "isotropy-cap" and "not a finite float" in str(err.value)
@@ -878,7 +841,7 @@ def test_bound_report_validation():
 def test_isotropy_pipeline_exact_inputs():
     model = catalog_model("s2-mod-3")
     spec = model.spectrum(400.0)
-    rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8, 1.5])
+    rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume)
     assert rep.source == "given"
     assert rep.diameter_bound == math.pi
     assert rep.isotropy_cap == 3
@@ -891,7 +854,7 @@ def test_isotropy_pipeline_exact_inputs():
     assert d["diameter_bound"] == math.pi
     assert [s["stage"] for s in d["stage_trace"]] == stages
     # determinism: identical spectra give identical reports
-    rep2 = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume, r_grid=[0.4, 0.8, 1.5])
+    rep2 = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume)
     assert rep2.to_dict() == d
 
 
@@ -914,19 +877,17 @@ def test_pipeline_dimension_conflict(s2_spectrum):
 def test_pipeline_stage_failures(s2_spectrum):
     short = Spectrum(((0.0, 1),), 0.05)
     with pytest.raises(CertificationError) as err:
-        spectral_isotropy_bound(short, 0.0, n=2, v=math.pi, r_grid=[0.5, 1.0])
+        spectral_isotropy_bound(short, 1.0, n=2, v=math.pi)
     assert err.value.stage == "diameter"
     with pytest.raises(CertificationError) as err:
-        spectral_singular_point_bound(s2_spectrum, 1.0, n=2, v=1e-12, r_grid=[0.5])
+        spectral_singular_point_bound(s2_spectrum, 1.0, n=2, v=1e-12)
     assert err.value.stage == "alpha"
 
 
 def test_singular_pipeline_full_report():
     model = catalog_model("pillowcase")
     spec = model.spectrum(3000.0)
-    rep = spectral_singular_point_bound(
-        spec, 0.0, n=2, v=model.volume, r_grid=[0.05, 0.1, 0.2]
-    )
+    rep = spectral_singular_point_bound(spec, 0.0, n=2, v=model.volume)
     assert rep.singular_cap is not None
     assert rep.singular_cap >= model.isolated_singular_count
     assert rep.alpha is not None and rep.ell is not None and rep.r_sep is not None
@@ -1008,14 +969,15 @@ ROUTE_SHIFTS = [0.0, 0.5, -0.75, -1.5]
 )
 def test_default_search_is_at_most_any_grid(model_id, truncation, curvature_shift, data):
     # The breakpoint search finds the smallest bound over every admissible
-    # radius, so no grid, whatever its order, duplicates or radii past the
-    # cap, certifies a smaller D; and where no grid radius is admissible it
-    # may still certify, but never the other way round.
+    # radius, so diameter_bound at no grid radius, whatever the grid's order,
+    # duplicates or radii past the cap, certifies a smaller D; and where it
+    # refuses every grid radius the search may still certify, but never the
+    # other way round.
     model, spec = _catalog_spectrum(model_id, truncation)
     n, kappa = model.dimension, model.curvature_lower_bound + curvature_shift
     grid = data.draw(_radius_grids(n, kappa, model.volume))
     got = _search_outcome(best_diameter_bound, spec, kappa, n)
-    given_grid = _search_outcome(best_diameter_bound, spec, kappa, n, grid)
+    given_grid = _search_outcome(exhaustive_diameter_bound, spec, kappa, n, grid)
     if got[0] == "error":
         assert given_grid[0] == "error"
     elif given_grid[0] != "error":
@@ -1025,7 +987,7 @@ def test_default_search_is_at_most_any_grid(model_id, truncation, curvature_shif
 @settings(max_examples=80, deadline=None)
 @given(
     model_id=st.sampled_from([m.model_id for m in model_catalog()]),
-    truncation=st.sampled_from([60.0, 400.0, 1640.0]),
+    truncation=st.sampled_from([60.0, 400.0, 1640.0, 10100.0]),
     scale=st.floats(0.1, 10.0),
     curvature_shift=st.sampled_from(ROUTE_SHIFTS),
 )
@@ -1054,31 +1016,61 @@ def test_default_search_equals_exhaustive_scan_over_its_breakpoints(
     assert (top < limits).all() and (below >= limits).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    kappa=st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, -0.75]),
+        st.floats(-50.0, 50.0),
+        st.builds(lambda s, e: s * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-30.0, 30.0)),
+    ),
+    truncation=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, sys.float_info.max)),
+    zero_modes=st.integers(1, 2**62),
+    levels=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 2**40)), max_size=12),
+)
+@example(n=2, kappa=0.0, truncation=0.0, zero_modes=1, levels=[])
+@example(n=3, kappa=0.0, truncation=5e-324, zero_modes=2**62, levels=[(1.0, 1)])
+@example(n=7, kappa=1e300, truncation=sys.float_info.max, zero_modes=2**62, levels=[(0.5, 3)])
+@example(n=7, kappa=-1e300, truncation=sys.float_info.max, zero_modes=2**62,
+         levels=[(1e-300, 1), (0.5, 2**40), (1.0, 1)])
+@example(n=7, kappa=-1e300, truncation=1e300, zero_modes=1, levels=[(0.5, 1)])
+@example(n=4, kappa=1.0, truncation=sys.float_info.max, zero_modes=2**62, levels=[(1e-300, 2)])
+def test_best_diameter_bound_equals_exhaustive_scan(n, kappa, truncation, zero_modes, levels):
+    # Spectra from an empty truncation to the largest float, with up to 2^62
+    # zero modes, at every dimension up to 7 and |kappa| up to 1e300: the
+    # search is the full scan over every breakpoint, which refuses none of
+    # them, or fails with the same error.
+    entries = {0.0: zero_modes}
+    for fraction, mult in levels:
+        entries.setdefault(truncation * fraction, mult)
+    _assert_walk_is_the_scan(Spectrum(sorted(entries.items()), truncation, n), kappa, n)
+
+
 def _assert_walk_is_the_scan(spec: Spectrum, kappa: float, n: int):
     """The default search against the full scan over the oracle's every
-    breakpoint: the same (D, r, rho), last_skip and breakpoint count, or
-    the same error.  Every rho the walk scores without counting is
-    diameter_bound's count at that radius.  Returns the breakpoints."""
+    breakpoint: the same (D, r, rho) and breakpoint count, with no
+    breakpoint refused, or the same error.  Every rho the walk scores
+    without counting is diameter_bound's count at that radius.  Returns the
+    breakpoints."""
     try:
         radii = breakpoints(spec, n, kappa)
     except CertificationError as exc:
         got = _search_outcome(best_diameter_bound, spec, kappa, n)
         assert got == ("error", exc.stage, str(exc))
         return None
-    real, given_rho = bounds_module._Tally.score, []
+    real, given_rho = bounds_module._weigh, []
 
-    def checked(tally, r, rho=None):
-        if rho is not None:
-            given_rho.append((r, rho))
-        return real(tally, r, rho)
+    def checked(best, r, rho, cap):
+        given_rho.append((r, rho))
+        return real(best, r, rho, cap)
 
-    bounds_module._Tally.score = checked
+    bounds_module._weigh = checked
     try:
         search = best_diameter_bound(spec, kappa, n)
     finally:
-        bounds_module._Tally.score = real
+        bounds_module._weigh = real
     scan = exhaustive_diameter_bound(spec, kappa, n, radii)
-    assert tuple(search) == tuple(scan) and search.last_skip == scan.last_skip
+    assert tuple(search) == tuple(scan) and scan.last_skip is None
     assert search.radii_searched == radii.size >= search.radii_resolved
     for r, rho in given_rho:
         assert diameter_bound(spec, kappa, n, r)[1] == rho, (r, rho)
@@ -1174,10 +1166,8 @@ def test_breakpoint_targets_without_an_admissible_radius_are_dropped(kappa):
     spec = Spectrum(((0.0, 1), (0.5, 1), (50.0, 3)), 100.0, 2)
     search = best_diameter_bound(spec, kappa, 2)
     assert search.radii_searched == 3 - int(kappa) and search.threshold_route == "flat-bessel"
-    assert search.last_skip is None
-    assert search == exhaustive_diameter_bound(
-        spec, kappa, 2, breakpoints(spec, 2, kappa)
-    )
+    scan = exhaustive_diameter_bound(spec, kappa, 2, breakpoints(spec, 2, kappa))
+    assert search == scan and scan.last_skip is None
 
 
 @pytest.mark.parametrize("n, kappa, limit", [(2, -3.0, 1.0), (4, -4.0, 9.0), (3, -2.0, 2.0)])
@@ -1235,4 +1225,5 @@ def test_truncation_below_the_threshold_at_the_cap_has_no_breakpoint():
     with pytest.raises(CertificationError, match=r"over the admissible radii, at r = 3\.14") as err:
         best_diameter_bound(spec, 1.0, 2)
     assert err.value.stage == "diameter"
-    assert _search_outcome(best_diameter_bound, spec, 1.0, 2, [3.0])[:2] == ("error", "diameter")
+    with pytest.raises(DomainError, match="below the ball threshold"):
+        diameter_bound(spec, 1.0, 2, 3.0)

@@ -83,10 +83,9 @@ def test_weyl_and_diameter_round_trip(capsys, tmp_path):
         "1",
         "--n",
         "2",
-        "--r-grid",
-        "0.5,1.0",
     )
     assert doc["diameter_bound"] == math.pi
+    assert set(doc["config"]) == {"spectrum", "kappa", "n", "volume"}
     # --n alone: the volume is still resolved, from the spectrum.
     assert doc["source"] == "weyl-estimated"
     spec = Spectrum.from_dict(json.loads(target.read_text())["spectrum"])
@@ -94,7 +93,7 @@ def test_weyl_and_diameter_round_trip(capsys, tmp_path):
     assert doc["rho"] >= 1
     given = run_json(
         capsys, "diameter", "--spectrum", str(target), "--kappa", "1", "--n", "2",
-        "--volume", "12.5", "--r-grid", "0.5,1.0",
+        "--volume", "12.5",
     )
     assert given["source"] == "given" and given["volume"] == 12.5
     assert (given["diameter_bound"], given["r"], given["rho"]) == (
@@ -130,7 +129,7 @@ def test_diameter_command_resolves_dimension_like_the_pipelines(capsys, tmp_path
         (),
         ("--n", "2"),
         ("--n", "2", "--volume", "12.5"),
-        ("--n", "2", "--volume", "12.5", "--r-grid", "0.5,1.0"),
+        ("--volume", "12.5"),
     ],
 )
 def test_diameter_command_reports_the_isotropy_pipeline(capsys, tmp_path, options):
@@ -147,30 +146,29 @@ def test_diameter_command_reports_the_isotropy_pipeline(capsys, tmp_path, option
 
 
 def test_diameter_command_refuses_a_report_with_rho_zero(capsys, tmp_path):
-    # Without the eigenvalue 0 no radius counts an eigenvalue, and a report
-    # needs rho >= 1.
+    # Without the eigenvalue 0 the smallest radius counts no eigenvalue; the
+    # diameter stage refuses the spectrum, as the ball count rests on lam_0 = 0.
     path = tmp_path / "no-zero.json"
     path.write_text(json.dumps({"eigenvalues": [[50.0, 1]], "truncation": 100.0}))
     code, out, err = run_cli(
         capsys, "diameter", "--spectrum", str(path), "--kappa", "0", "--n", "2",
-        "--volume", "3.14", "--r-grid", "0.5,1.0",
+        "--volume", "3.14",
     )
     assert code == 2 and out == ""
-    assert err.startswith("error[domain]") and "rho" in err
+    assert err.startswith("error[diameter]") and "lam_0 = 0" in err
 
 
 def test_infinite_volume_is_refused(capsys, tmp_path):
     # An infinite volume once certified isotropy cap 1 on the pillowcase
     # (true maximum order 2) and printed "volume": Infinity.
     path = _write_spectrum(tmp_path, "pillowcase", 4000.0)
-    for grid in (("--r-grid", "0.05,0.1,0.2"), ()):
-        for command in ("diameter", "isotropy", "singular"):
-            code, out, err = run_cli(
-                capsys, command, "--spectrum", str(path), "--kappa", "0", "--n", "2",
-                "--volume", "inf", *grid,
-            )
-            assert code == 2 and out == "", (command, grid)
-            assert err.startswith("error[weyl-volume]"), err
+    for command in ("diameter", "isotropy", "singular"):
+        code, out, err = run_cli(
+            capsys, command, "--spectrum", str(path), "--kappa", "0", "--n", "2",
+            "--volume", "inf",
+        )
+        assert code == 2 and out == "", command
+        assert err.startswith("error[weyl-volume]"), err
 
 
 def test_isotropy_command_matches_library(capsys, tmp_path):
@@ -189,12 +187,8 @@ def test_isotropy_command_matches_library(capsys, tmp_path):
         "2",
         "--volume",
         str(model.volume),
-        "--r-grid",
-        "0.5,1.0",
     )
-    rep = spectral_isotropy_bound(
-        model.spectrum(400.0), 1.0, n=2, v=model.volume, r_grid=[0.5, 1.0]
-    )
+    rep = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume)
     assert doc["report"] == rep.to_dict()
     assert doc["report"]["isotropy_cap"] == 4
 
@@ -213,8 +207,6 @@ def test_singular_command(capsys, tmp_path):
         "2",
         "--volume",
         str(model.volume),
-        "--r-grid",
-        "0.05,0.1,0.2",
     )
     rep = doc["report"]
     assert rep["singular_cap"] >= 4
@@ -295,7 +287,7 @@ def test_exit_code_1_on_malformed_input(capsys, tmp_path):
     )
     code, out, err = run_cli(
         capsys, "diameter", "--spectrum", str(bad), "--kappa", "1", "--n", "2",
-        "--volume", "12.566", "--r-grid", "0.5,1.0",
+        "--volume", "12.566",
     )
     assert code == 1 and out == ""
     assert err.startswith("error[input]") and "2.9" in err
@@ -305,8 +297,8 @@ def test_exit_code_2_on_stage_failure(capsys, tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({"eigenvalues": [[0.0, 1]], "truncation": 0.05}))
     code, out, err = run_cli(
-        capsys, "diameter", "--spectrum", str(path), "--kappa", "0", "--n", "2",
-        "--volume", "3.14", "--r-grid", "0.5,1.0",
+        capsys, "diameter", "--spectrum", str(path), "--kappa", "1", "--n", "2",
+        "--volume", "3.14",
     )
     assert code == 2 and out == ""
     assert err.startswith("error[diameter]")
@@ -381,14 +373,17 @@ def test_volume_fit_below_the_eigenvalue_floor_exits_2(capsys, tmp_path, truncat
 
 
 @pytest.mark.parametrize("grid", ["abc", ","])
-def test_malformed_radius_grid_exits_1(capsys, tmp_path, grid):
+def test_radius_grid_option_is_rejected_by_the_parser(capsys, tmp_path, grid):
+    # The search covers every admissible radius, so there is no grid to give:
+    # the texts that once failed as malformed grids now fail at the parser.
     path = _write_spectrum(tmp_path, "t2", 400.0)
-    code, out, err = run_cli(
-        capsys, "diameter", "--spectrum", str(path), "--kappa", "0", "--n", "2",
-        "--volume", "1", "--r-grid", grid,
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error[input]: --r-grid"), err
+    for command in ("diameter", "isotropy", "singular"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--spectrum", str(path), "--kappa", "0", "--r-grid", grid])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2 and out == "", command
+        assert err.startswith("usage: orbispec"), err
+        assert "unrecognized arguments: --r-grid" in err, err
 
 
 def test_spectrum_file_holding_an_array_exits_1(capsys, tmp_path):

@@ -65,7 +65,7 @@ CASES = [
     ),
     ("estimate_volume", lambda x: estimate_volume(S2, x), 2, 1),
     ("diameter_bound", lambda x: diameter_bound(T2, 0.0, x, 0.5), 2, 2),
-    ("best_diameter_bound", lambda x: best_diameter_bound(T2, 0.0, x, [0.3, 0.5]), 2, 2),
+    ("best_diameter_bound", lambda x: best_diameter_bound(T2, 0.0, x), 2, 2),
     ("isotropy_order_cap", lambda x: isotropy_order_cap(x, 0.0, 1.0, 1.0), 2, 2),
     ("alpha_constant", lambda x: alpha_constant(x, 0.0, 1.0, 1.0), 2, 2),
     ("ell_constant", lambda x: ell_constant(x, 0.0, 1.0), 2, 2),
@@ -73,12 +73,12 @@ CASES = [
     ("singular_point_cap", lambda x: singular_point_cap(x, 0.0, 1.0, 1.0), 2, 2),
     (
         "spectral_isotropy_bound",
-        lambda x: spectral_isotropy_bound(T2_BARE, 0.0, n=x, v=1.0, r_grid=[0.3, 0.5]),
+        lambda x: spectral_isotropy_bound(T2_BARE, 0.0, n=x, v=1.0),
         2, 2,
     ),
     (
         "spectral_singular_point_bound",
-        lambda x: spectral_singular_point_bound(T2_BARE, 0.0, n=x, v=1.0, r_grid=[0.3, 0.5]),
+        lambda x: spectral_singular_point_bound(T2_BARE, 0.0, n=x, v=1.0),
         2, 2,
     ),
 ]

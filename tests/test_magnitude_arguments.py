@@ -118,7 +118,7 @@ def test_non_real_and_huge_magnitudes_are_domain_errors():
 @pytest.mark.parametrize("pipeline", [spectral_isotropy_bound, spectral_singular_point_bound])
 def test_pipelines_refuse_a_bad_volume_at_the_weyl_volume_stage(pipeline):
     def run(v):
-        return pipeline(T2_BARE, 0.0, n=2, v=v, r_grid=[0.3, 0.5])
+        return pipeline(T2_BARE, 0.0, n=2, v=v)
 
     assert run(np.float64(1.0)) == run(1.0)
     for bad in (0.0, -1.0, math.nan, math.inf, True):
