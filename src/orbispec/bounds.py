@@ -31,12 +31,13 @@ import numbers
 import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dirichlet import (
     CAP_SHRINK,
+    RHO_TOL_SCALE,
     _ball_threshold,
     _check_ball,
     _refuse_overflow,
@@ -57,11 +58,6 @@ from .spaceform import (
 )
 from .weyl import estimate_dimension, estimate_volume
 
-# Eigenvalues up to this many times the sum of the ball threshold's terms'
-# magnitudes above it are counted: a larger rho weakens the bound but never
-# breaks soundness, and a purely relative tolerance keeps rho scale
-# covariant.
-RHO_TOL_SCALE = 1e-9
 ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
 # The bit pattern of the largest float; those of positive floats order as
@@ -97,7 +93,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
 
     rho counts eigenvalues (with multiplicity) up to top(r), the threshold
     Lambda(r) plus the tolerance 1e-9 times the sum of its terms'
-    magnitudes (see _count_limit); D = 2 r (rho + 1),
+    magnitudes (see dirichlet._ball_threshold); D = 2 r (rho + 1),
     clamped to the Bonnet-Myers cap.  SpaceForm refuses a dimension that is
     not an integer >= 2 or a non-finite kappa, and the ball check a radius
     that is not positive and finite or that exceeds (1 - 1e-9)
@@ -164,7 +160,7 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     """
     sf = SpaceForm(n, kappa)
     r = _check_ball(sf, r)
-    _, lam, top = _count_limit(sf.n, sf.kappa, r)
+    _, lam, top = _ball_threshold(sf.n, sf.kappa, r)
     lam = _refuse_overflow(lam, r, sf.kappa)
     if spec.truncation < top:
         raise DomainError(f"spectrum truncation {spec.truncation:.9g} is below the ball "
@@ -174,18 +170,6 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     if d == math.inf:
         raise DomainError(f"the diameter bound 2 r (rho + 1) at r = {r!r}, rho = {rho} overflows")
     return min(d, bonnet_myers_cap(kappa)), rho
-
-
-def _count_limit(n: int, kappa: float, r):
-    """(route, Lambda, top): the ball threshold and the value rho counts up
-    to, Lambda plus RHO_TOL_SCALE times the sum of its terms' magnitudes.
-
-    diameter_bound, the search's scoring and its breakpoints all take top
-    from here, so they agree bit for bit.  Each step is a correctly
-    rounded monotone operation, so top is non-increasing in the float r.
-    """
-    route, lam, size = _ball_threshold(n, kappa, r)
-    return route, lam, lam + RHO_TOL_SCALE * size
 
 
 def _bits(x: float) -> int:
@@ -268,9 +252,9 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     eigenvalue is not 0 is refused.
 
     Why the breakpoints suffice.  rho(r) = N(top(r)) counts eigenvalues up
-    to top(r) (see _count_limit), which is non-increasing in the float r,
-    since each of its steps is a correctly rounded monotone operation; so
-    the smallest floats below are well defined.  rho is a non-increasing
+    to top(r) (see dirichlet._ball_threshold), which is non-increasing in
+    the float r, since each of its steps is a correctly rounded monotone
+    operation; so the smallest floats below are well defined.  rho is a non-increasing
     step function of r, and on each of its plateaus
     D = min(2 r (rho + 1), cap) does not fall as r grows.  A radius is
     admissible when top(r) <= T, the truncation, which makes the
@@ -342,7 +326,7 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     route, q, c = _threshold_form(n, kappa)
 
     def top(r: float) -> float:
-        return _count_limit(n, kappa, r)[2]
+        return _ball_threshold(n, kappa, r)[2]
 
     def inverse(target: float) -> float:
         # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
@@ -733,17 +717,8 @@ def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
     return n, v, source
 
 
-def spectral_isotropy_bound(
-    spec: Spectrum,
-    kappa: float,
-    n: int | None = None,
-    v: float | None = None,
-) -> BoundReport:
-    """Diameter bound plus isotropy-order cap from a spectrum and curvature.
-
-    The diameter search runs over every admissible radius (see
-    best_diameter_bound).
-    """
+def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
+    """Both pipelines' stages in one pass, singular-cap only when singular."""
     trace: list[dict] = []
     n, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
@@ -767,6 +742,18 @@ def spectral_isotropy_bound(
         "isotropy_cap": "floor(ball_volume(D) / volume)",
         "volume": source,
     }
+    singular_cap, constants = None, {"alpha": None, "ell": None, "r": None}
+    if singular:
+        with _stage(trace, "singular-cap", {"diameter_bound": d, "volume": v}) as out:
+            singular_cap, constants = singular_point_cap(n, kappa, d, v)
+            out.update(singular_cap=singular_cap, **constants)
+        notes.update(
+            alpha=f"largest angle with cone volume < (v/6)(1 - {ALPHA_MARGIN})",
+            ell="(1 - 1e-6) times the exact v/3 ball radius",
+            r_sep="closed form at the binding hinge (long side ell, angle pi/2 - alpha), "
+            "shrink 1e-6",
+            singular_cap="floor(ball_volume(D) / ball_volume(r/4))",
+        )
     return BoundReport(
         spectrum_id=spectrum_content_id(spec),
         kappa=float(kappa),
@@ -777,13 +764,27 @@ def spectral_isotropy_bound(
         r_used=r_used,
         rho=rho,
         isotropy_cap=cap,
-        alpha=None,
-        ell=None,
-        r_sep=None,
-        singular_cap=None,
+        alpha=constants["alpha"],
+        ell=constants["ell"],
+        r_sep=constants["r"],
+        singular_cap=singular_cap,
         notes=notes,
         stage_trace=tuple(trace),
     )
+
+
+def spectral_isotropy_bound(
+    spec: Spectrum,
+    kappa: float,
+    n: int | None = None,
+    v: float | None = None,
+) -> BoundReport:
+    """Diameter bound plus isotropy-order cap from a spectrum and curvature.
+
+    The diameter search runs over every admissible radius (see
+    best_diameter_bound).
+    """
+    return _certify(spec, kappa, n, v, singular=False)
 
 
 def spectral_singular_point_bound(
@@ -794,31 +795,9 @@ def spectral_singular_point_bound(
 ) -> BoundReport:
     """Full pipeline: Weyl data, diameter bound, isotropy cap, singular-point cap.
 
-    The diameter search is spectral_isotropy_bound's.  Every stage
-    failure is reported as a certification error naming the stage; the
-    returned report carries the stage trace and per-constant provenance
-    notes.
+    Its stages up to the isotropy cap are spectral_isotropy_bound's, run in
+    the same pass.  Every stage failure is reported as a certification
+    error naming the stage; the returned report carries the stage trace and
+    per-constant provenance notes.
     """
-    base = spectral_isotropy_bound(spec, kappa, n=n, v=v)
-    trace = list(base.stage_trace)
-    with _stage(
-        trace, "singular-cap", {"diameter_bound": base.diameter_bound, "volume": base.volume}
-    ) as out:
-        cap, constants = singular_point_cap(base.n, kappa, base.diameter_bound, base.volume)
-        out.update(singular_cap=cap, **constants)
-    notes = {
-        **base.notes,
-        "alpha": f"largest angle with cone volume < (v/6)(1 - {ALPHA_MARGIN})",
-        "ell": "(1 - 1e-6) times the exact v/3 ball radius",
-        "r_sep": "closed form at the binding hinge (long side ell, angle pi/2 - alpha), shrink 1e-6",
-        "singular_cap": "floor(ball_volume(D) / ball_volume(r/4))",
-    }
-    return replace(
-        base,
-        alpha=constants["alpha"],
-        ell=constants["ell"],
-        r_sep=constants["r"],
-        singular_cap=cap,
-        notes=notes,
-        stage_trace=tuple(trace),
-    )
+    return _certify(spec, kappa, n, v, singular=True)

@@ -7,7 +7,7 @@ is radial, so the eigenvalue problem reduces to a Sturm-Liouville problem
 
 The diameter bound needs only an upper bound on its lowest eigenvalue
 (Cheng's comparison): _ball_threshold gives one in closed form at every
-curvature (routes and proofs in bounds.diameter_bound).
+curvature, and the limit the count runs to (proofs in bounds.diameter_bound).
 
 lowest_dirichlet_eigenvalue returns the eigenvalue itself: exactly when
 kappa = 0 or n = 3, and otherwise by the scaling law lam(n, kappa, r) =
@@ -42,6 +42,10 @@ from .spaceform import SERIES_TOL, SpaceForm, bonnet_myers_cap, generalized_sin,
 # Balls in positive curvature must stay strictly inside the antipodal cap;
 # accuracy degrades as the friction term blows up near the cap.
 CAP_SHRINK = 1.0 - 1e-9
+# Eigenvalues up to this many times the sum of the threshold's terms'
+# magnitudes above it are counted: a larger rho weakens the bound but never
+# breaks soundness; a purely relative tolerance keeps rho scale covariant.
+RHO_TOL_SCALE = 1e-9
 
 # P2 elements on [0, 1]: 100 keeps the hemisphere value within 1e-8 of n.
 RITZ_ELEMENTS = 100
@@ -199,22 +203,24 @@ def _threshold_form(n: int, kappa: float) -> tuple[str, float, float]:
 
 
 def _ball_threshold(n: int, kappa: float, r):
-    """(route, Lambda, size): the closed-form upper bound on the r-ball's
-    lowest Dirichlet eigenvalue that the pipelines count below, and size =
-    (q/r)^2 + c |kappa|, the sum of its terms' magnitudes, to which its
-    rounding error is relative (the n = 3 difference cancels near the
-    antipodal cap).
+    """(route, Lambda, top): the closed-form upper bound on the r-ball's
+    lowest Dirichlet eigenvalue that the pipelines count below, and top =
+    Lambda + RHO_TOL_SCALE ((q/r)^2 + c |kappa|), the limit rho counts up
+    to: the sum of the terms' magnitudes is what the rounding error is
+    relative to (the n = 3 difference cancels near the antipodal cap).
 
     No domain checks; r is a float or an array of radii.  The square is a
     product, correctly rounded for both, so a value over an array agrees
-    bit for bit with the value at each of its radii.  Each step is a
-    correctly rounded monotone operation, so both values are
+    bit for bit with the value at each of its radii, and bounds'
+    diameter_bound, search and breakpoints all agree on top.  Each step is
+    a correctly rounded monotone operation, so both values are
     non-increasing in the float r.
     """
     route, q, c = _threshold_form(n, kappa)
     q = q / r
     flat = q * q
-    return route, flat - c * kappa, flat + c * abs(kappa)
+    lam = flat - c * kappa
+    return route, lam, lam + RHO_TOL_SCALE * (flat + c * abs(kappa))
 
 
 def _refuse_overflow(lam: float, r: float, kappa: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +33,9 @@ class Spectrum:
     The state is three read-only arrays, built once at construction: float64
     ``values``, int64 ``multiplicities`` and their running total
     ``cumulative_counts``.  ``entries``, the (eigenvalue, multiplicity)
-    pairs as plain floats and ints, is a view derived from them on first
-    use; equality and hashing mean the same truncation, dimension and
-    entries.
+    pairs as plain floats and ints, is a view derived from them on each
+    read and never kept, so a spectrum holds only its arrays; equality and
+    hashing mean the same truncation, dimension and entries.
 
     The constructor takes the pairs and applies the library's rules: the
     truncation a finite real >= 0, stored as a float; eigenvalues real,
@@ -102,7 +102,7 @@ class Spectrum:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[float, int], ...]:
         return tuple(zip(self.values.tolist(), self.multiplicities.tolist()))
 

@@ -600,7 +600,7 @@ def breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
     route, q, c = _threshold_form(n, kappa)
 
     def top(r):
-        return bounds._count_limit(n, kappa, r)[2]
+        return bounds._ball_threshold(n, kappa, r)[2]
 
     widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
     least = top(widest)

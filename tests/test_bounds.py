@@ -23,12 +23,14 @@ from orbispec import (
     best_diameter_bound,
     bonnet_myers_cap,
     catalog_model,
+    cone_volume,
     counting_function,
     diameter_bound,
     ell_constant,
     flat_torus_spectrum,
     generalized_sin,
     isotropy_order_cap,
+    linked_complement_measure,
     lowest_dirichlet_eigenvalue,
     model_catalog,
     packing_bound,
@@ -42,7 +44,7 @@ from orbispec import (
 )
 from orbispec import bounds as bounds_module
 from orbispec import dirichlet
-from orbispec.bounds import RHO_TOL_SCALE, SHRINK
+from orbispec.bounds import ALPHA_MARGIN, RHO_TOL_SCALE, SHRINK
 from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from oracles import (
     breakpoints,
@@ -547,6 +549,23 @@ def test_alpha_constant_budget_at_the_ball_volume():
             assert _oracle_cone(n, kappa, d, alpha) < v / 6.0
 
 
+def test_alpha_constant_bisects_back_up_to_the_largest_passing_angle():
+    # At a budget of 10^-5.76 of the ball, the bisection back up from the
+    # walk down meets failing midpoints as well as passing ones; the angle
+    # returned still passes the forward check and the next float up fails.
+    n, kappa, d = 4, 1.0, 1.0
+    sf = SpaceForm(n, kappa)
+    v = ball_volume(sf, d) * 10 ** (-288 / 50)
+    target = v / 6.0 * (1.0 - ALPHA_MARGIN)
+    alpha = alpha_constant(n, kappa, d, v)
+
+    def cone(angle):
+        return cone_volume(sf, d, linked_complement_measure(n - 1, angle))
+
+    assert cone(alpha) < target
+    assert not cone(math.nextafter(alpha, math.pi / 2)) < target
+
+
 def _alpha_or_zero(n, kappa, d, v):
     """alpha_constant, or 0 where no angle fits the budget."""
     try:
@@ -868,6 +887,27 @@ def test_isotropy_pipeline_weyl_path(s2_spectrum):
     assert rep.diameter_bound == math.pi
 
 
+@pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
+def test_singular_report_extends_the_isotropy_report(model_id):
+    # The singular pipeline runs the isotropy pipeline's stages in the same
+    # pass and adds one: without that stage, its four notes and its four
+    # fields, its report is the isotropy report, at both verify
+    # truncations, at the exact and a loosened kappa, with the given volume
+    # and with the Weyl one.
+    model = catalog_model(model_id)
+    n = model.dimension
+    for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
+        spec = model.spectrum(truncation)
+        for kappa in (model.curvature_lower_bound, model.curvature_lower_bound - 0.75):
+            for given in ({"n": n, "v": model.volume}, {}):
+                full = spectral_singular_point_bound(spec, kappa, **given).to_dict()
+                assert full["stage_trace"].pop()["stage"] == "singular-cap"
+                for name in ("alpha", "ell", "r_sep", "singular_cap"):
+                    del full["notes"][name]
+                    full[name] = None
+                assert full == spectral_isotropy_bound(spec, kappa, **given).to_dict()
+
+
 def test_pipeline_dimension_conflict(s2_spectrum):
     with pytest.raises(CertificationError) as err:
         spectral_isotropy_bound(s2_spectrum, 1.0, n=3, v=4 * math.pi)
@@ -1006,8 +1046,8 @@ def test_default_search_equals_exhaustive_scan_over_its_breakpoints(
     n, kappa = model.dimension, (model.curvature_lower_bound + curvature_shift) * s
     radii = _assert_walk_is_the_scan(spec, kappa, n)
     with np.errstate(divide="ignore", over="ignore"):
-        top = bounds_module._count_limit(n, kappa, radii)[2]
-        below = bounds_module._count_limit(n, kappa, np.nextafter(radii, 0.0))[2]
+        top = bounds_module._ball_threshold(n, kappa, radii)[2]
+        below = bounds_module._ball_threshold(n, kappa, np.nextafter(radii, 0.0))[2]
     # The targets are the eigenvalues above the threshold at the largest
     # admissible radius, a suffix of the spectrum, then the truncation's.
     limits = np.append(
@@ -1148,7 +1188,7 @@ def test_n3_tolerance_covers_the_cancellation_near_the_cap(log_kappa, gap):
 
     kappa = 10.0**log_kappa
     r = (1.0 - gap) * dirichlet.CAP_SHRINK * math.pi / math.sqrt(kappa)
-    route, lam, top = bounds_module._count_limit(3, kappa, r)
+    route, lam, top = bounds_module._ball_threshold(3, kappa, r)
     assert route == "n3-closed-form"
     with mpmath.workdps(40):
         exact = mpmath.pi**2 / mpmath.mpf(r) ** 2 - mpmath.mpf(kappa)
@@ -1197,18 +1237,18 @@ def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
     spec = Spectrum(((0.0, 1), (big / 2, 1)), big, n)
     radii = breakpoints(spec, n, kappa)
     with np.errstate(over="ignore"):
-        top = bounds_module._count_limit(n, kappa, radii)[2]
-        below = bounds_module._count_limit(n, kappa, np.nextafter(radii, 0.0))[2]
+        top = bounds_module._ball_threshold(n, kappa, radii)[2]
+        below = bounds_module._ball_threshold(n, kappa, np.nextafter(radii, 0.0))[2]
     limits = np.array([big / 2, math.inf])
     assert (top < limits).all() and (below >= limits).all()
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return count_limit(*args)
+        return ball_threshold(*args)
 
-    count_limit = bounds_module._count_limit
-    monkeypatch.setattr(bounds_module, "_count_limit", counted)
+    ball_threshold = bounds_module._ball_threshold
+    monkeypatch.setattr(bounds_module, "_ball_threshold", counted)
     best_diameter_bound(spec, kappa, n)
     # top at the widest radius, then per breakpoint its lower-bound check,
     # a few probes around its guess, the shared-radius check and its score:

@@ -105,6 +105,18 @@ def test_one_level_window_cannot_fit_a_slope():
         estimate_dimension(spec)
 
 
+def test_window_of_one_logarithm_cannot_fit_a_slope():
+    # Two distinct eigenvalues one float apart near 1e300 have the same
+    # float logarithm, so the centred log-eigenvalues have no spread.
+    top = math.nextafter(1e300, math.inf)
+    spec = Spectrum(((0.0, 1), (1e300, 60), (top, 60)), 2e300)
+    with pytest.raises(DomainError, match="the fit window's eigenvalues share one logarithm"):
+        estimate_dimension(spec)
+    with pytest.raises(CertificationError, match=r"^\[weyl-dimension\] the fit window's") as err:
+        spectral_isotropy_bound(spec, 0.0)
+    assert err.value.stage == "weyl-dimension"
+
+
 def test_volume_estimate_past_every_float_is_a_weyl_volume_failure():
     # N ~ (lam / 1e200)^2 fits dimension 4, and lam^2 overflows, so the
     # estimate N (2 pi)^4 / (omega_4 lam^2) reads 0.
