@@ -43,7 +43,7 @@ from .dirichlet import (
     _refuse_overflow,
     _threshold_form,
 )
-from .errors import CertificationError, ConvergenceError, DomainError, _positive
+from .errors import CertificationError, ConvergenceError, DomainError, _count, _positive
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
@@ -56,7 +56,7 @@ from .spaceform import (
     sphere_measure,
     unit_ball_volume,
 )
-from .weyl import estimate_dimension, estimate_volume
+from .weyl import _median_volume, _slope_dimension, _window_samples
 
 ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
@@ -693,13 +693,15 @@ def _stage(trace: list, stage: str, inputs: dict):
 
 
 def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
-    """(n, v, source): the given or Weyl-fitted pair.  SpaceForm checks
-    (n, kappa); n must match the spectrum's declared dimension."""
+    """(n, v, source): the given or Weyl-fitted pair.  A fitted n must be >= 2,
+    SpaceForm checks (n, kappa), and n must match the spectrum's dimension."""
     source = "given" if (n is not None and v is not None) else "weyl-estimated"
+    window = None  # the Weyl window samples, built once for both fits
     if n is None:
         with _stage(trace, "weyl-dimension", {"eigenvalue_count": spec.total_count}) as out:
-            n, snap = estimate_dimension(spec)
-            out.update(n=n, slope_snap_distance=snap)
+            window = _window_samples(spec)
+            n, snap = _slope_dimension(*window[:2])
+            out.update(n=_count(n, "fitted dimension", 2), slope_snap_distance=snap)
     n = SpaceForm(n, kappa).n
     if spec.dimension is not None and spec.dimension != n:
         raise CertificationError(
@@ -708,7 +710,7 @@ def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
         )
     if v is None:
         with _stage(trace, "weyl-volume", {"n": n}) as out:
-            v = estimate_volume(spec, n)
+            v = _median_volume(*(window or _window_samples(spec))[:2], n)
             out.update(volume=v)
     try:
         v = _positive(v, "volume")

@@ -14,8 +14,9 @@ verify     soundness sweep of every pipeline over the model catalog
 
 Every report embeds the tool version and the full effective configuration,
 and is emitted as JSON (stdout or --out).  Exit codes: 0 success; 1 malformed
-input file; 2 precondition or certification failure, with a stage-named
-diagnostic on stderr.  All output is deterministic.
+input file or an --out path that cannot be written; 2 precondition or
+certification failure, with a stage-named diagnostic on stderr.  All output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -294,7 +295,11 @@ def main(argv=None) -> int:
         "config": _config(args),
     }
     envelope.update(payload)
-    _emit(envelope, args.out)
+    try:
+        _emit(envelope, args.out)
+    except OSError as exc:
+        print(f"error[output]: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return exit_code
 
 

@@ -6,10 +6,11 @@ over a tail window recovers n/2, and the prefactor recovers the volume.
 The slope is snapped to a half-integer grid (dimension must be an integer)
 and the snap distance is surfaced as a diagnostic; the volume uses a
 median over the window because lattice-type spectra oscillate around the
-asymptote.  Both are a few whole-array numpy calls on the window: the
-slope is the closed-form least-squares slope of the centred logs, and the
-median the middle of the sorted ratios, bit for bit np.median's, whose NaN
-check would import numpy.ma (10 to 20 ms) on a process's first certificate.
+asymptote.  Both fits are a few whole-array numpy calls on one set of
+window samples, built once per weyl_fit or certificate: the slope is the
+closed-form least-squares slope of the centred logs, and the median the
+middle of the sorted ratios, bit for bit np.median's, whose NaN check
+would import numpy.ma (10 to 20 ms) on a process's first certificate.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ def _window_samples(spec: Spectrum):
     return vals[mask], counts[mask].astype(float), (lam_lo, lam_hi)
 
 
-def _fit_dimension(spec: Spectrum):
-    """estimate_dimension's (dimension, diagnostic), then the window samples it fitted."""
-    lam, counts, window = _window_samples(spec)
+def _slope_dimension(lam: np.ndarray, counts: np.ndarray) -> tuple[int, float]:
+    """estimate_dimension's (dimension, diagnostic) from the window samples."""
     if len(lam) < 2:
         raise DomainError("the fit window has fewer than 2 distinct eigenvalues")
     # The least-squares slope of log N against log lam, on centred data.
@@ -87,7 +87,7 @@ def _fit_dimension(spec: Spectrum):
             f"log-log slope {slope:.6g} gives 2s = {2 * slope:.6g}, "
             f"{diagnostic:.3g} away from an integer (threshold {SLOPE_SNAP_THRESHOLD})",
         )
-    return int(n), diagnostic, lam, counts, window
+    return int(n), diagnostic
 
 
 def _median_volume(lam: np.ndarray, counts: np.ndarray, n: int) -> float:
@@ -95,10 +95,8 @@ def _median_volume(lam: np.ndarray, counts: np.ndarray, n: int) -> float:
     # lam^(n/2) past every float reads volume 0, which weyl_fit refuses.
     with np.errstate(over="ignore"):
         ratios = np.sort(counts * prefactor / lam ** (0.5 * n))
-    mid = ratios.size // 2
-    if ratios.size % 2:
-        return float(ratios[mid])
-    return float((ratios[mid - 1] + ratios[mid]) / 2.0)
+    mid, odd = divmod(ratios.size, 2)
+    return float(ratios[mid] if odd else (ratios[mid - 1] + ratios[mid]) / 2.0)
 
 
 def estimate_dimension(spec: Spectrum) -> tuple[int, float]:
@@ -108,7 +106,7 @@ def estimate_dimension(spec: Spectrum) -> tuple[int, float]:
     beyond 0.25 mean the input is not in the asymptotic regime (or is not
     a Laplace spectrum) and are rejected.
     """
-    return _fit_dimension(spec)[:2]
+    return _slope_dimension(*_window_samples(spec)[:2])
 
 
 def estimate_volume(spec: Spectrum, n: int) -> float:
@@ -116,12 +114,12 @@ def estimate_volume(spec: Spectrum, n: int) -> float:
 
     unit_ball_volume checks that n is an integer >= 1.
     """
-    lam, counts, _ = _window_samples(spec)
-    return _median_volume(lam, counts, n)
+    return _median_volume(*_window_samples(spec)[:2], n)
 
 
 def weyl_fit(spec: Spectrum) -> WeylFit:
-    n, diagnostic, lam, counts, window = _fit_dimension(spec)
+    lam, counts, window = _window_samples(spec)
+    n, diagnostic = _slope_dimension(lam, counts)
     try:
         volume = _positive(_median_volume(lam, counts, n), "volume estimate")
     except DomainError as exc:

@@ -60,6 +60,16 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["command"] == "spectrum"
 
 
+def test_out_to_a_missing_directory_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "eig-ball", "--n", "2", "--kappa", "0", "--r", "1", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error[output]: {target}: "), err
+    assert not target.parent.exists()
+
+
 def _write_spectrum(tmp_path, model_id, lam):
     spec = catalog_model(model_id).spectrum(lam)
     path = tmp_path / f"{model_id}.json"

@@ -1,0 +1,82 @@
+"""Model families kept out of the catalog: a mirror, and isolated points in n = 3.
+
+The catalog's ten models have no mirror and no isolated singular point in
+dimension 3, so these records give the pipelines truths the catalog never
+meets.  They live here, not in model_catalog(), so that `orbispec verify`
+and the benchmark streams stay as they are.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from orbispec import (
+    ModelOrbifold,
+    OrthogonalAction,
+    SingularPoint,
+    spectral_isotropy_bound,
+    spectral_singular_point_bound,
+)
+
+
+def _z2_points(count: int) -> tuple[SingularPoint, ...]:
+    return tuple(SingularPoint(2, True) for _ in range(count))
+
+
+# (record, the two truncations checked)
+FAMILIES = {
+    # S^2 mod a reflection: the closed hemisphere, its equator a mirror.
+    "s2-mirror": (
+        ModelOrbifold(
+            "s2-mirror", 2, 2.0 * math.pi, math.pi, 1.0,
+            singular_points=(SingularPoint(2, False),),
+            action=OrthogonalAction(2, reversed_axes=1, fixed_axes=2),
+        ),
+        (1640.0, 10100.0),
+    ),
+    # T^3/(-I) on the unit cube: eight isolated Z_2 points.
+    "t3-mod-2": (
+        ModelOrbifold(
+            "t3-mod-2", 3, 0.5, math.sqrt(3.0) / 2.0, 0.0,
+            singular_points=_z2_points(8),
+            lattice_basis=np.eye(3),
+            action=OrthogonalAction(2, reversed_axes=3),
+        ),
+        (4000.0, 16000.0),
+    ),
+    # S^3/(-I_3 + 1): the poles of the fixed axis are two isolated Z_2 points.
+    "s3-mod-2": (
+        ModelOrbifold(
+            "s3-mod-2", 3, math.pi**2, math.pi, 1.0,
+            singular_points=_z2_points(2),
+            action=OrthogonalAction(2, reversed_axes=3, fixed_axes=1),
+        ),
+        (899.0, 4032.0),
+    ),
+}
+
+CASES = [
+    (family, truncation, loosening)
+    for family, (_, truncations) in FAMILIES.items()
+    for truncation in truncations
+    for loosening in (0.0, 0.75)
+]
+
+
+@pytest.mark.parametrize("family, truncation, loosening", CASES)
+def test_family_caps_hold_the_truth(family, truncation, loosening):
+    model = FAMILIES[family][0]
+    spec = model.spectrum(truncation)
+    kappa = model.curvature_lower_bound - loosening
+    # Spectrum-only, the diameter holds.  The isotropy cap is not gated: the
+    # Weyl volume reads about 7% high on the hemisphere and on S^3/(-I_3 + 1),
+    # so their caps at the exact kappa read 1 against the true order 2.
+    alone = spectral_isotropy_bound(spec, kappa)
+    assert alone.n == model.dimension
+    assert alone.diameter_bound >= model.diameter - 1e-12
+    given = spectral_singular_point_bound(spec, kappa, n=model.dimension, v=model.volume)
+    assert given.diameter_bound >= model.diameter - 1e-12
+    assert given.isotropy_cap >= model.max_isotropy_order == 2
+    assert given.singular_cap >= model.isolated_singular_count

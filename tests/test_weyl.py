@@ -17,6 +17,7 @@ from orbispec import (
     spectral_isotropy_bound,
     weyl_fit,
 )
+from orbispec import bounds, spectral_singular_point_bound, weyl
 from orbispec.weyl import MIN_EIGENVALUE_COUNT
 
 
@@ -59,6 +60,60 @@ def test_weyl_fit_equals_the_separate_estimates(catalog_spectra):
         n, diag = estimate_dimension(spec)
         assert (fit.dimension_estimate, fit.residual) == (n, diag), model_id
         assert fit.volume_estimate == estimate_volume(spec, n), model_id
+
+
+@pytest.fixture
+def window_calls(monkeypatch):
+    """The spectra _window_samples is called on, through weyl and bounds alike."""
+    calls = []
+    real = weyl._window_samples
+
+    def spy(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in (weyl, bounds):
+        monkeypatch.setattr(module, "_window_samples", spy)
+    return calls
+
+
+@pytest.mark.parametrize("pipeline", [spectral_isotropy_bound, spectral_singular_point_bound])
+@pytest.mark.parametrize(
+    "given, windows", [({}, 1), ({"n": 2}, 1), ({"n": 2, "v": 4.0 * math.pi / 3.0}, 0)]
+)
+def test_one_window_per_certificate(catalog_spectra, window_calls, pipeline, given, windows):
+    # Both fits of a certificate read one window; the volume fit reuses the
+    # dimension fit's, and a certificate with (n, v) given builds none.
+    spec = catalog_spectra["s2-mod-3"][1]
+    report = pipeline(spec, 1.0, **given)
+    assert window_calls == [spec] * windows
+    assert report.source == ("given" if windows == 0 else "weyl-estimated")
+
+
+def test_one_window_per_weyl_fit(s2_spectrum, window_calls):
+    weyl_fit(s2_spectrum)
+    assert window_calls == [s2_spectrum]
+
+
+def _circle_spectrum():
+    # The circle of length 10: eigenvalues (2 pi k / 10)^2, each twice.
+    levels = tuple(((2.0 * math.pi * k / 10.0) ** 2, 2) for k in range(1, 400))
+    return Spectrum(((0.0, 1),) + levels, levels[-1][0] + 1.0)
+
+
+@pytest.mark.parametrize("pipeline", [spectral_isotropy_bound, spectral_singular_point_bound])
+def test_fitted_dimension_below_two_fails_at_its_stage(pipeline):
+    # A circle's spectrum fits n = 1, which the bounds cannot use; the
+    # refusal names the fit, not a domain input the caller never gave.
+    spec = _circle_spectrum()
+    assert weyl_fit(spec).dimension_estimate == 1
+    with pytest.raises(CertificationError, match="fitted dimension") as err:
+        pipeline(spec, 0.0)
+    assert err.value.stage == "weyl-dimension"
+    # A given n = 1 is still the caller's domain error.
+    with pytest.raises(DomainError) as err:
+        pipeline(spec, 0.0, n=1, v=10.0)
+    assert err.value.stage == "domain"
 
 
 @pytest.mark.parametrize("truncation", [6.0, 20.0])
