@@ -11,13 +11,15 @@ from orbispec import (
     CertificationError,
     DomainError,
     Spectrum,
+    bounds,
     catalog_model,
     estimate_dimension,
     estimate_volume,
     spectral_isotropy_bound,
+    spectral_singular_point_bound,
+    weyl,
     weyl_fit,
 )
-from orbispec import bounds, spectral_singular_point_bound, weyl
 from orbispec.weyl import MIN_EIGENVALUE_COUNT
 
 
