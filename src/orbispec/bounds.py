@@ -30,7 +30,6 @@ import math
 import numbers
 import struct
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .dirichlet import (
     _check_ball,
     _refuse_overflow,
     _threshold_form,
+    _threshold_top,
 )
 from .errors import CertificationError, ConvergenceError, DomainError, _count, _positive
 from .modelspectra import Spectrum, counting_function
@@ -243,6 +243,16 @@ def _weigh(best: tuple, r: float, rho: int, cap: float) -> tuple:
     return (d, r, rho) if d < best[0] or (d == best[0] and r >= best[1]) else best
 
 
+def _edge(best: tuple, r_t: float, cap: float) -> float:
+    """No D of at least min(bound, cap) beats best once bound > edge: it
+    loses above best's D <= cap, and at a tie once best lies past r_T, where
+    no later r_k does.  So edge is the float below D past r_T, else D, or
+    inf when D is the cap."""
+    if best[1] > r_t:
+        return math.nextafter(best[0], -math.inf)
+    return best[0] if best[0] < cap else math.inf
+
+
 def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     """(D*, r*, rho*): smallest diameter_bound over every admissible radius;
     ties favor large r.
@@ -252,9 +262,10 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     eigenvalue is not 0 is refused.
 
     Why the breakpoints suffice.  rho(r) = N(top(r)) counts eigenvalues up
-    to top(r) (see dirichlet._ball_threshold), which is non-increasing in
-    the float r, since each of its steps is a correctly rounded monotone
-    operation; so the smallest floats below are well defined.  rho is a non-increasing
+    to top(r) (dirichlet._ball_threshold's, evaluated per search by the
+    closure dirichlet._threshold_top), which is non-increasing in the float
+    r, since each of its steps is a correctly rounded monotone operation;
+    so the smallest floats below are well defined.  rho is a non-increasing
     step function of r, and on each of its plateaus
     D = min(2 r (rho + 1), cap) does not fall as r grows.  A radius is
     admissible when top(r) <= T, the truncation, which makes the
@@ -297,8 +308,8 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     later breakpoint of its own radius can win, and one that shares a
     radius repeats a weighed triple: the walk stops.  With the best at the
     cap, as when kappa > 0 clamps every D, it stops once that product
-    reaches the cap.  radii_resolved counts the breakpoints resolved, r_T's
-    included.
+    reaches the cap (both tests: bound > _edge).  radii_resolved counts
+    the breakpoints resolved, r_T's included.
 
     Scoring.  No breakpoint, r_T included, is refused: each lies in
     (0, widest], its top is at most T, and 2 r (rho + 1) stays finite, as r
@@ -324,16 +335,12 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
         )
     cap = bonnet_myers_cap(kappa)
     route, q, c = _threshold_form(n, kappa)
-
-    def top(r: float) -> float:
-        return _ball_threshold(n, kappa, r)[2]
+    top = _threshold_top(n, kappa)
+    shift, tol, scale = c * kappa, RHO_TOL_SCALE * c * abs(kappa), 1.0 + RHO_TOL_SCALE
 
     def inverse(target: float) -> float:
-        # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|,
-        # taken at the largest float where the truncation's target is inf: the
-        # inverse of inf is the pole r = 0, from which the search would gallop.
-        reach = min(target, sys.float_info.max)
-        flat = (reach + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
+        # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|.
+        flat = (target + shift - tol) / scale
         return q / math.sqrt(flat) if flat > 0.0 else widest
 
     widest = min(CAP_SHRINK * cap, sys.float_info.max)
@@ -348,32 +355,26 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
             + "; no eigenvalue count can be certified",
         )
     first = int(np.searchsorted(values, least, "right"))
-    r_t = _first_below(top, truncation, inverse(truncation))
+    # Inverted at the largest float where the target is inf, not at r = 0.
+    r_t = _first_below(top, truncation, inverse(min(truncation, sys.float_info.max)))
     d, rho = diameter_bound(spec, kappa, n, r_t)
     best = (d, r_t, rho)
+    edge = _edge(best, r_t, cap)
     resolved, previous = 1, least
     below = counts.item(first - 1) if first else 0  # N(< lam_k)
-
-    def beaten(bound: float) -> bool:
-        # No D of at least min(bound, cap) can win: it exceeds the best D, or
-        # ties it where the best lies past r_T, so at a radius no later r_k
-        # exceeds.
-        bound = min(bound, cap)
-        return bound > best[0] or (bound == best[0] and best[1] > r_t)
-
-    for k in range(first, values.size):
-        if beaten(2.0 * r_t * (below + 1)):
+    for lam, count in zip(memoryview(values)[first:], memoryview(counts)[first:]):
+        if 2.0 * r_t * (below + 1) > edge:
             break
-        lam = values.item(k)
         guess = inverse(lam)
         low = guess * (1.0 - 1e-9)
         # r_k > low once top(low) >= lam_k is checked, and r_k >= r_T always.
-        if not beaten(2.0 * (low if low > r_t and top(low) >= lam else r_t) * (below + 1)):
+        if not 2.0 * (low if low > r_t and top(low) >= lam else r_t) * (below + 1) > edge:
             r = _first_below(top, lam, guess)
             resolved += 1
             if top(r) >= previous:  # else r_k = r_(k-1), whose triple is weighed
                 best = _weigh(best, r, below, cap)
-        previous, below = lam, counts.item(k)
+                edge = _edge(best, r_t, cap)
+        previous, below = lam, count
     return DiameterSearch(
         best,
         radii_searched=values.size - first + 1,
@@ -677,19 +678,26 @@ class BoundReport:
         }
 
 
-@contextmanager
-def _stage(trace: list, stage: str, inputs: dict):
-    """Run one pipeline stage: the body fills the yielded outputs dict.
+class _stage:
+    """Run one pipeline stage: the body fills the outputs dict `with` gives.
 
     Domain and convergence failures become a CertificationError naming the
     stage; a stage that completes is appended to the trace.
     """
-    outputs: dict = {}
-    try:
-        yield outputs
-    except (DomainError, ConvergenceError) as exc:
-        raise CertificationError(stage, str(exc)) from exc
-    trace.append({"stage": stage, "inputs": inputs, "outputs": outputs})
+
+    __slots__ = ("trace", "entry")
+
+    def __init__(self, trace: list, stage: str, inputs: dict):
+        self.trace, self.entry = trace, {"stage": stage, "inputs": inputs, "outputs": {}}
+
+    def __enter__(self) -> dict:
+        return self.entry["outputs"]
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None:
+            self.trace.append(self.entry)
+        elif issubclass(kind, (DomainError, ConvergenceError)):
+            raise CertificationError(self.entry["stage"], str(exc)) from exc
 
 
 def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):

@@ -202,6 +202,23 @@ def _threshold_form(n: int, kappa: float) -> tuple[str, float, float]:
     return "flat-bessel", _first_bessel_zero(n), 0.0
 
 
+def _threshold_top(n: int, kappa: float) -> Callable:
+    """The closure top(r) of _ball_threshold, the form looked up once and
+    c kappa, c |kappa| folded in, for a search over many radii; top(r, True)
+    is (Lambda(r), top(r)).  The one copy of the threshold expression."""
+    _, q, c = _threshold_form(n, kappa)
+    shift, spread = c * kappa, c * abs(kappa)
+
+    def top(r, with_lam: bool = False):
+        q_r = q / r
+        flat = q_r * q_r
+        lam = flat - shift
+        limit = lam + RHO_TOL_SCALE * (flat + spread)
+        return (lam, limit) if with_lam else limit
+
+    return top
+
+
 def _ball_threshold(n: int, kappa: float, r):
     """(route, Lambda, top): the closed-form upper bound on the r-ball's
     lowest Dirichlet eigenvalue that the pipelines count below, and top =
@@ -209,18 +226,15 @@ def _ball_threshold(n: int, kappa: float, r):
     to: the sum of the terms' magnitudes is what the rounding error is
     relative to (the n = 3 difference cancels near the antipodal cap).
 
+    One expression, evaluated per search (_threshold_top), so bounds'
+    diameter_bound, search and breakpoints all agree on top bit for bit.
     No domain checks; r is a float or an array of radii.  The square is a
     product, correctly rounded for both, so a value over an array agrees
-    bit for bit with the value at each of its radii, and bounds'
-    diameter_bound, search and breakpoints all agree on top.  Each step is
-    a correctly rounded monotone operation, so both values are
+    bit for bit with the value at each of its radii.  Each step is a
+    correctly rounded monotone operation, so both values are
     non-increasing in the float r.
     """
-    route, q, c = _threshold_form(n, kappa)
-    q = q / r
-    flat = q * q
-    lam = flat - c * kappa
-    return route, lam, lam + RHO_TOL_SCALE * (flat + c * abs(kappa))
+    return (_threshold_form(n, kappa)[0], *_threshold_top(n, kappa)(r, True))
 
 
 def _refuse_overflow(lam: float, r: float, kappa: float) -> float:

@@ -36,6 +36,7 @@ from orbispec.dirichlet import (
     RITZ_MAX_ITER,
     _first_bessel_zero,
     _threshold_form,
+    _threshold_top,
 )
 from orbispec.errors import CertificationError, ConvergenceError, DomainError
 from orbispec.groups import OrthogonalAction
@@ -598,10 +599,7 @@ def breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
     raises.
     """
     route, q, c = _threshold_form(n, kappa)
-
-    def top(r):
-        return bounds._ball_threshold(n, kappa, r)[2]
-
+    top = _threshold_top(n, kappa)
     widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
     least = top(widest)
     truncation = math.nextafter(spec.truncation, math.inf)

@@ -98,3 +98,26 @@ def test_tree_commit_marks_an_uncommitted_tree(tmp_path):
     git("commit", "-q", "-am", "two")
     (tmp_path / "b.py").write_text("y = 1\n")
     assert tree_commit(tmp_path) == "uncommitted"
+
+
+def test_copy_tracked_takes_the_working_tree_of_tracked_files(tmp_path):
+    # The change side runs from a copy, as the parent does: tracked files
+    # with their uncommitted edits, and nothing git does not track.
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    repo.mkdir()
+    dest.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True)
+
+    git("init", "-q")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "a.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("")
+    git("add", "pkg/a.py", "gone.py")
+    (repo / "pkg" / "a.py").write_text("x = 2\n")
+    (repo / "gone.py").unlink()
+    (repo / "untracked.py").write_text("")
+    tree = _bench_trend().copy_tracked(repo, dest)
+    assert sorted(str(p.relative_to(tree)) for p in tree.rglob("*")) == ["pkg", "pkg/a.py"]
+    assert (tree / "pkg" / "a.py").read_text() == "x = 2\n"

@@ -1243,19 +1243,49 @@ def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
     assert (top < limits).all() and (below >= limits).all()
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return ball_threshold(*args)
+    def counted(*key):
+        top = threshold_top(*key)
 
-    ball_threshold = bounds_module._ball_threshold
-    monkeypatch.setattr(bounds_module, "_ball_threshold", counted)
+        def probe(*args):
+            calls.append(args)
+            return top(*args)
+
+        return probe
+
+    threshold_top = bounds_module._threshold_top
+    monkeypatch.setattr(bounds_module, "_threshold_top", counted)
     best_diameter_bound(spec, kappa, n)
-    # top at the widest radius, then per breakpoint its lower-bound check,
-    # a few probes around its guess, the shared-radius check and its score:
-    # a gallop from the pole or from the largest float takes over a hundred.
-    assert len(calls) <= 12
+    # The walk's evaluator at the widest radius, then per breakpoint its
+    # lower-bound check, a few probes around its guess and the shared-radius
+    # check: a gallop from the pole or from the largest float takes over a
+    # hundred.
+    assert 0 < len(calls) <= 12
     monkeypatch.undo()
     _assert_walk_is_the_scan(spec, kappa, n)
+
+
+def test_form_lookups_per_search_do_not_grow_with_the_spectrum(monkeypatch):
+    # The walk evaluates its threshold on a closure built once per search:
+    # the threshold's form is looked up a fixed number of times (the walk's
+    # inverse, its evaluator, and r_T's score by diameter_bound), however
+    # many breakpoints the spectrum has.
+    lookups = []
+    real = dirichlet._threshold_form
+
+    def counted(n, kappa):
+        lookups.append((n, kappa))
+        return real(n, kappa)
+
+    monkeypatch.setattr(dirichlet, "_threshold_form", counted)
+    monkeypatch.setattr(bounds_module, "_threshold_form", counted)
+    model = catalog_model("t2-mod-4")
+    per_search = set()
+    for truncation in (8000.0, 256000.0):
+        for shift in ROUTE_SHIFTS:
+            lookups.clear()
+            best_diameter_bound(model.spectrum(truncation), model.curvature_lower_bound + shift, 2)
+            per_search.add(len(lookups))
+    assert len(per_search) == 1 and per_search.pop() <= 4
 
 
 def test_truncation_below_the_threshold_at_the_cap_has_no_breakpoint():

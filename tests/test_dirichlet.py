@@ -5,6 +5,7 @@ bound the pipelines count below."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -22,11 +23,13 @@ from orbispec.dirichlet import (
     _bessel_sign,
     _first_bessel_zero,
     _ritz_unit_ball,
+    _threshold_form,
+    _threshold_top,
     lowest_dirichlet_eigenvalue,
 )
 from orbispec.errors import ConvergenceError, DomainError
 from orbispec.modelspectra import catalog_model
-from orbispec.spaceform import SpaceForm
+from orbispec.spaceform import SpaceForm, bonnet_myers_cap
 
 from oracles import (
     finite_difference_eigenvalue,
@@ -351,6 +354,47 @@ def test_ball_threshold_scales_and_agrees_over_arrays(n, sign, size, u, c):
     assert _ball_threshold(n, kappa, radii)[1].tolist() == [
         _ball_threshold(n, kappa, float(x))[1] for x in radii
     ]
+
+
+def _stepwise_top(n, kappa, r):
+    """top(r) restated with _ball_threshold's float operations in their order."""
+    _, q, c = _threshold_form(n, kappa)
+    q = q / r
+    flat = q * q
+    lam = flat - c * kappa
+    return lam + RHO_TOL_SCALE * (flat + c * abs(kappa))
+
+
+@st.composite
+def threshold_keys(draw):
+    """(n, kappa, r): n from 2 to 7, kappa of each sign with |kappa| from
+    1e-6 to 1e6, and r from 1e-300 up to CAP_SHRINK times the antipodal cap
+    (the largest float when there is no cap)."""
+    n = draw(st.integers(2, 7))
+    kappa = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 6.0))
+    widest = min(dirichlet.CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
+    return n, kappa, draw(st.one_of(st.floats(1e-300, widest), st.just(widest)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold_keys())
+@example((3, 3.7, dirichlet.CAP_SHRINK * math.pi / math.sqrt(3.7)))  # the difference cancels
+@example((3, -3.7, 0.5))
+@example((2, 0.0, 1e-300))  # (q/r)^2 overflows
+@example((7, -1e6, sys.float_info.max))
+def test_per_search_threshold_is_ball_threshold_bit_for_bit(key):
+    # The evaluator a search builds once per (n, kappa) gives the count
+    # limit of _ball_threshold, and of its float operations taken step by
+    # step, bit for bit at a radius and over an array of radii.
+    n, kappa, r = key
+    top = _threshold_top(n, kappa)
+    assert top(r).hex() == _ball_threshold(n, kappa, r)[2].hex() == _stepwise_top(n, kappa, r).hex()
+    assert top(r, True) == _ball_threshold(n, kappa, r)[1:]
+    radii = np.array([r, 0.5 * r, math.nextafter(r, 0.0), 1e-300])
+    with np.errstate(over="ignore"):
+        bits = top(radii).view(np.int64).tolist()
+        assert bits == _ball_threshold(n, kappa, radii)[2].view(np.int64).tolist()
+    assert bits == [np.float64(_stepwise_top(n, kappa, float(x))).view(np.int64) for x in radii]
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,8 @@ def test_family_caps_hold_the_truth(family, truncation, loosening):
     model = FAMILIES[family][0]
     spec = model.spectrum(truncation)
     kappa = model.curvature_lower_bound - loosening
-    # Spectrum-only, the diameter holds.  The isotropy cap is not gated: the
-    # Weyl volume reads about 7% high on the hemisphere and on S^3/(-I_3 + 1),
-    # so their caps at the exact kappa read 1 against the true order 2.
+    # Spectrum-only, the diameter holds.  The isotropy cap is gated, as a
+    # strict xfail, by test_spectrum_only_isotropy_cap_holds_the_truth_at_the_exact_kappa.
     alone = spectral_isotropy_bound(spec, kappa)
     assert alone.n == model.dimension
     assert alone.diameter_bound >= model.diameter - 1e-12
@@ -80,3 +79,23 @@ def test_family_caps_hold_the_truth(family, truncation, loosening):
     assert given.diameter_bound >= model.diameter - 1e-12
     assert given.isotropy_cap >= model.max_isotropy_order == 2
     assert given.singular_cap >= model.isolated_singular_count
+
+
+WEYL_VOLUME_HIGH = [
+    pytest.param(
+        family, truncation,
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Weyl volume reads high"),
+    )
+    for family in ("s2-mirror", "s3-mod-2")
+    for truncation in FAMILIES[family][1]
+]
+
+
+@pytest.mark.parametrize("family, truncation", WEYL_VOLUME_HIGH)
+def test_spectrum_only_isotropy_cap_holds_the_truth_at_the_exact_kappa(family, truncation):
+    # The Weyl volume reads 3-7% high on the hemisphere (its mirror adds a
+    # t^(1/2) heat-trace term) and on S^3/(-I_3 + 1) (its isolated points a
+    # t^(3/2) term), so the spectrum-only cap reads 1 against the true 2.
+    model = FAMILIES[family][0]
+    report = spectral_isotropy_bound(model.spectrum(truncation), model.curvature_lower_bound)
+    assert report.isotropy_cap >= model.max_isotropy_order == 2

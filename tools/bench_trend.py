@@ -5,8 +5,10 @@ Run from the repository root:
 
     python3 tools/bench_trend.py --pr 10 --parent HEAD~1 --seed 11
 
-For each side (this checkout, and the parent revision unpacked with
-``git archive`` into a temporary directory) it runs ``perfbench/run.py`` on
+For each side (this checkout's tracked files as they stand in the working
+tree, and the parent revision unpacked with ``git archive``, each placed
+in the same temporary directory, so both run from a fresh copy at the
+same depth) it runs ``perfbench/run.py`` on
 every workload for the ``run_seconds`` that BENCHMARK.json fixes:
 ``--pairs`` untraced runs for the end-to-end metrics, with parent and
 change alternating and the side that goes first alternating too, then one
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -82,6 +85,19 @@ def tree_commit(root: Path) -> str:
     if _git("status", "--porcelain", cwd=root):
         return "uncommitted"
     return _git("rev-parse", "HEAD", cwd=root)
+
+
+def copy_tracked(root: Path, dest: Path) -> Path:
+    """The working-tree contents of the files git tracks in root, copied
+    under dest (a tracked file deleted from the working tree is left out)."""
+    tree = dest / "change"
+    for name in _git("ls-files", "-z", cwd=root).split("\0"):
+        source = root / name
+        if name and source.is_file():
+            target = tree / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+    return tree
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -249,9 +265,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     commit = tree_commit(ROOT)
-    with tempfile.TemporaryDirectory(prefix="bench-trend-") as tmp:
-        sides = {"change": ROOT, "parent": unpack(args.parent, Path(tmp))}
-        results, runs, meta = measure(sides, args, Path(tmp))
+    with tempfile.TemporaryDirectory(prefix="bench-trend-") as name:
+        tmp = Path(name)
+        sides = {"change": copy_tracked(ROOT, tmp), "parent": unpack(args.parent, tmp)}
+        results, runs, meta = measure(sides, args, tmp)
     results["change"]["commit"] = commit
     results["parent"]["commit"] = _git("rev-parse", args.parent)
     for workload in WORKLOADS:
