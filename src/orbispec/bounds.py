@@ -355,7 +355,7 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
             + "; no eigenvalue count can be certified",
         )
     first = int(np.searchsorted(values, least, "right"))
-    # Inverted at the largest float where the target is inf, not at r = 0.
+    # An inf target is inverted at the largest float: from its pole r = 0 the search would gallop.
     r_t = _first_below(top, truncation, inverse(min(truncation, sys.float_info.max)))
     d, rho = diameter_bound(spec, kappa, n, r_t)
     best = (d, r_t, rho)
