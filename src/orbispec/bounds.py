@@ -31,6 +31,7 @@ import numbers
 import struct
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +49,10 @@ from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
     _check_curvature,
+    _direction_share,
+    _linked_complement,
     ball_volume,
     bonnet_myers_cap,
-    cone_volume,
-    linked_complement_measure,
     newton_bracket,
     sphere_measure,
     unit_ball_volume,
@@ -238,7 +239,8 @@ class DiameterSearch(tuple):
 
 def _weigh(best: tuple, r: float, rho: int, cap: float) -> tuple:
     """best, or (D, r, rho) with D = min(2 r (rho + 1), cap), diameter_bound's
-    expression, when that D is smaller, or equal at a radius at least best's."""
+    expression, when that D is smaller, or equal at a radius at least best's
+    (so from best = (inf, 0, 0) it is always the new triple)."""
     d = min(2.0 * r * (rho + 1), cap)
     return (d, r, rho) if d < best[0] or (d == best[0] and r >= best[1]) else best
 
@@ -314,14 +316,16 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     Scoring.  No breakpoint, r_T included, is refused: each lies in
     (0, widest], its top is at most T, and 2 r (rho + 1) stays finite, as r
     is below about q 1e162 (q over the root of the least positive float)
-    and rho below 2^63.  So r_T is scored by diameter_bound itself (were it
-    ever refused, the pipelines would report a [diameter] error), and each
-    resolved r_k by _weigh, with rho = N(< lam_k): the same floats
-    diameter_bound would give.  Of tying radii the largest wins: it has the
-    smallest rho, so the bound rests on the fewest eigenvalues.  The result
-    is therefore that of calling diameter_bound at every breakpoint.  A
-    dimension or curvature outside SpaceForm's domain would fail every
-    radius alike, so it is refused before the search.
+    and rho below 2^63.  So every breakpoint is scored by _weigh, on the
+    same floats diameter_bound would give: r_T with rho = N(top(r_T)), one
+    searchsorted of the walk's own top(r_T) (diameter_bound's threshold,
+    bit for bit) on the values read off cumulative_counts, as
+    counting_function counts, and each resolved r_k with rho = N(< lam_k).
+    Of tying radii the largest wins: it has the smallest rho, so the bound
+    rests on the fewest eigenvalues.  The result is therefore that of
+    calling diameter_bound at every breakpoint.  A dimension or curvature
+    outside SpaceForm's domain would fail every radius alike, so it is
+    refused before the search.
     """
     sf = SpaceForm(n, kappa)
     n, kappa = sf.n, sf.kappa
@@ -357,8 +361,8 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     first = int(np.searchsorted(values, least, "right"))
     # An inf target is inverted at the largest float: from its pole r = 0 the search would gallop.
     r_t = _first_below(top, truncation, inverse(min(truncation, sys.float_info.max)))
-    d, rho = diameter_bound(spec, kappa, n, r_t)
-    best = (d, r_t, rho)
+    i = int(values.searchsorted(top(r_t), "right"))  # rho(r_T) = N(top(r_T)), see Scoring
+    best = _weigh((math.inf, 0.0, 0), r_t, counts.item(i - 1) if i else 0, cap)
     edge = _edge(best, r_t, cap)
     resolved, previous = 1, least
     below = counts.item(first - 1) if first else 0  # N(< lam_k)
@@ -383,15 +387,32 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     )
 
 
-def _diameter(d, kappa: float) -> float:
-    """A diameter bound clamped at the antipodal cap pi/sqrt(kappa), then held
-    to the magnitude rule.  Sound: curvature >= kappa > 0 keeps every
-    diameter below the cap, so D = inf is accepted when kappa > 0.  Only a
-    real number is clamped, so a bool is refused whatever the cap."""
-    cap = bonnet_myers_cap(kappa)
+def _diameter(d, cap: float) -> float:
+    """A diameter bound clamped at the antipodal cap pi/sqrt(kappa)
+    (bonnet_myers_cap, passed in), then held to the magnitude rule.  Sound:
+    curvature >= kappa > 0 keeps every diameter below the cap, so D = inf
+    is accepted when kappa > 0.  Only a real number is clamped, so a bool is
+    refused whatever the cap."""
     if isinstance(d, numbers.Real) and not isinstance(d, bool) and d > cap:
         d = cap
     return _positive(d, "diameter bound")
+
+
+class _ModelBall(NamedTuple):
+    """The curvature-kappa model ball of radius D that the isotropy cap,
+    alpha's cone and the packing count all read, built once per
+    certificate: the model space, D clamped at the cap (by _diameter), the
+    cap bonnet_myers_cap(kappa) and ball_volume(sf, D)."""
+
+    sf: SpaceForm
+    d: float
+    cap: float
+    volume: float
+
+
+def _model_ball(sf: SpaceForm, cap: float, d: float) -> _ModelBall:
+    """The record of a D that _diameter has clamped and checked."""
+    return _ModelBall(sf, d, cap, ball_volume(sf, d))
 
 
 def _floor_ratio(num: float, den: float) -> int:
@@ -416,7 +437,13 @@ def isotropy_order_cap(n: int, kappa: float, d: float, v: float) -> int:
     """
     sf = SpaceForm(n, kappa)
     v = _positive(v, "volume")
-    return max(1, _floor_ratio(ball_volume(sf, _diameter(d, kappa)), v))
+    cap = bonnet_myers_cap(kappa)
+    return _isotropy_cap(_model_ball(sf, cap, _diameter(d, cap)), v)
+
+
+def _isotropy_cap(ball: _ModelBall, v: float) -> int:
+    """isotropy_order_cap on the model-ball record and a checked volume."""
+    return max(1, _floor_ratio(ball.volume, v))
 
 
 def _guarded_newton(probe):
@@ -455,12 +482,27 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     certificate.
     """
     sf = SpaceForm(n, kappa)
-    d = _diameter(d, kappa)
+    cap = bonnet_myers_cap(kappa)
+    d = _diameter(d, cap)
     v = _positive(v, "volume")
+    return _alpha(_model_ball(sf, cap, d), v)
+
+
+def _alpha(ball: _ModelBall, v: float) -> float:
+    """alpha_constant on the model-ball record and a checked volume.
+
+    cone(alpha) is cone_volume(sf, D, linked_complement_measure(n-1,
+    alpha)) on the record's ball volume, with its range check and the same
+    floats; every alpha probed lies in [1e-9, pi/2), where the band needs
+    no clamp, so its rate 2 sphere_measure(n-2) is computed once.
+    """
+    n = ball.sf.n
     target = v / 6.0 * (1.0 - ALPHA_MARGIN)
+    omega = sphere_measure(n - 1)
+    rate = 2.0 * sphere_measure(n - 2)
 
     def cone(alpha: float) -> float:
-        return cone_volume(sf, d, linked_complement_measure(n - 1, alpha))
+        return ball.volume * _direction_share(_linked_complement(rate, n - 1, alpha), omega) / omega
 
     hi = 0.5 * math.pi * (1.0 - 1e-12)
     if cone(hi) < target:
@@ -470,11 +512,10 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
         raise CertificationError(
             "alpha", f"no admissible angle: even alpha = {lo} exceeds the v/6 budget"
         )
-    band = sphere_measure(n - 1) * min(1.0, target / ball_volume(sf, d))
-    rate = 2.0 * sphere_measure(n - 2)
+    band = omega * min(1.0, target / ball.volume)
 
     def probe(alpha: float) -> tuple[bool, float, float]:
-        gap = band - linked_complement_measure(n - 1, alpha)
+        gap = band - _linked_complement(rate, n - 1, alpha)
         return gap > 0.0, gap, rate * math.cos(alpha) ** (n - 2)
 
     alpha = newton_bracket(_guarded_newton(probe), lo, hi, min(max(band / rate, lo), hi))[0]
@@ -511,6 +552,12 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
     """
     sf = SpaceForm(n, kappa)
     v = _positive(v, "volume")
+    return _ell(sf, bonnet_myers_cap(kappa), v)
+
+
+def _ell(sf: SpaceForm, cap: float, v: float) -> float:
+    """ell_constant in the checked model space sf, with its cap, and a checked volume."""
+    n, kappa = sf.n, sf.kappa
     target = v / 3.0
     flat = (target / unit_ball_volume(n)) ** (1.0 / n)
     if kappa == 0.0:
@@ -524,10 +571,10 @@ def ell_constant(n: int, kappa: float, v: float) -> float:
         if whole == math.inf:
             raise DomainError(f"the volume of the whole sphere at kappa = {kappa!r} overflows")
         if target >= whole:
-            return SHRINK * bonnet_myers_cap(kappa)
+            return SHRINK * cap
         if n == 2:
             return SHRINK * 2.0 / s * math.asin(min(1.0, math.sqrt(kappa * v / (12.0 * math.pi))))
-        sine, hi = math.sin, bonnet_myers_cap(kappa)
+        sine, hi = math.sin, cap
     else:
         if n == 2:
             return SHRINK * 2.0 / s * math.asinh(math.sqrt(-kappa * v / (12.0 * math.pi)))
@@ -561,13 +608,18 @@ def r_constant(kappa: float, alpha: float, ell: float) -> float:
     The final shrink keeps the certificate strict.
     """
     _check_curvature(kappa)
+    return _separation(kappa, bonnet_myers_cap(kappa), alpha, ell)
+
+
+def _separation(kappa: float, cap: float, alpha: float, ell: float) -> float:
+    """r_constant at a checked kappa with its cap.  The checks on alpha and
+    ell stay here: the singular cap computes them, and a tiny volume can
+    underflow ell to 0."""
     if not (0.0 < alpha < 0.5 * math.pi):
         raise DomainError(f"angle must lie in (0, pi/2), got {alpha!r}")
     ell = _positive(ell, "ell")
-    if ell >= bonnet_myers_cap(kappa):
-        raise DomainError(
-            f"ell = {ell!r} must stay below the antipodal cap {bonnet_myers_cap(kappa)!r}"
-        )
+    if ell >= cap:
+        raise DomainError(f"ell = {ell!r} must stay below the antipodal cap {cap!r}")
     sin_a = math.sin(alpha)
     if kappa > 0:
         s = math.sqrt(kappa)
@@ -594,11 +646,23 @@ def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
     then be positive and finite, with eps <= 2 diameter.
     """
     sf = SpaceForm(n, float(kappa))
-    diameter = _diameter(diameter, kappa)
+    cap = bonnet_myers_cap(kappa)
+    diameter = _diameter(diameter, cap)
+    eps = _check_eps(eps, diameter)
+    return _packing(_model_ball(sf, cap, diameter), eps)
+
+
+def _check_eps(eps, diameter: float) -> float:
+    """eps as a float, positive and finite and at most 2 diameter."""
     eps = _positive(eps, "eps")
     if eps > 2.0 * diameter:
         raise DomainError(f"need eps <= 2*diameter, got eps={eps} diameter={diameter}")
-    return _floor_ratio(ball_volume(sf, diameter), ball_volume(sf, eps / 2.0))
+    return eps
+
+
+def _packing(ball: _ModelBall, eps: float) -> int:
+    """packing_bound on the model-ball record and an eps _check_eps has passed."""
+    return _floor_ratio(ball.volume, ball_volume(ball.sf, eps / 2.0))
 
 
 def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, dict[str, float]]:
@@ -612,14 +676,23 @@ def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, d
     cap about 2^n smaller; the cap keeps the margin until the separation
     lemma is proved with its constants.
     """
-    d = _diameter(d, kappa)
-    alpha = alpha_constant(n, kappa, d, v)
-    ell = ell_constant(n, kappa, v)
-    r = r_constant(kappa, alpha, ell)
+    cap = bonnet_myers_cap(kappa)
+    d = _diameter(d, cap)
+    sf = SpaceForm(n, kappa)
+    v = _positive(v, "volume")
+    return _singular_cap(_model_ball(sf, cap, d), v)
+
+
+def _singular_cap(ball: _ModelBall, v: float) -> tuple[int, dict[str, float]]:
+    """singular_point_cap on the model-ball record and a checked volume."""
+    alpha = _alpha(ball, v)
+    ell = _ell(ball.sf, ball.cap, v)
+    r = _separation(ball.sf.kappa, ball.cap, alpha, ell)
     # With consistent inputs r < ell < D; the clamp only guards degenerate
     # volume/diameter combinations and stays sound (smaller r still separates).
-    r_used = min(r, d)
-    return packing_bound(n, kappa, d, r_used / 2.0), {"alpha": alpha, "ell": ell, "r": r_used}
+    r_used = min(r, ball.d)
+    eps = _check_eps(r_used / 2.0, ball.d)
+    return _packing(ball, eps), {"alpha": alpha, "ell": ell, "r": r_used}
 
 
 @dataclass(frozen=True)
@@ -701,7 +774,8 @@ class _stage:
 
 
 def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
-    """(n, v, source): the given or Weyl-fitted pair.  A fitted n must be >= 2,
+    """(sf, v, source): the model space SpaceForm(n, kappa) of the given or
+    Weyl-fitted n, and the given or fitted v.  A fitted n must be >= 2,
     SpaceForm checks (n, kappa), and n must match the spectrum's dimension."""
     source = "given" if (n is not None and v is not None) else "weyl-estimated"
     window = None  # the Weyl window samples, built once for both fits
@@ -710,7 +784,8 @@ def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
             window = _window_samples(spec)
             n, snap = _slope_dimension(*window[:2])
             out.update(n=_count(n, "fitted dimension", 2), slope_snap_distance=snap)
-    n = SpaceForm(n, kappa).n
+    sf = SpaceForm(n, kappa)
+    n = sf.n
     if spec.dimension is not None and spec.dimension != n:
         raise CertificationError(
             "weyl-dimension",
@@ -724,13 +799,26 @@ def _resolve_dimension_volume(spec: Spectrum, kappa: float, n, v, trace: list):
         v = _positive(v, "volume")
     except DomainError as exc:
         raise CertificationError("weyl-volume", str(exc)) from exc
-    return n, v, source
+    return sf, v, source
 
 
 def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
-    """Both pipelines' stages in one pass, singular-cap only when singular."""
+    """Both pipelines' stages in one pass, singular-cap only when singular.
+
+    Each piece of work runs once per certificate.  The paper's chain reads
+    one object three times, the curvature-kappa model ball of radius D:
+    once the diameter stage has D, the isotropy-cap stage builds its record
+    (_ModelBall: the SpaceForm(n, kappa) the dimension check built, D
+    clamped at the cap, the cap and ball_volume(sf, D)), and the isotropy
+    cap, alpha's cone and band and the packing count all read it.
+    The public isotropy_order_cap and singular_point_cap are validators
+    over the same private functions, so the report equals their
+    composition.  A ball volume past every float fails the isotropy-cap
+    stage, the first to read it.
+    """
     trace: list[dict] = []
-    n, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
+    sf, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
+    n = sf.n
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
         search = best_diameter_bound(spec, kappa, n)
         d, r_used, rho = search
@@ -742,7 +830,9 @@ def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
             threshold_route=search.threshold_route,
         )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
-        cap = isotropy_order_cap(n, kappa, d, v)
+        antipodal = bonnet_myers_cap(kappa)
+        ball = _model_ball(sf, antipodal, _diameter(d, antipodal))
+        cap = _isotropy_cap(ball, v)
         out.update(isotropy_cap=cap)
     notes = {
         "diameter": "smallest 2r(rho+1) over every admissible radius (the breakpoints of rho)"
@@ -755,7 +845,7 @@ def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
     singular_cap, constants = None, {"alpha": None, "ell": None, "r": None}
     if singular:
         with _stage(trace, "singular-cap", {"diameter_bound": d, "volume": v}) as out:
-            singular_cap, constants = singular_point_cap(n, kappa, d, v)
+            singular_cap, constants = _singular_cap(ball, v)
             out.update(singular_cap=singular_cap, **constants)
         notes.update(
             alpha=f"largest angle with cone volume < (v/6)(1 - {ALPHA_MARGIN})",

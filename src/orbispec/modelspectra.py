@@ -73,6 +73,35 @@ class Spectrum:
         )
         return spec
 
+    def _prefix(self, truncation: float) -> "Spectrum":
+        """The spectrum at a lower truncation, cut from this one in O(1).
+
+        truncation must be a float _check_truncation has passed, at most
+        this spectrum's.  The cut takes read-only [:cut] views of all three
+        arrays and sets the truncation and the dimension; no check of _fill
+        is lost, and none is run again:
+
+        * a prefix of a checked spectrum meets every rule of _fill: its
+          eigenvalues are finite, >= 0 and strictly increasing, and its
+          multiplicities integers >= 1, as the whole array's are;
+        * searchsorted(..., "right") keeps every value at or below the new
+          truncation and no other, so none exceeds it and none is dropped;
+        * the running total of a prefix is the prefix of the running total,
+          so cumulative_counts needs no fresh cumsum.
+
+        Views of read-only arrays are read-only, and the dimension was
+        checked when this spectrum was built.
+        """
+        cut = int(self.values.searchsorted(truncation, "right"))
+        spec = self.__class__.__new__(self.__class__)
+        state = spec.__dict__
+        state["values"] = self.values[:cut]
+        state["multiplicities"] = self.multiplicities[:cut]
+        state["cumulative_counts"] = self.cumulative_counts[:cut]
+        state["truncation"] = truncation
+        state["dimension"] = self.dimension
+        return spec
+
     def _fill(self, values: np.ndarray, mults: np.ndarray, truncation, dimension) -> None:
         truncation = _check_truncation(truncation)
         if len(values):
@@ -430,8 +459,10 @@ class ModelOrbifold:
     The record holds one spectrum, the largest it has built.  A spectrum at
     a truncation T is exactly the part at or below T of any spectrum built
     at or above T, so spectrum() builds only past the held truncation and
-    cuts a lower one from the held spectrum, sharing its read-only value and
-    multiplicity arrays.
+    cuts a lower one from the held spectrum in O(1) (Spectrum._prefix): the
+    cut shares all three of its read-only arrays and runs none of the
+    constructor's checks again, as a prefix of a checked spectrum passes
+    them all.
     """
 
     model_id: str
@@ -493,10 +524,7 @@ class ModelOrbifold:
         # for the same float; every other truncation is cut from it.
         if lambda_max.hex() == held.truncation.hex():
             return held
-        cut = int(np.searchsorted(held.values, lambda_max, side="right"))
-        return Spectrum._from_arrays(
-            held.values[:cut], held.multiplicities[:cut], lambda_max, held.dimension
-        )
+        return held._prefix(lambda_max)
 
 
 def model_catalog() -> list[ModelOrbifold]:

@@ -301,7 +301,13 @@ def linked_complement_measure(d: int, alpha: float) -> float:
     if not (-ACOS_DRIFT <= alpha <= 0.5 * math.pi + ACOS_DRIFT):
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     alpha = min(max(alpha, 0.0), 0.5 * math.pi)
-    return 2.0 * sphere_measure(d - 1) * _power_integral(d - 1, 1.0, alpha, cosine=True)
+    return _linked_complement(2.0 * sphere_measure(d - 1), d, alpha)
+
+
+def _linked_complement(rate: float, d: int, alpha: float) -> float:
+    """linked_complement_measure of a checked d and an alpha in [0, pi/2],
+    with rate = 2 sphere_measure(d-1) computed once by the caller."""
+    return rate * _power_integral(d - 1, 1.0, alpha, cosine=True)
 
 
 def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:
@@ -309,8 +315,15 @@ def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:
     given measure on the unit (n-1)-sphere: ball volume scaled by the
     direction fraction."""
     omega = sphere_measure(sf.n - 1)
+    share = _direction_share(direction_measure, omega)
+    return ball_volume(sf, r) * share / omega
+
+
+def _direction_share(direction_measure: float, omega: float) -> float:
+    """min(direction_measure, omega) once the measure lies in [0, omega], up
+    to the drift; cone_volume is a ball volume times this over omega."""
     if not (0.0 <= direction_measure <= omega * (1.0 + ACOS_DRIFT)):
         raise DomainError(
             f"direction measure must lie in [0, {omega:.9g}], got {direction_measure!r}"
         )
-    return ball_volume(sf, r) * min(direction_measure, omega) / omega
+    return min(direction_measure, omega)

@@ -72,13 +72,15 @@ def _slope_dimension(lam: np.ndarray, counts: np.ndarray) -> tuple[int, float]:
     """estimate_dimension's (dimension, diagnostic) from the window samples."""
     if len(lam) < 2:
         raise DomainError("the fit window has fewer than 2 distinct eigenvalues")
-    # The least-squares slope of log N against log lam, on centred data.
+    # The least-squares slope of log N against log lam, on centred data.  A
+    # mean is np.add.reduce over the size, the sum ndarray.mean takes, bit
+    # for bit, without its per-call dispatch.
     x, y = np.log(lam), np.log(counts)
-    x -= x.mean()
+    x -= np.add.reduce(x) / x.size
     spread = float(x @ x)
     if not spread > 0.0:
         raise DomainError("the fit window's eigenvalues share one logarithm")
-    slope = float(x @ (y - y.mean())) / spread
+    slope = float(x @ (y - np.add.reduce(y) / y.size)) / spread
     n = round(2.0 * slope)
     diagnostic = abs(2.0 * slope - n)
     if diagnostic > SLOPE_SNAP_THRESHOLD or n < 1:

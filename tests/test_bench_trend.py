@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
+import statistics
 import subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -51,6 +53,38 @@ def test_import_wall_times_a_bare_import_with_the_sides_alternating(tmp_path, mo
     turns = [change, parent, parent, change] * (repeats // 2) + [change, parent] * (repeats % 2)
     assert [cwd for _, cwd in ran] == turns
     assert set(walls) == set(sides)
+
+
+def test_fresh_walls_keep_every_repeat_beside_the_median(tmp_path, monkeypatch):
+    # Each side's fresh-interpreter fields hold every repeat in run order,
+    # so an offset between the sides can be read repeat by repeat.
+    bench_trend = _bench_trend()
+    sides = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    clock = iter(range(100))
+    waits = []
+    monkeypatch.setattr(bench_trend.subprocess, "run", lambda cmd, cwd, **kw: waits.append(kw))
+    monkeypatch.setattr(bench_trend.time, "perf_counter", lambda: float(next(clock)) ** 2)
+    cli = {"verify": bench_trend.cli_wall(sides, ["verify"])}
+    imports = bench_trend.fresh_wall(sides, ["-c", bench_trend.IMPORT_PROGRAM])
+    repeats = bench_trend.CLI_REPEATS
+    for walls in (cli["verify"], imports):
+        assert set(walls) == set(sides)
+        assert all(len(runs) == repeats for runs in walls.values())
+    fields = bench_trend.wall_fields("parent", cli, imports)
+    assert fields == {
+        "cli_wall_s": {"verify": statistics.median(cli["verify"]["parent"])},
+        "cli_wall_runs_s": {"verify": cli["verify"]["parent"]},
+        "import_wall_s": statistics.median(imports["parent"]),
+        "import_wall_runs_s": imports["parent"],
+    }
+    # perf_counter reads k^2 at its k-th call, so each wall is an odd number
+    # and none repeats: the runs are the samples themselves, not a summary.
+    assert len(set(imports["parent"] + imports["change"])) == 2 * repeats
+    json.dumps(fields)
+    # Each run's output goes to a pipe, so its wall ends at the child's exit
+    # rather than at the next poll of a wait with a timeout (every 50 ms).
+    assert all(kw["stdout"] is subprocess.PIPE for kw in waits)
+    assert all(kw["timeout"] == bench_trend.RUN_TIMEOUT_S for kw in waits)
 
 
 def test_scipy_modules_counts_what_verify_quick_left_loaded(tmp_path):

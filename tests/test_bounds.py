@@ -46,6 +46,7 @@ from orbispec import bounds as bounds_module
 from orbispec import dirichlet
 from orbispec.bounds import ALPHA_MARGIN, RHO_TOL_SCALE, SHRINK
 from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
+from orbispec.weyl import estimate_volume
 from oracles import (
     breakpoints,
     exhaustive_diameter_bound,
@@ -226,25 +227,35 @@ def test_best_diameter_bound_solves_few_radii(model_id, monkeypatch):
     # The default search at both verify truncations and the exact kappa:
     # at most one radius per distinct eigenvalue, plus the truncation's,
     # none past the antipodal cap.  The search resolves only the breakpoints
-    # that can win, scores the truncation's, r_T, through diameter_bound
-    # itself and no other radius, and returns the full scan's triple over
-    # every breakpoint, none of which that scan refuses.
+    # that can win, never calls diameter_bound, scores the truncation's
+    # radius r_T first with the triple diameter_bound gives there, and
+    # returns the full scan's triple over every breakpoint, none of which
+    # that scan refuses.
     model = catalog_model(model_id)
     n, kappa = model.dimension, model.curvature_lower_bound
-    real = bounds_module.diameter_bound
-    calls = []
+    real, real_weigh = bounds_module.diameter_bound, bounds_module._weigh
+    calls, weighed = [], []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def weigh(*args):
+        weighed.append(real_weigh(*args))
+        return weighed[-1]
+
     monkeypatch.setattr(bounds_module, "diameter_bound", counted)
+    monkeypatch.setattr(bounds_module, "_weigh", weigh)
     for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
         spec = model.spectrum(truncation)
         grid = breakpoints(spec, n, kappa)
         calls.clear()
+        weighed.clear()
         search = best_diameter_bound(spec, kappa, n)
-        assert [args[3] for args in calls] == [grid[-1]], truncation
+        assert calls == [], truncation
+        r_t = float(grid[-1])
+        d, rho = real(spec, kappa, n, r_t)
+        assert weighed[0] == (d, r_t, rho), truncation
         assert search.radii_searched == len(grid) <= spec.values.size + 1
         scan = exhaustive_diameter_bound(spec, kappa, n, grid)
         assert search == scan and scan.last_skip is None
@@ -906,6 +917,65 @@ def test_singular_report_extends_the_isotropy_report(model_id):
                     del full["notes"][name]
                     full[name] = None
                 assert full == spectral_isotropy_bound(spec, kappa, **given).to_dict()
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the text of the domain or certification error it raises
+    with any stage prefix dropped."""
+    try:
+        return fn(*args, **kwargs)
+    except (CertificationError, DomainError) as exc:
+        return str(exc).split("] ", 1)[-1] if isinstance(exc, CertificationError) else str(exc)
+
+
+@pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
+def test_certificates_equal_the_public_caps_composed(model_id):
+    # The pipeline reads one model-ball record per certificate; the public
+    # caps validate their arguments and run the same private functions, so
+    # at both verify truncations, at kappa = K, K - 0.75 and K - 3, with
+    # the given volume and the Weyl one, the report's caps and constants,
+    # or its failure's text, are those of isotropy_order_cap and
+    # singular_point_cap called on the report's (n, kappa, D, v).
+    model = catalog_model(model_id)
+    n = model.dimension
+    for truncation in VERIFY_TRUNCATIONS[(model.kind, n)]:
+        spec = model.spectrum(truncation)
+        for kappa in (model.curvature_lower_bound + dk for dk in (0.0, -0.75, -3.0)):
+            d = best_diameter_bound(spec, kappa, n)[0]
+            for v in (model.volume, estimate_volume(spec, n)):
+                given = {"n": n, "v": v} if v == model.volume else {}
+                iso = _outcome(isotropy_order_cap, n, kappa, d, v)
+                sing = _outcome(singular_point_cap, n, kappa, d, v)
+                rep = _outcome(spectral_singular_point_bound, spec, kappa, **given)
+                if isinstance(rep, str):
+                    assert isinstance(iso, int) and rep == sing, (truncation, kappa, given)
+                    continue
+                assert (rep.n, rep.diameter_bound, rep.volume) == (n, d, v)
+                assert rep.isotropy_cap == iso
+                constants = {"alpha": rep.alpha, "ell": rep.ell, "r": rep.r_sep}
+                assert (rep.singular_cap, constants) == sing, (truncation, kappa, given)
+
+
+@pytest.mark.parametrize("pipeline", [spectral_isotropy_bound, spectral_singular_point_bound])
+def test_one_model_ball_volume_per_certificate(pipeline, monkeypatch):
+    # The isotropy cap, alpha's cone and band and the packing count read
+    # one record of the radius-D model ball: ball_volume at D runs once per
+    # certificate, whichever caps it certifies.
+    radii = []
+    real = bounds_module.ball_volume
+
+    def spy(sf, r):
+        radii.append(r)
+        return real(sf, r)
+
+    monkeypatch.setattr(bounds_module, "ball_volume", spy)
+    for model in model_catalog():
+        n = model.dimension
+        spec = model.spectrum(VERIFY_TRUNCATIONS[(model.kind, n)][-1])
+        for kappa in (model.curvature_lower_bound, model.curvature_lower_bound - 0.75):
+            radii.clear()
+            rep = pipeline(spec, kappa, n=n, v=model.volume)
+            assert radii.count(rep.diameter_bound) == 1, (model.model_id, kappa)
 
 
 def test_pipeline_dimension_conflict(s2_spectrum):

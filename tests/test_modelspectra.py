@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -340,6 +341,49 @@ def test_a_record_holds_its_largest_spectrum_and_cuts_lower_ones(model_id):
             record.spectrum(lam)
         assert record._held is wider
     assert record.spectrum(2000.0) is wider
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_record(model_id: str):
+    """A fresh copy of a torus catalog record holding its spectrum at 64000."""
+    record = dataclasses.replace(catalog_model(model_id))
+    record.spectrum(64000.0)
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_id=st.sampled_from(["t2", "pillowcase", "t2-mod-4"]),
+    share=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+)
+@example(model_id="t2", share=0.0)  # the cut holds the zero mode alone
+@example(model_id="pillowcase", share=math.nextafter(1.0, 0.0))
+def test_a_cut_shares_all_three_held_arrays_and_checks_nothing_again(model_id, share):
+    # A cut below the held truncation equals a fresh build from its pairs,
+    # takes read-only views of all three held arrays, and never passes
+    # through the constructor's checks.
+    record = _torus_record(model_id)
+    held = record._held
+    truncation = share * held.truncation
+    fills = []
+    real = Spectrum._fill
+
+    def fill(self, *args):
+        fills.append(args)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Spectrum, "_fill", fill)
+        cut = record.spectrum(truncation)
+    assert fills == [] and record._held is held
+    pairs = [(v, m) for v, m in held.entries if v <= truncation]
+    fresh = Spectrum(pairs, truncation, held.dimension)
+    assert cut == fresh and cut.total_count == fresh.total_count
+    for name in ("values", "multiplicities", "cumulative_counts"):
+        part, whole = getattr(cut, name), getattr(held, name)
+        assert np.array_equal(part, getattr(fresh, name)), name
+        assert part.dtype == whole.dtype and np.shares_memory(part, whole), name
+        assert not part.flags.writeable, name
 
 
 def test_counting_function_rejects_non_finite_bounds():

@@ -15,12 +15,15 @@ from orbispec import (
     catalog_model,
     estimate_dimension,
     estimate_volume,
+    model_catalog,
     spectral_isotropy_bound,
     spectral_singular_point_bound,
     weyl,
     weyl_fit,
 )
+from orbispec.cli import _VERIFY_TRUNCATIONS as VERIFY_TRUNCATIONS
 from orbispec.weyl import MIN_EIGENVALUE_COUNT
+from conftest import truncation_for
 
 
 def test_dimension_recovery_on_catalog(catalog_spectra):
@@ -62,6 +65,26 @@ def test_weyl_fit_equals_the_separate_estimates(catalog_spectra):
         n, diag = estimate_dimension(spec)
         assert (fit.dimension_estimate, fit.residual) == (n, diag), model_id
         assert fit.volume_estimate == estimate_volume(spec, n), model_id
+
+
+def _mean_slope_dimension(lam, counts):
+    """The slope fit's (n, diagnostic) with ndarray.mean, as it was written
+    before the means became np.add.reduce over the size."""
+    x, y = np.log(lam), np.log(counts)
+    x -= x.mean()
+    slope = float(x @ (y - y.mean())) / float(x @ x)
+    n = round(2.0 * slope)
+    return int(n), abs(2.0 * slope - n)
+
+
+@pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])
+def test_slope_fit_equals_the_mean_formula_bit_for_bit(model_id):
+    # At both verify truncations and the suite's own, every catalog window
+    # fits the same (n, diagnostic), to the bit, as the mean-based formula.
+    model = catalog_model(model_id)
+    for truncation in {*VERIFY_TRUNCATIONS[(model.kind, model.dimension)], truncation_for(model)}:
+        lam, counts, _ = weyl._window_samples(model.spectrum(truncation))
+        assert weyl._slope_dimension(lam, counts) == _mean_slope_dimension(lam, counts)
 
 
 @pytest.fixture

@@ -15,10 +15,11 @@ change alternating and the side that goes first alternating too, then one
 traced run for the per-layer numbers.  It also times
 ``import orbispec.cli``, ``orbispec verify`` and ``orbispec verify --quick``
 in fresh interpreters (wall seconds, median of CLI_REPEATS, the two sides
-taking turns in each repeat), counts the ``scipy`` modules a fresh
-``orbispec verify --quick`` leaves loaded, reads the library's size (lines in
-``src/orbispec/*.py`` and the length of ``orbispec.__all__``, the names from
-a fresh interpreter on the side's tree), and runs the tier-1 pytest suite
+taking turns in each repeat, every repeat kept beside the median), counts
+the ``scipy`` modules a fresh ``orbispec verify --quick`` leaves loaded,
+reads the library's size (lines in ``src/orbispec/*.py`` and the length of
+``orbispec.__all__``, the names from a fresh interpreter on the side's
+tree), and runs the tier-1 pytest suite
 once in the side's tree (wall seconds and pytest's summary line; bytecode
 goes to a fresh cache directory per side, so both sides compile cold and
 nothing is written into the tree but the hypothesis database).  Each side
@@ -31,11 +32,12 @@ commit (for this checkout "uncommitted" when ``git status --porcelain`` is
 not empty; ``source_sha256`` identifies the sources either way) and per
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares and ``bounds.radii_tried`` from the traced
-run, the import and CLI wall times, the scipy module count, the library
-size and the pytest run.  Per workload, ``pairs_won`` counts for each
-end-to-end metric the pairs in which the change read better than the
-parent run beside it, in the direction BENCHMARK.json gives; ties count
-for neither side.
+run, the import and CLI wall times (``cli_wall_s`` and ``import_wall_s``
+the medians, ``cli_wall_runs_s`` and ``import_wall_runs_s`` every repeat in
+run order), the scipy module count, the library size and the pytest run.
+Per workload, ``pairs_won`` counts for each end-to-end metric the pairs in
+which the change read better than the parent run beside it, in the
+direction BENCHMARK.json gives; ties count for neither side.
 """
 
 from __future__ import annotations
@@ -137,11 +139,16 @@ def _env(root: Path) -> dict:
     return env
 
 
-def fresh_wall(sides: dict[str, Path], argv: list[str]) -> dict[str, float]:
-    """Per side, median wall seconds of `python <argv>` in a fresh interpreter.
+def fresh_wall(sides: dict[str, Path], argv: list[str]) -> dict[str, list[float]]:
+    """Per side, the wall seconds of each of CLI_REPEATS runs of `python
+    <argv>` in a fresh interpreter, in run order.
 
     The sides take turns within each repeat, and the side that goes first
-    alternates, so a drift in the machine's speed reaches both alike.
+    alternates, so a drift in the machine's speed reaches both alike.  The
+    child's output goes to a pipe, whose end of file ends the wait as the
+    child exits: with a timeout and no pipe, subprocess waits by polling,
+    sleeping up to 50 ms between polls, which put every wall on a 50 ms
+    grid (the 0.05 s steps between the sides in BENCH_28 to BENCH_31).
     """
     names = list(sides)
     times: dict[str, list[float]] = {side: [] for side in names}
@@ -150,16 +157,26 @@ def fresh_wall(sides: dict[str, Path], argv: list[str]) -> dict[str, float]:
             t0 = time.perf_counter()
             subprocess.run(
                 [sys.executable, *argv], cwd=sides[side],
-                env=_env(sides[side]), stdout=subprocess.DEVNULL, check=True,
+                env=_env(sides[side]), stdout=subprocess.PIPE, check=True,
                 timeout=RUN_TIMEOUT_S,
             )
             times[side].append(time.perf_counter() - t0)
-    return {side: statistics.median(t) for side, t in times.items()}
+    return times
 
 
-def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, float]:
-    """Per side, median wall seconds of `orbispec <args>` (see fresh_wall)."""
+def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, list[float]]:
+    """Per side, the wall seconds of each run of `orbispec <args>` (see fresh_wall)."""
     return fresh_wall(sides, ["-c", CLI_PROGRAM, *args])
+
+
+def wall_fields(side: str, cli: dict[str, dict], imports: dict[str, list[float]]) -> dict:
+    """One side's fresh-interpreter fields: the medians, and every repeat beside them."""
+    return {
+        "cli_wall_s": {cmd: statistics.median(walls[side]) for cmd, walls in cli.items()},
+        "cli_wall_runs_s": {cmd: walls[side] for cmd, walls in cli.items()},
+        "import_wall_s": statistics.median(imports[side]),
+        "import_wall_runs_s": imports[side],
+    }
 
 
 def scipy_modules(root: Path) -> int:
@@ -244,8 +261,7 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
         out[side] = {
             "source_sha256": plain[0]["meta"]["source_sha256"],
             "workloads": workloads,
-            "cli_wall_s": {cmd: walls[side] for cmd, walls in cli.items()},
-            "import_wall_s": imports[side],
+            **wall_fields(side, cli, imports),
             "scipy_modules_verify_quick": scipy_modules(root),
             "library": library_size(root),
             "pytest": pytest_wall(root, scratch / f"pycache-{side}"),
@@ -285,7 +301,8 @@ def main(argv=None) -> int:
             "cli_repeats": CLI_REPEATS, "workloads": list(WORKLOADS),
             "times": (
                 "end-to-end times in perfbench reference seconds; "
-                "cli_wall_s, import_wall_s and pytest.wall_s in wall seconds"
+                "cli_wall_s, import_wall_s, their *_runs_s and pytest.wall_s "
+                "in wall seconds"
             ),
         },
         **results,
