@@ -44,7 +44,7 @@ from .dirichlet import (
     _threshold_form,
     _threshold_top,
 )
-from .errors import CertificationError, ConvergenceError, DomainError, _count, _positive
+from .errors import CertificationError, ConvergenceError, DomainError, _count, _positive, _real
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
     SpaceForm,
@@ -61,9 +61,6 @@ from .weyl import _median_volume, _slope_dimension, _window_samples
 
 ALPHA_MARGIN = 1e-9
 SHRINK = 1.0 - 1e-6
-# The bit pattern of the largest float; those of positive floats order as
-# the floats do.
-_LARGEST_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
 
 
 def spectrum_content_id(spec: Spectrum) -> str:
@@ -173,53 +170,6 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     return min(d, bonnet_myers_cap(kappa)), rho
 
 
-def _bits(x: float) -> int:
-    """The bit pattern of the float x as an integer."""
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _from_bits(bits: int) -> float:
-    """The float whose bit pattern is the integer bits."""
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _first_below(top, target: float, guess: float) -> float:
-    """The smallest positive float r with top(r) < target.
-
-    top must be non-increasing in r and below target at the largest float.
-    The search probes the guess, then the float beside it toward the
-    answer: the guess inverts a few correctly rounded steps, and in the
-    catalog's searches nearly every answer lay from one float below it to
-    two above, so two or three probes settle most targets.  Otherwise it steps
-    1, 2, 4, ... floats on the bit patterns until the answer is bracketed,
-    then bisects the bracket: a guess k floats off costs about 2 log2(k)
-    probes, and any guess at most about 126.  r = 0, the threshold's pole,
-    is never probed.
-    """
-    guess = min(max(_bits(guess), 1), _LARGEST_BITS)
-    if top(_from_bits(guess)) < target:
-        hi, step = guess, 1
-        while True:
-            lo = max(hi - step, 0)
-            if lo == 0 or not top(_from_bits(lo)) < target:
-                break
-            hi, step = lo, 2 * step
-    else:
-        lo, step = guess, 1
-        while True:
-            hi = min(lo + step, _LARGEST_BITS)
-            if hi == _LARGEST_BITS or top(_from_bits(hi)) < target:
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if top(_from_bits(mid)) < target:
-            hi = mid
-        else:
-            lo = mid
-    return _from_bits(hi)
-
-
 class DiameterSearch(tuple):
     """(D, r, rho) of the winning radius, with what the search saw.
 
@@ -286,8 +236,8 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
 
     Which breakpoints can win.  The search resolves r_T first and scores
     it; then it walks the targets lam_k upward, so r_k falls, and resolves
-    r_k (_first_below, from the closed-form inverse g_k of top) only where
-    a proven lower bound on its D could still win against the best so far:
+    r_k (from the closed-form inverse g_k of top) only where a proven
+    lower bound on its D could still win against the best so far:
 
     * r_k >= r_T, since lam_k <= T < nextafter(T, inf).
     * With r_lo = g_k (1 - 1e-9): if top(r_lo) >= lam_k, then r_k > r_lo,
@@ -312,6 +262,13 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     cap, as when kappa > 0 clamps every D, it stops once that product
     reaches the cap (both tests: bound > _edge).  radii_resolved counts
     the breakpoints resolved, r_T's included.
+
+    Resolving.  newton_bracket closes each breakpoint on (0, widest] with
+    zero steps from g_k (g at T for r_T), so the pole r = 0 is never
+    probed.  g inverts a few correctly rounded steps: in the catalog's
+    searches nearly every breakpoint lay from one float below g_k to two
+    above, so two or three probes settle most; k floats off cost about
+    2 log2(k).
 
     Scoring.  No breakpoint, r_T included, is refused: each lies in
     (0, widest], its top is at most T, and 2 r (rho + 1) stays finite, as r
@@ -347,6 +304,10 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
         flat = (target + shift - tol) / scale
         return q / math.sqrt(flat) if flat > 0.0 else widest
 
+    def first_below(target: float, guess: float) -> float:
+        # The smallest positive float r with top(r) < target: see Resolving.
+        return newton_bracket(lambda r: (not top(r) < target, 0.0), 0.0, widest, guess)[1]
+
     widest = min(CAP_SHRINK * cap, sys.float_info.max)
     least = top(widest)
     truncation = math.nextafter(spec.truncation, math.inf)
@@ -360,7 +321,7 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
         )
     first = int(np.searchsorted(values, least, "right"))
     # An inf target is inverted at the largest float: from its pole r = 0 the search would gallop.
-    r_t = _first_below(top, truncation, inverse(min(truncation, sys.float_info.max)))
+    r_t = first_below(truncation, inverse(min(truncation, sys.float_info.max)))
     i = int(values.searchsorted(top(r_t), "right"))  # rho(r_T) = N(top(r_T)), see Scoring
     best = _weigh((math.inf, 0.0, 0), r_t, counts.item(i - 1) if i else 0, cap)
     edge = _edge(best, r_t, cap)
@@ -373,7 +334,7 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
         low = guess * (1.0 - 1e-9)
         # r_k > low once top(low) >= lam_k is checked, and r_k >= r_T always.
         if not 2.0 * (low if low > r_t and top(low) >= lam else r_t) * (below + 1) > edge:
-            r = _first_below(top, lam, guess)
+            r = first_below(lam, guess)
             resolved += 1
             if top(r) >= previous:  # else r_k = r_(k-1), whose triple is weighed
                 best = _weigh(best, r, below, cap)
@@ -446,28 +407,6 @@ def _isotropy_cap(ball: _ModelBall, v: float) -> int:
     return max(1, _floor_ratio(ball.volume, v))
 
 
-def _guarded_newton(probe):
-    """A newton_bracket probe from probe(x) -> (left, gap, slope).
-
-    The step is gap / slope, except where the slope underflows or two
-    probes in a row land exactly on the target, as they do where the value
-    is flat to rounding over many floats (near pi/2 or the antipodal cap)
-    and one-float steps would walk it: there the step is infinite toward
-    the far end, which newton_bracket turns into a midpoint.
-    """
-    exact = 0
-
-    def guarded(x: float) -> tuple[bool, float]:
-        nonlocal exact
-        left, gap, slope = probe(x)
-        exact = exact + 1 if gap == 0.0 else 0
-        if slope > 0.0 and exact < 2:
-            return left, gap / slope
-        return left, math.inf if left else -math.inf
-
-    return guarded
-
-
 def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     """Largest certified angle whose bad-direction cone stays under v/6.
 
@@ -476,10 +415,10 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     2 sphere_measure(n-2) cos^(n-2) alpha, so Newton steps on it
     (newton_bracket) give the angle at which the band's share of the
     sphere is the budget's share of the ball.  That angle only starts the
-    search: the angle is stepped down until the forward cone satisfies the
-    strict inequality with relative margin 1e-9 (a relative margin keeps
-    the angle invariant under rescaling), and that forward check is the
-    certificate.
+    search: it is returned when the forward cone satisfies the strict
+    inequality with relative margin 1e-9 (a relative margin keeps the angle
+    invariant under rescaling), and else newton_bracket closes that forward
+    check, the certificate, below it.
     """
     sf = SpaceForm(n, kappa)
     cap = bonnet_myers_cap(kappa)
@@ -514,27 +453,18 @@ def _alpha(ball: _ModelBall, v: float) -> float:
         )
     band = omega * min(1.0, target / ball.volume)
 
-    def probe(alpha: float) -> tuple[bool, float, float]:
+    def probe(alpha: float) -> tuple[bool, float]:
         gap = band - _linked_complement(rate, n - 1, alpha)
-        return gap > 0.0, gap, rate * math.cos(alpha) ** (n - 2)
+        slope = rate * math.cos(alpha) ** (n - 2)
+        return gap > 0.0, gap / slope if slope > 0.0 else 0.0
 
-    alpha = newton_bracket(_guarded_newton(probe), lo, hi, min(max(band / rate, lo), hi))[0]
-    # Step down until the forward check passes, doubling the step after each
-    # failure, then bisect back up to the last failure: the result is the
-    # angle one-ulp steps would reach, without the billions of steps they
-    # take where the cone is flat to rounding (a budget within a few ulps of
-    # the ball volume puts the start near pi/2).  cone(lo) passes, so the
-    # walk stops at lo at worst.
-    fail, step = None, math.ulp(alpha)
-    while not cone(alpha) < target:
-        fail, alpha, step = alpha, max(lo, alpha - step), 2.0 * step
-    while fail is not None and math.nextafter(alpha, fail) < fail:
-        mid = 0.5 * (alpha + fail)
-        if cone(mid) < target:
-            alpha = mid
-        else:
-            fail = mid
-    return alpha
+    start = newton_bracket(probe, lo, hi, min(max(band / rate, lo), hi))[0]
+    if cone(start) < target:
+        return start
+    # The check can fail where the cone is flat to rounding, as near pi/2 when
+    # the budget is within ulps of the ball; cone(lo) passes, so it closes below.
+    below = math.nextafter(start, lo)
+    return newton_bracket(lambda a: (cone(a) < target, 0.0), lo, start, below)[0]
 
 
 def ell_constant(n: int, kappa: float, v: float) -> float:
@@ -582,12 +512,12 @@ def _ell(sf: SpaceForm, cap: float, v: float) -> float:
     omega = sphere_measure(n - 1)
     log_target = math.log(target)
 
-    def probe(r: float) -> tuple[bool, float, float]:
+    def probe(r: float) -> tuple[bool, float]:
         vol = ball_volume(sf, r)
-        density = omega * (sine(s * r) / s) ** (n - 1)
-        return vol <= target, (log_target - math.log(vol)) * vol, density
+        gap, slope = (log_target - math.log(vol)) * vol, omega * (sine(s * r) / s) ** (n - 1)
+        return vol <= target, gap / slope if slope > 0.0 else 0.0
 
-    return SHRINK * newton_bracket(_guarded_newton(probe), 0.0, hi, min(flat, hi))[0]
+    return SHRINK * newton_bracket(probe, 0.0, hi, min(flat, hi))[0]
 
 
 def r_constant(kappa: float, alpha: float, ell: float) -> float:
@@ -607,8 +537,8 @@ def r_constant(kappa: float, alpha: float, ell: float) -> float:
     For kappa > 0 with s ell >= pi/2 every such hinge shortens, so r* = ell.
     The final shrink keeps the certificate strict.
     """
-    _check_curvature(kappa)
-    return _separation(kappa, bonnet_myers_cap(kappa), alpha, ell)
+    kappa = _check_curvature(kappa)
+    return _separation(kappa, bonnet_myers_cap(kappa), _real(alpha, "angle"), ell)
 
 
 def _separation(kappa: float, cap: float, alpha: float, ell: float) -> float:
@@ -645,8 +575,8 @@ def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
     kappa; the diameter is clamped at the antipodal cap, and it and eps must
     then be positive and finite, with eps <= 2 diameter.
     """
-    sf = SpaceForm(n, float(kappa))
-    cap = bonnet_myers_cap(kappa)
+    sf = SpaceForm(n, kappa)
+    cap = bonnet_myers_cap(sf.kappa)
     diameter = _diameter(diameter, cap)
     eps = _check_eps(eps, diameter)
     return _packing(_model_ball(sf, cap, diameter), eps)
@@ -818,7 +748,7 @@ def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
     """
     trace: list[dict] = []
     sf, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
-    n = sf.n
+    n, kappa = sf.n, sf.kappa
     with _stage(trace, "diameter", {"kappa": kappa, "n": n}) as out:
         search = best_diameter_bound(spec, kappa, n)
         d, r_used, rho = search
@@ -856,7 +786,7 @@ def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
         )
     return BoundReport(
         spectrum_id=spectrum_content_id(spec),
-        kappa=float(kappa),
+        kappa=kappa,
         n=n,
         volume=v,
         source=source,

@@ -217,6 +217,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def counting_function(spec: Spectrum, lam: float) -> int:
     """N(lam): number of eigenvalues <= lam, counted with multiplicity."""
+    lam = _real(lam, "eigenvalue bound")
     if not math.isfinite(lam):
         raise DomainError(f"counting needs a finite eigenvalue bound, got {lam!r}")
     if lam > spec.truncation:

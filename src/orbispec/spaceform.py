@@ -15,11 +15,12 @@ one-dimensional roots, found by newton_bracket.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _count
+from .errors import ConvergenceError, DomainError, _count, _real
 
 # Switch to the truncated power series once |kappa| * r^2 drops below this;
 # the trig/hyperbolic branches lose digits to cancellation there.
@@ -44,7 +45,7 @@ RECURSION_REACH = 1.0 / 16.0
 class SpaceForm:
     """Simply connected model space: dimension ``n`` and curvature ``kappa``.
 
-    ``n`` is stored as a plain int; numpy integers are accepted.
+    ``n`` is stored as a plain int and ``kappa`` as a float; numpy scalars pass.
     """
 
     n: int
@@ -52,28 +53,35 @@ class SpaceForm:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n, "model dimension", 2))
-        _check_curvature(self.kappa)
+        object.__setattr__(self, "kappa", _check_curvature(self.kappa))
 
 
-def _check_curvature(kappa: float) -> None:
-    """The curvature rule: kappa must be finite."""
+def _check_curvature(kappa) -> float:
+    """The curvature rule: kappa as a float, a finite real number (errors._real)."""
+    kappa = _real(kappa, "curvature")
     if not math.isfinite(kappa):
         raise DomainError(f"curvature must be finite, got {kappa!r}")
+    return kappa
 
 
 def bonnet_myers_cap(kappa: float) -> float:
-    """Largest possible diameter under curvature >= kappa: pi/sqrt(kappa), else infinity."""
+    """Largest possible diameter under curvature >= kappa: pi/sqrt(kappa), else
+    infinity.  kappa is held to the curvature rule."""
+    kappa = _check_curvature(kappa)
     if kappa > 0:
         return math.pi / math.sqrt(kappa)
     return math.inf
 
 
 def _check_radius(kappa: float, r, what: str = "radius"):
-    """r as a float array, after one min/max pass, and its least entry.
+    """r as a float array, after one min/max pass, and its least entry; a
+    scalar r must be a real number (errors._real).
 
     The error names the offending value, so a scalar and an array holding
     it raise the same message.
     """
+    if np.ndim(r) == 0 and not isinstance(r, np.ndarray):
+        r = _real(r, what)
     rr = np.asarray(r, dtype=float)
     lo, hi = rr.min(initial=math.inf), rr.max(initial=-math.inf)
     _check_extent(kappa, float(lo), float(hi), what)
@@ -121,18 +129,35 @@ def generalized_sin(kappa: float, r):
     return out
 
 
+def _bits(x: float) -> int:
+    """An integer key per float, ordered as the floats and 1 apart between
+    neighbours: the bit pattern as a signed integer, low 63 bits flipped if negative."""
+    b = struct.unpack("<q", struct.pack("<d", x))[0]
+    return b ^ (b >> 63 & 0x7FFFFFFFFFFFFFFF)
+
+
+def _from_bits(key: int) -> float:
+    """The float whose _bits key is key (the flip undoes itself)."""
+    return struct.unpack("<d", struct.pack("<q", key ^ (key >> 63 & 0x7FFFFFFFFFFFFFFF)))[0]
+
+
 def newton_bracket(probe, lo: float, hi: float, x: float) -> tuple[float, float]:
     """Shrink the bracket [lo, hi] of a sign change to two adjacent floats.
 
     probe(x) returns (left, step): whether x lies left of the sign change,
     and the Newton step from x.  The next probe is x + step when that moves
-    toward the other end and stays strictly inside the bracket, the midpoint
-    when it leaves the bracket, and the neighbouring float toward the other
-    end when the step is zero or points back.  So Newton converges to within
-    rounding and the last probes close the bracket one float at a time.
-    The ends passed in are taken on trust; the returned lo was probed left
-    and hi right, unless one of them is still a passed-in end.
+    toward the other end and stays strictly inside the bracket, and the
+    midpoint when it leaves the bracket.  A step that is zero, points back
+    or is not a number gallops toward the other end instead: 1 float, then
+    2, 4, ... floats on the _bits keys while such steps repeat, never past
+    the bracket's middle float.  So Newton converges to within rounding
+    and the last probes close the bracket.  With zero steps the probes are
+    an exponential search and a bisection on the floats: about 2 log2(k)
+    from a start k floats off, or across k floats flat to rounding, and at
+    most about 130.  The ends passed in are taken on trust; the returned lo
+    was probed left and hi right, unless one of them is still a passed-in end.
     """
+    stride = 1
     for _ in range(ROOT_MAX_PROBES):
         left, step = probe(x)
         if left:
@@ -142,10 +167,16 @@ def newton_bracket(probe, lo: float, hi: float, x: float) -> tuple[float, float]
         if not math.nextafter(lo, hi) < hi:
             return lo, hi
         nxt = x + step
-        if not (nxt > x if left else nxt < x):
-            nxt = math.nextafter(x, hi if left else lo)
-        elif not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
+        if nxt > x if left else nxt < x:
+            stride = 1
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+        elif stride == 1:
+            nxt, stride = math.nextafter(x, hi if left else lo), 2
+        else:
+            key, middle = _bits(x), (_bits(lo) + _bits(hi)) // 2
+            nxt = _from_bits(min(key + stride, middle) if left else max(key - stride, middle))
+            stride *= 2
         x = nxt
     raise ConvergenceError(f"no adjacent-float bracket after {ROOT_MAX_PROBES} probes")
 
@@ -176,7 +207,7 @@ def ball_volume(sf: SpaceForm, r: float) -> float:
     it is the whole sphere.  A volume past every float (a large hyperbolic
     ball) is a DomainError.
     """
-    r = float(r)
+    r = _real(r, "radius")
     _check_extent(sf.kappa, r, r)
     if r == 0.0:
         return 0.0
@@ -298,6 +329,7 @@ def linked_complement_measure(d: int, alpha: float) -> float:
     pi/2.
     """
     d = _count(d, "sphere dimension", 1)
+    alpha = _real(alpha, "alpha")
     if not (-ACOS_DRIFT <= alpha <= 0.5 * math.pi + ACOS_DRIFT):
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     alpha = min(max(alpha, 0.0), 0.5 * math.pi)
@@ -315,7 +347,7 @@ def cone_volume(sf: SpaceForm, r: float, direction_measure: float) -> float:
     given measure on the unit (n-1)-sphere: ball volume scaled by the
     direction fraction."""
     omega = sphere_measure(sf.n - 1)
-    share = _direction_share(direction_measure, omega)
+    share = _direction_share(_real(direction_measure, "direction measure"), omega)
     return ball_volume(sf, r) * share / omega
 
 

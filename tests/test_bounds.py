@@ -558,12 +558,26 @@ def test_alpha_constant_budget_at_the_ball_volume():
             alpha = alpha_constant(n, kappa, d, v)
             assert 1.5 < alpha < ALPHA_HI
             assert _oracle_cone(n, kappa, d, alpha) < v / 6.0
+    # Budgets from 0 to 10^6 ulps either side of 6 ball_volume, up to n = 10,
+    # where cos^(n-2) flattens the band further: every angle passes the
+    # library's forward check, and the oracle's.
+    for n in range(2, 11):
+        for kappa, d in ((0.0, 1.0), (-1.0, 2.0), (1.0, 2.0)):
+            sf = SpaceForm(n, kappa)
+            six = 6.0 * ball_volume(sf, d)
+            for ulps in (0, 1, 3, 10, 100, 10**3, 10**4, 10**5, 10**6, -1, -10**3, -10**6):
+                v = six + ulps * math.ulp(six)
+                alpha = alpha_constant(n, kappa, d, v)
+                band = linked_complement_measure(n - 1, alpha)
+                assert cone_volume(sf, d, band) < v / 6.0 * (1.0 - ALPHA_MARGIN)
+                assert _oracle_cone(n, kappa, d, alpha) < v / 6.0
 
 
 def test_alpha_constant_bisects_back_up_to_the_largest_passing_angle():
-    # At a budget of 10^-5.76 of the ball, the bisection back up from the
-    # walk down meets failing midpoints as well as passing ones; the angle
-    # returned still passes the forward check and the next float up fails.
+    # At a budget of 10^-5.76 of the ball the forward check fails at the
+    # band's root, and closing its own sign change below meets failing
+    # probes as well as passing ones; the angle returned still passes the
+    # forward check and the next float up fails.
     n, kappa, d = 4, 1.0, 1.0
     sf = SpaceForm(n, kappa)
     v = ball_volume(sf, d) * 10 ** (-288 / 50)

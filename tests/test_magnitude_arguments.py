@@ -7,7 +7,9 @@ first clamped at the antipodal cap pi/sqrt(kappa), so with kappa > 0 an
 infinite one gives the cap's result.  The pipelines refuse a bad volume as a
 CertificationError of their weyl-volume stage.  ball_volume, cone_volume and
 generalized_sin take a radius >= 0 instead (the zero ball is a ball), under
-their own nonnegative-radius check.
+their own nonnegative-radius check.  Those radii, the angles, the direction
+measure and the counting bound must still be real numbers, and so must a
+curvature, which must also be finite: it is stored as a float.
 """
 from __future__ import annotations
 
@@ -24,10 +26,16 @@ from orbispec import (
     SpaceForm,
     Spectrum,
     alpha_constant,
+    ball_volume,
+    bonnet_myers_cap,
     catalog_model,
+    cone_volume,
+    counting_function,
     diameter_bound,
     ell_constant,
+    generalized_sin,
     isotropy_order_cap,
+    linked_complement_measure,
     lowest_dirichlet_eigenvalue,
     packing_bound,
     r_constant,
@@ -105,14 +113,53 @@ def test_magnitude_argument_rule(call, valid, cap):
 def test_records_store_plain_floats():
     model = ModelOrbifold("x", 2, np.float64(0.5), 2, 0.0, lattice_basis=np.eye(2))
     assert type(model.volume) is float and type(model.diameter) is float
+    assert all(type(SpaceForm(2, k).kappa) is float for k in (1, np.float64(-1.0), np.int64(0)))
+
+
+# (name, call of a real argument, a valid value): a bool and a non-real are
+# refused, and an int past every float counts as infinite, which each refuses.
+REAL_CASES = [
+    ("ell_constant", lambda x: ell_constant(2, 0.0, x), 1.0),
+    ("lowest_dirichlet_eigenvalue", lambda x: lowest_dirichlet_eigenvalue(SpaceForm(2, 0.0), x),
+     0.5),
+    ("ball_volume", lambda x: ball_volume(SpaceForm(3, -1.0), x), 0.5),
+    ("cone_volume.r", lambda x: cone_volume(SpaceForm(3, 1.0), x, 1.0), 0.5),
+    ("cone_volume.direction_measure", lambda x: cone_volume(SpaceForm(3, 1.0), 0.5, x), 1.0),
+    ("generalized_sin", lambda x: generalized_sin(1.0, x), 0.5),
+    ("r_constant.alpha", lambda x: r_constant(0.0, x, 1.0), 0.3),
+    ("linked_complement_measure.alpha", lambda x: linked_complement_measure(2, x), 0.3),
+    ("counting_function", lambda x: counting_function(T2, x), 100.0),
+]
 
 
 def test_non_real_and_huge_magnitudes_are_domain_errors():
-    for bad in ("1.0", 1j, None, 10**400):
+    for _, call, valid in REAL_CASES:
+        assert call(np.float64(valid)) == call(valid)
+        for bad in ("1.0", 1j, None, 10**400, True):
+            with pytest.raises(DomainError):
+                call(bad)
+
+
+# (name, call of the curvature argument): valid at 0.0 and 1.0.
+CURVATURE_CASES = [
+    ("SpaceForm", lambda k: SpaceForm(2, k)),
+    ("bonnet_myers_cap", bonnet_myers_cap),
+    ("r_constant", lambda k: r_constant(k, 0.3, 0.5)),
+    ("spectral_isotropy_bound", lambda k: spectral_isotropy_bound(T2_BARE, k, n=2, v=1.0)),
+    ("spectral_singular_point_bound",
+     lambda k: spectral_singular_point_bound(T2_BARE, k, n=2, v=1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [c[1] for c in CURVATURE_CASES], ids=[c[0] for c in CURVATURE_CASES]
+)
+def test_curvature_rule(call):
+    for valid in (0.0, 1.0):
+        assert call(np.float64(valid)) == call(valid) == call(int(valid))
+    for bad in (True, False, "1", None, 1j, math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(DomainError):
-            ell_constant(2, 0.0, bad)
-        with pytest.raises(DomainError):
-            lowest_dirichlet_eigenvalue(SpaceForm(2, 0.0), bad)
+            call(bad)
 
 
 @pytest.mark.parametrize("pipeline", [spectral_isotropy_bound, spectral_singular_point_bound])

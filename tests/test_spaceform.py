@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -346,14 +347,64 @@ def test_newton_bracket_takes_the_midpoint_when_a_step_leaves_the_bracket():
 
 
 def test_newton_bracket_gives_up_after_its_probe_budget():
-    # A probe that always reads "left" with a zero step walks one float at a
-    # time, which cannot close [0, 1] in ROOT_MAX_PROBES probes.
+    # Newton steps that crawl one float toward the far end are taken as
+    # steps, so they never gallop, and one float at a time cannot close
+    # [0, 1] in ROOT_MAX_PROBES probes.
     probes = []
 
     def probe(x):
         probes.append(x)
-        return True, 0.0
+        return True, math.ulp(x)
 
     with pytest.raises(ConvergenceError, match=f"{ROOT_MAX_PROBES} probes"):
         newton_bracket(probe, 0.0, 1.0, 0.5)
     assert len(probes) == ROOT_MAX_PROBES
+
+
+def _float_steps(x: float, k: int) -> float:
+    """The float k floats from x, away from 0 for k > 0 and toward it for k < 0."""
+    return float((np.array(x).view(np.int64) + k).view(np.float64))
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan])
+@pytest.mark.parametrize("offset", [-10**6, 10**6])
+@pytest.mark.parametrize(
+    "boundary, lo", [(1.0e-3, 0.0), (-1.0e-3, -sys.float_info.max)], ids=["positive", "negative"]
+)
+def test_newton_bracket_gallops_on_zero_steps(boundary, lo, offset, step):
+    # Zero (or NaN) steps from a guess k floats off gallop 1, 2, 4, ...
+    # floats toward the sign change and then bisect: the bracket closes on
+    # the exact boundary in at most 2 log2(k) + 4 probes, on [0, largest
+    # float] and on the negative floats of [-largest, largest] alike.
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return x < boundary, step
+
+    guess = _float_steps(boundary, offset)
+    below, hi = newton_bracket(probe, lo, sys.float_info.max, guess)
+    assert hi == boundary and below == math.nextafter(boundary, -math.inf)
+    assert len(probes) <= 2 * math.log2(abs(offset)) + 4
+
+
+def test_newton_bracket_gallops_across_a_flat_stretch():
+    # On the 2^30 floats from the sign change up the steps point back (away
+    # from lo), as where a value is flat to rounding; elsewhere they are
+    # exact.  One float per probe would need 2^30 probes.  The gallop
+    # crosses the stretch in 30, its 31st lands 2^30 floats below the
+    # boundary, a right end already probed, so the exact steps from there
+    # leave the open bracket and midpoints bisect the last 2^30 floats.
+    boundary = 1.25
+    stretch = boundary + 2**30 * math.ulp(boundary)
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        if boundary <= x < stretch:
+            return False, math.ulp(x)
+        return x < boundary, boundary - x
+
+    lo, hi = newton_bracket(probe, 1.0, 2.0, math.nextafter(stretch, 0.0))
+    assert hi == boundary and lo == math.nextafter(boundary, 0.0)
+    assert len(probes) <= 2 * 30 + 4
