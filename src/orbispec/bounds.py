@@ -35,15 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dirichlet import (
-    CAP_SHRINK,
-    RHO_TOL_SCALE,
-    _ball_threshold,
-    _check_ball,
-    _refuse_overflow,
-    _threshold_form,
-    _threshold_top,
-)
+from .dirichlet import RHO_TOL_SCALE, _check_ball, _refuse_overflow, _threshold
 from .errors import CertificationError, ConvergenceError, DomainError, _count, _positive, _real
 from .modelspectra import Spectrum, counting_function
 from .spaceform import (
@@ -91,8 +83,8 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
 
     rho counts eigenvalues (with multiplicity) up to top(r), the threshold
     Lambda(r) plus the tolerance 1e-9 times the sum of its terms'
-    magnitudes (see dirichlet._ball_threshold); D = 2 r (rho + 1),
-    clamped to the Bonnet-Myers cap.  SpaceForm refuses a dimension that is
+    magnitudes (see dirichlet._threshold); D = 2 r (rho + 1), clamped to
+    the Bonnet-Myers cap.  SpaceForm refuses a dimension that is
     not an integer >= 2 or a non-finite kappa, and the ball check a radius
     that is not positive and finite or that exceeds (1 - 1e-9)
     pi/sqrt(kappa); a threshold past every float or above the truncation is
@@ -102,8 +94,8 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     Cheng's comparison needs Lambda(r) only at or above lambda_kappa(r),
     the lowest Dirichlet eigenvalue of the r-ball in the kappa-model:
     counting below a larger value can only raise rho, hence D.  Lambda is
-    dirichlet._ball_threshold, a closed form on each route (lambda_0(r) =
-    (j_(n/2-1,1) / r)^2 is the flat value):
+    read off the record dirichlet._threshold, a closed form on each route
+    (lambda_0(r) = (j_(n/2-1,1) / r)^2 is the flat value):
 
     * "flat-bessel" (kappa = 0, and kappa > 0 with n != 3): lambda_0(r),
       exact at kappa = 0.  When kappa > 0 this is Cheng's comparison with
@@ -152,13 +144,13 @@ def diameter_bound(spec: Spectrum, kappa: float, n: int, r: float) -> tuple[floa
     The float threshold (q/r)^2 - c kappa may lie below the closed form
     (math.pi and 1/3 round down) by a few ulps of its larger term, not of
     itself: near the antipodal cap the n = 3 difference pi^2/r^2 - kappa
-    cancels, and at kappa = 3.7, r = CAP_SHRINK pi / sqrt(kappa) it reads
+    cancels, and at kappa = 3.7, r = (1 - 1e-9) pi / sqrt(kappa) it reads
     2.7e-8 relative low.  So the tolerance is relative to the sum of the
     terms' magnitudes, (q/r)^2 + c |kappa|, which covers that rounding.
     """
     sf = SpaceForm(n, kappa)
     r = _check_ball(sf, r)
-    _, lam, top = _ball_threshold(sf.n, sf.kappa, r)
+    lam, top = _threshold(sf.n, sf.kappa).top(r, True)
     lam = _refuse_overflow(lam, r, sf.kappa)
     if spec.truncation < top:
         raise DomainError(f"spectrum truncation {spec.truncation:.9g} is below the ball "
@@ -214,10 +206,10 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     eigenvalue is not 0 is refused.
 
     Why the breakpoints suffice.  rho(r) = N(top(r)) counts eigenvalues up
-    to top(r) (dirichlet._ball_threshold's, evaluated per search by the
-    closure dirichlet._threshold_top), which is non-increasing in the float
-    r, since each of its steps is a correctly rounded monotone operation;
-    so the smallest floats below are well defined.  rho is a non-increasing
+    to top(r) (the closure of the threshold record dirichlet._threshold,
+    built once per search), which is non-increasing in the float r, since
+    each of its steps is a correctly rounded monotone operation; so the
+    smallest floats below are well defined.  rho is a non-increasing
     step function of r, and on each of its plateaus
     D = min(2 r (rho + 1), cap) does not fall as r grows.  A radius is
     admissible when top(r) <= T, the truncation, which makes the
@@ -228,16 +220,16 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     top(r) < lam_k for a distinct eigenvalue lam_k, or where the ray
     begins, r_T, the smallest float with top(r) <= T, i.e.
     top(r) < nextafter(T, inf).  A target at or below top at the largest
-    admissible radius, widest (CAP_SHRINK times the antipodal cap, or the
-    largest float), has no breakpoint inside the cap, or none at all
+    admissible radius, the record's widest ((1 - 1e-9) times the antipodal
+    cap, or the largest float), has no breakpoint inside the cap, or none at all
     (lam_0 = 0 on the flat-bessel route, whose threshold only tends to 0),
     and when that drops the truncation's target no radius is admissible.
     radii_searched counts the breakpoints.
 
     Which breakpoints can win.  The search resolves r_T first and scores
     it; then it walks the targets lam_k upward, so r_k falls, and resolves
-    r_k (from the closed-form inverse g_k of top) only where a proven
-    lower bound on its D could still win against the best so far:
+    r_k (from the record's closed-form inverse g_k of top) only where a
+    proven lower bound on its D could still win against the best so far:
 
     * r_k >= r_T, since lam_k <= T < nextafter(T, inf).
     * With r_lo = g_k (1 - 1e-9): if top(r_lo) >= lam_k, then r_k > r_lo,
@@ -295,20 +287,12 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
             f"orbifold has, but {found}",
         )
     cap = bonnet_myers_cap(kappa)
-    route, q, c = _threshold_form(n, kappa)
-    top = _threshold_top(n, kappa)
-    shift, tol, scale = c * kappa, RHO_TOL_SCALE * c * abs(kappa), 1.0 + RHO_TOL_SCALE
-
-    def inverse(target: float) -> float:
-        # The closed-form inverse of top = (1 + s) (q/r)^2 - c kappa + s c |kappa|.
-        flat = (target + shift - tol) / scale
-        return q / math.sqrt(flat) if flat > 0.0 else widest
+    route, _, c, top, inverse, widest = _threshold(n, kappa)
 
     def first_below(target: float, guess: float) -> float:
         # The smallest positive float r with top(r) < target: see Resolving.
         return newton_bracket(lambda r: (not top(r) < target, 0.0), 0.0, widest, guess)[1]
 
-    widest = min(CAP_SHRINK * cap, sys.float_info.max)
     least = top(widest)
     truncation = math.nextafter(spec.truncation, math.inf)
     if not truncation > least:

@@ -6,8 +6,8 @@ is radial, so the eigenvalue problem reduces to a Sturm-Liouville problem
     -(1/w) (w f')' = lam f  on (0, r),   w = sn^(n-1),   f(r) = 0.
 
 The diameter bound needs only an upper bound on its lowest eigenvalue
-(Cheng's comparison): _ball_threshold gives one in closed form at every
-curvature, and the limit the count runs to (proofs in bounds.diameter_bound).
+(Cheng's comparison): the record _threshold gives one in closed form at
+every curvature, with its count limit and inverse (proofs in bounds).
 
 lowest_dirichlet_eigenvalue returns the eigenvalue itself: exactly when
 kappa = 0 or n = 3, and otherwise by the scaling law lam(n, kappa, r) =
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, _positive
-from .spaceform import SERIES_TOL, SpaceForm, bonnet_myers_cap, generalized_sin, newton_bracket
+from .spaceform import SpaceForm, bonnet_myers_cap, generalized_sin, newton_bracket
 
 # Balls in positive curvature must stay strictly inside the antipodal cap;
 # accuracy degrades as the friction term blows up near the cap.
@@ -96,23 +97,20 @@ _START.setflags(write=False)
 
 class _Linalg(NamedTuple):
     """Banded Cholesky factor and solve, and the symmetric banded product,
-    all in LAPACK's upper band storage with two superdiagonals; and the
-    index of the entry largest in magnitude, for max norms without a
-    temporary."""
+    all in LAPACK's upper band storage with two superdiagonals."""
 
     pbtrf: Callable
     pbtrs: Callable
     sbmv: Callable
-    idamax: Callable
 
 
 @functools.cache
 def _linalg() -> _Linalg:
     """The Ritz kernel's LAPACK and BLAS routines, from scipy.linalg on first use."""
-    from scipy.linalg import blas, get_blas_funcs, get_lapack_funcs
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
     pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-    return _Linalg(pbtrf, pbtrs, get_blas_funcs("sbmv", dtype=np.float64), blas.idamax)
+    return _Linalg(pbtrf, pbtrs, get_blas_funcs("sbmv", dtype=np.float64))
 
 
 def _check_ball(sf: SpaceForm, r: float) -> float:
@@ -148,66 +146,63 @@ def _bessel_sign(n: int, x: float) -> int:
         k += 1
 
 
-def _bessel_step(n: int, x: float) -> float:
-    """Newton step -J_nu(x) / J_nu'(x), nu = n/2 - 1, at a float x > 0.
-
-    J_nu(x) is x^nu times the series _bessel_sign sums exactly, here summed
-    in floats: with terms t_k, G = sum t_k and K = sum k t_k, the step is
-    -x G / (nu G + 2 K).  It only steers; no sign is taken from it.
-    """
-    w = 0.5 * x * x
-    term = total = peak = 1.0
-    moment, k = 0.0, 0
-    while True:
-        k += 1
-        g = k * (n + 2 * k - 2)
-        term *= -w / g
-        total += term
-        moment += k * term
-        peak = max(peak, abs(term))
-        if g > w and abs(term) <= SERIES_TOL * peak:
-            return -x * total / ((0.5 * n - 1.0) * total + 2.0 * moment)
-
-
 @functools.lru_cache(maxsize=16)
 def _first_bessel_zero(n: int) -> float:
     """First positive zero of J_(n/2 - 1), rounded up to a float; the flat
     unit-ball eigenvalue is its square.
 
-    Inside sqrt((nu+1)(nu+5)) < j < sqrt(nu+1)(sqrt(nu+2)+1) each probe
-    takes its side from the exact sign of J_nu and its Newton step from the
-    same series in floats (_bessel_step), so the bracket closes on the
-    exact sign change: the upper end kept is the smallest float where
-    J_nu <= 0, and (j/r)^2 never under-estimates the threshold.
+    J_nu changes sign once in sqrt((nu+1)(nu+5)) < j < sqrt(nu+1)
+    (sqrt(nu+2)+1); zero steps on its exact sign (_bessel_sign) make
+    newton_bracket gallop and bisect on the floats to that sign change, so
+    the upper end kept is the smallest float where J_nu <= 0, and (j/r)^2
+    never under-estimates the threshold.
     """
     nu = 0.5 * n - 1.0
-
-    def probe(x: float) -> tuple[bool, float]:
-        return _bessel_sign(n, x) > 0, _bessel_step(n, x)
-
     hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    return newton_bracket(probe, math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi)[1]
+    return newton_bracket(
+        lambda x: (_bessel_sign(n, x) > 0, 0.0), math.sqrt((nu + 1.0) * (nu + 5.0)), hi, hi
+    )[1]
 
 
-def _threshold_form(n: int, kappa: float) -> tuple[str, float, float]:
-    """(route, q, c): the pipelines' ball threshold is Lambda(r) = (q/r)^2 -
-    c kappa on every route (the routes and their proofs are in
-    bounds.diameter_bound), strictly decreasing in r with the inverse
-    r = q / sqrt(Lambda + c kappa).  The one place the route is decided.
+class _Threshold(NamedTuple):
+    """The ball threshold of one (n, kappa); see _threshold."""
+
+    route: str
+    q: float
+    c: float
+    top: Callable
+    inverse: Callable
+    widest: float
+
+
+def _threshold(n: int, kappa: float) -> _Threshold:
+    """The pipelines' ball threshold Lambda(r) = (q/r)^2 - c kappa, an upper
+    bound on the r-ball's lowest Dirichlet eigenvalue on every route (the
+    routes and their proofs are in bounds.diameter_bound): the one place the
+    route is decided and the threshold and its inverse are written.
+
+    top(r) is the limit rho counts up to, Lambda + RHO_TOL_SCALE ((q/r)^2 +
+    c |kappa|), relative to the sum of the terms' magnitudes as the n = 3
+    difference cancels near the antipodal cap; top(r, True) is (Lambda,
+    top).  r is a float or an array of radii, unchecked: the square is a
+    product, correctly rounded for both, so an array agrees bit for bit
+    with each of its radii, and each step is a correctly rounded monotone
+    operation, so both values are non-increasing in the float r.
+    inverse(target) is the closed-form radius where top meets target, or
+    widest, the largest admissible radius (CAP_SHRINK times the antipodal
+    cap, or the largest float), when no positive radius reaches it.  Built
+    once per search with c kappa and c |kappa| folded in, so diameter_bound,
+    the search and the breakpoints oracle agree on top bit for bit.
     """
     if n == 3 and kappa != 0.0:
-        return "n3-closed-form", math.pi, 1.0
-    if kappa < 0:
-        return "liouville", _first_bessel_zero(n), 1.0 / 3.0 if n == 2 else 0.25 * (n - 1) ** 2
-    return "flat-bessel", _first_bessel_zero(n), 0.0
-
-
-def _threshold_top(n: int, kappa: float) -> Callable:
-    """The closure top(r) of _ball_threshold, the form looked up once and
-    c kappa, c |kappa| folded in, for a search over many radii; top(r, True)
-    is (Lambda(r), top(r)).  The one copy of the threshold expression."""
-    _, q, c = _threshold_form(n, kappa)
-    shift, spread = c * kappa, c * abs(kappa)
+        route, q, c = "n3-closed-form", math.pi, 1.0
+    elif kappa < 0:
+        route, q = "liouville", _first_bessel_zero(n)
+        c = 1.0 / 3.0 if n == 2 else 0.25 * (n - 1) ** 2
+    else:
+        route, q, c = "flat-bessel", _first_bessel_zero(n), 0.0
+    shift, spread, tol = c * kappa, c * abs(kappa), RHO_TOL_SCALE * c * abs(kappa)
+    widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
 
     def top(r, with_lam: bool = False):
         q_r = q / r
@@ -216,25 +211,12 @@ def _threshold_top(n: int, kappa: float) -> Callable:
         limit = lam + RHO_TOL_SCALE * (flat + spread)
         return (lam, limit) if with_lam else limit
 
-    return top
+    def inverse(target: float) -> float:
+        # top = (1 + s) (q/r)^2 - c kappa + s c |kappa|, solved for r.
+        flat = (target + shift - tol) / (1.0 + RHO_TOL_SCALE)
+        return q / math.sqrt(flat) if flat > 0.0 else widest
 
-
-def _ball_threshold(n: int, kappa: float, r):
-    """(route, Lambda, top): the closed-form upper bound on the r-ball's
-    lowest Dirichlet eigenvalue that the pipelines count below, and top =
-    Lambda + RHO_TOL_SCALE ((q/r)^2 + c |kappa|), the limit rho counts up
-    to: the sum of the terms' magnitudes is what the rounding error is
-    relative to (the n = 3 difference cancels near the antipodal cap).
-
-    One expression, evaluated per search (_threshold_top), so bounds'
-    diameter_bound, search and breakpoints all agree on top bit for bit.
-    No domain checks; r is a float or an array of radii.  The square is a
-    product, correctly rounded for both, so a value over an array agrees
-    bit for bit with the value at each of its radii.  Each step is a
-    correctly rounded monotone operation, so both values are
-    non-increasing in the float r.
-    """
-    return (_threshold_form(n, kappa)[0], *_threshold_top(n, kappa)(r, True))
+    return _Threshold(route, q, c, top, inverse, widest)
 
 
 def _refuse_overflow(lam: float, r: float, kappa: float) -> float:
@@ -302,7 +284,7 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
     if not np.isfinite(w).all():
         raise DomainError(f"the volume density of the kappa r^2 = {kappa!r} ball overflows")
     mass, stiff = _assemble_bands(w @ _FORM_TABLE)
-    pbtrf, pbtrs, sbmv, idamax = _linalg()
+    pbtrf, pbtrs, sbmv = _linalg()
     sigma = 0.25 * (n - 1) ** 2 * -kappa if kappa < 0 else -1.0
     chol, info = pbtrf(stiff - sigma * mass, overwrite_ab=1)
     if info != 0:
@@ -321,10 +303,10 @@ def _ritz_unit_ball(n: int, kappa: float) -> float:
                 f"at n = {n}, kappa r^2 = {kappa!r}"
             )
         my = sbmv(2, 1.0, mass, y)
-        scale = 1.0 / abs(y[idamax(y)])
+        scale = 1.0 / np.abs(y).max()
         y *= scale
         dy = y - x
-        step = abs(dy[idamax(dy)])
+        step = np.abs(dy).max()
         if step <= steer_below:
             # (K - sigma M) y = M x, so rq(y) = sigma + y.Mx / y.My.
             rq = sigma + float(y @ mx) / float(y @ my)
@@ -356,7 +338,7 @@ def lowest_dirichlet_eigenvalue(sf: SpaceForm, r: float) -> float:
     r = _check_ball(sf, r)
     n, kappa = sf.n, sf.kappa
     if kappa == 0.0 or n == 3:
-        lam = _ball_threshold(n, kappa, r)[1]
+        lam = _threshold(n, kappa).top(r, True)[0]
     else:
         rr = r * r
         lam = _ritz_unit_ball(n, kappa * r * r) / rr if rr > 0.0 else math.inf

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, _count, _positive, _real
 from .groups import OrthogonalAction, cyclic_generator, sphere_rotation_action
-from .spaceform import sphere_measure
+from .spaceform import _check_curvature, sphere_measure
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -451,11 +451,12 @@ class ModelOrbifold:
     The record decides the builder: a torus when lattice_basis is set, a
     round sphere otherwise, divided by action when one is given.  kind names
     that choice.  The record checks itself: dimension passes the integer
-    rule (stored as a plain int), volume and diameter the magnitude rule
-    (stored as floats), a lattice basis must be dimension x dimension, and
-    an action must act on R^dimension on a torus and on R^(dimension + 1)
-    on a sphere.  A torus is reduced to its exact _Lattice here, once, so a
-    symmetry that is not crystallographic is refused when the record is built.
+    rule (stored as a plain int), volume and diameter the magnitude rule and
+    the curvature lower bound the curvature rule (stored as floats), a
+    lattice basis must be dimension x dimension, and an action must act on
+    R^dimension on a torus and on R^(dimension + 1) on a sphere.  A torus
+    is reduced to its exact _Lattice here, once, so a symmetry that is not
+    crystallographic is refused when the record is built.
 
     The record holds one spectrum, the largest it has built.  A spectrum at
     a truncation T is exactly the part at or below T of any spectrum built
@@ -483,6 +484,8 @@ class ModelOrbifold:
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "volume", _positive(self.volume, "volume"))
         object.__setattr__(self, "diameter", _positive(self.diameter, "diameter"))
+        kappa = _check_curvature(self.curvature_lower_bound)
+        object.__setattr__(self, "curvature_lower_bound", kappa)
         torus = self.lattice_basis is not None
         if torus and np.shape(self.lattice_basis) != (n, n):
             raise DomainError(

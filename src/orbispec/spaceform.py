@@ -147,8 +147,9 @@ def newton_bracket(probe, lo: float, hi: float, x: float) -> tuple[float, float]
     probe(x) returns (left, step): whether x lies left of the sign change,
     and the Newton step from x.  The next probe is x + step when that moves
     toward the other end and stays strictly inside the bracket, and the
-    midpoint when it leaves the bracket.  A step that is zero, points back
-    or is not a number gallops toward the other end instead: 1 float, then
+    midpoint 0.5 lo + 0.5 hi (which cannot overflow) when it leaves the
+    bracket at a finite float.  A step that is zero, points back or lands
+    on no finite float gallops toward the other end instead: 1 float, then
     2, 4, ... floats on the _bits keys while such steps repeat, never past
     the bracket's middle float.  So Newton converges to within rounding
     and the last probes close the bracket.  With zero steps the probes are
@@ -167,10 +168,10 @@ def newton_bracket(probe, lo: float, hi: float, x: float) -> tuple[float, float]
         if not math.nextafter(lo, hi) < hi:
             return lo, hi
         nxt = x + step
-        if nxt > x if left else nxt < x:
+        if x < nxt < math.inf if left else -math.inf < nxt < x:
             stride = 1
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
+                nxt = 0.5 * lo + 0.5 * hi
         elif stride == 1:
             nxt, stride = math.nextafter(x, hi if left else lo), 2
         else:

@@ -27,7 +27,6 @@ from scipy.stats import norm, qmc
 
 from orbispec import bounds
 from orbispec.dirichlet import (
-    CAP_SHRINK,
     _DSHAPE,
     _OMEGA,
     _SHAPE,
@@ -35,8 +34,7 @@ from orbispec.dirichlet import (
     RITZ_ELEMENTS,
     RITZ_MAX_ITER,
     _first_bessel_zero,
-    _threshold_form,
-    _threshold_top,
+    _threshold,
 )
 from orbispec.errors import CertificationError, ConvergenceError, DomainError
 from orbispec.groups import OrthogonalAction
@@ -598,9 +596,7 @@ def breakpoints(spec: Spectrum, n: int, kappa: float) -> np.ndarray:
     and no radius is admissible: the same CertificationError the library
     raises.
     """
-    route, q, c = _threshold_form(n, kappa)
-    top = _threshold_top(n, kappa)
-    widest = min(CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
+    route, q, c, top, _, widest = _threshold(n, kappa)
     least = top(widest)
     truncation = math.nextafter(spec.truncation, math.inf)
     if not truncation > least:

@@ -6,6 +6,7 @@ import json
 import pathlib
 import statistics
 import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -53,6 +54,48 @@ def test_import_wall_times_a_bare_import_with_the_sides_alternating(tmp_path, mo
     turns = [change, parent, parent, change] * (repeats // 2) + [change, parent] * (repeats % 2)
     assert [cwd for _, cwd in ran] == turns
     assert set(walls) == set(sides)
+
+
+def test_same_process_ab_alternates_the_sides(tmp_path, monkeypatch):
+    # Each A/B run is a fresh process on one side's tree; every repeat runs
+    # both sides, the side that goes first alternates, and each side keeps
+    # its runs' seconds per request in run order.
+    bench_trend = _bench_trend()
+    sides = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    ran = []
+
+    def run(cmd, cwd, **kw):
+        ran.append((cmd, cwd))
+        value = float(len(ran))
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(
+            {name: value for name in bench_trend.AB_STREAMS}
+        ) + "\n")
+
+    monkeypatch.setattr(bench_trend.subprocess, "run", run)
+    runs = bench_trend.same_process(sides, 7, 5)
+    change, parent = sides["change"], sides["parent"]
+    turns = [change, parent, parent, change] * 2 + [change, parent]
+    assert [cwd for _, cwd in ran] == turns
+    assert all(cmd[1:3] == ["-c", bench_trend.AB_PROGRAM] and cmd[-2:] == ["7", str(
+        bench_trend.AB_CYCLES)] for cmd, _ in ran)
+    for name in bench_trend.AB_STREAMS:
+        assert runs["change"][name] == [1.0, 4.0, 5.0, 8.0, 9.0]
+        assert runs["parent"][name] == [2.0, 3.0, 6.0, 7.0, 10.0]
+
+
+def test_time_cycles_prints_seconds_per_request_of_each_stream():
+    # The A/B's child program, run as same_process runs it on this tree,
+    # with one timed cycle of each stream.
+    bench_trend = _bench_trend()
+    proc = subprocess.run(
+        [sys.executable, "-c", bench_trend.AB_PROGRAM, str(ROOT / "tools" / "bench_trend.py"),
+         "1", "1"],
+        cwd=ROOT, env=bench_trend._env(ROOT), capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(out) == list(bench_trend.AB_STREAMS)
+    assert all(0.0 < value < 1.0 for value in out.values())
 
 
 def test_fresh_walls_keep_every_repeat_beside_the_median(tmp_path, monkeypatch):

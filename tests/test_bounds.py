@@ -1129,9 +1129,10 @@ def test_default_search_equals_exhaustive_scan_over_its_breakpoints(
     )
     n, kappa = model.dimension, (model.curvature_lower_bound + curvature_shift) * s
     radii = _assert_walk_is_the_scan(spec, kappa, n)
+    top = bounds_module._threshold(n, kappa).top
     with np.errstate(divide="ignore", over="ignore"):
-        top = bounds_module._ball_threshold(n, kappa, radii)[2]
-        below = bounds_module._ball_threshold(n, kappa, np.nextafter(radii, 0.0))[2]
+        below = top(np.nextafter(radii, 0.0))
+        top = top(radii)
     # The targets are the eigenvalues above the threshold at the largest
     # admissible radius, a suffix of the spectrum, then the truncation's.
     limits = np.append(
@@ -1208,13 +1209,13 @@ def test_walk_bound_rests_on_evaluation_not_on_the_inverse(model_id, error, monk
     # top(r_lo) >= lam is evaluated, so a closed-form inverse g off by a
     # factor either way costs probes and resolutions, never the triple.
     model, spec = _catalog_spectrum(model_id, 400.0)
-    real = bounds_module._threshold_form
+    real = bounds_module._threshold
 
     def skewed(n, kappa):
-        route, q, c = real(n, kappa)
-        return route, q * error, c
+        record = real(n, kappa)
+        return record._replace(inverse=lambda target: record.inverse(target) * error)
 
-    monkeypatch.setattr(bounds_module, "_threshold_form", skewed)
+    monkeypatch.setattr(bounds_module, "_threshold", skewed)
     for shift in ROUTE_SHIFTS:
         _assert_walk_is_the_scan(spec, model.curvature_lower_bound + shift, model.dimension)
 
@@ -1272,8 +1273,9 @@ def test_n3_tolerance_covers_the_cancellation_near_the_cap(log_kappa, gap):
 
     kappa = 10.0**log_kappa
     r = (1.0 - gap) * dirichlet.CAP_SHRINK * math.pi / math.sqrt(kappa)
-    route, lam, top = bounds_module._ball_threshold(3, kappa, r)
-    assert route == "n3-closed-form"
+    record = bounds_module._threshold(3, kappa)
+    lam, top = record.top(r, True)
+    assert record.route == "n3-closed-form"
     with mpmath.workdps(40):
         exact = mpmath.pi**2 / mpmath.mpf(r) ** 2 - mpmath.mpf(kappa)
         assert mpmath.mpf(top) >= exact
@@ -1320,24 +1322,25 @@ def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
     big = sys.float_info.max
     spec = Spectrum(((0.0, 1), (big / 2, 1)), big, n)
     radii = breakpoints(spec, n, kappa)
+    top = bounds_module._threshold(n, kappa).top
     with np.errstate(over="ignore"):
-        top = bounds_module._ball_threshold(n, kappa, radii)[2]
-        below = bounds_module._ball_threshold(n, kappa, np.nextafter(radii, 0.0))[2]
+        below = top(np.nextafter(radii, 0.0))
+        top = top(radii)
     limits = np.array([big / 2, math.inf])
     assert (top < limits).all() and (below >= limits).all()
     calls = []
 
     def counted(*key):
-        top = threshold_top(*key)
+        record = threshold(*key)
 
         def probe(*args):
             calls.append(args)
-            return top(*args)
+            return record.top(*args)
 
-        return probe
+        return record._replace(top=probe)
 
-    threshold_top = bounds_module._threshold_top
-    monkeypatch.setattr(bounds_module, "_threshold_top", counted)
+    threshold = bounds_module._threshold
+    monkeypatch.setattr(bounds_module, "_threshold", counted)
     best_diameter_bound(spec, kappa, n)
     # The walk's evaluator at the widest radius, then per breakpoint its
     # lower-bound check, a few probes around its guess and the shared-radius
@@ -1349,19 +1352,18 @@ def test_largest_float_truncation_starts_its_breakpoint_near_the_answer(
 
 
 def test_form_lookups_per_search_do_not_grow_with_the_spectrum(monkeypatch):
-    # The walk evaluates its threshold on a closure built once per search:
-    # the threshold's form is looked up a fixed number of times (the walk's
-    # inverse, its evaluator, and r_T's score by diameter_bound), however
-    # many breakpoints the spectrum has.
+    # The walk reads its threshold, inverse and widest radius off one record
+    # built once per search: the threshold's form is looked up exactly once,
+    # however many breakpoints the spectrum has.
     lookups = []
-    real = dirichlet._threshold_form
+    real = dirichlet._threshold
 
     def counted(n, kappa):
         lookups.append((n, kappa))
         return real(n, kappa)
 
-    monkeypatch.setattr(dirichlet, "_threshold_form", counted)
-    monkeypatch.setattr(bounds_module, "_threshold_form", counted)
+    monkeypatch.setattr(dirichlet, "_threshold", counted)
+    monkeypatch.setattr(bounds_module, "_threshold", counted)
     model = catalog_model("t2-mod-4")
     per_search = set()
     for truncation in (8000.0, 256000.0):
@@ -1369,7 +1371,7 @@ def test_form_lookups_per_search_do_not_grow_with_the_spectrum(monkeypatch):
             lookups.clear()
             best_diameter_bound(model.spectrum(truncation), model.curvature_lower_bound + shift, 2)
             per_search.add(len(lookups))
-    assert len(per_search) == 1 and per_search.pop() <= 4
+    assert per_search == {1}
 
 
 def test_truncation_below_the_threshold_at_the_cap_has_no_breakpoint():

@@ -19,12 +19,10 @@ from scipy.special import jn_zeros
 from orbispec import dirichlet
 from orbispec.bounds import RHO_TOL_SCALE
 from orbispec.dirichlet import (
-    _ball_threshold,
     _bessel_sign,
     _first_bessel_zero,
     _ritz_unit_ball,
-    _threshold_form,
-    _threshold_top,
+    _threshold,
     lowest_dirichlet_eigenvalue,
 )
 from orbispec.errors import ConvergenceError, DomainError
@@ -322,8 +320,9 @@ def liouville_keys(draw):
 @example((4, -1e-6, 1.0))
 def test_liouville_threshold_never_below_shooting_oracle(key):
     n, kappa, r = key
-    route, lam, _ = _ball_threshold(n, kappa, r)
-    assert route == "liouville"
+    record = _threshold(n, kappa)
+    lam = record.top(r, True)[0]
+    assert record.route == "liouville"
     assert lam >= _shooting_or_reject(n, kappa, r) * (1 - 1e-9)
 
 
@@ -345,24 +344,33 @@ def test_ball_threshold_scales_and_agrees_over_arrays(n, sign, size, u, c):
     # for bit, which the breakpoint oracle's array pass relies on.
     kappa = sign * size
     r = u * (math.pi / math.sqrt(kappa) if kappa > 0 else 3.0)
-    route, lam, _ = _ball_threshold(n, kappa, r)
-    scaled_route, scaled, _ = _ball_threshold(n, kappa / (c * c), c * r)
-    assert scaled_route == route
+    record, scaled_record = _threshold(n, kappa), _threshold(n, kappa / (c * c))
+    lam, scaled = record.top(r, True)[0], scaled_record.top(c * r, True)[0]
+    assert scaled_record.route == record.route
     assert abs(scaled - lam / (c * c)) <= 1e-14 * (scaled + abs(kappa) / (c * c))
-    assert _ball_threshold(n, kappa / 4.0, 2.0 * r)[1] == lam / 4.0
+    assert _threshold(n, kappa / 4.0).top(2.0 * r, True)[0] == lam / 4.0
     radii = np.array([0.5 * r, r, math.nextafter(r, 0.0)])
-    assert _ball_threshold(n, kappa, radii)[1].tolist() == [
-        _ball_threshold(n, kappa, float(x))[1] for x in radii
+    assert record.top(radii, True)[0].tolist() == [
+        record.top(float(x), True)[0] for x in radii
     ]
 
 
 def _stepwise_top(n, kappa, r):
-    """top(r) restated with _ball_threshold's float operations in their order."""
-    _, q, c = _threshold_form(n, kappa)
+    """(Lambda(r), top(r)) restated with the threshold's float operations in
+    their order."""
+    _, q, c, *_ = _threshold(n, kappa)
     q = q / r
     flat = q * q
     lam = flat - c * kappa
-    return lam + RHO_TOL_SCALE * (flat + c * abs(kappa))
+    return lam, lam + RHO_TOL_SCALE * (flat + c * abs(kappa))
+
+
+def _stepwise_inverse(n, kappa, target):
+    """The closed-form inverse of top restated with its float operations in
+    their order: the widest radius when no positive radius reaches target."""
+    _, q, c, _, _, widest = _threshold(n, kappa)
+    flat = (target + c * kappa - RHO_TOL_SCALE * c * abs(kappa)) / (1.0 + RHO_TOL_SCALE)
+    return q / math.sqrt(flat) if flat > 0.0 else widest
 
 
 @st.composite
@@ -383,18 +391,24 @@ def threshold_keys(draw):
 @example((2, 0.0, 1e-300))  # (q/r)^2 overflows
 @example((7, -1e6, sys.float_info.max))
 def test_per_search_threshold_is_ball_threshold_bit_for_bit(key):
-    # The evaluator a search builds once per (n, kappa) gives the count
-    # limit of _ball_threshold, and of its float operations taken step by
-    # step, bit for bit at a radius and over an array of radii.
+    # The evaluator a search builds once per (n, kappa) gives the threshold
+    # and count limit of its float operations taken step by step, bit for
+    # bit at a radius and over an array of radii; its widest radius is
+    # CAP_SHRINK times the antipodal cap, or the largest float.
     n, kappa, r = key
-    top = _threshold_top(n, kappa)
-    assert top(r).hex() == _ball_threshold(n, kappa, r)[2].hex() == _stepwise_top(n, kappa, r).hex()
-    assert top(r, True) == _ball_threshold(n, kappa, r)[1:]
+    record = _threshold(n, kappa)
+    top = record.top
+    lam, limit = _stepwise_top(n, kappa, r)
+    assert top(r).hex() == top(r, True)[1].hex() == limit.hex()
+    assert top(r, True)[0].hex() == lam.hex()
+    assert record.widest == min(dirichlet.CAP_SHRINK * bonnet_myers_cap(kappa), sys.float_info.max)
     radii = np.array([r, 0.5 * r, math.nextafter(r, 0.0), 1e-300])
     with np.errstate(over="ignore"):
         bits = top(radii).view(np.int64).tolist()
-        assert bits == _ball_threshold(n, kappa, radii)[2].view(np.int64).tolist()
-    assert bits == [np.float64(_stepwise_top(n, kappa, float(x))).view(np.int64) for x in radii]
+        assert bits == top(radii, True)[1].view(np.int64).tolist()
+    assert bits == [np.float64(_stepwise_top(n, kappa, float(x))[1]).view(np.int64) for x in radii]
+    for target in (limit, lam, 0.0, -1.0, sys.float_info.max):
+        assert record.inverse(target).hex() == _stepwise_inverse(n, kappa, target).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 ball_volume and linked_complement_measure are integrals of sin^m, sinh^m
 and cos^m (spaceform._power_integral); ell_constant and alpha_constant
-invert them with Newton steps; _first_bessel_zero takes its Newton steps
-from the float Bessel series.  Each is checked here against an independent
-reference: mpmath's incomplete beta and 2F1 at 50 digits, mpmath root
-finding, and scipy's jv.
+invert them with Newton steps; _first_bessel_zero closes its bracket on
+the exact sign of the Bessel series alone, with zero steps.  Each is
+checked here against an independent reference: mpmath's incomplete beta
+and 2F1 at 50 digits, mpmath root finding, and the same bracket closed by
+Newton steps from scipy's jv.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def test_alpha_constant_inverts_linked_complement_measure(n, kappa, d):
 
 
 def _jv_first_bessel_zero(n: int) -> float:
-    """_first_bessel_zero with its Newton steps from scipy's jv."""
+    """_first_bessel_zero's bracket closed by Newton steps from scipy's jv."""
     nu = 0.5 * n - 1.0
 
     def probe(x: float) -> tuple[bool, float]:

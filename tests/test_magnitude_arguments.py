@@ -113,6 +113,10 @@ def test_magnitude_argument_rule(call, valid, cap):
 def test_records_store_plain_floats():
     model = ModelOrbifold("x", 2, np.float64(0.5), 2, 0.0, lattice_basis=np.eye(2))
     assert type(model.volume) is float and type(model.diameter) is float
+    assert all(
+        type(ModelOrbifold("x", 2, 1.0, 1.0, k, lattice_basis=np.eye(2)).curvature_lower_bound)
+        is float for k in (1, np.float64(-1.0), np.int64(0))
+    )
     assert all(type(SpaceForm(2, k).kappa) is float for k in (1, np.float64(-1.0), np.int64(0)))
 
 
@@ -143,6 +147,8 @@ def test_non_real_and_huge_magnitudes_are_domain_errors():
 # (name, call of the curvature argument): valid at 0.0 and 1.0.
 CURVATURE_CASES = [
     ("SpaceForm", lambda k: SpaceForm(2, k)),
+    ("ModelOrbifold.curvature_lower_bound",
+     lambda k: ModelOrbifold("x", 2, 1.0, 1.0, k, lattice_basis=np.eye(2)).curvature_lower_bound),
     ("bonnet_myers_cap", bonnet_myers_cap),
     ("r_constant", lambda k: r_constant(k, 0.3, 0.5)),
     ("spectral_isotropy_bound", lambda k: spectral_isotropy_bound(T2_BARE, k, n=2, v=1.0)),

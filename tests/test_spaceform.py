@@ -344,6 +344,21 @@ def test_newton_bracket_takes_the_midpoint_when_a_step_leaves_the_bracket():
     lo, hi = newton_bracket(probe, 0.0, 1.0, 0.5)
     assert probes[1] == 0.25
     assert lo < 0.3 <= hi and math.nextafter(lo, hi) == hi
+    # Near the largest float lo + hi overflows, so the midpoint adds the
+    # halves, and a step that overflows gallops: every probe stays inside
+    # the bracket, none at inf.  A step of 5.5e307 from 1.2e308 leaves the
+    # bracket at a finite float, so the midpoint 1.45e308 comes next.
+    for step, second in ((1e308, math.nextafter(1.2e308, math.inf)), (5.5e307, 1.45e308)):
+        probes.clear()
+
+        def far(x):
+            probes.append(x)
+            return x < 1.5e308, step
+
+        lo, hi = newton_bracket(far, 1e308, 1.7e308, 1.2e308)
+        assert lo < 1.5e308 <= hi and math.nextafter(lo, hi) == hi
+        assert probes[1] == second
+        assert all(1e308 <= x <= 1.7e308 for x in probes)
 
 
 def test_newton_bracket_gives_up_after_its_probe_budget():

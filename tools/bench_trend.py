@@ -15,8 +15,11 @@ change alternating and the side that goes first alternating too, then one
 traced run for the per-layer numbers.  It also times
 ``import orbispec.cli``, ``orbispec verify`` and ``orbispec verify --quick``
 in fresh interpreters (wall seconds, median of CLI_REPEATS, the two sides
-taking turns in each repeat, every repeat kept beside the median), counts
-the ``scipy`` modules a fresh ``orbispec verify --quick`` leaves loaded,
+taking turns in each repeat, every repeat kept beside the median), runs a
+same-process A/B of the certify path (``--pairs`` fresh processes per side,
+taking turns the same way, each timing AB_CYCLES cycles of perfbench's
+certify-stream and truncation-sweep requests in process; see time_cycles),
+counts the ``scipy`` modules a fresh ``orbispec verify --quick`` leaves loaded,
 reads the library's size (lines in ``src/orbispec/*.py`` and the length of
 ``orbispec.__all__``, the names from a fresh interpreter on the side's
 tree), and runs the tier-1 pytest suite
@@ -32,12 +35,15 @@ commit (for this checkout "uncommitted" when ``git status --porcelain`` is
 not empty; ``source_sha256`` identifies the sources either way) and per
 workload the median, quartiles and every run of each end-to-end metric,
 the per-layer self-time shares and ``bounds.radii_tried`` from the traced
-run, the import and CLI wall times (``cli_wall_s`` and ``import_wall_s``
-the medians, ``cli_wall_runs_s`` and ``import_wall_runs_s`` every repeat in
-run order), the scipy module count, the library size and the pytest run.
+run, ``same_process_s`` (per stream the median, quartiles and every run of
+the A/B's wall seconds per request), the import and CLI wall times
+(``cli_wall_s`` and ``import_wall_s`` the medians, ``cli_wall_runs_s`` and
+``import_wall_runs_s`` every repeat in run order), the scipy module count, the library size and the pytest run.
 Per workload, ``pairs_won`` counts for each end-to-end metric the pairs in
 which the change read better than the parent run beside it, in the
 direction BENCHMARK.json gives; ties count for neither side.
+``same_process_pairs_won`` counts per stream the A/B runs in which the
+change took less time than the parent run beside it.
 """
 
 from __future__ import annotations
@@ -61,6 +67,16 @@ WORKLOADS = ("verify-cli", "certify-stream", "truncation-sweep")
 # Per-layer metrics kept from a traced run, besides every self_share.* entry.
 TRACE_KEYS = ("bounds.radii_tried",)
 CLI_REPEATS = 5
+# Timed cycles of each stream in one same-process A/B run (after one
+# untimed cycle); about 1 s per run on a 2-core Xeon.
+AB_CYCLES = 200
+AB_STREAMS = ("truncation-sweep", "certify-stream")
+# Runs time_cycles from this file in a side's tree: argv is this file, the
+# seed and the number of cycles.
+AB_PROGRAM = (
+    "import runpy, sys\n"
+    "runpy.run_path(sys.argv[1])['time_cycles'](int(sys.argv[2]), int(sys.argv[3]))"
+)
 RUN_TIMEOUT_S = 900
 CLI_PROGRAM = "import sys, orbispec.cli; sys.exit(orbispec.cli.main(sys.argv[1:]))"
 IMPORT_PROGRAM = "import orbispec.cli"
@@ -139,29 +155,120 @@ def _env(root: Path) -> dict:
     return env
 
 
+def _turns(sides: dict[str, Path], repeats: int):
+    """The sides in run order: every repeat runs each side once, and the
+    side that goes first alternates, so a drift in the machine's speed
+    reaches both alike."""
+    names = list(sides)
+    for i in range(repeats):
+        yield from names if i % 2 == 0 else names[::-1]
+
+
 def fresh_wall(sides: dict[str, Path], argv: list[str]) -> dict[str, list[float]]:
     """Per side, the wall seconds of each of CLI_REPEATS runs of `python
-    <argv>` in a fresh interpreter, in run order.
+    <argv>` in a fresh interpreter, in run order (the sides take turns, see
+    _turns).
 
-    The sides take turns within each repeat, and the side that goes first
-    alternates, so a drift in the machine's speed reaches both alike.  The
-    child's output goes to a pipe, whose end of file ends the wait as the
-    child exits: with a timeout and no pipe, subprocess waits by polling,
-    sleeping up to 50 ms between polls, which put every wall on a 50 ms
-    grid (the 0.05 s steps between the sides in BENCH_28 to BENCH_31).
+    The child's output goes to a pipe, whose end of file ends the wait as
+    the child exits: with a timeout and no pipe, subprocess waits by
+    polling, sleeping up to 50 ms between polls, which put every wall on a
+    50 ms grid (the 0.05 s steps between the sides in BENCH_28 to BENCH_31).
     """
-    names = list(sides)
-    times: dict[str, list[float]] = {side: [] for side in names}
-    for i in range(CLI_REPEATS):
-        for side in names if i % 2 == 0 else names[::-1]:
-            t0 = time.perf_counter()
-            subprocess.run(
-                [sys.executable, *argv], cwd=sides[side],
-                env=_env(sides[side]), stdout=subprocess.PIPE, check=True,
-                timeout=RUN_TIMEOUT_S,
-            )
-            times[side].append(time.perf_counter() - t0)
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    for side in _turns(sides, CLI_REPEATS):
+        t0 = time.perf_counter()
+        subprocess.run(
+            [sys.executable, *argv], cwd=sides[side],
+            env=_env(sides[side]), stdout=subprocess.PIPE, check=True,
+            timeout=RUN_TIMEOUT_S,
+        )
+        times[side].append(time.perf_counter() - t0)
     return times
+
+
+def time_cycles(seed: int, cycles: int) -> None:
+    """Print, as one JSON line, per stream of AB_STREAMS the median over
+    `cycles` cycles of the wall seconds per request.
+
+    Runs in a side's tree (the working directory) on that side's library
+    and perfbench/stream.py, whose request generators and scaled spectra it
+    reads as perfbench/run.py does.  A truncation-sweep request times the
+    spectrum build and the pipeline with the true n and v at kappa = 0, on
+    torus models warmed at the lowest sweep truncation; it runs first, as
+    the catalog records are shared and certify-stream builds every model's
+    spectrum at its full truncation.  A certify-stream request times
+    spectral_singular_point_bound(spec, kappa) on the rescaled catalog
+    spectrum.  A request that raises is timed to the raise.  One untimed
+    cycle of each stream runs first.
+    """
+    sys.path.insert(0, str(Path.cwd() / "perfbench"))
+    import stream
+    from orbispec import bounds, modelspectra
+
+    pipeline = bounds.spectral_singular_point_bound
+
+    def timed(call) -> float:
+        t0 = time.perf_counter()
+        try:
+            call()
+        except Exception:  # timed to the raise, as perfbench records it
+            pass
+        return time.perf_counter() - t0
+
+    def sweep():
+        tori = {key: modelspectra.catalog_model(key) for key in stream.TORUS_FAMILY}
+        for model in tori.values():
+            model.spectrum(stream.SWEEP_RANGE[0])
+
+        def run(req) -> float:
+            model = tori[req.model_id]
+            return timed(lambda: pipeline(
+                model.spectrum(req.truncation), 0.0, n=model.dimension, v=model.volume
+            ))
+
+        return run, stream.sweep_requests(seed), stream.SWEEP_CYCLE
+
+    def certify():
+        models = modelspectra.model_catalog()
+        curvature = {m.model_id: m.curvature_lower_bound for m in models}
+        held = {
+            m.model_id: m.spectrum(stream.FULL_TRUNCATIONS[(m.kind, m.dimension)])
+            for m in models
+        }
+
+        def run(req) -> float:
+            spec = stream.scaled_spectrum(held[req.model_id], req.c)
+            return timed(lambda: pipeline(spec, req.kappa))
+
+        return run, stream.certify_requests(seed, curvature), len(stream.STREAM_CYCLE)
+
+    out = {}
+    for name, setup in (("truncation-sweep", sweep), ("certify-stream", certify)):
+        run, requests, size = setup()
+        per_request = [
+            statistics.fmean(run(next(requests)) for _ in range(size))
+            for _ in range(cycles + 1)
+        ]
+        out[name] = statistics.median(per_request[1:])
+    print(json.dumps(out))
+
+
+def same_process(sides: dict[str, Path], seed: int, repeats: int) -> dict[str, dict]:
+    """Per side and stream, the seconds per request of each of `repeats`
+    fresh processes running time_cycles, in run order (the sides take
+    turns, see _turns).  Both sides run this file's time_cycles, so only
+    the library and its stream module differ between them."""
+    runs: dict[str, dict] = {side: {name: [] for name in AB_STREAMS} for side in sides}
+    for side in _turns(sides, repeats):
+        proc = subprocess.run(
+            [sys.executable, "-c", AB_PROGRAM, str(Path(__file__).resolve()), str(seed),
+             str(AB_CYCLES)],
+            cwd=sides[side], env=_env(sides[side]), stdout=subprocess.PIPE, text=True,
+            check=True, timeout=RUN_TIMEOUT_S,
+        )
+        for name, value in json.loads(proc.stdout.strip().splitlines()[-1]).items():
+            runs[side][name].append(value)
+    return runs
 
 
 def cli_wall(sides: dict[str, Path], args: list[str]) -> dict[str, list[float]]:
@@ -240,6 +347,7 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
                 )
     cli = {cmd: cli_wall(sides, cmd.split()) for cmd in ("verify", "verify --quick")}
     imports = fresh_wall(sides, ["-c", IMPORT_PROGRAM])
+    ab = same_process(sides, args.seed, args.pairs)
     out = {}
     for side, root in sides.items():
         workloads = {}
@@ -261,11 +369,16 @@ def measure(sides: dict[str, Path], args, scratch: Path) -> tuple[dict, dict, di
         out[side] = {
             "source_sha256": plain[0]["meta"]["source_sha256"],
             "workloads": workloads,
+            "same_process_s": {name: summary(values) for name, values in ab[side].items()},
             **wall_fields(side, cli, imports),
             "scipy_modules_verify_quick": scipy_modules(root),
             "library": library_size(root),
             "pytest": pytest_wall(root, scratch / f"pycache-{side}"),
         }
+    out["change"]["same_process_pairs_won"] = {
+        name: sum(c < p for c, p in zip(ab["change"][name], ab["parent"][name]))
+        for name in AB_STREAMS
+    }
     return out, runs, runs[names[0]][WORKLOADS[0]][0]["meta"]
 
 
@@ -299,10 +412,11 @@ def main(argv=None) -> int:
         "settings": {
             "seed": args.seed, "seconds": SECONDS, "pairs": args.pairs,
             "cli_repeats": CLI_REPEATS, "workloads": list(WORKLOADS),
+            "same_process_cycles": AB_CYCLES,
             "times": (
                 "end-to-end times in perfbench reference seconds; "
-                "cli_wall_s, import_wall_s, their *_runs_s and pytest.wall_s "
-                "in wall seconds"
+                "cli_wall_s, import_wall_s, their *_runs_s, same_process_s "
+                "and pytest.wall_s in wall seconds"
             ),
         },
         **results,
