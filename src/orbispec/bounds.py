@@ -332,21 +332,10 @@ def best_diameter_bound(spec: Spectrum, kappa: float, n: int) -> DiameterSearch:
     )
 
 
-def _diameter(d, cap: float) -> float:
-    """A diameter bound clamped at the antipodal cap pi/sqrt(kappa)
-    (bonnet_myers_cap, passed in), then held to the magnitude rule.  Sound:
-    curvature >= kappa > 0 keeps every diameter below the cap, so D = inf
-    is accepted when kappa > 0.  Only a real number is clamped, so a bool is
-    refused whatever the cap."""
-    if isinstance(d, numbers.Real) and not isinstance(d, bool) and d > cap:
-        d = cap
-    return _positive(d, "diameter bound")
-
-
 class _ModelBall(NamedTuple):
     """The curvature-kappa model ball of radius D that the isotropy cap,
     alpha's cone and the packing count all read, built once per
-    certificate: the model space, D clamped at the cap (by _diameter), the
+    certificate by _model_ball: the model space, D clamped at the cap, the
     cap bonnet_myers_cap(kappa) and ball_volume(sf, D)."""
 
     sf: SpaceForm
@@ -355,8 +344,16 @@ class _ModelBall(NamedTuple):
     volume: float
 
 
-def _model_ball(sf: SpaceForm, cap: float, d: float) -> _ModelBall:
-    """The record of a D that _diameter has clamped and checked."""
+def _model_ball(sf: SpaceForm, d) -> _ModelBall:
+    """The one entry of the cap chain: the model ball of D in the checked sf.
+    A real D is clamped at the antipodal cap pi/sqrt(kappa), which is sound
+    (curvature >= kappa > 0 keeps every diameter below it, so D = inf is
+    accepted when kappa > 0); a bool is refused whatever the cap.  Then D
+    must be positive and finite, and its ball volume a finite float."""
+    cap = bonnet_myers_cap(sf.kappa)
+    if isinstance(d, numbers.Real) and not isinstance(d, bool) and d > cap:
+        d = cap
+    d = _positive(d, "diameter bound")
     return _ModelBall(sf, d, cap, ball_volume(sf, d))
 
 
@@ -376,14 +373,12 @@ def isotropy_order_cap(n: int, kappa: float, d: float, v: float) -> int:
 
     The dilation of small balls around a singular point scales volume down
     by the isotropy order, so the order cannot exceed the model-ball/volume
-    ratio.  SpaceForm checks n and kappa, D is clamped at the antipodal cap
-    and must then be positive and finite, as v must; the pipelines check
-    (n, v) against the spectrum before they get here.
+    ratio.  SpaceForm checks n and kappa, _model_ball D, then v must be
+    positive and finite; the pipelines check (n, v) against the spectrum
+    before they get here.
     """
-    sf = SpaceForm(n, kappa)
-    v = _positive(v, "volume")
-    cap = bonnet_myers_cap(kappa)
-    return _isotropy_cap(_model_ball(sf, cap, _diameter(d, cap)), v)
+    ball = _model_ball(SpaceForm(n, kappa), d)
+    return _isotropy_cap(ball, _positive(v, "volume"))
 
 
 def _isotropy_cap(ball: _ModelBall, v: float) -> int:
@@ -402,13 +397,11 @@ def alpha_constant(n: int, kappa: float, d: float, v: float) -> float:
     search: it is returned when the forward cone satisfies the strict
     inequality with relative margin 1e-9 (a relative margin keeps the angle
     invariant under rescaling), and else newton_bracket closes that forward
-    check, the certificate, below it.
+    check, the certificate, below it.  SpaceForm checks n and kappa,
+    _model_ball D, then v must be positive and finite.
     """
-    sf = SpaceForm(n, kappa)
-    cap = bonnet_myers_cap(kappa)
-    d = _diameter(d, cap)
-    v = _positive(v, "volume")
-    return _alpha(_model_ball(sf, cap, d), v)
+    ball = _model_ball(SpaceForm(n, kappa), d)
+    return _alpha(ball, _positive(v, "volume"))
 
 
 def _alpha(ball: _ModelBall, v: float) -> float:
@@ -556,26 +549,17 @@ def packing_bound(n: int, kappa: float, diameter: float, eps: float) -> int:
     curvature-kappa model gives each at least the fraction
     ball(eps/2) / ball(diameter) of the space: at most
     floor(ball(diameter) / ball(eps/2)) points.  SpaceForm checks n and
-    kappa; the diameter is clamped at the antipodal cap, and it and eps must
-    then be positive and finite, with eps <= 2 diameter.
+    kappa, _model_ball the diameter, then _packing eps.
     """
-    sf = SpaceForm(n, kappa)
-    cap = bonnet_myers_cap(sf.kappa)
-    diameter = _diameter(diameter, cap)
-    eps = _check_eps(eps, diameter)
-    return _packing(_model_ball(sf, cap, diameter), eps)
+    return _packing(_model_ball(SpaceForm(n, kappa), diameter), eps)
 
 
-def _check_eps(eps, diameter: float) -> float:
-    """eps as a float, positive and finite and at most 2 diameter."""
+def _packing(ball: _ModelBall, eps) -> int:
+    """packing_bound on the model-ball record; eps must be positive and
+    finite and at most 2 D."""
     eps = _positive(eps, "eps")
-    if eps > 2.0 * diameter:
-        raise DomainError(f"need eps <= 2*diameter, got eps={eps} diameter={diameter}")
-    return eps
-
-
-def _packing(ball: _ModelBall, eps: float) -> int:
-    """packing_bound on the model-ball record and an eps _check_eps has passed."""
+    if eps > 2.0 * ball.d:
+        raise DomainError(f"need eps <= 2*diameter, got eps={eps} diameter={ball.d}")
     return _floor_ratio(ball.volume, ball_volume(ball.sf, eps / 2.0))
 
 
@@ -588,13 +572,11 @@ def singular_point_cap(n: int, kappa: float, d: float, v: float) -> tuple[int, d
     diameter-D ball.  That is a factor-2 margin under the stated
     separation, which alone would allow eps = r (disjoint r/2-balls) and a
     cap about 2^n smaller; the cap keeps the margin until the separation
-    lemma is proved with its constants.
+    lemma is proved with its constants.  SpaceForm checks n and kappa,
+    _model_ball D, then v must be positive and finite.
     """
-    cap = bonnet_myers_cap(kappa)
-    d = _diameter(d, cap)
-    sf = SpaceForm(n, kappa)
-    v = _positive(v, "volume")
-    return _singular_cap(_model_ball(sf, cap, d), v)
+    ball = _model_ball(SpaceForm(n, kappa), d)
+    return _singular_cap(ball, _positive(v, "volume"))
 
 
 def _singular_cap(ball: _ModelBall, v: float) -> tuple[int, dict[str, float]]:
@@ -605,8 +587,7 @@ def _singular_cap(ball: _ModelBall, v: float) -> tuple[int, dict[str, float]]:
     # With consistent inputs r < ell < D; the clamp only guards degenerate
     # volume/diameter combinations and stays sound (smaller r still separates).
     r_used = min(r, ball.d)
-    eps = _check_eps(r_used / 2.0, ball.d)
-    return _packing(ball, eps), {"alpha": alpha, "ell": ell, "r": r_used}
+    return _packing(ball, r_used / 2.0), {"alpha": alpha, "ell": ell, "r": r_used}
 
 
 @dataclass(frozen=True)
@@ -722,13 +703,12 @@ def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
     Each piece of work runs once per certificate.  The paper's chain reads
     one object three times, the curvature-kappa model ball of radius D:
     once the diameter stage has D, the isotropy-cap stage builds its record
-    (_ModelBall: the SpaceForm(n, kappa) the dimension check built, D
-    clamped at the cap, the cap and ball_volume(sf, D)), and the isotropy
-    cap, alpha's cone and band and the packing count all read it.
-    The public isotropy_order_cap and singular_point_cap are validators
-    over the same private functions, so the report equals their
-    composition.  A ball volume past every float fails the isotropy-cap
-    stage, the first to read it.
+    with _model_ball on the SpaceForm(n, kappa) the dimension check built,
+    and the isotropy cap, alpha's cone and band and the packing count all
+    read it.  The public isotropy_order_cap and singular_point_cap enter
+    through the same _model_ball and private functions, so the report
+    equals their composition.  A ball volume past every float fails the
+    isotropy-cap stage, the first to read it.
     """
     trace: list[dict] = []
     sf, v, source = _resolve_dimension_volume(spec, kappa, n, v, trace)
@@ -744,8 +724,7 @@ def _certify(spec: Spectrum, kappa: float, n, v, singular: bool) -> BoundReport:
             threshold_route=search.threshold_route,
         )
     with _stage(trace, "isotropy-cap", {"diameter_bound": d, "volume": v}) as out:
-        antipodal = bonnet_myers_cap(kappa)
-        ball = _model_ball(sf, antipodal, _diameter(d, antipodal))
+        ball = _model_ball(sf, d)
         cap = _isotropy_cap(ball, v)
         out.update(isotropy_cap=cap)
     notes = {
