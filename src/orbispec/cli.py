@@ -155,7 +155,7 @@ def _verify_row(model, quick: bool) -> dict:
             "true": model.diameter,
             "bound": report.diameter_bound,
             "r": report.r_used,
-            "sound": bool(report.diameter_bound >= model.diameter - 1e-12),
+            "sound": bool(report.diameter_bound >= model.diameter),
         },
         "isotropy": {
             "true": model.max_isotropy_order,

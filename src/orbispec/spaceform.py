@@ -65,11 +65,13 @@ def _check_curvature(kappa) -> float:
 
 
 def bonnet_myers_cap(kappa: float) -> float:
-    """Largest possible diameter under curvature >= kappa: pi/sqrt(kappa), else
-    infinity.  kappa is held to the curvature rule."""
+    """Largest possible diameter under curvature >= kappa: pi/sqrt(kappa)
+    rounded outward, else infinity.  kappa is held to the curvature rule.
+    The factor 1 + 2^-50 covers the roundings of math.pi, the root, the
+    quotient and the product, so the float is at or above the true cap."""
     kappa = _check_curvature(kappa)
     if kappa > 0:
-        return math.pi / math.sqrt(kappa)
+        return math.pi / math.sqrt(kappa) * (1.0 + 2.0**-50)
     return math.inf
 
 

@@ -108,7 +108,7 @@ def test_spectrum_content_id_round_trips_and_sees_every_field():
 def test_diameter_bound_counts_and_clamps(s2_spectrum, catalog_spectra):
     # On the round sphere any admissible radius reaches the Bonnet-Myers clamp.
     d, rho = diameter_bound(s2_spectrum, 1.0, 2, 1.0)
-    assert d == math.pi and rho >= 1
+    assert d == bonnet_myers_cap(1.0) > math.pi and rho >= 1
     # Flat torus at r = 0.4: threshold ~36.1 catches only the zero eigenvalue.
     _, t2_spec = catalog_spectra["t2"]
     d, rho = diameter_bound(t2_spec, 0.0, 2, 0.4)
@@ -149,8 +149,9 @@ def test_best_diameter_bound_prefers_large_radius(s2_spectrum):
     # eigenvalues), so the search returns the largest of them.
     d, r, rho = best_diameter_bound(s2_spectrum, 1.0, 2)
     radii = breakpoints(s2_spectrum, 2, 1.0)
-    assert d == math.pi and r == radii.max()
-    assert all(diameter_bound(s2_spectrum, 1.0, 2, float(x))[0] == math.pi for x in radii)
+    cap = bonnet_myers_cap(1.0)
+    assert d == cap > math.pi and r == radii.max()
+    assert all(diameter_bound(s2_spectrum, 1.0, 2, float(x))[0] == cap for x in radii)
     assert rho == diameter_bound(s2_spectrum, 1.0, 2, r)[1]
 
 
@@ -658,7 +659,8 @@ def test_ell_constant_closed_forms():
     assert abs(ell_constant(2, 1.0, 40 * math.pi) - (1 - 1e-6) * math.pi) < 1e-12
     # a whole sphere below every float is the cap; past every float it is refused
     for n in (2, 3, 4):
-        assert ell_constant(n, 1e300, 1.0) == SHRINK * math.pi / math.sqrt(1e300)
+        assert ell_constant(n, 1e300, 1.0) == SHRINK * bonnet_myers_cap(1e300)
+    assert bonnet_myers_cap(1e300) > math.pi / math.sqrt(1e300)
     for n, kappa in ((3, 1e-210), (2, 5e-324), (2, 1e-310), (5, 1e-130)):
         with pytest.raises(DomainError, match="overflows"):
             ell_constant(n, kappa, 1.0)
@@ -887,7 +889,7 @@ def test_isotropy_pipeline_exact_inputs():
     spec = model.spectrum(400.0)
     rep = spectral_isotropy_bound(spec, 1.0, n=2, v=model.volume)
     assert rep.source == "given"
-    assert rep.diameter_bound == math.pi
+    assert rep.diameter_bound == bonnet_myers_cap(1.0) > math.pi
     assert rep.isotropy_cap == 3
     assert rep.singular_cap is None and rep.alpha is None
     stages = [s["stage"] for s in rep.stage_trace]
@@ -895,7 +897,7 @@ def test_isotropy_pipeline_exact_inputs():
     d = rep.to_dict()
     assert d["inputs"]["source"] == "given"
     assert d["isotropy_cap"] == 3
-    assert d["diameter_bound"] == math.pi
+    assert d["diameter_bound"] == bonnet_myers_cap(1.0)
     assert [s["stage"] for s in d["stage_trace"]] == stages
     # determinism: identical spectra give identical reports
     rep2 = spectral_isotropy_bound(model.spectrum(400.0), 1.0, n=2, v=model.volume)
@@ -909,7 +911,7 @@ def test_isotropy_pipeline_weyl_path(s2_spectrum):
     assert abs(rep.volume - 4 * math.pi) <= 0.10 * 4 * math.pi
     stages = [s["stage"] for s in rep.stage_trace]
     assert stages[:2] == ["weyl-dimension", "weyl-volume"]
-    assert rep.diameter_bound == math.pi
+    assert rep.diameter_bound == bonnet_myers_cap(1.0) > math.pi
 
 
 @pytest.mark.parametrize("model_id", [m.model_id for m in model_catalog()])

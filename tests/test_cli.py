@@ -9,6 +9,7 @@ import pytest
 from orbispec import (
     Spectrum,
     __version__,
+    bonnet_myers_cap,
     catalog_model,
     singular_point_cap,
     spectral_isotropy_bound,
@@ -94,7 +95,7 @@ def test_weyl_and_diameter_round_trip(capsys, tmp_path):
         "--n",
         "2",
     )
-    assert doc["diameter_bound"] == math.pi
+    assert doc["diameter_bound"] == bonnet_myers_cap(1.0) > math.pi
     assert set(doc["config"]) == {"spectrum", "kappa", "n", "volume"}
     # --n alone: the volume is still resolved, from the spectrum.
     assert doc["source"] == "weyl-estimated"

@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,9 +95,25 @@ def test_scalar_and_array_radii_raise_the_same_domain_error(kappa, bad):
     assert str(err.value) in messages
 
 
+def _assert_cap_rounds_outward(kappa: float) -> None:
+    # The float cap lies above pi/sqrt(kappa) (40 digits), by at most 2^-49 relative.
+    cap = bonnet_myers_cap(kappa)
+    with mpmath.workdps(40):
+        true = mpmath.pi / mpmath.sqrt(mpmath.mpf(kappa))
+        assert true < mpmath.mpf(cap) <= true * (1 + mpmath.mpf(2) ** -49), kappa
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False, allow_infinity=False))
+def test_bonnet_myers_cap_rounds_outward(kappa):
+    _assert_cap_rounds_outward(kappa)
+
+
 def test_bonnet_myers_cap():
-    assert bonnet_myers_cap(1.0) == math.pi
-    assert abs(bonnet_myers_cap(4.0) - math.pi / 2) < 1e-15
+    # math.pi is 1.22e-16 below pi, so the cap at kappa = 1 lies above it.
+    assert bonnet_myers_cap(1.0) > math.pi
+    for kappa in (1.0, 0.25, 2.0, 3.7, 4.0, 5e-324, 1e-300, 1e300):
+        _assert_cap_rounds_outward(kappa)
     # no diameter cap without positive curvature
     assert bonnet_myers_cap(0.0) == math.inf
     assert bonnet_myers_cap(-1.0) == math.inf
