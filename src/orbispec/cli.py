@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -223,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, help_text: str) -> argparse.ArgumentParser:
-        return subs.add_parser(name, help=help_text, parents=[common])
+        sub = subs.add_parser(name, help=help_text, parents=[common])
+        # Read -1e2, -inf and -nan as values: argparse takes only -1 and -1.5 on Python 3.11.
+        sub._negative_number_matcher = re.compile(r"-\.?\d|-(inf(inity)?|nan)$", re.I)
+        return sub
 
     p = add_parser("spectrum", "exact catalog spectrum to JSON")
     p.add_argument("--model", required=True, help="catalog model id (e.g. s2-mod-3)")

@@ -263,6 +263,20 @@ def test_constants_command_refuses_an_infinite_volume(capsys, kappa):
     assert err.startswith("error[domain]: volume must be positive and finite, got inf"), err
 
 
+@pytest.mark.parametrize("kappa", ["-1e2", "-1e-3", "-.5"])
+def test_negative_kappa_in_exponent_form_is_a_value(capsys, kappa):
+    # argparse on Python 3.11 took "--kappa -1e2" for a flag: "expected one argument".
+    spaced = run_json(capsys, "eig-ball", "--n", "2", "--kappa", kappa, "--r", "1")
+    assert spaced == run_json(capsys, "eig-ball", "--n", "2", f"--kappa={kappa}", "--r", "1")
+    assert spaced["config"]["kappa"] == float(kappa)
+
+
+def test_negative_infinite_kappa_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "eig-ball", "--n", "2", "--kappa", "-inf", "--r", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error[domain]: curvature must be finite, got -inf"), err
+
+
 def test_ball_volume_overflow_exits_2_at_its_stage(capsys, tmp_path):
     # The isotropy cap's ball volume sinh(50 D)^2 overflows: a traceback and
     # exit 1 once, a stage-named failure now.
