@@ -13,6 +13,7 @@ curvature, which must also be finite: it is stored as a float.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -110,35 +111,38 @@ def test_magnitude_argument_rule(call, valid, cap):
             call(bad)
 
 
-# Bad values of each argument of the model-ball caps, in their check order (n,
-# kappa, D and its ball volume, then v or eps), with the error each raises
-# against the valid (2, -1.0, 1.0, 1.0).
-CHECK_ORDER = [
-    ("n", [(1, "model dimension must be an integer >= 2")]),
-    ("kappa", [(math.nan, "curvature must be finite")]),
-    ("d", [
+# Bad values of the model-ball caps' first three arguments, in their check
+# order (n, kappa, D and its ball volume), with the error each raises against
+# the valid (2, -1.0, 1.0, v or eps = 1.0).
+EARLIER_BAD = [
+    [(1, "model dimension must be an integer >= 2")],
+    [(math.nan, "curvature must be finite")],
+    [
         (0.0, "diameter bound must be positive and finite"),
         (800.0, "the volume of the r = 800.0 ball at kappa = -1.0 overflows"),
-    ]),
-    ("last", [(0.0, "must be positive and finite, got 0.0")]),
+    ],
 ]
 
 
 @pytest.mark.parametrize(
-    "cap", [isotropy_order_cap, alpha_constant, packing_bound, singular_point_cap],
-    ids=lambda f: f.__name__,
+    "cap, last_bad",
+    [
+        (isotropy_order_cap, [0.0]),
+        (alpha_constant, [0.0]),
+        (packing_bound, [0.0, 100.0]),  # eps must also be at most 2 D
+        (singular_point_cap, [0.0]),
+    ],
+    ids=["isotropy_order_cap", "alpha_constant", "packing_bound", "singular_point_cap"],
 )
-def test_model_ball_caps_check_their_arguments_in_one_order(cap):
+def test_model_ball_caps_check_their_arguments_in_one_order(cap, last_bad):
     # With two arguments bad at once, the error is the earlier argument's.
-    valid = {"n": 2, "kappa": -1.0, "d": 1.0, "last": 1.0}
-    last = [(100.0, "need eps <= 2")] if cap is packing_bound else []
-    for i, (first, first_bad) in enumerate(CHECK_ORDER):
-        for second, second_bad in CHECK_ORDER[i + 1:]:
-            for x, message in first_bad:
-                for y, _ in second_bad + (last if second == "last" else []):
-                    args = {**valid, first: x, second: y}
-                    with pytest.raises(DomainError, match=message):
-                        cap(*args.values())
+    bad = EARLIER_BAD + [[(x, None) for x in last_bad]]
+    for i, j in itertools.combinations(range(4), 2):
+        for (x, message), (y, _) in itertools.product(bad[i], bad[j]):
+            args = [2, -1.0, 1.0, 1.0]
+            args[i], args[j] = x, y
+            with pytest.raises(DomainError, match=message):
+                cap(*args)
 
 
 def test_records_store_plain_floats():
